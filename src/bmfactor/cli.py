@@ -27,7 +27,7 @@ from .factors import (
     pencil_largest_positive_root,
 )
 from .inequality import gegenbauer_inequality, hermite_inequality
-from .oracle import ConditioningError, DEFAULT_DEGREE_CAP, rayleigh_factor
+from .oracle import ConditioningError, DEFAULT_DEGREE_CAP, _rayleigh_stack, rayleigh_factor
 from .orthopoly import gegenbauer_poly, hermite_poly, residual_gegenbauer, residual_hermite
 
 EXIT_OK = 0
@@ -231,23 +231,38 @@ def _verify_rows(lambdas, mus, n_values):
                 yield factor_gegenbauer_dunkl(n, lam, mu)
 
 
+def _verify_oracle(results: list[FactorResult], cap: int) -> list[float]:
+    """Oracle values of ``results``, one stacked solve per (family, operator, n) group."""
+    groups: dict[tuple, list[int]] = {}
+    for i, result in enumerate(results):
+        groups.setdefault((result.weight.family, result.operator, result.n), []).append(i)
+    values = [0.0] * len(results)
+    for (_family, op, n), members in groups.items():
+        stack, _ = _rayleigh_stack(n, [results[i].weight for i in members], op, max_degree=cap)
+        for i, value in zip(members, stack):
+            values[i] = float(value)
+    return values
+
+
+def _point(result: FactorResult) -> str:
+    return (f"weight={result.weight.family.value} op={result.operator.kind.value} "
+            f"lambda={result.weight.lam} mu={result.weight.mu} n={result.n}")
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     cap = max(degree_cap(), args.n_max)
     n_values = range(1, args.n_max + 1)
+    results = list(_verify_rows(args.lambdas, args.mus, n_values))
     rows = []
     violations = []
-    max_rel_err = 0.0
 
-    for result in _verify_rows(args.lambdas, args.mus, n_values):
-        oracle_value, _ = rayleigh_factor(result.n, result.weight, result.operator, max_degree=cap)
+    for result, oracle_value in zip(results, _verify_oracle(results, cap)):
         rel_err = abs(oracle_value - result.factor) / oracle_value
-        max_rel_err = max(max_rel_err, rel_err)
         if rel_err > args.tolerance:
-            violations.append(
-                f"theorem/oracle gap {rel_err:.3e} at weight={result.weight.family.value} "
-                f"op={result.operator.kind.value} lambda={result.weight.lam} "
-                f"mu={result.weight.mu} n={result.n}")
+            violations.append(f"theorem/oracle gap {rel_err:.3e} at {_point(result)}")
         rows.append((result, oracle_value, rel_err))
+    worst = max(rows, key=lambda row: row[2], default=None)
+    max_rel_err = worst[2] if worst else 0.0
 
     for lam in sorted(set(args.lambdas)):
         if lam <= 0:
@@ -290,11 +305,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(json.dumps({
             "rows": len(rows),
             "max_rel_err": max_rel_err,
+            "worst": None if worst is None else {
+                "family": worst[0].weight.family.value,
+                "operator": worst[0].operator.kind.value,
+                "lambda": worst[0].weight.lam,
+                "mu": worst[0].weight.mu if worst[0].weight.is_gegenbauer else None,
+                "n": worst[0].n,
+                "rel_err": worst[2],
+            },
             "tolerance": args.tolerance,
             "violations": violations,
         }))
     else:
-        print(f"verified {len(rows)} grid points; max theorem/oracle rel err = {max_rel_err:.3e} "
+        at = f" at {_point(worst[0])}" if worst else ""
+        print(f"verified {len(rows)} grid points; max theorem/oracle rel err = {max_rel_err:.3e}{at} "
               f"(tolerance {args.tolerance:g})")
         for v in violations:
             print("VIOLATION:", v)

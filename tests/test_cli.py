@@ -8,6 +8,8 @@ import math
 import pytest
 
 from bmfactor.cli import EXIT_DOMAIN, EXIT_MISMATCH, EXIT_OK, VERIFY_CSV_COLUMNS, main
+from bmfactor.core import OperatorSpec, WeightSpec
+from bmfactor.oracle import rayleigh_factor
 
 
 def run(capsys, *argv):
@@ -86,6 +88,49 @@ def test_verify_csv_columns(capsys):
     assert len(rows) == 1 + 3 * 4
     branches = {r[6] for r in rows[1:]}
     assert "dunkl_closed_form" in branches
+
+
+def test_verify_oracle_column_equals_scalar_oracle(capsys):
+    # verify solves each (family, operator, n) group as one stack; every row
+    # must still print exactly the scalar oracle's value
+    code, out, _ = run(capsys, "verify", "--lambdas", "0", "0.4", "2", "--mus", "-0.4", "3",
+                       "--n-max", "5", "--format", "csv", "--digits", "17")
+    assert code == EXIT_OK
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 5 * (2 + 3 + 4 + 6)
+    for row in rows:
+        lam, n = float(row["lambda"]), int(row["n"])
+        dunkl = row["branch"] == "dunkl_closed_form"
+        if row["mu"]:
+            weight = WeightSpec.gegenbauer(lam, float(row["mu"]))
+            op = OperatorSpec.dunkl(damped=True) if dunkl else OperatorSpec.ddx(damped=True)
+        else:
+            weight = WeightSpec.hermite(lam)
+            op = OperatorSpec.dunkl() if dunkl else OperatorSpec.ddx()
+        assert row["oracle_value"] == f"{rayleigh_factor(n, weight, op)[0]:.17g}"
+
+
+def test_verify_names_the_worst_grid_point(capsys):
+    argv = ("verify", "--lambdas", "0.5", "4.5", "--mus", "-0.4", "1", "--n-max", "9")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    worst = payload["worst"]
+    assert set(worst) == {"family", "operator", "lambda", "mu", "n", "rel_err"}
+    assert worst["rel_err"] == payload["max_rel_err"] > 0
+    _, csv_out, _ = run(capsys, *argv, "--format", "csv", "--digits", "17")
+    rows = list(csv.DictReader(io.StringIO(csv_out)))
+    [row] = [r for r in rows
+             if (float(r["lambda"]), float(r["mu"]) if r["mu"] else None, int(r["n"]))
+             == (worst["lambda"], worst["mu"], worst["n"])
+             and (r["branch"] == "dunkl_closed_form") == (worst["operator"] == "dunkl")]
+    assert row["rel_err"] == f"{worst['rel_err']:.3e}"
+    assert float(row["rel_err"]) == max(float(r["rel_err"]) for r in rows)
+    assert worst["family"] == ("gegenbauer" if row["mu"] else "hermite")
+    code, plain, _ = run(capsys, *argv)
+    summary = plain.splitlines()[0]
+    assert f"at weight={worst['family']} op={worst['operator']} lambda={worst['lambda']}" in summary
+    assert f"n={worst['n']} (tolerance" in summary
 
 
 def test_table2_flags_reference_mismatches(capsys):

@@ -11,6 +11,9 @@ import pytest
 from bmfactor.core import OperatorSpec, Polynomial, WeightSpec, reflect
 from bmfactor.dunkl import dunkl_apply, dunkl_laplacian, mul_by_one_minus_x2, mul_by_x, sigma
 from bmfactor.oracle import (
+    ConditioningError,
+    _rayleigh_stack,
+    _top_eigenpairs,
     gauss_rule,
     gram_matrices,
     rayleigh_factor,
@@ -127,6 +130,56 @@ def test_rayleigh_factor_high_degree_matches_certified(case, reference):
     v, p = rayleigh_factor(n, weight, operator, max_degree=n)
     assert v == pytest.approx(reference, rel=1e-12)
     assert _exact_norm_sq(p, weight) == pytest.approx(1.0, rel=1e-9)
+
+
+def _stack_cases():
+    # lambda = 0 only where the factor theorems admit it (the Dunkl operator),
+    # mu = -0.4 near the bottom of its range, and lambda = 100 far out.
+    hermite = [0.0, 0.25, 1.0, 100.0]
+    gegenbauer = [(0.0, -0.4), (0.5, 0.0), (2.0, -0.4), (4.5, 3.0), (100.0, -0.4), (100.0, 99.0)]
+    for op in ("ddx", "dunkl"):
+        lams = [lam for lam in hermite if lam > 0 or op == "dunkl"]
+        yield "hermite", op, [WeightSpec.hermite(lam) for lam in lams]
+        pairs = [(lam, mu) for lam, mu in gegenbauer if lam > 0 or op == "dunkl"]
+        yield "gegenbauer", op, [WeightSpec.gegenbauer(lam, mu) for lam, mu in pairs]
+
+
+@pytest.mark.parametrize("n", (1, 2, 7, 10, 20, 40))
+@pytest.mark.parametrize(("family", "op", "weights"), [pytest.param(*c, id=f"{c[0]}-{c[1]}")
+                                                       for c in _stack_cases()])
+def test_stacked_oracle_equals_its_batches_of_one(family, op, weights, n):
+    damped = family == "gegenbauer"
+    operator = OperatorSpec.dunkl(damped) if op == "dunkl" else OperatorSpec.ddx(damped)
+    values, coeffs = _rayleigh_stack(n, weights, operator, max_degree=n)
+    assert values.shape == (len(weights),) and coeffs.shape == (len(weights), n + 1)
+    for weight, value, row in zip(weights, values, coeffs):
+        one, extremal = rayleigh_factor(n, weight, operator, max_degree=n)
+        assert one == value  # bit for bit, not approximately
+        assert extremal == Polynomial(row)
+
+
+def test_stacked_oracle_rejects_mixed_families():
+    weights = [WeightSpec.hermite(1.0), WeightSpec.gegenbauer(1.0, 0.5)]
+    with pytest.raises(ValueError):
+        _rayleigh_stack(3, weights, OperatorSpec.dunkl())
+
+
+def test_stacked_solve_names_the_indefinite_item():
+    weights = [WeightSpec.gegenbauer(lam, 0.5) for lam in (0.5, 1.0, 2.0)]
+    s = np.stack([np.diag([0.0, 1.0, 4.0])] * 3)
+    g = np.stack([np.eye(3)] * 3)
+    g[1, 2, 2] = -1e-3  # indefinite Gram matrix at index 1
+    with pytest.raises(ConditioningError) as info:
+        _top_eigenpairs(s, g, weights, OperatorSpec.ddx(damped=True), 2)
+    assert info.value.index == 1
+    assert math.isfinite(info.value.condition) and info.value.condition == pytest.approx(1e3)
+    assert "('gegenbauer', 'ddx', 1.0, 0.5, 2)" in str(info.value)
+    # a NaN stiffness entry is refused too: eigh would return a finite top eigenvalue
+    g[1, 2, 2] = 1.0
+    s[2, 0, 1] = math.nan
+    with pytest.raises(ConditioningError) as info:
+        _top_eigenpairs(s, g, weights, OperatorSpec.ddx(damped=True), 2)
+    assert info.value.index == 2 and info.value.condition == pytest.approx(1.0)
 
 
 def test_rayleigh_factor_is_variational_maximum():
