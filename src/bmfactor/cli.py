@@ -439,7 +439,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (ConditioningError, np.linalg.LinAlgError, RuntimeError) as exc:
+    except (ConditioningError, np.linalg.LinAlgError, RuntimeError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -5,17 +5,28 @@ squared weighted norm of A D^2 p + B D p + lambda_n^2 p, so the gap is
 nonnegative and vanishes exactly on multiples of the degree-n orthogonal
 polynomial.  The reflection and sigma terms make the identity exact for both
 parities; with lambda = 0 all of them drop and the classical derivative bound
-in terms of ||p||, ||p''|| remains.  Every term is computed through the moment
-table bilinear forms.
+in terms of ||p||, ||p''|| remains.
+
+Every term is a sum over one folded Gauss rule of the weight with n + 2 nodes
+(rounded up to even), exact for the degree-2n integrands: p, D p, D^2 p, p'
+and sigma(p) are evaluated at its positive nodes once, by parity, and the
+seven terms are weighted dot products of those values.  p'(-x) needs no
+evaluation of its own, since reflection only flips the sign of the odd part.
+Monomial moments never enter, so no Hankel cancellation is left.  For
+lam, mu <= 5 equality at the eigenpolynomial is recognized through degree 21
+on [-1, 1] and degree 33 on R; beyond that, evaluating the monomial
+coefficients of p at the nodes loses the digits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Polynomial, WeightFamily, WeightSpec, reflect
-from .dunkl import dunkl_apply, dunkl_laplacian, mul_by_one_minus_x2, sigma
-from .oracle import weighted_inner
+import numpy as np
+
+from .core import Polynomial, WeightFamily, WeightSpec
+from .dunkl import dunkl_apply, dunkl_laplacian, sigma
+from .oracle import _parity_values, _quadrature
 from .orthopoly import eigenvalue_sq
 
 EQUALITY_REL_TOL = 1e-8
@@ -39,6 +50,25 @@ def _report(lhs: float, rhs: float, terms: dict[str, float], tol: float) -> Ineq
     return InequalityReport(lhs, rhs, gap, terms, abs(gap) <= tol * (abs(lhs) + abs(rhs)))
 
 
+class _Forms:
+    """Inner products of p, D p, D^2 p, p' and sigma(p) under one folded Gauss rule of W."""
+
+    def __init__(self, p: Polynomial, n: int, weight: WeightSpec):
+        self.x, self.w = _quadrature(weight, n + 2 + n % 2)
+        polys = (p, dunkl_apply(p, weight.lam), dunkl_laplacian(p, weight.lam), p.derivative(), sigma(p))
+        self.even, self.odd = _parity_values(polys, self.x)
+
+    def inner(self, i: int, j: int, w: np.ndarray) -> float:
+        return float(w @ (self.even[i] * self.even[j] + self.odd[i] * self.odd[j]))
+
+    def reflected(self, i: int, w: np.ndarray) -> float:
+        """<f, f(-.)> of polynomial ``i``: the odd part changes sign under reflection."""
+        return float(w @ (self.even[i] ** 2 - self.odd[i] ** 2))
+
+
+_P, _DP, _D2P, _PP, _SIGMA = range(5)  # rows of _Forms
+
+
 def gegenbauer_inequality(p: Polynomial, n: int, lam: float, mu: float,
                           tol: float = EQUALITY_REL_TOL) -> InequalityReport:
     """(2 lam_n^2 - 2 mu - 1) ||sqrt(1-x^2) D p||^2 against the curvature side.
@@ -51,22 +81,18 @@ def gegenbauer_inequality(p: Polynomial, n: int, lam: float, mu: float,
     """
     if p.degree is not None and p.degree > n:
         raise ValueError(f"polynomial degree {p.degree} exceeds n={n}")
-    w = WeightSpec.gegenbauer(lam, mu)
     lam_n2 = eigenvalue_sq(WeightFamily.GENERALIZED_GEGENBAUER, n, lam, mu)
-    dp = dunkl_apply(p, lam)
-    d2p = dunkl_laplacian(p, lam)
-    pp = p.derivative()
-    sg = sigma(p)
+    forms = _Forms(p, n, WeightSpec.gegenbauer(lam, mu))
+    w = forms.w
+    wa = w * (1.0 - forms.x * forms.x)
     terms = {
         "eigenvalue_sq": lam_n2,
-        "damped_dunkl_norm_sq": weighted_inner(dp, dp, w, with_a=True),
-        "damped_sigma_norm_sq": weighted_inner(sg, sg, w, with_a=True),
-        "reflected_derivative_inner": weighted_inner(pp, reflect(pp), w, with_a=True),
-        "sigma_derivative_inner": weighted_inner(sg, pp, w, with_a=True),
-        "norm_sq": weighted_inner(p, p, w),
-        "weighted_laplacian_norm_sq": weighted_inner(
-            mul_by_one_minus_x2(d2p), mul_by_one_minus_x2(d2p), w
-        ),
+        "damped_dunkl_norm_sq": forms.inner(_DP, _DP, wa),
+        "damped_sigma_norm_sq": forms.inner(_SIGMA, _SIGMA, wa),
+        "reflected_derivative_inner": forms.reflected(_PP, wa),
+        "sigma_derivative_inner": forms.inner(_SIGMA, _PP, wa),
+        "norm_sq": forms.inner(_P, _P, w),
+        "weighted_laplacian_norm_sq": forms.inner(_D2P, _D2P, wa * (1.0 - forms.x * forms.x)),
     }
     mu1 = 2 * mu + 1
     lhs = (2 * lam_n2 - 2 * mu - 1) * terms["damped_dunkl_norm_sq"]
@@ -88,20 +114,17 @@ def hermite_inequality(p: Polynomial, n: int, lam: float,
     """
     if p.degree is not None and p.degree > n:
         raise ValueError(f"polynomial degree {p.degree} exceeds n={n}")
-    w = WeightSpec.hermite(lam)
     lam_n2 = eigenvalue_sq(WeightFamily.GENERALIZED_HERMITE, n, lam)
-    dp = dunkl_apply(p, lam)
-    d2p = dunkl_laplacian(p, lam)
-    pp = p.derivative()
-    sg = sigma(p)
+    forms = _Forms(p, n, WeightSpec.hermite(lam))
+    w = forms.w
     terms = {
         "eigenvalue_sq": lam_n2,
-        "dunkl_norm_sq": weighted_inner(dp, dp, w),
-        "sigma_norm_sq": weighted_inner(sg, sg, w),
-        "reflected_derivative_inner": weighted_inner(pp, reflect(pp), w),
-        "sigma_derivative_inner": weighted_inner(sg, pp, w),
-        "norm_sq": weighted_inner(p, p, w),
-        "laplacian_norm_sq": weighted_inner(d2p, d2p, w),
+        "dunkl_norm_sq": forms.inner(_DP, _DP, w),
+        "sigma_norm_sq": forms.inner(_SIGMA, _SIGMA, w),
+        "reflected_derivative_inner": forms.reflected(_PP, w),
+        "sigma_derivative_inner": forms.inner(_SIGMA, _PP, w),
+        "norm_sq": forms.inner(_P, _P, w),
+        "laplacian_norm_sq": forms.inner(_D2P, _D2P, w),
     }
     lhs = (2 * lam_n2 - 2) * terms["dunkl_norm_sq"]
     rhs = 4 * lam * terms["reflected_derivative_inner"] \

@@ -25,12 +25,21 @@ and degree of its grid) share a single code path.  The stacked entry point
 ``_rayleigh_stack`` stays private, so the public names keep their scalar
 signatures and perfbench's per-function tracing charges its time to the
 caller.  Only numpy is needed here.
+
+``weighted_inner`` and ``rayleigh_quotient`` integrate with the same Gauss
+rule, folded onto its positive nodes: an even-count rule never has the origin
+as a node, so <p, q> is the sum over positive nodes of 2 w_i m0 (e_p e_q +
+o_p o_q), with e and o the even and odd parts.  Odd integrands are then
+exactly 0.0, and no monomial moment enters, so sums of moments never have to
+cancel the Hankel condition of ~10^(2n).  The folded rules are cached per
+(weight, size) in ``_quadrature``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -90,32 +99,61 @@ def gram_matrices(n: int, weight: WeightSpec, op: OperatorSpec) -> GramPair:
 
 
 def weighted_inner(p: Polynomial, q: Polynomial, weight: WeightSpec, with_a: bool = False) -> float:
-    """<p, q>_W, optionally with the extra factor A(x) = 1 - x^2 on [-1,1]."""
+    """<p, q>_W, optionally with the extra factor A(x) = 1 - x^2 on [-1,1].
+
+    Integrated by the folded Gauss rule of ``_quadrature``, exact for the
+    degree of p q A.
+    """
     if p.is_zero or q.is_zero:
         return 0.0
-    aq = 1.0 if (with_a and weight.is_gegenbauer) else 0.0
-    deg = 8 * ((len(p.coeffs) + len(q.coeffs) + 2) // 8 + 1)  # quantized for table reuse
-    table = moment_table(weight, deg)
-    terms = []
-    for i, a in enumerate(p.coeffs):
-        if a == 0.0:
-            continue
-        for j, b in enumerate(q.coeffs):
-            if b == 0.0 or (i + j) % 2:
-                continue
-            m = table.moment(i + j) - aq * table.moment(i + j + 2)
-            terms.append(a * b * m)
-    return math.fsum(terms)
+    npoints = (len(p.coeffs) + len(q.coeffs)) // 2 + 1  # 2 npoints - 1 >= deg(p q A)
+    x, w = _quadrature(weight, npoints + npoints % 2)
+    if with_a and weight.is_gegenbauer:
+        w = w * (1.0 - x * x)
+    (ep, eq), (op, oq) = _parity_values((p, q), x)
+    return float(w @ (ep * eq + op * oq))
 
 
 def rayleigh_quotient(p: Polynomial, weight: WeightSpec, op: OperatorSpec) -> float:
-    """||sqrt(A) D p||^2 / ||p||^2 through moment-table bilinear forms."""
+    """||sqrt(A) D p||^2 / ||p||^2 through folded Gauss-rule inner products."""
     if p.is_zero:
         raise ValueError("Rayleigh quotient of the zero polynomial is undefined")
     dp = dunkl_apply(p, weight.lam) if op.is_dunkl else p.derivative()
     num = weighted_inner(dp, dp, weight, with_a=op.damped)
     den = weighted_inner(p, p, weight)
     return num / den
+
+
+def _parity_values(polys: Sequence[Polynomial], x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd parts of each polynomial at the nodes x, each of shape (len(polys), len(x)).
+
+    Both come from powers of x^2, so an absent parity gives exact zeros.
+    """
+    length = max(len(p.coeffs) for p in polys)
+    c = np.array([p.padded(length + length % 2) for p in polys])
+    powers = (x * x) ** np.arange((length + 1) // 2)[:, None]
+    return c[:, 0::2] @ powers, c[:, 1::2] @ (x * powers)
+
+
+def _mass(weight: WeightSpec) -> float:
+    """Zeroth moment m0 of the weight; it overflows on R for lam above about 171."""
+    return gegenbauer_moment(0, weight.lam, weight.mu) if weight.is_gegenbauer else hermite_moment(0, weight.lam)
+
+
+@lru_cache(maxsize=512)
+def _quadrature(weight: WeightSpec, npoints: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positive nodes of the even-count Gauss rule for W and their folded weights 2 w_i m0.
+
+    Exact for integrands of degree up to 2 npoints - 1.  The arrays are
+    read-only because cached rules are shared between callers.
+    """
+    if npoints < 2 or npoints % 2:
+        raise ValueError(f"folded rule needs a positive even node count, got {npoints}")
+    x, w, _, _ = _gauss_basis(npoints, *_stack_parameters([weight]))
+    half = npoints // 2
+    nodes, folded = x[0, half:], 2.0 * _mass(weight) * w[0, half:]
+    nodes.flags.writeable = folded.flags.writeable = False
+    return nodes, folded
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +377,7 @@ def _rayleigh_stack(
     # The norm comes from the Gauss rule, which is exact on P_(2n) and carries
     # mass 1, times the zeroth moment.  The monomial moments would have to
     # cancel a Hankel condition of ~10^(2n) and can even give a negative square.
-    m0 = np.array([gegenbauer_moment(0, wt.lam, wt.mu) if gegenbauer else hermite_moment(0, wt.lam)
-                   for wt in weights])
+    m0 = np.array([_mass(wt) for wt in weights])
     p = (v[:, None, :] @ q)[:, 0]
     norm = np.sqrt(m0 * (w * p * p).sum(axis=1))
     t = _basis_to_monomial(n, rb).transpose(1, 0, 2)

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from bmfactor.cli import EXIT_DOMAIN, EXIT_MISMATCH, EXIT_OK, VERIFY_CSV_COLUMNS, main
+from bmfactor.cli import EXIT_DOMAIN, EXIT_MISMATCH, EXIT_NUMERICAL, EXIT_OK, VERIFY_CSV_COLUMNS, main
 from bmfactor.core import OperatorSpec, WeightSpec
 from bmfactor.oracle import rayleigh_factor
 
@@ -62,6 +62,18 @@ def test_domain_errors_exit_2(capsys):
                "--lambda", "-1", "--n", "3")[0] == EXIT_DOMAIN
     assert run(capsys, "inequality", "--family", "hermite", "--lambda", "1",
                "--n", "3", "--coeffs", "1,0,0,0,1")[0] == EXIT_DOMAIN  # degree 4 > n
+
+
+@pytest.mark.parametrize("argv", (
+    ("factor", "--check", "--weight", "hermite", "--op", "dunkl", "--lambda", "200", "--n", "3"),
+    ("inequality", "--family", "hermite", "--lambda", "200", "--n", "3", "--at-extremal"),
+    ("verify", "--lambdas", "200", "--mus", "0.5", "--n-max", "2"),
+), ids=("factor", "inequality", "verify"))
+def test_overflow_exits_3(capsys, argv):
+    # The zeroth Hermite moment Gamma(lam + 1/2) overflows a double near lam = 171
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_NUMERICAL
+    assert err.startswith("numerical failure:")
 
 
 def test_extremal_command(capsys):

@@ -33,6 +33,18 @@ def test_hermite_equality_at_eigenpolynomial(lam, n):
         assert abs(report.gap) <= 1e-8 * report.scale
 
 
+@pytest.mark.parametrize("n", (12, 16, 20))
+def test_equality_recognized_at_high_degree(n):
+    # Monomial-moment sums lost equality here from n = 12 (Gegenbauer) and at
+    # n = 20 (Hermite); (3.5, 0.25) was the worst point of a random sweep.
+    reports = [hermite_inequality(hermite_poly(n, 1.0), n, 1.0)]
+    reports += [gegenbauer_inequality(gegenbauer_poly(n, lam, mu), n, lam, mu)
+                for lam, mu in ((2.0, 1.0), (3.5, 0.25))]
+    for report in reports:
+        assert report.equality
+        assert abs(report.gap) <= 1e-8 * report.scale
+
+
 @pytest.mark.parametrize("lam,mu,n", GEG_POINTS)
 def test_gegenbauer_gap_nonnegative_and_structural(lam, mu, n):
     rng = np.random.default_rng(20)

@@ -212,6 +212,20 @@ def test_rayleigh_quotient_examples():
         rayleigh_quotient(Polynomial(()), w, op)
 
 
+@pytest.mark.parametrize(("lam", "mu", "op", "n"), (
+    (2.0, -0.4, OperatorSpec.dunkl(damped=True), 16),
+    (2.0, -0.4, OperatorSpec.dunkl(damped=True), 20),
+    (4.5, 3.0, OperatorSpec.ddx(damped=True), 20),
+), ids=("dunkl-16", "dunkl-20", "ddx-20"))
+def test_inner_products_hold_on_high_degree_extremals(lam, mu, op, n):
+    # Monomial-moment sums lost every digit here: ||p||^2 = -56 and quotient
+    # errors of -187 % and -343 % on the oracle's own unit-norm extremals.
+    weight = WeightSpec.gegenbauer(lam, mu)
+    value, p = rayleigh_factor(n, weight, op, max_degree=n)
+    assert weighted_inner(p, p, weight) == pytest.approx(1.0, rel=1e-8)
+    assert rayleigh_quotient(p, weight, op) == pytest.approx(value * value, rel=1e-8)
+
+
 def test_weighted_inner_examples():
     w = WeightSpec.hermite(0.7)
     one, x = Polynomial((1.0,)), Polynomial((0.0, 1.0))
