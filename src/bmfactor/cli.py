@@ -19,6 +19,7 @@ import numpy as np
 from .core import Polynomial
 from .factors import (
     FactorResult,
+    _gegenbauer_ddx_stack,
     build_pencil_G,
     factor_gegenbauer_ddx,
     factor_gegenbauer_dunkl,
@@ -219,16 +220,22 @@ def cmd_table2(args: argparse.Namespace) -> int:
     return EXIT_OK if flagged == 0 else EXIT_MISMATCH
 
 
-def _verify_rows(lambdas, mus, n_values):
-    for lam in sorted(set(lambdas)):
+def _verify_rows(lambdas, mus, n_values) -> list[FactorResult]:
+    """Factor results of the grid in row order; the Gegenbauer d/dx rows are solved as one stack per n."""
+    lambdas, mus = sorted(set(lambdas)), sorted(set(mus))
+    pairs = [(lam, mu) for lam in lambdas if lam > 0 for mu in mus]
+    gegenbauer_ddx = {n: dict(zip(pairs, _gegenbauer_ddx_stack(n, pairs))) for n in n_values} if pairs else {}
+    rows = []
+    for lam in lambdas:
         for n in n_values:
             if lam > 0:
-                yield factor_hermite_ddx(n, lam)
-            yield factor_hermite_dunkl(n, lam)
-            for mu in sorted(set(mus)):
+                rows.append(factor_hermite_ddx(n, lam))
+            rows.append(factor_hermite_dunkl(n, lam))
+            for mu in mus:
                 if lam > 0:
-                    yield factor_gegenbauer_ddx(n, lam, mu)
-                yield factor_gegenbauer_dunkl(n, lam, mu)
+                    rows.append(gegenbauer_ddx[n][lam, mu])
+                rows.append(factor_gegenbauer_dunkl(n, lam, mu))
+    return rows
 
 
 def _verify_oracle(results: list[FactorResult], cap: int) -> list[float]:
@@ -252,7 +259,7 @@ def _point(result: FactorResult) -> str:
 def cmd_verify(args: argparse.Namespace) -> int:
     cap = max(degree_cap(), args.n_max)
     n_values = range(1, args.n_max + 1)
-    results = list(_verify_rows(args.lambdas, args.mus, n_values))
+    results = _verify_rows(args.lambdas, args.mus, n_values)
     rows = []
     violations = []
 
@@ -264,17 +271,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     worst = max(rows, key=lambda row: row[2], default=None)
     max_rel_err = worst[2] if worst else 0.0
 
-    for lam in sorted(set(args.lambdas)):
-        if lam <= 0:
-            continue
-        for n in range(3, args.n_max + 1, 2):
-            m = factor_hermite_ddx(n, lam).factor_sq
+    # The bracket reads the odd-degree Hermite d/dx values back from the grid rows.
+    hermite_ddx = {(r.weight.lam, r.n): r.factor_sq for r in results
+                   if not (r.weight.is_gegenbauer or r.operator.is_dunkl)}
+    for (lam, n), m in hermite_ddx.items():
+        if n == 1 and abs(m - 2 / (1 + 2 * lam)) > BRACKET_EQUALITY_TOL * m:
+            violations.append(f"n=1 closed form violated at lambda={lam}")
+        elif n > 1 and n % 2:
             lo, hi = 2 * n - 4 * lam / (1 + 2 * lam), 2.0 * n
             if not lo < m < hi:
                 violations.append(f"bracket violation at lambda={lam} n={n}: {lo} < {m} < {hi}")
-        m1 = factor_hermite_ddx(1, lam).factor_sq
-        if abs(m1 - 2 / (1 + 2 * lam)) > BRACKET_EQUALITY_TOL * m1:
-            violations.append(f"n=1 closed form violated at lambda={lam}")
 
     for lam in sorted(set(args.lambdas)):
         for n in n_values:

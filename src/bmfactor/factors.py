@@ -1,11 +1,20 @@
-"""Closed-form and determinant-pencil Bernstein-Markov factors with extremal polynomials.
+"""Closed-form, odd-sector and determinant-pencil Bernstein-Markov factors with extremal polynomials.
 
-Factor values follow the closed forms where a parity/branch argument settles the
-problem, and otherwise come from the largest positive root of a moment pencil
-det(P + t Q).  The raw pencil entries as written are asymmetric in (i, j), but
-the moment recurrences make them exactly symmetric in real arithmetic, so the
-symmetrized pencil is solved as a symmetric-definite problem; for small sizes a
-QZ solve of the raw pencil cross-checks the root set.
+Factor values follow the closed forms where a parity/branch argument settles
+the problem.  The odd branch of the Gegenbauer weight under sqrt(1-x^2) d/dx
+is the top eigenvalue of the stiffness matrix on the odd orthonormal basis
+q_1, q_3, ..., assembled by the oracle's stacked Gauss-rule core
+(``oracle._stiffness_stack``) and solved for a stack of (lam, mu) pairs at
+once; ``factor_gegenbauer_ddx`` is its stack of one.  The odd branch of the
+Hermite weight under d/dx is still the largest positive root of the moment
+pencil det(P + t Q) of ``build_pencil_F``.
+
+The paper's pencils ``build_pencil_F`` and ``build_pencil_G`` stay as
+objects that ``table2`` and the tests check against.  Their raw entries as
+written are asymmetric in (i, j), but the moment recurrences make them
+exactly symmetric in real arithmetic, so the symmetrized pencil is solved as
+a symmetric-definite problem; for small sizes a QZ solve of the raw pencil
+cross-checks the root set, and the top root is refined in long double.
 """
 
 from __future__ import annotations
@@ -14,11 +23,13 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from math import sqrt
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import eig, eigh
 
 from .core import OperatorSpec, Polynomial, WeightSpec
+from .oracle import _basis_to_monomial, _stiffness_stack, _top_eigenpairs
 from .orthopoly import gegenbauer_poly, hermite_poly
 from .special import moment_table
 
@@ -293,41 +304,62 @@ def factor_hermite_ddx(n: int, lam: float) -> FactorResult:
     return FactorResult(sqrt(nu), nu, Branch.ODD_PENCIL_ROOT, _odd_polynomial(vec), n, weight, op)
 
 
+def _odd_sector(n: int, weights: Sequence[WeightSpec], op: OperatorSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Largest Rayleigh quotient over the odd polynomials of degree <= n, for a stack of weights.
+
+    It is the top eigenvalue of S v = theta G v on the odd orthonormal basis
+    q_1, q_3, ..., assembled from a Gauss rule exact on the integrands, so no
+    Hankel moment matrix enters.  Returns the values (B,) and the monomial
+    coefficients of x, x^3, ... of each maximizer, shape (B, (n + 1) // 2).
+    """
+    _, _, rb, s, g = _stiffness_stack(n, weights, op, rows=slice(1, None, 2))
+    values, vecs = _top_eigenpairs(s, g, weights, op, n)
+    coeffs = (vecs[:, None, :] @ _basis_to_monomial(n, rb)[1::2].transpose(1, 0, 2))[:, 0]
+    return values, coeffs[:, 1::2]
+
+
 def factor_gegenbauer_ddx(n: int, lam: float, mu: float) -> FactorResult:
     """M_n for |x|^(2 lam)(1-x^2)^(mu-1/2) under sqrt(1-x^2) d/dx.
 
     The even-polynomial branch has the closed value n(n+2 lam+2 mu) (even n) or
     (n-1)(n+2 lam+2 mu-1) (odd n); the odd-polynomial branch is the largest
-    positive pencil root, taken as 0 when none exists.  The factor is the max.
+    Rayleigh quotient over odd polynomials of degree <= n, the top eigenvalue
+    of the stiffness matrix on the odd orthonormal basis q_1, q_3, ...  (the
+    largest root of ``build_pencil_G``).  The factor is the max.
+    """
+    return _gegenbauer_ddx_stack(n, [(lam, mu)])[0]
+
+
+def _gegenbauer_ddx_stack(n: int, pairs: Sequence[tuple[float, float]]) -> list[FactorResult]:
+    """``factor_gegenbauer_ddx`` at degree n for every (lam, mu) pair, with one stacked odd-sector solve.
+
+    Each result does not depend on the rest of the stack.
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
-    if lam <= 0:
+    if any(lam <= 0 for lam, _ in pairs):
         raise ValueError("lambda must be > 0")
-    if mu <= -0.5:
+    if any(mu <= -0.5 for _, mu in pairs):
         raise ValueError("mu must be > -1/2")
-    weight = WeightSpec.gegenbauer(lam, mu)
+    weights = [WeightSpec.gegenbauer(lam, mu) for lam, mu in pairs]
     op = OperatorSpec.ddx(damped=True)
-
-    if n == 1:
-        fsq = (2.0 * mu + 1.0) / (2.0 * lam + 1.0)
-        return FactorResult(sqrt(fsq), fsq, Branch.ODD_PENCIL_ROOT, Polynomial((0.0, 1.0)), n, weight, op)
-
+    odd_values, odd_coeffs = _odd_sector(n, weights, op)
     even_degree = n if n % 2 == 0 else n - 1
-    closed = float(even_degree * (even_degree + 2 * lam + 2 * mu))
-    top = _top_positive(build_pencil_G(n, lam, mu))
-    nu = 0.0 if top is None else top[0]
-
-    if abs(nu - closed) <= _TIE_REL_TOL * max(abs(nu), abs(closed)):
-        fsq, branch = closed, Branch.MAX_OF_BOTH
-        extremal = gegenbauer_poly(even_degree, lam, mu)
-    elif nu > closed:
-        fsq, branch = nu, Branch.ODD_PENCIL_ROOT
-        extremal = _odd_polynomial(top[1])
-    else:
-        fsq, branch = closed, Branch.EVEN_CLOSED_FORM
-        extremal = gegenbauer_poly(even_degree, lam, mu)
-    return FactorResult(sqrt(fsq), fsq, branch, extremal, n, weight, op)
+    results = []
+    for weight, nu, vec in zip(weights, odd_values, odd_coeffs):
+        nu = float(nu)
+        closed = float(even_degree * (even_degree + 2 * weight.lam + 2 * weight.mu))
+        if abs(nu - closed) <= _TIE_REL_TOL * max(abs(nu), abs(closed)):
+            fsq, branch = closed, Branch.MAX_OF_BOTH
+            extremal = gegenbauer_poly(even_degree, weight.lam, weight.mu)
+        elif nu > closed:
+            fsq, branch = nu, Branch.ODD_PENCIL_ROOT
+            extremal = _odd_polynomial(vec)
+        else:
+            fsq, branch = closed, Branch.EVEN_CLOSED_FORM
+            extremal = gegenbauer_poly(even_degree, weight.lam, weight.mu)
+        results.append(FactorResult(sqrt(fsq), fsq, branch, extremal, n, weight, op))
+    return results
 
 
 def factor_hermite_dunkl(n: int, lam: float) -> FactorResult:

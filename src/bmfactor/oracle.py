@@ -26,6 +26,12 @@ and degree of its grid) share a single code path.  The stacked entry point
 signatures and perfbench's per-function tracing charges its time to the
 caller.  Only numpy is needed here.
 
+``_stiffness_stack`` assembles S and G over any slice of the basis rows.
+``factors`` takes the odd rows q_1, q_3, ... for the odd branch of the
+Gegenbauer d/dx factor, so that branch is no longer independent of this
+oracle; the mpmath values of ``tests/certified_reference.json`` are the
+independent check of both.
+
 ``weighted_inner`` and ``rayleigh_quotient`` integrate with the same Gauss
 rule, folded onto its positive nodes: an even-count rule never has the origin
 as a node, so <p, q> is the sum over positive nodes of 2 w_i m0 (e_p e_q +
@@ -338,6 +344,35 @@ def _top_eigenpairs(
     return vals[:, -1], (inv_t @ vecs[:, :, -1:])[:, :, 0]
 
 
+def _stiffness_stack(
+    n: int, weights: Sequence[WeightSpec], op: OperatorSpec, rows: slice = slice(None)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Stiffness and Gram matrices of a stack of weights over the basis rows ``q_k``, k in ``rows``.
+
+    The basis is q_0 .. q_n, orthonormal for each weight, so ``rows`` of
+    ``slice(None)`` spans P_n and ``slice(1, None, 2)`` its odd polynomials.
+    Returns the Gauss weights (B, N), the selected rows at the nodes
+    (B, K, N), sqrt(beta) as ``_gauss_basis`` gives it, and S and G (B, K, K).
+    """
+    gegenbauer, lam, mu = _stack_parameters(weights)
+    npoints = n + 4
+    if npoints % 2:
+        npoints += 1  # even count keeps the origin out of the node set
+    x, w, basis, rb = _gauss_basis(npoints, gegenbauer, lam, mu)
+    q = basis[: n + 1]
+    d = _basis_derivatives(q, x, rb)
+    if op.is_dunkl:
+        # sigma(q_k) = 2 q_k / x for odd k and 0 for even k, by parity of the basis
+        d[1::2] += (2.0 * lam)[:, None] * q[1::2] / x
+    wa = w * (1.0 - x * x) if (gegenbauer and op.damped) else w
+
+    # Per stack item: S = D diag(w A) D^T and G = Q diag(w) Q^T.
+    d, q = d[rows].transpose(1, 0, 2), q[rows].transpose(1, 0, 2)
+    s = (d * wa[:, None, :]) @ d.swapaxes(1, 2)
+    g = (q * w[:, None, :]) @ q.swapaxes(1, 2)
+    return w, q, rb, s, g
+
+
 def _rayleigh_stack(
     n: int,
     weights: Sequence[WeightSpec],
@@ -355,23 +390,7 @@ def _rayleigh_stack(
         raise ValueError("degree must be >= 1")
     if n > cap:
         raise ValueError(f"degree {n} above cap {cap}; pass max_degree explicitly to override")
-    gegenbauer, lam, mu = _stack_parameters(weights)
-
-    npoints = n + 4
-    if npoints % 2:
-        npoints += 1  # even count keeps the origin out of the node set
-    x, w, rows, rb = _gauss_basis(npoints, gegenbauer, lam, mu)
-    q = rows[: n + 1]
-    d = _basis_derivatives(q, x, rb)
-    if op.is_dunkl:
-        # sigma(q_k) = 2 q_k / x for odd k and 0 for even k, by parity of the basis
-        d[1::2] += (2.0 * lam)[:, None] * q[1::2] / x
-    wa = w * (1.0 - x * x) if (gegenbauer and op.damped) else w
-
-    # Per stack item: S = D diag(w A) D^T and G = Q diag(w) Q^T.
-    d, q = d.transpose(1, 0, 2), q.transpose(1, 0, 2)
-    s = (d * wa[:, None, :]) @ d.swapaxes(1, 2)
-    g = (q * w[:, None, :]) @ q.swapaxes(1, 2)
+    w, q, rb, s, g = _stiffness_stack(n, weights, op)
     theta, v = _top_eigenpairs(s, g, weights, op, n)
 
     # The norm comes from the Gauss rule, which is exact on P_(2n) and carries

@@ -15,7 +15,8 @@ where A = 1 - x^2, and Gamma(s + lam + 1/2) on the real line, where A = 1.
   cubics.  ``m3`` and ``m4`` are M_3 and M_4 under sqrt(1-x^2) d/dx.
 - ``oracle``: M_n at degrees where the float oracle once failed: Gegenbauer
   (4.5, 3) under both operators for n = 20..26, and Hermite lam = 1 under
-  d/dx for n = 31..40.
+  d/dx for n = 31..40; and M_n under sqrt(1-x^2) d/dx where the odd-part
+  pencil once failed (``GEGENBAUER_DDX_CASES``).
 
 Every value is computed at DPS digits and again at 2 * DPS, and is written
 only when the two agree to AGREE_REL_TOL.  Parameters enter as the binary
@@ -43,9 +44,17 @@ TABLE2_POINTS = (
     (100.0, 99.0), (50.0, 49.0), (10.0, 9.0), (1.0, 0.0),
     (40.0, 30.0), (30.0, 20.0), (20.0, 10.0), (10.0, 0.0),
 )
+# Gegenbauer d/dx points where the odd-part moment pencil once gave a wrong
+# value or refused: large lambda, and high degree at a benign weight.
+GEGENBAUER_DDX_CASES = (
+    [("gegenbauer", "ddx", 50.0, -0.4, 9), ("gegenbauer", "ddx", 100.0, -0.4, 7)]
+    + [("gegenbauer", "ddx", 100.0, mu, n) for mu in (-0.4, 0.0, 0.5, 1.0, 4.0) for n in (9, 10)]
+    + [("gegenbauer", "ddx", 0.5, 0.0, n) for n in (21, 31, 41)]
+)
 ORACLE_CASES = (
     [("gegenbauer", op, 4.5, 3.0, n) for n in range(20, 27) for op in ("ddx", "dunkl")]
     + [("hermite", "ddx", 1.0, 0.0, n) for n in range(31, 41)]
+    + GEGENBAUER_DDX_CASES
 )
 
 

@@ -122,6 +122,19 @@ def test_verify_oracle_column_equals_scalar_oracle(capsys):
         assert row["oracle_value"] == f"{rayleigh_factor(n, weight, op)[0]:.17g}"
 
 
+def test_gegenbauer_ddx_at_large_lambda(capsys):
+    # the odd-part moment pencil lost the winning odd branch at (50, -0.4, 9)
+    # and was 2.8e-7 off at (100, -0.4, 7), so verify exited 4 there
+    code, out, _ = run(capsys, "factor", "--weight", "gegenbauer", "--op", "ddx", "--lambda", "50",
+                       "--mu", "-0.4", "--n", "9", "--format", "json", "--digits", "17")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["factor"] == pytest.approx(29.291705407411952, rel=1e-12)
+    assert payload["branch"] == "odd_pencil_root"
+    code, out, _ = run(capsys, "verify", "--lambdas", "100", "--mus", "-0.4", "--n-max", "7")
+    assert code == EXIT_OK and "result: PASS" in out
+
+
 def test_verify_names_the_worst_grid_point(capsys):
     argv = ("verify", "--lambdas", "0.5", "4.5", "--mus", "-0.4", "1", "--n-max", "9")
     code, out, _ = run(capsys, *argv, "--format", "json")

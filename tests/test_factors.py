@@ -1,7 +1,9 @@
 """Pencil assembly, root extraction, and the four factor computations."""
 
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from bmfactor.core import OperatorSpec, Polynomial, WeightSpec
 from bmfactor.factors import (
     Branch,
     Pencil,
+    _gegenbauer_ddx_stack,
+    _odd_sector,
     build_pencil_F,
     build_pencil_G,
     dunkl_gegenbauer_threshold,
@@ -23,6 +27,7 @@ from bmfactor.oracle import rayleigh_factor, rayleigh_quotient
 
 LAMBDAS = (0.1, 0.4, 0.5, 1.0, 2.0, 4.5)
 MUS = (-0.4, 0.0, 0.5, 1.0, 3.0, 4.0)
+CERTIFIED_REFERENCE = Path(__file__).resolve().with_name("certified_reference.json")
 
 
 def _corrected_nu2(lam):
@@ -215,6 +220,54 @@ def test_factor_gegenbauer_dunkl_threshold_switch():
         else:
             assert r.factor_sq == pytest.approx(base, rel=1e-13)
             assert r.extremal.degree == n
+
+
+def _certified_gegenbauer_ddx_cases():
+    table = json.loads(CERTIFIED_REFERENCE.read_text())["oracle"]
+    params = []
+    for key, value in table.items():
+        family, op, lam, mu, n = key.split("/")
+        if (family, op) == ("gegenbauer", "ddx"):
+            params.append(pytest.param(float(lam), float(mu), int(n), float(value), id=key))
+    return params
+
+
+@pytest.mark.parametrize(("lam", "mu", "n", "reference"), _certified_gegenbauer_ddx_cases())
+def test_factor_gegenbauer_ddx_matches_certified(lam, mu, n, reference):
+    # Among them the points where the odd-part moment pencil was silently wrong
+    # ((50, -0.4, 9), (100, -0.4, 7), (0.5, 0, 21), (4.5, 3, 21)) or refused
+    # (lambda = 100 at n = 9, 10; (0.5, 0) at n = 31, 41; (4.5, 3) at n = 23-26);
+    # references from tests/certify_reference.py.
+    assert factor_gegenbauer_ddx(n, lam, mu).factor == pytest.approx(reference, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_gegenbauer_ddx_stack_equals_its_stacks_of_one(n):
+    # the default `bmfactor verify` grid, solved as one stack per degree
+    pairs = [(lam, mu) for lam in LAMBDAS for mu in MUS]
+    for (lam, mu), stacked in zip(pairs, _gegenbauer_ddx_stack(n, pairs), strict=True):
+        assert stacked == factor_gegenbauer_ddx(n, lam, mu)  # bit for bit, extremal included
+
+
+# The table2 points with lambda <= 10 next to the default verify grid.  At
+# (10, -0.4) the size-4 pencil is itself 3.6e-12 off an mpmath odd-sector
+# maximum (the odd-sector solve: 1.6e-14), so that point is left out.
+_PENCIL_POINTS = [(lam, mu) for lam in LAMBDAS for mu in MUS] + [
+    (0.4, -0.4), (0.3, -0.3), (0.2, -0.2), (0.1, -0.1), (4.0, 4.0), (3.0, 3.0),
+    (2.0, 2.0), (1.0, 1.0), (10.0, 9.0), (1.0, 0.0), (10.0, 0.0)]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_odd_sector_equals_pencil_root(n):
+    # pencil sizes 1..4: the paper's determinant pencil checks the odd-sector solve
+    weights = [WeightSpec.gegenbauer(lam, mu) for lam, mu in _PENCIL_POINTS]
+    values, coeffs = _odd_sector(n, weights, OperatorSpec.ddx(damped=True))
+    assert coeffs.shape == (len(weights), build_pencil_G(n, 1.0, 0.0).size)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the raw-QZ fallback at lambda = 10
+        roots = [pencil_largest_positive_root(build_pencil_G(n, w.lam, w.mu)) for w in weights]
+    for value, root in zip(values, roots):
+        assert value == pytest.approx(root, rel=1e-12)
 
 
 def test_extremal_certificates():
