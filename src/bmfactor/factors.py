@@ -13,27 +13,26 @@ The paper's pencils ``build_pencil_F`` and ``build_pencil_G`` stay as
 objects that ``table2`` and the tests check against.  Their raw entries as
 written are asymmetric in (i, j), but the moment recurrences make them
 exactly symmetric in real arithmetic, so the symmetrized pencil is solved as
-a symmetric-definite problem; for small sizes a QZ solve of the raw pencil
-cross-checks the root set, and the top root is refined in long double.
+the symmetric-definite problem -P v = t Q v.  That is the oracle's
+Cholesky-reduced eigensolve (``oracle._top_eigenpairs``) on a stack of one,
+and its top root is refined in long double from entries rebuilt out of the
+weight parameters.  Only numpy is needed here.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from math import sqrt
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import eig, eigh
 
-from .core import OperatorSpec, Polynomial, WeightSpec
+from .core import OperatorSpec, Polynomial, WeightFamily, WeightSpec
 from .oracle import _basis_to_monomial, _stiffness_stack, _top_eigenpairs
 from .orthopoly import gegenbauer_poly, hermite_poly
 from .special import moment_table
 
-_SYMMETRY_CHECK_SIZE = 4  # validate symmetrization against QZ up to this pencil size
 _TIE_REL_TOL = 1e-9
 
 
@@ -226,45 +225,25 @@ def _refine_pair(pencil: Pencil, t: float, v: np.ndarray) -> tuple[float, np.nda
     return float(t_ld), v_ld.astype(float)
 
 
-def _solve_pencil(pencil: Pencil) -> tuple[np.ndarray, np.ndarray]:
-    """All roots of det(P + t Q) with eigenvectors, as the symmetric-definite problem -P v = t Q v."""
-    scale = 1.0 / np.sqrt(np.diag(pencil.q))
-    d = np.diag(scale)
-    q_scaled = d @ pencil.q @ d
-    try:
-        vals, vecs = eigh(-d @ pencil.p @ d, q_scaled)
-    except np.linalg.LinAlgError as exc:
-        cond = float(np.linalg.cond(q_scaled))
-        raise RuntimeError(
-            f"pencil eigensolve failed, Q numerically indefinite "
-            f"(estimated condition {cond:.3e}): {exc}") from exc
-    vecs = scale[:, None] * vecs
-
-    if pencil.size <= _SYMMETRY_CHECK_SIZE:
-        raw = eig(-pencil.p_raw, pencil.q_raw, right=False)
-        raw = np.sort(raw.real)
-        ref = np.sort(vals)
-        tol = 1e-8 * max(1.0, np.max(np.abs(ref)))
-        if np.max(np.abs(raw - ref)) > tol:
-            warnings.warn(
-                "symmetrized pencil roots disagree with the raw QZ roots; using the raw result",
-                RuntimeWarning,
-            )
-            vals, vecs_c = eig(-pencil.p_raw, pencil.q_raw)
-            order = np.argsort(vals.real)
-            vals = vals.real[order]
-            vecs = vecs_c.real[:, order]
-    return vals, vecs
-
-
 def _top_positive(pencil: Pencil) -> tuple[float, np.ndarray] | None:
-    vals, vecs = _solve_pencil(pencil)
-    thr = _positive_threshold(pencil)
-    idx = [i for i, t in enumerate(vals) if t > thr]
-    if not idx:
+    """Largest positive root of det(P + t Q) with its eigenvector, or None when no root is positive.
+
+    -P v = t Q v is symmetric-definite, so its largest root is the top
+    eigenvalue of the oracle's Cholesky-reduced eigensolve (``_top_eigenpairs``)
+    on a stack of one, with Q scaled to unit diagonal; the root is then refined
+    in long double.  A Q that fails Cholesky raises ``ConditioningError`` naming
+    the pencil as (family, ddx, lambda, mu, 2 size - 1); a hand-built pencil
+    without a kind is named under the Hermite family.
+    """
+    scale = 1.0 / np.sqrt(np.diag(pencil.q))
+    outer = scale[:, None] * scale
+    weight = WeightSpec(WeightFamily(pencil.kind or "hermite"), pencil.lam, pencil.mu)
+    op = OperatorSpec.ddx(damped=weight.is_gegenbauer)
+    vals, vecs = _top_eigenpairs((-pencil.p * outer)[None], (pencil.q * outer)[None],
+                                 [weight], op, 2 * pencil.size - 1)
+    if vals[0] <= _positive_threshold(pencil):
         return None
-    best = max(idx, key=lambda i: vals[i])
-    return _refine_pair(pencil, float(vals[best]), vecs[:, best])
+    return _refine_pair(pencil, float(vals[0]), scale * vecs[0])
 
 
 def pencil_largest_positive_root(pencil: Pencil) -> float | None:

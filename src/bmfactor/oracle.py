@@ -30,7 +30,8 @@ caller.  Only numpy is needed here.
 ``factors`` takes the odd rows q_1, q_3, ... for the odd branch of the
 Gegenbauer d/dx factor, so that branch is no longer independent of this
 oracle; the mpmath values of ``tests/certified_reference.json`` are the
-independent check of both.
+independent check of both.  ``factors`` also solves its moment pencils with
+``_top_eigenpairs``, as stacks of one.
 
 ``weighted_inner`` and ``rayleigh_quotient`` integrate with the same Gauss
 rule, folded onto its positive nodes: an even-count rule never has the origin

@@ -16,7 +16,9 @@ where A = 1 - x^2, and Gamma(s + lam + 1/2) on the real line, where A = 1.
 - ``oracle``: M_n at degrees where the float oracle once failed: Gegenbauer
   (4.5, 3) under both operators for n = 20..26, and Hermite lam = 1 under
   d/dx for n = 31..40; and M_n under sqrt(1-x^2) d/dx where the odd-part
-  pencil once failed (``GEGENBAUER_DDX_CASES``).
+  pencil once failed (``GEGENBAUER_DDX_CASES``) and Hermite d/dx where a QZ
+  fallback of the moment pencil once swapped in a wrong root
+  (``HERMITE_DDX_CASES``).
 
 Every value is computed at DPS digits and again at 2 * DPS, and is written
 only when the two agree to AGREE_REL_TOL.  Parameters enter as the binary
@@ -51,10 +53,14 @@ GEGENBAUER_DDX_CASES = (
     + [("gegenbauer", "ddx", 100.0, mu, n) for mu in (-0.4, 0.0, 0.5, 1.0, 4.0) for n in (9, 10)]
     + [("gegenbauer", "ddx", 0.5, 0.0, n) for n in (21, 31, 41)]
 )
+# Hermite d/dx points where a QZ solve of the raw moment pencil once replaced
+# the symmetric-definite root with one 33 % low.
+HERMITE_DDX_CASES = [("hermite", "ddx", lam, 0.0, 7) for lam in (140.0, 150.0, 160.0)]
 ORACLE_CASES = (
     [("gegenbauer", op, 4.5, 3.0, n) for n in range(20, 27) for op in ("ddx", "dunkl")]
     + [("hermite", "ddx", 1.0, 0.0, n) for n in range(31, 41)]
     + GEGENBAUER_DDX_CASES
+    + HERMITE_DDX_CASES
 )
 
 

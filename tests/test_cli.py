@@ -4,9 +4,13 @@ import csv
 import io
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bmfactor
 from bmfactor.cli import EXIT_DOMAIN, EXIT_MISMATCH, EXIT_NUMERICAL, EXIT_OK, VERIFY_CSV_COLUMNS, main
 from bmfactor.core import OperatorSpec, WeightSpec
 from bmfactor.oracle import rayleigh_factor
@@ -133,6 +137,21 @@ def test_gegenbauer_ddx_at_large_lambda(capsys):
     assert payload["branch"] == "odd_pencil_root"
     code, out, _ = run(capsys, "verify", "--lambdas", "100", "--mus", "-0.4", "--n-max", "7")
     assert code == EXIT_OK and "result: PASS" in out
+
+
+def test_hermite_ddx_at_large_lambda(capsys):
+    # a raw-QZ cross-check of the moment pencil once made the n = 7 root 33 % low
+    # here: theorem/oracle gap 0.184 and a bracket violation, exit 4
+    code, out, _ = run(capsys, "verify", "--lambdas", "150", "--mus", "0.5", "--n-max", "7")
+    assert code == EXIT_OK and "result: PASS" in out
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # a fresh interpreter, so no other test has imported scipy.linalg already
+    src = str(Path(bmfactor.__file__).resolve().parents[1])
+    probe = f"import sys; sys.path.insert(0, {src!r}); import bmfactor.cli; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_verify_names_the_worst_grid_point(capsys):

@@ -23,7 +23,7 @@ from bmfactor.factors import (
     factor_hermite_dunkl,
     pencil_largest_positive_root,
 )
-from bmfactor.oracle import rayleigh_factor, rayleigh_quotient
+from bmfactor.oracle import ConditioningError, rayleigh_factor, rayleigh_quotient
 
 LAMBDAS = (0.1, 0.4, 0.5, 1.0, 2.0, 4.5)
 MUS = (-0.4, 0.0, 0.5, 1.0, 3.0, 4.0)
@@ -103,12 +103,25 @@ def test_pencil_solve_agrees_with_qz_without_warning():
         for lam, mu in ((0.3, 0.0), (2.0, 3.0)):
             pencil_largest_positive_root(build_pencil_G(7, lam, mu))
             pencil_largest_positive_root(build_pencil_F(7, lam))
+        # a raw-QZ cross-check once disagreed here, warned and swapped in its own root
+        for pencil in (build_pencil_F(7, 150.0), build_pencil_G(7, 10.0, 0.0), build_pencil_G(7, 100.0, -0.4)):
+            pencil_largest_positive_root(pencil)
 
 
 def test_pencil_trivial_roots():
     one = np.array([[1.0]])
     assert pencil_largest_positive_root(Pencil(-2.0 * one, one, -2.0 * one, one)) == pytest.approx(2.0)
     assert pencil_largest_positive_root(Pencil(2.0 * one, one, 2.0 * one, one)) is None
+
+
+def test_pencil_with_indefinite_q_is_refused():
+    p = -np.eye(2)
+    q = np.array([[1.0, 2.0], [2.0, 1.0]])  # unit diagonal, eigenvalues 3 and -1
+    with pytest.raises(ConditioningError) as info:
+        pencil_largest_positive_root(Pencil(p, q, p, q, kind="hermite", lam=1.0))
+    assert info.value.index == 0
+    assert info.value.condition == pytest.approx(3.0)
+    assert "('hermite', 'ddx', 1.0, 0.0, 3)" in str(info.value)
 
 
 @pytest.mark.parametrize("lam,mu,n", [(0.5, 0.5, 5), (1.0, 1.0, 3), (2.0, -0.4, 7), (4.5, 3.0, 9)])
@@ -241,6 +254,15 @@ def test_factor_gegenbauer_ddx_matches_certified(lam, mu, n, reference):
     assert factor_gegenbauer_ddx(n, lam, mu).factor == pytest.approx(reference, rel=1e-12)
 
 
+@pytest.mark.parametrize("lam", (140.0, 150.0, 160.0))
+def test_factor_hermite_ddx_at_large_lambda_matches_certified(lam):
+    # a raw-QZ cross-check of the moment pencil once swapped in a root 33 % low here
+    reference = json.loads(CERTIFIED_REFERENCE.read_text())["oracle"][f"hermite/ddx/{lam!r}/0.0/7"]
+    result = factor_hermite_ddx(7, lam)
+    assert result.factor == pytest.approx(float(reference), rel=1e-12)
+    assert result.branch is Branch.ODD_PENCIL_ROOT
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_gegenbauer_ddx_stack_equals_its_stacks_of_one(n):
     # the default `bmfactor verify` grid, solved as one stack per degree
@@ -263,9 +285,7 @@ def test_odd_sector_equals_pencil_root(n):
     weights = [WeightSpec.gegenbauer(lam, mu) for lam, mu in _PENCIL_POINTS]
     values, coeffs = _odd_sector(n, weights, OperatorSpec.ddx(damped=True))
     assert coeffs.shape == (len(weights), build_pencil_G(n, 1.0, 0.0).size)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the raw-QZ fallback at lambda = 10
-        roots = [pencil_largest_positive_root(build_pencil_G(n, w.lam, w.mu)) for w in weights]
+    roots = [pencil_largest_positive_root(build_pencil_G(n, w.lam, w.mu)) for w in weights]
     for value, root in zip(values, roots):
         assert value == pytest.approx(root, rel=1e-12)
 
