@@ -29,7 +29,7 @@ from .factors import (
 )
 from .inequality import gegenbauer_inequality, hermite_inequality
 from .oracle import ConditioningError, DEFAULT_DEGREE_CAP, _rayleigh_stack, rayleigh_factor
-from .orthopoly import gegenbauer_poly, hermite_poly, residual_gegenbauer, residual_hermite
+from .orthopoly import _gegenbauer_residual_rows, _hermite_residual_rows, gegenbauer_poly, hermite_poly
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -256,6 +256,27 @@ def _point(result: FactorResult) -> str:
             f"lambda={result.weight.lam} mu={result.weight.mu} n={result.n}")
 
 
+def _residual_violations(lambdas, mus, n_values) -> list[str]:
+    """Eigenpolynomials whose ODE residual is not small, in (lambda, n, hermite then mu) order.
+
+    Per (lambda, n) the Gegenbauer polynomials of every mu are one coefficient array.
+    """
+    violations = []
+    mu = np.array(mus)
+    for lam in lambdas:
+        for n in n_values:
+            h = np.array(hermite_poly(n, lam).coeffs)
+            scale = max(np.abs(h).max() * max(2 * (n + 2 * lam), 1.0), 1.0)
+            if np.abs(_hermite_residual_rows(h, n, lam)).max() > RESIDUAL_REL_TOL * scale:
+                violations.append(f"hermite residual at lambda={lam} n={n}")
+            g = np.array([gegenbauer_poly(n, lam, m).coeffs for m in mus])
+            lam_n2 = np.maximum(np.abs(n * (n + 2 * lam + 2 * mu)) + 4 * np.abs(lam * mu), 1.0)
+            residual = np.abs(_gegenbauer_residual_rows(g, n, lam, mu)).max(axis=1)
+            bad = residual > RESIDUAL_REL_TOL * np.abs(g).max(axis=1) * lam_n2
+            violations += [f"gegenbauer residual at lambda={lam} mu={m} n={n}" for m, b in zip(mus, bad) if b]
+    return violations
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     cap = max(degree_cap(), args.n_max)
     n_values = range(1, args.n_max + 1)
@@ -282,17 +303,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             if not lo < m < hi:
                 violations.append(f"bracket violation at lambda={lam} n={n}: {lo} < {m} < {hi}")
 
-    for lam in sorted(set(args.lambdas)):
-        for n in n_values:
-            h = hermite_poly(n, lam)
-            scale = max(h.max_abs_coeff * max(2 * (n + 2 * lam), 1.0), 1.0)
-            if residual_hermite(h, n, lam).max_abs_coeff > RESIDUAL_REL_TOL * scale:
-                violations.append(f"hermite residual at lambda={lam} n={n}")
-            for mu in sorted(set(args.mus)):
-                g = gegenbauer_poly(n, lam, mu)
-                lam_n2 = max(abs(n * (n + 2 * lam + 2 * mu)) + 4 * abs(lam * mu), 1.0)
-                if residual_gegenbauer(g, n, lam, mu).max_abs_coeff > RESIDUAL_REL_TOL * g.max_abs_coeff * lam_n2:
-                    violations.append(f"gegenbauer residual at lambda={lam} mu={mu} n={n}")
+    violations += _residual_violations(sorted(set(args.lambdas)), sorted(set(args.mus)), n_values)
 
     if args.format == "csv":
         writer = csv.writer(sys.stdout)

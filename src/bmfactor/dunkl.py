@@ -6,6 +6,8 @@ p - p(-x) never has a constant term, so no pointwise division is involved.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .core import Polynomial
 
 
@@ -26,6 +28,19 @@ def dunkl_apply(p: Polynomial, lam: float) -> Polynomial:
         raise ValueError("Dunkl index lambda must be >= 0")
     n = len(p.coeffs)
     return Polynomial(tuple(monomial_factor(k, lam) * p.coeffs[k] for k in range(1, n)))
+
+
+def _dunkl_rows(c: np.ndarray, lam: float) -> np.ndarray:
+    """``dunkl_apply`` on coefficient rows: gamma_k c_k for k >= 1 along the last axis.
+
+    Leading axes are a stack.  lam = 0 gives d/dx, and every entry equals the
+    coefficient ``dunkl_apply`` computes, bit for bit.
+    """
+    if lam < 0:
+        raise ValueError("Dunkl index lambda must be >= 0")
+    gamma = np.arange(1.0, c.shape[-1])
+    gamma[::2] += 2.0 * lam  # odd k
+    return gamma * c[..., 1:]
 
 
 def dunkl_laplacian(p: Polynomial, lam: float) -> Polynomial:

@@ -7,13 +7,12 @@ the moment table; it is exact but Hankel-conditioned, which limits eigensolves
 to moderate degree.  ``rayleigh_factor`` therefore assembles the same
 symmetric-definite eigenproblem in a basis that is orthonormal by construction:
 the weight's three-term recurrence coefficients are known in closed form
-(Laguerre chain on the half line, Jacobi chain on [0,1], spliced through the
-even-weight decomposition), a Gauss rule of matching accuracy comes from the
-Jacobi matrix, and the stiffness entries are exact quadrature sums.  The
-generalized eigenvalues are invariant under the basis change, and the
-identity-Gram formulation keeps them accurate at degrees where the raw Hankel
-matrix is numerically singular.  Neither route uses the closed-form factor
-theorems or the determinant pencils.
+(``recurrence_betas``, computed directly for every index), a Gauss rule of
+matching accuracy comes from the Jacobi matrix, and the stiffness entries are
+exact quadrature sums.  The generalized eigenvalues are invariant under the
+basis change, and the identity-Gram formulation keeps them accurate at
+degrees where the raw Hankel matrix is numerically singular.  Neither route
+uses the closed-form factor theorems or the determinant pencils.
 
 The assembly works on a stack of weights that share the family, the operator
 and the degree: recurrence coefficients, Gauss nodes, Christoffel weights,
@@ -117,7 +116,9 @@ def weighted_inner(p: Polynomial, q: Polynomial, weight: WeightSpec, with_a: boo
     x, w = _quadrature(weight, npoints + npoints % 2)
     if with_a and weight.is_gegenbauer:
         w = w * (1.0 - x * x)
-    (ep, eq), (op, oq) = _parity_values((p, q), x)
+    length = max(len(p.coeffs), len(q.coeffs))
+    length += length % 2
+    (ep, eq), (op, oq) = _parity_values(np.array([p.padded(length), q.padded(length)]), x)
     return float(w @ (ep * eq + op * oq))
 
 
@@ -131,14 +132,13 @@ def rayleigh_quotient(p: Polynomial, weight: WeightSpec, op: OperatorSpec) -> fl
     return num / den
 
 
-def _parity_values(polys: Sequence[Polynomial], x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Even and odd parts of each polynomial at the nodes x, each of shape (len(polys), len(x)).
+def _parity_values(c: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd parts of each coefficient row of c (K, L) at the nodes x, each of shape (K, len(x)).
 
-    Both come from powers of x^2, so an absent parity gives exact zeros.
+    L must be even (pad a zero column).  Both parts come from powers of x^2,
+    so an absent parity gives exact zeros.
     """
-    length = max(len(p.coeffs) for p in polys)
-    c = np.array([p.padded(length + length % 2) for p in polys])
-    powers = (x * x) ** np.arange((length + 1) // 2)[:, None]
+    powers = (x * x) ** np.arange(c.shape[-1] // 2)[:, None]
     return c[:, 0::2] @ powers, c[:, 1::2] @ (x * powers)
 
 
@@ -181,48 +181,36 @@ def _stack_parameters(weights: Sequence[WeightSpec]) -> tuple[bool, np.ndarray, 
     return weights[0].is_gegenbauer, np.array([w.lam for w in weights]), np.array([w.mu for w in weights])
 
 
-def _half_line_recurrence(
-    count: int, gegenbauer: bool, lam: np.ndarray, mu: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Monic recurrence (alpha_j, beta_j) of the x^2-image measure, mass normalized to 1; shape (count, B)."""
-    j = np.arange(count, dtype=float)[:, None]
-    if not gegenbauer:
-        # Laguerre weight t^(lam-1/2) e^-t on [0, inf)
-        kappa = lam - 0.5
-        return 2 * j + kappa + 1, j * (j + kappa)
-    # Jacobi weight (1-y)^(mu-1/2) (1+y)^(lam-1/2) on [-1,1], mapped to t = (y+1)/2
-    a, b = mu - 0.5, lam - 0.5
-    k = j[1:]
-    d = 2 * k + a + b
-    alpha = np.concatenate((((b - a) / (a + b + 2))[None], (b * b - a * a) / (d * (d + 2))))
-    beta = np.zeros((count, len(lam)))
-    beta[1] = 4 * (a + 1) * (b + 1) / ((a + b + 2) ** 2 * (a + b + 3))
-    k, d = k[1:], d[1:]  # the general form is 0/0 at k = 1 when lam + mu = 0
-    beta[2:] = 4 * k * (k + a) * (k + b) * (k + a + b) / (d * d * (d + 1) * (d - 1))
-    return (alpha + 1) / 2, beta / 4
-
-
 def _stack_betas(count: int, gegenbauer: bool, lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """``recurrence_betas`` for every weight of a stack, shape (count + 1, B)."""
-    alpha, b = (list(c) for c in _half_line_recurrence(count // 2 + 2, gegenbauer, lam, mu))
-    beta = np.zeros((count + 1, len(lam)))
-    rows = list(beta)
-    rows[0][...] = 1.0
+    beta = np.ones((count + 1, len(lam)))
+    even = np.arange(1, count // 2 + 1, dtype=float)[:, None]  # j of beta_(2j)
+    odd = np.arange(1, (count + 1) // 2, dtype=float)[:, None]  # j of beta_(2j+1), j >= 1
+    if gegenbauer:
+        a, b = mu - 0.5, lam - 0.5
+        s = 2 * even + a + b
+        beta[2::2] = even * (even + a) / (s * (s + 1))
+        s = 2 * odd + a + b + 1
+        beta[3::2] = (odd + b + 1) * (odd + a + b + 1) / (s * (s + 1))
+        first = (lam + 0.5) / (lam + mu + 1)  # j = 0, with a + b + 1 cancelled
+    else:
+        beta[2::2] = even
+        beta[3::2] = odd + lam + 0.5
+        first = lam + 0.5
     if count >= 1:
-        rows[1][...] = alpha[0]
-    for j in range(1, count // 2 + 1):
-        np.divide(b[j], rows[2 * j - 1], out=rows[2 * j])
-        if 2 * j + 1 > count:
-            break
-        np.subtract(alpha[j], rows[2 * j], out=rows[2 * j + 1])
+        beta[1] = first
     return beta
 
 
 def recurrence_betas(count: int, weight: WeightSpec) -> np.ndarray:
     """Coefficients of x p_k = p_(k+1) + beta_k p_(k-1) for the even weight, beta_0 := 1.
 
-    Splicing an even weight through t = x^2: beta_1 = alpha_0, then
-    beta_(2j) = b_j / beta_(2j-1) and beta_(2j+1) = alpha_j - beta_(2j).
+    Closed forms (Chihara, 1978).  On R: beta_(2j) = j and
+    beta_(2j+1) = j + lam + 1/2.  On [-1, 1], with a = mu - 1/2 and
+    b = lam - 1/2: beta_(2j) = j (j + a) / ((2j + a + b) (2j + a + b + 1)) and
+    beta_(2j+1) = (j + b + 1) (j + a + b + 1) / ((2j + a + b + 1) (2j + a + b + 2)).
+    beta_1 = (lam + 1/2) / (lam + mu + 1) is the latter at j = 0 with the
+    common factor a + b + 1 = lam + mu cancelled, so lam + mu = 0 forms no 0/0.
     """
     return _stack_betas(count, *_stack_parameters([weight]))[:, 0]
 

@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import Polynomial, TableCoefficients, WeightFamily, WeightSpec
-from .dunkl import dunkl_apply, dunkl_laplacian, mul_by_one_minus_x2, mul_by_x
+from .dunkl import _dunkl_rows, mul_by_x
 
 
 def eigenvalue_sq(family: WeightFamily, n: int, lam: float, mu: float = 0.0) -> float:
@@ -55,19 +55,38 @@ def gegenbauer_poly(n: int, lam: float, mu: float) -> Polynomial:
     return Polynomial(a)
 
 
+def _gegenbauer_residual_rows(c: np.ndarray, n: int, lam: float, mu: float | np.ndarray) -> np.ndarray:
+    """``residual_gegenbauer`` on coefficient rows c (..., L), with mu broadcast over the leading axes."""
+    lam_n2 = np.asarray(eigenvalue_sq(WeightFamily.GENERALIZED_GEGENBAUER, n, lam, mu))[..., None]
+    d1 = _dunkl_rows(c, lam)
+    d2 = _dunkl_rows(d1, lam)
+    damped = np.zeros_like(c)  # (1 - x^2) D^2 p
+    damped[..., : d2.shape[-1]] = d2
+    damped[..., 2:] -= d2
+    drift = np.zeros_like(c)  # (2 mu + 1) x D p
+    drift[..., 1:] = (2 * np.asarray(mu) + 1)[..., None] * d1
+    return damped - drift + lam_n2 * c
+
+
+def _hermite_residual_rows(c: np.ndarray, n: int, lam: float) -> np.ndarray:
+    """``residual_hermite`` on coefficient rows c (..., L)."""
+    lam_n2 = eigenvalue_sq(WeightFamily.GENERALIZED_HERMITE, n, lam)
+    d1 = _dunkl_rows(c, lam)
+    d2 = _dunkl_rows(d1, lam)
+    out = np.zeros_like(c)
+    out[..., : d2.shape[-1]] = d2
+    out[..., 1:] -= 2.0 * d1
+    return out + lam_n2 * c
+
+
 def residual_gegenbauer(p: Polynomial, n: int, lam: float, mu: float) -> Polynomial:
     """(1-x^2) D^2 p - (2 mu + 1) x D p + lambda_n^2 p; zero exactly at the degree-n eigenpolynomial."""
-    lam_n2 = eigenvalue_sq(WeightFamily.GENERALIZED_GEGENBAUER, n, lam, mu)
-    d1 = dunkl_apply(p, lam)
-    d2 = dunkl_apply(d1, lam)
-    return mul_by_one_minus_x2(d2) - (2 * mu + 1) * mul_by_x(d1) + lam_n2 * p
+    return Polynomial(_gegenbauer_residual_rows(np.array(p.coeffs), n, lam, mu))
 
 
 def residual_hermite(p: Polynomial, n: int, lam: float) -> Polynomial:
     """D^2 p - 2 x D p + lambda_n^2 p; zero exactly at the degree-n eigenpolynomial."""
-    lam_n2 = eigenvalue_sq(WeightFamily.GENERALIZED_HERMITE, n, lam)
-    d1 = dunkl_apply(p, lam)
-    return dunkl_laplacian(p, lam) - 2.0 * mul_by_x(d1) + lam_n2 * p
+    return Polynomial(_hermite_residual_rows(np.array(p.coeffs), n, lam))
 
 
 class ClassicalResidual(NamedTuple):

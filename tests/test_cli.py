@@ -12,7 +12,7 @@ import pytest
 
 import bmfactor
 from bmfactor.cli import EXIT_DOMAIN, EXIT_MISMATCH, EXIT_NUMERICAL, EXIT_OK, VERIFY_CSV_COLUMNS, main
-from bmfactor.core import OperatorSpec, WeightSpec
+from bmfactor.core import OperatorSpec, Polynomial, WeightSpec
 from bmfactor.oracle import rayleigh_factor
 
 
@@ -92,6 +92,29 @@ def test_verify_small_grid_passes(capsys):
                        "--n-max", "6")
     assert code == EXIT_OK
     assert "result: PASS" in out
+
+
+@pytest.mark.parametrize(("source", "target", "message"), (
+    ("gegenbauer_poly", (4, 1.0, 0.5), "gegenbauer residual at lambda=1.0 mu=0.5 n=4"),
+    ("hermite_poly", (3, 1.0), "hermite residual at lambda=1.0 n=3"),
+))
+def test_verify_reports_a_bad_eigenpolynomial(capsys, monkeypatch, source, target, message):
+    # The residual sweep must flag one perturbed eigenpolynomial, and only it:
+    # a constant added to p leaves lambda_n^2 times it in the residual.
+    import bmfactor.cli
+
+    exact = getattr(bmfactor.cli, source)
+
+    def perturbed(*args):
+        p = exact(*args)
+        return p + Polynomial((1e-4 * p.max_abs_coeff,)) if args == target else p
+
+    monkeypatch.setattr(bmfactor.cli, source, perturbed)
+    code, out, _ = run(capsys, "verify", "--lambdas", "0.5", "1", "--mus", "0.5", "3",
+                       "--n-max", "4")
+    assert code == EXIT_MISMATCH
+    assert [line for line in out.splitlines() if line.startswith("VIOLATION:")] == [f"VIOLATION: {message}"]
+    assert "result: FAIL" in out
 
 
 def test_verify_csv_columns(capsys):

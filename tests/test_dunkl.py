@@ -5,6 +5,7 @@ import pytest
 
 from bmfactor.core import Polynomial, parity_split, reflect
 from bmfactor.dunkl import (
+    _dunkl_rows,
     dunkl_apply,
     dunkl_laplacian,
     monomial_factor,
@@ -121,3 +122,23 @@ def test_multiplication_helpers():
         right = mul_by_one_minus_x2(p) + mul_by_one_minus_x2(q)
         assert np.allclose(left.padded(16), right.padded(16), rtol=1e-14, atol=0)
         assert mul_by_one_minus_x2(p) == p + (-1.0) * mul_by_x(mul_by_x(p))
+
+
+@pytest.mark.parametrize("lam", (0.0, 3.5))
+def test_dunkl_rows_equal_dunkl_apply_on_a_stack(lam):
+    # lam = 0 is d/dx.  Zero trailing coefficients stay in the rows as zeros.
+    rng = np.random.default_rng(8)
+    stack = rng.uniform(-1.0, 1.0, (3, 4, 7))
+    stack[0, 0, 4:] = 0.0
+    rows = _dunkl_rows(stack, lam)
+    assert rows.shape == (3, 4, 6)
+    for c, row in zip(stack.reshape(-1, 7), rows.reshape(-1, 6)):
+        p = Polynomial(c)
+        want = dunkl_apply(p, lam).padded(6)
+        assert row.tobytes() == want.tobytes()
+        if lam == 0.0:
+            assert row.tobytes() == p.derivative().padded(6).tobytes()
+    assert _dunkl_rows(np.zeros(0), lam).shape == (0,)
+    assert _dunkl_rows(np.array([2.5]), lam).shape == (0,)
+    with pytest.raises(ValueError):
+        _dunkl_rows(stack, -0.5)

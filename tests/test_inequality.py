@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from bmfactor.core import Polynomial, WeightSpec
-from bmfactor.inequality import gegenbauer_inequality, hermite_inequality
-from bmfactor.oracle import weighted_inner
+from bmfactor.dunkl import dunkl_apply, dunkl_laplacian, sigma
+from bmfactor.inequality import _form_rows, _Forms, gegenbauer_inequality, hermite_inequality
+from bmfactor.oracle import _parity_values, weighted_inner
 from bmfactor.orthopoly import (
     gegenbauer_poly,
     hermite_poly,
@@ -43,6 +44,50 @@ def test_equality_recognized_at_high_degree(n):
     for report in reports:
         assert report.equality
         assert abs(report.gap) <= 1e-8 * report.scale
+
+
+# The inequality_random benchmark grid: lambda = k/4 for k <= 20, mu = -1/4 + k/4 for k <= 21.
+GRID_LAMBDAS = [k / 4 for k in range(21)]
+GRID_MUS = [-0.25 + k / 4 for k in range(22)]
+
+
+def test_equality_recognized_across_the_benchmark_grid_at_its_top_degrees():
+    # Worst gap/scale over this set is 4.53e-9 (at lambda = 4.5, mu = 1/4,
+    # n = 21), against the 1e-8 tolerance; bmfactor.inequality's docstring
+    # documents the range.
+    for lam in GRID_LAMBDAS:
+        for n in (32, 33):
+            assert hermite_inequality(hermite_poly(n, lam), n, lam).equality, (lam, n)
+        for mu in GRID_MUS:
+            for n in (20, 21):
+                report = gegenbauer_inequality(gegenbauer_poly(n, lam, mu), n, lam, mu)
+                assert report.equality, (lam, mu, n)
+
+
+def _polynomial_rows(p, lam):
+    """p, D p, D^2 p, p' and sigma(p) as Polynomial objects, padded to _form_rows' width."""
+    length = len(p.coeffs) + len(p.coeffs) % 2
+    polys = (p, dunkl_apply(p, lam), dunkl_laplacian(p, lam), p.derivative(), sigma(p))
+    return np.array([q.padded(length) for q in polys]).reshape(5, length)
+
+
+def _row_inputs():
+    rng = np.random.default_rng(25)
+    polys = [Polynomial(rng.uniform(-1.0, 1.0, size)) for size in (2, 3, 6, 9, 22)]
+    return polys + [Polynomial.zero(), Polynomial((2.5,)), Polynomial((1.0, -2.0, 0.5, 0.0, 0.0))]
+
+
+@pytest.mark.parametrize("lam", (0.0, 3.5))
+def test_form_rows_equal_the_polynomial_operators_bit_for_bit(lam):
+    for p in _row_inputs():
+        rows, reference = _form_rows(p, lam), _polynomial_rows(p, lam)
+        assert rows.shape == reference.shape
+        assert rows.tobytes() == reference.tobytes(), p
+        n = max(p.degree or 0, 1)
+        weight = WeightSpec.gegenbauer(lam, 0.75)
+        forms = _Forms(p, n, weight)
+        even, odd = _parity_values(reference, forms.x)
+        assert np.array_equal(forms.even, even) and np.array_equal(forms.odd, odd)
 
 
 @pytest.mark.parametrize("lam,mu,n", GEG_POINTS)

@@ -13,11 +13,14 @@ from bmfactor.dunkl import dunkl_apply, dunkl_laplacian, mul_by_one_minus_x2, mu
 from bmfactor.oracle import (
     ConditioningError,
     _rayleigh_stack,
+    _stack_betas,
+    _stack_parameters,
     _top_eigenpairs,
     gauss_rule,
     gram_matrices,
     rayleigh_factor,
     rayleigh_quotient,
+    recurrence_betas,
     weighted_inner,
 )
 from bmfactor.special import moment_table
@@ -57,6 +60,62 @@ def test_gauss_rule_reproduces_moments():
         for k in range(0, 10, 2):
             assert float(w @ x**k) == pytest.approx(table.moment(k), rel=1e-12, abs=1e-14)
         assert float(w @ x**3) == pytest.approx(0.0, abs=1e-13)
+
+
+def _spliced_betas(count, weight):
+    """beta_0 .. beta_count of the even weight, spliced exactly from its image under t = x^2.
+
+    The x^2-image is a Laguerre weight t^(lam-1/2) e^-t on [0, inf), or a
+    Jacobi weight (1-y)^(mu-1/2) (1+y)^(lam-1/2) on [-1, 1] mapped to
+    t = (y+1)/2.  With its monic recurrence (alpha_j, b_j): beta_1 = alpha_0,
+    beta_(2j) = b_j / beta_(2j-1) and beta_(2j+1) = alpha_j - beta_(2j), all in
+    rationals of the float parameters.
+    """
+    lam, mu, half = Fraction(weight.lam), Fraction(weight.mu), Fraction(1, 2)
+    steps = count // 2 + 2
+    if weight.is_gegenbauer:
+        a, b = mu - half, lam - half
+        alpha = [(b - a) / (a + b + 2)]
+        alpha += [(b * b - a * a) / ((2 * k + a + b) * (2 * k + a + b + 2)) for k in range(1, steps)]
+        jacobi = [Fraction(0), 4 * (a + 1) * (b + 1) / ((a + b + 2) ** 2 * (a + b + 3))]
+        for k in range(2, steps):  # the general form is 0/0 at k = 1 when lam + mu = 0
+            d = 2 * k + a + b
+            jacobi.append(4 * k * (k + a) * (k + b) * (k + a + b) / (d * d * (d + 1) * (d - 1)))
+        alpha, image = [(c + 1) / 2 for c in alpha], [c / 4 for c in jacobi]
+    else:
+        kappa = lam - half
+        alpha = [2 * j + kappa + 1 for j in range(steps)]
+        image = [j * (j + kappa) for j in range(steps)]
+    beta = [Fraction(1), alpha[0]]
+    for j in range(1, count // 2 + 1):
+        beta.append(image[j] / beta[2 * j - 1])
+        beta.append(alpha[j] - beta[2 * j])
+    return beta[: count + 1]
+
+
+BETA_WEIGHTS = [WeightSpec.hermite(lam) for lam in (0.0, 0.25, 1.0, 150.0)] + [
+    WeightSpec.gegenbauer(lam, mu) for lam, mu in ((0.0, 0.0), (0.25, -0.25), (2.0, -0.4), (100.0, 99.0))
+]
+
+
+@pytest.mark.parametrize("weight", BETA_WEIGHTS, ids=lambda w: f"{w.family.value}-{w.lam}-{w.mu}")
+def test_closed_form_betas_match_the_exact_splice(weight):
+    # (0, 0) and (0.25, -0.25) have lam + mu = 0, where the uncancelled
+    # closed form of beta_1 is 0/0; errstate turns any such division into an error.
+    reference = [float(b) for b in _spliced_betas(80, weight)]
+    with np.errstate(all="raise"):
+        for count in (0, 1, 2, 3, 4, 5, 80):
+            got = recurrence_betas(count, weight)
+            assert got.shape == (count + 1,)
+            assert got == pytest.approx(reference[: count + 1], rel=1e-14, abs=0)
+
+
+def test_stacked_betas_equal_their_stacks_of_one():
+    for family in (BETA_WEIGHTS[:4], BETA_WEIGHTS[4:]):
+        for count in (0, 1, 2, 7, 80):
+            stack = _stack_betas(count, *_stack_parameters(family))
+            for i, weight in enumerate(family):
+                assert stack[:, i].tobytes() == recurrence_betas(count, weight).tobytes()
 
 
 def test_rayleigh_factor_classical_values():

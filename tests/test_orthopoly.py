@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from bmfactor.core import Polynomial, WeightFamily, WeightSpec
+from bmfactor.dunkl import dunkl_apply, mul_by_one_minus_x2, mul_by_x
 from bmfactor.orthopoly import (
+    _gegenbauer_residual_rows,
     connection_check,
     eigenvalue_sq,
     gegenbauer_poly,
@@ -99,6 +101,28 @@ def test_residual_detects_wrong_eigenvalue():
     assert not residual_gegenbauer(Polynomial((0, 0, 1.0)), 1, 0.5, 0.5).is_zero
     assert not residual_hermite(Polynomial((0, 0, 1.0)), 1, 0.5).is_zero
     assert residual_hermite(Polynomial((0.0, 1.0)), 1, 0.0).is_zero
+
+
+def test_residuals_equal_their_polynomial_formulas_bit_for_bit():
+    # The residuals work on coefficient arrays; the reference builds every
+    # term as a Polynomial, and a stack over mu equals its rows one by one.
+    rng = np.random.default_rng(9)
+    mus = np.array(MUS)
+    for lam in (0.0, 0.7, 3.5):
+        for size in (0, 1, 2, 3, 8):
+            stack = rng.standard_normal((len(mus), size))
+            rows = _gegenbauer_residual_rows(stack, 5, lam, mus)
+            for c, mu, row in zip(stack, mus, rows):
+                p = Polynomial(c)
+                d1 = dunkl_apply(p, lam)
+                d2 = dunkl_apply(d1, lam)
+                lam_n2 = eigenvalue_sq(WeightFamily.GENERALIZED_GEGENBAUER, 5, lam, mu)
+                want = mul_by_one_minus_x2(d2) - (2 * mu + 1) * mul_by_x(d1) + lam_n2 * p
+                assert residual_gegenbauer(p, 5, lam, mu) == want
+                assert Polynomial(row) == want
+                lam_n2 = eigenvalue_sq(WeightFamily.GENERALIZED_HERMITE, 5, lam)
+                want = dunkl_apply(d1, lam) - 2.0 * mul_by_x(d1) + lam_n2 * p
+                assert residual_hermite(p, 5, lam) == want
 
 
 def test_residuals_are_linear():
