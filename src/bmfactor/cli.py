@@ -453,12 +453,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "inequality":
             return cmd_inequality(args)
         raise ValueError(f"unknown command {args.command}")
-    except (ValueError, IndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    # LinAlgError subclasses ValueError, so it must be caught first.
     except (ConditioningError, np.linalg.LinAlgError, RuntimeError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except (ValueError, IndexError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

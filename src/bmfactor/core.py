@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Union
@@ -124,11 +125,11 @@ class WeightSpec:
     mu: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.lam < 0:
-            raise ValueError(f"lambda must be >= 0, got {self.lam}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
         if self.family is WeightFamily.GENERALIZED_GEGENBAUER:
-            if self.mu <= -0.5:
-                raise ValueError(f"mu must be > -1/2, got {self.mu}")
+            if not (math.isfinite(self.mu) and self.mu > -0.5):
+                raise ValueError(f"mu must be finite and > -1/2, got {self.mu}")
         else:
             object.__setattr__(self, "mu", 0.0)  # mu is meaningless on the real line
 

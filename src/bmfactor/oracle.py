@@ -23,7 +23,10 @@ one, so the scalar API and ``bmfactor verify`` (one stack per family, operator
 and degree of its grid) share a single code path.  The stacked entry point
 ``_rayleigh_stack`` stays private, so the public names keep their scalar
 signatures and perfbench's per-function tracing charges its time to the
-caller.  Only numpy is needed here.
+caller.  Apart from ``gram_matrices``, which reads a moment table and so
+scipy's ``gammaln``, only numpy is needed here: the zeroth moment m0 that
+scales the Gauss weights and the extremal's unit norm comes from
+``math.lgamma`` (``_mass``).
 
 ``_stiffness_stack`` assembles S and G over any slice of the basis rows.
 ``factors`` takes the odd rows q_1, q_3, ... for the odd branch of the
@@ -52,7 +55,7 @@ import numpy as np
 
 from .core import OperatorSpec, Polynomial, WeightSpec
 from .dunkl import dunkl_apply, monomial_factor
-from .special import gegenbauer_moment, hermite_moment, moment_table
+from .special import moment_table
 
 DEFAULT_DEGREE_CAP = 14
 
@@ -143,8 +146,16 @@ def _parity_values(c: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _mass(weight: WeightSpec) -> float:
-    """Zeroth moment m0 of the weight; it overflows on R for lam above about 171."""
-    return gegenbauer_moment(0, weight.lam, weight.mu) if weight.is_gegenbauer else hermite_moment(0, weight.lam)
+    """Zeroth moment m0 of the weight; it overflows on R for lam above about 171.
+
+    Gamma(lam + 1/2) on R and B(lam + 1/2, mu + 1/2) on [-1,1], from
+    ``math.lgamma``: m0 only scales, so its last bits need not match the
+    moment tables'.
+    """
+    a = weight.lam + 0.5
+    if not weight.is_gegenbauer:
+        return math.exp(math.lgamma(a))
+    return math.exp(math.lgamma(a) + math.lgamma(weight.mu + 0.5) - math.lgamma(weight.lam + weight.mu + 1.0))
 
 
 @lru_cache(maxsize=512)

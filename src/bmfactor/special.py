@@ -2,6 +2,12 @@
 
 All moments flow through ``log_gamma`` and are exponentiated once at the end,
 so intermediate Gamma values never overflow.
+
+This is the one module that uses scipy: ``log_gamma`` imports
+``scipy.special.gammaln`` on its first call, so scipy loads only when a moment
+is computed (the moment tables behind the F/G pencils, that is the Hermite
+d/dx odd branch and ``table2``'s nu_2, and ``gram_matrices``), not on
+``import bmfactor``.  The oracle's zeroth moment uses ``math.lgamma``.
 """
 
 from __future__ import annotations
@@ -10,8 +16,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from scipy.special import gammaln
-
 from .core import WeightSpec
 
 
@@ -19,6 +23,9 @@ def log_gamma(x: float) -> float:
     """ln Gamma(x) for x > 0."""
     if x <= 0:
         raise ValueError(f"log_gamma requires x > 0, got {x}")
+    # scipy's bits, not math.lgamma's: pencil roots at cond(Q) ~ 1e15 depend on these ulps.
+    from scipy.special import gammaln
+
     return float(gammaln(x))
 
 

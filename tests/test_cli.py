@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bmfactor
@@ -169,12 +170,56 @@ def test_hermite_ddx_at_large_lambda(capsys):
     assert code == EXIT_OK and "result: PASS" in out
 
 
-def test_cli_import_leaves_scipy_linalg_unloaded():
-    # a fresh interpreter, so no other test has imported scipy.linalg already
+COLD_START_PROBE = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+import bmfactor.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = bmfactor.cli.main(sys.argv[2:]) if len(sys.argv) > 2 else 0
+print(code, 'scipy.linalg' in sys.modules, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+"""
+
+
+@pytest.mark.parametrize("argv", (
+    (),
+    ("inequality", "--family", "gegenbauer", "--lambda", "1", "--mu", "0.5", "--n", "6", "--at-extremal"),
+    ("factor", "--weight", "gegenbauer", "--op", "ddx", "--lambda", "1", "--mu", "0.5", "--n", "7", "--check"),
+    ("verify", "--n-max", "1"),
+), ids=("import", "inequality", "gegenbauer-ddx-check", "verify"))
+def test_cli_import_leaves_scipy_linalg_unloaded(argv):
+    # A fresh interpreter, so no other test has imported scipy already.  Only
+    # the moment tables (Hermite d/dx odd pencils, table2, gram_matrices) load it.
     src = str(Path(bmfactor.__file__).resolve().parents[1])
-    probe = f"import sys; sys.path.insert(0, {src!r}); import bmfactor.cli; print('scipy.linalg' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", COLD_START_PROBE, src, *argv],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip().split(maxsplit=2) == [str(EXIT_OK), "False", "[]"]
+
+
+def test_non_finite_weight_parameters_exit_2(capsys):
+    for argv in (
+        ("factor", "--weight", "hermite", "--op", "ddx", "--lambda", "nan", "--n", "4"),
+        ("factor", "--weight", "hermite", "--op", "dunkl", "--lambda", "inf", "--n", "3"),
+        ("factor", "--weight", "hermite", "--op", "ddx", "--lambda", "nan", "--n", "3"),
+        ("factor", "--weight", "gegenbauer", "--op", "ddx", "--lambda", "1", "--mu", "nan", "--n", "3"),
+        ("factor", "--weight", "gegenbauer", "--op", "dunkl", "--lambda", "1", "--mu", "inf", "--n", "3"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_DOMAIN, ""), argv
+        assert err.startswith("error:") and "must be finite" in err, argv
+
+
+def test_linalg_failure_exits_3(capsys, monkeypatch):
+    # LinAlgError subclasses ValueError, which would otherwise report a domain error
+    import bmfactor.oracle
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(bmfactor.oracle, "_top_eigenpairs", fail)
+    code, _, err = run(capsys, "factor", "--check", "--weight", "hermite", "--op", "dunkl",
+                       "--lambda", "1", "--n", "3")
+    assert code == EXIT_NUMERICAL
+    assert err.startswith("numerical failure:")
 
 
 def test_verify_names_the_worst_grid_point(capsys):

@@ -1,5 +1,7 @@
 """Value types: polynomials, parity utilities, weight/operator descriptors."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,11 @@ def test_weight_spec_validation():
         WeightSpec.hermite(-0.1)
     with pytest.raises(ValueError):
         WeightSpec.gegenbauer(1.0, -0.5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            WeightSpec.hermite(bad)
+        with pytest.raises(ValueError, match="mu must be finite"):
+            WeightSpec.gegenbauer(1.0, bad)
     w = WeightSpec(WeightFamily.GENERALIZED_HERMITE, 1.0, mu=3.0)
     assert w.mu == 0.0  # mu has no meaning on the real line
     assert WeightSpec.gegenbauer(0.0, 0.5).interval == (-1.0, 1.0)

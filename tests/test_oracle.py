@@ -12,6 +12,7 @@ from bmfactor.core import OperatorSpec, Polynomial, WeightSpec, reflect
 from bmfactor.dunkl import dunkl_apply, dunkl_laplacian, mul_by_one_minus_x2, mul_by_x, sigma
 from bmfactor.oracle import (
     ConditioningError,
+    _mass,
     _rayleigh_stack,
     _stack_betas,
     _stack_parameters,
@@ -23,10 +24,19 @@ from bmfactor.oracle import (
     recurrence_betas,
     weighted_inner,
 )
-from bmfactor.special import moment_table
+from bmfactor.special import gegenbauer_moment, hermite_moment, moment_table
 
 SQRT_PI = math.sqrt(math.pi)
 CERTIFIED_REFERENCE = Path(__file__).resolve().with_name("certified_reference.json")
+
+
+@pytest.mark.parametrize("lam", (0.0, 0.1, 0.5, 1.0, 4.5, 10.0, 50.0, 100.0, 150.0, 170.0))
+def test_mass_matches_the_moment_tables_zeroth_moment(lam):
+    # math.lgamma and scipy's gammaln differ in the last bits only; 4.5e-13 at (170, 99)
+    assert _mass(WeightSpec.hermite(lam)) == pytest.approx(hermite_moment(0, lam), rel=1e-12, abs=0)
+    for mu in (-0.49, -0.4, 0.0, 0.5, 3.0, 99.0):
+        expected = gegenbauer_moment(0, lam, mu)
+        assert _mass(WeightSpec.gegenbauer(lam, mu)) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_gram_matrices_hermite_classical_n1():
