@@ -2,6 +2,8 @@
 
 Everything here acts purely on monomial coefficients: sigma is exact because
 p - p(-x) never has a constant term, so no pointwise division is involved.
+``dunkl_apply`` and ``sigma`` are ``Polynomial`` views over ``_dunkl_rows`` and
+``_sigma_rows``, which act on stacks of coefficient rows.
 """
 
 from __future__ import annotations
@@ -18,29 +20,32 @@ def monomial_factor(k: int, lam: float) -> float:
 
 def sigma(p: Polynomial) -> Polynomial:
     """(p(x) - p(-x)) / x: coefficient k of the result is 2 p_{k+1} for even k, else 0."""
-    n = len(p.coeffs)
-    return Polynomial(tuple(2.0 * p.coeffs[k + 1] if k % 2 == 0 else 0.0 for k in range(n - 1)))
+    return Polynomial(_sigma_rows(np.array(p.coeffs)))
 
 
 def dunkl_apply(p: Polynomial, lam: float) -> Polynomial:
     """D_lam p = p' + lam * sigma(p); maps x^k to gamma_k x^(k-1)."""
-    if lam < 0:
-        raise ValueError("Dunkl index lambda must be >= 0")
-    n = len(p.coeffs)
-    return Polynomial(tuple(monomial_factor(k, lam) * p.coeffs[k] for k in range(1, n)))
+    return Polynomial(_dunkl_rows(np.array(p.coeffs), lam))
 
 
 def _dunkl_rows(c: np.ndarray, lam: float) -> np.ndarray:
-    """``dunkl_apply`` on coefficient rows: gamma_k c_k for k >= 1 along the last axis.
+    """D_lam on coefficient rows: gamma_k c_k for k >= 1 along the last axis.
 
-    Leading axes are a stack.  lam = 0 gives d/dx, and every entry equals the
-    coefficient ``dunkl_apply`` computes, bit for bit.
+    Leading axes are a stack, and lam = 0 gives d/dx.  gamma_k is
+    ``monomial_factor(k, lam)``.
     """
     if lam < 0:
         raise ValueError("Dunkl index lambda must be >= 0")
     gamma = np.arange(1.0, c.shape[-1])
     gamma[::2] += 2.0 * lam  # odd k
     return gamma * c[..., 1:]
+
+
+def _sigma_rows(c: np.ndarray) -> np.ndarray:
+    """sigma on coefficient rows: 2 c_(k+1) at even k and 0 at odd k, one entry shorter along the last axis."""
+    out = np.zeros(c.shape[:-1] + (max(c.shape[-1] - 1, 0),))
+    out[..., ::2] = 2.0 * c[..., 1::2]
+    return out
 
 
 def dunkl_laplacian(p: Polynomial, lam: float) -> Polynomial:

@@ -1,7 +1,11 @@
 """Closed-form, odd-sector and determinant-pencil Bernstein-Markov factors with extremal polynomials.
 
 Factor values follow the closed forms where a parity/branch argument settles
-the problem.  The odd branch of the Gegenbauer weight under sqrt(1-x^2) d/dx
+the problem.  Under D_lam, M_n^2 is the larger of the eigenvalues lambda_n^2
+and lambda_(n-1)^2 (``orthopoly.eigenvalue_sq``), and the extremal is the
+eigenpolynomial of that degree; the paper's piecewise forms of this maximum
+(the lam <= 1/2 switch on R, the n < n0 switch on [-1,1]) are the tests'
+reference.  The odd branch of the Gegenbauer weight under sqrt(1-x^2) d/dx
 is the top eigenvalue of the stiffness matrix on the odd orthonormal basis
 q_1, q_3, ..., assembled by the oracle's stacked Gauss-rule core
 (``oracle._stiffness_stack``) and solved for a stack of (lam, mu) pairs at
@@ -10,7 +14,8 @@ Hermite weight under d/dx is still the largest positive root of the moment
 pencil det(P + t Q) of ``build_pencil_F``.
 
 The paper's pencils ``build_pencil_F`` and ``build_pencil_G`` stay as
-objects that ``table2`` and the tests check against.  Their raw entries as
+objects the tests check the odd-sector solve against; ``table2`` takes its
+nu_2 column from the odd-sector solve.  Their raw entries as
 written are asymmetric in (i, j), but the moment recurrences make them
 exactly symmetric in real arithmetic, so the symmetrized pencil is solved as
 the symmetric-definite problem -P v = t Q v.  That is the oracle's
@@ -30,7 +35,7 @@ import numpy as np
 
 from .core import OperatorSpec, Polynomial, WeightFamily, WeightSpec
 from .oracle import _basis_to_monomial, _stiffness_stack, _top_eigenpairs
-from .orthopoly import gegenbauer_poly, hermite_poly
+from .orthopoly import eigenvalue_sq, gegenbauer_poly, hermite_poly
 from .special import moment_table
 
 _TIE_REL_TOL = 1e-9
@@ -341,28 +346,34 @@ def _gegenbauer_ddx_stack(n: int, pairs: Sequence[tuple[float, float]]) -> list[
     return results
 
 
+def _dunkl_factor(n: int, weight: WeightSpec) -> FactorResult:
+    """M_n under D_lam (damped by sqrt(1-x^2) on [-1,1]): M_n^2 = max(lambda_n^2, lambda_(n-1)^2).
+
+    lambda_k^2 is the eigenvalue of the degree-k generalized Hermite or
+    Gegenbauer polynomial, which is the extremal; a tie takes degree n.
+    """
+    family, lam, mu = weight.family, weight.lam, weight.mu
+    top, below = eigenvalue_sq(family, n, lam, mu), eigenvalue_sq(family, n - 1, lam, mu)
+    fsq, degree = (float(top), n) if top >= below else (float(below), n - 1)
+    if weight.is_gegenbauer:
+        extremal = gegenbauer_poly(degree, lam, mu)
+    else:
+        extremal = hermite_poly(degree, lam)
+    op = OperatorSpec.dunkl(damped=weight.is_gegenbauer)
+    return FactorResult(sqrt(fsq), fsq, Branch.DUNKL_CLOSED_FORM, extremal, n, weight, op)
+
+
 def factor_hermite_dunkl(n: int, lam: float) -> FactorResult:
     """M_n for |x|^(2 lam) exp(-x^2) under the Dunkl operator, all closed-form."""
     if n < 1:
         raise ValueError("degree must be >= 1")
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    weight = WeightSpec.hermite(lam)
-    op = OperatorSpec.dunkl()
-    if n % 2:
-        fsq = 2.0 * (n + 2 * lam)
-        extremal = hermite_poly(n, lam)
-    elif lam <= 0.5:
-        fsq = 2.0 * n
-        extremal = hermite_poly(n, lam)
-    else:
-        fsq = 2.0 * (n + 2 * lam - 1)
-        extremal = hermite_poly(n - 1, lam)
-    return FactorResult(sqrt(fsq), fsq, Branch.DUNKL_CLOSED_FORM, extremal, n, weight, op)
+    return _dunkl_factor(n, WeightSpec.hermite(lam))
 
 
 def dunkl_gegenbauer_threshold(lam: float, mu: float) -> float:
-    """Degree threshold n0 = (lam - 1/2)(2 mu - 1) where the even-degree branch switches."""
+    """Degree threshold n0 = (lam - 1/2)(2 mu - 1): below it an even-degree extremal drops to degree n - 1."""
     return (lam - 0.5) * (2.0 * mu - 1.0)
 
 
@@ -374,18 +385,4 @@ def factor_gegenbauer_dunkl(n: int, lam: float, mu: float) -> FactorResult:
         raise ValueError("lambda must be >= 0")
     if mu <= -0.5:
         raise ValueError("mu must be > -1/2")
-    weight = WeightSpec.gegenbauer(lam, mu)
-    op = OperatorSpec.dunkl(damped=True)
-    base = float(n * (n + 2 * lam + 2 * mu))
-    if n % 2:
-        fsq = base + 4.0 * lam * mu
-        extremal = gegenbauer_poly(n, lam, mu)
-    else:
-        n0 = dunkl_gegenbauer_threshold(lam, mu)
-        if (2 * lam - 1) * (2 * mu - 1) > 4 and n < n0:
-            fsq = base + 2.0 * (n0 - n)
-            extremal = gegenbauer_poly(n - 1, lam, mu)
-        else:
-            fsq = base
-            extremal = gegenbauer_poly(n, lam, mu)
-    return FactorResult(sqrt(fsq), fsq, Branch.DUNKL_CLOSED_FORM, extremal, n, weight, op)
+    return _dunkl_factor(n, WeightSpec.gegenbauer(lam, mu))

@@ -10,8 +10,9 @@ in terms of ||p||, ||p''|| remains.
 Every term is a sum over one folded Gauss rule of the weight with n + 2 nodes
 (rounded up to even), exact for the degree-2n integrands.  The coefficients
 of p, D p, D^2 p, p' and sigma(p) are built from those of p as the rows of
-one array, evaluated at the rule's positive nodes once, by parity, and the
-seven terms are weighted dot products of those values.  p'(-x) needs no
+one array, which the oracle's folded-rule evaluator ``oracle._Forms``
+evaluates at the rule's positive nodes once, by parity; the seven terms are
+weighted dot products of those values.  p'(-x) needs no
 evaluation of its own, since reflection only flips the sign of the odd part.
 Monomial moments never enter, so no Hankel cancellation is left.  Over
 lam = 0, 1/4, ..., 5 and mu = -1/4, 0, ..., 5, equality at the
@@ -28,13 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Polynomial, WeightFamily, WeightSpec
-from .dunkl import _dunkl_rows
-from .oracle import _parity_values, _quadrature
+from .dunkl import _dunkl_rows, _sigma_rows
+from .oracle import _Forms
 from .orthopoly import eigenvalue_sq
 
 EQUALITY_REL_TOL = 1e-8
 
-_P, _DP, _D2P, _PP, _SIGMA = range(5)  # rows of _form_rows and _Forms
+_P, _DP, _D2P, _PP, _SIGMA = range(5)  # rows of _form_rows
 
 
 @dataclass(frozen=True)
@@ -70,23 +71,8 @@ def _form_rows(p: Polynomial, lam: float) -> np.ndarray:
     rows[_DP, : len(dp)] = dp
     rows[_D2P, : len(d2p)] = d2p
     rows[_PP, : len(dp)] = _dunkl_rows(c, 0.0)
-    rows[_SIGMA, : len(dp) : 2] = 2.0 * c[1::2]  # sigma(p)_k = 2 p_(k+1) at even k
+    rows[_SIGMA, : len(dp)] = _sigma_rows(c)
     return rows
-
-
-class _Forms:
-    """Inner products of p, D p, D^2 p, p' and sigma(p) under one folded Gauss rule of W."""
-
-    def __init__(self, p: Polynomial, n: int, weight: WeightSpec):
-        self.x, self.w = _quadrature(weight, n + 2 + n % 2)
-        self.even, self.odd = _parity_values(_form_rows(p, weight.lam), self.x)
-
-    def inner(self, i: int, j: int, w: np.ndarray) -> float:
-        return float(w @ (self.even[i] * self.even[j] + self.odd[i] * self.odd[j]))
-
-    def reflected(self, i: int, w: np.ndarray) -> float:
-        """<f, f(-.)> of polynomial ``i``: the odd part changes sign under reflection."""
-        return float(w @ (self.even[i] ** 2 - self.odd[i] ** 2))
 
 
 def gegenbauer_inequality(p: Polynomial, n: int, lam: float, mu: float,
@@ -102,9 +88,8 @@ def gegenbauer_inequality(p: Polynomial, n: int, lam: float, mu: float,
     if p.degree is not None and p.degree > n:
         raise ValueError(f"polynomial degree {p.degree} exceeds n={n}")
     lam_n2 = eigenvalue_sq(WeightFamily.GENERALIZED_GEGENBAUER, n, lam, mu)
-    forms = _Forms(p, n, WeightSpec.gegenbauer(lam, mu))
-    w = forms.w
-    wa = w * (1.0 - forms.x * forms.x)
+    forms = _Forms(_form_rows(p, lam), WeightSpec.gegenbauer(lam, mu), n + 2 + n % 2)
+    w, wa = forms.w, forms.wa
     terms = {
         "eigenvalue_sq": lam_n2,
         "damped_dunkl_norm_sq": forms.inner(_DP, _DP, wa),
@@ -135,7 +120,7 @@ def hermite_inequality(p: Polynomial, n: int, lam: float,
     if p.degree is not None and p.degree > n:
         raise ValueError(f"polynomial degree {p.degree} exceeds n={n}")
     lam_n2 = eigenvalue_sq(WeightFamily.GENERALIZED_HERMITE, n, lam)
-    forms = _Forms(p, n, WeightSpec.hermite(lam))
+    forms = _Forms(_form_rows(p, lam), WeightSpec.hermite(lam), n + 2 + n % 2)
     w = forms.w
     terms = {
         "eigenvalue_sq": lam_n2,

@@ -35,13 +35,14 @@ oracle; the mpmath values of ``tests/certified_reference.json`` are the
 independent check of both.  ``factors`` also solves its moment pencils with
 ``_top_eigenpairs``, as stacks of one.
 
-``weighted_inner`` and ``rayleigh_quotient`` integrate with the same Gauss
-rule, folded onto its positive nodes: an even-count rule never has the origin
-as a node, so <p, q> is the sum over positive nodes of 2 w_i m0 (e_p e_q +
-o_p o_q), with e and o the even and odd parts.  Odd integrands are then
-exactly 0.0, and no monomial moment enters, so sums of moments never have to
-cancel the Hankel condition of ~10^(2n).  The folded rules are cached per
-(weight, size) in ``_quadrature``.
+``weighted_inner``, ``rayleigh_quotient`` and the inequality reports of
+``bmfactor.inequality`` integrate with the same Gauss rule, folded onto its
+positive nodes: an even-count rule never has the origin as a node, so
+<p, q> is the sum over positive nodes of 2 w_i m0 (e_p e_q + o_p o_q), with
+e and o the even and odd parts.  Odd integrands are then exactly 0.0, and no
+monomial moment enters, so sums of moments never have to cancel the Hankel
+condition of ~10^(2n).  ``_Forms`` is that one evaluator, on coefficient
+rows.  The folded rules are cached per (weight, size) in ``_quadrature``.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import OperatorSpec, Polynomial, WeightSpec
-from .dunkl import dunkl_apply, monomial_factor
+from .dunkl import _dunkl_rows, monomial_factor
 from .special import moment_table
 
 DEFAULT_DEGREE_CAP = 14
@@ -107,6 +108,35 @@ def gram_matrices(n: int, weight: WeightSpec, op: OperatorSpec) -> GramPair:
     return GramPair(g, s)
 
 
+class _Forms:
+    """Inner products of polynomials, given as coefficient rows, under one folded Gauss rule of W.
+
+    ``rows`` (K, L) holds monomial coefficients with L even (pad a zero
+    column).  The rule has ``npoints`` nodes, so products of degree up to
+    2 npoints - 1 integrate exactly.  ``w`` are its folded weights and ``wa``
+    the same weights times A(x) = 1 - x^2 on [-1, 1] (A = 1 on R).  Each row
+    is evaluated at the positive nodes once, as its even and odd parts; both
+    come from powers of x^2, so an absent parity gives exact zeros.
+    """
+
+    def __init__(self, rows: np.ndarray, weight: WeightSpec, npoints: int):
+        self.x, self.w = _quadrature(weight, npoints)
+        self.wa = self.w * (1.0 - self.x * self.x) if weight.is_gegenbauer else self.w
+        powers = (self.x * self.x) ** np.arange(rows.shape[-1] // 2)[:, None]
+        self.even, self.odd = rows[:, 0::2] @ powers, rows[:, 1::2] @ (self.x * powers)
+
+    def inner(self, i: int, j: int, w: np.ndarray) -> float:
+        return float(w @ (self.even[i] * self.even[j] + self.odd[i] * self.odd[j]))
+
+    def reflected(self, i: int, w: np.ndarray) -> float:
+        """<f, f(-.)> of row ``i``: the odd part changes sign under reflection."""
+        return float(w @ (self.even[i] ** 2 - self.odd[i] ** 2))
+
+
+def _even_width(length: int) -> int:
+    return length + length % 2
+
+
 def weighted_inner(p: Polynomial, q: Polynomial, weight: WeightSpec, with_a: bool = False) -> float:
     """<p, q>_W, optionally with the extra factor A(x) = 1 - x^2 on [-1,1].
 
@@ -116,33 +146,21 @@ def weighted_inner(p: Polynomial, q: Polynomial, weight: WeightSpec, with_a: boo
     if p.is_zero or q.is_zero:
         return 0.0
     npoints = (len(p.coeffs) + len(q.coeffs)) // 2 + 1  # 2 npoints - 1 >= deg(p q A)
-    x, w = _quadrature(weight, npoints + npoints % 2)
-    if with_a and weight.is_gegenbauer:
-        w = w * (1.0 - x * x)
-    length = max(len(p.coeffs), len(q.coeffs))
-    length += length % 2
-    (ep, eq), (op, oq) = _parity_values(np.array([p.padded(length), q.padded(length)]), x)
-    return float(w @ (ep * eq + op * oq))
+    length = _even_width(max(len(p.coeffs), len(q.coeffs)))
+    forms = _Forms(np.array([p.padded(length), q.padded(length)]), weight, _even_width(npoints))
+    return forms.inner(0, 1, forms.wa if with_a else forms.w)
 
 
 def rayleigh_quotient(p: Polynomial, weight: WeightSpec, op: OperatorSpec) -> float:
-    """||sqrt(A) D p||^2 / ||p||^2 through folded Gauss-rule inner products."""
+    """||sqrt(A) D p||^2 / ||p||^2, with p and D p as two rows of one folded Gauss rule."""
     if p.is_zero:
         raise ValueError("Rayleigh quotient of the zero polynomial is undefined")
-    dp = dunkl_apply(p, weight.lam) if op.is_dunkl else p.derivative()
-    num = weighted_inner(dp, dp, weight, with_a=op.damped)
-    den = weighted_inner(p, p, weight)
-    return num / den
-
-
-def _parity_values(c: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Even and odd parts of each coefficient row of c (K, L) at the nodes x, each of shape (K, len(x)).
-
-    L must be even (pad a zero column).  Both parts come from powers of x^2,
-    so an absent parity gives exact zeros.
-    """
-    powers = (x * x) ** np.arange(c.shape[-1] // 2)[:, None]
-    return c[:, 0::2] @ powers, c[:, 1::2] @ (x * powers)
+    length = len(p.coeffs)
+    rows = np.zeros((2, _even_width(length)))
+    rows[0, :length] = p.coeffs
+    rows[1, : length - 1] = _dunkl_rows(rows[0, :length], weight.lam if op.is_dunkl else 0.0)
+    forms = _Forms(rows, weight, _even_width(length + 1))  # 2 npoints - 1 >= deg(p^2 A)
+    return forms.inner(1, 1, forms.wa if op.damped else forms.w) / forms.inner(0, 0, forms.w)
 
 
 def _mass(weight: WeightSpec) -> float:

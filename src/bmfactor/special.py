@@ -5,8 +5,8 @@ so intermediate Gamma values never overflow.
 
 This is the one module that uses scipy: ``log_gamma`` imports
 ``scipy.special.gammaln`` on its first call, so scipy loads only when a moment
-is computed (the moment tables behind the F/G pencils, that is the Hermite
-d/dx odd branch and ``table2``'s nu_2, and ``gram_matrices``), not on
+is computed (the moment tables behind the F/G pencils and ``gram_matrices``;
+of the CLI routes only the Hermite d/dx odd branch builds one), not on
 ``import bmfactor``.  The oracle's zeroth moment uses ``math.lgamma``.
 """
 
@@ -27,16 +27,6 @@ def log_gamma(x: float) -> float:
     from scipy.special import gammaln
 
     return float(gammaln(x))
-
-
-def pochhammer(a: float, m: int) -> float:
-    """Rising factorial a (a+1) ... (a+m-1); 1 for m = 0."""
-    if m < 0:
-        raise ValueError("pochhammer order must be >= 0")
-    out = 1.0
-    for i in range(m):
-        out *= a + i
-    return out
 
 
 def hermite_moment(s: int, lam: float) -> float:

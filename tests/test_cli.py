@@ -16,6 +16,8 @@ from bmfactor.cli import EXIT_DOMAIN, EXIT_MISMATCH, EXIT_NUMERICAL, EXIT_OK, VE
 from bmfactor.core import OperatorSpec, Polynomial, WeightSpec
 from bmfactor.oracle import rayleigh_factor
 
+CERTIFIED_REFERENCE = Path(__file__).resolve().with_name("certified_reference.json")
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -180,19 +182,22 @@ print(code, 'scipy.linalg' in sys.modules, sorted(m for m in sys.modules if m.sp
 """
 
 
-@pytest.mark.parametrize("argv", (
-    (),
-    ("inequality", "--family", "gegenbauer", "--lambda", "1", "--mu", "0.5", "--n", "6", "--at-extremal"),
-    ("factor", "--weight", "gegenbauer", "--op", "ddx", "--lambda", "1", "--mu", "0.5", "--n", "7", "--check"),
-    ("verify", "--n-max", "1"),
-), ids=("import", "inequality", "gegenbauer-ddx-check", "verify"))
-def test_cli_import_leaves_scipy_linalg_unloaded(argv):
+@pytest.mark.parametrize(("argv", "exit_code"), (
+    ((), EXIT_OK),
+    (("inequality", "--family", "gegenbauer", "--lambda", "1", "--mu", "0.5", "--n", "6", "--at-extremal"),
+     EXIT_OK),
+    (("factor", "--weight", "gegenbauer", "--op", "ddx", "--lambda", "1", "--mu", "0.5", "--n", "7", "--check"),
+     EXIT_OK),
+    (("verify", "--n-max", "1"), EXIT_OK),
+    (("table2",), EXIT_MISMATCH),  # the printed table's flagged cells
+), ids=("import", "inequality", "gegenbauer-ddx-check", "verify", "table2"))
+def test_cli_import_leaves_scipy_linalg_unloaded(argv, exit_code):
     # A fresh interpreter, so no other test has imported scipy already.  Only
-    # the moment tables (Hermite d/dx odd pencils, table2, gram_matrices) load it.
+    # the moment tables (Hermite d/dx odd pencils, gram_matrices) load it.
     src = str(Path(bmfactor.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", COLD_START_PROBE, src, *argv],
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip().split(maxsplit=2) == [str(EXIT_OK), "False", "[]"]
+    assert out.stdout.strip().split(maxsplit=2) == [str(exit_code), "False", "[]"]
 
 
 def test_non_finite_weight_parameters_exit_2(capsys):
@@ -263,6 +268,18 @@ def test_table2_flags_reference_mismatches(capsys):
     assert row["nu2_ref"] is None
 
 
+def test_table2_matches_the_certified_table(capsys):
+    # every nu2, M3 and M4 cell against the mpmath values of tests/certify_reference.py
+    code, out, _ = run(capsys, "table2", "--format", "json", "--digits", "17")
+    assert code == EXIT_MISMATCH
+    certified = json.loads(CERTIFIED_REFERENCE.read_text())["table2"]
+    rows = json.loads(out)["rows"]
+    assert [(r["lambda"], r["mu"]) for r in rows] == [(c["lambda"], c["mu"]) for c in certified]
+    for row, cert in zip(rows, certified):
+        for name in ("nu2", "m3", "m4"):
+            assert row[name] == pytest.approx(float(cert[name]), rel=1e-12), (row["lambda"], row["mu"], name)
+
+
 def test_table2_csv_shape(capsys):
     code, out, _ = run(capsys, "table2", "--format", "csv")
     rows = list(csv.reader(io.StringIO(out)))
@@ -290,6 +307,13 @@ def test_inequality_random_seed_positive_gap(capsys):
     _, out2, _ = run(capsys, "inequality", "--family", "hermite", "--lambda", "0.5",
                      "--n", "5", "--seed", "42", "--format", "json")
     assert json.loads(out2) == payload
+
+
+def test_verify_ignores_the_degree_cap_variable(capsys, monkeypatch):
+    # the grid's own n_max bounds every oracle solve; only factor --check reads BMFACTOR_MAX_N
+    monkeypatch.setenv("BMFACTOR_MAX_N", "abc")
+    code, out, _ = run(capsys, "verify", "--n-max", "2")
+    assert code == EXIT_OK and "result: PASS" in out
 
 
 def test_degree_cap_env_override(capsys, monkeypatch):

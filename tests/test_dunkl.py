@@ -6,6 +6,7 @@ import pytest
 from bmfactor.core import Polynomial, parity_split, reflect
 from bmfactor.dunkl import (
     _dunkl_rows,
+    _sigma_rows,
     dunkl_apply,
     dunkl_laplacian,
     monomial_factor,
@@ -124,21 +125,32 @@ def test_multiplication_helpers():
         assert mul_by_one_minus_x2(p) == p + (-1.0) * mul_by_x(mul_by_x(p))
 
 
+def _loop_dunkl(c, lam):
+    """D_lam coefficient by coefficient, the reference for the row kernel."""
+    return np.array([monomial_factor(k, lam) * c[k] for k in range(1, len(c))])
+
+
+def _loop_sigma(c):
+    """sigma coefficient by coefficient, the reference for the row kernel."""
+    return np.array([2.0 * c[k + 1] if k % 2 == 0 else 0.0 for k in range(len(c) - 1)])
+
+
 @pytest.mark.parametrize("lam", (0.0, 3.5))
 def test_dunkl_rows_equal_dunkl_apply_on_a_stack(lam):
     # lam = 0 is d/dx.  Zero trailing coefficients stay in the rows as zeros.
     rng = np.random.default_rng(8)
     stack = rng.uniform(-1.0, 1.0, (3, 4, 7))
     stack[0, 0, 4:] = 0.0
-    rows = _dunkl_rows(stack, lam)
-    assert rows.shape == (3, 4, 6)
-    for c, row in zip(stack.reshape(-1, 7), rows.reshape(-1, 6)):
+    rows, sigma_rows = _dunkl_rows(stack, lam), _sigma_rows(stack)
+    assert rows.shape == sigma_rows.shape == (3, 4, 6)
+    for c, row, sigma_row in zip(stack.reshape(-1, 7), rows.reshape(-1, 6), sigma_rows.reshape(-1, 6)):
         p = Polynomial(c)
-        want = dunkl_apply(p, lam).padded(6)
-        assert row.tobytes() == want.tobytes()
+        assert row.tobytes() == _loop_dunkl(c, lam).tobytes()
+        assert sigma_row.tobytes() == _loop_sigma(c).tobytes()
+        assert dunkl_apply(p, lam) == Polynomial(row) and sigma(p) == Polynomial(sigma_row)
         if lam == 0.0:
             assert row.tobytes() == p.derivative().padded(6).tobytes()
-    assert _dunkl_rows(np.zeros(0), lam).shape == (0,)
-    assert _dunkl_rows(np.array([2.5]), lam).shape == (0,)
+    for empty in (np.zeros(0), np.array([2.5])):
+        assert _dunkl_rows(empty, lam).shape == _sigma_rows(empty).shape == (0,)
     with pytest.raises(ValueError):
         _dunkl_rows(stack, -0.5)

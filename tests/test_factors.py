@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bmfactor.cli import TABLE2_REFERENCE
 from bmfactor.core import OperatorSpec, Polynomial, WeightSpec
 from bmfactor.factors import (
     Branch,
@@ -24,6 +25,7 @@ from bmfactor.factors import (
     pencil_largest_positive_root,
 )
 from bmfactor.oracle import ConditioningError, rayleigh_factor, rayleigh_quotient
+from bmfactor.orthopoly import gegenbauer_poly, hermite_poly
 
 LAMBDAS = (0.1, 0.4, 0.5, 1.0, 2.0, 4.5)
 MUS = (-0.4, 0.0, 0.5, 1.0, 3.0, 4.0)
@@ -235,6 +237,44 @@ def test_factor_gegenbauer_dunkl_threshold_switch():
             assert r.extremal.degree == n
 
 
+def _piecewise_dunkl(weight, n):
+    """(M_n^2, extremal degree) under D_lam from the paper's piecewise closed forms."""
+    lam, mu = weight.lam, weight.mu
+    if not weight.is_gegenbauer:
+        if n % 2:
+            return 2.0 * (n + 2 * lam), n
+        return (2.0 * n, n) if lam <= 0.5 else (2.0 * (n + 2 * lam - 1), n - 1)
+    base = float(n * (n + 2 * lam + 2 * mu))
+    if n % 2:
+        return base + 4.0 * lam * mu, n
+    n0 = dunkl_gegenbauer_threshold(lam, mu)
+    if (2 * lam - 1) * (2 * mu - 1) > 4 and n < n0:
+        return base + 2.0 * (n0 - n), n - 1
+    return base, n
+
+
+def test_dunkl_factors_equal_the_piecewise_closed_forms():
+    # The factors take max(lambda_n^2, lambda_(n-1)^2); the paper's switches
+    # (lam <= 1/2 on R, n < n0 on [-1,1]) must pick the same degree.  Nine
+    # points tie at an even n = n0, from n0 = 2 at (1.5, 1.5) to 34 at (7.3, 3).
+    lambdas = (0.0, 0.1, 1 / 3, 0.5, 0.7, 1.5, 2.5, 4.5, 7.3, 12.9)
+    mus = (-0.45, -0.4, 0.0, 1 / 3, 0.5, 1.5, 2.2, 3.0, 3.5, 6.7, 11.1)
+    ties = 0
+    for lam in lambdas:
+        cases = [(WeightSpec.hermite(lam), factor_hermite_dunkl, (lam,))]
+        cases += [(WeightSpec.gegenbauer(lam, mu), factor_gegenbauer_dunkl, (lam, mu)) for mu in mus]
+        for weight, factor, args in cases:
+            for n in range(1, 61):
+                fsq, degree = _piecewise_dunkl(weight, n)
+                r = factor(n, *args)
+                assert r.extremal.degree == degree, (weight, n)
+                assert abs(r.factor_sq - fsq) <= 1e-15 * fsq, (weight, n)
+                poly = gegenbauer_poly(degree, lam, weight.mu) if weight.is_gegenbauer else hermite_poly(degree, lam)
+                assert r.extremal == poly
+                ties += weight.is_gegenbauer and n % 2 == 0 and n == dunkl_gegenbauer_threshold(lam, weight.mu)
+    assert ties == 9
+
+
 def _certified_gegenbauer_ddx_cases():
     table = json.loads(CERTIFIED_REFERENCE.read_text())["oracle"]
     params = []
@@ -281,8 +321,10 @@ _PENCIL_POINTS = [(lam, mu) for lam in LAMBDAS for mu in MUS] + [
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_odd_sector_equals_pencil_root(n):
-    # pencil sizes 1..4: the paper's determinant pencil checks the odd-sector solve
-    weights = [WeightSpec.gegenbauer(lam, mu) for lam, mu in _PENCIL_POINTS]
+    # pencil sizes 1..4: the paper's determinant pencil checks the odd-sector
+    # solve; at n = 3 on every table2 point too, since table2's nu2 is that solve
+    points = _PENCIL_POINTS + ([(lam, mu) for lam, mu, *_ in TABLE2_REFERENCE] if n == 3 else [])
+    weights = [WeightSpec.gegenbauer(lam, mu) for lam, mu in points]
     values, coeffs = _odd_sector(n, weights, OperatorSpec.ddx(damped=True))
     assert coeffs.shape == (len(weights), build_pencil_G(n, 1.0, 0.0).size)
     roots = [pencil_largest_positive_root(build_pencil_G(n, w.lam, w.mu)) for w in weights]

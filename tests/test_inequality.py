@@ -5,8 +5,8 @@ import pytest
 
 from bmfactor.core import Polynomial, WeightSpec
 from bmfactor.dunkl import dunkl_apply, dunkl_laplacian, sigma
-from bmfactor.inequality import _form_rows, _Forms, gegenbauer_inequality, hermite_inequality
-from bmfactor.oracle import _parity_values, weighted_inner
+from bmfactor.inequality import _form_rows, gegenbauer_inequality, hermite_inequality
+from bmfactor.oracle import _Forms, weighted_inner
 from bmfactor.orthopoly import (
     gegenbauer_poly,
     hermite_poly,
@@ -83,11 +83,13 @@ def test_form_rows_equal_the_polynomial_operators_bit_for_bit(lam):
         rows, reference = _form_rows(p, lam), _polynomial_rows(p, lam)
         assert rows.shape == reference.shape
         assert rows.tobytes() == reference.tobytes(), p
+        # the folded rule's even and odd parts give the rows' values at +x and -x
         n = max(p.degree or 0, 1)
-        weight = WeightSpec.gegenbauer(lam, 0.75)
-        forms = _Forms(p, n, weight)
-        even, odd = _parity_values(reference, forms.x)
-        assert np.array_equal(forms.even, even) and np.array_equal(forms.odd, odd)
+        forms = _Forms(rows, WeightSpec.gegenbauer(lam, 0.75), n + 2 + n % 2)
+        scale = 1.0 + np.abs(reference).sum(axis=1)[:, None]
+        for sign in (1.0, -1.0):
+            values = np.array([Polynomial(row)(sign * forms.x) for row in reference])
+            assert np.all(np.abs(forms.even + sign * forms.odd - values) <= 1e-13 * scale), p
 
 
 @pytest.mark.parametrize("lam,mu,n", GEG_POINTS)

@@ -11,7 +11,6 @@ from bmfactor.special import (
     hermite_moment,
     log_gamma,
     moment_table,
-    pochhammer,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -31,14 +30,6 @@ def test_log_gamma_domain():
         log_gamma(0.0)
     with pytest.raises(ValueError):
         log_gamma(-1.5)
-
-
-def test_pochhammer():
-    assert pochhammer(3.7, 0) == 1.0
-    assert pochhammer(1.0, 4) == 24.0
-    assert pochhammer(0.5, 2) == pytest.approx(0.75, rel=1e-15)
-    with pytest.raises(ValueError):
-        pochhammer(1.0, -1)
 
 
 def test_hermite_moment_values():
