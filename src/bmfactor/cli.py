@@ -20,14 +20,14 @@ from .core import OperatorSpec, Polynomial, WeightSpec
 from .factors import (
     FactorResult,
     _gegenbauer_ddx_stack,
-    _odd_sector,
+    _odd_pencil_stack,
     factor_gegenbauer_ddx,
     factor_gegenbauer_dunkl,
     factor_hermite_ddx,
     factor_hermite_dunkl,
 )
 from .inequality import gegenbauer_inequality, hermite_inequality
-from .oracle import ConditioningError, DEFAULT_DEGREE_CAP, _rayleigh_stack, rayleigh_factor
+from .oracle import ConditioningError, DEFAULT_DEGREE_CAP, _rayleigh_stack, _top_eigenpairs, rayleigh_factor
 from .orthopoly import _gegenbauer_residual_rows, _hermite_residual_rows, gegenbauer_poly, hermite_poly
 
 EXIT_OK = 0
@@ -67,7 +67,15 @@ BRACKET_EQUALITY_TOL = 1e-12
 
 def degree_cap() -> int:
     env = os.environ.get("BMFACTOR_MAX_N")
-    return int(env) if env else DEFAULT_DEGREE_CAP
+    if not env:
+        return DEFAULT_DEGREE_CAP
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"BMFACTOR_MAX_N must be a positive integer, got {env!r}")
+    return cap
 
 
 def _sig(x: float, digits: int) -> float:
@@ -164,10 +172,12 @@ def cmd_factor(args: argparse.Namespace, extremal_only: bool = False) -> int:
 
 
 def cmd_table2(args: argparse.Namespace) -> int:
-    # nu_2 is the odd-sector maximum at n = 3, the largest root of the paper's pencil G
+    # nu_2 is the odd-branch maximum at n = 3, the largest root of the paper's pencil G,
+    # here the top eigenvalue of the 2x2 block of the tridiagonal odd pencil
     pairs = [(lam, mu) for lam, mu, *_ in TABLE2_REFERENCE]
     weights = [WeightSpec.gegenbauer(lam, mu) for lam, mu in pairs]
-    nu2s, _ = _odd_sector(3, weights, OperatorSpec.ddx(damped=True))
+    lams, mus = np.array(pairs).T
+    nu2s, _ = _top_eigenpairs(*_odd_pencil_stack(1, lams, mus), weights, OperatorSpec.ddx(damped=True), 3)
     columns = zip(nu2s, _gegenbauer_ddx_stack(3, pairs), _gegenbauer_ddx_stack(4, pairs))
     rows = []
     flagged = 0

@@ -1,4 +1,4 @@
-"""Closed-form, odd-sector and determinant-pencil Bernstein-Markov factors with extremal polynomials.
+"""Closed-form, odd-pencil and determinant-pencil Bernstein-Markov factors with extremal polynomials.
 
 Factor values follow the closed forms where a parity/branch argument settles
 the problem.  Under D_lam, M_n^2 is the larger of the eigenvalues lambda_n^2
@@ -6,16 +6,19 @@ and lambda_(n-1)^2 (``orthopoly.eigenvalue_sq``), and the extremal is the
 eigenpolynomial of that degree; the paper's piecewise forms of this maximum
 (the lam <= 1/2 switch on R, the n < n0 switch on [-1,1]) are the tests'
 reference.  The odd branch of the Gegenbauer weight under sqrt(1-x^2) d/dx
-is the top eigenvalue of the stiffness matrix on the odd orthonormal basis
-q_1, q_3, ..., assembled by the oracle's stacked Gauss-rule core
-(``oracle._stiffness_stack``) and solved for a stack of (lam, mu) pairs at
-once; ``factor_gegenbauer_ddx`` is its stack of one.  The odd branch of the
-Hermite weight under d/dx is still the largest positive root of the moment
-pencil det(P + t Q) of ``build_pencil_F``.
+is the top eigenvalue of a tridiagonal pencil on the basis x q_0, x q_2, ...
+(``_odd_pencil_stack``), whose entries are closed forms in the recurrence
+coefficients of W and of W (1 - x^2); it is solved for a stack of (lam, mu)
+pairs at once, and ``factor_gegenbauer_ddx`` is its stack of one.  That
+route shares only ``_stack_betas``, ``_basis_to_monomial`` and the
+eigensolve with the oracle, so the oracle's Gauss-rule stiffness solve
+checks it independently.  The odd
+branch of the Hermite weight under d/dx is still the largest positive root
+of the moment pencil det(P + t Q) of ``build_pencil_F``.
 
 The paper's pencils ``build_pencil_F`` and ``build_pencil_G`` stay as
-objects the tests check the odd-sector solve against; ``table2`` takes its
-nu_2 column from the odd-sector solve.  Their raw entries as
+objects the tests check the odd pencil against; ``table2`` takes its nu_2
+column from the 2x2 block of the odd pencil.  Their raw entries as
 written are asymmetric in (i, j), but the moment recurrences make them
 exactly symmetric in real arithmetic, so the symmetrized pencil is solved as
 the symmetric-definite problem -P v = t Q v.  That is the oracle's
@@ -34,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import OperatorSpec, Polynomial, WeightFamily, WeightSpec
-from .oracle import _basis_to_monomial, _stiffness_stack, _top_eigenpairs
+from .oracle import _basis_to_monomial, _stack_betas, _top_eigenpairs
 from .orthopoly import eigenvalue_sq, gegenbauer_poly, hermite_poly
 from .special import moment_table
 
@@ -288,18 +291,45 @@ def factor_hermite_ddx(n: int, lam: float) -> FactorResult:
     return FactorResult(sqrt(nu), nu, Branch.ODD_PENCIL_ROOT, _odd_polynomial(vec), n, weight, op)
 
 
-def _odd_sector(n: int, weights: Sequence[WeightSpec], op: OperatorSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Largest Rayleigh quotient over the odd polynomials of degree <= n, for a stack of weights.
+def _odd_pencil_stack(m: int, lam: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tridiagonal odd-branch pencil (S, G) on the basis x q_0, x q_2, ..., x q_2m, shape (B, m+1, m+1).
 
-    It is the top eigenvalue of S v = theta G v on the odd orthonormal basis
-    q_1, q_3, ..., assembled from a Gauss rule exact on the integrands, so no
-    Hankel moment matrix enters.  Returns the values (B,) and the monomial
-    coefficients of x, x^3, ... of each maximizer, shape (B, (n + 1) // 2).
+    q_k are the orthonormal polynomials of W (mass 1), r_k = sqrt(beta_k) and
+    r~_k the same for W A, which is the Gegenbauer weight (lam, mu + 1).  G is
+    the even block of J^2: G_jj = beta_2j + beta_(2j+1) (no beta_0 at j = 0)
+    and G_(j,j+1) = r_(2j+1) r_(2j+2).  (x q_2j)' = C_jj q~_2j + C_(j-1,j) q~_(2j-2),
+    so S = c C^T C with c = (mu + 1/2)/(lam + mu + 1) the mass of W A.  The
+    diagonal C_jj = (2j+1) prod_(i<=2j) r~_i / r_i compares leading
+    coefficients; the Jacobi form of the same identity gives the
+    cancellation-free C_(j-1,j) = C_jj (r~_(2j-1) / r~_2j) j (2j+2 lam+2 mu-1)
+    / ((2j+1)(j+lam+mu)) (Chihara 1978, ch. 5; DLMF 18.9).  Every entry is
+    elementwise in j, so the pencil for m is bit for bit the leading block of
+    the pencil for any larger m, and stack items do not mix.
     """
-    _, _, rb, s, g = _stiffness_stack(n, weights, op, rows=slice(1, None, 2))
-    values, vecs = _top_eigenpairs(s, g, weights, op, n)
-    coeffs = (vecs[:, None, :] @ _basis_to_monomial(n, rb)[1::2].transpose(1, 0, 2))[:, 0]
-    return values, coeffs[:, 1::2]
+    beta = _stack_betas(2 * m + 1, True, lam, mu)
+    r = np.sqrt(beta)
+    rt = np.sqrt(_stack_betas(2 * m, True, lam, mu + 1.0))
+    j = np.arange(1, m + 1, dtype=float)[:, None]
+    diag_c = np.ones((m + 1, len(lam)))
+    diag_c[1:] = (2 * j + 1) * np.cumprod(rt[1:] / r[1:-1], axis=0)[1::2]
+    upper_c = diag_c[1:] * rt[1:-1:2] / rt[2::2] * j * (2 * j + 2 * lam + 2 * mu - 1) \
+        / ((2 * j + 1) * (j + lam + mu))
+    c = (mu + 0.5) / (lam + mu + 1.0)
+    s_diag = c * diag_c * diag_c
+    s_diag[1:] += c * upper_c * upper_c
+    beta[0] = 0.0
+    return (_tridiagonal(s_diag, c * upper_c * diag_c[:-1]),
+            _tridiagonal(beta[0::2] + beta[1::2], r[1:-1:2] * r[2::2]))
+
+
+def _tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Symmetric tridiagonal stack (B, K, K) from its diagonal (K, B) and off-diagonal (K - 1, B)."""
+    size = len(diag)
+    out = np.zeros((diag.shape[1], size, size))
+    k = np.arange(size)
+    out[:, k, k] = diag.T
+    out[:, k[:-1], k[1:]] = out[:, k[1:], k[:-1]] = off.T
+    return out
 
 
 def factor_gegenbauer_ddx(n: int, lam: float, mu: float) -> FactorResult:
@@ -308,14 +338,14 @@ def factor_gegenbauer_ddx(n: int, lam: float, mu: float) -> FactorResult:
     The even-polynomial branch has the closed value n(n+2 lam+2 mu) (even n) or
     (n-1)(n+2 lam+2 mu-1) (odd n); the odd-polynomial branch is the largest
     Rayleigh quotient over odd polynomials of degree <= n, the top eigenvalue
-    of the stiffness matrix on the odd orthonormal basis q_1, q_3, ...  (the
-    largest root of ``build_pencil_G``).  The factor is the max.
+    of the tridiagonal pencil of ``_odd_pencil_stack`` (the largest root of
+    ``build_pencil_G``).  The factor is the max.
     """
     return _gegenbauer_ddx_stack(n, [(lam, mu)])[0]
 
 
 def _gegenbauer_ddx_stack(n: int, pairs: Sequence[tuple[float, float]]) -> list[FactorResult]:
-    """``factor_gegenbauer_ddx`` at degree n for every (lam, mu) pair, with one stacked odd-sector solve.
+    """``factor_gegenbauer_ddx`` at degree n for every (lam, mu) pair, with one stacked odd-pencil solve.
 
     Each result does not depend on the rest of the stack.
     """
@@ -327,7 +357,12 @@ def _gegenbauer_ddx_stack(n: int, pairs: Sequence[tuple[float, float]]) -> list[
         raise ValueError("mu must be > -1/2")
     weights = [WeightSpec.gegenbauer(lam, mu) for lam, mu in pairs]
     op = OperatorSpec.ddx(damped=True)
-    odd_values, odd_coeffs = _odd_sector(n, weights, op)
+    lam, mu = np.array([(w.lam, w.mu) for w in weights]).T
+    m = (n - 1) // 2
+    odd_values, vecs = _top_eigenpairs(*_odd_pencil_stack(m, lam, mu), weights, op, n)
+    # sum_j v_j x q_2j(x): the even basis rows give the coefficients of x^(2k+1)
+    even_rows = _basis_to_monomial(2 * m, np.sqrt(_stack_betas(2 * m, True, lam, mu))[:, :, None])[::2]
+    odd_coeffs = (vecs[:, None, :] @ even_rows.transpose(1, 0, 2))[:, 0, ::2]
     even_degree = n if n % 2 == 0 else n - 1
     results = []
     for weight, nu, vec in zip(weights, odd_values, odd_coeffs):

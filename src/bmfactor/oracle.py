@@ -28,12 +28,14 @@ scipy's ``gammaln``, only numpy is needed here: the zeroth moment m0 that
 scales the Gauss weights and the extremal's unit norm comes from
 ``math.lgamma`` (``_mass``).
 
-``_stiffness_stack`` assembles S and G over any slice of the basis rows.
-``factors`` takes the odd rows q_1, q_3, ... for the odd branch of the
-Gegenbauer d/dx factor, so that branch is no longer independent of this
-oracle; the mpmath values of ``tests/certified_reference.json`` are the
-independent check of both.  ``factors`` also solves its moment pencils with
-``_top_eigenpairs``, as stacks of one.
+``factors`` shares three pieces of this module: the closed-form
+``_stack_betas``, from which it builds the tridiagonal odd-branch pencil of
+the Gegenbauer d/dx factor; the eigensolve ``_top_eigenpairs``, with which
+it solves that pencil and its moment pencils; and ``_basis_to_monomial``,
+which writes the odd extremal in monomials.  It assembles no stiffness
+matrix and uses no Gauss rule, so this oracle's quadrature route is again an
+independent check of the factor values, next to the mpmath values of
+``tests/certified_reference.json``.
 
 ``weighted_inner``, ``rayleigh_quotient`` and the inequality reports of
 ``bmfactor.inequality`` integrate with the same Gauss rule, folded onto its
@@ -363,14 +365,13 @@ def _top_eigenpairs(
 
 
 def _stiffness_stack(
-    n: int, weights: Sequence[WeightSpec], op: OperatorSpec, rows: slice = slice(None)
+    n: int, weights: Sequence[WeightSpec], op: OperatorSpec
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Stiffness and Gram matrices of a stack of weights over the basis rows ``q_k``, k in ``rows``.
+    """Stiffness and Gram matrices of a stack of weights over the basis q_0 .. q_n of P_n.
 
-    The basis is q_0 .. q_n, orthonormal for each weight, so ``rows`` of
-    ``slice(None)`` spans P_n and ``slice(1, None, 2)`` its odd polynomials.
-    Returns the Gauss weights (B, N), the selected rows at the nodes
-    (B, K, N), sqrt(beta) as ``_gauss_basis`` gives it, and S and G (B, K, K).
+    The basis is orthonormal for each weight.  Returns the Gauss weights
+    (B, N), the basis rows at the nodes (B, n + 1, N), sqrt(beta) as
+    ``_gauss_basis`` gives it, and S and G (B, n + 1, n + 1).
     """
     gegenbauer, lam, mu = _stack_parameters(weights)
     npoints = n + 4
@@ -385,7 +386,7 @@ def _stiffness_stack(
     wa = w * (1.0 - x * x) if (gegenbauer and op.damped) else w
 
     # Per stack item: S = D diag(w A) D^T and G = Q diag(w) Q^T.
-    d, q = d[rows].transpose(1, 0, 2), q[rows].transpose(1, 0, 2)
+    d, q = d.transpose(1, 0, 2), q.transpose(1, 0, 2)
     s = (d * wa[:, None, :]) @ d.swapaxes(1, 2)
     g = (q * w[:, None, :]) @ q.swapaxes(1, 2)
     return w, q, rb, s, g

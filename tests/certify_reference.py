@@ -18,7 +18,8 @@ where A = 1 - x^2, and Gamma(s + lam + 1/2) on the real line, where A = 1.
   d/dx for n = 31..40; and M_n under sqrt(1-x^2) d/dx where the odd-part
   pencil once failed (``GEGENBAUER_DDX_CASES``) and Hermite d/dx where a QZ
   fallback of the moment pencil once swapped in a wrong root
-  (``HERMITE_DDX_CASES``).
+  (``HERMITE_DDX_CASES``); and M_n under sqrt(1-x^2) d/dx at n = 51 and 61,
+  the top of the benchmark's degree range (``HIGH_DEGREE_GEGENBAUER_DDX_CASES``).
 
 Every value is computed at DPS digits and again at 2 * DPS, and is written
 only when the two agree to AGREE_REL_TOL.  Parameters enter as the binary
@@ -56,11 +57,17 @@ GEGENBAUER_DDX_CASES = (
 # Hermite d/dx points where a QZ solve of the raw moment pencil once replaced
 # the symmetric-definite root with one 33 % low.
 HERMITE_DDX_CASES = [("hermite", "ddx", lam, 0.0, 7) for lam in (140.0, 150.0, 160.0)]
+# Gegenbauer d/dx at a benign and a large-parameter weight, near the top of
+# the degree range the tridiagonal odd pencil is checked over.
+HIGH_DEGREE_GEGENBAUER_DDX_CASES = [
+    ("gegenbauer", "ddx", lam, mu, n) for lam, mu in ((0.5, 0.0), (100.0, 99.0)) for n in (51, 61)
+]
 ORACLE_CASES = (
     [("gegenbauer", op, 4.5, 3.0, n) for n in range(20, 27) for op in ("ddx", "dunkl")]
     + [("hermite", "ddx", 1.0, 0.0, n) for n in range(31, 41)]
     + GEGENBAUER_DDX_CASES
     + HERMITE_DDX_CASES
+    + HIGH_DEGREE_GEGENBAUER_DDX_CASES
 )
 
 

@@ -277,7 +277,7 @@ def test_table2_matches_the_certified_table(capsys):
     assert [(r["lambda"], r["mu"]) for r in rows] == [(c["lambda"], c["mu"]) for c in certified]
     for row, cert in zip(rows, certified):
         for name in ("nu2", "m3", "m4"):
-            assert row[name] == pytest.approx(float(cert[name]), rel=1e-12), (row["lambda"], row["mu"], name)
+            assert row[name] == pytest.approx(float(cert[name]), rel=1e-14), (row["lambda"], row["mu"], name)
 
 
 def test_table2_csv_shape(capsys):
@@ -314,6 +314,15 @@ def test_verify_ignores_the_degree_cap_variable(capsys, monkeypatch):
     monkeypatch.setenv("BMFACTOR_MAX_N", "abc")
     code, out, _ = run(capsys, "verify", "--n-max", "2")
     assert code == EXIT_OK and "result: PASS" in out
+
+
+@pytest.mark.parametrize("value", ("abc", "0", "-3", "12.5"))
+def test_malformed_degree_cap_variable_exits_2_naming_it(capsys, monkeypatch, value):
+    monkeypatch.setenv("BMFACTOR_MAX_N", value)
+    code, out, err = run(capsys, "factor", "--weight", "hermite", "--op", "dunkl",
+                         "--lambda", "1", "--n", "3", "--check")
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err.startswith("error:") and "BMFACTOR_MAX_N" in err and repr(value) in err
 
 
 def test_degree_cap_env_override(capsys, monkeypatch):

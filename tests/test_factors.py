@@ -14,7 +14,7 @@ from bmfactor.factors import (
     Branch,
     Pencil,
     _gegenbauer_ddx_stack,
-    _odd_sector,
+    _odd_pencil_stack,
     build_pencil_F,
     build_pencil_G,
     dunkl_gegenbauer_threshold,
@@ -24,7 +24,7 @@ from bmfactor.factors import (
     factor_hermite_dunkl,
     pencil_largest_positive_root,
 )
-from bmfactor.oracle import ConditioningError, rayleigh_factor, rayleigh_quotient
+from bmfactor.oracle import ConditioningError, _top_eigenpairs, rayleigh_factor, rayleigh_quotient
 from bmfactor.orthopoly import gegenbauer_poly, hermite_poly
 
 LAMBDAS = (0.1, 0.4, 0.5, 1.0, 2.0, 4.5)
@@ -289,9 +289,9 @@ def _certified_gegenbauer_ddx_cases():
 def test_factor_gegenbauer_ddx_matches_certified(lam, mu, n, reference):
     # Among them the points where the odd-part moment pencil was silently wrong
     # ((50, -0.4, 9), (100, -0.4, 7), (0.5, 0, 21), (4.5, 3, 21)) or refused
-    # (lambda = 100 at n = 9, 10; (0.5, 0) at n = 31, 41; (4.5, 3) at n = 23-26);
-    # references from tests/certify_reference.py.
-    assert factor_gegenbauer_ddx(n, lam, mu).factor == pytest.approx(reference, rel=1e-12)
+    # (lambda = 100 at n = 9, 10; (0.5, 0) at n = 31, 41; (4.5, 3) at n = 23-26),
+    # and (0.5, 0), (100, 99) at n = 51, 61; references from tests/certify_reference.py.
+    assert factor_gegenbauer_ddx(n, lam, mu).factor == pytest.approx(reference, rel=1e-14)
 
 
 @pytest.mark.parametrize("lam", (140.0, 150.0, 160.0))
@@ -312,8 +312,8 @@ def test_gegenbauer_ddx_stack_equals_its_stacks_of_one(n):
 
 
 # The table2 points with lambda <= 10 next to the default verify grid.  At
-# (10, -0.4) the size-4 pencil is itself 3.6e-12 off an mpmath odd-sector
-# maximum (the odd-sector solve: 1.6e-14), so that point is left out.
+# (10, -0.4) the size-4 pencil is itself 1.7e-12 off an mpmath odd-sector
+# maximum (the tridiagonal odd pencil: 1.1e-16), so that point is left out.
 _PENCIL_POINTS = [(lam, mu) for lam in LAMBDAS for mu in MUS] + [
     (0.4, -0.4), (0.3, -0.3), (0.2, -0.2), (0.1, -0.1), (4.0, 4.0), (3.0, 3.0),
     (2.0, 2.0), (1.0, 1.0), (10.0, 9.0), (1.0, 0.0), (10.0, 0.0)]
@@ -321,15 +321,29 @@ _PENCIL_POINTS = [(lam, mu) for lam in LAMBDAS for mu in MUS] + [
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_odd_sector_equals_pencil_root(n):
-    # pencil sizes 1..4: the paper's determinant pencil checks the odd-sector
-    # solve; at n = 3 on every table2 point too, since table2's nu2 is that solve
+    # pencil sizes 1..4: the paper's determinant pencil checks the tridiagonal
+    # odd pencil; at n = 3 on every table2 point too, since table2's nu2 is its 2x2 block
     points = _PENCIL_POINTS + ([(lam, mu) for lam, mu, *_ in TABLE2_REFERENCE] if n == 3 else [])
     weights = [WeightSpec.gegenbauer(lam, mu) for lam, mu in points]
-    values, coeffs = _odd_sector(n, weights, OperatorSpec.ddx(damped=True))
-    assert coeffs.shape == (len(weights), build_pencil_G(n, 1.0, 0.0).size)
+    lam, mu = np.array(points).T
+    s, g = _odd_pencil_stack((n - 1) // 2, lam, mu)
+    size = build_pencil_G(n, 1.0, 0.0).size
+    assert s.shape == g.shape == (len(weights), size, size)
+    values, _ = _top_eigenpairs(s, g, weights, OperatorSpec.ddx(damped=True), n)
     roots = [pencil_largest_positive_root(build_pencil_G(n, w.lam, w.mu)) for w in weights]
     for value, root in zip(values, roots):
         assert value == pytest.approx(root, rel=1e-12)
+
+
+def test_odd_pencil_is_the_leading_block_of_the_degree_61_pencil():
+    # entries are elementwise in j, so no degree and no stack neighbour moves a bit
+    pairs = [(lam, mu) for lam in LAMBDAS for mu in MUS] + [(100.0, 99.0), (0.5, 0.0), (100.0, -0.4)]
+    lam, mu = np.array(pairs).T
+    top = _odd_pencil_stack(30, lam, mu)
+    for n in range(1, 62):
+        m = (n - 1) // 2
+        for small, big in zip(_odd_pencil_stack(m, lam, mu), top, strict=True):
+            assert np.array_equal(small, big[:, : m + 1, : m + 1]), n
 
 
 def test_extremal_certificates():
