@@ -1,16 +1,7 @@
 """Exact L2 Bernstein-Markov factors for generalized Hermite and Gegenbauer weights."""
 
-from .core import (
-    OperatorKind,
-    OperatorSpec,
-    Polynomial,
-    TableCoefficients,
-    WeightFamily,
-    WeightSpec,
-    parity_split,
-    reflect,
-)
-from .dunkl import dunkl_apply, dunkl_laplacian, mul_by_one_minus_x2, mul_by_x, sigma
+from .core import OperatorKind, OperatorSpec, Polynomial, WeightFamily, WeightSpec
+from .dunkl import dunkl_apply, sigma
 from .factors import (
     Branch,
     FactorResult,
@@ -25,79 +16,38 @@ from .factors import (
     pencil_largest_positive_root,
 )
 from .inequality import InequalityReport, gegenbauer_inequality, hermite_inequality
-from .oracle import (
-    ConditioningError,
-    GramPair,
-    gram_matrices,
-    rayleigh_factor,
-    rayleigh_quotient,
-    weighted_inner,
-)
-from .orthopoly import (
-    ClassicalResidual,
-    connection_check,
-    eigenvalue_sq,
-    gegenbauer_poly,
-    hermite_connection_check,
-    hermite_poly,
-    residual_classical_L,
-    residual_gegenbauer,
-    residual_hermite,
-)
-from .special import (
-    MomentTable,
-    gegenbauer_moment,
-    hermite_moment,
-    log_gamma,
-    moment_table,
-)
+from .oracle import ConditioningError, rayleigh_factor, rayleigh_quotient, weighted_inner
+from .orthopoly import eigenvalue_sq, gegenbauer_poly, hermite_poly, residual_gegenbauer, residual_hermite
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Branch",
-    "ClassicalResidual",
     "ConditioningError",
     "FactorResult",
-    "GramPair",
     "InequalityReport",
-    "MomentTable",
     "OperatorKind",
     "OperatorSpec",
     "Pencil",
     "Polynomial",
-    "TableCoefficients",
     "WeightFamily",
     "WeightSpec",
     "build_pencil_F",
     "build_pencil_G",
-    "connection_check",
     "dunkl_apply",
     "dunkl_gegenbauer_threshold",
-    "dunkl_laplacian",
     "eigenvalue_sq",
     "factor_gegenbauer_ddx",
     "factor_gegenbauer_dunkl",
     "factor_hermite_ddx",
     "factor_hermite_dunkl",
     "gegenbauer_inequality",
-    "gegenbauer_moment",
     "gegenbauer_poly",
-    "gram_matrices",
-    "hermite_connection_check",
     "hermite_inequality",
-    "hermite_moment",
     "hermite_poly",
-    "log_gamma",
-    "moment_table",
-    "mul_by_one_minus_x2",
-    "mul_by_x",
-    "parity_split",
     "pencil_largest_positive_root",
     "rayleigh_factor",
     "rayleigh_quotient",
-    "reflect",
-    "residual_classical_L",
     "residual_gegenbauer",
     "residual_hermite",
     "sigma",

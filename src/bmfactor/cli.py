@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .core import OperatorSpec, Polynomial, WeightSpec
+from .core import OperatorSpec, Polynomial, WeightFamily, WeightSpec
 from .factors import (
     FactorResult,
     _gegenbauer_ddx_stack,
@@ -28,7 +28,7 @@ from .factors import (
 )
 from .inequality import gegenbauer_inequality, hermite_inequality
 from .oracle import ConditioningError, DEFAULT_DEGREE_CAP, _rayleigh_stack, _top_eigenpairs, rayleigh_factor
-from .orthopoly import _gegenbauer_residual_rows, _hermite_residual_rows, gegenbauer_poly, hermite_poly
+from .orthopoly import _residual_rows, gegenbauer_poly, hermite_poly
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -136,18 +136,27 @@ def _factor_payload(result: FactorResult, digits: int, check: bool) -> dict:
     return payload
 
 
+def _write_csv(payload: dict) -> None:
+    """A header row and a value row of a JSON payload: lists space-joined, one column per dict entry."""
+    row = {}
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            row.update(value)
+        else:
+            row[key] = " ".join(str(c) for c in value) if isinstance(value, list) else value
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(row.keys())
+    writer.writerow(row.values())
+    sys.stdout.write(buf.getvalue())
+
+
 def _emit_factor(payload: dict, fmt: str, digits: int, extremal_only: bool) -> None:
     if fmt == "json":
         print(json.dumps(payload))
         return
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        keys = list(payload.keys())
-        row = [" ".join(str(c) for c in payload[k]) if k == "extremal_coeffs" else payload[k] for k in keys]
-        writer.writerow(keys)
-        writer.writerow(row)
-        sys.stdout.write(buf.getvalue())
+        _write_csv(payload)
         return
     if extremal_only:
         print(f"extremal polynomial (degree sector {payload['branch']}):")
@@ -275,11 +284,12 @@ def _residual_violations(lambdas, mus, n_values) -> list[str]:
         for n in n_values:
             h = np.array(hermite_poly(n, lam).coeffs)
             scale = max(np.abs(h).max() * max(2 * (n + 2 * lam), 1.0), 1.0)
-            if np.abs(_hermite_residual_rows(h, n, lam)).max() > RESIDUAL_REL_TOL * scale:
+            residual = _residual_rows(h, n, WeightFamily.GENERALIZED_HERMITE, lam)
+            if np.abs(residual).max() > RESIDUAL_REL_TOL * scale:
                 violations.append(f"hermite residual at lambda={lam} n={n}")
             g = np.array([gegenbauer_poly(n, lam, m).coeffs for m in mus])
             lam_n2 = np.maximum(np.abs(n * (n + 2 * lam + 2 * mu)) + 4 * np.abs(lam * mu), 1.0)
-            residual = np.abs(_gegenbauer_residual_rows(g, n, lam, mu)).max(axis=1)
+            residual = np.abs(_residual_rows(g, n, WeightFamily.GENERALIZED_GEGENBAUER, lam, mu)).max(axis=1)
             bad = residual > RESIDUAL_REL_TOL * np.abs(g).max(axis=1) * lam_n2
             violations += [f"gegenbauer residual at lambda={lam} mu={m} n={n}" for m, b in zip(mus, bad) if b]
     return violations
@@ -370,16 +380,19 @@ def cmd_inequality(args: argparse.Namespace) -> int:
     else:
         report = hermite_inequality(p, args.n, args.lam)
     digits = args.digits
+    payload = {
+        "family": args.family, "lambda": args.lam,
+        "mu": args.mu if args.family == "gegenbauer" else None,
+        "n": args.n,
+        "polynomial_coeffs": list(p.coeffs),
+        "lhs": _sig(report.lhs, digits), "rhs": _sig(report.rhs, digits),
+        "gap": _sig(report.gap, digits), "equality": report.equality,
+        "terms": {k: _sig(v, digits) for k, v in report.terms.items()},
+    }
     if args.format == "json":
-        print(json.dumps({
-            "family": args.family, "lambda": args.lam,
-            "mu": args.mu if args.family == "gegenbauer" else None,
-            "n": args.n,
-            "polynomial_coeffs": list(p.coeffs),
-            "lhs": _sig(report.lhs, digits), "rhs": _sig(report.rhs, digits),
-            "gap": _sig(report.gap, digits), "equality": report.equality,
-            "terms": {k: _sig(v, digits) for k, v in report.terms.items()},
-        }))
+        print(json.dumps(payload))
+    elif args.format == "csv":
+        _write_csv(payload)
     else:
         print(f"family={args.family} lambda={args.lam} mu={args.mu} n={args.n}")
         print(f"p(x) = {_poly_str(p, digits)}")

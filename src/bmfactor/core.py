@@ -94,18 +94,6 @@ class Polynomial:
         return Polynomial(tuple(k * self.coeffs[k] for k in range(1, len(self.coeffs))))
 
 
-def reflect(p: Polynomial) -> Polynomial:
-    """q with q(x) = p(-x): sign flip of odd-index coefficients."""
-    return Polynomial(tuple((-c if k % 2 else c) for k, c in enumerate(p.coeffs)))
-
-
-def parity_split(p: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """(even part, odd part) with p_e(x) = (p(x)+p(-x))/2 and p_e + p_o = p."""
-    even = Polynomial(tuple(c if k % 2 == 0 else 0.0 for k, c in enumerate(p.coeffs)))
-    odd = Polynomial(tuple(c if k % 2 == 1 else 0.0 for k, c in enumerate(p.coeffs)))
-    return even, odd
-
-
 class WeightFamily(Enum):
     GENERALIZED_HERMITE = "hermite"
     GENERALIZED_GEGENBAUER = "gegenbauer"
@@ -168,22 +156,3 @@ class OperatorSpec:
     @property
     def is_dunkl(self) -> bool:
         return self.kind is OperatorKind.DUNKL
-
-
-@dataclass(frozen=True)
-class TableCoefficients:
-    """Coefficients of the structure equation (A*w)' = B*w with C the dual-side drift.
-
-    A(x) = a_const - a_quad*x^2, B(x) = b_prime0*x, C(x) = c_prime0*x.
-    """
-
-    a_const: float
-    a_quad: float
-    b_prime0: float
-    c_prime0: float
-
-    @classmethod
-    def for_weight(cls, weight: WeightSpec) -> "TableCoefficients":
-        if weight.is_gegenbauer:
-            return cls(1.0, 1.0, -(2.0 * weight.mu + 1.0), -(2.0 * weight.lam + 2.0 * weight.mu + 1.0))
-        return cls(1.0, 0.0, -2.0, -2.0)

@@ -24,7 +24,8 @@ exactly symmetric in real arithmetic, so the symmetrized pencil is solved as
 the symmetric-definite problem -P v = t Q v.  That is the oracle's
 Cholesky-reduced eigensolve (``oracle._top_eigenpairs``) on a stack of one,
 and its top root is refined in long double from entries rebuilt out of the
-weight parameters.  Only numpy is needed here.
+weight parameters.  The moment pencils read ``special``'s moment tables, the
+package's one use of scipy; everything else here needs numpy only.
 """
 
 from __future__ import annotations

@@ -51,15 +51,15 @@ class InequalityReport:
         return abs(self.lhs) + abs(self.rhs)
 
 
-def _report(lhs: float, rhs: float, terms: dict[str, float], tol: float) -> InequalityReport:
+def _report(lhs: float, rhs: float, terms: dict[str, float]) -> InequalityReport:
     gap = rhs - lhs
-    return InequalityReport(lhs, rhs, gap, terms, abs(gap) <= tol * (abs(lhs) + abs(rhs)))
+    return InequalityReport(lhs, rhs, gap, terms, abs(gap) <= EQUALITY_REL_TOL * (abs(lhs) + abs(rhs)))
 
 
 def _form_rows(p: Polynomial, lam: float) -> np.ndarray:
     """Monomial coefficient rows of p, D p, D^2 p, p' and sigma(p), zero-padded to one even width.
 
-    Each row equals the coefficients of ``dunkl_apply``, ``dunkl_laplacian``,
+    Each row equals the coefficients of ``dunkl_apply`` (once and twice),
     ``Polynomial.derivative`` and ``sigma`` bit for bit.
     """
     c = np.array(p.coeffs)
@@ -75,8 +75,7 @@ def _form_rows(p: Polynomial, lam: float) -> np.ndarray:
     return rows
 
 
-def gegenbauer_inequality(p: Polynomial, n: int, lam: float, mu: float,
-                          tol: float = EQUALITY_REL_TOL) -> InequalityReport:
+def gegenbauer_inequality(p: Polynomial, n: int, lam: float, mu: float) -> InequalityReport:
     """(2 lam_n^2 - 2 mu - 1) ||sqrt(1-x^2) D p||^2 against the curvature side.
 
     The right side carries 2 lam (2 mu + 1) <(1-x^2) p', p'(-.)>,
@@ -105,11 +104,10 @@ def gegenbauer_inequality(p: Polynomial, n: int, lam: float, mu: float,
         + 2 * lam**3 * mu1 * terms["damped_sigma_norm_sq"] \
         + 4 * lam**2 * mu1 * terms["sigma_derivative_inner"] \
         + lam_n2**2 * terms["norm_sq"] + terms["weighted_laplacian_norm_sq"]
-    return _report(lhs, rhs, terms, tol)
+    return _report(lhs, rhs, terms)
 
 
-def hermite_inequality(p: Polynomial, n: int, lam: float,
-                       tol: float = EQUALITY_REL_TOL) -> InequalityReport:
+def hermite_inequality(p: Polynomial, n: int, lam: float) -> InequalityReport:
     """(2 lam_n^2 - 2) ||D p||^2 against 4 lam <p', p'(-.)> + 4 lam^3 ||sigma(p)||^2
     + 8 lam^2 <sigma(p), p'> + lam_n^4 ||p||^2 + ||D^2 p||^2.
 
@@ -136,4 +134,4 @@ def hermite_inequality(p: Polynomial, n: int, lam: float,
         + 4 * lam**3 * terms["sigma_norm_sq"] \
         + 8 * lam**2 * terms["sigma_derivative_inner"] \
         + lam_n2**2 * terms["norm_sq"] + terms["laplacian_norm_sq"]
-    return _report(lhs, rhs, terms, tol)
+    return _report(lhs, rhs, terms)

@@ -1,18 +1,16 @@
 """Brute-force Bernstein-Markov factors as maximal Rayleigh quotients over P_n.
 
-Two independent routes are provided.
-
-``gram_matrices`` assembles the monomial-basis Gram pair (G, S) straight from
-the moment table; it is exact but Hankel-conditioned, which limits eigensolves
-to moderate degree.  ``rayleigh_factor`` therefore assembles the same
-symmetric-definite eigenproblem in a basis that is orthonormal by construction:
-the weight's three-term recurrence coefficients are known in closed form
+``rayleigh_factor`` assembles the symmetric-definite eigenproblem of the
+Rayleigh quotient in a basis that is orthonormal by construction: the
+weight's three-term recurrence coefficients are known in closed form
 (``recurrence_betas``, computed directly for every index), a Gauss rule of
 matching accuracy comes from the Jacobi matrix, and the stiffness entries are
-exact quadrature sums.  The generalized eigenvalues are invariant under the
-basis change, and the identity-Gram formulation keeps them accurate at
-degrees where the raw Hankel matrix is numerically singular.  Neither route
-uses the closed-form factor theorems or the determinant pencils.
+exact quadrature sums.  The generalized eigenvalues do not depend on the
+basis, and the identity-Gram formulation keeps them accurate at degrees where
+the monomial Gram matrix, a Hankel matrix of moments, is numerically
+singular.  The route uses neither the closed-form factor theorems nor the
+determinant pencils.  (The monomial Gram route, exact but Hankel-conditioned,
+is a test instrument in ``tests/instruments.py``.)
 
 The assembly works on a stack of weights that share the family, the operator
 and the degree: recurrence coefficients, Gauss nodes, Christoffel weights,
@@ -23,10 +21,9 @@ one, so the scalar API and ``bmfactor verify`` (one stack per family, operator
 and degree of its grid) share a single code path.  The stacked entry point
 ``_rayleigh_stack`` stays private, so the public names keep their scalar
 signatures and perfbench's per-function tracing charges its time to the
-caller.  Apart from ``gram_matrices``, which reads a moment table and so
-scipy's ``gammaln``, only numpy is needed here: the zeroth moment m0 that
-scales the Gauss weights and the extremal's unit norm comes from
-``math.lgamma`` (``_mass``).
+caller.  Only numpy is needed here: the zeroth moment m0 that scales the
+Gauss weights and the extremal's unit norm comes from ``math.lgamma``
+(``_mass``), which refuses an m0 that overflows or underflows a double.
 
 ``factors`` shares three pieces of this module: the closed-form
 ``_stack_betas``, from which it builds the tridiagonal odd-branch pencil of
@@ -50,15 +47,14 @@ rows.  The folded rules are cached per (weight, size) in ``_quadrature``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .core import OperatorSpec, Polynomial, WeightSpec
-from .dunkl import _dunkl_rows, monomial_factor
-from .special import moment_table
+from .dunkl import _dunkl_rows
 
 DEFAULT_DEGREE_CAP = 14
 
@@ -74,40 +70,6 @@ class ConditioningError(RuntimeError):
         super().__init__(f"{message} (estimated condition {condition:.3e})")
         self.condition = condition
         self.index = index
-
-
-def _a_quad(weight: WeightSpec, op: OperatorSpec) -> float:
-    # The damping factor sqrt(A) only differs from 1 on [-1,1], where A = 1 - x^2.
-    return 1.0 if (weight.is_gegenbauer and op.damped) else 0.0
-
-
-@dataclass(frozen=True)
-class GramPair:
-    """Monomial-basis matrices G_ij = <x^i, x^j>_W and S_ij = <sqrt(A) D x^i, sqrt(A) D x^j>_W."""
-
-    g: np.ndarray
-    s: np.ndarray
-
-
-def gram_matrices(n: int, weight: WeightSpec, op: OperatorSpec) -> GramPair:
-    if n < 1:
-        raise ValueError("degree must be >= 1")
-    table = moment_table(weight, 2 * n)
-    aq = _a_quad(weight, op)
-    lam = weight.lam if op.is_dunkl else 0.0
-    g = np.zeros((n + 1, n + 1))
-    s = np.zeros((n + 1, n + 1))
-    for i in range(n + 1):
-        for j in range(n + 1):
-            if (i + j) % 2:
-                continue
-            g[i, j] = table.moment(i + j)
-            if i >= 1 and j >= 1:
-                val = table.moment(i + j - 2)
-                if aq:
-                    val -= table.moment(i + j)
-                s[i, j] = monomial_factor(i, lam) * monomial_factor(j, lam) * val
-    return GramPair(g, s)
 
 
 class _Forms:
@@ -166,16 +128,25 @@ def rayleigh_quotient(p: Polynomial, weight: WeightSpec, op: OperatorSpec) -> fl
 
 
 def _mass(weight: WeightSpec) -> float:
-    """Zeroth moment m0 of the weight; it overflows on R for lam above about 171.
+    """Zeroth moment m0 of the weight, refused with ``OverflowError`` unless it is a positive normal double.
 
     Gamma(lam + 1/2) on R and B(lam + 1/2, mu + 1/2) on [-1,1], from
     ``math.lgamma``: m0 only scales, so its last bits need not match the
-    moment tables'.
+    moment tables'.  It overflows on R for lam above about 171 and falls
+    below the smallest normal double on [-1,1] from about lam = mu = 510.
     """
-    a = weight.lam + 0.5
-    if not weight.is_gegenbauer:
-        return math.exp(math.lgamma(a))
-    return math.exp(math.lgamma(a) + math.lgamma(weight.mu + 0.5) - math.lgamma(weight.lam + weight.mu + 1.0))
+    log_m0 = math.lgamma(weight.lam + 0.5)
+    if weight.is_gegenbauer:
+        log_m0 = log_m0 + math.lgamma(weight.mu + 0.5) - math.lgamma(weight.lam + weight.mu + 1.0)
+    try:
+        m0 = math.exp(log_m0)
+    except OverflowError:
+        m0 = math.inf
+    if not sys.float_info.min <= m0 < math.inf:
+        mu = f", mu={weight.mu}" if weight.is_gegenbauer else ""
+        raise OverflowError(f"zeroth moment exp({log_m0:.6g}) of the {weight.family.value} weight "
+                            f"(lambda={weight.lam}{mu}) is not a normal double")
+    return m0
 
 
 @lru_cache(maxsize=512)
@@ -220,7 +191,8 @@ def _stack_betas(count: int, gegenbauer: bool, lam: np.ndarray, mu: np.ndarray) 
     if gegenbauer:
         a, b = mu - 0.5, lam - 0.5
         s = 2 * even + a + b
-        beta[2::2] = even * (even + a) / (s * (s + 1))
+        # (j - 1/2) + mu, not j + a: a is already rounded, and j + a cancels as mu -> -1/2
+        beta[2::2] = even * ((even - 0.5) + mu) / (s * (s + 1))
         s = 2 * odd + a + b + 1
         beta[3::2] = (odd + b + 1) * (odd + a + b + 1) / (s * (s + 1))
         first = (lam + 0.5) / (lam + mu + 1)  # j = 0, with a + b + 1 cancelled

@@ -3,11 +3,13 @@
 All moments flow through ``log_gamma`` and are exponentiated once at the end,
 so intermediate Gamma values never overflow.
 
-This is the one module that uses scipy: ``log_gamma`` imports
-``scipy.special.gammaln`` on its first call, so scipy loads only when a moment
-is computed (the moment tables behind the F/G pencils and ``gram_matrices``;
-of the CLI routes only the Hermite d/dx odd branch builds one), not on
-``import bmfactor``.  The oracle's zeroth moment uses ``math.lgamma``.
+This is the one module that uses scipy, and ``factors`` is its only
+importer: ``log_gamma`` imports ``scipy.special.gammaln`` on its first call,
+so scipy loads only when a moment table is built for the F/G pencils (of the
+CLI routes only the Hermite d/dx odd branch builds one), not on
+``import bmfactor``.  The package does not re-export these names.  The
+oracle's zeroth moment uses ``math.lgamma``; the monomial Gram route of the
+tests (``tests/instruments.py``) reads the tables too.
 """
 
 from __future__ import annotations

@@ -34,17 +34,23 @@ from bmfactor.factors import (
 from bmfactor.inequality import gegenbauer_inequality, hermite_inequality
 from bmfactor.oracle import rayleigh_factor, weighted_inner
 from bmfactor.orthopoly import (
-    connection_check,
     eigenvalue_sq,
     gegenbauer_poly,
-    hermite_connection_check,
     hermite_poly,
     residual_gegenbauer,
     residual_hermite,
 )
-from bmfactor.core import WeightFamily, reflect
-from bmfactor.dunkl import dunkl_apply, dunkl_laplacian, mul_by_one_minus_x2, mul_by_x, sigma
+from bmfactor.core import WeightFamily
+from bmfactor.dunkl import dunkl_apply, sigma
 from bmfactor.special import moment_table
+from instruments import (
+    connection_check,
+    dunkl_laplacian,
+    hermite_connection_check,
+    mul_by_one_minus_x2,
+    mul_by_x,
+    reflect,
+)
 
 CERTIFIED_REFERENCE = Path(__file__).resolve().with_name("certified_reference.json")
 LAMBDAS = (0.1, 0.4, 0.5, 1.0, 2.0, 4.5)

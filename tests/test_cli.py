@@ -83,6 +83,19 @@ def test_overflow_exits_3(capsys, argv):
     assert err.startswith("numerical failure:")
 
 
+@pytest.mark.parametrize("argv", (
+    ("factor", "--check", "--weight", "gegenbauer", "--op", "ddx", "--lambda", "1e4", "--mu", "1e4", "--n", "3"),
+    ("inequality", "--family", "gegenbauer", "--lambda", "1e4", "--mu", "1e4", "--n", "3", "--at-extremal"),
+), ids=("factor", "inequality"))
+def test_underflow_exits_3(capsys, argv):
+    # B(lam + 1/2, mu + 1/2) is below the smallest normal double here: the
+    # oracle's extremal was non-finite and every folded weight of the
+    # inequality was 0, which reported lhs = rhs = 0 as an equality
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_NUMERICAL, "")
+    assert err.startswith("numerical failure:") and "gegenbauer weight (lambda=10000.0, mu=10000.0)" in err
+
+
 def test_extremal_command(capsys):
     code, out, _ = run(capsys, "extremal", "--weight", "hermite", "--op", "dunkl",
                        "--lambda", "1", "--n", "2")
@@ -193,7 +206,8 @@ print(code, 'scipy.linalg' in sys.modules, sorted(m for m in sys.modules if m.sp
 ), ids=("import", "inequality", "gegenbauer-ddx-check", "verify", "table2"))
 def test_cli_import_leaves_scipy_linalg_unloaded(argv, exit_code):
     # A fresh interpreter, so no other test has imported scipy already.  Only
-    # the moment tables (Hermite d/dx odd pencils, gram_matrices) load it.
+    # the moment tables load it, and of the CLI routes only the Hermite d/dx
+    # odd pencil builds one.
     src = str(Path(bmfactor.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", COLD_START_PROBE, src, *argv],
                          capture_output=True, text=True, check=True)
@@ -295,6 +309,28 @@ def test_inequality_at_extremal(capsys):
     payload = json.loads(out)
     assert payload["equality"] is True
     assert abs(payload["gap"]) <= 1e-8 * (abs(payload["lhs"]) + abs(payload["rhs"]))
+
+
+@pytest.mark.parametrize("argv", (
+    ("--family", "gegenbauer", "--lambda", "1", "--mu", "0.5", "--n", "6", "--seed", "3"),
+    ("--family", "hermite", "--lambda", "0.5", "--n", "4", "--at-extremal"),
+), ids=("gegenbauer", "hermite"))
+def test_inequality_csv_matches_json(capsys, argv):
+    code, out, _ = run(capsys, "inequality", *argv, "--format", "json")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    code, out, _ = run(capsys, "inequality", *argv, "--format", "csv")
+    assert code == EXIT_OK
+    [row] = list(csv.DictReader(io.StringIO(out)))
+    terms = payload.pop("terms")
+    assert list(row) == list(payload) + list(terms)
+    for key, value in {**payload, **terms}.items():
+        if isinstance(value, list):
+            assert [float(c) for c in row[key].split()] == value, key
+        elif isinstance(value, (bool, str)) or value is None:
+            assert row[key] == ("" if value is None else str(value)), key
+        else:
+            assert float(row[key]) == value, key
 
 
 def test_inequality_random_seed_positive_gap(capsys):

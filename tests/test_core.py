@@ -1,19 +1,12 @@
-"""Value types: polynomials, parity utilities, weight/operator descriptors."""
+"""Value types: polynomials and weight/operator descriptors, with the test instruments' parity utilities."""
 
 import math
 
 import numpy as np
 import pytest
 
-from bmfactor.core import (
-    OperatorSpec,
-    Polynomial,
-    TableCoefficients,
-    WeightFamily,
-    WeightSpec,
-    parity_split,
-    reflect,
-)
+from bmfactor.core import OperatorSpec, Polynomial, WeightFamily, WeightSpec
+from instruments import parity_split, reflect, residual_classical_L
 
 
 def test_trailing_zeros_stripped_on_construction():
@@ -101,9 +94,12 @@ def test_operator_spec():
 @pytest.mark.parametrize("mu", [-0.4, 0.0, 0.5, 3.0])
 @pytest.mark.parametrize("lam", [0.0, 0.5, 2.0])
 def test_table_coefficients_match_weight_classification(lam, mu):
-    h = TableCoefficients.for_weight(WeightSpec.hermite(lam))
-    assert (h.a_const, h.a_quad, h.b_prime0, h.c_prime0) == (1.0, 0.0, -2.0, -2.0)
-    g = TableCoefficients.for_weight(WeightSpec.gegenbauer(lam, mu))
-    assert (g.a_const, g.a_quad) == (1.0, 1.0)
-    assert g.b_prime0 == -(2 * mu + 1)
-    assert g.c_prime0 == -(2 * lam + 2 * mu + 1)
+    # The structure-equation coefficients A(x) = 1 - a x^2 and C'(0) of the
+    # classical residual, read off from x and x^2 at M^2 = 0: x gives C'(0) x
+    # and the x^(-1) channel 2 lam; x^2 gives 2 + 4 lam + (2 C'(0) - 2 a) x^2.
+    for weight, a, drift in ((WeightSpec.hermite(lam), 0.0, -2.0),
+                             (WeightSpec.gegenbauer(lam, mu), 1.0, -(2 * lam + 2 * mu + 1))):
+        assert residual_classical_L(Polynomial((0.0, 1.0)), weight, 0.0) == (Polynomial((0.0, drift)), 2 * lam)
+        main, xinv = residual_classical_L(Polynomial((0.0, 0.0, 1.0)), weight, 0.0)
+        assert main.coeffs == pytest.approx((2.0 + 4 * lam, 0.0, 2 * drift - 2 * a), rel=1e-15)
+        assert xinv == 0.0

@@ -1,19 +1,11 @@
-"""Coefficient-level Dunkl operator, sigma, and multiplication helpers."""
+"""Coefficient-level Dunkl operator and sigma, with the test instruments' multiplication helpers."""
 
 import numpy as np
 import pytest
 
-from bmfactor.core import Polynomial, parity_split, reflect
-from bmfactor.dunkl import (
-    _dunkl_rows,
-    _sigma_rows,
-    dunkl_apply,
-    dunkl_laplacian,
-    monomial_factor,
-    mul_by_one_minus_x2,
-    mul_by_x,
-    sigma,
-)
+from bmfactor.core import Polynomial
+from bmfactor.dunkl import _dunkl_rows, _sigma_rows, dunkl_apply, sigma
+from instruments import dunkl_laplacian, monomial_factor, mul_by_one_minus_x2, mul_by_x, parity_split, reflect
 
 X = Polynomial((0.0, 1.0))
 X2 = Polynomial((0.0, 0.0, 1.0))

@@ -5,6 +5,7 @@ import math
 import warnings
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -26,6 +27,7 @@ from bmfactor.factors import (
 )
 from bmfactor.oracle import ConditioningError, _top_eigenpairs, rayleigh_factor, rayleigh_quotient
 from bmfactor.orthopoly import gegenbauer_poly, hermite_poly
+from certify_reference import rayleigh_max_sq
 
 LAMBDAS = (0.1, 0.4, 0.5, 1.0, 2.0, 4.5)
 MUS = (-0.4, 0.0, 0.5, 1.0, 3.0, 4.0)
@@ -292,6 +294,18 @@ def test_factor_gegenbauer_ddx_matches_certified(lam, mu, n, reference):
     # (lambda = 100 at n = 9, 10; (0.5, 0) at n = 31, 41; (4.5, 3) at n = 23-26),
     # and (0.5, 0), (100, 99) at n = 51, 61; references from tests/certify_reference.py.
     assert factor_gegenbauer_ddx(n, lam, mu).factor == pytest.approx(reference, rel=1e-14)
+
+
+@pytest.mark.parametrize("n", (3, 9))
+def test_factor_gegenbauer_ddx_near_mu_minus_one_half_matches_mpmath(n):
+    # beta_(2j) once formed j + (mu - 1/2) from the rounded mu - 1/2, which
+    # cancels as mu -> -1/2: the odd branch was 2.8e-10 off here.
+    lam, mu = 0.3, -0.4999999
+    with mp.workdps(50):
+        reference = float(mp.sqrt(rayleigh_max_sq("gegenbauer", "ddx", lam, mu, n)))
+    result = factor_gegenbauer_ddx(n, lam, mu)
+    assert result.branch is Branch.ODD_PENCIL_ROOT
+    assert result.factor == pytest.approx(reference, rel=1e-14)
 
 
 @pytest.mark.parametrize("lam", (140.0, 150.0, 160.0))

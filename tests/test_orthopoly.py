@@ -5,17 +5,21 @@ import numpy as np
 import pytest
 
 from bmfactor.core import Polynomial, WeightFamily, WeightSpec
-from bmfactor.dunkl import dunkl_apply, mul_by_one_minus_x2, mul_by_x
+from bmfactor.dunkl import dunkl_apply
 from bmfactor.orthopoly import (
-    _gegenbauer_residual_rows,
-    connection_check,
+    _residual_rows,
     eigenvalue_sq,
     gegenbauer_poly,
-    hermite_connection_check,
     hermite_poly,
-    residual_classical_L,
     residual_gegenbauer,
     residual_hermite,
+)
+from instruments import (
+    connection_check,
+    hermite_connection_check,
+    mul_by_one_minus_x2,
+    mul_by_x,
+    residual_classical_L,
 )
 
 LAMBDAS = (0.1, 0.5, 1.0, 2.0, 4.5)
@@ -104,15 +108,17 @@ def test_residual_detects_wrong_eigenvalue():
 
 
 def test_residuals_equal_their_polynomial_formulas_bit_for_bit():
-    # The residuals work on coefficient arrays; the reference builds every
-    # term as a Polynomial, and a stack over mu equals its rows one by one.
+    # Both residuals are one row kernel on coefficient arrays; the reference
+    # builds every term as a Polynomial, and a stack over mu (Gegenbauer) or
+    # over polynomials (Hermite) equals its rows one by one.
     rng = np.random.default_rng(9)
     mus = np.array(MUS)
     for lam in (0.0, 0.7, 3.5):
         for size in (0, 1, 2, 3, 8):
             stack = rng.standard_normal((len(mus), size))
-            rows = _gegenbauer_residual_rows(stack, 5, lam, mus)
-            for c, mu, row in zip(stack, mus, rows):
+            rows = _residual_rows(stack, 5, WeightFamily.GENERALIZED_GEGENBAUER, lam, mus)
+            hermite_rows = _residual_rows(stack, 5, WeightFamily.GENERALIZED_HERMITE, lam)
+            for c, mu, row, hermite_row in zip(stack, mus, rows, hermite_rows):
                 p = Polynomial(c)
                 d1 = dunkl_apply(p, lam)
                 d2 = dunkl_apply(d1, lam)
@@ -123,6 +129,7 @@ def test_residuals_equal_their_polynomial_formulas_bit_for_bit():
                 lam_n2 = eigenvalue_sq(WeightFamily.GENERALIZED_HERMITE, 5, lam)
                 want = dunkl_apply(d1, lam) - 2.0 * mul_by_x(d1) + lam_n2 * p
                 assert residual_hermite(p, 5, lam) == want
+                assert Polynomial(hermite_row) == want
 
 
 def test_residuals_are_linear():
@@ -140,23 +147,23 @@ def test_residuals_are_linear():
 def test_classical_operator_annihilates_even_eigenpolynomials(lam, mu):
     for n in (2, 4, 6, 8):
         g = gegenbauer_poly(n, lam, mu)
-        res = residual_classical_L(g, WeightSpec.gegenbauer(lam, mu), n * (n + 2 * lam + 2 * mu))
-        assert res.xinv_coeff == 0.0
-        assert res.residual.max_abs_coeff <= 1e-10 * _scale(g, n * (n + 2 * lam + 2 * mu))
+        residual, xinv = residual_classical_L(g, WeightSpec.gegenbauer(lam, mu), n * (n + 2 * lam + 2 * mu))
+        assert xinv == 0.0
+        assert residual.max_abs_coeff <= 1e-10 * _scale(g, n * (n + 2 * lam + 2 * mu))
         h = hermite_poly(n, lam)
-        res = residual_classical_L(h, WeightSpec.hermite(lam), 2.0 * n)
-        assert res.xinv_coeff == 0.0
-        assert res.residual.max_abs_coeff <= 1e-10 * _scale(h, 2.0 * n)
+        residual, xinv = residual_classical_L(h, WeightSpec.hermite(lam), 2.0 * n)
+        assert xinv == 0.0
+        assert residual.max_abs_coeff <= 1e-10 * _scale(h, 2.0 * n)
 
 
 def test_classical_operator_xinv_channel():
     # p = x^2 + 1 has p'(0) = 0: no 1/x leftover, but a nonzero main residual
-    res = residual_classical_L(Polynomial((1.0, 0.0, 1.0)), WeightSpec.hermite(0.8), 1.0)
-    assert res.xinv_coeff == 0.0
-    assert not res.residual.is_zero
+    residual, xinv = residual_classical_L(Polynomial((1.0, 0.0, 1.0)), WeightSpec.hermite(0.8), 1.0)
+    assert xinv == 0.0
+    assert not residual.is_zero
     # odd polynomials with lam > 0 leave 2 lam p'(0) in the 1/x channel
-    res = residual_classical_L(Polynomial((0.0, 3.0)), WeightSpec.hermite(0.8), 1.0)
-    assert res.xinv_coeff == pytest.approx(2 * 0.8 * 3.0)
+    _, xinv = residual_classical_L(Polynomial((0.0, 3.0)), WeightSpec.hermite(0.8), 1.0)
+    assert xinv == pytest.approx(2 * 0.8 * 3.0)
 
 
 # ---------------------------------------------------------------------------
