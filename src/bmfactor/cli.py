@@ -27,7 +27,7 @@ from .factors import (
     factor_hermite_dunkl,
 )
 from .inequality import gegenbauer_inequality, hermite_inequality
-from .oracle import ConditioningError, DEFAULT_DEGREE_CAP, _rayleigh_stack, _top_eigenpairs, rayleigh_factor
+from .oracle import ConditioningError, DEFAULT_DEGREE_CAP, _rayleigh_values, _top_eigenpairs
 from .orthopoly import _residual_rows, gegenbauer_poly, hermite_poly
 
 EXIT_OK = 0
@@ -113,8 +113,8 @@ def _compute_factor(weight: str, op: str, n: int, lam: float, mu: float | None) 
 
 
 def _oracle_factor(result: FactorResult) -> float:
-    value, _ = rayleigh_factor(result.n, result.weight, result.operator, max_degree=degree_cap())
-    return value
+    values, _ = _rayleigh_values(result.n, [result.weight], result.operator, max_degree=degree_cap())
+    return float(values[0])
 
 
 def _factor_payload(result: FactorResult, digits: int, check: bool) -> dict:
@@ -262,7 +262,7 @@ def _verify_oracle(results: list[FactorResult]) -> list[float]:
         groups.setdefault((result.weight.family, result.operator, result.n), []).append(i)
     values = [0.0] * len(results)
     for (_family, op, n), members in groups.items():
-        stack, _ = _rayleigh_stack(n, [results[i].weight for i in members], op, max_degree=n)
+        stack, _ = _rayleigh_values(n, [results[i].weight for i in members], op, max_degree=n)
         for i, value in zip(members, stack):
             values[i] = float(value)
     return values
@@ -296,6 +296,11 @@ def _residual_violations(lambdas, mus, n_values) -> list[str]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # a NaN tolerance would pass every gap, and an empty degree range would check no row
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        raise ValueError(f"--tolerance must be finite and > 0, got {args.tolerance}")
+    if args.n_max < 1:
+        raise ValueError(f"--n-max must be >= 1, got {args.n_max}")
     n_values = range(1, args.n_max + 1)
     results = _verify_rows(args.lambdas, args.mus, n_values)
     rows = []

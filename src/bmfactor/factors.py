@@ -26,12 +26,22 @@ Cholesky-reduced eigensolve (``oracle._top_eigenpairs``) on a stack of one,
 and its top root is refined in long double from entries rebuilt out of the
 weight parameters.  The moment pencils read ``special``'s moment tables, the
 package's one use of scipy; everything else here needs numpy only.
+
+Each route computes its factor value at once and its extremal when it is
+first read.  A ``FactorResult`` holds a ``functools.partial`` over
+``hermite_poly``, ``gegenbauer_poly`` or ``_odd_extremal`` (the odd branch's
+conversion to monomials, one stack item at a time) until ``.extremal`` is
+read, and equality, hashing, repr and pickling read it, so callers that use
+only the values, such as ``bmfactor verify`` and ``table2``, never build a
+polynomial.  The Hermite d/dx odd branch builds its extremal at once: the
+moment pencil's eigenvector already holds its monomial coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from math import sqrt
 from typing import Sequence
 
@@ -75,12 +85,43 @@ class Pencil:
         return self.p.shape[0]
 
 
+class _BuiltOnRead:
+    """A dataclass field that may be given as a ``functools.partial`` building its value.
+
+    The partial is called on the first read and its value is cached, so
+    equality, hashing, repr and pickling see the field as if it had been
+    given built.  Reading the field on the class raises ``AttributeError``,
+    which tells ``dataclass`` that the field has no default.
+    """
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.slot = f"_{name}"
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.slot[1:])
+        value = obj.__dict__[self.slot]
+        if isinstance(value, partial):
+            value = obj.__dict__[self.slot] = value()
+        return value
+
+    def __set__(self, obj, value) -> None:
+        obj.__dict__[self.slot] = value
+
+
 @dataclass(frozen=True)
 class FactorResult:
+    """A factor M_n, its square, the branch that gave it, and an extremal polynomial.
+
+    The factor routes pass the extremal as a ``functools.partial`` over a
+    module-level builder, so a result whose extremal is never read never
+    builds it.
+    """
+
     factor: float
     factor_sq: float
     branch: Branch
-    extremal: Polynomial
+    extremal: Polynomial = _BuiltOnRead()
     n: int
     weight: WeightSpec
     operator: OperatorSpec
@@ -281,7 +322,8 @@ def factor_hermite_ddx(n: int, lam: float) -> FactorResult:
     op = OperatorSpec.ddx()
     if n % 2 == 0:
         fsq = 2.0 * n
-        return FactorResult(sqrt(fsq), fsq, Branch.EVEN_CLOSED_FORM, hermite_poly(n, lam), n, weight, op)
+        extremal = partial(hermite_poly, n, lam)
+        return FactorResult(sqrt(fsq), fsq, Branch.EVEN_CLOSED_FORM, extremal, n, weight, op)
     if n == 1:
         fsq = 2.0 / (2.0 * lam + 1.0)
         return FactorResult(sqrt(fsq), fsq, Branch.ODD_PENCIL_ROOT, Polynomial((0.0, 1.0)), n, weight, op)
@@ -361,25 +403,29 @@ def _gegenbauer_ddx_stack(n: int, pairs: Sequence[tuple[float, float]]) -> list[
     lam, mu = np.array([(w.lam, w.mu) for w in weights]).T
     m = (n - 1) // 2
     odd_values, vecs = _top_eigenpairs(*_odd_pencil_stack(m, lam, mu), weights, op, n)
-    # sum_j v_j x q_2j(x): the even basis rows give the coefficients of x^(2k+1)
-    even_rows = _basis_to_monomial(2 * m, np.sqrt(_stack_betas(2 * m, True, lam, mu))[:, :, None])[::2]
-    odd_coeffs = (vecs[:, None, :] @ even_rows.transpose(1, 0, 2))[:, 0, ::2]
     even_degree = n if n % 2 == 0 else n - 1
     results = []
-    for weight, nu, vec in zip(weights, odd_values, odd_coeffs):
+    for weight, nu, vec in zip(weights, odd_values, vecs):
         nu = float(nu)
         closed = float(even_degree * (even_degree + 2 * weight.lam + 2 * weight.mu))
         if abs(nu - closed) <= _TIE_REL_TOL * max(abs(nu), abs(closed)):
             fsq, branch = closed, Branch.MAX_OF_BOTH
-            extremal = gegenbauer_poly(even_degree, weight.lam, weight.mu)
+            extremal = partial(gegenbauer_poly, even_degree, weight.lam, weight.mu)
         elif nu > closed:
             fsq, branch = nu, Branch.ODD_PENCIL_ROOT
-            extremal = _odd_polynomial(vec)
+            extremal = partial(_odd_extremal, m, weight.lam, weight.mu, vec)
         else:
             fsq, branch = closed, Branch.EVEN_CLOSED_FORM
-            extremal = gegenbauer_poly(even_degree, weight.lam, weight.mu)
+            extremal = partial(gegenbauer_poly, even_degree, weight.lam, weight.mu)
         results.append(FactorResult(sqrt(fsq), fsq, branch, extremal, n, weight, op))
     return results
+
+
+def _odd_extremal(m: int, lam: float, mu: float, vec: np.ndarray) -> Polynomial:
+    """sum_j v_j x q_2j(x) in monomials: the even basis rows of the weight give the coefficients of x^(2k+1)."""
+    lam, mu = np.array([lam]), np.array([mu])
+    even_rows = _basis_to_monomial(2 * m, np.sqrt(_stack_betas(2 * m, True, lam, mu))[:, :, None])[::2]
+    return _odd_polynomial((vec[None, None, :] @ even_rows.transpose(1, 0, 2))[0, 0, ::2])
 
 
 def _dunkl_factor(n: int, weight: WeightSpec) -> FactorResult:
@@ -392,9 +438,9 @@ def _dunkl_factor(n: int, weight: WeightSpec) -> FactorResult:
     top, below = eigenvalue_sq(family, n, lam, mu), eigenvalue_sq(family, n - 1, lam, mu)
     fsq, degree = (float(top), n) if top >= below else (float(below), n - 1)
     if weight.is_gegenbauer:
-        extremal = gegenbauer_poly(degree, lam, mu)
+        extremal = partial(gegenbauer_poly, degree, lam, mu)
     else:
-        extremal = hermite_poly(degree, lam)
+        extremal = partial(hermite_poly, degree, lam)
     op = OperatorSpec.dunkl(damped=weight.is_gegenbauer)
     return FactorResult(sqrt(fsq), fsq, Branch.DUNKL_CLOSED_FORM, extremal, n, weight, op)
 

@@ -18,9 +18,14 @@ basis rows, stiffness and Gram matrices are all arrays over the stack, and one
 Cholesky-reduced ``numpy.linalg.eigh`` solves the whole stack.
 ``rayleigh_factor``, ``gauss_rule`` and ``recurrence_betas`` are the stack of
 one, so the scalar API and ``bmfactor verify`` (one stack per family, operator
-and degree of its grid) share a single code path.  The stacked entry point
-``_rayleigh_stack`` stays private, so the public names keep their scalar
-signatures and perfbench's per-function tracing charges its time to the
+and degree of its grid) share a single code path.  That path has two steps:
+``_rayleigh_values`` solves for the factors and refuses what the full path
+refuses (non-finite or indefinite matrices, a zeroth moment that is not a
+normal double), and ``_unit_extremals`` normalizes the eigenvectors and
+writes them in monomials.  ``_rayleigh_stack`` runs both; ``bmfactor verify``
+and ``factor --check``, which print no oracle extremal, run the first only.
+The stacked entry points stay private, so the public names keep their scalar
+signatures and perfbench's per-function tracing charges their time to the
 caller.  Only numpy is needed here: the zeroth moment m0 that scales the
 Gauss weights and the extremal's unit norm comes from ``math.lgamma``
 (``_mass``), which refuses an m0 that overflows or underflows a double.
@@ -29,10 +34,10 @@ Gauss weights and the extremal's unit norm comes from ``math.lgamma``
 ``_stack_betas``, from which it builds the tridiagonal odd-branch pencil of
 the Gegenbauer d/dx factor; the eigensolve ``_top_eigenpairs``, with which
 it solves that pencil and its moment pencils; and ``_basis_to_monomial``,
-which writes the odd extremal in monomials.  It assembles no stiffness
-matrix and uses no Gauss rule, so this oracle's quadrature route is again an
-independent check of the factor values, next to the mpmath values of
-``tests/certified_reference.json``.
+which writes the odd extremal in monomials when it is read.  It assembles
+no stiffness matrix and uses no Gauss rule, so this oracle's quadrature
+route is again an independent check of the factor values, next to the
+mpmath values of ``tests/certified_reference.json``.
 
 ``weighted_inner``, ``rayleigh_quotient`` and the inequality reports of
 ``bmfactor.inequality`` integrate with the same Gauss rule, folded onto its
@@ -364,6 +369,45 @@ def _stiffness_stack(
     return w, q, rb, s, g
 
 
+def _rayleigh_values(
+    n: int,
+    weights: Sequence[WeightSpec],
+    op: OperatorSpec,
+    max_degree: int | None = None,
+) -> tuple[np.ndarray, tuple]:
+    """Largest Rayleigh quotients over P_n for a stack of weights of one family, shape (B,).
+
+    Every refusal of ``_rayleigh_stack`` is raised here, the zeroth moment's
+    included.  The second item holds the eigenvectors with the basis they are
+    in, which ``_unit_extremals`` turns into the maximizers.  Each item's
+    result does not depend on the rest of its stack.
+    """
+    cap = DEFAULT_DEGREE_CAP if max_degree is None else max_degree
+    if n < 1:
+        raise ValueError("degree must be >= 1")
+    if n > cap:
+        raise ValueError(f"degree {n} above cap {cap}; pass max_degree explicitly to override")
+    w, q, rb, s, g = _stiffness_stack(n, weights, op)
+    theta, v = _top_eigenpairs(s, g, weights, op, n)
+    m0 = np.array([_mass(wt) for wt in weights])
+    return np.sqrt(theta), (n, w, q, rb, v, m0)
+
+
+def _unit_extremals(
+    n: int, w: np.ndarray, q: np.ndarray, rb: np.ndarray, v: np.ndarray, m0: np.ndarray
+) -> np.ndarray:
+    """Monomial coefficients of the maximizers of ``_rayleigh_values`` with unit W-norm, shape (B, n + 1).
+
+    The norm comes from the Gauss rule, which is exact on P_(2n) and carries
+    mass 1, times the zeroth moment.  The monomial moments would have to
+    cancel a Hankel condition of ~10^(2n) and can even give a negative square.
+    """
+    p = (v[:, None, :] @ q)[:, 0]
+    norm = np.sqrt(m0 * (w * p * p).sum(axis=1))
+    t = _basis_to_monomial(n, rb).transpose(1, 0, 2)
+    return ((v / norm[:, None])[:, None, :] @ t)[:, 0]
+
+
 def _rayleigh_stack(
     n: int,
     weights: Sequence[WeightSpec],
@@ -376,23 +420,8 @@ def _rayleigh_stack(
     maximizers with unit W-norm, shape (B, n + 1).  Each item's result does
     not depend on the rest of its stack.
     """
-    cap = DEFAULT_DEGREE_CAP if max_degree is None else max_degree
-    if n < 1:
-        raise ValueError("degree must be >= 1")
-    if n > cap:
-        raise ValueError(f"degree {n} above cap {cap}; pass max_degree explicitly to override")
-    w, q, rb, s, g = _stiffness_stack(n, weights, op)
-    theta, v = _top_eigenpairs(s, g, weights, op, n)
-
-    # The norm comes from the Gauss rule, which is exact on P_(2n) and carries
-    # mass 1, times the zeroth moment.  The monomial moments would have to
-    # cancel a Hankel condition of ~10^(2n) and can even give a negative square.
-    m0 = np.array([_mass(wt) for wt in weights])
-    p = (v[:, None, :] @ q)[:, 0]
-    norm = np.sqrt(m0 * (w * p * p).sum(axis=1))
-    t = _basis_to_monomial(n, rb).transpose(1, 0, 2)
-    coeffs = ((v / norm[:, None])[:, None, :] @ t)[:, 0]
-    return np.sqrt(theta), coeffs
+    values, solved = _rayleigh_values(n, weights, op, max_degree)
+    return values, _unit_extremals(*solved)
 
 
 def rayleigh_factor(

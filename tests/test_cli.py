@@ -133,6 +133,40 @@ def test_verify_reports_a_bad_eigenpolynomial(capsys, monkeypatch, source, targe
     assert "result: FAIL" in out
 
 
+@pytest.mark.parametrize(("option", "value"), (
+    ("--tolerance", "nan"), ("--tolerance", "inf"), ("--tolerance", "-1"), ("--tolerance", "0"),
+    ("--n-max", "0"), ("--n-max", "-3"),
+))
+def test_verify_refuses_a_check_that_cannot_fail(capsys, option, value):
+    # this grid exits 4; a NaN tolerance once passed it (rel_err > nan is false) and
+    # n-max <= 0 once checked no row, both printing PASS with exit 0
+    code, out, err = run(capsys, "verify", "--lambdas", "0.3", "--mus", "-0.49999999999",
+                         "--n-max", "10", option, value)
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err.startswith("error:") and option in err
+
+
+def test_verify_table2_and_check_build_no_extremal(capsys, monkeypatch):
+    # verify, table2 and the oracle of factor --check print values only, so none
+    # of them may build an extremal polynomial
+    import bmfactor.factors
+    import bmfactor.oracle
+
+    _, expected, _ = run(capsys, "verify", "--format", "csv", "--digits", "17")
+
+    def refuse(*args):
+        raise AssertionError("an extremal was built")
+
+    monkeypatch.setattr(bmfactor.oracle, "_basis_to_monomial", refuse)
+    code, out, _ = run(capsys, "factor", "--check", "--weight", "gegenbauer", "--op", "ddx",
+                       "--lambda", "4.5", "--mu", "3", "--n", "9", "--format", "json")
+    assert code == EXIT_OK and json.loads(out)["oracle_rel_err"] < 1e-12
+    for name in ("hermite_poly", "gegenbauer_poly", "_basis_to_monomial"):
+        monkeypatch.setattr(bmfactor.factors, name, refuse)
+    assert run(capsys, "verify", "--format", "csv", "--digits", "17")[:2] == (EXIT_OK, expected)
+    assert run(capsys, "table2")[0] == EXIT_MISMATCH
+
+
 def test_verify_csv_columns(capsys):
     code, out, _ = run(capsys, "verify", "--lambdas", "1", "--mus", "0.5",
                        "--n-max", "3", "--format", "csv")

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 import warnings
 from pathlib import Path
 
@@ -9,13 +10,17 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from bmfactor.cli import TABLE2_REFERENCE
+import bmfactor.factors
+from bmfactor.cli import DEFAULT_VERIFY_LAMBDAS, DEFAULT_VERIFY_MUS, TABLE2_REFERENCE, _verify_rows
 from bmfactor.core import OperatorSpec, Polynomial, WeightSpec
 from bmfactor.factors import (
     Branch,
+    FactorResult,
     Pencil,
     _gegenbauer_ddx_stack,
     _odd_pencil_stack,
+    _odd_polynomial,
+    _top_positive,
     build_pencil_F,
     build_pencil_G,
     dunkl_gegenbauer_threshold,
@@ -25,8 +30,15 @@ from bmfactor.factors import (
     factor_hermite_dunkl,
     pencil_largest_positive_root,
 )
-from bmfactor.oracle import ConditioningError, _top_eigenpairs, rayleigh_factor, rayleigh_quotient
-from bmfactor.orthopoly import gegenbauer_poly, hermite_poly
+from bmfactor.oracle import (
+    ConditioningError,
+    _basis_to_monomial,
+    _stack_betas,
+    _top_eigenpairs,
+    rayleigh_factor,
+    rayleigh_quotient,
+)
+from bmfactor.orthopoly import eigenvalue_sq, gegenbauer_poly, hermite_poly
 from certify_reference import rayleigh_max_sq
 
 LAMBDAS = (0.1, 0.4, 0.5, 1.0, 2.0, 4.5)
@@ -376,3 +388,73 @@ def test_extremal_certificates():
         assert quotient == pytest.approx(r.factor_sq, rel=1e-8)
         assert not r.extremal.is_zero
         assert r.extremal.degree <= r.n
+
+
+# ---------------------------------------------------------------------------
+# extremals built on read
+
+
+def _eager_gegenbauer_odd_extremals(n, pairs):
+    """The odd-branch extremals of a Gegenbauer d/dx stack, converted for the whole stack at once."""
+    weights = [WeightSpec.gegenbauer(lam, mu) for lam, mu in pairs]
+    lam, mu = np.array(pairs).T
+    m = (n - 1) // 2
+    _, vecs = _top_eigenpairs(*_odd_pencil_stack(m, lam, mu), weights, OperatorSpec.ddx(damped=True), n)
+    even_rows = _basis_to_monomial(2 * m, np.sqrt(_stack_betas(2 * m, True, lam, mu))[:, :, None])[::2]
+    odd_coeffs = (vecs[:, None, :] @ even_rows.transpose(1, 0, 2))[:, 0, ::2]
+    return {pair: _odd_polynomial(vec) for pair, vec in zip(pairs, odd_coeffs)}
+
+
+def _eager_extremal(result, odd_extremals):
+    w, n = result.weight, result.n
+    poly = gegenbauer_poly if w.is_gegenbauer else (lambda k, lam, _mu: hermite_poly(k, lam))
+    if result.branch is Branch.DUNKL_CLOSED_FORM:
+        below = eigenvalue_sq(w.family, n - 1, w.lam, w.mu)
+        return poly(n if eigenvalue_sq(w.family, n, w.lam, w.mu) >= below else n - 1, w.lam, w.mu)
+    if result.branch is Branch.ODD_PENCIL_ROOT:
+        if w.is_gegenbauer:
+            return odd_extremals[n][w.lam, w.mu]
+        if n == 1:
+            return Polynomial((0.0, 1.0))
+        return _odd_polynomial(_top_positive(build_pencil_F(n, w.lam))[1])
+    return poly(n - n % 2, w.lam, w.mu)
+
+
+def test_default_grid_extremals_equal_their_eager_builds():
+    # each row builds its own extremal on read; it must equal, bit for bit, the
+    # polynomial the routes built up front, stack-wide conversions included
+    n_values = range(1, 11)
+    rows = _verify_rows(DEFAULT_VERIFY_LAMBDAS, DEFAULT_VERIFY_MUS, n_values)
+    pairs = [(lam, mu) for lam in DEFAULT_VERIFY_LAMBDAS if lam > 0 for mu in DEFAULT_VERIFY_MUS]
+    odd_extremals = {n: _eager_gegenbauer_odd_extremals(n, pairs) for n in n_values}
+    assert len(rows) == 910
+    assert {r.branch for r in rows} == set(Branch) - {Branch.MAX_OF_BOTH}
+    for r in rows:
+        assert r.extremal == _eager_extremal(r, odd_extremals), (r.weight, r.operator, r.n)
+
+
+def test_results_differing_only_in_their_extremal_compare_unequal():
+    lazy, twin = factor_gegenbauer_ddx(25, 4.5, 3.0), factor_gegenbauer_ddx(25, 4.5, 3.0)
+    assert lazy.branch is Branch.ODD_PENCIL_ROOT
+    assert lazy == twin and hash(lazy) == hash(twin) and repr(lazy) == repr(twin)
+    assert "extremal=Polynomial(coeffs=(" in repr(lazy)
+    fields = (twin.factor, twin.factor_sq, twin.branch)
+    rest = (twin.n, twin.weight, twin.operator)
+    assert FactorResult(*fields, twin.extremal, *rest) == factor_gegenbauer_ddx(25, 4.5, 3.0)
+    other = FactorResult(*fields, Polynomial(twin.extremal.coeffs[:-1]), *rest)
+    assert other != factor_gegenbauer_ddx(25, 4.5, 3.0)
+    assert other != twin
+
+
+def test_pickle_round_trips_an_unread_extremal(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("extremal built before it was read")
+
+    with monkeypatch.context() as patch:
+        # the odd extremal looks the conversion up when it is built, so no build may happen here
+        patch.setattr(bmfactor.factors, "_basis_to_monomial", refuse)
+        odd = factor_gegenbauer_ddx(25, 4.5, 3.0)
+        blobs = [pickle.dumps(r) for r in (odd, factor_hermite_dunkl(8, 0.3), factor_hermite_ddx(6, 2.0))]
+    clones = [pickle.loads(blob) for blob in blobs]
+    assert clones == [odd, factor_hermite_dunkl(8, 0.3), factor_hermite_ddx(6, 2.0)]
+    assert [c.extremal.degree for c in clones] == [25, 8, 6]
