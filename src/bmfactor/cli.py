@@ -11,23 +11,22 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
-from .core import OperatorSpec, Polynomial, WeightFamily, WeightSpec
+from .core import Polynomial, WeightFamily
 from .factors import (
     FactorResult,
     _gegenbauer_ddx_stack,
-    _odd_pencil_stack,
+    _odd_branch_stack,
     factor_gegenbauer_ddx,
     factor_gegenbauer_dunkl,
     factor_hermite_ddx,
     factor_hermite_dunkl,
 )
 from .inequality import gegenbauer_inequality, hermite_inequality
-from .oracle import ConditioningError, DEFAULT_DEGREE_CAP, _rayleigh_values, _top_eigenpairs
+from .oracle import ConditioningError, _rayleigh_values
 from .orthopoly import _residual_rows, gegenbauer_poly, hermite_poly
 
 EXIT_OK = 0
@@ -65,19 +64,6 @@ RESIDUAL_REL_TOL = 1e-9
 BRACKET_EQUALITY_TOL = 1e-12
 
 
-def degree_cap() -> int:
-    env = os.environ.get("BMFACTOR_MAX_N")
-    if not env:
-        return DEFAULT_DEGREE_CAP
-    try:
-        cap = int(env)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(f"BMFACTOR_MAX_N must be a positive integer, got {env!r}")
-    return cap
-
-
 def _sig(x: float, digits: int) -> float:
     return float(f"{x:.{digits}g}") + 0.0  # normalizes -0.0
 
@@ -113,7 +99,7 @@ def _compute_factor(weight: str, op: str, n: int, lam: float, mu: float | None) 
 
 
 def _oracle_factor(result: FactorResult) -> float:
-    values, _ = _rayleigh_values(result.n, [result.weight], result.operator, max_degree=degree_cap())
+    values, _ = _rayleigh_values(result.n, [result.weight], result.operator, max_degree=result.n)
     return float(values[0])
 
 
@@ -182,12 +168,11 @@ def cmd_factor(args: argparse.Namespace, extremal_only: bool = False) -> int:
 
 def cmd_table2(args: argparse.Namespace) -> int:
     # nu_2 is the odd-branch maximum at n = 3, the largest root of the paper's pencil G,
-    # here the top eigenvalue of the 2x2 block of the tridiagonal odd pencil
-    pairs = [(lam, mu) for lam, mu, *_ in TABLE2_REFERENCE]
-    weights = [WeightSpec.gegenbauer(lam, mu) for lam, mu in pairs]
-    lams, mus = np.array(pairs).T
-    nu2s, _ = _top_eigenpairs(*_odd_pencil_stack(1, lams, mus), weights, OperatorSpec.ddx(damped=True), 3)
-    columns = zip(nu2s, _gegenbauer_ddx_stack(3, pairs), _gegenbauer_ddx_stack(4, pairs))
+    # here the top eigenvalue of the 2x2 block of the tridiagonal odd pencil; M_3 and M_4
+    # take their odd branch from the same solve
+    weights, nu2s, vecs = _odd_branch_stack(3, [(lam, mu) for lam, mu, *_ in TABLE2_REFERENCE])
+    m3s, m4s = (_gegenbauer_ddx_stack(n, weights, nu2s, vecs) for n in (3, 4))
+    columns = zip(nu2s, m3s, m4s)
     rows = []
     flagged = 0
     for (lam, mu, nu2_ref, m3_ref, m4_ref), (nu2, m3, m4) in zip(TABLE2_REFERENCE, columns):
@@ -241,7 +226,8 @@ def _verify_rows(lambdas, mus, n_values) -> list[FactorResult]:
     """Factor results of the grid in row order; the Gegenbauer d/dx rows are solved as one stack per n."""
     lambdas, mus = sorted(set(lambdas)), sorted(set(mus))
     pairs = [(lam, mu) for lam in lambdas if lam > 0 for mu in mus]
-    gegenbauer_ddx = {n: dict(zip(pairs, _gegenbauer_ddx_stack(n, pairs))) for n in n_values} if pairs else {}
+    gegenbauer_ddx = {n: dict(zip(pairs, _gegenbauer_ddx_stack(n, *_odd_branch_stack(n, pairs))))
+                      for n in n_values} if pairs else {}
     rows = []
     for lam in lambdas:
         for n in n_values:
@@ -366,8 +352,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _inequality_polynomial(args: argparse.Namespace) -> Polynomial:
-    if args.coeffs:
-        return Polynomial([float(c) for c in args.coeffs.replace(",", " ").split()])
+    if args.coeffs is not None:
+        try:
+            coeffs = [float(c) for c in args.coeffs.replace(",", " ").split()]
+        except ValueError:
+            coeffs = []
+        if not (coeffs and all(map(math.isfinite, coeffs))):
+            raise ValueError(f"--coeffs must be one or more finite numbers, got {args.coeffs!r}")
+        return Polynomial(coeffs)
     if args.at_extremal:
         if args.family == "gegenbauer":
             return gegenbauer_poly(args.n, args.lam, args.mu)
@@ -467,6 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.digits < 1:
+            raise ValueError(f"--digits must be >= 1, got {args.digits}")
         if args.command == "factor":
             return cmd_factor(args)
         if args.command == "extremal":

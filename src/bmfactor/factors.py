@@ -12,13 +12,15 @@ coefficients of W and of W (1 - x^2); it is solved for a stack of (lam, mu)
 pairs at once, and ``factor_gegenbauer_ddx`` is its stack of one.  That
 route shares only ``_stack_betas``, ``_basis_to_monomial`` and the
 eigensolve with the oracle, so the oracle's Gauss-rule stiffness solve
-checks it independently.  The odd
-branch of the Hermite weight under d/dx is still the largest positive root
-of the moment pencil det(P + t Q) of ``build_pencil_F``.
+checks it independently.  The odd branch of the Hermite weight under d/dx is
+still the largest positive root of the moment pencil det(P + t Q) of
+``build_pencil_F``.
 
-The paper's pencils ``build_pencil_F`` and ``build_pencil_G`` stay as
-objects the tests check the odd pencil against; ``table2`` takes its nu_2
-column from the 2x2 block of the odd pencil.  Their raw entries as
+The paper's pencils ``build_pencil_F`` and ``build_pencil_G`` are one
+builder, ``_build_pencil``: Hermite is the A = 1, b = 2 case of the [-1, 1]
+formulas.  They stay as objects the tests check the odd pencil against;
+``table2`` takes its nu_2 column from the 2x2 block of the odd pencil, whose
+one solve also gives M_3 and M_4.  Their raw entries as
 written are asymmetric in (i, j), but the moment recurrences make them
 exactly symmetric in real arithmetic, so the symmetrized pencil is solved as
 the symmetric-definite problem -P v = t Q v.  That is the oracle's
@@ -127,43 +129,52 @@ class FactorResult:
     operator: OperatorSpec
 
 
-def build_pencil_F(n_odd: int, lam: float) -> Pencil:
-    """Pencil of the odd-degree extremal system for |x|^(2 lam) exp(-x^2) and d/dx.
+def _build_pencil(weight: WeightSpec, m: int) -> Pencil:
+    """The moment pencil of size m + 1 of either weight, from its normalized even moments c.
 
-    Entry (i, j) of P + t Q is (2j+1)(2j+2 lam) d_(2i+2j) + (t - 4j - 2) d_(2i+2j+2)
-    with d the even weight moments; i, j = 0 .. (n-1)/2.  The moment recurrence
-    d_(2s+2) = (s + lam + 1/2) d_(2s) collapses the P entry to the equivalent
-    -(2i+1)(2j+1) d_(2i+2j), which is how it is evaluated: the textbook form
-    subtracts two nearly equal products and would shed digits, while the
-    collapsed form is cancellation-free (and manifestly symmetric).  The raw
+    Entry (i, j) of P + t Q is (2j+1)(2j+2 lam) c_(2i+2j) + (t - (2j+1) k_j) c_(2i+2j+2),
+    with k_j = 2 on R (the A = 1, b = 2 case) and 2j + 2 lam + 2 mu + 1 on [-1, 1].
+    The moment recurrences collapse the P entry to -(2i+1)(2j+1) c_(2i+2j), times
+    (mu + 1/2)/(i + j + lam + mu + 1) on [-1, 1].  That is the form evaluated: the
+    textbook form subtracts two nearly equal products and would shed digits, while
+    the collapsed form is cancellation-free (and manifestly symmetric).  The raw
     textbook entries are kept alongside for validation.
     """
-    if n_odd % 2 == 0:
-        raise ValueError(f"pencil is defined for odd degrees, got {n_odd}")
-    if lam <= 0:
-        raise ValueError("lambda must be > 0")
-    m = (n_odd - 1) // 2
-    table = moment_table(WeightSpec.hermite(lam), 4 * m + 6, normalized=True)
-    d = [table.moment(2 * s) for s in range(2 * m + 3)]
+    lam, mu, gegenbauer = weight.lam, weight.mu, weight.is_gegenbauer
+    table = moment_table(weight, 4 * m + 6, normalized=True)
+    c = [table.moment(2 * s) for s in range(2 * m + 3)]
     p = np.empty((m + 1, m + 1))
     p_raw = np.empty((m + 1, m + 1))
     q = np.empty((m + 1, m + 1))
     for i in range(m + 1):
         for j in range(m + 1):
-            p[i, j] = -(2 * i + 1) * (2 * j + 1) * d[i + j]
-            p_raw[i, j] = (2 * j + 1) * (2 * j + 2 * lam) * d[i + j] - (4 * j + 2) * d[i + j + 1]
-            q[i, j] = d[i + j + 1]
-    return Pencil(p, (q + q.T) / 2.0, p_raw, q, kind="hermite", lam=lam)
+            entry = -(2 * i + 1) * (2 * j + 1) * c[i + j]
+            p[i, j] = entry * (mu + 0.5) / (i + j + lam + mu + 1.0) if gegenbauer else entry
+            kappa = 2 * j + 2 * lam + 2 * mu + 1 if gegenbauer else 2
+            p_raw[i, j] = (2 * j + 1) * (2 * j + 2 * lam) * c[i + j] - (2 * j + 1) * kappa * c[i + j + 1]
+            q[i, j] = c[i + j + 1]
+    return Pencil(p, (q + q.T) / 2.0, p_raw, q, kind=weight.family.value, lam=lam, mu=mu)
+
+
+def build_pencil_F(n_odd: int, lam: float) -> Pencil:
+    """Pencil of the odd-degree extremal system for |x|^(2 lam) exp(-x^2) and d/dx.
+
+    Entry (i, j) of P + t Q is (2j+1)(2j+2 lam) d_(2i+2j) + (t - 4j - 2) d_(2i+2j+2)
+    with d the even weight moments; i, j = 0 .. (n-1)/2 (``_build_pencil``).
+    """
+    if n_odd % 2 == 0:
+        raise ValueError(f"pencil is defined for odd degrees, got {n_odd}")
+    if lam <= 0:
+        raise ValueError("lambda must be > 0")
+    return _build_pencil(WeightSpec.hermite(lam), (n_odd - 1) // 2)
 
 
 def build_pencil_G(n: int, lam: float, mu: float) -> Pencil:
     """Pencil of the odd-part extremal system for the [-1,1] weight and sqrt(1-x^2) d/dx.
 
     Entry (i, j) is (2j+1)(2j+2 lam) c_(2i+2j) + [t - (2j+1)(2j+2 lam+2 mu+1)] c_(2i+2j+2)
-    with c the even weight moments; the size is n/2 for even n and (n+1)/2 for odd n.
-    As in ``build_pencil_F``, the moment recurrence collapses the P entry to a
-    symmetric cancellation-free product, which is the form actually evaluated;
-    the raw textbook entries ride along for validation.
+    with c the even weight moments; the size is n/2 for even n and (n+1)/2 for
+    odd n (``_build_pencil``).
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
@@ -171,23 +182,7 @@ def build_pencil_G(n: int, lam: float, mu: float) -> Pencil:
         raise ValueError("lambda must be > 0")
     if mu <= -0.5:
         raise ValueError("mu must be > -1/2")
-    m = (n - 2) // 2 if n % 2 == 0 else (n - 1) // 2
-    table = moment_table(WeightSpec.gegenbauer(lam, mu), 4 * m + 6, normalized=True)
-    c = [table.moment(2 * s) for s in range(2 * m + 3)]
-    p = np.empty((m + 1, m + 1))
-    p_raw = np.empty((m + 1, m + 1))
-    q = np.empty((m + 1, m + 1))
-    for i in range(m + 1):
-        for j in range(m + 1):
-            # c_(2s) - c_(2s+2) = c_(2s) (mu + 1/2)/(s + lam + mu + 1) collapses the
-            # entry to -(2i+1)(2j+1)(c_(2i+2j) - c_(2i+2j+2)), evaluated without the
-            # near-total cancellation of the two textbook products
-            p[i, j] = -(2 * i + 1) * (2 * j + 1) * c[i + j] \
-                * (mu + 0.5) / (i + j + lam + mu + 1.0)
-            p_raw[i, j] = (2 * j + 1) * (2 * j + 2 * lam) * c[i + j] \
-                - (2 * j + 1) * (2 * j + 2 * lam + 2 * mu + 1) * c[i + j + 1]
-            q[i, j] = c[i + j + 1]
-    return Pencil(p, (q + q.T) / 2.0, p_raw, q, kind="gegenbauer", lam=lam, mu=mu)
+    return _build_pencil(WeightSpec.gegenbauer(lam, mu), (n - 1) // 2)
 
 
 def _positive_threshold(pencil: Pencil) -> float:
@@ -384,13 +379,13 @@ def factor_gegenbauer_ddx(n: int, lam: float, mu: float) -> FactorResult:
     of the tridiagonal pencil of ``_odd_pencil_stack`` (the largest root of
     ``build_pencil_G``).  The factor is the max.
     """
-    return _gegenbauer_ddx_stack(n, [(lam, mu)])[0]
+    return _gegenbauer_ddx_stack(n, *_odd_branch_stack(n, [(lam, mu)]))[0]
 
 
-def _gegenbauer_ddx_stack(n: int, pairs: Sequence[tuple[float, float]]) -> list[FactorResult]:
-    """``factor_gegenbauer_ddx`` at degree n for every (lam, mu) pair, with one stacked odd-pencil solve.
+def _odd_branch_stack(n: int, pairs: Sequence[tuple[float, float]]) -> tuple[list, np.ndarray, np.ndarray]:
+    """Gegenbauer weights of the (lam, mu) pairs, their odd-branch maxima at degree n, and eigenvectors.
 
-    Each result does not depend on the rest of the stack.
+    One stacked solve, which serves degree n + 1 too when n is odd.
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
@@ -399,13 +394,22 @@ def _gegenbauer_ddx_stack(n: int, pairs: Sequence[tuple[float, float]]) -> list[
     if any(mu <= -0.5 for _, mu in pairs):
         raise ValueError("mu must be > -1/2")
     weights = [WeightSpec.gegenbauer(lam, mu) for lam, mu in pairs]
-    op = OperatorSpec.ddx(damped=True)
     lam, mu = np.array([(w.lam, w.mu) for w in weights]).T
+    s, g = _odd_pencil_stack((n - 1) // 2, lam, mu)
+    return weights, *_top_eigenpairs(s, g, weights, OperatorSpec.ddx(damped=True), n)
+
+
+def _gegenbauer_ddx_stack(n: int, weights: Sequence[WeightSpec], odd: np.ndarray,
+                          vecs: np.ndarray) -> list[FactorResult]:
+    """``factor_gegenbauer_ddx`` at degree n for every weight, from ``_odd_branch_stack`` at n or n - 1.
+
+    Each result does not depend on the rest of the stack.
+    """
+    op = OperatorSpec.ddx(damped=True)
     m = (n - 1) // 2
-    odd_values, vecs = _top_eigenpairs(*_odd_pencil_stack(m, lam, mu), weights, op, n)
     even_degree = n if n % 2 == 0 else n - 1
     results = []
-    for weight, nu, vec in zip(weights, odd_values, vecs):
+    for weight, nu, vec in zip(weights, odd, vecs):
         nu = float(nu)
         closed = float(even_degree * (even_degree + 2 * weight.lam + 2 * weight.mu))
         if abs(nu - closed) <= _TIE_REL_TOL * max(abs(nu), abs(closed)):

@@ -5,7 +5,9 @@ squared weighted norm of A D^2 p + B D p + lambda_n^2 p, so the gap is
 nonnegative and vanishes exactly on multiples of the degree-n orthogonal
 polynomial.  The reflection and sigma terms make the identity exact for both
 parities; with lambda = 0 all of them drop and the classical derivative bound
-in terms of ||p||, ||p''|| remains.
+in terms of ||p||, ||p''|| remains.  One report, ``_inequality``, serves both
+families: Hermite is the case A(x) = 1 (for 1 - x^2) and b = 2 (for 2 mu + 1,
+the coefficient of -x D p in the defining equation).
 
 Every term is a sum over one folded Gauss rule of the weight with n + 2 nodes
 (rounded up to even), exact for the degree-2n integrands.  The coefficients
@@ -75,6 +77,40 @@ def _form_rows(p: Polynomial, lam: float) -> np.ndarray:
     return rows
 
 
+def _inequality(p: Polynomial, n: int, family: WeightFamily, lam: float, mu: float = 0.0) -> InequalityReport:
+    """(2 lam_n^2 - b) ||sqrt(A) D p||^2 against the curvature side, with A = 1, b = 2 on R.
+
+    The left factor keeps each family's own expression, 2 lam_n^2 - 2 or 2 lam_n^2 - 2 mu - 1.
+    """
+    if p.degree is not None and p.degree > n:
+        raise ValueError(f"polynomial degree {p.degree} exceeds n={n}")
+    lam_n2 = eigenvalue_sq(family, n, lam, mu)
+    forms = _Forms(_form_rows(p, lam), WeightSpec(family, lam, mu), n + 2 + n % 2)
+    w, wa = forms.w, forms.wa  # wa = w A
+    if family is WeightFamily.GENERALIZED_GEGENBAUER:
+        names = ("damped_dunkl_norm_sq", "damped_sigma_norm_sq", "weighted_laplacian_norm_sq")
+        laplacian, b, left = wa * (1.0 - forms.x * forms.x), 2 * mu + 1, 2 * lam_n2 - 2 * mu - 1
+    else:
+        names = ("dunkl_norm_sq", "sigma_norm_sq", "laplacian_norm_sq")
+        laplacian, b, left = w, 2, 2 * lam_n2 - 2
+    dunkl_name, sigma_name, laplacian_name = names
+    terms = {
+        "eigenvalue_sq": lam_n2,
+        dunkl_name: forms.inner(_DP, _DP, wa),
+        sigma_name: forms.inner(_SIGMA, _SIGMA, wa),
+        "reflected_derivative_inner": forms.reflected(_PP, wa),
+        "sigma_derivative_inner": forms.inner(_SIGMA, _PP, wa),
+        "norm_sq": forms.inner(_P, _P, w),
+        laplacian_name: forms.inner(_D2P, _D2P, laplacian),
+    }
+    lhs = left * terms[dunkl_name]
+    rhs = 2 * lam * b * terms["reflected_derivative_inner"] \
+        + 2 * lam**3 * b * terms[sigma_name] \
+        + 4 * lam**2 * b * terms["sigma_derivative_inner"] \
+        + lam_n2**2 * terms["norm_sq"] + terms[laplacian_name]
+    return _report(lhs, rhs, terms)
+
+
 def gegenbauer_inequality(p: Polynomial, n: int, lam: float, mu: float) -> InequalityReport:
     """(2 lam_n^2 - 2 mu - 1) ||sqrt(1-x^2) D p||^2 against the curvature side.
 
@@ -84,54 +120,15 @@ def gegenbauer_inequality(p: Polynomial, n: int, lam: float, mu: float) -> Inequ
     ||(1-x^2) D^2 p||^2; equality holds exactly at multiples of the degree-n
     generalized Gegenbauer polynomial.
     """
-    if p.degree is not None and p.degree > n:
-        raise ValueError(f"polynomial degree {p.degree} exceeds n={n}")
-    lam_n2 = eigenvalue_sq(WeightFamily.GENERALIZED_GEGENBAUER, n, lam, mu)
-    forms = _Forms(_form_rows(p, lam), WeightSpec.gegenbauer(lam, mu), n + 2 + n % 2)
-    w, wa = forms.w, forms.wa
-    terms = {
-        "eigenvalue_sq": lam_n2,
-        "damped_dunkl_norm_sq": forms.inner(_DP, _DP, wa),
-        "damped_sigma_norm_sq": forms.inner(_SIGMA, _SIGMA, wa),
-        "reflected_derivative_inner": forms.reflected(_PP, wa),
-        "sigma_derivative_inner": forms.inner(_SIGMA, _PP, wa),
-        "norm_sq": forms.inner(_P, _P, w),
-        "weighted_laplacian_norm_sq": forms.inner(_D2P, _D2P, wa * (1.0 - forms.x * forms.x)),
-    }
-    mu1 = 2 * mu + 1
-    lhs = (2 * lam_n2 - 2 * mu - 1) * terms["damped_dunkl_norm_sq"]
-    rhs = 2 * lam * mu1 * terms["reflected_derivative_inner"] \
-        + 2 * lam**3 * mu1 * terms["damped_sigma_norm_sq"] \
-        + 4 * lam**2 * mu1 * terms["sigma_derivative_inner"] \
-        + lam_n2**2 * terms["norm_sq"] + terms["weighted_laplacian_norm_sq"]
-    return _report(lhs, rhs, terms)
+    return _inequality(p, n, WeightFamily.GENERALIZED_GEGENBAUER, lam, mu)
 
 
 def hermite_inequality(p: Polynomial, n: int, lam: float) -> InequalityReport:
     """(2 lam_n^2 - 2) ||D p||^2 against 4 lam <p', p'(-.)> + 4 lam^3 ||sigma(p)||^2
-    + 8 lam^2 <sigma(p), p'> + lam_n^4 ||p||^2 + ||D^2 p||^2.
+    + 8 lam^2 <sigma(p), p'> + lam_n^4 ||p||^2 + ||D^2 p||^2, the Gegenbauer inequality's A = 1, b = 2 case.
 
     Equality holds exactly at multiples of the degree-n generalized Hermite
     polynomial; at lam = 0 this is the classical
     ||p'||^2 <= (2n^2/(2n-1)) ||p||^2 + ||p''||^2 / (4n-2).
     """
-    if p.degree is not None and p.degree > n:
-        raise ValueError(f"polynomial degree {p.degree} exceeds n={n}")
-    lam_n2 = eigenvalue_sq(WeightFamily.GENERALIZED_HERMITE, n, lam)
-    forms = _Forms(_form_rows(p, lam), WeightSpec.hermite(lam), n + 2 + n % 2)
-    w = forms.w
-    terms = {
-        "eigenvalue_sq": lam_n2,
-        "dunkl_norm_sq": forms.inner(_DP, _DP, w),
-        "sigma_norm_sq": forms.inner(_SIGMA, _SIGMA, w),
-        "reflected_derivative_inner": forms.reflected(_PP, w),
-        "sigma_derivative_inner": forms.inner(_SIGMA, _PP, w),
-        "norm_sq": forms.inner(_P, _P, w),
-        "laplacian_norm_sq": forms.inner(_D2P, _D2P, w),
-    }
-    lhs = (2 * lam_n2 - 2) * terms["dunkl_norm_sq"]
-    rhs = 4 * lam * terms["reflected_derivative_inner"] \
-        + 4 * lam**3 * terms["sigma_norm_sq"] \
-        + 8 * lam**2 * terms["sigma_derivative_inner"] \
-        + lam_n2**2 * terms["norm_sq"] + terms["laplacian_norm_sq"]
-    return _report(lhs, rhs, terms)
+    return _inequality(p, n, WeightFamily.GENERALIZED_HERMITE, lam)

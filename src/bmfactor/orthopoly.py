@@ -1,9 +1,13 @@
 """Generalized Hermite and Gegenbauer polynomials via coefficient recurrences.
 
-Normalization is monic throughout (the defining equations fix the polynomials
-only up to a constant).  The recurrences are filled in reverse from the leading
-coefficient, which makes them self-starting.  Both residuals of the defining
-equations are views over one row kernel, ``_residual_rows``.
+Both families solve (1 - a x^2) D^2 p - b x D p + lambda_n^2 p = 0 with D the
+Dunkl operator: Hermite is the case a = 0 (so A(x) = 1 - a x^2 = 1) and b = 2,
+Gegenbauer the case a = 1 and b = 2 mu + 1.  Normalization is monic throughout
+(the defining equations fix the polynomials only up to a constant).  One
+coefficient recurrence, ``_eigenpoly``, serves both families; it is filled in
+reverse from the leading coefficient, which makes it self-starting.  Both
+residuals of the defining equations are views over one row kernel,
+``_residual_rows``.
 """
 
 from __future__ import annotations
@@ -24,33 +28,31 @@ def eigenvalue_sq(family: WeightFamily, n: int, lam: float, mu: float = 0.0) -> 
     return 2.0 * (n + lam * odd)
 
 
-def hermite_poly(n: int, lam: float) -> Polynomial:
-    """Monic generalized Hermite polynomial of degree n for |x|^(2 lam) exp(-x^2)."""
+def _eigenpoly(family: WeightFamily, n: int, lam: float, mu: float = 0.0) -> Polynomial:
+    """Monic degree-n eigenpolynomial: a_k = g_(k+2) g_(k+1) a_(k+2) / d_k with D x^j = g_j x^(j-1).
+
+    d_k is 2 (k - n) on R and (k - n)(k + n + 2 lam + 2 mu) on [-1, 1].
+    """
     if n < 0:
         raise ValueError("degree must be >= 0")
+    gegenbauer = family is WeightFamily.GENERALIZED_GEGENBAUER
     a = [0.0] * (n + 1)
     a[n] = 1.0
     for k in range(n - 2, -1, -2):
-        if k % 2 == 0:
-            a[k] = (k + 2) * (k + 2 * lam + 1) * a[k + 2] / (2.0 * (k - n))
-        else:
-            a[k] = (k + 1) * (k + 2 * lam + 2) * a[k + 2] / (2.0 * (k - n))
+        den = (k - n) * (k + n + 2 * lam + 2 * mu) if gegenbauer else 2.0 * (k - n)
+        num = (k + 2) * (k + 2 * lam + 1) if k % 2 == 0 else (k + 1) * (k + 2 * lam + 2)
+        a[k] = num * a[k + 2] / den
     return Polynomial(a)
+
+
+def hermite_poly(n: int, lam: float) -> Polynomial:
+    """Monic generalized Hermite polynomial of degree n for |x|^(2 lam) exp(-x^2)."""
+    return _eigenpoly(WeightFamily.GENERALIZED_HERMITE, n, lam)
 
 
 def gegenbauer_poly(n: int, lam: float, mu: float) -> Polynomial:
     """Monic generalized Gegenbauer polynomial of degree n for |x|^(2 lam) (1-x^2)^(mu-1/2)."""
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    a = [0.0] * (n + 1)
-    a[n] = 1.0
-    for k in range(n - 2, -1, -2):
-        rhs = (k - n) * (k + n + 2 * lam + 2 * mu)
-        if k % 2 == 0:
-            a[k] = (k + 2) * (k + 2 * lam + 1) * a[k + 2] / rhs
-        else:
-            a[k] = (k + 1) * (k + 2 * lam + 2) * a[k + 2] / rhs
-    return Polynomial(a)
+    return _eigenpoly(WeightFamily.GENERALIZED_GEGENBAUER, n, lam, mu)
 
 
 def _residual_rows(c: np.ndarray, n: int, family: WeightFamily, lam: float,

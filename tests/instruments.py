@@ -10,6 +10,9 @@
   x^(-1) channel reported apart.
 - ``connection_check`` and ``hermite_connection_check``: the Gegenbauer and
   Hermite recurrences against their Jacobi and Laguerre forms.
+- ``pencil_F_reference`` and ``pencil_G_reference``: the paper's moment
+  pencils F and G entry by entry, one loop per family, as the reference for
+  the shared builder behind ``build_pencil_F`` and ``build_pencil_G``.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import numpy as np
 
 from bmfactor.core import OperatorSpec, Polynomial, WeightSpec
 from bmfactor.dunkl import dunkl_apply
+from bmfactor.factors import Pencil
 from bmfactor.orthopoly import gegenbauer_poly, hermite_poly
 from bmfactor.special import moment_table
 
@@ -77,6 +81,40 @@ def gram_matrices(n: int, weight: WeightSpec, op: OperatorSpec) -> tuple[np.ndar
                     val -= table.moment(i + j)
                 s[i, j] = monomial_factor(i, lam) * monomial_factor(j, lam) * val
     return g, s
+
+
+def pencil_F_reference(n_odd: int, lam: float) -> Pencil:
+    """F for |x|^(2 lam) exp(-x^2): P_ij = -(2i+1)(2j+1) d_(2i+2j), raw (2j+1)(2j+2 lam) d_(2i+2j) - (4j+2) d_(2i+2j+2)."""
+    m = (n_odd - 1) // 2
+    table = moment_table(WeightSpec.hermite(lam), 4 * m + 6, normalized=True)
+    d = [table.moment(2 * s) for s in range(2 * m + 3)]
+    p = np.empty((m + 1, m + 1))
+    p_raw = np.empty((m + 1, m + 1))
+    q = np.empty((m + 1, m + 1))
+    for i in range(m + 1):
+        for j in range(m + 1):
+            p[i, j] = -(2 * i + 1) * (2 * j + 1) * d[i + j]
+            p_raw[i, j] = (2 * j + 1) * (2 * j + 2 * lam) * d[i + j] - (4 * j + 2) * d[i + j + 1]
+            q[i, j] = d[i + j + 1]
+    return Pencil(p, (q + q.T) / 2.0, p_raw, q, kind="hermite", lam=lam)
+
+
+def pencil_G_reference(n: int, lam: float, mu: float) -> Pencil:
+    """G for the [-1, 1] weight: P_ij = -(2i+1)(2j+1) c_(2i+2j) (mu + 1/2)/(i + j + lam + mu + 1), of size n/2 or (n+1)/2."""
+    m = (n - 2) // 2 if n % 2 == 0 else (n - 1) // 2
+    table = moment_table(WeightSpec.gegenbauer(lam, mu), 4 * m + 6, normalized=True)
+    c = [table.moment(2 * s) for s in range(2 * m + 3)]
+    p = np.empty((m + 1, m + 1))
+    p_raw = np.empty((m + 1, m + 1))
+    q = np.empty((m + 1, m + 1))
+    for i in range(m + 1):
+        for j in range(m + 1):
+            p[i, j] = -(2 * i + 1) * (2 * j + 1) * c[i + j] \
+                * (mu + 0.5) / (i + j + lam + mu + 1.0)
+            p_raw[i, j] = (2 * j + 1) * (2 * j + 2 * lam) * c[i + j] \
+                - (2 * j + 1) * (2 * j + 2 * lam + 2 * mu + 1) * c[i + j + 1]
+            q[i, j] = c[i + j + 1]
+    return Pencil(p, (q + q.T) / 2.0, p_raw, q, kind="gegenbauer", lam=lam, mu=mu)
 
 
 def residual_classical_L(p: Polynomial, weight: WeightSpec, m_sq: float) -> tuple[Polynomial, float]:

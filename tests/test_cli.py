@@ -328,6 +328,22 @@ def test_table2_matches_the_certified_table(capsys):
             assert row[name] == pytest.approx(float(cert[name]), rel=1e-14), (row["lambda"], row["mu"], name)
 
 
+def test_table2_solves_its_odd_pencil_once(capsys, monkeypatch):
+    # nu2, M3 and M4 take their odd branch from one stacked 2x2 solve over the 16 points
+    import bmfactor.factors
+
+    solve, shapes = bmfactor.factors._top_eigenpairs, []
+
+    def counted(s, g, *args):
+        shapes.append(s.shape)
+        return solve(s, g, *args)
+
+    monkeypatch.setattr(bmfactor.factors, "_top_eigenpairs", counted)
+    code, out, _ = run(capsys, "table2", "--format", "json")
+    assert code == EXIT_MISMATCH and json.loads(out)["flagged_cells"] == 36
+    assert shapes == [(16, 2, 2)]
+
+
 def test_table2_csv_shape(capsys):
     code, out, _ = run(capsys, "table2", "--format", "csv")
     rows = list(csv.reader(io.StringIO(out)))
@@ -380,28 +396,43 @@ def test_inequality_random_seed_positive_gap(capsys):
 
 
 def test_verify_ignores_the_degree_cap_variable(capsys, monkeypatch):
-    # the grid's own n_max bounds every oracle solve; only factor --check reads BMFACTOR_MAX_N
+    # no command reads BMFACTOR_MAX_N: verify and factor --check cap each oracle solve at its own degree
     monkeypatch.setenv("BMFACTOR_MAX_N", "abc")
     code, out, _ = run(capsys, "verify", "--n-max", "2")
     assert code == EXIT_OK and "result: PASS" in out
-
-
-@pytest.mark.parametrize("value", ("abc", "0", "-3", "12.5"))
-def test_malformed_degree_cap_variable_exits_2_naming_it(capsys, monkeypatch, value):
-    monkeypatch.setenv("BMFACTOR_MAX_N", value)
-    code, out, err = run(capsys, "factor", "--weight", "hermite", "--op", "dunkl",
-                         "--lambda", "1", "--n", "3", "--check")
-    assert (code, out) == (EXIT_DOMAIN, "")
-    assert err.startswith("error:") and "BMFACTOR_MAX_N" in err and repr(value) in err
+    code, out, _ = run(capsys, "factor", "--weight", "hermite", "--op", "dunkl",
+                       "--lambda", "1", "--n", "3", "--check", "--format", "json")
+    assert code == EXIT_OK and json.loads(out)["oracle_rel_err"] < 1e-12
 
 
 def test_degree_cap_env_override(capsys, monkeypatch):
+    # factor --check solves the oracle at the result's own degree, above the library's default cap of 14
     monkeypatch.delenv("BMFACTOR_MAX_N", raising=False)
-    code, _, err = run(capsys, "factor", "--weight", "hermite", "--op", "dunkl",
-                       "--lambda", "0.3", "--n", "16", "--check")
-    assert code == EXIT_DOMAIN  # oracle refuses degree 16 under the default cap
-    monkeypatch.setenv("BMFACTOR_MAX_N", "18")
     code, out, _ = run(capsys, "factor", "--weight", "hermite", "--op", "dunkl",
                        "--lambda", "0.3", "--n", "16", "--check", "--format", "json")
     assert code == EXIT_OK
     assert json.loads(out)["oracle_rel_err"] < 1e-8
+
+
+@pytest.mark.parametrize("argv", (
+    ("verify", "--format", "csv"),
+    ("table2",),
+    ("factor", "--weight", "hermite", "--op", "ddx", "--lambda", "1", "--n", "3"),
+    ("extremal", "--weight", "hermite", "--op", "ddx", "--lambda", "1", "--n", "3"),
+    ("inequality", "--family", "hermite", "--lambda", "1", "--n", "3", "--seed", "1"),
+), ids=("verify", "table2", "factor", "extremal", "inequality"))
+@pytest.mark.parametrize("digits", ("-2", "0"))
+def test_digits_below_one_exits_2_before_any_output(capsys, argv, digits):
+    # verify --format csv once wrote its header before failing on a negative precision
+    code, out, err = run(capsys, *argv, "--digits", digits)
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err.startswith("error:") and "--digits" in err
+
+
+@pytest.mark.parametrize("coeffs", ("nan,1", "1,inf", "1,abc", "", " , "))
+def test_inequality_refuses_bad_coeffs(capsys, coeffs):
+    # a NaN coefficient once reported gap nan with exit 0, and an empty value a random polynomial
+    code, out, err = run(capsys, "inequality", "--family", "gegenbauer", "--lambda", "1", "--mu", "0.5",
+                         "--n", "3", "--coeffs", coeffs)
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err.startswith("error:") and "--coeffs" in err

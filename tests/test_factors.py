@@ -18,6 +18,7 @@ from bmfactor.factors import (
     FactorResult,
     Pencil,
     _gegenbauer_ddx_stack,
+    _odd_branch_stack,
     _odd_pencil_stack,
     _odd_polynomial,
     _top_positive,
@@ -40,6 +41,7 @@ from bmfactor.oracle import (
 )
 from bmfactor.orthopoly import eigenvalue_sq, gegenbauer_poly, hermite_poly
 from certify_reference import rayleigh_max_sq
+from instruments import pencil_F_reference, pencil_G_reference
 
 LAMBDAS = (0.1, 0.4, 0.5, 1.0, 2.0, 4.5)
 MUS = (-0.4, 0.0, 0.5, 1.0, 3.0, 4.0)
@@ -54,6 +56,39 @@ def _corrected_nu2(lam):
 
 # ---------------------------------------------------------------------------
 # pencils
+
+
+def _certified_pencil_parameters():
+    """Hermite lambdas and Gegenbauer (lambda, mu) pairs of tests/certified_reference.json."""
+    certified = json.loads(CERTIFIED_REFERENCE.read_text())
+    points = {tuple(key.split("/")[:4]) for key in certified["oracle"]}
+    hermite = sorted({float(lam) for family, _, lam, _ in points if family == "hermite"})
+    pairs = {(float(lam), float(mu)) for family, _, lam, mu in points if family == "gegenbauer"}
+    pairs |= {(row["lambda"], row["mu"]) for row in certified["table2"]}
+    return hermite, sorted(pairs)
+
+
+def _same_pencil(built, reference):
+    assert (built.kind, built.lam, built.mu) == (reference.kind, reference.lam, reference.mu)
+    for name in ("p", "q", "p_raw", "q_raw"):
+        assert getattr(built, name).tobytes() == getattr(reference, name).tobytes(), name
+
+
+def test_pencil_builders_equal_the_per_family_loops():
+    # one builder serves both pencils; it must give the paper's per-family entries bit for bit
+    hermite, pairs = _certified_pencil_parameters()
+    for lam in hermite:
+        for n in range(1, 62, 2):
+            try:
+                reference = pencil_F_reference(n, lam)
+            except OverflowError:  # Gamma(s + lam + 1/2) of the unnormalized moments, lam >= 140 at high n
+                with pytest.raises(OverflowError):
+                    build_pencil_F(n, lam)
+                continue
+            _same_pencil(build_pencil_F(n, lam), reference)
+    for lam, mu in pairs:
+        for n in range(1, 62):
+            _same_pencil(build_pencil_G(n, lam, mu), pencil_G_reference(n, lam, mu))
 
 
 def test_pencil_rejects_bad_arguments():
@@ -333,7 +368,8 @@ def test_factor_hermite_ddx_at_large_lambda_matches_certified(lam):
 def test_gegenbauer_ddx_stack_equals_its_stacks_of_one(n):
     # the default `bmfactor verify` grid, solved as one stack per degree
     pairs = [(lam, mu) for lam in LAMBDAS for mu in MUS]
-    for (lam, mu), stacked in zip(pairs, _gegenbauer_ddx_stack(n, pairs), strict=True):
+    stack = _gegenbauer_ddx_stack(n, *_odd_branch_stack(n, pairs))
+    for (lam, mu), stacked in zip(pairs, stack, strict=True):
         assert stacked == factor_gegenbauer_ddx(n, lam, mu)  # bit for bit, extremal included
 
 
