@@ -99,7 +99,7 @@ def _compute_factor(weight: str, op: str, n: int, lam: float, mu: float | None) 
 
 
 def _oracle_factor(result: FactorResult) -> float:
-    values, _ = _rayleigh_values(result.n, [result.weight], result.operator, max_degree=result.n)
+    values, _ = _rayleigh_values(result.n, [result.weight], result.operator)
     return float(values[0])
 
 
@@ -242,13 +242,13 @@ def _verify_rows(lambdas, mus, n_values) -> list[FactorResult]:
 
 
 def _verify_oracle(results: list[FactorResult]) -> list[float]:
-    """Oracle values of ``results``, one stacked solve per (family, operator, n) group, capped at that n."""
+    """Oracle values of ``results``, one stacked solve per (family, operator, n) group."""
     groups: dict[tuple, list[int]] = {}
     for i, result in enumerate(results):
         groups.setdefault((result.weight.family, result.operator, result.n), []).append(i)
     values = [0.0] * len(results)
     for (_family, op, n), members in groups.items():
-        stack, _ = _rayleigh_values(n, [results[i].weight for i in members], op, max_degree=n)
+        stack, _ = _rayleigh_values(n, [results[i].weight for i in members], op)
         for i, value in zip(members, stack):
             values[i] = float(value)
     return values
@@ -371,6 +371,10 @@ def _inequality_polynomial(args: argparse.Namespace) -> Polynomial:
 def cmd_inequality(args: argparse.Namespace) -> int:
     if args.family == "gegenbauer" and args.mu is None:
         raise ValueError("--mu is required for the gegenbauer family")
+    if args.n < 0:
+        raise ValueError(f"--n must be >= 0, got {args.n}")
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     p = _inequality_polynomial(args)
     if args.family == "gegenbauer":
         report = gegenbauer_inequality(p, args.n, args.lam, args.mu)

@@ -20,14 +20,13 @@ The paper's pencils ``build_pencil_F`` and ``build_pencil_G`` are one
 builder, ``_build_pencil``: Hermite is the A = 1, b = 2 case of the [-1, 1]
 formulas.  They stay as objects the tests check the odd pencil against;
 ``table2`` takes its nu_2 column from the 2x2 block of the odd pencil, whose
-one solve also gives M_3 and M_4.  Their raw entries as
-written are asymmetric in (i, j), but the moment recurrences make them
-exactly symmetric in real arithmetic, so the symmetrized pencil is solved as
-the symmetric-definite problem -P v = t Q v.  That is the oracle's
-Cholesky-reduced eigensolve (``oracle._top_eigenpairs``) on a stack of one,
-and its top root is refined in long double from entries rebuilt out of the
-weight parameters.  The moment pencils read ``special``'s moment tables, the
-package's one use of scipy; everything else here needs numpy only.
+one solve also gives M_3 and M_4.  The builder evaluates P in a form the
+moment recurrences make exactly symmetric, and Q is a Hankel matrix, so the
+pencil is solved as the symmetric-definite problem -P v = t Q v.  That is the
+oracle's Cholesky-reduced eigensolve (``oracle._top_eigenpairs``) on a stack
+of one, and its top root is refined in long double from entries rebuilt out
+of the pencil's weight.  The moment pencils read ``special``'s moment tables,
+the package's one use of scipy; everything else here needs numpy only.
 
 Each route computes its factor value at once and its extremal when it is
 first read.  A ``FactorResult`` holds a ``functools.partial`` over
@@ -49,7 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import OperatorSpec, Polynomial, WeightFamily, WeightSpec
+from .core import OperatorSpec, Polynomial, WeightSpec
 from .oracle import _basis_to_monomial, _stack_betas, _top_eigenpairs
 from .orthopoly import eigenvalue_sq, gegenbauer_poly, hermite_poly
 from .special import moment_table
@@ -66,21 +65,17 @@ class Branch(Enum):
 
 @dataclass(frozen=True)
 class Pencil:
-    """Symmetric pair (P, Q) for det(P + t Q) = 0, with the raw unsymmetrized entries kept.
+    """Symmetric pair (P, Q) for det(P + t Q) = 0, and the weight of a builder-made pencil.
 
-    Pencils coming from the moment builders also remember their weight
-    parameters, which lets the root solver re-derive the entries in long
-    double: at unfriendly parameters cond(Q) reaches 1e10..1e12 and the root
-    of the double-rounded entries can sit ~1e-5 away from the true root.
+    The weight lets the root solver re-derive the entries in long double: at
+    unfriendly parameters cond(Q) reaches 1e10..1e12 and the root of the
+    double-rounded entries can sit ~1e-5 away from the true root.  A
+    hand-built pencil has no weight and is solved from its entries as given.
     """
 
     p: np.ndarray
     q: np.ndarray
-    p_raw: np.ndarray
-    q_raw: np.ndarray
-    kind: str | None = None  # "hermite" or "gegenbauer" for builder-made pencils
-    lam: float = 0.0
-    mu: float = 0.0
+    weight: WeightSpec | None = None
 
     @property
     def size(self) -> int:
@@ -113,20 +108,23 @@ class _BuiltOnRead:
 
 @dataclass(frozen=True)
 class FactorResult:
-    """A factor M_n, its square, the branch that gave it, and an extremal polynomial.
+    """A squared factor M_n^2, the branch that gave it, and an extremal polynomial.
 
-    The factor routes pass the extremal as a ``functools.partial`` over a
-    module-level builder, so a result whose extremal is never read never
-    builds it.
+    M_n itself is the ``factor`` property.  The factor routes pass the
+    extremal as a ``functools.partial`` over a module-level builder, so a
+    result whose extremal is never read never builds it.
     """
 
-    factor: float
     factor_sq: float
     branch: Branch
     extremal: Polynomial = _BuiltOnRead()
     n: int
     weight: WeightSpec
     operator: OperatorSpec
+
+    @property
+    def factor(self) -> float:
+        return sqrt(self.factor_sq)
 
 
 def _build_pencil(weight: WeightSpec, m: int) -> Pencil:
@@ -137,23 +135,20 @@ def _build_pencil(weight: WeightSpec, m: int) -> Pencil:
     The moment recurrences collapse the P entry to -(2i+1)(2j+1) c_(2i+2j), times
     (mu + 1/2)/(i + j + lam + mu + 1) on [-1, 1].  That is the form evaluated: the
     textbook form subtracts two nearly equal products and would shed digits, while
-    the collapsed form is cancellation-free (and manifestly symmetric).  The raw
-    textbook entries are kept alongside for validation.
+    the collapsed form is cancellation-free (and manifestly symmetric).  The
+    textbook entries are the tests' reference (``tests/instruments.py``).
     """
     lam, mu, gegenbauer = weight.lam, weight.mu, weight.is_gegenbauer
     table = moment_table(weight, 4 * m + 6, normalized=True)
     c = [table.moment(2 * s) for s in range(2 * m + 3)]
     p = np.empty((m + 1, m + 1))
-    p_raw = np.empty((m + 1, m + 1))
     q = np.empty((m + 1, m + 1))
     for i in range(m + 1):
         for j in range(m + 1):
             entry = -(2 * i + 1) * (2 * j + 1) * c[i + j]
             p[i, j] = entry * (mu + 0.5) / (i + j + lam + mu + 1.0) if gegenbauer else entry
-            kappa = 2 * j + 2 * lam + 2 * mu + 1 if gegenbauer else 2
-            p_raw[i, j] = (2 * j + 1) * (2 * j + 2 * lam) * c[i + j] - (2 * j + 1) * kappa * c[i + j + 1]
             q[i, j] = c[i + j + 1]
-    return Pencil(p, (q + q.T) / 2.0, p_raw, q, kind=weight.family.value, lam=lam, mu=mu)
+    return Pencil(p, q, weight)
 
 
 def build_pencil_F(n_odd: int, lam: float) -> Pencil:
@@ -210,26 +205,27 @@ def _solve_lu(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _long_double_pencil(pencil: Pencil) -> tuple[np.ndarray, np.ndarray] | None:
-    """(-P, Q) rebuilt in long double from the weight parameters, when known.
+    """(-P, Q) rebuilt in long double from the pencil's weight, when it has one.
 
     Normalized even moments have pure product forms, d_(2s)/d_0 = prod (k+lam+1/2)
     and c_(2s)/c_0 = prod (k+lam+1/2)/(k+lam+mu+1), so no special functions and
     no cancellation are involved at any precision.
     """
-    if pencil.kind is None:
+    weight = pencil.weight
+    if weight is None:
         return None
     ld = np.longdouble
     size = pencil.size
-    lam, mu = ld(pencil.lam), ld(pencil.mu)
+    lam, mu = ld(weight.lam), ld(weight.mu)
     mom = np.ones(2 * size + 1, dtype=np.longdouble)
     for s in range(2 * size):
-        step = (s + lam + 0.5) / (s + lam + mu + 1.0) if pencil.kind == "gegenbauer" else s + lam + 0.5
+        step = (s + lam + 0.5) / (s + lam + mu + 1.0) if weight.is_gegenbauer else s + lam + 0.5
         mom[s + 1] = mom[s] * step
     a = np.empty((size, size), dtype=np.longdouble)
     b = np.empty((size, size), dtype=np.longdouble)
     for i in range(size):
         for j in range(size):
-            if pencil.kind == "gegenbauer":
+            if weight.is_gegenbauer:
                 diff = mom[i + j] * (mu + 0.5) / (i + j + lam + mu + 1.0)
             else:
                 diff = mom[i + j]
@@ -278,11 +274,11 @@ def _top_positive(pencil: Pencil) -> tuple[float, np.ndarray] | None:
     on a stack of one, with Q scaled to unit diagonal; the root is then refined
     in long double.  A Q that fails Cholesky raises ``ConditioningError`` naming
     the pencil as (family, ddx, lambda, mu, 2 size - 1); a hand-built pencil
-    without a kind is named under the Hermite family.
+    without a weight is named under the Hermite weight with lambda = 0.
     """
     scale = 1.0 / np.sqrt(np.diag(pencil.q))
     outer = scale[:, None] * scale
-    weight = WeightSpec(WeightFamily(pencil.kind or "hermite"), pencil.lam, pencil.mu)
+    weight = pencil.weight or WeightSpec.hermite(0.0)
     op = OperatorSpec.ddx(damped=weight.is_gegenbauer)
     vals, vecs = _top_eigenpairs((-pencil.p * outer)[None], (pencil.q * outer)[None],
                                  [weight], op, 2 * pencil.size - 1)
@@ -318,15 +314,15 @@ def factor_hermite_ddx(n: int, lam: float) -> FactorResult:
     if n % 2 == 0:
         fsq = 2.0 * n
         extremal = partial(hermite_poly, n, lam)
-        return FactorResult(sqrt(fsq), fsq, Branch.EVEN_CLOSED_FORM, extremal, n, weight, op)
+        return FactorResult(fsq, Branch.EVEN_CLOSED_FORM, extremal, n, weight, op)
     if n == 1:
         fsq = 2.0 / (2.0 * lam + 1.0)
-        return FactorResult(sqrt(fsq), fsq, Branch.ODD_PENCIL_ROOT, Polynomial((0.0, 1.0)), n, weight, op)
+        return FactorResult(fsq, Branch.ODD_PENCIL_ROOT, Polynomial((0.0, 1.0)), n, weight, op)
     top = _top_positive(build_pencil_F(n, lam))
     if top is None:
         raise RuntimeError("odd-degree pencil unexpectedly has no positive root")
     nu, vec = top
-    return FactorResult(sqrt(nu), nu, Branch.ODD_PENCIL_ROOT, _odd_polynomial(vec), n, weight, op)
+    return FactorResult(nu, Branch.ODD_PENCIL_ROOT, _odd_polynomial(vec), n, weight, op)
 
 
 def _odd_pencil_stack(m: int, lam: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -421,7 +417,7 @@ def _gegenbauer_ddx_stack(n: int, weights: Sequence[WeightSpec], odd: np.ndarray
         else:
             fsq, branch = closed, Branch.EVEN_CLOSED_FORM
             extremal = partial(gegenbauer_poly, even_degree, weight.lam, weight.mu)
-        results.append(FactorResult(sqrt(fsq), fsq, branch, extremal, n, weight, op))
+        results.append(FactorResult(fsq, branch, extremal, n, weight, op))
     return results
 
 
@@ -446,7 +442,7 @@ def _dunkl_factor(n: int, weight: WeightSpec) -> FactorResult:
     else:
         extremal = partial(hermite_poly, degree, lam)
     op = OperatorSpec.dunkl(damped=weight.is_gegenbauer)
-    return FactorResult(sqrt(fsq), fsq, Branch.DUNKL_CLOSED_FORM, extremal, n, weight, op)
+    return FactorResult(fsq, Branch.DUNKL_CLOSED_FORM, extremal, n, weight, op)
 
 
 def factor_hermite_dunkl(n: int, lam: float) -> FactorResult:

@@ -42,20 +42,23 @@ _P, _DP, _D2P, _PP, _SIGMA = range(5)  # rows of _form_rows
 
 @dataclass(frozen=True)
 class InequalityReport:
+    """Both sides of the inequality and the terms they are built from; the gap and the verdict derive from them."""
+
     lhs: float
     rhs: float
-    gap: float
     terms: dict[str, float]
-    equality: bool
+
+    @property
+    def gap(self) -> float:
+        return self.rhs - self.lhs
 
     @property
     def scale(self) -> float:
         return abs(self.lhs) + abs(self.rhs)
 
-
-def _report(lhs: float, rhs: float, terms: dict[str, float]) -> InequalityReport:
-    gap = rhs - lhs
-    return InequalityReport(lhs, rhs, gap, terms, abs(gap) <= EQUALITY_REL_TOL * (abs(lhs) + abs(rhs)))
+    @property
+    def equality(self) -> bool:
+        return abs(self.gap) <= EQUALITY_REL_TOL * self.scale
 
 
 def _form_rows(p: Polynomial, lam: float) -> np.ndarray:
@@ -108,7 +111,7 @@ def _inequality(p: Polynomial, n: int, family: WeightFamily, lam: float, mu: flo
         + 2 * lam**3 * b * terms[sigma_name] \
         + 4 * lam**2 * b * terms["sigma_derivative_inner"] \
         + lam_n2**2 * terms["norm_sq"] + terms[laplacian_name]
-    return _report(lhs, rhs, terms)
+    return InequalityReport(lhs, rhs, terms)
 
 
 def gegenbauer_inequality(p: Polynomial, n: int, lam: float, mu: float) -> InequalityReport:

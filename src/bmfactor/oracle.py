@@ -3,7 +3,7 @@
 ``rayleigh_factor`` assembles the symmetric-definite eigenproblem of the
 Rayleigh quotient in a basis that is orthonormal by construction: the
 weight's three-term recurrence coefficients are known in closed form
-(``recurrence_betas``, computed directly for every index), a Gauss rule of
+(``_stack_betas``, computed directly for every index), a Gauss rule of
 matching accuracy comes from the Jacobi matrix, and the stiffness entries are
 exact quadrature sums.  The generalized eigenvalues do not depend on the
 basis, and the identity-Gram formulation keeps them accurate at degrees where
@@ -16,19 +16,20 @@ The assembly works on a stack of weights that share the family, the operator
 and the degree: recurrence coefficients, Gauss nodes, Christoffel weights,
 basis rows, stiffness and Gram matrices are all arrays over the stack, and one
 Cholesky-reduced ``numpy.linalg.eigh`` solves the whole stack.
-``rayleigh_factor``, ``gauss_rule`` and ``recurrence_betas`` are the stack of
-one, so the scalar API and ``bmfactor verify`` (one stack per family, operator
-and degree of its grid) share a single code path.  That path has two steps:
-``_rayleigh_values`` solves for the factors and refuses what the full path
-refuses (non-finite or indefinite matrices, a zeroth moment that is not a
-normal double), and ``_unit_extremals`` normalizes the eigenvectors and
-writes them in monomials.  ``_rayleigh_stack`` runs both; ``bmfactor verify``
-and ``factor --check``, which print no oracle extremal, run the first only.
-The stacked entry points stay private, so the public names keep their scalar
-signatures and perfbench's per-function tracing charges their time to the
-caller.  Only numpy is needed here: the zeroth moment m0 that scales the
-Gauss weights and the extremal's unit norm comes from ``math.lgamma``
-(``_mass``), which refuses an m0 that overflows or underflows a double.
+``rayleigh_factor`` is the stack of one, so the scalar API and ``bmfactor
+verify`` (one stack per family, operator and degree of its grid) share a
+single code path.  That path has two steps: ``_rayleigh_values`` solves for
+the factors and refuses what the full path refuses (non-finite or indefinite
+matrices, a zeroth moment that is not a normal double), and
+``_unit_extremals`` normalizes the eigenvectors and writes them in monomials.
+``rayleigh_factor`` runs both, behind its degree guard rail; ``bmfactor
+verify`` and ``factor --check``, which print no oracle extremal, run the
+first only.  The stacked entry points stay private, so the public names keep
+their scalar signatures and perfbench's per-function tracing charges their
+time to the caller.  Only numpy is needed here: the zeroth moment m0 that
+scales the Gauss weights and the extremal's unit norm comes from
+``math.lgamma`` (``_mass``), which refuses an m0 that overflows or underflows
+a double.
 
 ``factors`` shares three pieces of this module: the closed-form
 ``_stack_betas``, from which it builds the tridiagonal odd-branch pencil of
@@ -189,7 +190,15 @@ def _stack_parameters(weights: Sequence[WeightSpec]) -> tuple[bool, np.ndarray, 
 
 
 def _stack_betas(count: int, gegenbauer: bool, lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """``recurrence_betas`` for every weight of a stack, shape (count + 1, B)."""
+    """Coefficients of x p_k = p_(k+1) + beta_k p_(k-1) for every even weight of a stack, shape (count + 1, B).
+
+    beta_0 := 1.  Closed forms (Chihara, 1978).  On R: beta_(2j) = j and
+    beta_(2j+1) = j + lam + 1/2.  On [-1, 1], with a = mu - 1/2 and
+    b = lam - 1/2: beta_(2j) = j (j + a) / ((2j + a + b) (2j + a + b + 1)) and
+    beta_(2j+1) = (j + b + 1) (j + a + b + 1) / ((2j + a + b + 1) (2j + a + b + 2)).
+    beta_1 = (lam + 1/2) / (lam + mu + 1) is the latter at j = 0 with the
+    common factor a + b + 1 = lam + mu cancelled, so lam + mu = 0 forms no 0/0.
+    """
     beta = np.ones((count + 1, len(lam)))
     even = np.arange(1, count // 2 + 1, dtype=float)[:, None]  # j of beta_(2j)
     odd = np.arange(1, (count + 1) // 2, dtype=float)[:, None]  # j of beta_(2j+1), j >= 1
@@ -210,51 +219,38 @@ def _stack_betas(count: int, gegenbauer: bool, lam: np.ndarray, mu: np.ndarray) 
     return beta
 
 
-def recurrence_betas(count: int, weight: WeightSpec) -> np.ndarray:
-    """Coefficients of x p_k = p_(k+1) + beta_k p_(k-1) for the even weight, beta_0 := 1.
-
-    Closed forms (Chihara, 1978).  On R: beta_(2j) = j and
-    beta_(2j+1) = j + lam + 1/2.  On [-1, 1], with a = mu - 1/2 and
-    b = lam - 1/2: beta_(2j) = j (j + a) / ((2j + a + b) (2j + a + b + 1)) and
-    beta_(2j+1) = (j + b + 1) (j + a + b + 1) / ((2j + a + b + 1) (2j + a + b + 2)).
-    beta_1 = (lam + 1/2) / (lam + mu + 1) is the latter at j = 0 with the
-    common factor a + b + 1 = lam + mu cancelled, so lam + mu = 0 forms no 0/0.
-    """
-    return _stack_betas(count, *_stack_parameters([weight]))[:, 0]
-
-
 def _gauss_basis(
     npoints: int, gegenbauer: bool, lam: np.ndarray, mu: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Gauss nodes and weights for a stack of weights, with the orthonormal basis values behind them.
 
-    The nodes are the eigenvalues of the Jacobi matrix (Golub-Welsch).  For an
-    even weight its diagonal is zero, so listing the even indices first turns
-    it into [[0, C], [C^T, 0]] with C^T upper bidiagonal (diagonal sqrt(beta_1),
+    The node count N is even, so the origin is never a node.  The nodes are
+    the eigenvalues of the Jacobi matrix (Golub-Welsch).  For an even weight
+    its diagonal is zero, so listing the even indices first turns it into
+    [[0, C], [C^T, 0]] with C^T upper bidiagonal (diagonal sqrt(beta_1),
     sqrt(beta_3), ..., superdiagonal sqrt(beta_2), sqrt(beta_4), ...), and the
-    nodes are plus and minus the singular values of C, with 0 added when N is
-    odd (Golub & Kahan, 1965).  The weights come from the Christoffel
-    function, w_i = 1 / sum_(k<N) q_k(x_i)^2, rather than from squared
-    eigenvector components, which lose relative accuracy at the outer nodes.
+    nodes are plus and minus the singular values of C (Golub & Kahan, 1965).
+    The weights come from the Christoffel function, w_i = 1 / sum_(k<N)
+    q_k(x_i)^2, rather than from squared eigenvector components, which lose
+    relative accuracy at the outer nodes.
     Returns the nodes (B, N), the weights (B, N; total mass 1), the rows
     q_0 .. q_(N-1) evaluated at the nodes (N, B, N), and sqrt(beta), shape
     (N + 1, B, 1).
     """
     sqrt_beta = np.sqrt(_stack_betas(npoints, gegenbauer, lam, mu))
     half = npoints // 2
-    ct = np.zeros((len(lam), half, npoints - half))
-    i, j = np.arange(half), np.arange(npoints - half - 1)
+    ct = np.zeros((len(lam), half, half))
+    i = np.arange(half)
     ct[:, i, i] = sqrt_beta[1:npoints:2].T
-    ct[:, j, j + 1] = sqrt_beta[2:npoints:2].T
+    ct[:, i[:-1], i[1:]] = sqrt_beta[2:npoints:2].T
     sigma = np.linalg.svd(ct, compute_uv=False)
-    x = np.concatenate((-sigma, np.zeros((len(lam), npoints % 2)), sigma[:, ::-1]), axis=1)
+    x = np.concatenate((-sigma, sigma[:, ::-1]), axis=1)
     rb = sqrt_beta[:, :, None]
     xa, c, _ = _steps(x, rb, npoints)
     q = np.zeros((npoints, len(lam), npoints))
     rows = list(q)
     rows[0][...] = 1.0
-    if npoints >= 2:
-        rows[1][...] = xa[0]
+    rows[1][...] = xa[0]
     for k in range(1, npoints - 1):
         np.subtract(xa[k] * rows[k], c[k] * rows[k - 1], out=rows[k + 1])
     return x, 1.0 / (q * q).sum(axis=0), q, rb
@@ -268,12 +264,6 @@ def _steps(x: np.ndarray, rb: np.ndarray, count: int) -> tuple[list, list, np.nd
     """
     inv = 1.0 / rb[1:count]
     return list(x * inv), list(rb[: count - 1] * inv), inv
-
-
-def gauss_rule(npoints: int, weight: WeightSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss nodes and Christoffel weights for W; total mass normalized to 1."""
-    x, w, _, _ = _gauss_basis(npoints, *_stack_parameters([weight]))
-    return x[0], w[0]
 
 
 def _basis_derivatives(q: np.ndarray, x: np.ndarray, rb: np.ndarray) -> np.ndarray:
@@ -351,10 +341,7 @@ def _stiffness_stack(
     ``_gauss_basis`` gives it, and S and G (B, n + 1, n + 1).
     """
     gegenbauer, lam, mu = _stack_parameters(weights)
-    npoints = n + 4
-    if npoints % 2:
-        npoints += 1  # even count keeps the origin out of the node set
-    x, w, basis, rb = _gauss_basis(npoints, gegenbauer, lam, mu)
+    x, w, basis, rb = _gauss_basis(n + 4 + n % 2, gegenbauer, lam, mu)  # an even count keeps 0 out of the nodes
     q = basis[: n + 1]
     d = _basis_derivatives(q, x, rb)
     if op.is_dunkl:
@@ -369,24 +356,16 @@ def _stiffness_stack(
     return w, q, rb, s, g
 
 
-def _rayleigh_values(
-    n: int,
-    weights: Sequence[WeightSpec],
-    op: OperatorSpec,
-    max_degree: int | None = None,
-) -> tuple[np.ndarray, tuple]:
+def _rayleigh_values(n: int, weights: Sequence[WeightSpec], op: OperatorSpec) -> tuple[np.ndarray, tuple]:
     """Largest Rayleigh quotients over P_n for a stack of weights of one family, shape (B,).
 
-    Every refusal of ``_rayleigh_stack`` is raised here, the zeroth moment's
-    included.  The second item holds the eigenvectors with the basis they are
-    in, which ``_unit_extremals`` turns into the maximizers.  Each item's
-    result does not depend on the rest of its stack.
+    Every refusal of the oracle is raised here, the zeroth moment's included.
+    The second item holds the eigenvectors with the basis they are in, which
+    ``_unit_extremals`` turns into the maximizers.  Each item's result does
+    not depend on the rest of its stack.
     """
-    cap = DEFAULT_DEGREE_CAP if max_degree is None else max_degree
     if n < 1:
         raise ValueError("degree must be >= 1")
-    if n > cap:
-        raise ValueError(f"degree {n} above cap {cap}; pass max_degree explicitly to override")
     w, q, rb, s, g = _stiffness_stack(n, weights, op)
     theta, v = _top_eigenpairs(s, g, weights, op, n)
     m0 = np.array([_mass(wt) for wt in weights])
@@ -408,22 +387,6 @@ def _unit_extremals(
     return ((v / norm[:, None])[:, None, :] @ t)[:, 0]
 
 
-def _rayleigh_stack(
-    n: int,
-    weights: Sequence[WeightSpec],
-    op: OperatorSpec,
-    max_degree: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Largest Rayleigh quotients over P_n for a stack of weights of one family.
-
-    Returns the factors, shape (B,), and the monomial coefficients of their
-    maximizers with unit W-norm, shape (B, n + 1).  Each item's result does
-    not depend on the rest of its stack.
-    """
-    values, solved = _rayleigh_values(n, weights, op, max_degree)
-    return values, _unit_extremals(*solved)
-
-
 def rayleigh_factor(
     n: int,
     weight: WeightSpec,
@@ -435,5 +398,8 @@ def rayleigh_factor(
     ``max_degree`` (default 14) is a guard rail, not a numerical cliff: pass a
     larger value explicitly to study higher degrees.
     """
-    values, coeffs = _rayleigh_stack(n, [weight], op, max_degree)
-    return float(values[0]), Polynomial(coeffs[0])
+    cap = DEFAULT_DEGREE_CAP if max_degree is None else max_degree
+    if n > cap:
+        raise ValueError(f"degree {n} above cap {cap}; pass max_degree explicitly to override")
+    values, solved = _rayleigh_values(n, [weight], op)
+    return float(values[0]), Polynomial(_unit_extremals(*solved)[0])

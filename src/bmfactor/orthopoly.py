@@ -12,6 +12,8 @@ residuals of the defining equations are views over one row kernel,
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import Polynomial, WeightFamily
@@ -31,7 +33,9 @@ def eigenvalue_sq(family: WeightFamily, n: int, lam: float, mu: float = 0.0) -> 
 def _eigenpoly(family: WeightFamily, n: int, lam: float, mu: float = 0.0) -> Polynomial:
     """Monic degree-n eigenpolynomial: a_k = g_(k+2) g_(k+1) a_(k+2) / d_k with D x^j = g_j x^(j-1).
 
-    d_k is 2 (k - n) on R and (k - n)(k + n + 2 lam + 2 mu) on [-1, 1].
+    d_k is 2 (k - n) on R and (k - n)(k + n + 2 lam + 2 mu) on [-1, 1].  A
+    coefficient that is not finite raises ``OverflowError`` rather than
+    reaching an output.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
@@ -42,6 +46,9 @@ def _eigenpoly(family: WeightFamily, n: int, lam: float, mu: float = 0.0) -> Pol
         den = (k - n) * (k + n + 2 * lam + 2 * mu) if gegenbauer else 2.0 * (k - n)
         num = (k + 2) * (k + 2 * lam + 1) if k % 2 == 0 else (k + 1) * (k + 2 * lam + 2)
         a[k] = num * a[k + 2] / den
+    if not all(map(math.isfinite, a)):
+        raise OverflowError(f"degree-{n} {family.value} eigenpolynomial has coefficients beyond a double "
+                            f"(lambda={lam}" + (f", mu={mu})" if gegenbauer else ")"))
     return Polynomial(a)
 
 

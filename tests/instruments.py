@@ -12,7 +12,8 @@
   Hermite recurrences against their Jacobi and Laguerre forms.
 - ``pencil_F_reference`` and ``pencil_G_reference``: the paper's moment
   pencils F and G entry by entry, one loop per family, as the reference for
-  the shared builder behind ``build_pencil_F`` and ``build_pencil_G``.
+  the shared builder behind ``build_pencil_F`` and ``build_pencil_G``, with
+  the textbook (raw) P entries that the builder no longer forms.
 """
 
 from __future__ import annotations
@@ -83,8 +84,11 @@ def gram_matrices(n: int, weight: WeightSpec, op: OperatorSpec) -> tuple[np.ndar
     return g, s
 
 
-def pencil_F_reference(n_odd: int, lam: float) -> Pencil:
-    """F for |x|^(2 lam) exp(-x^2): P_ij = -(2i+1)(2j+1) d_(2i+2j), raw (2j+1)(2j+2 lam) d_(2i+2j) - (4j+2) d_(2i+2j+2)."""
+def pencil_F_reference(n_odd: int, lam: float) -> tuple[Pencil, np.ndarray]:
+    """F for |x|^(2 lam) exp(-x^2): P_ij = -(2i+1)(2j+1) d_(2i+2j), raw (2j+1)(2j+2 lam) d_(2i+2j) - (4j+2) d_(2i+2j+2).
+
+    Returns the pencil and the raw P.
+    """
     m = (n_odd - 1) // 2
     table = moment_table(WeightSpec.hermite(lam), 4 * m + 6, normalized=True)
     d = [table.moment(2 * s) for s in range(2 * m + 3)]
@@ -96,11 +100,14 @@ def pencil_F_reference(n_odd: int, lam: float) -> Pencil:
             p[i, j] = -(2 * i + 1) * (2 * j + 1) * d[i + j]
             p_raw[i, j] = (2 * j + 1) * (2 * j + 2 * lam) * d[i + j] - (4 * j + 2) * d[i + j + 1]
             q[i, j] = d[i + j + 1]
-    return Pencil(p, (q + q.T) / 2.0, p_raw, q, kind="hermite", lam=lam)
+    return Pencil(p, q, WeightSpec.hermite(lam)), p_raw
 
 
-def pencil_G_reference(n: int, lam: float, mu: float) -> Pencil:
-    """G for the [-1, 1] weight: P_ij = -(2i+1)(2j+1) c_(2i+2j) (mu + 1/2)/(i + j + lam + mu + 1), of size n/2 or (n+1)/2."""
+def pencil_G_reference(n: int, lam: float, mu: float) -> tuple[Pencil, np.ndarray]:
+    """G for the [-1, 1] weight: P_ij = -(2i+1)(2j+1) c_(2i+2j) (mu + 1/2)/(i + j + lam + mu + 1), of size n/2 or (n+1)/2.
+
+    Returns the pencil and the raw P, (2j+1)(2j+2 lam) c_(2i+2j) - (2j+1)(2j+2 lam+2 mu+1) c_(2i+2j+2).
+    """
     m = (n - 2) // 2 if n % 2 == 0 else (n - 1) // 2
     table = moment_table(WeightSpec.gegenbauer(lam, mu), 4 * m + 6, normalized=True)
     c = [table.moment(2 * s) for s in range(2 * m + 3)]
@@ -114,7 +121,7 @@ def pencil_G_reference(n: int, lam: float, mu: float) -> Pencil:
             p_raw[i, j] = (2 * j + 1) * (2 * j + 2 * lam) * c[i + j] \
                 - (2 * j + 1) * (2 * j + 2 * lam + 2 * mu + 1) * c[i + j + 1]
             q[i, j] = c[i + j + 1]
-    return Pencil(p, (q + q.T) / 2.0, p_raw, q, kind="gegenbauer", lam=lam, mu=mu)
+    return Pencil(p, q, WeightSpec.gegenbauer(lam, mu)), p_raw
 
 
 def residual_classical_L(p: Polynomial, weight: WeightSpec, m_sq: float) -> tuple[Polynomial, float]:

@@ -75,11 +75,14 @@ def test_domain_errors_exit_2(capsys):
     ("factor", "--check", "--weight", "hermite", "--op", "dunkl", "--lambda", "200", "--n", "3"),
     ("inequality", "--family", "hermite", "--lambda", "200", "--n", "3", "--at-extremal"),
     ("verify", "--lambdas", "200", "--mus", "0.5", "--n-max", "2"),
-), ids=("factor", "inequality", "verify"))
+    ("factor", "--weight", "hermite", "--op", "ddx", "--lambda", "1e300", "--n", "4", "--format", "json"),
+    ("extremal", "--weight", "hermite", "--op", "dunkl", "--lambda", "1e200", "--n", "6"),
+), ids=("factor", "inequality", "verify", "factor-extremal", "extremal"))
 def test_overflow_exits_3(capsys, argv):
-    # The zeroth Hermite moment Gamma(lam + 1/2) overflows a double near lam = 171
-    code, _, err = run(capsys, *argv)
-    assert code == EXIT_NUMERICAL
+    # The zeroth Hermite moment Gamma(lam + 1/2) overflows a double near lam = 171; at lam = 1e300 and
+    # 1e200 the eigenpolynomial's coefficients overflow, which once printed Infinity with exit 0
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_NUMERICAL, "")
     assert err.startswith("numerical failure:")
 
 
@@ -436,3 +439,18 @@ def test_inequality_refuses_bad_coeffs(capsys, coeffs):
                          "--n", "3", "--coeffs", coeffs)
     assert (code, out) == (EXIT_DOMAIN, "")
     assert err.startswith("error:") and "--coeffs" in err
+
+
+@pytest.mark.parametrize("options", (("--n", "3", "--seed", "-1"), ("--n", "-2"), ("--n", "-1")),
+                         ids=("seed", "n-2", "n-1"))
+def test_inequality_refuses_negative_integer_options(capsys, options):
+    # numpy once refused these with messages that did not name the option
+    code, out, err = run(capsys, "inequality", "--family", "hermite", "--lambda", "1", *options)
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err.startswith("error:") and options[-2] in err
+
+
+def test_inequality_accepts_degree_zero(capsys):
+    code, out, _ = run(capsys, "inequality", "--family", "hermite", "--lambda", "1", "--n", "0",
+                       "--seed", "2", "--format", "json")
+    assert code == EXIT_OK and json.loads(out)["equality"] is True

@@ -12,15 +12,15 @@ from bmfactor.core import OperatorSpec, Polynomial, WeightSpec
 from bmfactor.dunkl import dunkl_apply, sigma
 from bmfactor.oracle import (
     ConditioningError,
+    _gauss_basis,
     _mass,
-    _rayleigh_stack,
+    _rayleigh_values,
     _stack_betas,
     _stack_parameters,
     _top_eigenpairs,
-    gauss_rule,
+    _unit_extremals,
     rayleigh_factor,
     rayleigh_quotient,
-    recurrence_betas,
     weighted_inner,
 )
 from bmfactor.special import gegenbauer_moment, hermite_moment, moment_table
@@ -65,11 +65,16 @@ def test_gram_checkerboard_sparsity():
 
 def test_gauss_rule_reproduces_moments():
     for weight in (WeightSpec.hermite(1.7), WeightSpec.gegenbauer(0.4, -0.4)):
-        x, w = gauss_rule(10, weight)
+        x, w, _, _ = _gauss_basis(10, *_stack_parameters([weight]))
+        x, w = x[0], w[0]
         table = moment_table(weight, 12, normalized=True)
         for k in range(0, 10, 2):
             assert float(w @ x**k) == pytest.approx(table.moment(k), rel=1e-12, abs=1e-14)
         assert float(w @ x**3) == pytest.approx(0.0, abs=1e-13)
+
+
+def _betas(count, weight):
+    return _stack_betas(count, *_stack_parameters([weight]))[:, 0]
 
 
 def _spliced_betas(count, weight):
@@ -117,7 +122,7 @@ def test_closed_form_betas_match_the_exact_splice(weight):
     reference = [float(b) for b in _spliced_betas(80, weight)]
     with np.errstate(all="raise"):
         for count in (0, 1, 2, 3, 4, 5, 80):
-            got = recurrence_betas(count, weight)
+            got = _betas(count, weight)
             assert got.shape == (count + 1,)
             assert got == pytest.approx(reference[: count + 1], rel=1e-14, abs=0)
 
@@ -127,7 +132,7 @@ def test_stacked_betas_equal_their_stacks_of_one():
         for count in (0, 1, 2, 7, 80):
             stack = _stack_betas(count, *_stack_parameters(family))
             for i, weight in enumerate(family):
-                assert stack[:, i].tobytes() == recurrence_betas(count, weight).tobytes()
+                assert stack[:, i].tobytes() == _betas(count, weight).tobytes()
 
 
 def test_rayleigh_factor_classical_values():
@@ -221,7 +226,8 @@ def _stack_cases():
 def test_stacked_oracle_equals_its_batches_of_one(family, op, weights, n):
     damped = family == "gegenbauer"
     operator = OperatorSpec.dunkl(damped) if op == "dunkl" else OperatorSpec.ddx(damped)
-    values, coeffs = _rayleigh_stack(n, weights, operator, max_degree=n)
+    values, solved = _rayleigh_values(n, weights, operator)
+    coeffs = _unit_extremals(*solved)
     assert values.shape == (len(weights),) and coeffs.shape == (len(weights), n + 1)
     for weight, value, row in zip(weights, values, coeffs):
         one, extremal = rayleigh_factor(n, weight, operator, max_degree=n)
@@ -232,7 +238,7 @@ def test_stacked_oracle_equals_its_batches_of_one(family, op, weights, n):
 def test_stacked_oracle_rejects_mixed_families():
     weights = [WeightSpec.hermite(1.0), WeightSpec.gegenbauer(1.0, 0.5)]
     with pytest.raises(ValueError):
-        _rayleigh_stack(3, weights, OperatorSpec.dunkl())
+        _rayleigh_values(3, weights, OperatorSpec.dunkl())
 
 
 def test_stacked_solve_names_the_indefinite_item():

@@ -1,10 +1,13 @@
 """The package's public names: the runtime and the paper's objects, and nothing the tests alone use."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
 import bmfactor
+import bmfactor.oracle
 
 PUBLIC = [
     "Branch", "ConditioningError", "FactorResult", "InequalityReport", "OperatorKind", "OperatorSpec",
@@ -45,3 +48,22 @@ def test_only_factors_imports_special():
                        if any(isinstance(node, ast.ImportFrom) and node.module == "special"
                               for node in ast.walk(ast.parse(path.read_text()))))
     assert importers == ["factors"]
+
+
+def test_result_types_store_each_value_once():
+    # factor = sqrt(factor_sq), gap = rhs - lhs and the equality verdict are derived, not stored;
+    # the pencil keeps its weight instead of a family name and loose parameters, and no raw entries
+    stored = {cls: [f.name for f in dataclasses.fields(cls)]
+              for cls in (bmfactor.FactorResult, bmfactor.InequalityReport, bmfactor.Pencil)}
+    assert stored == {
+        bmfactor.FactorResult: ["factor_sq", "branch", "extremal", "n", "weight", "operator"],
+        bmfactor.InequalityReport: ["lhs", "rhs", "terms"],
+        bmfactor.Pencil: ["p", "q", "weight"],
+    }
+
+
+def test_oracle_has_one_scalar_entry():
+    # the stack-of-one wrappers are gone; only rayleigh_factor carries the degree guard rail
+    assert [name for name in ("gauss_rule", "recurrence_betas", "_rayleigh_stack")
+            if hasattr(bmfactor.oracle, name)] == []
+    assert list(inspect.signature(bmfactor.oracle._rayleigh_values).parameters) == ["n", "weights", "op"]
