@@ -26,8 +26,16 @@ from .factors import (
     factor_hermite_dunkl,
 )
 from .inequality import gegenbauer_inequality, hermite_inequality
-from .oracle import ConditioningError, _rayleigh_values
-from .orthopoly import _residual_rows, gegenbauer_poly, hermite_poly
+from .oracle import (
+    ConditioningError,
+    _mass,
+    _node_count,
+    _rayleigh_values,
+    _stack_basis,
+    _stiffness,
+    _top_eigenpairs,
+)
+from .orthopoly import _eigen_rows, _residual_rows, gegenbauer_poly, hermite_poly
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -71,7 +79,7 @@ def _sig(x: float, digits: int) -> float:
 def _fmt(x, digits: int) -> str:
     if x is None:
         return "x"
-    return f"{x:.{digits}g}"
+    return f"{x + 0.0:.{digits}g}"  # normalizes -0.0, as _sig does
 
 
 def _poly_str(p: Polynomial, digits: int) -> str:
@@ -223,11 +231,18 @@ def cmd_table2(args: argparse.Namespace) -> int:
 
 
 def _verify_rows(lambdas, mus, n_values) -> list[FactorResult]:
-    """Factor results of the grid in row order; the Gegenbauer d/dx rows are solved as one stack per n."""
+    """Factor results of the grid in row order.
+
+    The Gegenbauer d/dx rows are solved as one stack per m = (n - 1) // 2:
+    degrees 2m + 1 and 2m + 2 share the odd pencil.
+    """
     lambdas, mus = sorted(set(lambdas)), sorted(set(mus))
     pairs = [(lam, mu) for lam in lambdas if lam > 0 for mu in mus]
-    gegenbauer_ddx = {n: dict(zip(pairs, _gegenbauer_ddx_stack(n, *_odd_branch_stack(n, pairs))))
-                      for n in n_values} if pairs else {}
+    gegenbauer_ddx, odd_branch = {}, {}
+    for n in n_values if pairs else ():
+        if (n - 1) // 2 not in odd_branch:
+            odd_branch[(n - 1) // 2] = _odd_branch_stack(n, pairs)
+        gegenbauer_ddx[n] = dict(zip(pairs, _gegenbauer_ddx_stack(n, *odd_branch[(n - 1) // 2])))
     rows = []
     for lam in lambdas:
         for n in n_values:
@@ -242,14 +257,42 @@ def _verify_rows(lambdas, mus, n_values) -> list[FactorResult]:
 
 
 def _verify_oracle(results: list[FactorResult]) -> list[float]:
-    """Oracle values of ``results``, one stacked solve per (family, operator, n) group."""
+    """Oracle values of ``results``: one eigensolve per (family, operator, n) group, as ``_rayleigh_values`` runs it.
+
+    The groups of one family and Gauss node count (degrees n and n + 1 for
+    odd n, both operators) share one basis over the union of their weights,
+    built for the larger degree, and each group takes its items from it.
+    Stack items do not mix, so every value has the bits of the scalar oracle,
+    and each refusal is raised where the scalar oracle raises it first: a
+    group's eigensolve, then the zeroth moments of its weights not yet checked.
+    """
     groups: dict[tuple, list[int]] = {}
     for i, result in enumerate(results):
         groups.setdefault((result.weight.family, result.operator, result.n), []).append(i)
+    # per (family, node count): the top degree, and each weight's position in the shared basis
+    top: dict[tuple, int] = {}
+    position: dict[tuple, dict] = {}
+    for (family, _op, n), members in groups.items():
+        key = (family, _node_count(n))
+        top[key] = max(top.get(key, n), n)
+        stack = position.setdefault(key, {})
+        for i in members:
+            stack.setdefault(results[i].weight, len(stack))
+    bases = {}
+    checked = set()
     values = [0.0] * len(results)
-    for (_family, op, n), members in groups.items():
-        stack, _ = _rayleigh_values(n, [results[i].weight for i in members], op)
-        for i, value in zip(members, stack):
+    for (family, op, n), members in groups.items():
+        key = (family, _node_count(n))
+        if key not in bases:
+            bases[key] = _stack_basis(top[key], list(position[key]))
+        weights = [results[i].weight for i in members]
+        basis = bases[key].take([position[key][w] for w in weights])
+        theta, _ = _top_eigenpairs(*_stiffness(n, basis, op), weights, op, n)
+        for weight in weights:
+            if weight not in checked:
+                _mass(weight)
+                checked.add(weight)
+        for i, value in zip(members, np.sqrt(theta)):
             values[i] = float(value)
     return values
 
@@ -262,18 +305,33 @@ def _point(result: FactorResult) -> str:
 def _residual_violations(lambdas, mus, n_values) -> list[str]:
     """Eigenpolynomials whose ODE residual is not small, in (lambda, n, hermite then mu) order.
 
-    Per (lambda, n) the Gegenbauer polynomials of every mu are one coefficient array.
+    Per (family, n) the eigenpolynomials of every lambda (and mu) come from
+    one recurrence on arrays; per (lambda, n) the Gegenbauer ones of every mu
+    are one residual.  A coefficient beyond a double is refused as
+    ``hermite_poly`` and ``gegenbauer_poly`` refuse it, at the first
+    polynomial in sweep order.
     """
+    lams, mu = np.array(lambdas), np.array(mus)
+    with np.errstate(over="ignore", invalid="ignore"):
+        hermite = {n: _eigen_rows(WeightFamily.GENERALIZED_HERMITE, n, lams) for n in n_values}
+        gegenbauer = {n: _eigen_rows(WeightFamily.GENERALIZED_GEGENBAUER, n, lams[:, None], mu)
+                      for n in n_values}
+    if not all(np.isfinite(rows).all() for rows in (*hermite.values(), *gegenbauer.values())):
+        # the same bits as the scalar builds, so one of them refuses
+        for lam in lambdas:
+            for n in n_values:
+                hermite_poly(n, lam)
+                for m in mus:
+                    gegenbauer_poly(n, lam, m)
     violations = []
-    mu = np.array(mus)
-    for lam in lambdas:
+    for i, lam in enumerate(lambdas):
         for n in n_values:
-            h = np.array(hermite_poly(n, lam).coeffs)
+            h = hermite[n][i]
             scale = max(np.abs(h).max() * max(2 * (n + 2 * lam), 1.0), 1.0)
             residual = _residual_rows(h, n, WeightFamily.GENERALIZED_HERMITE, lam)
             if np.abs(residual).max() > RESIDUAL_REL_TOL * scale:
                 violations.append(f"hermite residual at lambda={lam} n={n}")
-            g = np.array([gegenbauer_poly(n, lam, m).coeffs for m in mus])
+            g = gegenbauer[n][i]
             lam_n2 = np.maximum(np.abs(n * (n + 2 * lam + 2 * mu)) + 4 * np.abs(lam * mu), 1.0)
             residual = np.abs(_residual_rows(g, n, WeightFamily.GENERALIZED_GEGENBAUER, lam, mu)).max(axis=1)
             bad = residual > RESIDUAL_REL_TOL * np.abs(g).max(axis=1) * lam_n2

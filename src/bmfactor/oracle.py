@@ -12,24 +12,29 @@ singular.  The route uses neither the closed-form factor theorems nor the
 determinant pencils.  (The monomial Gram route, exact but Hankel-conditioned,
 is a test instrument in ``tests/instruments.py``.)
 
-The assembly works on a stack of weights that share the family, the operator
-and the degree: recurrence coefficients, Gauss nodes, Christoffel weights,
-basis rows, stiffness and Gram matrices are all arrays over the stack, and one
-Cholesky-reduced ``numpy.linalg.eigh`` solves the whole stack.
-``rayleigh_factor`` is the stack of one, so the scalar API and ``bmfactor
-verify`` (one stack per family, operator and degree of its grid) share a
-single code path.  That path has two steps: ``_rayleigh_values`` solves for
-the factors and refuses what the full path refuses (non-finite or indefinite
-matrices, a zeroth moment that is not a normal double), and
-``_unit_extremals`` normalizes the eigenvectors and writes them in monomials.
-``rayleigh_factor`` runs both, behind its degree guard rail; ``bmfactor
-verify`` and ``factor --check``, which print no oracle extremal, run the
-first only.  The stacked entry points stay private, so the public names keep
-their scalar signatures and perfbench's per-function tracing charges their
-time to the caller.  Only numpy is needed here: the zeroth moment m0 that
-scales the Gauss weights and the extremal's unit norm comes from
-``math.lgamma`` (``_mass``), which refuses an m0 that overflows or underflows
-a double.
+The assembly works on a stack of weights of one family in two steps.
+``_stack_basis`` builds the Gauss basis of the stack for degrees up to n:
+recurrence coefficients, Gauss nodes, Christoffel weights, basis rows and
+their derivatives, all arrays over the stack.  ``_stiffness`` assembles the
+stiffness and Gram matrices of one operator and degree from it, and one
+Cholesky-reduced ``numpy.linalg.eigh`` (``_top_eigenpairs``) solves the whole
+stack.  A basis row does not depend on the rows above it and stack items do
+not mix, so a basis built for a larger degree on the same nodes, or on more
+weights, gives the same bits.  ``_rayleigh_values`` composes the steps for one
+operator and degree and also refuses what the full path refuses (non-finite
+or indefinite matrices, a zeroth moment that is not a normal double);
+``_unit_extremals`` normalizes its eigenvectors and writes them in monomials.
+``rayleigh_factor`` is the stack of one and runs both, behind its degree
+guard rail; ``factor --check``, which prints no oracle extremal, runs the
+first only.  ``bmfactor verify`` runs the two steps itself: one basis per
+family and node count of its grid, shared by both operators and by degrees
+n and n + 1 for odd n, and one eigensolve per (family, operator, degree), so
+its values are the scalar oracle's to the bit.  The stacked entry points
+stay private, so the public names keep their scalar signatures and
+perfbench's per-function tracing charges their time to the caller.  Only
+numpy is needed here: the zeroth moment m0 that scales the Gauss weights and
+the extremal's unit norm comes from ``math.lgamma`` (``_mass``), which
+refuses an m0 that overflows or underflows a double.
 
 ``factors`` shares three pieces of this module: the closed-form
 ``_stack_betas``, from which it builds the tridiagonal odd-branch pencil of
@@ -55,7 +60,7 @@ from __future__ import annotations
 import math
 import sys
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -331,59 +336,91 @@ def _top_eigenpairs(
     return vals[:, -1], (inv_t @ vecs[:, :, -1:])[:, :, 0]
 
 
-def _stiffness_stack(
-    n: int, weights: Sequence[WeightSpec], op: OperatorSpec
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Stiffness and Gram matrices of a stack of weights over the basis q_0 .. q_n of P_n.
+def _node_count(n: int) -> int:
+    """Gauss node count of the oracle at degree n; degrees n and n + 1 share it for odd n.
 
-    The basis is orthonormal for each weight.  Returns the Gauss weights
-    (B, N), the basis rows at the nodes (B, n + 1, N), sqrt(beta) as
-    ``_gauss_basis`` gives it, and S and G (B, n + 1, n + 1).
+    The count is even, so the origin is never a node.
     """
+    return n + 4 + n % 2
+
+
+class _Basis(NamedTuple):
+    """The Gauss rule of a stack of weights of one family and the orthonormal basis on its nodes.
+
+    ``lam`` (B,), the nodes ``x`` and Gauss weights ``w`` (B, N), the basis
+    rows q_0 .. q_n at the nodes ``q`` and their derivatives ``d``
+    (n + 1, B, N), and sqrt(beta) ``rb`` as ``_gauss_basis`` gives it.
+    """
+
+    gegenbauer: bool
+    lam: np.ndarray
+    x: np.ndarray
+    w: np.ndarray
+    q: np.ndarray
+    d: np.ndarray
+    rb: np.ndarray
+
+    def take(self, index: Sequence[int]) -> _Basis:
+        """The basis of the stack items at ``index``, in that order."""
+        return _Basis(self.gegenbauer, self.lam[index], self.x[index], self.w[index],
+                      self.q[:, index], self.d[:, index], self.rb[:, index])
+
+
+def _stack_basis(n: int, weights: Sequence[WeightSpec]) -> _Basis:
+    """The basis of a stack of weights for degrees up to n, on ``_node_count(n)`` nodes."""
     gegenbauer, lam, mu = _stack_parameters(weights)
-    x, w, basis, rb = _gauss_basis(n + 4 + n % 2, gegenbauer, lam, mu)  # an even count keeps 0 out of the nodes
+    x, w, basis, rb = _gauss_basis(_node_count(n), gegenbauer, lam, mu)
     q = basis[: n + 1]
-    d = _basis_derivatives(q, x, rb)
+    return _Basis(gegenbauer, lam, x, w, q, _basis_derivatives(q, x, rb), rb)
+
+
+def _stiffness(n: int, basis: _Basis, op: OperatorSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Stiffness and Gram matrices of ``op`` over q_0 .. q_n, shape (B, n + 1, n + 1).
+
+    The basis may be built for a larger degree on the same nodes: a basis
+    row and its derivative do not depend on the rows above them, so the
+    leading rows carry the same bits.
+    """
+    x, w = basis.x, basis.w
+    q, d = basis.q[: n + 1], basis.d[: n + 1]
     if op.is_dunkl:
-        # sigma(q_k) = 2 q_k / x for odd k and 0 for even k, by parity of the basis
-        d[1::2] += (2.0 * lam)[:, None] * q[1::2] / x
-    wa = w * (1.0 - x * x) if (gegenbauer and op.damped) else w
+        # sigma(q_k) = 2 q_k / x for odd k and 0 for even k, by parity of the basis;
+        # added to a copy, so the basis serves d/dx as well
+        d = d.copy()
+        d[1::2] += (2.0 * basis.lam)[:, None] * q[1::2] / x
+    wa = w * (1.0 - x * x) if (basis.gegenbauer and op.damped) else w
 
     # Per stack item: S = D diag(w A) D^T and G = Q diag(w) Q^T.
     d, q = d.transpose(1, 0, 2), q.transpose(1, 0, 2)
-    s = (d * wa[:, None, :]) @ d.swapaxes(1, 2)
-    g = (q * w[:, None, :]) @ q.swapaxes(1, 2)
-    return w, q, rb, s, g
+    return (d * wa[:, None, :]) @ d.swapaxes(1, 2), (q * w[:, None, :]) @ q.swapaxes(1, 2)
 
 
 def _rayleigh_values(n: int, weights: Sequence[WeightSpec], op: OperatorSpec) -> tuple[np.ndarray, tuple]:
     """Largest Rayleigh quotients over P_n for a stack of weights of one family, shape (B,).
 
     Every refusal of the oracle is raised here, the zeroth moment's included.
-    The second item holds the eigenvectors with the basis they are in, which
+    The second item holds the basis and the eigenvectors in it, which
     ``_unit_extremals`` turns into the maximizers.  Each item's result does
     not depend on the rest of its stack.
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
-    w, q, rb, s, g = _stiffness_stack(n, weights, op)
-    theta, v = _top_eigenpairs(s, g, weights, op, n)
+    basis = _stack_basis(n, weights)
+    theta, v = _top_eigenpairs(*_stiffness(n, basis, op), weights, op, n)
     m0 = np.array([_mass(wt) for wt in weights])
-    return np.sqrt(theta), (n, w, q, rb, v, m0)
+    return np.sqrt(theta), (basis, v, m0)
 
 
-def _unit_extremals(
-    n: int, w: np.ndarray, q: np.ndarray, rb: np.ndarray, v: np.ndarray, m0: np.ndarray
-) -> np.ndarray:
+def _unit_extremals(basis: _Basis, v: np.ndarray, m0: np.ndarray) -> np.ndarray:
     """Monomial coefficients of the maximizers of ``_rayleigh_values`` with unit W-norm, shape (B, n + 1).
 
     The norm comes from the Gauss rule, which is exact on P_(2n) and carries
     mass 1, times the zeroth moment.  The monomial moments would have to
     cancel a Hankel condition of ~10^(2n) and can even give a negative square.
     """
-    p = (v[:, None, :] @ q)[:, 0]
-    norm = np.sqrt(m0 * (w * p * p).sum(axis=1))
-    t = _basis_to_monomial(n, rb).transpose(1, 0, 2)
+    p = (v[:, None, :] @ basis.q.transpose(1, 0, 2))[:, 0]
+    norm = np.sqrt(m0 * (basis.w * p * p).sum(axis=1))
+    t = _basis_to_monomial(len(basis.q) - 1, basis.rb).transpose(1, 0, 2)
     return ((v / norm[:, None])[:, None, :] @ t)[:, 0]
 
 

@@ -4,10 +4,12 @@ Both families solve (1 - a x^2) D^2 p - b x D p + lambda_n^2 p = 0 with D the
 Dunkl operator: Hermite is the case a = 0 (so A(x) = 1 - a x^2 = 1) and b = 2,
 Gegenbauer the case a = 1 and b = 2 mu + 1.  Normalization is monic throughout
 (the defining equations fix the polynomials only up to a constant).  One
-coefficient recurrence, ``_eigenpoly``, serves both families; it is filled in
-reverse from the leading coefficient, which makes it self-starting.  Both
-residuals of the defining equations are views over one row kernel,
-``_residual_rows``.
+coefficient recurrence, ``_eigen_coeffs``, serves both families; it is filled
+in reverse from the leading coefficient, which makes it self-starting.  It
+runs on floats for ``hermite_poly`` and ``gegenbauer_poly`` and on arrays of
+lambda and mu for ``_eigen_rows``, which gives ``bmfactor verify`` the
+eigenpolynomials of a whole grid degree by degree.  Both residuals of the
+defining equations are views over one row kernel, ``_residual_rows``.
 """
 
 from __future__ import annotations
@@ -30,12 +32,13 @@ def eigenvalue_sq(family: WeightFamily, n: int, lam: float, mu: float = 0.0) -> 
     return 2.0 * (n + lam * odd)
 
 
-def _eigenpoly(family: WeightFamily, n: int, lam: float, mu: float = 0.0) -> Polynomial:
-    """Monic degree-n eigenpolynomial: a_k = g_(k+2) g_(k+1) a_(k+2) / d_k with D x^j = g_j x^(j-1).
+def _eigen_coeffs(family: WeightFamily, n: int, lam, mu=0.0) -> list:
+    """a_0 .. a_n of the monic degree-n eigenpolynomial: a_k = g_(k+2) g_(k+1) a_(k+2) / d_k with D x^j = g_j x^(j-1).
 
-    d_k is 2 (k - n) on R and (k - n)(k + n + 2 lam + 2 mu) on [-1, 1].  A
-    coefficient that is not finite raises ``OverflowError`` rather than
-    reaching an output.
+    d_k is 2 (k - n) on R and (k - n)(k + n + 2 lam + 2 mu) on [-1, 1].  lam
+    and mu are floats, or arrays over which a_k of the parity of n are arrays
+    (the other a_k stay 0.0); each element takes the operations of its float
+    call, so it carries the same bits.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
@@ -46,10 +49,31 @@ def _eigenpoly(family: WeightFamily, n: int, lam: float, mu: float = 0.0) -> Pol
         den = (k - n) * (k + n + 2 * lam + 2 * mu) if gegenbauer else 2.0 * (k - n)
         num = (k + 2) * (k + 2 * lam + 1) if k % 2 == 0 else (k + 1) * (k + 2 * lam + 2)
         a[k] = num * a[k + 2] / den
+    return a
+
+
+def _eigenpoly(family: WeightFamily, n: int, lam: float, mu: float = 0.0) -> Polynomial:
+    """Monic degree-n eigenpolynomial (``_eigen_coeffs``).
+
+    A coefficient that is not finite raises ``OverflowError`` rather than
+    reaching an output.
+    """
+    a = _eigen_coeffs(family, n, lam, mu)
     if not all(map(math.isfinite, a)):
+        gegenbauer = family is WeightFamily.GENERALIZED_GEGENBAUER
         raise OverflowError(f"degree-{n} {family.value} eigenpolynomial has coefficients beyond a double "
                             f"(lambda={lam}" + (f", mu={mu})" if gegenbauer else ")"))
     return Polynomial(a)
+
+
+def _eigen_rows(family: WeightFamily, n: int, lam: np.ndarray, mu: np.ndarray | float = 0.0) -> np.ndarray:
+    """Coefficient rows of the eigenpolynomials of arrays lam and mu, shape (*broadcast shape, n + 1).
+
+    One ``_eigen_coeffs`` recurrence on the arrays; entries that are not
+    finite are left to the caller.
+    """
+    shape = np.broadcast(lam, mu).shape
+    return np.stack([np.broadcast_to(a, shape) for a in _eigen_coeffs(family, n, lam, mu)], axis=-1)
 
 
 def hermite_poly(n: int, lam: float) -> Polynomial:

@@ -13,7 +13,7 @@ import pytest
 
 import bmfactor
 from bmfactor.cli import EXIT_DOMAIN, EXIT_MISMATCH, EXIT_NUMERICAL, EXIT_OK, VERIFY_CSV_COLUMNS, main
-from bmfactor.core import OperatorSpec, Polynomial, WeightSpec
+from bmfactor.core import OperatorSpec, WeightFamily, WeightSpec
 from bmfactor.oracle import rayleigh_factor
 
 CERTIFIED_REFERENCE = Path(__file__).resolve().with_name("certified_reference.json")
@@ -119,21 +119,52 @@ def test_verify_small_grid_passes(capsys):
 ))
 def test_verify_reports_a_bad_eigenpolynomial(capsys, monkeypatch, source, target, message):
     # The residual sweep must flag one perturbed eigenpolynomial, and only it:
-    # a constant added to p leaves lambda_n^2 times it in the residual.
+    # a constant added to p leaves lambda_n^2 times it in the residual.  The
+    # sweep reads each degree's eigenpolynomials as coefficient rows over the grid.
     import bmfactor.cli
+    import bmfactor.orthopoly
 
-    exact = getattr(bmfactor.cli, source)
+    exact = getattr(bmfactor.orthopoly, source)
+    rows_of = bmfactor.cli._eigen_rows
+    family = WeightFamily.GENERALIZED_GEGENBAUER if source == "gegenbauer_poly" else WeightFamily.GENERALIZED_HERMITE
 
-    def perturbed(*args):
-        p = exact(*args)
-        return p + Polynomial((1e-4 * p.max_abs_coeff,)) if args == target else p
+    def perturbed(fam, n, *params):
+        rows = rows_of(fam, n, *params)
+        if fam is family and n == target[0]:
+            at = np.all([np.broadcast_to(p, rows.shape[:-1]) == t for p, t in zip(params, target[1:])], axis=0)
+            rows[at, 0] += 1e-4 * exact(*target).max_abs_coeff
+        return rows
 
-    monkeypatch.setattr(bmfactor.cli, source, perturbed)
+    monkeypatch.setattr(bmfactor.cli, "_eigen_rows", perturbed)
     code, out, _ = run(capsys, "verify", "--lambdas", "0.5", "1", "--mus", "0.5", "3",
                        "--n-max", "4")
     assert code == EXIT_MISMATCH
     assert [line for line in out.splitlines() if line.startswith("VIOLATION:")] == [f"VIOLATION: {message}"]
     assert "result: FAIL" in out
+
+
+def test_verify_refuses_an_eigenpolynomial_beyond_a_double_in_sweep_order(capsys, monkeypatch):
+    # verify --lambdas 0 --mus 1 --n-max 334 reaches a degree-332 Hermite polynomial beyond a
+    # double; here two coefficients are made infinite, and the refusal names the one that comes
+    # first in (lambda, n, hermite then mu) order, as the scalar builds named it
+    import bmfactor.orthopoly
+
+    exact = bmfactor.orthopoly._eigen_coeffs
+
+    def overflowing(family, n, lam, mu=0.0):
+        a = exact(family, n, lam, mu)
+        if family is WeightFamily.GENERALIZED_HERMITE:
+            hit = (np.asarray(lam) == 1.0) & (n == 2)
+        else:
+            hit = (np.asarray(lam) == 0.5) & (np.asarray(mu) == 3.0) & (n == 4)
+        a[0] = np.where(hit, np.inf, a[0])
+        return a
+
+    monkeypatch.setattr(bmfactor.orthopoly, "_eigen_coeffs", overflowing)
+    code, out, err = run(capsys, "verify", "--lambdas", "0.5", "1", "--mus", "0.5", "3", "--n-max", "4")
+    assert (code, out) == (EXIT_NUMERICAL, "")
+    assert err == ("numerical failure: degree-4 gegenbauer eigenpolynomial has coefficients beyond a double "
+                   "(lambda=0.5, mu=3.0)\n")
 
 
 @pytest.mark.parametrize(("option", "value"), (
@@ -345,6 +376,49 @@ def test_table2_solves_its_odd_pencil_once(capsys, monkeypatch):
     code, out, _ = run(capsys, "table2", "--format", "json")
     assert code == EXIT_MISMATCH and json.loads(out)["flagged_cells"] == 36
     assert shapes == [(16, 2, 2)]
+
+
+def test_verify_builds_each_shared_piece_once(capsys, monkeypatch):
+    # The default grid's oracle builds one Gauss basis per (family, node count),
+    # 2 x 5, and checks the zeroth moment of each of its 49 weights once; its
+    # Gegenbauer d/dx rows solve one odd pencil per m = (n - 1) // 2 over the 36
+    # (lambda > 0, mu) pairs.  The Hermite d/dx moment pencils are stacks of one.
+    import bmfactor.factors
+    import bmfactor.oracle
+
+    calls = {"_gauss_basis": 0, "_mass": 0}
+    odd_pencils = []
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    for name in calls:
+        exact = getattr(bmfactor.oracle, name)
+        for module in (bmfactor.oracle, bmfactor.cli):
+            if getattr(module, name, None) is exact:
+                monkeypatch.setattr(module, name, counting(name, exact))
+    solve = bmfactor.factors._top_eigenpairs
+
+    def recorded(s, g, *args):
+        if len(s) > 1:
+            odd_pencils.append(s.shape)
+        return solve(s, g, *args)
+
+    monkeypatch.setattr(bmfactor.factors, "_top_eigenpairs", recorded)
+    code, out, _ = run(capsys, "verify", "--format", "json")
+    assert code == EXIT_OK and json.loads(out)["rows"] == 910
+    assert calls == {"_gauss_basis": 10, "_mass": 49}
+    assert odd_pencils == [(36, m + 1, m + 1) for m in range(5)]
+
+
+def test_plain_inequality_prints_no_negative_zero(capsys):
+    # lhs = (2 n - 2) * 0.0 is -0.0 at n = 0; JSON and CSV printed 0.0, plain printed -0
+    code, out, _ = run(capsys, "inequality", "--family", "hermite", "--lambda", "1", "--n", "0", "--seed", "1")
+    assert code == EXIT_OK
+    assert "lhs = 0\n" in out and "-0" not in out
 
 
 def test_table2_csv_shape(capsys):

@@ -458,9 +458,18 @@ def _eager_extremal(result, odd_extremals):
     return poly(n - n % 2, w.lam, w.mu)
 
 
+def _scalar_factor(result):
+    w, n = result.weight, result.n
+    if w.is_gegenbauer:
+        return (factor_gegenbauer_dunkl if result.operator.is_dunkl else factor_gegenbauer_ddx)(n, w.lam, w.mu)
+    return (factor_hermite_dunkl if result.operator.is_dunkl else factor_hermite_ddx)(n, w.lam)
+
+
 def test_default_grid_extremals_equal_their_eager_builds():
     # each row builds its own extremal on read; it must equal, bit for bit, the
-    # polynomial the routes built up front, stack-wide conversions included
+    # polynomial the routes built up front, stack-wide conversions included, and
+    # the whole row must equal its scalar factor call (degrees 2m + 1 and 2m + 2
+    # of the Gegenbauer d/dx rows share one odd-pencil solve)
     n_values = range(1, 11)
     rows = _verify_rows(DEFAULT_VERIFY_LAMBDAS, DEFAULT_VERIFY_MUS, n_values)
     pairs = [(lam, mu) for lam in DEFAULT_VERIFY_LAMBDAS if lam > 0 for mu in DEFAULT_VERIFY_MUS]
@@ -469,6 +478,7 @@ def test_default_grid_extremals_equal_their_eager_builds():
     assert {r.branch for r in rows} == set(Branch) - {Branch.MAX_OF_BOTH}
     for r in rows:
         assert r.extremal == _eager_extremal(r, odd_extremals), (r.weight, r.operator, r.n)
+        assert r == _scalar_factor(r), (r.weight, r.operator, r.n)
 
 
 def test_results_differing_only_in_their_extremal_compare_unequal():

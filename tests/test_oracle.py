@@ -14,9 +14,12 @@ from bmfactor.oracle import (
     ConditioningError,
     _gauss_basis,
     _mass,
+    _node_count,
     _rayleigh_values,
+    _stack_basis,
     _stack_betas,
     _stack_parameters,
+    _stiffness,
     _top_eigenpairs,
     _unit_extremals,
     rayleigh_factor,
@@ -233,6 +236,23 @@ def test_stacked_oracle_equals_its_batches_of_one(family, op, weights, n):
         one, extremal = rayleigh_factor(n, weight, operator, max_degree=n)
         assert one == value  # bit for bit, not approximately
         assert extremal == Polynomial(row)
+
+
+@pytest.mark.parametrize("n", (1, 3, 9, 19))
+@pytest.mark.parametrize(("family", "op", "weights"), [pytest.param(*c, id=f"{c[0]}-{c[1]}")
+                                                       for c in _stack_cases()])
+def test_a_shared_basis_gives_each_degree_and_subset_its_own_bits(family, op, weights, n):
+    # verify builds one basis per family and node count: for degree n + 1 (same node count at odd n),
+    # over a reversed superset of the weights, serving both operators; S and G for degree n on the
+    # subset must be those of the subset's own basis, bit for bit, the Dunkl term included
+    damped = family == "gegenbauer"
+    union = [WeightSpec.gegenbauer(3.0, 7.0) if damped else WeightSpec.hermite(3.0), *weights][::-1]
+    assert _node_count(n + 1) == _node_count(n)
+    shared = _stack_basis(n + 1, union).take([union.index(w) for w in weights])
+    for operator in (OperatorSpec.dunkl(damped), OperatorSpec.ddx(damped)):
+        own = _stack_basis(n, weights)
+        for got, want in zip(_stiffness(n, shared, operator), _stiffness(n, own, operator)):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_stacked_oracle_rejects_mixed_families():

@@ -7,6 +7,7 @@ import pytest
 from bmfactor.core import Polynomial, WeightFamily, WeightSpec
 from bmfactor.dunkl import dunkl_apply
 from bmfactor.orthopoly import (
+    _eigen_rows,
     _residual_rows,
     eigenvalue_sq,
     gegenbauer_poly,
@@ -28,6 +29,20 @@ MUS = (-0.4, 0.0, 0.5, 1.0, 3.0, 4.0)
 
 # ---------------------------------------------------------------------------
 # construction
+
+
+def test_eigen_rows_equal_the_scalar_builds_bit_for_bit():
+    # verify's residual sweep runs the recurrence once per family and degree on arrays
+    lam = np.array((0.0,) + LAMBDAS + (100.0,))
+    mu = np.array(MUS + (99.0,))
+    for n in range(0, 16):
+        hermite = _eigen_rows(WeightFamily.GENERALIZED_HERMITE, n, lam)
+        gegenbauer = _eigen_rows(WeightFamily.GENERALIZED_GEGENBAUER, n, lam[:, None], mu)
+        assert hermite.shape == (len(lam), n + 1) and gegenbauer.shape == (len(lam), len(mu), n + 1)
+        for i, lam_i in enumerate(lam.tolist()):
+            assert hermite[i].tobytes() == np.array(hermite_poly(n, lam_i).coeffs).tobytes()
+            for j, mu_j in enumerate(mu.tolist()):
+                assert gegenbauer[i, j].tobytes() == np.array(gegenbauer_poly(n, lam_i, mu_j).coeffs).tobytes()
 
 
 def test_hermite_poly_low_degrees():
