@@ -24,10 +24,12 @@ weights, gives the same bits.  ``_rayleigh_values`` composes the steps for one
 operator and degree and also refuses what the full path refuses (non-finite
 or indefinite matrices, a zeroth moment that is not a normal double);
 ``_unit_extremals`` normalizes its eigenvectors and writes them in monomials.
-``rayleigh_factor`` is the stack of one and runs both, behind its degree
-guard rail; ``factor --check``, which prints no oracle extremal, runs the
-first only.  ``bmfactor verify`` runs the two steps itself: one basis per
-family and node count of its grid, shared by both operators and by degrees
+``rayleigh_factor`` is the stack of one behind its degree guard rail.  It
+returns the pair (value, maximizer): the value step runs at the call, and
+``_unit_extremals`` runs on the first read of the maximizer, so callers
+that read only the value (``factor --check`` among them) never write the
+maximizer in monomials.  ``bmfactor verify`` runs the two steps itself: one
+basis per family and node count of its grid, shared by both operators and by degrees
 n and n + 1 for odd n, and one eigensolve per (family, operator, degree), so
 its values are the scalar oracle's to the bit.  The stacked entry points
 stay private, so the public names keep their scalar signatures and
@@ -59,6 +61,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import abc
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -399,29 +402,56 @@ def _rayleigh_values(n: int, weights: Sequence[WeightSpec], op: OperatorSpec) ->
     """Largest Rayleigh quotients over P_n for a stack of weights of one family, shape (B,).
 
     Every refusal of the oracle is raised here, the zeroth moment's included.
-    The second item holds the basis and the eigenvectors in it, which
-    ``_unit_extremals`` turns into the maximizers.  Each item's result does
-    not depend on the rest of its stack.
+    The second item holds what ``_unit_extremals`` reads to turn the
+    eigenvectors into the maximizers: the basis rows, the Gauss weights,
+    sqrt(beta), the eigenvectors and the zeroth moments.  Each item's result
+    does not depend on the rest of its stack.
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
     basis = _stack_basis(n, weights)
     theta, v = _top_eigenpairs(*_stiffness(n, basis, op), weights, op, n)
     m0 = np.array([_mass(wt) for wt in weights])
-    return np.sqrt(theta), (basis, v, m0)
+    return np.sqrt(theta), (basis.q, basis.w, basis.rb, v, m0)
 
 
-def _unit_extremals(basis: _Basis, v: np.ndarray, m0: np.ndarray) -> np.ndarray:
+def _unit_extremals(q: np.ndarray, w: np.ndarray, rb: np.ndarray, v: np.ndarray, m0: np.ndarray) -> np.ndarray:
     """Monomial coefficients of the maximizers of ``_rayleigh_values`` with unit W-norm, shape (B, n + 1).
 
     The norm comes from the Gauss rule, which is exact on P_(2n) and carries
     mass 1, times the zeroth moment.  The monomial moments would have to
     cancel a Hankel condition of ~10^(2n) and can even give a negative square.
     """
-    p = (v[:, None, :] @ basis.q.transpose(1, 0, 2))[:, 0]
-    norm = np.sqrt(m0 * (basis.w * p * p).sum(axis=1))
-    t = _basis_to_monomial(len(basis.q) - 1, basis.rb).transpose(1, 0, 2)
+    p = (v[:, None, :] @ q.transpose(1, 0, 2))[:, 0]
+    norm = np.sqrt(m0 * (w * p * p).sum(axis=1))
+    t = _basis_to_monomial(len(q) - 1, rb).transpose(1, 0, 2)
     return ((v / norm[:, None])[:, None, :] @ t)[:, 0]
+
+
+class _RayleighPair(abc.Sequence):
+    """``(value, maximizer)`` of ``rayleigh_factor``; the maximizer is built when first read.
+
+    Until then the pair holds the stack of one that ``_unit_extremals``
+    reads, and the read caches the ``Polynomial`` and drops those arrays.
+    """
+
+    __slots__ = ("_value", "_solved", "_maximizer")
+
+    def __init__(self, value: float, solved: tuple):
+        self._value, self._solved, self._maximizer = value, solved, None
+
+    def __len__(self) -> int:
+        return 2
+
+    def __getitem__(self, index: int) -> float | Polynomial:
+        if index in (0, -2):
+            return self._value
+        if index not in (1, -1):
+            raise IndexError(f"rayleigh_factor result index {index} out of range (value, maximizer)")
+        if self._maximizer is None:
+            self._maximizer = Polynomial(_unit_extremals(*self._solved)[0])
+            self._solved = None
+        return self._maximizer
 
 
 def rayleigh_factor(
@@ -429,8 +459,14 @@ def rayleigh_factor(
     weight: WeightSpec,
     op: OperatorSpec,
     max_degree: int | None = None,
-) -> tuple[float, Polynomial]:
-    """Largest Rayleigh quotient over P_n and its maximizer, unit W-norm.
+) -> _RayleighPair:
+    """Largest Rayleigh quotient over P_n and its maximizer, unit W-norm, as the pair (value, maximizer).
+
+    The value is computed at the call, and every refusal (the degree cap, a
+    ``ConditioningError``, a zeroth moment that is not a normal double) is
+    raised there.  The maximizer is normalized and written in monomials when
+    it is first read (``[1]`` or unpacking), then cached, so ``[0]`` alone
+    costs only the eigensolve.
 
     ``max_degree`` (default 14) is a guard rail, not a numerical cliff: pass a
     larger value explicitly to study higher degrees.
@@ -439,4 +475,4 @@ def rayleigh_factor(
     if n > cap:
         raise ValueError(f"degree {n} above cap {cap}; pass max_degree explicitly to override")
     values, solved = _rayleigh_values(n, [weight], op)
-    return float(values[0]), Polynomial(_unit_extremals(*solved)[0])
+    return _RayleighPair(float(values[0]), solved)

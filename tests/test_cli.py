@@ -167,6 +167,29 @@ def test_verify_refuses_an_eigenpolynomial_beyond_a_double_in_sweep_order(capsys
                    "(lambda=0.5, mu=3.0)\n")
 
 
+def test_verify_refuses_an_overflowing_eigenpolynomial_before_the_oracle_grid(capsys, monkeypatch):
+    # the residual sweep runs before the oracle grid, so its refusal needs no Gauss basis
+    import bmfactor.oracle
+    import bmfactor.orthopoly
+
+    exact = bmfactor.orthopoly._eigen_coeffs
+
+    def overflowing(family, n, lam, mu=0.0):
+        a = exact(family, n, lam, mu)
+        a[0] = np.where((np.asarray(lam) == 1.0) & (n == 2), np.inf, a[0])
+        return a
+
+    def refuse(*args):
+        raise AssertionError("the oracle grid ran")
+
+    monkeypatch.setattr(bmfactor.orthopoly, "_eigen_coeffs", overflowing)
+    monkeypatch.setattr(bmfactor.cli, "_stack_basis", refuse)
+    code, out, err = run(capsys, "verify", "--lambdas", "0.5", "1", "--mus", "0.5", "3", "--n-max", "4")
+    assert (code, out) == (EXIT_NUMERICAL, "")
+    assert err == ("numerical failure: degree-2 hermite eigenpolynomial has coefficients beyond a double "
+                   "(lambda=1.0)\n")
+
+
 @pytest.mark.parametrize(("option", "value"), (
     ("--tolerance", "nan"), ("--tolerance", "inf"), ("--tolerance", "-1"), ("--tolerance", "0"),
     ("--n-max", "0"), ("--n-max", "-3"),
@@ -211,6 +234,23 @@ def test_verify_csv_columns(capsys):
     assert len(rows) == 1 + 3 * 4
     branches = {r[6] for r in rows[1:]}
     assert "dunkl_closed_form" in branches
+
+
+@pytest.mark.parametrize(("weight", "op", "n"), (
+    (WeightSpec.gegenbauer(4.5, 3.0), OperatorSpec.ddx(damped=True), 9),
+    (WeightSpec.gegenbauer(2.0, -0.4), OperatorSpec.dunkl(damped=True), 20),
+    (WeightSpec.hermite(0.25), OperatorSpec.ddx(), 3),
+    (WeightSpec.hermite(1.0), OperatorSpec.dunkl(), 40),
+))
+def test_factor_check_prints_the_public_oracle_value(capsys, weight, op, n):
+    # factor --check reads the value of rayleigh_factor at the result's own degree, bit for bit
+    argv = ["factor", "--check", "--weight", weight.family.value, "--op", op.kind.value,
+            "--lambda", repr(weight.lam), "--n", str(n), "--format", "json", "--digits", "17"]
+    if weight.is_gegenbauer:
+        argv += ["--mu", repr(weight.mu)]
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert json.loads(out)["oracle_factor"] == rayleigh_factor(n, weight, op, max_degree=n)[0]
 
 
 def test_verify_oracle_column_equals_scalar_oracle(capsys):

@@ -295,6 +295,57 @@ def test_rayleigh_factor_degree_cap():
     assert v == pytest.approx(math.sqrt(32.0), rel=1e-9)  # even n, lam <= 1/2
 
 
+@pytest.fixture
+def no_maximizer(monkeypatch):
+    """Makes writing a maximizer in monomials fail, so a test sees which reads build one."""
+    import bmfactor.oracle
+
+    def refuse(*args):
+        raise AssertionError("a maximizer was written in monomials")
+
+    monkeypatch.setattr(bmfactor.oracle, "_basis_to_monomial", refuse)
+
+
+def test_rayleigh_factor_value_builds_no_maximizer(no_maximizer):
+    weight, op = WeightSpec.gegenbauer(4.5, 3.0), OperatorSpec.ddx(damped=True)
+    values, _ = _rayleigh_values(20, [weight], op)
+    result = rayleigh_factor(20, weight, op, max_degree=20)
+    assert result[0] == result[-2] == values[0] and type(result[0]) is float
+    assert len(result) == 2
+    with pytest.raises(IndexError):
+        result[2]
+    with pytest.raises(AssertionError, match="maximizer"):
+        result[1]
+
+
+def test_rayleigh_factor_refuses_at_the_call(no_maximizer, monkeypatch):
+    # every refusal comes from the call itself, never from a later read of the maximizer
+    import bmfactor.oracle
+
+    with pytest.raises(ValueError, match="above cap 14"):
+        rayleigh_factor(15, WeightSpec.hermite(0.5), OperatorSpec.ddx())
+    with pytest.raises(OverflowError, match="zeroth moment"):
+        rayleigh_factor(3, WeightSpec.hermite(200.0), OperatorSpec.dunkl())
+    stiffness = bmfactor.oracle._stiffness
+
+    def nan_gram(n, basis, op):
+        s, g = stiffness(n, basis, op)
+        g[:, 0, 0] = math.nan
+        return s, g
+
+    monkeypatch.setattr(bmfactor.oracle, "_stiffness", nan_gram)
+    with pytest.raises(ConditioningError, match="non-finite"):
+        rayleigh_factor(3, WeightSpec.hermite(1.0), OperatorSpec.ddx())
+
+
+def test_rayleigh_factor_builds_its_maximizer_once():
+    weight, op = WeightSpec.hermite(1.0), OperatorSpec.dunkl()
+    result = rayleigh_factor(9, weight, op)
+    value, p = result
+    assert result[1] is p and result[-1] is p and list(result) == [value, p]
+    assert rayleigh_quotient(p, weight, op) == pytest.approx(value * value, rel=1e-10)
+
+
 def test_rayleigh_quotient_examples():
     x = Polynomial((0.0, 1.0))
     for lam in (0.2, 1.0, 4.5):
