@@ -32,7 +32,7 @@ from .oracle import (
     _node_count,
     _stack_basis,
     _stiffness,
-    _top_eigenpairs,
+    _top_values,
     rayleigh_factor,
 )
 from .orthopoly import _eigen_rows, _residual_rows, gegenbauer_poly, hermite_poly
@@ -177,8 +177,8 @@ def cmd_table2(args: argparse.Namespace) -> int:
     # nu_2 is the odd-branch maximum at n = 3, the largest root of the paper's pencil G,
     # here the top eigenvalue of the 2x2 block of the tridiagonal odd pencil; M_3 and M_4
     # take their odd branch from the same solve
-    weights, nu2s, vecs = _odd_branch_stack(3, [(lam, mu) for lam, mu, *_ in TABLE2_REFERENCE])
-    m3s, m4s = (_gegenbauer_ddx_stack(n, weights, nu2s, vecs) for n in (3, 4))
+    weights, nu2s = _odd_branch_stack(3, [(lam, mu) for lam, mu, *_ in TABLE2_REFERENCE])
+    m3s, m4s = (_gegenbauer_ddx_stack(n, weights, nu2s) for n in (3, 4))
     columns = zip(nu2s, m3s, m4s)
     rows = []
     flagged = 0
@@ -256,7 +256,7 @@ def _verify_rows(lambdas, mus, n_values) -> list[FactorResult]:
 
 
 def _verify_oracle(results: list[FactorResult]) -> list[float]:
-    """Oracle values of ``results``: one eigensolve per (family, operator, n) group, as ``_rayleigh_values`` runs it.
+    """Oracle values of ``results``: one value solve per (family, operator, n) group, as ``_rayleigh_values`` runs it.
 
     The groups of one family and Gauss node count (degrees n and n + 1 for
     odd n, both operators) share one basis over the union of their weights,
@@ -286,7 +286,8 @@ def _verify_oracle(results: list[FactorResult]) -> list[float]:
             bases[key] = _stack_basis(top[key], list(position[key]))
         weights = [results[i].weight for i in members]
         basis = bases[key].take([position[key][w] for w in weights])
-        theta, _ = _top_eigenpairs(*_stiffness(n, basis, op), weights, op, n)
+        # each weight's value is the larger of its even and odd parity blocks
+        theta = _top_values(*_stiffness(n, basis, op), weights, op, n).reshape(-1, 2).max(axis=1)
         for weight in weights:
             if weight not in checked:
                 _mass(weight)

@@ -9,12 +9,12 @@ reference.  The odd branch of the Gegenbauer weight under sqrt(1-x^2) d/dx
 is the top eigenvalue of a tridiagonal pencil on the basis x q_0, x q_2, ...
 (``_odd_pencil_stack``), whose entries are closed forms in the recurrence
 coefficients of W and of W (1 - x^2); it is solved for a stack of (lam, mu)
-pairs at once, and ``factor_gegenbauer_ddx`` is its stack of one.  That
-route shares only ``_stack_betas``, ``_basis_to_monomial`` and the
-eigensolve with the oracle, so the oracle's Gauss-rule stiffness solve
-checks it independently.  The odd branch of the Hermite weight under d/dx is
-still the largest positive root of the moment pencil det(P + t Q) of
-``build_pencil_F``.
+pairs at once by the oracle's value solve (``oracle._top_values``), and
+``factor_gegenbauer_ddx`` is its stack of one.  For its values that route
+shares only ``_stack_betas`` and the Cholesky reduction with the oracle, so
+the oracle's Gauss-rule stiffness solve checks it independently.  The odd
+branch of the Hermite weight under d/dx is still the largest positive root
+of the moment pencil det(P + t Q) of ``build_pencil_F``.
 
 The paper's pencils ``build_pencil_F`` and ``build_pencil_G`` are one
 builder, ``_build_pencil``: Hermite is the A = 1, b = 2 case of the [-1, 1]
@@ -30,12 +30,16 @@ the package's one use of scipy; everything else here needs numpy only.
 
 Each route computes its factor value at once and its extremal when it is
 first read.  A ``FactorResult`` holds a ``functools.partial`` over
-``hermite_poly``, ``gegenbauer_poly`` or ``_odd_extremal`` (the odd branch's
-conversion to monomials, one stack item at a time) until ``.extremal`` is
-read, and equality, hashing, repr and pickling read it, so callers that use
-only the values, such as ``bmfactor verify`` and ``table2``, never build a
-polynomial.  The Hermite d/dx odd branch builds its extremal at once: the
-moment pencil's eigenvector already holds its monomial coefficients.
+``hermite_poly``, ``gegenbauer_poly`` or ``_odd_extremal`` until
+``.extremal`` is read, and equality, hashing, repr and pickling read it, so
+callers that use only the values, such as ``bmfactor verify`` and
+``table2``, never build a polynomial.  ``_odd_extremal`` holds only
+(m, lam, mu): on read it rebuilds that one weight's odd pencil, whose
+entries are elementwise over the stack and so carry the bits the value
+solve saw, solves it for its top eigenvector (``oracle._top_eigenpairs``)
+and writes the extremal in monomials.  The Hermite d/dx odd branch builds
+its extremal at once: the moment pencil's eigenvector already holds its
+monomial coefficients.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import OperatorSpec, Polynomial, WeightSpec
-from .oracle import _basis_to_monomial, _stack_betas, _top_eigenpairs
+from .oracle import _basis_to_monomial, _stack_betas, _top_eigenpairs, _top_values
 from .orthopoly import eigenvalue_sq, gegenbauer_poly, hermite_poly
 from .special import moment_table
 
@@ -325,6 +329,7 @@ def factor_hermite_ddx(n: int, lam: float) -> FactorResult:
     return FactorResult(nu, Branch.ODD_PENCIL_ROOT, _odd_polynomial(vec), n, weight, op)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _odd_pencil_stack(m: int, lam: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Tridiagonal odd-branch pencil (S, G) on the basis x q_0, x q_2, ..., x q_2m, shape (B, m+1, m+1).
 
@@ -338,7 +343,9 @@ def _odd_pencil_stack(m: int, lam: np.ndarray, mu: np.ndarray) -> tuple[np.ndarr
     cancellation-free C_(j-1,j) = C_jj (r~_(2j-1) / r~_2j) j (2j+2 lam+2 mu-1)
     / ((2j+1)(j+lam+mu)) (Chihara 1978, ch. 5; DLMF 18.9).  Every entry is
     elementwise in j, so the pencil for m is bit for bit the leading block of
-    the pencil for any larger m, and stack items do not mix.
+    the pencil for any larger m, and stack items do not mix.  At huge lam or
+    mu the entries overflow to inf or nan without a warning; the solves
+    refuse them.
     """
     beta = _stack_betas(2 * m + 1, True, lam, mu)
     r = np.sqrt(beta)
@@ -378,10 +385,10 @@ def factor_gegenbauer_ddx(n: int, lam: float, mu: float) -> FactorResult:
     return _gegenbauer_ddx_stack(n, *_odd_branch_stack(n, [(lam, mu)]))[0]
 
 
-def _odd_branch_stack(n: int, pairs: Sequence[tuple[float, float]]) -> tuple[list, np.ndarray, np.ndarray]:
-    """Gegenbauer weights of the (lam, mu) pairs, their odd-branch maxima at degree n, and eigenvectors.
+def _odd_branch_stack(n: int, pairs: Sequence[tuple[float, float]]) -> tuple[list, np.ndarray]:
+    """Gegenbauer weights of the (lam, mu) pairs and their odd-branch maxima at degree n.
 
-    One stacked solve, which serves degree n + 1 too when n is odd.
+    One stacked value solve, which serves degree n + 1 too when n is odd.
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
@@ -392,11 +399,10 @@ def _odd_branch_stack(n: int, pairs: Sequence[tuple[float, float]]) -> tuple[lis
     weights = [WeightSpec.gegenbauer(lam, mu) for lam, mu in pairs]
     lam, mu = np.array([(w.lam, w.mu) for w in weights]).T
     s, g = _odd_pencil_stack((n - 1) // 2, lam, mu)
-    return weights, *_top_eigenpairs(s, g, weights, OperatorSpec.ddx(damped=True), n)
+    return weights, _top_values(s, g, weights, OperatorSpec.ddx(damped=True), n)
 
 
-def _gegenbauer_ddx_stack(n: int, weights: Sequence[WeightSpec], odd: np.ndarray,
-                          vecs: np.ndarray) -> list[FactorResult]:
+def _gegenbauer_ddx_stack(n: int, weights: Sequence[WeightSpec], odd: np.ndarray) -> list[FactorResult]:
     """``factor_gegenbauer_ddx`` at degree n for every weight, from ``_odd_branch_stack`` at n or n - 1.
 
     Each result does not depend on the rest of the stack.
@@ -405,7 +411,7 @@ def _gegenbauer_ddx_stack(n: int, weights: Sequence[WeightSpec], odd: np.ndarray
     m = (n - 1) // 2
     even_degree = n if n % 2 == 0 else n - 1
     results = []
-    for weight, nu, vec in zip(weights, odd, vecs):
+    for weight, nu in zip(weights, odd):
         nu = float(nu)
         closed = float(even_degree * (even_degree + 2 * weight.lam + 2 * weight.mu))
         if abs(nu - closed) <= _TIE_REL_TOL * max(abs(nu), abs(closed)):
@@ -413,7 +419,7 @@ def _gegenbauer_ddx_stack(n: int, weights: Sequence[WeightSpec], odd: np.ndarray
             extremal = partial(gegenbauer_poly, even_degree, weight.lam, weight.mu)
         elif nu > closed:
             fsq, branch = nu, Branch.ODD_PENCIL_ROOT
-            extremal = partial(_odd_extremal, m, weight.lam, weight.mu, vec)
+            extremal = partial(_odd_extremal, m, weight.lam, weight.mu)
         else:
             fsq, branch = closed, Branch.EVEN_CLOSED_FORM
             extremal = partial(gegenbauer_poly, even_degree, weight.lam, weight.mu)
@@ -421,11 +427,18 @@ def _gegenbauer_ddx_stack(n: int, weights: Sequence[WeightSpec], odd: np.ndarray
     return results
 
 
-def _odd_extremal(m: int, lam: float, mu: float, vec: np.ndarray) -> Polynomial:
-    """sum_j v_j x q_2j(x) in monomials: the even basis rows of the weight give the coefficients of x^(2k+1)."""
+def _odd_extremal(m: int, lam: float, mu: float) -> Polynomial:
+    """sum_j v_j x q_2j(x) in monomials, v the top eigenvector of the odd pencil of size m + 1.
+
+    The pencil is rebuilt for this one weight; its entries are elementwise
+    over the stack, so it is bit for bit the item the value solve saw.  The
+    even basis rows of the weight give the coefficients of x^(2k+1).
+    """
+    weight = WeightSpec.gegenbauer(lam, mu)
     lam, mu = np.array([lam]), np.array([mu])
+    _, vec = _top_eigenpairs(*_odd_pencil_stack(m, lam, mu), [weight], OperatorSpec.ddx(damped=True), 2 * m + 1)
     even_rows = _basis_to_monomial(2 * m, np.sqrt(_stack_betas(2 * m, True, lam, mu))[:, :, None])[::2]
-    return _odd_polynomial((vec[None, None, :] @ even_rows.transpose(1, 0, 2))[0, 0, ::2])
+    return _odd_polynomial((vec[:, None, :] @ even_rows.transpose(1, 0, 2))[0, 0, ::2])
 
 
 def _dunkl_factor(n: int, weight: WeightSpec) -> FactorResult:

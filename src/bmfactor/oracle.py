@@ -15,37 +15,46 @@ is a test instrument in ``tests/instruments.py``.)
 The assembly works on a stack of weights of one family in two steps.
 ``_stack_basis`` builds the Gauss basis of the stack for degrees up to n:
 recurrence coefficients, Gauss nodes, Christoffel weights, basis rows and
-their derivatives, all arrays over the stack.  ``_stiffness`` assembles the
-stiffness and Gram matrices of one operator and degree from it, and one
-Cholesky-reduced ``numpy.linalg.eigh`` (``_top_eigenpairs``) solves the whole
-stack.  A basis row does not depend on the rows above it and stack items do
-not mix, so a basis built for a larger degree on the same nodes, or on more
-weights, gives the same bits.  ``_rayleigh_values`` composes the steps for one
-operator and degree and also refuses what the full path refuses (non-finite
-or indefinite matrices, a zeroth moment that is not a normal double);
-``_unit_extremals`` normalizes its eigenvectors and writes them in monomials.
-``rayleigh_factor`` is the stack of one behind its degree guard rail.  It
-returns the pair (value, maximizer): the value step runs at the call, and
-``_unit_extremals`` runs on the first read of the maximizer, so callers
-that read only the value (``factor --check`` among them) never write the
-maximizer in monomials.  ``bmfactor verify`` runs the two steps itself: one
-basis per family and node count of its grid, shared by both operators and by degrees
-n and n + 1 for odd n, and one eigensolve per (family, operator, degree), so
-its values are the scalar oracle's to the bit.  The stacked entry points
-stay private, so the public names keep their scalar signatures and
-perfbench's per-function tracing charges their time to the caller.  Only
-numpy is needed here: the zeroth moment m0 that scales the Gauss weights and
-the extremal's unit norm comes from ``math.lgamma`` (``_mass``), which
-refuses an m0 that overflows or underflows a double.
+their derivatives, all arrays over the stack and all on the positive half of
+the rule, since the weight is even and every integrand the oracle forms is
+even.  ``_stiffness`` assembles the stiffness and Gram matrices of one
+operator and degree as parity blocks: d/dx and D_lam map q_k to the parity of
+k - 1, so the pencil over q_0 .. q_n splits into a block on q_0, q_2, ...
+and one on q_1, q_3, ..., the split of the paper's branch argument.  One
+Cholesky reduction of all blocks (``_reduced``, which refuses non-finite or
+indefinite matrices) feeds two solves: ``_top_values`` (``eigvalsh``) for
+every value caller, and ``_top_eigenpairs`` (``eigh``) only where an
+eigenvector is read.  ``_rayleigh_values`` composes the steps for one
+operator and degree, each value the larger of a weight's two blocks, and
+raises every refusal of the oracle, the zeroth moment's included;
+``_unit_extremals`` solves each weight's winning block for its eigenvector,
+normalizes it and writes it in monomials.  A basis row does not depend on
+the rows above it and stack items do not mix, so a basis built for a larger
+degree on the same nodes, or on more weights, gives the same bits.
+``rayleigh_factor`` is the stack of one behind its degree guard rail and
+returns the pair (value, maximizer): the value solve runs at the call and
+``_unit_extremals`` on the first read of the maximizer, so callers that read
+only the value (``factor --check`` among them) compute no eigenvector.
+``bmfactor verify`` runs the two steps itself: one basis per family and node
+count of its grid, shared by both operators and by degrees n and n + 1 for
+odd n, and one value solve per (family, operator, degree), so its values are
+the scalar oracle's to the bit.  The stacked entry points stay private, so
+the public names keep their scalar signatures and perfbench's per-function
+tracing charges their time to the caller.  Only numpy is needed here: the
+zeroth moment m0 that scales the Gauss weights and the extremal's unit norm
+comes from ``math.lgamma`` (``_mass``), which refuses an m0 that overflows
+or underflows a double.  At huge lam or mu the recurrence coefficients
+overflow under ``numpy.errstate``, and the solves refuse what follows.
 
-``factors`` shares three pieces of this module: the closed-form
-``_stack_betas``, from which it builds the tridiagonal odd-branch pencil of
-the Gegenbauer d/dx factor; the eigensolve ``_top_eigenpairs``, with which
-it solves that pencil and its moment pencils; and ``_basis_to_monomial``,
-which writes the odd extremal in monomials when it is read.  It assembles
-no stiffness matrix and uses no Gauss rule, so this oracle's quadrature
-route is again an independent check of the factor values, next to the
-mpmath values of ``tests/certified_reference.json``.
+For its factor values ``factors`` shares only beta (``_stack_betas``) and the
+Cholesky reduction with this module: it builds the tridiagonal odd-branch
+pencil of the Gegenbauer d/dx factor from beta and solves it with
+``_top_values``, and ``_top_eigenpairs`` solves its moment pencils.  When an
+odd extremal is read, ``_top_eigenpairs`` solves that pencil again and
+``_basis_to_monomial`` writes the extremal in monomials.  It assembles no
+stiffness matrix and uses no Gauss rule, so this oracle's quadrature route
+is an independent check of the factor values, next to the mpmath values of
+``tests/certified_reference.json``.
 
 ``weighted_inner``, ``rayleigh_quotient`` and the inequality reports of
 ``bmfactor.inequality`` integrate with the same Gauss rule, folded onto its
@@ -54,7 +63,8 @@ positive nodes: an even-count rule never has the origin as a node, so
 e and o the even and odd parts.  Odd integrands are then exactly 0.0, and no
 monomial moment enters, so sums of moments never have to cancel the Hankel
 condition of ~10^(2n).  ``_Forms`` is that one evaluator, on coefficient
-rows.  The folded rules are cached per (weight, size) in ``_quadrature``.
+rows.  The folded rules, the oracle's own positive-node rule scaled by m0,
+are cached per (weight, size) in ``_quadrature``.
 """
 
 from __future__ import annotations
@@ -173,8 +183,7 @@ def _quadrature(weight: WeightSpec, npoints: int) -> tuple[np.ndarray, np.ndarra
     if npoints < 2 or npoints % 2:
         raise ValueError(f"folded rule needs a positive even node count, got {npoints}")
     x, w, _, _ = _gauss_basis(npoints, *_stack_parameters([weight]))
-    half = npoints // 2
-    nodes, folded = x[0, half:], 2.0 * _mass(weight) * w[0, half:]
+    nodes, folded = x[0], _mass(weight) * w[0]
     nodes.flags.writeable = folded.flags.writeable = False
     return nodes, folded
 
@@ -197,6 +206,7 @@ def _stack_parameters(weights: Sequence[WeightSpec]) -> tuple[bool, np.ndarray, 
     return weights[0].is_gegenbauer, np.array([w.lam for w in weights]), np.array([w.mu for w in weights])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _stack_betas(count: int, gegenbauer: bool, lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """Coefficients of x p_k = p_(k+1) + beta_k p_(k-1) for every even weight of a stack, shape (count + 1, B).
 
@@ -206,6 +216,8 @@ def _stack_betas(count: int, gegenbauer: bool, lam: np.ndarray, mu: np.ndarray) 
     beta_(2j+1) = (j + b + 1) (j + a + b + 1) / ((2j + a + b + 1) (2j + a + b + 2)).
     beta_1 = (lam + 1/2) / (lam + mu + 1) is the latter at j = 0 with the
     common factor a + b + 1 = lam + mu cancelled, so lam + mu = 0 forms no 0/0.
+    At huge lam or mu the products overflow to inf or nan without a warning;
+    the solves refuse the non-finite matrices that follow.
     """
     beta = np.ones((count + 1, len(lam)))
     even = np.arange(1, count // 2 + 1, dtype=float)[:, None]  # j of beta_(2j)
@@ -227,10 +239,11 @@ def _stack_betas(count: int, gegenbauer: bool, lam: np.ndarray, mu: np.ndarray) 
     return beta
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _gauss_basis(
     npoints: int, gegenbauer: bool, lam: np.ndarray, mu: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Gauss nodes and weights for a stack of weights, with the orthonormal basis values behind them.
+    """Positive Gauss nodes and folded weights for a stack of weights, with the orthonormal basis values behind them.
 
     The node count N is even, so the origin is never a node.  The nodes are
     the eigenvalues of the Jacobi matrix (Golub-Welsch).  For an even weight
@@ -238,12 +251,14 @@ def _gauss_basis(
     [[0, C], [C^T, 0]] with C^T upper bidiagonal (diagonal sqrt(beta_1),
     sqrt(beta_3), ..., superdiagonal sqrt(beta_2), sqrt(beta_4), ...), and the
     nodes are plus and minus the singular values of C (Golub & Kahan, 1965).
-    The weights come from the Christoffel function, w_i = 1 / sum_(k<N)
-    q_k(x_i)^2, rather than from squared eigenvector components, which lose
-    relative accuracy at the outer nodes.
-    Returns the nodes (B, N), the weights (B, N; total mass 1), the rows
-    q_0 .. q_(N-1) evaluated at the nodes (N, B, N), and sqrt(beta), shape
-    (N + 1, B, 1).
+    q_k(-x) = (-1)^k q_k(x) holds to the bit in the recurrence, so the rule
+    is kept on its positive half only, each weight counting for its mirror
+    node too.  The weights come from the Christoffel function,
+    w_i = 1 / sum_(k<N) q_k(x_i)^2, rather than from squared eigenvector
+    components, which lose relative accuracy at the outer nodes.
+    Returns the positive nodes in ascending order (B, N/2), the folded
+    weights 2 w_i (B, N/2; total mass 1), the rows q_0 .. q_(N-1) evaluated
+    at those nodes (N, B, N/2), and sqrt(beta), shape (N + 1, B, 1).
     """
     sqrt_beta = np.sqrt(_stack_betas(npoints, gegenbauer, lam, mu))
     half = npoints // 2
@@ -251,17 +266,16 @@ def _gauss_basis(
     i = np.arange(half)
     ct[:, i, i] = sqrt_beta[1:npoints:2].T
     ct[:, i[:-1], i[1:]] = sqrt_beta[2:npoints:2].T
-    sigma = np.linalg.svd(ct, compute_uv=False)
-    x = np.concatenate((-sigma, sigma[:, ::-1]), axis=1)
+    x = np.linalg.svd(ct, compute_uv=False)[:, ::-1].copy()
     rb = sqrt_beta[:, :, None]
     xa, c, _ = _steps(x, rb, npoints)
-    q = np.zeros((npoints, len(lam), npoints))
+    q = np.zeros((npoints, len(lam), half))
     rows = list(q)
     rows[0][...] = 1.0
     rows[1][...] = xa[0]
     for k in range(1, npoints - 1):
         np.subtract(xa[k] * rows[k], c[k] * rows[k - 1], out=rows[k + 1])
-    return x, 1.0 / (q * q).sum(axis=0), q, rb
+    return x, 2.0 / (q * q).sum(axis=0), q, rb
 
 
 def _steps(x: np.ndarray, rb: np.ndarray, count: int) -> tuple[list, list, np.ndarray]:
@@ -274,6 +288,7 @@ def _steps(x: np.ndarray, rb: np.ndarray, count: int) -> tuple[list, list, np.nd
     return list(x * inv), list(rb[: count - 1] * inv), inv
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _basis_derivatives(q: np.ndarray, x: np.ndarray, rb: np.ndarray) -> np.ndarray:
     """Derivatives of the orthonormal basis rows ``q`` at the nodes, by the same recurrence."""
     xa, c, inv = _steps(x, rb, len(q))
@@ -302,23 +317,26 @@ def _basis_to_monomial(nmax: int, rb: np.ndarray) -> np.ndarray:
 
 
 def _conditioning_error(
-    reason: str, index: int, g: np.ndarray, weights: Sequence[WeightSpec], op: OperatorSpec, n: int
+    reason: str, block: int, g: np.ndarray, weights: Sequence[WeightSpec], op: OperatorSpec, n: int
 ) -> ConditioningError:
-    gi = g[index]
+    """The refusal of pencil ``block`` of a stack holding the same number of pencils per weight, in weight order."""
+    gi = g[block]
     condition = float(np.linalg.cond(gi)) if np.isfinite(gi).all() else math.inf
+    index = block * len(weights) // len(g)
     w = weights[index]
     item = (w.family.value, op.kind.value, w.lam, w.mu, n)
     return ConditioningError(f"{reason} at stack item {index} {item}", condition, index)
 
 
-def _top_eigenpairs(
+def _reduced(
     s: np.ndarray, g: np.ndarray, weights: Sequence[WeightSpec], op: OperatorSpec, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Largest eigenvalue of every S v = theta G v in a stack, with its eigenvector.
+    """L^-1 S L^-T and L^-T for every pencil S v = theta G v of a stack, where G = L L^T.
 
-    G = L L^T reduces each pencil to the standard problem L^-1 S L^-T y = theta y,
-    with v = L^-T y.  A failing item raises ``ConditioningError`` naming it as
-    (family, operator, lambda, mu, n); the condition estimate is computed only then.
+    The stack holds one or more pencils per weight, those of a weight next
+    to each other.  A failing pencil raises ``ConditioningError`` naming its
+    weight as (family, operator, lambda, mu, n); the condition estimate is
+    computed only then.
     """
     if not (np.isfinite(s).all() and np.isfinite(g).all()):
         finite = np.isfinite(s).all(axis=(1, 2)) & np.isfinite(g).all(axis=(1, 2))
@@ -327,15 +345,30 @@ def _top_eigenpairs(
     try:
         chol = np.linalg.cholesky(g)
     except np.linalg.LinAlgError as exc:
-        for index, gi in enumerate(g):
+        for block, gi in enumerate(g):
             try:
                 np.linalg.cholesky(gi)
             except np.linalg.LinAlgError:
-                raise _conditioning_error("Gram matrix numerically indefinite", index,
+                raise _conditioning_error("Gram matrix numerically indefinite", block,
                                           g, weights, op, n) from exc
         raise
     inv_t = np.linalg.inv(chol).swapaxes(1, 2)  # L^-T
-    vals, vecs = np.linalg.eigh(inv_t.swapaxes(1, 2) @ s @ inv_t)
+    return inv_t.swapaxes(1, 2) @ s @ inv_t, inv_t
+
+
+def _top_values(
+    s: np.ndarray, g: np.ndarray, weights: Sequence[WeightSpec], op: OperatorSpec, n: int
+) -> np.ndarray:
+    """Largest eigenvalue of every pencil of a stack (``_reduced``), without eigenvectors."""
+    return np.linalg.eigvalsh(_reduced(s, g, weights, op, n)[0])[:, -1]
+
+
+def _top_eigenpairs(
+    s: np.ndarray, g: np.ndarray, weights: Sequence[WeightSpec], op: OperatorSpec, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Largest eigenvalue of every pencil of a stack (``_reduced``), with its eigenvector v = L^-T y."""
+    a, inv_t = _reduced(s, g, weights, op, n)
+    vals, vecs = np.linalg.eigh(a)
     return vals[:, -1], (inv_t @ vecs[:, :, -1:])[:, :, 0]
 
 
@@ -348,11 +381,12 @@ def _node_count(n: int) -> int:
 
 
 class _Basis(NamedTuple):
-    """The Gauss rule of a stack of weights of one family and the orthonormal basis on its nodes.
+    """The folded Gauss rule of a stack of weights of one family and the orthonormal basis on its nodes.
 
-    ``lam`` (B,), the nodes ``x`` and Gauss weights ``w`` (B, N), the basis
-    rows q_0 .. q_n at the nodes ``q`` and their derivatives ``d``
-    (n + 1, B, N), and sqrt(beta) ``rb`` as ``_gauss_basis`` gives it.
+    ``lam`` (B,), the positive nodes ``x`` and folded Gauss weights ``w``
+    (B, N/2), the basis rows q_0 .. q_n at the nodes ``q`` and their
+    derivatives ``d`` (n + 1, B, N/2), and sqrt(beta) ``rb`` as
+    ``_gauss_basis`` gives them.
     """
 
     gegenbauer: bool
@@ -377,12 +411,31 @@ def _stack_basis(n: int, weights: Sequence[WeightSpec]) -> _Basis:
     return _Basis(gegenbauer, lam, x, w, q, _basis_derivatives(q, x, rb), rb)
 
 
-def _stiffness(n: int, basis: _Basis, op: OperatorSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Stiffness and Gram matrices of ``op`` over q_0 .. q_n, shape (B, n + 1, n + 1).
+def _parity_blocks(rows: np.ndarray) -> np.ndarray:
+    """Rows k = 0 .. n of a stack, (n + 1, B, L), as 2B blocks of h = n // 2 + 1 rows, shape (2B, h, L).
 
-    The basis may be built for a larger degree on the same nodes: a basis
-    row and its derivative do not depend on the rows above them, so the
-    leading rows carry the same bits.
+    Block 2b holds rows 0, 2, ... of item b and block 2b + 1 its rows 1, 3, ...;
+    at even n the odd block ends in a zero row.
+    """
+    h = (len(rows) + 1) // 2
+    out = np.zeros((rows.shape[1], 2, h, rows.shape[2]))
+    out[:, 0] = rows[0::2].swapaxes(0, 1)
+    out[:, 1, : len(rows) // 2] = rows[1::2].swapaxes(0, 1)
+    return out.reshape(-1, h, rows.shape[2])
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _stiffness(n: int, basis: _Basis, op: OperatorSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Stiffness and Gram matrices of ``op`` over q_0 .. q_n, as the parity blocks of each weight, shape (2B, h, h).
+
+    ``op`` maps q_k to a polynomial of the parity of k - 1 and the weight is
+    even, so every entry between rows of opposite parity is zero: blocks 2b
+    and 2b + 1 (``_parity_blocks``) are the pencils of item b on the even and
+    on the odd basis rows.  At even n the odd block is padded with a unit Gram
+    diagonal and a zero stiffness row, which adds only the root 0.  The basis
+    may be built for a larger degree on the same nodes: a basis row and its
+    derivative do not depend on the rows above them, so the leading rows
+    carry the same bits.
     """
     x, w = basis.x, basis.w
     q, d = basis.q[: n + 1], basis.d[: n + 1]
@@ -393,38 +446,50 @@ def _stiffness(n: int, basis: _Basis, op: OperatorSpec) -> tuple[np.ndarray, np.
         d[1::2] += (2.0 * basis.lam)[:, None] * q[1::2] / x
     wa = w * (1.0 - x * x) if (basis.gegenbauer and op.damped) else w
 
-    # Per stack item: S = D diag(w A) D^T and G = Q diag(w) Q^T.
-    d, q = d.transpose(1, 0, 2), q.transpose(1, 0, 2)
-    return (d * wa[:, None, :]) @ d.swapaxes(1, 2), (q * w[:, None, :]) @ q.swapaxes(1, 2)
+    # Per block: S = D diag(w A) D^T and G = Q diag(w) Q^T, summed over the positive nodes.
+    d, q = _parity_blocks(d), _parity_blocks(q)
+    s = (d * np.repeat(wa, 2, axis=0)[:, None, :]) @ d.swapaxes(1, 2)
+    g = (q * np.repeat(w, 2, axis=0)[:, None, :]) @ q.swapaxes(1, 2)
+    if n % 2 == 0:
+        g[1::2, -1, -1] = 1.0
+    return s, g
 
 
 def _rayleigh_values(n: int, weights: Sequence[WeightSpec], op: OperatorSpec) -> tuple[np.ndarray, tuple]:
     """Largest Rayleigh quotients over P_n for a stack of weights of one family, shape (B,).
 
-    Every refusal of the oracle is raised here, the zeroth moment's included.
-    The second item holds what ``_unit_extremals`` reads to turn the
-    eigenvectors into the maximizers: the basis rows, the Gauss weights,
-    sqrt(beta), the eigenvectors and the zeroth moments.  Each item's result
-    does not depend on the rest of its stack.
+    One value solve over the parity blocks of every weight; each value is
+    the larger of its two blocks'.  Every refusal of the oracle is raised
+    here, the zeroth moment's included.  The second item holds what
+    ``_unit_extremals`` reads to solve for the maximizers: the degree, the
+    basis, the blocks, the winning parity of each weight, the zeroth moments,
+    the weights and the operator.  Each item's result does not depend on the
+    rest of its stack.
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
     basis = _stack_basis(n, weights)
-    theta, v = _top_eigenpairs(*_stiffness(n, basis, op), weights, op, n)
+    s, g = _stiffness(n, basis, op)
+    theta = _top_values(s, g, weights, op, n).reshape(-1, 2)
     m0 = np.array([_mass(wt) for wt in weights])
-    return np.sqrt(theta), (basis.q, basis.w, basis.rb, v, m0)
+    return np.sqrt(theta.max(axis=1)), (n, basis, s, g, theta.argmax(axis=1), m0, weights, op)
 
 
-def _unit_extremals(q: np.ndarray, w: np.ndarray, rb: np.ndarray, v: np.ndarray, m0: np.ndarray) -> np.ndarray:
+def _unit_extremals(n: int, basis: _Basis, s: np.ndarray, g: np.ndarray, parity: np.ndarray, m0: np.ndarray,
+                    weights: Sequence[WeightSpec], op: OperatorSpec) -> np.ndarray:
     """Monomial coefficients of the maximizers of ``_rayleigh_values`` with unit W-norm, shape (B, n + 1).
 
-    The norm comes from the Gauss rule, which is exact on P_(2n) and carries
-    mass 1, times the zeroth moment.  The monomial moments would have to
-    cancel a Hankel condition of ~10^(2n) and can even give a negative square.
+    Each maximizer is the top eigenvector of its weight's winning parity
+    block, solved here.  The norm comes from the folded Gauss rule, which is
+    exact on P_(2n) and carries mass 1, times the zeroth moment.  The
+    monomial moments would have to cancel a Hankel condition of ~10^(2n) and
+    can even give a negative square.
     """
-    p = (v[:, None, :] @ q.transpose(1, 0, 2))[:, 0]
-    norm = np.sqrt(m0 * (w * p * p).sum(axis=1))
-    t = _basis_to_monomial(len(q) - 1, rb).transpose(1, 0, 2)
+    blocks = 2 * np.arange(len(weights)) + parity
+    _, v = _top_eigenpairs(s[blocks], g[blocks], weights, op, n)
+    p = (v[:, None, :] @ _parity_blocks(basis.q[: n + 1])[blocks])[:, 0]
+    norm = np.sqrt(m0 * (basis.w * p * p).sum(axis=1))
+    t = _parity_blocks(_basis_to_monomial(n, basis.rb))[blocks]
     return ((v / norm[:, None])[:, None, :] @ t)[:, 0]
 
 
@@ -432,7 +497,9 @@ class _RayleighPair(abc.Sequence):
     """``(value, maximizer)`` of ``rayleigh_factor``; the maximizer is built when first read.
 
     Until then the pair holds the stack of one that ``_unit_extremals``
-    reads, and the read caches the ``Polynomial`` and drops those arrays.
+    reads, whose parity blocks were solved for values only; the read solves
+    the winning block for its eigenvector, caches the ``Polynomial`` and
+    drops those arrays.
     """
 
     __slots__ = ("_value", "_solved", "_maximizer")
@@ -466,7 +533,7 @@ def rayleigh_factor(
     ``ConditioningError``, a zeroth moment that is not a normal double) is
     raised there.  The maximizer is normalized and written in monomials when
     it is first read (``[1]`` or unpacking), then cached, so ``[0]`` alone
-    costs only the eigensolve.
+    costs only the value solve, which computes no eigenvector.
 
     ``max_degree`` (default 14) is a guard rail, not a numerical cliff: pass a
     larger value explicitly to study higher degrees.

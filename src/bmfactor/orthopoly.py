@@ -69,11 +69,14 @@ def _eigenpoly(family: WeightFamily, n: int, lam: float, mu: float = 0.0) -> Pol
 def _eigen_rows(family: WeightFamily, n: int, lam: np.ndarray, mu: np.ndarray | float = 0.0) -> np.ndarray:
     """Coefficient rows of the eigenpolynomials of arrays lam and mu, shape (*broadcast shape, n + 1).
 
-    One ``_eigen_coeffs`` recurrence on the arrays; entries that are not
-    finite are left to the caller.
+    One ``_eigen_coeffs`` recurrence on the arrays, each coefficient written
+    into its column; entries that are not finite are left to the caller.
     """
-    shape = np.broadcast(lam, mu).shape
-    return np.stack([np.broadcast_to(a, shape) for a in _eigen_coeffs(family, n, lam, mu)], axis=-1)
+    a = _eigen_coeffs(family, n, lam, mu)
+    rows = np.zeros((*np.broadcast(lam, mu).shape, n + 1))
+    for k in range(n % 2, n + 1, 2):  # the coefficients of the other parity are 0.0
+        rows[..., k] = a[k]
+    return rows
 
 
 def hermite_poly(n: int, lam: float) -> Polynomial:

@@ -14,15 +14,22 @@
   pencils F and G entry by entry, one loop per family, as the reference for
   the shared builder behind ``build_pencil_F`` and ``build_pencil_G``, with
   the textbook (raw) P entries that the builder no longer forms.
+- ``unfolded_gauss_rule`` and ``unfolded_rayleigh_value``: the oracle
+  without its fold and parity split, on one weight: the Gauss rule on all
+  N nodes, an (n + 1)-square stiffness and Gram pair over every basis row,
+  and one ``numpy.linalg.eigh``.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from bmfactor.core import OperatorSpec, Polynomial, WeightSpec
 from bmfactor.dunkl import dunkl_apply
 from bmfactor.factors import Pencil
+from bmfactor.oracle import _node_count, _stack_betas, _stack_parameters
 from bmfactor.orthopoly import gegenbauer_poly, hermite_poly
 from bmfactor.special import moment_table
 
@@ -215,3 +222,42 @@ def hermite_connection_check(n: int, lam: float) -> float:
     lhs = hermite_poly(n, lam)
     diff = _monic(rhs)(_HERMITE_GRID) - lhs(_HERMITE_GRID)
     return float(np.max(np.abs(diff)))
+
+
+def unfolded_gauss_rule(npoints: int, weight: WeightSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes -sigma then +sigma (ascending), Christoffel weights 1 / sum_(k<N) q_k^2 (mass 1), rows q_k at every node, sqrt(beta).
+
+    sigma are the singular values of the half-size bidiagonal C of the
+    zero-diagonal Jacobi matrix, and each recurrence step multiplies by
+    1 / r_(k+1), as the oracle does.
+    """
+    r = np.sqrt(_stack_betas(npoints, *_stack_parameters([weight])))[:, 0]
+    half = npoints // 2
+    ct = np.zeros((half, half))
+    i = np.arange(half)
+    ct[i, i] = r[1:npoints:2]
+    ct[i[:-1], i[1:]] = r[2:npoints:2]
+    sigma = np.linalg.svd(ct, compute_uv=False)
+    x = np.concatenate((-sigma, sigma[::-1]))
+    q = np.zeros((npoints, npoints))
+    q[0] = 1.0
+    q[1] = x * (1.0 / r[1])
+    for k in range(1, npoints - 1):
+        inv = 1.0 / r[k + 1]
+        q[k + 1] = x * inv * q[k] - r[k] * inv * q[k - 1]
+    return x, 1.0 / (q * q).sum(axis=0), q, r
+
+
+def unfolded_rayleigh_value(n: int, weight: WeightSpec, op: OperatorSpec) -> float:
+    """sqrt of the top root of S v = theta G v over q_0 .. q_n, on the unfolded rule, unsplit, by one eigh."""
+    x, w, q, r = unfolded_gauss_rule(_node_count(n), weight)
+    q = q[: n + 1]
+    d = np.zeros_like(q)  # q_(k+1)' = (q_k + x q_k' - r_k q_(k-1)') / r_(k+1)
+    for k in range(n):
+        d[k + 1] = (q[k] + x * d[k] - (r[k] * d[k - 1] if k else 0.0)) / r[k + 1]
+    if op.is_dunkl:
+        d[1::2] += 2.0 * weight.lam * q[1::2] / x
+    wa = w * (1.0 - x * x) if (weight.is_gegenbauer and op.damped) else w
+    s, g = (d * wa) @ d.T, (q * w) @ q.T
+    inv = np.linalg.inv(np.linalg.cholesky(g))
+    return math.sqrt(np.linalg.eigh(inv @ s @ inv.T)[0][-1])

@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 import bmfactor
 from bmfactor.cli import EXIT_DOMAIN, EXIT_MISMATCH, EXIT_NUMERICAL, EXIT_OK, VERIFY_CSV_COLUMNS, main
 from bmfactor.core import OperatorSpec, WeightFamily, WeightSpec
+from bmfactor.factors import Branch, factor_gegenbauer_ddx
 from bmfactor.oracle import rayleigh_factor
 
 CERTIFIED_REFERENCE = Path(__file__).resolve().with_name("certified_reference.json")
@@ -165,6 +167,17 @@ def test_verify_refuses_an_eigenpolynomial_beyond_a_double_in_sweep_order(capsys
     assert (code, out) == (EXIT_NUMERICAL, "")
     assert err == ("numerical failure: degree-4 gegenbauer eigenpolynomial has coefficients beyond a double "
                    "(lambda=0.5, mu=3.0)\n")
+
+
+@pytest.mark.parametrize("grid", (("--lambdas", "1e300"), ("--lambdas", "0", "--mus", "1e300")))
+def test_verify_refuses_huge_parameters_without_a_numpy_warning(capsys, grid):
+    # the recurrence coefficients and the odd pencil overflow to inf and nan at lambda or mu = 1e300;
+    # the solves refuse them, and no RuntimeWarning may escape on the way (one once ended in a traceback)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, "verify", "--n-max", "4", *grid)
+    assert (code, out) == (EXIT_NUMERICAL, "")
+    assert err.startswith("numerical failure: non-finite stiffness or Gram entries at stack item 0")
 
 
 def test_verify_refuses_an_overflowing_eigenpolynomial_before_the_oracle_grid(capsys, monkeypatch):
@@ -342,7 +355,7 @@ def test_linalg_failure_exits_3(capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(bmfactor.oracle, "_top_eigenpairs", fail)
+    monkeypatch.setattr(bmfactor.oracle, "_top_values", fail)
     code, _, err = run(capsys, "factor", "--check", "--weight", "hermite", "--op", "dunkl",
                        "--lambda", "1", "--n", "3")
     assert code == EXIT_NUMERICAL
@@ -406,13 +419,13 @@ def test_table2_solves_its_odd_pencil_once(capsys, monkeypatch):
     # nu2, M3 and M4 take their odd branch from one stacked 2x2 solve over the 16 points
     import bmfactor.factors
 
-    solve, shapes = bmfactor.factors._top_eigenpairs, []
+    solve, shapes = bmfactor.factors._top_values, []
 
     def counted(s, g, *args):
         shapes.append(s.shape)
         return solve(s, g, *args)
 
-    monkeypatch.setattr(bmfactor.factors, "_top_eigenpairs", counted)
+    monkeypatch.setattr(bmfactor.factors, "_top_values", counted)
     code, out, _ = run(capsys, "table2", "--format", "json")
     assert code == EXIT_MISMATCH and json.loads(out)["flagged_cells"] == 36
     assert shapes == [(16, 2, 2)]
@@ -422,7 +435,7 @@ def test_verify_builds_each_shared_piece_once(capsys, monkeypatch):
     # The default grid's oracle builds one Gauss basis per (family, node count),
     # 2 x 5, and checks the zeroth moment of each of its 49 weights once; its
     # Gegenbauer d/dx rows solve one odd pencil per m = (n - 1) // 2 over the 36
-    # (lambda > 0, mu) pairs.  The Hermite d/dx moment pencils are stacks of one.
+    # (lambda > 0, mu) pairs.  The Hermite d/dx moment pencils take the eigenpair solve instead.
     import bmfactor.factors
     import bmfactor.oracle
 
@@ -440,18 +453,44 @@ def test_verify_builds_each_shared_piece_once(capsys, monkeypatch):
         for module in (bmfactor.oracle, bmfactor.cli):
             if getattr(module, name, None) is exact:
                 monkeypatch.setattr(module, name, counting(name, exact))
-    solve = bmfactor.factors._top_eigenpairs
+    solve = bmfactor.factors._top_values
 
     def recorded(s, g, *args):
-        if len(s) > 1:
-            odd_pencils.append(s.shape)
+        odd_pencils.append(s.shape)
         return solve(s, g, *args)
 
-    monkeypatch.setattr(bmfactor.factors, "_top_eigenpairs", recorded)
+    monkeypatch.setattr(bmfactor.factors, "_top_values", recorded)
     code, out, _ = run(capsys, "verify", "--format", "json")
     assert code == EXIT_OK and json.loads(out)["rows"] == 910
     assert calls == {"_gauss_basis": 10, "_mass": 49}
     assert odd_pencils == [(36, m + 1, m + 1) for m in range(5)]
+
+
+def test_eigenvectors_are_solved_only_where_read(capsys, monkeypatch):
+    # Values come from eigvalsh.  np.linalg.eigh runs for the Hermite d/dx moment pencils, whose
+    # root is refined from its vector and whose extremal is built at once (odd n = 3..9 at the 6
+    # lambda > 0 of the default grid), and for a maximizer or an odd extremal when it is first read.
+    eigh, shapes = np.linalg.eigh, []
+
+    def counted(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    code, out, _ = run(capsys, "verify", "--format", "json")
+    assert code == EXIT_OK and json.loads(out)["rows"] == 910
+    assert sorted(shapes) == [(1, m + 1, m + 1) for m in (1, 2, 3, 4) for _ in range(6)]
+    shapes.clear()
+    code, out, _ = run(capsys, "table2", "--format", "json")
+    assert code == EXIT_MISMATCH and json.loads(out)["flagged_cells"] == 36
+    pair = rayleigh_factor(20, WeightSpec.gegenbauer(4.5, 3.0), OperatorSpec.ddx(damped=True), max_degree=20)
+    result = factor_gegenbauer_ddx(25, 4.5, 3.0)
+    assert pair[0] > 0 and result.factor > 0 and result.branch is Branch.ODD_PENCIL_ROOT
+    assert shapes == []
+    assert pair[1] is pair[1]  # the winning parity block of degree 20, q_0 .. q_20: 11 rows
+    assert shapes == [(1, 11, 11)]
+    assert result.extremal is result.extremal  # the odd pencil of size 13
+    assert shapes == [(1, 11, 11), (1, 13, 13)]
 
 
 def test_plain_inequality_prints_no_negative_zero(capsys):

@@ -15,19 +15,29 @@ from bmfactor.oracle import (
     _gauss_basis,
     _mass,
     _node_count,
+    _quadrature,
     _rayleigh_values,
     _stack_basis,
     _stack_betas,
     _stack_parameters,
     _stiffness,
     _top_eigenpairs,
+    _top_values,
     _unit_extremals,
     rayleigh_factor,
     rayleigh_quotient,
     weighted_inner,
 )
 from bmfactor.special import gegenbauer_moment, hermite_moment, moment_table
-from instruments import dunkl_laplacian, gram_matrices, mul_by_one_minus_x2, mul_by_x, reflect
+from instruments import (
+    dunkl_laplacian,
+    gram_matrices,
+    mul_by_one_minus_x2,
+    mul_by_x,
+    reflect,
+    unfolded_gauss_rule,
+    unfolded_rayleigh_value,
+)
 
 SQRT_PI = math.sqrt(math.pi)
 CERTIFIED_REFERENCE = Path(__file__).resolve().with_name("certified_reference.json")
@@ -69,7 +79,8 @@ def test_gram_checkerboard_sparsity():
 def test_gauss_rule_reproduces_moments():
     for weight in (WeightSpec.hermite(1.7), WeightSpec.gegenbauer(0.4, -0.4)):
         x, w, _, _ = _gauss_basis(10, *_stack_parameters([weight]))
-        x, w = x[0], w[0]
+        # the folded half rule, unfolded onto the mirror nodes so odd moments are integrated too
+        x, w = np.concatenate((-x[0, ::-1], x[0])), np.concatenate((w[0, ::-1], w[0])) / 2
         table = moment_table(weight, 12, normalized=True)
         for k in range(0, 10, 2):
             assert float(w @ x**k) == pytest.approx(table.moment(k), rel=1e-12, abs=1e-14)
@@ -253,6 +264,49 @@ def test_a_shared_basis_gives_each_degree_and_subset_its_own_bits(family, op, we
         own = _stack_basis(n, weights)
         for got, want in zip(_stiffness(n, shared, operator), _stiffness(n, own, operator)):
             assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", (1, 2, 7, 10, 20, 40, 60))
+@pytest.mark.parametrize(("family", "op", "weights"), [pytest.param(*c, id=f"{c[0]}-{c[1]}")
+                                                       for c in _stack_cases()])
+def test_folded_oracle_matches_the_unfolded_reference(family, op, weights, n):
+    # the positive-node rule and the even/odd blocks against the +-node rule, the unsplit
+    # (n + 1)-square pencil and one eigh; folding reorders the sums, so only the last bits may move
+    damped = family == "gegenbauer"
+    operator = OperatorSpec.dunkl(damped) if op == "dunkl" else OperatorSpec.ddx(damped)
+    values, _ = _rayleigh_values(n, weights, operator)
+    for weight, value in zip(weights, values, strict=True):
+        assert value == pytest.approx(unfolded_rayleigh_value(n, weight, operator), rel=1e-13, abs=0)
+
+
+def test_quadrature_is_the_positive_half_of_the_unfolded_rule():
+    # the folded rule keeps the bits of the +-node rule, so every inequality report keeps its bits
+    weights = [WeightSpec.hermite(lam) for lam in (0.0, 1.7, 150.0)] + [
+        WeightSpec.gegenbauer(lam, mu) for lam, mu in ((0.0, 0.0), (0.4, -0.4), (4.5, 3.0), (100.0, 99.0))]
+    for weight in weights:
+        for npoints in (2, 4, 10, 24, 64):
+            x, w, _, _ = unfolded_gauss_rule(npoints, weight)
+            nodes, folded = _quadrature(weight, npoints)
+            assert nodes.tobytes() == x[npoints // 2:].tobytes()
+            assert folded.tobytes() == (2.0 * _mass(weight) * w[npoints // 2:]).tobytes()
+
+
+def test_a_block_stack_names_the_weight_of_its_failing_block():
+    # the oracle solves two parity blocks per weight, blocks 2b and 2b + 1 for weight b;
+    # a refusal names the weight's own index and parameters, not the block's
+    weights = [WeightSpec.hermite(lam) for lam in (0.5, 1.0, 2.0)]
+    s = np.stack([np.diag([0.0, 1.0])] * 6)
+    g = np.stack([np.eye(2)] * 6)
+    g[3, 1, 1] = -1e-3  # the odd block of weight 1
+    with pytest.raises(ConditioningError) as info:
+        _top_values(s, g, weights, OperatorSpec.dunkl(), 3)
+    assert info.value.index == 1 and info.value.condition == pytest.approx(1e3)
+    assert "stack item 1 ('hermite', 'dunkl', 1.0, 0.0, 3)" in str(info.value)
+    g[3, 1, 1] = 1.0
+    s[4, 0, 1] = math.nan  # the even block of weight 2
+    with pytest.raises(ConditioningError, match=r"stack item 2 \('hermite', 'dunkl', 2.0, 0.0, 3\)") as info:
+        _top_values(s, g, weights, OperatorSpec.dunkl(), 3)
+    assert info.value.index == 2
 
 
 def test_stacked_oracle_rejects_mixed_families():
