@@ -26,15 +26,7 @@ from .factors import (
     factor_hermite_dunkl,
 )
 from .inequality import gegenbauer_inequality, hermite_inequality
-from .oracle import (
-    ConditioningError,
-    _mass,
-    _node_count,
-    _stack_basis,
-    _stiffness,
-    _top_values,
-    rayleigh_factor,
-)
+from .oracle import ConditioningError, _rayleigh_values, rayleigh_factor
 from .orthopoly import _eigen_rows, _residual_rows, gegenbauer_poly, hermite_poly
 
 EXIT_OK = 0
@@ -255,48 +247,6 @@ def _verify_rows(lambdas, mus, n_values) -> list[FactorResult]:
     return rows
 
 
-def _verify_oracle(results: list[FactorResult]) -> list[float]:
-    """Oracle values of ``results``: one value solve per (family, operator, n) group, as ``_rayleigh_values`` runs it.
-
-    The groups of one family and Gauss node count (degrees n and n + 1 for
-    odd n, both operators) share one basis over the union of their weights,
-    built for the larger degree, and each group takes its items from it.
-    Stack items do not mix, so every value has the bits of the scalar oracle,
-    and each refusal is raised where the scalar oracle raises it first: a
-    group's eigensolve, then the zeroth moments of its weights not yet checked.
-    """
-    groups: dict[tuple, list[int]] = {}
-    for i, result in enumerate(results):
-        groups.setdefault((result.weight.family, result.operator, result.n), []).append(i)
-    # per (family, node count): the top degree, and each weight's position in the shared basis
-    top: dict[tuple, int] = {}
-    position: dict[tuple, dict] = {}
-    for (family, _op, n), members in groups.items():
-        key = (family, _node_count(n))
-        top[key] = max(top.get(key, n), n)
-        stack = position.setdefault(key, {})
-        for i in members:
-            stack.setdefault(results[i].weight, len(stack))
-    bases = {}
-    checked = set()
-    values = [0.0] * len(results)
-    for (family, op, n), members in groups.items():
-        key = (family, _node_count(n))
-        if key not in bases:
-            bases[key] = _stack_basis(top[key], list(position[key]))
-        weights = [results[i].weight for i in members]
-        basis = bases[key].take([position[key][w] for w in weights])
-        # each weight's value is the larger of its even and odd parity blocks
-        theta = _top_values(*_stiffness(n, basis, op), weights, op, n).reshape(-1, 2).max(axis=1)
-        for weight in weights:
-            if weight not in checked:
-                _mass(weight)
-                checked.add(weight)
-        for i, value in zip(members, np.sqrt(theta)):
-            values[i] = float(value)
-    return values
-
-
 def _point(result: FactorResult) -> str:
     return (f"weight={result.weight.family.value} op={result.operator.kind.value} "
             f"lambda={result.weight.lam} mu={result.weight.mu} n={result.n}")
@@ -353,7 +303,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     rows = []
     violations = []
 
-    for result, oracle_value in zip(results, _verify_oracle(results)):
+    oracle_values = _rayleigh_values([(r.n, r.weight, r.operator) for r in results])
+    for result, oracle_value in zip(results, oracle_values):
         rel_err = abs(oracle_value - result.factor) / oracle_value
         if rel_err > args.tolerance:
             violations.append(f"theorem/oracle gap {rel_err:.3e} at {_point(result)}")

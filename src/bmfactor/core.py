@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Iterable, Union
 
 import numpy as np
@@ -156,3 +157,33 @@ class OperatorSpec:
     @property
     def is_dunkl(self) -> bool:
         return self.kind is OperatorKind.DUNKL
+
+
+def _describe(weight: WeightSpec) -> str:
+    """The weight as refusal messages name it: family and lambda, and mu on [-1, 1]."""
+    mu = f", mu={weight.mu}" if weight.is_gegenbauer else ""
+    return f"{weight.family.value} weight (lambda={weight.lam}{mu})"
+
+
+class _BuiltOnRead:
+    """A dataclass field that may be given as a ``functools.partial`` building its value.
+
+    The partial is called on the first read and its value is cached, so
+    equality, hashing, repr and pickling see the field as if it had been
+    given built.  Reading the field on the class raises ``AttributeError``,
+    which tells ``dataclass`` that the field has no default.
+    """
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.slot = f"_{name}"
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.slot[1:])
+        value = obj.__dict__[self.slot]
+        if isinstance(value, partial):
+            value = obj.__dict__[self.slot] = value()
+        return value
+
+    def __set__(self, obj, value) -> None:
+        obj.__dict__[self.slot] = value

@@ -27,11 +27,14 @@ oracle's Cholesky-reduced eigensolve (``oracle._top_eigenpairs``) on a stack
 of one, and its top root is refined in long double from entries rebuilt out
 of the pencil's weight.  The moment pencils read ``special``'s moment tables,
 the package's one use of scipy; everything else here needs numpy only.
+A moment beyond a double is refused with ``OverflowError`` naming the weight
+and the pencil's degree.
 
 Each route computes its factor value at once and its extremal when it is
 first read.  A ``FactorResult`` holds a ``functools.partial`` over
 ``hermite_poly``, ``gegenbauer_poly`` or ``_odd_extremal`` until
-``.extremal`` is read, and equality, hashing, repr and pickling read it, so
+``.extremal`` is read (``core._BuiltOnRead``, as the oracle's pair holds its
+maximizer), and equality, hashing, repr and pickling read it, so
 callers that use only the values, such as ``bmfactor verify`` and
 ``table2``, never build a polynomial.  ``_odd_extremal`` holds only
 (m, lam, mu): on read it rebuilds that one weight's odd pencil, whose
@@ -52,7 +55,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import OperatorSpec, Polynomial, WeightSpec
+from .core import OperatorSpec, Polynomial, WeightSpec, _BuiltOnRead, _describe
 from .oracle import _basis_to_monomial, _stack_betas, _top_eigenpairs, _top_values
 from .orthopoly import eigenvalue_sq, gegenbauer_poly, hermite_poly
 from .special import moment_table
@@ -84,30 +87,6 @@ class Pencil:
     @property
     def size(self) -> int:
         return self.p.shape[0]
-
-
-class _BuiltOnRead:
-    """A dataclass field that may be given as a ``functools.partial`` building its value.
-
-    The partial is called on the first read and its value is cached, so
-    equality, hashing, repr and pickling see the field as if it had been
-    given built.  Reading the field on the class raises ``AttributeError``,
-    which tells ``dataclass`` that the field has no default.
-    """
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.slot = f"_{name}"
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            raise AttributeError(self.slot[1:])
-        value = obj.__dict__[self.slot]
-        if isinstance(value, partial):
-            value = obj.__dict__[self.slot] = value()
-        return value
-
-    def __set__(self, obj, value) -> None:
-        obj.__dict__[self.slot] = value
 
 
 @dataclass(frozen=True)
@@ -143,7 +122,11 @@ def _build_pencil(weight: WeightSpec, m: int) -> Pencil:
     textbook entries are the tests' reference (``tests/instruments.py``).
     """
     lam, mu, gegenbauer = weight.lam, weight.mu, weight.is_gegenbauer
-    table = moment_table(weight, 4 * m + 6, normalized=True)
+    try:
+        table = moment_table(weight, 4 * m + 6, normalized=True)
+    except OverflowError as exc:
+        raise OverflowError(f"moments of the degree-{2 * m + 1} odd pencil of the {_describe(weight)} "
+                            f"are beyond a double ({exc})") from exc
     c = [table.moment(2 * s) for s in range(2 * m + 3)]
     p = np.empty((m + 1, m + 1))
     q = np.empty((m + 1, m + 1))

@@ -21,16 +21,18 @@ lam = 0, 1/4, ..., 5 and mu = -1/4, 0, ..., 5, equality at the
 eigenpolynomial is recognized through degree 21 on [-1, 1] (gap within
 4.53e-9 of its scale; 1.01e-8 at degree 22) and degree 33 on R (1.24e-9);
 beyond that, evaluating the monomial coefficients of p at the nodes loses
-the digits.
+the digits.  A report that cannot be finite raises ``OverflowError`` naming
+the degree and the weight.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Polynomial, WeightFamily, WeightSpec
+from .core import Polynomial, WeightFamily, WeightSpec, _describe
 from .dunkl import _dunkl_rows, _sigma_rows
 from .oracle import _Forms
 from .orthopoly import eigenvalue_sq
@@ -80,6 +82,10 @@ def _form_rows(p: Polynomial, lam: float) -> np.ndarray:
     return rows
 
 
+def _not_finite(what: str, n: int, weight: WeightSpec) -> OverflowError:
+    return OverflowError(f"{what} of the degree-{n} inequality of the {_describe(weight)} is not finite")
+
+
 def _inequality(p: Polynomial, n: int, family: WeightFamily, lam: float, mu: float = 0.0) -> InequalityReport:
     """(2 lam_n^2 - b) ||sqrt(A) D p||^2 against the curvature side, with A = 1, b = 2 on R.
 
@@ -88,7 +94,12 @@ def _inequality(p: Polynomial, n: int, family: WeightFamily, lam: float, mu: flo
     if p.degree is not None and p.degree > n:
         raise ValueError(f"polynomial degree {p.degree} exceeds n={n}")
     lam_n2 = eigenvalue_sq(family, n, lam, mu)
-    forms = _Forms(_form_rows(p, lam), WeightSpec(family, lam, mu), n + 2 + n % 2)
+    weight = WeightSpec(family, lam, mu)
+    # lam^3 and lam_n^4 scale the right side; checked before the Gauss rule, whose recurrence
+    # coefficients are not finite from about lam + mu = 1e154 on [-1, 1]
+    if not (math.isfinite(lam * lam * lam) and math.isfinite(lam_n2 * lam_n2)):
+        raise _not_finite("lambda^3 or lambda_n^4", n, weight)
+    forms = _Forms(_form_rows(p, lam), weight, n + 2 + n % 2)
     w, wa = forms.w, forms.wa  # wa = w A
     if family is WeightFamily.GENERALIZED_GEGENBAUER:
         names = ("damped_dunkl_norm_sq", "damped_sigma_norm_sq", "weighted_laplacian_norm_sq")
@@ -111,6 +122,8 @@ def _inequality(p: Polynomial, n: int, family: WeightFamily, lam: float, mu: flo
         + 2 * lam**3 * b * terms[sigma_name] \
         + 4 * lam**2 * b * terms["sigma_derivative_inner"] \
         + lam_n2**2 * terms["norm_sq"] + terms[laplacian_name]
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise _not_finite("a side", n, weight)
     return InequalityReport(lhs, rhs, terms)
 
 

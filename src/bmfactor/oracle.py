@@ -24,27 +24,25 @@ and one on q_1, q_3, ..., the split of the paper's branch argument.  One
 Cholesky reduction of all blocks (``_reduced``, which refuses non-finite or
 indefinite matrices) feeds two solves: ``_top_values`` (``eigvalsh``) for
 every value caller, and ``_top_eigenpairs`` (``eigh``) only where an
-eigenvector is read.  ``_rayleigh_values`` composes the steps for one
-operator and degree, each value the larger of a weight's two blocks, and
-raises every refusal of the oracle, the zeroth moment's included;
-``_unit_extremals`` solves each weight's winning block for its eigenvector,
-normalizes it and writes it in monomials.  A basis row does not depend on
-the rows above it and stack items do not mix, so a basis built for a larger
-degree on the same nodes, or on more weights, gives the same bits.
-``rayleigh_factor`` is the stack of one behind its degree guard rail and
-returns the pair (value, maximizer): the value solve runs at the call and
-``_unit_extremals`` on the first read of the maximizer, so callers that read
-only the value (``factor --check`` among them) compute no eigenvector.
-``bmfactor verify`` runs the two steps itself: one basis per family and node
-count of its grid, shared by both operators and by degrees n and n + 1 for
-odd n, and one value solve per (family, operator, degree), so its values are
-the scalar oracle's to the bit.  The stacked entry points stay private, so
-the public names keep their scalar signatures and perfbench's per-function
-tracing charges their time to the caller.  Only numpy is needed here: the
-zeroth moment m0 that scales the Gauss weights and the extremal's unit norm
-comes from ``math.lgamma`` (``_mass``), which refuses an m0 that overflows
-or underflows a double.  At huge lam or mu the recurrence coefficients
-overflow under ``numpy.errstate``, and the solves refuse what follows.
+eigenvector is read.  ``_rayleigh_values`` is the one value entry: it takes
+items (n, weight, op) of any families, operators and degrees, solves each
+(family, operator, n) group once, each value the larger of a weight's two
+blocks, and raises every refusal of the oracle, the zeroth moment's
+included.  Groups of one family and node count share one basis; a basis row
+does not depend on the rows above it and stack items do not mix, so every
+value is its stack of one's to the bit.  ``bmfactor verify`` passes its
+whole grid, and ``rayleigh_factor`` one item behind its degree guard rail.
+Its pair (value, maximizer) holds ``partial(_unit_extremal, n, weight, op)``
+until the maximizer is read (``core._BuiltOnRead``); ``_unit_extremal``
+rebuilds the stack of one and solves its winning block for the eigenvector,
+so ``factor --check`` and other value callers compute no eigenvector.  The
+stacked helpers stay private, so the public names keep their scalar
+signatures and perfbench's per-function tracing charges their time to the
+caller.  Only numpy is needed here: the zeroth moment m0 that scales the
+Gauss weights and the extremal's unit norm comes from ``math.lgamma``
+(``_mass``), which refuses an m0 that overflows or underflows a double.  At
+huge lam or mu the recurrence coefficients overflow under ``numpy.errstate``,
+and the solves refuse what follows.
 
 For its factor values ``factors`` shares only beta (``_stack_betas``) and the
 Cholesky reduction with this module: it builds the tridiagonal odd-branch
@@ -72,12 +70,13 @@ from __future__ import annotations
 import math
 import sys
 from collections import abc
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import lru_cache, partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import OperatorSpec, Polynomial, WeightSpec
+from .core import OperatorSpec, Polynomial, WeightSpec, _BuiltOnRead, _describe
 from .dunkl import _dunkl_rows
 
 DEFAULT_DEGREE_CAP = 14
@@ -167,9 +166,7 @@ def _mass(weight: WeightSpec) -> float:
     except OverflowError:
         m0 = math.inf
     if not sys.float_info.min <= m0 < math.inf:
-        mu = f", mu={weight.mu}" if weight.is_gegenbauer else ""
-        raise OverflowError(f"zeroth moment exp({log_m0:.6g}) of the {weight.family.value} weight "
-                            f"(lambda={weight.lam}{mu}) is not a normal double")
+        raise OverflowError(f"zeroth moment exp({log_m0:.6g}) of the {_describe(weight)} is not a normal double")
     return m0
 
 
@@ -455,70 +452,84 @@ def _stiffness(n: int, basis: _Basis, op: OperatorSpec) -> tuple[np.ndarray, np.
     return s, g
 
 
-def _rayleigh_values(n: int, weights: Sequence[WeightSpec], op: OperatorSpec) -> tuple[np.ndarray, tuple]:
-    """Largest Rayleigh quotients over P_n for a stack of weights of one family, shape (B,).
+def _rayleigh_values(items: Sequence[tuple[int, WeightSpec, OperatorSpec]]) -> list[float]:
+    """Largest Rayleigh quotient over P_n of each item (n, weight, op), in item order.
 
-    One value solve over the parity blocks of every weight; each value is
-    the larger of its two blocks'.  Every refusal of the oracle is raised
-    here, the zeroth moment's included.  The second item holds what
-    ``_unit_extremals`` reads to solve for the maximizers: the degree, the
-    basis, the blocks, the winning parity of each weight, the zeroth moments,
-    the weights and the operator.  Each item's result does not depend on the
-    rest of its stack.
+    One value solve per (family, operator, n) group.  The groups of one family
+    and node count (both operators, degrees n and n + 1 for odd n) share one
+    basis over the union of their weights, built for the larger degree, which
+    a group takes whole when its weights are that stack in order.  Refusals
+    come in the scalar order: a degree below 1, then per group its eigensolve
+    and the zeroth moments of its weights not yet checked.
     """
-    if n < 1:
-        raise ValueError("degree must be >= 1")
-    basis = _stack_basis(n, weights)
+    groups: dict[tuple, list[int]] = {}
+    for i, (n, weight, op) in enumerate(items):
+        if n < 1:
+            raise ValueError("degree must be >= 1")
+        groups.setdefault((weight.family, op, n), []).append(i)
+    # per (family, node count): the top degree, and each weight's position in the shared basis
+    top: dict[tuple, int] = {}
+    position: dict[tuple, dict] = {}
+    for (family, _op, n), members in groups.items():
+        key = (family, _node_count(n))
+        top[key] = max(top.get(key, n), n)
+        stack = position.setdefault(key, {})
+        for i in members:
+            stack.setdefault(items[i][1], len(stack))
+    bases = {}
+    checked = set()
+    values = [0.0] * len(items)
+    for (family, op, n), members in groups.items():
+        key = (family, _node_count(n))
+        if key not in bases:
+            bases[key] = _stack_basis(top[key], list(position[key]))
+        weights = [items[i][1] for i in members]
+        basis = bases[key]
+        if weights != list(position[key]):
+            basis = basis.take([position[key][w] for w in weights])
+        theta = _top_values(*_stiffness(n, basis, op), weights, op, n).reshape(-1, 2).max(axis=1)
+        for weight in weights:
+            if weight not in checked:
+                _mass(weight)
+                checked.add(weight)
+        for i, value in zip(members, np.sqrt(theta)):
+            values[i] = float(value)
+    return values
+
+
+def _unit_extremal(n: int, weight: WeightSpec, op: OperatorSpec) -> Polynomial:
+    """The maximizer of item (n, weight, op) with unit W-norm, in monomials, from its rebuilt stack of one.
+
+    The norm comes from the folded Gauss rule, exact on P_(2n) with mass 1,
+    times m0: monomial moments would have to cancel a Hankel condition of
+    ~10^(2n) and can even give a negative square.
+    """
+    basis = _stack_basis(n, [weight])
     s, g = _stiffness(n, basis, op)
-    theta = _top_values(s, g, weights, op, n).reshape(-1, 2)
-    m0 = np.array([_mass(wt) for wt in weights])
-    return np.sqrt(theta.max(axis=1)), (n, basis, s, g, theta.argmax(axis=1), m0, weights, op)
+    block = [int(np.argmax(_top_values(s, g, [weight], op, n)))]
+    _, v = _top_eigenpairs(s[block], g[block], [weight], op, n)
+    p = (v[:, None, :] @ _parity_blocks(basis.q)[block])[:, 0]
+    norm = np.sqrt(_mass(weight) * (basis.w * p * p).sum(axis=1))
+    t = _parity_blocks(_basis_to_monomial(n, basis.rb))[block]
+    return Polynomial(((v / norm[:, None])[:, None, :] @ t)[0, 0])
 
 
-def _unit_extremals(n: int, basis: _Basis, s: np.ndarray, g: np.ndarray, parity: np.ndarray, m0: np.ndarray,
-                    weights: Sequence[WeightSpec], op: OperatorSpec) -> np.ndarray:
-    """Monomial coefficients of the maximizers of ``_rayleigh_values`` with unit W-norm, shape (B, n + 1).
-
-    Each maximizer is the top eigenvector of its weight's winning parity
-    block, solved here.  The norm comes from the folded Gauss rule, which is
-    exact on P_(2n) and carries mass 1, times the zeroth moment.  The
-    monomial moments would have to cancel a Hankel condition of ~10^(2n) and
-    can even give a negative square.
-    """
-    blocks = 2 * np.arange(len(weights)) + parity
-    _, v = _top_eigenpairs(s[blocks], g[blocks], weights, op, n)
-    p = (v[:, None, :] @ _parity_blocks(basis.q[: n + 1])[blocks])[:, 0]
-    norm = np.sqrt(m0 * (basis.w * p * p).sum(axis=1))
-    t = _parity_blocks(_basis_to_monomial(n, basis.rb))[blocks]
-    return ((v / norm[:, None])[:, None, :] @ t)[:, 0]
-
-
+@dataclass(frozen=True)
 class _RayleighPair(abc.Sequence):
-    """``(value, maximizer)`` of ``rayleigh_factor``; the maximizer is built when first read.
+    """``(value, maximizer)`` of ``rayleigh_factor``; the maximizer is built when first read (``_BuiltOnRead``)."""
 
-    Until then the pair holds the stack of one that ``_unit_extremals``
-    reads, whose parity blocks were solved for values only; the read solves
-    the winning block for its eigenvector, caches the ``Polynomial`` and
-    drops those arrays.
-    """
-
-    __slots__ = ("_value", "_solved", "_maximizer")
-
-    def __init__(self, value: float, solved: tuple):
-        self._value, self._solved, self._maximizer = value, solved, None
+    value: float
+    maximizer: Polynomial = _BuiltOnRead()
 
     def __len__(self) -> int:
         return 2
 
     def __getitem__(self, index: int) -> float | Polynomial:
         if index in (0, -2):
-            return self._value
-        if index not in (1, -1):
-            raise IndexError(f"rayleigh_factor result index {index} out of range (value, maximizer)")
-        if self._maximizer is None:
-            self._maximizer = Polynomial(_unit_extremals(*self._solved)[0])
-            self._solved = None
-        return self._maximizer
+            return self.value
+        if index in (1, -1):
+            return self.maximizer
+        raise IndexError(f"rayleigh_factor result index {index} out of range (value, maximizer)")
 
 
 def rayleigh_factor(
@@ -541,5 +552,5 @@ def rayleigh_factor(
     cap = DEFAULT_DEGREE_CAP if max_degree is None else max_degree
     if n > cap:
         raise ValueError(f"degree {n} above cap {cap}; pass max_degree explicitly to override")
-    values, solved = _rayleigh_values(n, [weight], op)
-    return _RayleighPair(float(values[0]), solved)
+    [value] = _rayleigh_values([(n, weight, op)])
+    return _RayleighPair(value, partial(_unit_extremal, n, weight, op))

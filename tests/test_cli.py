@@ -88,6 +88,34 @@ def test_overflow_exits_3(capsys, argv):
     assert err.startswith("numerical failure:")
 
 
+@pytest.mark.parametrize(("argv", "named"), (
+    (("inequality", "--family", "gegenbauer", "--lambda", "0", "--mu", "1e300", "--n", "3", "--seed", "1"),
+     "degree-3 inequality of the gegenbauer weight (lambda=0.0, mu=1e+300)"),
+    (("inequality", "--family", "gegenbauer", "--lambda", "1e300", "--mu", "0", "--n", "3", "--seed", "1"),
+     "degree-3 inequality of the gegenbauer weight (lambda=1e+300, mu=0.0)"),
+    (("inequality", "--family", "gegenbauer", "--lambda", "1e100", "--mu", "1e50", "--n", "3", "--seed", "1"),
+     "degree-3 inequality of the gegenbauer weight (lambda=1e+100, mu=1e+50)"),
+    (("factor", "--weight", "hermite", "--op", "ddx", "--lambda", "168", "--n", "3"),
+     "degree-3 odd pencil of the hermite weight (lambda=168.0)"),
+    (("verify", "--lambdas", "170", "--mus", "600", "--n-max", "3"),
+     "degree-3 odd pencil of the hermite weight (lambda=170.0)"),
+), ids=("inequality-mu", "inequality-lambda", "inequality-sides", "factor-moments", "verify-moments"))
+def test_overflow_refusals_name_the_weight_and_degree(capsys, argv, named):
+    # lambda_n^4 overflowed a Python float power, the Gauss rule ran on non-finite recurrence coefficients
+    # ("SVD did not converge"), a side of the report was NaN with exit 0, and the Hermite moment table
+    # overflowed ("math range error"): each is now refused naming the weight and the degree
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_NUMERICAL, "")
+    assert err.startswith("numerical failure:") and named in err
+
+
+def test_hermite_moment_pencil_just_below_its_overflow(capsys):
+    # the unnormalized moments Gamma(s + lambda + 1/2) overflow from about lambda = 168 at n = 3
+    code, out, _ = run(capsys, "factor", "--weight", "hermite", "--op", "ddx", "--lambda", "165", "--n", "3",
+                       "--format", "json")
+    assert code == EXIT_OK and json.loads(out)["factor_sq"] == pytest.approx(4.012, abs=5e-4)
+
+
 @pytest.mark.parametrize("argv", (
     ("factor", "--check", "--weight", "gegenbauer", "--op", "ddx", "--lambda", "1e4", "--mu", "1e4", "--n", "3"),
     ("inequality", "--family", "gegenbauer", "--lambda", "1e4", "--mu", "1e4", "--n", "3", "--at-extremal"),
@@ -196,7 +224,7 @@ def test_verify_refuses_an_overflowing_eigenpolynomial_before_the_oracle_grid(ca
         raise AssertionError("the oracle grid ran")
 
     monkeypatch.setattr(bmfactor.orthopoly, "_eigen_coeffs", overflowing)
-    monkeypatch.setattr(bmfactor.cli, "_stack_basis", refuse)
+    monkeypatch.setattr(bmfactor.oracle, "_stack_basis", refuse)
     code, out, err = run(capsys, "verify", "--lambdas", "0.5", "1", "--mus", "0.5", "3", "--n-max", "4")
     assert (code, out) == (EXIT_NUMERICAL, "")
     assert err == ("numerical failure: degree-2 hermite eigenpolynomial has coefficients beyond a double "

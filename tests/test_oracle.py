@@ -23,7 +23,6 @@ from bmfactor.oracle import (
     _stiffness,
     _top_eigenpairs,
     _top_values,
-    _unit_extremals,
     rayleigh_factor,
     rayleigh_quotient,
     weighted_inner,
@@ -238,15 +237,24 @@ def _stack_cases():
 @pytest.mark.parametrize(("family", "op", "weights"), [pytest.param(*c, id=f"{c[0]}-{c[1]}")
                                                        for c in _stack_cases()])
 def test_stacked_oracle_equals_its_batches_of_one(family, op, weights, n):
-    damped = family == "gegenbauer"
-    operator = OperatorSpec.dunkl(damped) if op == "dunkl" else OperatorSpec.ddx(damped)
-    values, solved = _rayleigh_values(n, weights, operator)
-    coeffs = _unit_extremals(*solved)
-    assert values.shape == (len(weights),) and coeffs.shape == (len(weights), n + 1)
-    for weight, value, row in zip(weights, values, coeffs):
-        one, extremal = rayleigh_factor(n, weight, operator, max_degree=n)
-        assert one == value  # bit for bit, not approximately
-        assert extremal == Polynomial(row)
+    # one shuffled list over both families, both operators, and degrees n and n + 1 at odd n (one
+    # node count, so one shared basis), from which each group takes its items; this case's values
+    # must be those of its stacks of one, bit for bit
+    def operator(family, op):
+        damped = family == "gegenbauer"
+        return OperatorSpec.dunkl(damped) if op == "dunkl" else OperatorSpec.ddx(damped)
+
+    degrees = (n, n + 1) if n % 2 else (n,)
+    items = [(m, w, operator(f, o)) for f, o, ws in _stack_cases() for m in degrees for w in ws]
+    rng = np.random.default_rng(n)
+    items = [items[i] for i in rng.permutation(len(items))]
+    values = _rayleigh_values(items)
+    assert len(values) == len(items) and all(type(v) is float for v in values)
+    mine = [(m, w, o, value) for (m, w, o), value in zip(items, values)
+            if (w.family.value, o) == (family, operator(family, op))]
+    assert len(mine) == len(degrees) * len(weights)
+    for m, weight, o, value in mine:
+        assert value == rayleigh_factor(m, weight, o, max_degree=m)[0]  # bit for bit, not approximately
 
 
 @pytest.mark.parametrize("n", (1, 3, 9, 19))
@@ -274,7 +282,7 @@ def test_folded_oracle_matches_the_unfolded_reference(family, op, weights, n):
     # (n + 1)-square pencil and one eigh; folding reorders the sums, so only the last bits may move
     damped = family == "gegenbauer"
     operator = OperatorSpec.dunkl(damped) if op == "dunkl" else OperatorSpec.ddx(damped)
-    values, _ = _rayleigh_values(n, weights, operator)
+    values = _rayleigh_values([(n, weight, operator) for weight in weights])
     for weight, value in zip(weights, values, strict=True):
         assert value == pytest.approx(unfolded_rayleigh_value(n, weight, operator), rel=1e-13, abs=0)
 
@@ -311,8 +319,8 @@ def test_a_block_stack_names_the_weight_of_its_failing_block():
 
 def test_stacked_oracle_rejects_mixed_families():
     weights = [WeightSpec.hermite(1.0), WeightSpec.gegenbauer(1.0, 0.5)]
-    with pytest.raises(ValueError):
-        _rayleigh_values(3, weights, OperatorSpec.dunkl())
+    with pytest.raises(ValueError, match="share their family"):
+        _stack_basis(3, weights)
 
 
 def test_stacked_solve_names_the_indefinite_item():
@@ -362,9 +370,9 @@ def no_maximizer(monkeypatch):
 
 def test_rayleigh_factor_value_builds_no_maximizer(no_maximizer):
     weight, op = WeightSpec.gegenbauer(4.5, 3.0), OperatorSpec.ddx(damped=True)
-    values, _ = _rayleigh_values(20, [weight], op)
+    [value] = _rayleigh_values([(20, weight, op)])
     result = rayleigh_factor(20, weight, op, max_degree=20)
-    assert result[0] == result[-2] == values[0] and type(result[0]) is float
+    assert result[0] == result[-2] == value and type(result[0]) is float
     assert len(result) == 2
     with pytest.raises(IndexError):
         result[2]

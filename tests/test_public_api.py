@@ -50,6 +50,15 @@ def test_only_factors_imports_special():
     assert importers == ["factors"]
 
 
+def test_cli_imports_only_the_oracle_entries():
+    # verify and factor --check reach the oracle through its value entry and rayleigh_factor only,
+    # not through its basis, stiffness, solve or zeroth-moment helpers
+    tree = ast.parse(Path(bmfactor.__file__).with_name("cli.py").read_text())
+    names = sorted(alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module == "oracle" for alias in node.names)
+    assert names == ["ConditioningError", "_rayleigh_values", "rayleigh_factor"]
+
+
 def test_result_types_store_each_value_once():
     # factor = sqrt(factor_sq), gap = rhs - lhs and the equality verdict are derived, not stored;
     # the pencil keeps its weight instead of a family name and loose parameters, and no raw entries
@@ -66,4 +75,4 @@ def test_oracle_has_one_scalar_entry():
     # the stack-of-one wrappers are gone; only rayleigh_factor carries the degree guard rail
     assert [name for name in ("gauss_rule", "recurrence_betas", "_rayleigh_stack")
             if hasattr(bmfactor.oracle, name)] == []
-    assert list(inspect.signature(bmfactor.oracle._rayleigh_values).parameters) == ["n", "weights", "op"]
+    assert list(inspect.signature(bmfactor.oracle._rayleigh_values).parameters) == ["items"]
