@@ -7,13 +7,11 @@ from .factors import (
     FactorResult,
     Pencil,
     build_pencil_F,
-    build_pencil_G,
     dunkl_gegenbauer_threshold,
     factor_gegenbauer_ddx,
     factor_gegenbauer_dunkl,
     factor_hermite_ddx,
     factor_hermite_dunkl,
-    pencil_largest_positive_root,
 )
 from .inequality import InequalityReport, gegenbauer_inequality, hermite_inequality
 from .oracle import ConditioningError, rayleigh_factor, rayleigh_quotient, weighted_inner
@@ -33,7 +31,6 @@ __all__ = [
     "WeightFamily",
     "WeightSpec",
     "build_pencil_F",
-    "build_pencil_G",
     "dunkl_apply",
     "dunkl_gegenbauer_threshold",
     "eigenvalue_sq",
@@ -45,7 +42,6 @@ __all__ = [
     "gegenbauer_poly",
     "hermite_inequality",
     "hermite_poly",
-    "pencil_largest_positive_root",
     "rayleigh_factor",
     "rayleigh_quotient",
     "residual_gegenbauer",

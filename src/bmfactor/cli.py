@@ -147,13 +147,13 @@ def _emit_factor(payload: dict, fmt: str, digits: int, extremal_only: bool) -> N
         print(f"extremal polynomial (degree sector {payload['branch']}):")
         print("  coeffs:", " ".join(str(c) for c in payload["extremal_coeffs"]))
         print("  p(x) =", _poly_str(Polynomial(payload["extremal_coeffs"]), digits))
-        return
-    print(f"weight={payload['weight']} operator={payload['operator']} "
-          f"lambda={payload['lambda']} mu={payload['mu']} n={payload['n']}")
-    print(f"factor     = {payload['factor']}")
-    print(f"factor_sq  = {payload['factor_sq']}")
-    print(f"branch     = {payload['branch']}")
-    print(f"extremal   = {_poly_str(Polynomial(payload['extremal_coeffs']), digits)}")
+    else:
+        print(f"weight={payload['weight']} operator={payload['operator']} "
+              f"lambda={payload['lambda']} mu={payload['mu']} n={payload['n']}")
+        print(f"factor     = {payload['factor']}")
+        print(f"factor_sq  = {payload['factor_sq']}")
+        print(f"branch     = {payload['branch']}")
+        print(f"extremal   = {_poly_str(Polynomial(payload['extremal_coeffs']), digits)}")
     if "oracle_factor" in payload:
         print(f"oracle     = {payload['oracle_factor']}   (rel err {payload['oracle_rel_err']})")
 
@@ -387,6 +387,8 @@ def cmd_inequality(args: argparse.Namespace) -> int:
         raise ValueError(f"--n must be >= 0, got {args.n}")
     if args.seed is not None and args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    if args.seed is not None and (args.coeffs is not None or args.at_extremal):
+        raise ValueError("--seed draws a random polynomial and cannot be combined with --coeffs or --at-extremal")
     p = _inequality_polynomial(args)
     if args.family == "gegenbauer":
         report = gegenbauer_inequality(p, args.n, args.lam, args.mu)

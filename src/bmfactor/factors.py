@@ -12,22 +12,20 @@ coefficients of W and of W (1 - x^2); it is solved for a stack of (lam, mu)
 pairs at once by the oracle's value solve (``oracle._top_values``), and
 ``factor_gegenbauer_ddx`` is its stack of one.  For its values that route
 shares only ``_stack_betas`` and the Cholesky reduction with the oracle, so
-the oracle's Gauss-rule stiffness solve checks it independently.  The odd
-branch of the Hermite weight under d/dx is still the largest positive root
-of the moment pencil det(P + t Q) of ``build_pencil_F``.
+the oracle's Gauss-rule stiffness solve checks it independently; the
+paper's moment pencil G, whose largest root is that odd branch, is the
+tests' reference (``tests/instruments.py``).
 
-The paper's pencils ``build_pencil_F`` and ``build_pencil_G`` are one
-builder, ``_build_pencil``: Hermite is the A = 1, b = 2 case of the [-1, 1]
-formulas.  They stay as objects the tests check the odd pencil against;
-``table2`` takes its nu_2 column from the 2x2 block of the odd pencil, whose
-one solve also gives M_3 and M_4.  The builder evaluates P in a form the
-moment recurrences make exactly symmetric, and Q is a Hankel matrix, so the
-pencil is solved as the symmetric-definite problem -P v = t Q v.  That is the
-oracle's Cholesky-reduced eigensolve (``oracle._top_eigenpairs``) on a stack
-of one, and its top root is refined in long double from entries rebuilt out
-of the pencil's weight.  The moment pencils read ``special``'s moment tables,
-the package's one use of scipy; everything else here needs numpy only.
-A moment beyond a double is refused with ``OverflowError`` naming the weight
+The odd branch of the Hermite weight under d/dx is still the largest root of
+the paper's moment pencil det(P + t Q) of ``build_pencil_F``.  Its entries
+are exactly symmetric, -P and Q are positive-definite scaled Hankel moment
+matrices, and so it is solved as the symmetric-definite problem
+-P v = t Q v: the oracle's Cholesky-reduced eigensolve
+(``oracle._top_eigenpairs``) on a stack of one, with the top root refined in
+long double from entries rebuilt out of the pencil's weight
+(``_top_positive``).  The pencil reads ``special``'s moment tables, the
+package's one use of scipy; everything else here needs numpy only.  A
+moment beyond a double is refused with ``OverflowError`` naming the weight
 and the pencil's degree.
 
 Each route computes its factor value at once and its extremal when it is
@@ -72,17 +70,16 @@ class Branch(Enum):
 
 @dataclass(frozen=True)
 class Pencil:
-    """Symmetric pair (P, Q) for det(P + t Q) = 0, and the weight of a builder-made pencil.
+    """Symmetric pair (P, Q) for det(P + t Q) = 0, and the weight whose moments they hold.
 
     The weight lets the root solver re-derive the entries in long double: at
     unfriendly parameters cond(Q) reaches 1e10..1e12 and the root of the
-    double-rounded entries can sit ~1e-5 away from the true root.  A
-    hand-built pencil has no weight and is solved from its entries as given.
+    double-rounded entries can sit ~1e-5 away from the true root.
     """
 
     p: np.ndarray
     q: np.ndarray
-    weight: WeightSpec | None = None
+    weight: WeightSpec
 
     @property
     def size(self) -> int:
@@ -110,65 +107,35 @@ class FactorResult:
         return sqrt(self.factor_sq)
 
 
-def _build_pencil(weight: WeightSpec, m: int) -> Pencil:
-    """The moment pencil of size m + 1 of either weight, from its normalized even moments c.
-
-    Entry (i, j) of P + t Q is (2j+1)(2j+2 lam) c_(2i+2j) + (t - (2j+1) k_j) c_(2i+2j+2),
-    with k_j = 2 on R (the A = 1, b = 2 case) and 2j + 2 lam + 2 mu + 1 on [-1, 1].
-    The moment recurrences collapse the P entry to -(2i+1)(2j+1) c_(2i+2j), times
-    (mu + 1/2)/(i + j + lam + mu + 1) on [-1, 1].  That is the form evaluated: the
-    textbook form subtracts two nearly equal products and would shed digits, while
-    the collapsed form is cancellation-free (and manifestly symmetric).  The
-    textbook entries are the tests' reference (``tests/instruments.py``).
-    """
-    lam, mu, gegenbauer = weight.lam, weight.mu, weight.is_gegenbauer
-    try:
-        table = moment_table(weight, 4 * m + 6, normalized=True)
-    except OverflowError as exc:
-        raise OverflowError(f"moments of the degree-{2 * m + 1} odd pencil of the {_describe(weight)} "
-                            f"are beyond a double ({exc})") from exc
-    c = [table.moment(2 * s) for s in range(2 * m + 3)]
-    p = np.empty((m + 1, m + 1))
-    q = np.empty((m + 1, m + 1))
-    for i in range(m + 1):
-        for j in range(m + 1):
-            entry = -(2 * i + 1) * (2 * j + 1) * c[i + j]
-            p[i, j] = entry * (mu + 0.5) / (i + j + lam + mu + 1.0) if gegenbauer else entry
-            q[i, j] = c[i + j + 1]
-    return Pencil(p, q, weight)
-
-
 def build_pencil_F(n_odd: int, lam: float) -> Pencil:
     """Pencil of the odd-degree extremal system for |x|^(2 lam) exp(-x^2) and d/dx.
 
     Entry (i, j) of P + t Q is (2j+1)(2j+2 lam) d_(2i+2j) + (t - 4j - 2) d_(2i+2j+2)
-    with d the even weight moments; i, j = 0 .. (n-1)/2 (``_build_pencil``).
+    with d the normalized even weight moments; i, j = 0 .. (n-1)/2.  The moment
+    recurrence collapses the P entry to -(2i+1)(2j+1) d_(2i+2j).  That is the
+    form evaluated: the textbook form subtracts two nearly equal products and
+    would shed digits, while the collapsed form is cancellation-free (and
+    manifestly symmetric).  The textbook entries are the tests' reference
+    (``tests/instruments.py``).
     """
     if n_odd % 2 == 0:
         raise ValueError(f"pencil is defined for odd degrees, got {n_odd}")
     if lam <= 0:
         raise ValueError("lambda must be > 0")
-    return _build_pencil(WeightSpec.hermite(lam), (n_odd - 1) // 2)
-
-
-def build_pencil_G(n: int, lam: float, mu: float) -> Pencil:
-    """Pencil of the odd-part extremal system for the [-1,1] weight and sqrt(1-x^2) d/dx.
-
-    Entry (i, j) is (2j+1)(2j+2 lam) c_(2i+2j) + [t - (2j+1)(2j+2 lam+2 mu+1)] c_(2i+2j+2)
-    with c the even weight moments; the size is n/2 for even n and (n+1)/2 for
-    odd n (``_build_pencil``).
-    """
-    if n < 1:
-        raise ValueError("degree must be >= 1")
-    if lam <= 0:
-        raise ValueError("lambda must be > 0")
-    if mu <= -0.5:
-        raise ValueError("mu must be > -1/2")
-    return _build_pencil(WeightSpec.gegenbauer(lam, mu), (n - 1) // 2)
-
-
-def _positive_threshold(pencil: Pencil) -> float:
-    return 1e-10 * np.linalg.norm(pencil.p, 2) / np.linalg.norm(pencil.q, 2)
+    weight, m = WeightSpec.hermite(lam), (n_odd - 1) // 2
+    try:
+        table = moment_table(weight, 4 * m + 6, normalized=True)
+    except OverflowError as exc:
+        raise OverflowError(f"moments of the degree-{n_odd} odd pencil of the {_describe(weight)} "
+                            f"are beyond a double ({exc})") from exc
+    d = [table.moment(2 * s) for s in range(2 * m + 3)]
+    p = np.empty((m + 1, m + 1))
+    q = np.empty((m + 1, m + 1))
+    for i in range(m + 1):
+        for j in range(m + 1):
+            p[i, j] = -(2 * i + 1) * (2 * j + 1) * d[i + j]
+            q[i, j] = d[i + j + 1]
+    return Pencil(p, q, weight)
 
 
 def _solve_lu(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -191,32 +158,22 @@ def _solve_lu(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _long_double_pencil(pencil: Pencil) -> tuple[np.ndarray, np.ndarray] | None:
-    """(-P, Q) rebuilt in long double from the pencil's weight, when it has one.
+def _long_double_pencil(pencil: Pencil) -> tuple[np.ndarray, np.ndarray]:
+    """(-P, Q) rebuilt in long double from the pencil's Hermite weight.
 
-    Normalized even moments have pure product forms, d_(2s)/d_0 = prod (k+lam+1/2)
-    and c_(2s)/c_0 = prod (k+lam+1/2)/(k+lam+mu+1), so no special functions and
-    no cancellation are involved at any precision.
+    Normalized even moments have the pure product form d_(2s)/d_0 = prod (k+lam+1/2),
+    so no special functions and no cancellation are involved at any precision.
     """
-    weight = pencil.weight
-    if weight is None:
-        return None
-    ld = np.longdouble
     size = pencil.size
-    lam, mu = ld(weight.lam), ld(weight.mu)
+    lam = np.longdouble(pencil.weight.lam)
     mom = np.ones(2 * size + 1, dtype=np.longdouble)
     for s in range(2 * size):
-        step = (s + lam + 0.5) / (s + lam + mu + 1.0) if weight.is_gegenbauer else s + lam + 0.5
-        mom[s + 1] = mom[s] * step
+        mom[s + 1] = mom[s] * (s + lam + 0.5)
     a = np.empty((size, size), dtype=np.longdouble)
     b = np.empty((size, size), dtype=np.longdouble)
     for i in range(size):
         for j in range(size):
-            if weight.is_gegenbauer:
-                diff = mom[i + j] * (mu + 0.5) / (i + j + lam + mu + 1.0)
-            else:
-                diff = mom[i + j]
-            a[i, j] = (2 * i + 1) * (2 * j + 1) * diff
+            a[i, j] = (2 * i + 1) * (2 * j + 1) * mom[i + j]
             b[i, j] = mom[i + j + 1]
     return a, b
 
@@ -228,12 +185,7 @@ def _refine_pair(pencil: Pencil, t: float, v: np.ndarray) -> tuple[float, np.nda
     conditioning of Q at unfriendly parameters; rebuilding the entries and
     iterating in long double recovers the root to roughly eps_80bit * cond(Q).
     """
-    rebuilt = _long_double_pencil(pencil)
-    if rebuilt is not None:
-        a, b = rebuilt
-    else:
-        a = (-pencil.p).astype(np.longdouble)
-        b = pencil.q.astype(np.longdouble)
+    a, b = _long_double_pencil(pencil)
     t_ld = np.longdouble(t)
     v_ld = v.astype(np.longdouble)
     v_ld /= np.sqrt(v_ld @ b @ v_ld)
@@ -253,31 +205,21 @@ def _refine_pair(pencil: Pencil, t: float, v: np.ndarray) -> tuple[float, np.nda
     return float(t_ld), v_ld.astype(float)
 
 
-def _top_positive(pencil: Pencil) -> tuple[float, np.ndarray] | None:
-    """Largest positive root of det(P + t Q) with its eigenvector, or None when no root is positive.
+def _top_positive(pencil: Pencil) -> tuple[float, np.ndarray]:
+    """Largest root of det(P + t Q) with its eigenvector, for a Hermite d/dx moment pencil.
 
-    -P v = t Q v is symmetric-definite, so its largest root is the top
-    eigenvalue of the oracle's Cholesky-reduced eigensolve (``_top_eigenpairs``)
-    on a stack of one, with Q scaled to unit diagonal; the root is then refined
-    in long double.  A Q that fails Cholesky raises ``ConditioningError`` naming
-    the pencil as (family, ddx, lambda, mu, 2 size - 1); a hand-built pencil
-    without a weight is named under the Hermite weight with lambda = 0.
+    -P and Q are positive-definite scaled Hankel moment matrices, so every
+    root of -P v = t Q v is positive and the largest is the top eigenvalue of
+    the oracle's Cholesky-reduced eigensolve (``_top_eigenpairs``) on a stack
+    of one, with Q scaled to unit diagonal; the root is then refined in long
+    double.  A Q that fails Cholesky raises ``ConditioningError`` naming the
+    pencil as (hermite, ddx, lambda, 0.0, 2 size - 1).
     """
     scale = 1.0 / np.sqrt(np.diag(pencil.q))
     outer = scale[:, None] * scale
-    weight = pencil.weight or WeightSpec.hermite(0.0)
-    op = OperatorSpec.ddx(damped=weight.is_gegenbauer)
     vals, vecs = _top_eigenpairs((-pencil.p * outer)[None], (pencil.q * outer)[None],
-                                 [weight], op, 2 * pencil.size - 1)
-    if vals[0] <= _positive_threshold(pencil):
-        return None
+                                 [pencil.weight], OperatorSpec.ddx(), 2 * pencil.size - 1)
     return _refine_pair(pencil, float(vals[0]), scale * vecs[0])
-
-
-def pencil_largest_positive_root(pencil: Pencil) -> float | None:
-    """Largest strictly positive root of det(P + t Q), or None when no positive root exists."""
-    top = _top_positive(pencil)
-    return None if top is None else top[0]
 
 
 def _odd_polynomial(vec: np.ndarray) -> Polynomial:
@@ -305,10 +247,7 @@ def factor_hermite_ddx(n: int, lam: float) -> FactorResult:
     if n == 1:
         fsq = 2.0 / (2.0 * lam + 1.0)
         return FactorResult(fsq, Branch.ODD_PENCIL_ROOT, Polynomial((0.0, 1.0)), n, weight, op)
-    top = _top_positive(build_pencil_F(n, lam))
-    if top is None:
-        raise RuntimeError("odd-degree pencil unexpectedly has no positive root")
-    nu, vec = top
+    nu, vec = _top_positive(build_pencil_F(n, lam))
     return FactorResult(nu, Branch.ODD_PENCIL_ROOT, _odd_polynomial(vec), n, weight, op)
 
 
@@ -363,7 +302,7 @@ def factor_gegenbauer_ddx(n: int, lam: float, mu: float) -> FactorResult:
     (n-1)(n+2 lam+2 mu-1) (odd n); the odd-polynomial branch is the largest
     Rayleigh quotient over odd polynomials of degree <= n, the top eigenvalue
     of the tridiagonal pencil of ``_odd_pencil_stack`` (the largest root of
-    ``build_pencil_G``).  The factor is the max.
+    the paper's moment pencil G).  The factor is the max.
     """
     return _gegenbauer_ddx_stack(n, *_odd_branch_stack(n, [(lam, mu)]))[0]
 

@@ -11,9 +11,10 @@
 - ``connection_check`` and ``hermite_connection_check``: the Gegenbauer and
   Hermite recurrences against their Jacobi and Laguerre forms.
 - ``pencil_F_reference`` and ``pencil_G_reference``: the paper's moment
-  pencils F and G entry by entry, one loop per family, as the reference for
-  the shared builder behind ``build_pencil_F`` and ``build_pencil_G``, with
-  the textbook (raw) P entries that the builder no longer forms.
+  pencils F and G entry by entry, one loop per family, with the textbook
+  (raw) P entries that no builder forms.  F is the reference for
+  ``build_pencil_F``; G, whose largest root is the Gegenbauer d/dx odd
+  branch, has no builder in the package.
 - ``unfolded_gauss_rule`` and ``unfolded_rayleigh_value``: the oracle
   without its fold and parity split, on one weight: the Gauss rule on all
   N nodes, an (n + 1)-square stiffness and Gram pair over every basis row,

@@ -136,6 +136,22 @@ def test_extremal_command(capsys):
     assert "coeffs: 0.0 1.0" in out  # extremal drops to degree 1 for lam > 1/2
 
 
+def test_extremal_check_prints_the_oracle_line(capsys):
+    # plain extremal --check once ran the oracle and printed nothing of it; csv and json carried it
+    argv = ("extremal", "--weight", "hermite", "--op", "ddx", "--lambda", "1", "--n", "5", "--check")
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK and out.startswith("extremal polynomial (degree sector odd_pencil_root):")
+    row = next(csv.DictReader(io.StringIO(run(capsys, *argv, "--format", "csv")[1])))
+    assert out.splitlines()[-1] == f"oracle     = {row['oracle_factor']}   (rel err {row['oracle_rel_err']})"
+
+
+def test_hermite_ddx_moment_pencil_refusal_names_the_pencil(capsys):
+    # the Hermite d/dx odd moment pencil's Q fails Cholesky from n = 37 at lambda = 1
+    code, out, err = run(capsys, "factor", "--weight", "hermite", "--op", "ddx", "--lambda", "1", "--n", "37")
+    assert (code, out) == (EXIT_NUMERICAL, "")
+    assert err.startswith("numerical failure:") and "('hermite', 'ddx', 1.0, 0.0, 37)" in err
+
+
 def test_verify_small_grid_passes(capsys):
     code, out, _ = run(capsys, "verify", "--lambdas", "0.5", "1", "--mus", "0.5",
                        "--n-max", "6")
@@ -629,6 +645,15 @@ def test_inequality_refuses_negative_integer_options(capsys, options):
     code, out, err = run(capsys, "inequality", "--family", "hermite", "--lambda", "1", *options)
     assert (code, out) == (EXIT_DOMAIN, "")
     assert err.startswith("error:") and options[-2] in err
+
+
+@pytest.mark.parametrize("source", (("--coeffs", "1,0,1"), ("--at-extremal",)), ids=("coeffs", "at-extremal"))
+def test_inequality_refuses_a_seed_it_would_ignore(capsys, source):
+    # the seed draws the random polynomial only; next to explicit input it was once ignored with exit 0
+    code, out, err = run(capsys, "inequality", "--family", "hermite", "--lambda", "1", "--n", "3",
+                         "--seed", "3", *source)
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err.startswith("error:") and "--seed" in err
 
 
 def test_inequality_accepts_degree_zero(capsys):

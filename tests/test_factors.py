@@ -23,13 +23,11 @@ from bmfactor.factors import (
     _odd_polynomial,
     _top_positive,
     build_pencil_F,
-    build_pencil_G,
     dunkl_gegenbauer_threshold,
     factor_gegenbauer_ddx,
     factor_gegenbauer_dunkl,
     factor_hermite_ddx,
     factor_hermite_dunkl,
-    pencil_largest_positive_root,
 )
 from bmfactor.oracle import (
     ConditioningError,
@@ -58,14 +56,10 @@ def _corrected_nu2(lam):
 # pencils
 
 
-def _certified_pencil_parameters():
-    """Hermite lambdas and Gegenbauer (lambda, mu) pairs of tests/certified_reference.json."""
-    certified = json.loads(CERTIFIED_REFERENCE.read_text())
-    points = {tuple(key.split("/")[:4]) for key in certified["oracle"]}
-    hermite = sorted({float(lam) for family, _, lam, _ in points if family == "hermite"})
-    pairs = {(float(lam), float(mu)) for family, _, lam, mu in points if family == "gegenbauer"}
-    pairs |= {(row["lambda"], row["mu"]) for row in certified["table2"]}
-    return hermite, sorted(pairs)
+def _certified_hermite_lambdas():
+    """Hermite lambdas of tests/certified_reference.json."""
+    points = {tuple(key.split("/")[:3]) for key in json.loads(CERTIFIED_REFERENCE.read_text())["oracle"]}
+    return sorted({float(lam) for family, _, lam in points if family == "hermite"})
 
 
 def _same_pencil(built, reference):
@@ -75,9 +69,8 @@ def _same_pencil(built, reference):
 
 
 def test_pencil_builders_equal_the_per_family_loops():
-    # one builder serves both pencils; it must give the paper's per-family entries bit for bit
-    hermite, pairs = _certified_pencil_parameters()
-    for lam in hermite:
+    # the builder of F must give the paper's entries bit for bit (G has no builder; it is a test reference)
+    for lam in _certified_hermite_lambdas():
         for n in range(1, 62, 2):
             try:
                 reference, _ = pencil_F_reference(n, lam)
@@ -86,9 +79,6 @@ def test_pencil_builders_equal_the_per_family_loops():
                     build_pencil_F(n, lam)
                 continue
             _same_pencil(build_pencil_F(n, lam), reference)
-    for lam, mu in pairs:
-        for n in range(1, 62):
-            _same_pencil(build_pencil_G(n, lam, mu), pencil_G_reference(n, lam, mu)[0])
 
 
 def test_pencil_rejects_bad_arguments():
@@ -96,38 +86,33 @@ def test_pencil_rejects_bad_arguments():
         build_pencil_F(4, 1.0)
     with pytest.raises(ValueError):
         build_pencil_F(3, 0.0)
-    with pytest.raises(ValueError):
-        build_pencil_G(3, -1.0, 0.5)
-    with pytest.raises(ValueError):
-        build_pencil_G(3, 1.0, -0.6)
 
 
 @pytest.mark.parametrize("lam", LAMBDAS)
 def test_pencil_F_n1_closed_root(lam):
     pencil = build_pencil_F(1, lam)
     assert pencil.size == 1
-    assert pencil_largest_positive_root(pencil) == pytest.approx(2.0 / (2 * lam + 1), rel=1e-12)
+    assert _top_positive(pencil)[0] == pytest.approx(2.0 / (2 * lam + 1), rel=1e-12)
 
 
 @pytest.mark.parametrize("lam", (0.2, 0.5, 1.0, 2.0, 4.5))
 def test_pencil_F_n3_matches_corrected_closed_form(lam):
-    root = pencil_largest_positive_root(build_pencil_F(3, lam))
+    root, _ = _top_positive(build_pencil_F(3, lam))
     assert root == pytest.approx(_corrected_nu2(lam), rel=1e-9)
 
 
 def test_pencil_F_n3_frozen_value():
     # independently confirmed by the 2x2 Rayleigh eigenproblem over odd cubics
-    assert pencil_largest_positive_root(build_pencil_F(3, 1.0)) == pytest.approx(
-        4.837176079480, rel=1e-9)
+    assert _top_positive(build_pencil_F(3, 1.0))[0] == pytest.approx(4.837176079480, rel=1e-9)
 
 
 @pytest.mark.parametrize("lam", LAMBDAS)
 @pytest.mark.parametrize("mu", MUS)
 def test_pencil_G_n2_closed_root(lam, mu):
-    pencil = build_pencil_G(2, lam, mu)
-    assert pencil.size == 1
-    assert pencil_largest_positive_root(pencil) == pytest.approx(
-        (2 * mu + 1) / (2 * lam + 1), rel=1e-12)
+    # the 1x1 pencil G has the root (2 mu + 1)/(2 lam + 1); the odd branch at n = 2 must give it
+    assert pencil_G_reference(2, lam, mu)[0].size == 1
+    _, (nu,) = _odd_branch_stack(2, [(lam, mu)])
+    assert nu == pytest.approx((2 * mu + 1) / (2 * lam + 1), rel=1e-12)
 
 
 def test_pencil_G_frozen_roots():
@@ -137,41 +122,35 @@ def test_pencil_G_frozen_roots():
         (1.0, 1.0): 14.722003496172,
         (4.0, 4.0): 38.208897211818,
     }
-    for (lam, mu), expected in cases.items():
-        assert pencil_largest_positive_root(build_pencil_G(3, lam, mu)) == pytest.approx(
-            expected, rel=1e-9)
+    _, roots = _odd_branch_stack(3, list(cases))
+    for root, expected in zip(roots, cases.values(), strict=True):
+        assert root == pytest.approx(expected, rel=1e-9)
 
 
 def test_pencil_entries_are_exactly_symmetric():
     for pencil, p_raw in (pencil_F_reference(7, 1.3), pencil_G_reference(8, 0.6, 2.0)):
         assert np.max(np.abs(p_raw - p_raw.T)) <= 1e-12 * np.max(np.abs(p_raw))
         assert np.array_equal(pencil.q, pencil.q.T)
-    for pencil in (build_pencil_F(7, 1.3), build_pencil_G(8, 0.6, 2.0)):
-        assert np.array_equal(pencil.p, pencil.p.T) and np.array_equal(pencil.q, pencil.q.T)
+    pencil = build_pencil_F(7, 1.3)
+    assert np.array_equal(pencil.p, pencil.p.T) and np.array_equal(pencil.q, pencil.q.T)
 
 
 def test_pencil_solve_agrees_with_qz_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for lam, mu in ((0.3, 0.0), (2.0, 3.0)):
-            pencil_largest_positive_root(build_pencil_G(7, lam, mu))
-            pencil_largest_positive_root(build_pencil_F(7, lam))
+        _odd_branch_stack(7, [(0.3, 0.0), (2.0, 3.0)])
+        for lam in (0.3, 2.0):
+            _top_positive(build_pencil_F(7, lam))
         # a raw-QZ cross-check once disagreed here, warned and swapped in its own root
-        for pencil in (build_pencil_F(7, 150.0), build_pencil_G(7, 10.0, 0.0), build_pencil_G(7, 100.0, -0.4)):
-            pencil_largest_positive_root(pencil)
-
-
-def test_pencil_trivial_roots():
-    one = np.array([[1.0]])
-    assert pencil_largest_positive_root(Pencil(-2.0 * one, one)) == pytest.approx(2.0)
-    assert pencil_largest_positive_root(Pencil(2.0 * one, one)) is None
+        _top_positive(build_pencil_F(7, 150.0))
+        _odd_branch_stack(7, [(10.0, 0.0), (100.0, -0.4)])
 
 
 def test_pencil_with_indefinite_q_is_refused():
     p = -np.eye(2)
     q = np.array([[1.0, 2.0], [2.0, 1.0]])  # unit diagonal, eigenvalues 3 and -1
     with pytest.raises(ConditioningError) as info:
-        pencil_largest_positive_root(Pencil(p, q, WeightSpec.hermite(1.0)))
+        _top_positive(Pencil(p, q, WeightSpec.hermite(1.0)))
     assert info.value.index == 0
     assert info.value.condition == pytest.approx(3.0)
     assert "('hermite', 'ddx', 1.0, 0.0, 3)" in str(info.value)
@@ -179,9 +158,8 @@ def test_pencil_with_indefinite_q_is_refused():
 
 @pytest.mark.parametrize("lam,mu,n", [(0.5, 0.5, 5), (1.0, 1.0, 3), (2.0, -0.4, 7), (4.5, 3.0, 9)])
 def test_pencil_root_equals_odd_subspace_rayleigh_max(lam, mu, n):
-    # the full-space oracle equals the pencil root whenever the odd branch wins;
-    # the pencil side carries its Hankel conditioning, hence 1e-9 rather than eps
-    nu = pencil_largest_positive_root(build_pencil_G(n, lam, mu))
+    # the full-space oracle equals the odd branch (the root of the pencil G) whenever that branch wins
+    _, (nu,) = _odd_branch_stack(n, [(lam, mu)])
     closed = (n - 1) * (n + 2 * lam + 2 * mu - 1)
     oracle, _ = rayleigh_factor(n, WeightSpec.gegenbauer(lam, mu), OperatorSpec.ddx(damped=True))
     assert oracle * oracle == pytest.approx(max(nu, closed), rel=1e-9)
@@ -375,26 +353,28 @@ def test_gegenbauer_ddx_stack_equals_its_stacks_of_one(n):
         assert stacked == factor_gegenbauer_ddx(n, lam, mu)  # bit for bit, extremal included
 
 
-# The table2 points with lambda <= 10 next to the default verify grid.  At
-# (10, -0.4) the size-4 pencil is itself 1.7e-12 off an mpmath odd-sector
-# maximum (the tridiagonal odd pencil: 1.1e-16), so that point is left out.
+# The table2 points with lambda <= 10 next to the default verify grid, and
+# (10, -0.4), where the size-4 moment pencil G was itself 1.7e-12 off.
 _PENCIL_POINTS = [(lam, mu) for lam in LAMBDAS for mu in MUS] + [
     (0.4, -0.4), (0.3, -0.3), (0.2, -0.2), (0.1, -0.1), (4.0, 4.0), (3.0, 3.0),
-    (2.0, 2.0), (1.0, 1.0), (10.0, 9.0), (1.0, 0.0), (10.0, 0.0)]
+    (2.0, 2.0), (1.0, 1.0), (10.0, 9.0), (1.0, 0.0), (10.0, 0.0), (10.0, -0.4)]
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_odd_sector_equals_pencil_root(n):
-    # pencil sizes 1..4: the paper's determinant pencil checks the tridiagonal
-    # odd pencil; at n = 3 on every table2 point too, since table2's nu2 is its 2x2 block
+    # pencil sizes 1..4: the largest root of the paper's pencil G is the exact odd-sector
+    # maximum, which checks the tridiagonal odd pencil; at n = 3 on every table2 point
+    # too, since table2's nu2 is its 2x2 block
     points = _PENCIL_POINTS + ([(lam, mu) for lam, mu, *_ in TABLE2_REFERENCE] if n == 3 else [])
     weights = [WeightSpec.gegenbauer(lam, mu) for lam, mu in points]
     lam, mu = np.array(points).T
     s, g = _odd_pencil_stack((n - 1) // 2, lam, mu)
-    size = build_pencil_G(n, 1.0, 0.0).size
+    size = pencil_G_reference(n, 1.0, 0.0)[0].size
     assert s.shape == g.shape == (len(weights), size, size)
     values, _ = _top_eigenpairs(s, g, weights, OperatorSpec.ddx(damped=True), n)
-    roots = [pencil_largest_positive_root(build_pencil_G(n, w.lam, w.mu)) for w in weights]
+    # mpmath's Cholesky refuses pivots below its epsilon: the moments at (100, 99) are about 1e-61
+    with mp.workdps(80):
+        roots = [float(rayleigh_max_sq("gegenbauer", "ddx", w.lam, w.mu, n, parities=(1,))) for w in weights]
     for value, root in zip(values, roots):
         assert value == pytest.approx(root, rel=1e-12)
 

@@ -11,19 +11,19 @@ import bmfactor.oracle
 
 PUBLIC = [
     "Branch", "ConditioningError", "FactorResult", "InequalityReport", "OperatorKind", "OperatorSpec",
-    "Pencil", "Polynomial", "WeightFamily", "WeightSpec", "build_pencil_F", "build_pencil_G",
-    "dunkl_apply", "dunkl_gegenbauer_threshold", "eigenvalue_sq", "factor_gegenbauer_ddx",
-    "factor_gegenbauer_dunkl", "factor_hermite_ddx", "factor_hermite_dunkl", "gegenbauer_inequality",
-    "gegenbauer_poly", "hermite_inequality", "hermite_poly", "pencil_largest_positive_root",
-    "rayleigh_factor", "rayleigh_quotient", "residual_gegenbauer", "residual_hermite", "sigma",
+    "Pencil", "Polynomial", "WeightFamily", "WeightSpec", "build_pencil_F", "dunkl_apply",
+    "dunkl_gegenbauer_threshold", "eigenvalue_sq", "factor_gegenbauer_ddx", "factor_gegenbauer_dunkl",
+    "factor_hermite_ddx", "factor_hermite_dunkl", "gegenbauer_inequality", "gegenbauer_poly",
+    "hermite_inequality", "hermite_poly", "rayleigh_factor", "rayleigh_quotient", "residual_gegenbauer", "residual_hermite", "sigma",
     "weighted_inner",
 ]
 MODULES = ("core", "dunkl", "factors", "inequality", "oracle", "orthopoly", "special", "cli")
-# Test instruments now in tests/instruments.py, and wrapper types that are gone.
+# Test instruments now in tests/instruments.py, wrapper types that are gone, and the moment pencil G
+# with its generic root solver (the odd pencil serves G's root; tests/instruments.py keeps G).
 MOVED = (
     "gram_matrices", "GramPair", "residual_classical_L", "ClassicalResidual", "connection_check",
     "hermite_connection_check", "TableCoefficients", "monomial_factor", "dunkl_laplacian", "mul_by_x",
-    "mul_by_one_minus_x2", "reflect", "parity_split",
+    "mul_by_one_minus_x2", "reflect", "parity_split", "build_pencil_G", "pencil_largest_positive_root",
 )
 # bmfactor.special keeps these for the moment pencils; the package does not re-export them.
 SPECIAL = ("MomentTable", "log_gamma", "hermite_moment", "gegenbauer_moment", "moment_table")
@@ -31,7 +31,7 @@ SPECIAL = ("MomentTable", "log_gamma", "hermite_moment", "gegenbauer_moment", "m
 
 def test_all_lists_the_runtime_names():
     assert sorted(bmfactor.__all__) == sorted(PUBLIC)
-    assert len(PUBLIC) == 30
+    assert len(PUBLIC) == 28
     for name in PUBLIC:
         assert getattr(bmfactor, name) is not None
 
