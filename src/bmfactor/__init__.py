@@ -7,15 +7,14 @@ from .factors import (
     FactorResult,
     Pencil,
     build_pencil_F,
-    dunkl_gegenbauer_threshold,
     factor_gegenbauer_ddx,
     factor_gegenbauer_dunkl,
     factor_hermite_ddx,
     factor_hermite_dunkl,
 )
 from .inequality import InequalityReport, gegenbauer_inequality, hermite_inequality
-from .oracle import ConditioningError, rayleigh_factor, rayleigh_quotient, weighted_inner
-from .orthopoly import eigenvalue_sq, gegenbauer_poly, hermite_poly, residual_gegenbauer, residual_hermite
+from .oracle import ConditioningError, rayleigh_factor
+from .orthopoly import eigenvalue_sq, gegenbauer_poly, hermite_poly
 
 __version__ = "0.1.0"
 
@@ -32,7 +31,6 @@ __all__ = [
     "WeightSpec",
     "build_pencil_F",
     "dunkl_apply",
-    "dunkl_gegenbauer_threshold",
     "eigenvalue_sq",
     "factor_gegenbauer_ddx",
     "factor_gegenbauer_dunkl",
@@ -43,9 +41,5 @@ __all__ = [
     "hermite_inequality",
     "hermite_poly",
     "rayleigh_factor",
-    "rayleigh_quotient",
-    "residual_gegenbauer",
-    "residual_hermite",
     "sigma",
-    "weighted_inner",
 ]

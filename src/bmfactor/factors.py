@@ -1,46 +1,26 @@
-"""Closed-form, odd-pencil and determinant-pencil Bernstein-Markov factors with extremal polynomials.
+"""Closed-form, odd-pencil and moment-pencil Bernstein-Markov factors with extremal polynomials.
 
-Factor values follow the closed forms where a parity/branch argument settles
-the problem.  Under D_lam, M_n^2 is the larger of the eigenvalues lambda_n^2
-and lambda_(n-1)^2 (``orthopoly.eigenvalue_sq``), and the extremal is the
-eigenpolynomial of that degree; the paper's piecewise forms of this maximum
-(the lam <= 1/2 switch on R, the n < n0 switch on [-1,1]) are the tests'
-reference.  The odd branch of the Gegenbauer weight under sqrt(1-x^2) d/dx
-is the top eigenvalue of a tridiagonal pencil on the basis x q_0, x q_2, ...
-(``_odd_pencil_stack``), whose entries are closed forms in the recurrence
-coefficients of W and of W (1 - x^2); it is solved for a stack of (lam, mu)
-pairs at once by the oracle's value solve (``oracle._top_values``), and
-``factor_gegenbauer_ddx`` is its stack of one.  For its values that route
-shares only ``_stack_betas`` and the Cholesky reduction with the oracle, so
-the oracle's Gauss-rule stiffness solve checks it independently; the
-paper's moment pencil G, whose largest root is that odd branch, is the
-tests' reference (``tests/instruments.py``).
+Each route computes its factor value at once.  Under D_lam, M_n^2 is the
+larger of the eigenvalues lambda_n^2 and lambda_(n-1)^2
+(``orthopoly.eigenvalue_sq``) and the extremal is the eigenpolynomial of that
+degree.  Under d/dx the even branch is a closed form; the odd branch is the
+top root of a symmetric-definite pencil.  For the Gegenbauer weight that
+pencil is tridiagonal on the basis x q_0, x q_2, ... with closed-form
+entries (``_odd_pencil_stack``), solved for a stack of (lam, mu) pairs at
+once; for the Hermite weight it is the paper's moment pencil F
+(``build_pencil_F``), its root refined in long double (``_top_positive``).
 
-The odd branch of the Hermite weight under d/dx is still the largest root of
-the paper's moment pencil det(P + t Q) of ``build_pencil_F``.  Its entries
-are exactly symmetric, -P and Q are positive-definite scaled Hankel moment
-matrices, and so it is solved as the symmetric-definite problem
--P v = t Q v: the oracle's Cholesky-reduced eigensolve
-(``oracle._top_eigenpairs``) on a stack of one, with the top root refined in
-long double from entries rebuilt out of the pencil's weight
-(``_top_positive``).  The pencil reads ``special``'s moment tables, the
-package's one use of scipy; everything else here needs numpy only.  A
-moment beyond a double is refused with ``OverflowError`` naming the weight
-and the pencil's degree.
+With the oracle this module shares only the recurrence coefficients
+(``_stack_betas``), the Cholesky-reduced eigensolve (``_top_values``,
+``_top_eigenpairs``) and ``_basis_to_monomial``, so the oracle's Gauss-rule
+stiffness solve checks the values independently.  The moment tables of
+``special`` (the package's one use of scipy) serve only F.
 
-Each route computes its factor value at once and its extremal when it is
-first read.  A ``FactorResult`` holds a ``functools.partial`` over
-``hermite_poly``, ``gegenbauer_poly`` or ``_odd_extremal`` until
-``.extremal`` is read (``core._BuiltOnRead``, as the oracle's pair holds its
-maximizer), and equality, hashing, repr and pickling read it, so
-callers that use only the values, such as ``bmfactor verify`` and
-``table2``, never build a polynomial.  ``_odd_extremal`` holds only
-(m, lam, mu): on read it rebuilds that one weight's odd pencil, whose
-entries are elementwise over the stack and so carry the bits the value
-solve saw, solves it for its top eigenvector (``oracle._top_eigenpairs``)
-and writes the extremal in monomials.  The Hermite d/dx odd branch builds
-its extremal at once: the moment pencil's eigenvector already holds its
-monomial coefficients.
+A ``FactorResult`` builds its extremal when ``.extremal`` is first read
+(``core._BuiltOnRead``), except on the Hermite odd branch, whose eigenvector
+already holds the monomial coefficients.  Refused with ``OverflowError``,
+naming the weight and the degree: a moment of F beyond a double, and an
+extremal with coefficients beyond a double.
 """
 
 from __future__ import annotations
@@ -54,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import OperatorSpec, Polynomial, WeightSpec, _BuiltOnRead, _describe
-from .oracle import _basis_to_monomial, _stack_betas, _top_eigenpairs, _top_values
+from .oracle import _basis_to_monomial, _finite, _stack_betas, _top_eigenpairs, _top_values
 from .orthopoly import eigenvalue_sq, gegenbauer_poly, hermite_poly
 from .special import moment_table
 
@@ -354,13 +334,17 @@ def _odd_extremal(m: int, lam: float, mu: float) -> Polynomial:
 
     The pencil is rebuilt for this one weight; its entries are elementwise
     over the stack, so it is bit for bit the item the value solve saw.  The
-    even basis rows of the weight give the coefficients of x^(2k+1).
+    even basis rows of the weight give the coefficients of x^(2k+1); they
+    overflow from about degree 800, and an extremal with coefficients beyond
+    a double is refused with ``OverflowError``.
     """
     weight = WeightSpec.gegenbauer(lam, mu)
     lam, mu = np.array([lam]), np.array([mu])
     _, vec = _top_eigenpairs(*_odd_pencil_stack(m, lam, mu), [weight], OperatorSpec.ddx(damped=True), 2 * m + 1)
-    even_rows = _basis_to_monomial(2 * m, np.sqrt(_stack_betas(2 * m, True, lam, mu))[:, :, None])[::2]
-    return _odd_polynomial((vec[:, None, :] @ even_rows.transpose(1, 0, 2))[0, 0, ::2])
+    with np.errstate(over="ignore", invalid="ignore"):
+        even_rows = _basis_to_monomial(2 * m, np.sqrt(_stack_betas(2 * m, True, lam, mu))[:, :, None])[::2]
+        extremal = _odd_polynomial((vec[:, None, :] @ even_rows.transpose(1, 0, 2))[0, 0, ::2])
+    return _finite(extremal, f"degree-{2 * m + 1} odd extremal", weight)
 
 
 def _dunkl_factor(n: int, weight: WeightSpec) -> FactorResult:
@@ -387,11 +371,6 @@ def factor_hermite_dunkl(n: int, lam: float) -> FactorResult:
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     return _dunkl_factor(n, WeightSpec.hermite(lam))
-
-
-def dunkl_gegenbauer_threshold(lam: float, mu: float) -> float:
-    """Degree threshold n0 = (lam - 1/2)(2 mu - 1): below it an even-degree extremal drops to degree n - 1."""
-    return (lam - 0.5) * (2.0 * mu - 1.0)
 
 
 def factor_gegenbauer_dunkl(n: int, lam: float, mu: float) -> FactorResult:

@@ -1,68 +1,29 @@
 """Brute-force Bernstein-Markov factors as maximal Rayleigh quotients over P_n.
 
-``rayleigh_factor`` assembles the symmetric-definite eigenproblem of the
-Rayleigh quotient in a basis that is orthonormal by construction: the
-weight's three-term recurrence coefficients are known in closed form
-(``_stack_betas``, computed directly for every index), a Gauss rule of
-matching accuracy comes from the Jacobi matrix, and the stiffness entries are
-exact quadrature sums.  The generalized eigenvalues do not depend on the
-basis, and the identity-Gram formulation keeps them accurate at degrees where
-the monomial Gram matrix, a Hankel matrix of moments, is numerically
-singular.  The route uses neither the closed-form factor theorems nor the
-determinant pencils.  (The monomial Gram route, exact but Hankel-conditioned,
-is a test instrument in ``tests/instruments.py``.)
+``rayleigh_factor`` solves the symmetric-definite eigenproblem of the
+Rayleigh quotient in the orthonormal basis of the weight.  The recurrence
+coefficients are closed forms (``_stack_betas``); the Gauss rule comes from
+the Jacobi matrix and is kept on its positive nodes, since the weight and
+every integrand formed here are even (``_gauss_basis``); the stiffness and
+Gram matrices are exact quadrature sums, split into the even and odd parity
+blocks that d/dx and D_lam respect (``_stiffness``).  All of it works on a
+stack of weights of one family, and stack items do not mix, so each value
+carries the bits of its stack of one.  ``_rayleigh_values`` is the one value
+entry (``eigvalsh`` per block); ``rayleigh_factor`` adds the degree guard
+rail and solves for its maximizer (``eigh``, ``_unit_extremal``) only when
+that is read.  The route uses neither the closed-form factor theorems nor
+the moment pencils.  ``_Forms`` evaluates the inner products of the
+inequality reports on the same folded rule, cached in ``_quadrature``.
 
-The assembly works on a stack of weights of one family in two steps.
-``_stack_basis`` builds the Gauss basis of the stack for degrees up to n:
-recurrence coefficients, Gauss nodes, Christoffel weights, basis rows and
-their derivatives, all arrays over the stack and all on the positive half of
-the rule, since the weight is even and every integrand the oracle forms is
-even.  ``_stiffness`` assembles the stiffness and Gram matrices of one
-operator and degree as parity blocks: d/dx and D_lam map q_k to the parity of
-k - 1, so the pencil over q_0 .. q_n splits into a block on q_0, q_2, ...
-and one on q_1, q_3, ..., the split of the paper's branch argument.  One
-Cholesky reduction of all blocks (``_reduced``, which refuses non-finite or
-indefinite matrices) feeds two solves: ``_top_values`` (``eigvalsh``) for
-every value caller, and ``_top_eigenpairs`` (``eigh``) only where an
-eigenvector is read.  ``_rayleigh_values`` is the one value entry: it takes
-items (n, weight, op) of any families, operators and degrees, solves each
-(family, operator, n) group once, each value the larger of a weight's two
-blocks, and raises every refusal of the oracle, the zeroth moment's
-included.  Groups of one family and node count share one basis; a basis row
-does not depend on the rows above it and stack items do not mix, so every
-value is its stack of one's to the bit.  ``bmfactor verify`` passes its
-whole grid, and ``rayleigh_factor`` one item behind its degree guard rail.
-Its pair (value, maximizer) holds ``partial(_unit_extremal, n, weight, op)``
-until the maximizer is read (``core._BuiltOnRead``); ``_unit_extremal``
-rebuilds the stack of one and solves its winning block for the eigenvector,
-so ``factor --check`` and other value callers compute no eigenvector.  The
-stacked helpers stay private, so the public names keep their scalar
-signatures and perfbench's per-function tracing charges their time to the
-caller.  Only numpy is needed here: the zeroth moment m0 that scales the
-Gauss weights and the extremal's unit norm comes from ``math.lgamma``
-(``_mass``), which refuses an m0 that overflows or underflows a double.  At
-huge lam or mu the recurrence coefficients overflow under ``numpy.errstate``,
-and the solves refuse what follows.
+``factors`` shares only the recurrence coefficients, the Cholesky-reduced
+eigensolve (``_top_values``, ``_top_eigenpairs``) and ``_basis_to_monomial``
+with this module.  It uses no Gauss rule and no stiffness matrix, so this
+oracle checks its values independently.
 
-For its factor values ``factors`` shares only beta (``_stack_betas``) and the
-Cholesky reduction with this module: it builds the tridiagonal odd-branch
-pencil of the Gegenbauer d/dx factor from beta and solves it with
-``_top_values``, and ``_top_eigenpairs`` solves its moment pencils.  When an
-odd extremal is read, ``_top_eigenpairs`` solves that pencil again and
-``_basis_to_monomial`` writes the extremal in monomials.  It assembles no
-stiffness matrix and uses no Gauss rule, so this oracle's quadrature route
-is an independent check of the factor values, next to the mpmath values of
-``tests/certified_reference.json``.
-
-``weighted_inner``, ``rayleigh_quotient`` and the inequality reports of
-``bmfactor.inequality`` integrate with the same Gauss rule, folded onto its
-positive nodes: an even-count rule never has the origin as a node, so
-<p, q> is the sum over positive nodes of 2 w_i m0 (e_p e_q + o_p o_q), with
-e and o the even and odd parts.  Odd integrands are then exactly 0.0, and no
-monomial moment enters, so sums of moments never have to cancel the Hankel
-condition of ~10^(2n).  ``_Forms`` is that one evaluator, on coefficient
-rows.  The folded rules, the oracle's own positive-node rule scaled by m0,
-are cached per (weight, size) in ``_quadrature``.
+Refused: non-finite or indefinite matrices (``ConditioningError``, naming the
+stack item), a zeroth moment that is not a normal double, and monomial
+coefficients beyond a double (``OverflowError``, naming the weight).  Only
+numpy is needed here.
 """
 
 from __future__ import annotations
@@ -77,7 +38,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import OperatorSpec, Polynomial, WeightSpec, _BuiltOnRead, _describe
-from .dunkl import _dunkl_rows
 
 DEFAULT_DEGREE_CAP = 14
 
@@ -118,36 +78,6 @@ class _Forms:
     def reflected(self, i: int, w: np.ndarray) -> float:
         """<f, f(-.)> of row ``i``: the odd part changes sign under reflection."""
         return float(w @ (self.even[i] ** 2 - self.odd[i] ** 2))
-
-
-def _even_width(length: int) -> int:
-    return length + length % 2
-
-
-def weighted_inner(p: Polynomial, q: Polynomial, weight: WeightSpec, with_a: bool = False) -> float:
-    """<p, q>_W, optionally with the extra factor A(x) = 1 - x^2 on [-1,1].
-
-    Integrated by the folded Gauss rule of ``_quadrature``, exact for the
-    degree of p q A.
-    """
-    if p.is_zero or q.is_zero:
-        return 0.0
-    npoints = (len(p.coeffs) + len(q.coeffs)) // 2 + 1  # 2 npoints - 1 >= deg(p q A)
-    length = _even_width(max(len(p.coeffs), len(q.coeffs)))
-    forms = _Forms(np.array([p.padded(length), q.padded(length)]), weight, _even_width(npoints))
-    return forms.inner(0, 1, forms.wa if with_a else forms.w)
-
-
-def rayleigh_quotient(p: Polynomial, weight: WeightSpec, op: OperatorSpec) -> float:
-    """||sqrt(A) D p||^2 / ||p||^2, with p and D p as two rows of one folded Gauss rule."""
-    if p.is_zero:
-        raise ValueError("Rayleigh quotient of the zero polynomial is undefined")
-    length = len(p.coeffs)
-    rows = np.zeros((2, _even_width(length)))
-    rows[0, :length] = p.coeffs
-    rows[1, : length - 1] = _dunkl_rows(rows[0, :length], weight.lam if op.is_dunkl else 0.0)
-    forms = _Forms(rows, weight, _even_width(length + 1))  # 2 npoints - 1 >= deg(p^2 A)
-    return forms.inner(1, 1, forms.wa if op.damped else forms.w) / forms.inner(0, 0, forms.w)
 
 
 def _mass(weight: WeightSpec) -> float:
@@ -311,6 +241,13 @@ def _basis_to_monomial(nmax: int, rb: np.ndarray) -> np.ndarray:
     for k in range(1, nmax):
         np.divide(shifted[k] - rb[k] * powers[k - 1], rb[k + 1], out=powers[k + 1])
     return t[:, :, 1:]
+
+
+def _finite(p: Polynomial, what: str, weight: WeightSpec) -> Polynomial:
+    """``p``, refused with ``OverflowError`` naming ``what`` and the weight unless its coefficients are finite."""
+    if not all(map(math.isfinite, p.coeffs)):
+        raise OverflowError(f"{what} of the {_describe(weight)} has coefficients beyond a double")
+    return p
 
 
 def _conditioning_error(
@@ -502,7 +439,9 @@ def _unit_extremal(n: int, weight: WeightSpec, op: OperatorSpec) -> Polynomial:
 
     The norm comes from the folded Gauss rule, exact on P_(2n) with mass 1,
     times m0: monomial moments would have to cancel a Hankel condition of
-    ~10^(2n) and can even give a negative square.
+    ~10^(2n) and can even give a negative square.  The monomial rows of the
+    orthonormal basis overflow from about n = 800 on [-1, 1]; a maximizer
+    with coefficients beyond a double is refused with ``OverflowError``.
     """
     basis = _stack_basis(n, [weight])
     s, g = _stiffness(n, basis, op)
@@ -510,8 +449,10 @@ def _unit_extremal(n: int, weight: WeightSpec, op: OperatorSpec) -> Polynomial:
     _, v = _top_eigenpairs(s[block], g[block], [weight], op, n)
     p = (v[:, None, :] @ _parity_blocks(basis.q)[block])[:, 0]
     norm = np.sqrt(_mass(weight) * (basis.w * p * p).sum(axis=1))
-    t = _parity_blocks(_basis_to_monomial(n, basis.rb))[block]
-    return Polynomial(((v / norm[:, None])[:, None, :] @ t)[0, 0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = _parity_blocks(_basis_to_monomial(n, basis.rb))[block]
+        maximizer = Polynomial(((v / norm[:, None])[:, None, :] @ t)[0, 0])
+    return _finite(maximizer, f"degree-{n} maximizer", weight)
 
 
 @dataclass(frozen=True)
@@ -540,11 +481,12 @@ def rayleigh_factor(
 ) -> _RayleighPair:
     """Largest Rayleigh quotient over P_n and its maximizer, unit W-norm, as the pair (value, maximizer).
 
-    The value is computed at the call, and every refusal (the degree cap, a
-    ``ConditioningError``, a zeroth moment that is not a normal double) is
-    raised there.  The maximizer is normalized and written in monomials when
-    it is first read (``[1]`` or unpacking), then cached, so ``[0]`` alone
-    costs only the value solve, which computes no eigenvector.
+    The value is computed at the call, and every refusal of the value (the
+    degree cap, a ``ConditioningError``, a zeroth moment that is not a normal
+    double) is raised there.  The maximizer is normalized and written in
+    monomials when it is first read (``[1]`` or unpacking), then cached, so
+    ``[0]`` alone costs only the value solve, which computes no eigenvector;
+    monomial coefficients beyond a double are refused on that read.
 
     ``max_degree`` (default 14) is a guard rail, not a numerical cliff: pass a
     larger value explicitly to study higher degrees.

@@ -8,8 +8,8 @@ coefficient recurrence, ``_eigen_coeffs``, serves both families; it is filled
 in reverse from the leading coefficient, which makes it self-starting.  It
 runs on floats for ``hermite_poly`` and ``gegenbauer_poly`` and on arrays of
 lambda and mu for ``_eigen_rows``, which gives ``bmfactor verify`` the
-eigenpolynomials of a whole grid degree by degree.  Both residuals of the
-defining equations are views over one row kernel, ``_residual_rows``.
+eigenpolynomials of a whole grid degree by degree, and ``_residual_rows``
+evaluates the residual of the defining equation on coefficient rows.
 """
 
 from __future__ import annotations
@@ -108,12 +108,3 @@ def _residual_rows(c: np.ndarray, n: int, family: WeightFamily, lam: float,
     out[..., 1:] -= b[..., None] * d1
     return out + lam_n2 * c
 
-
-def residual_gegenbauer(p: Polynomial, n: int, lam: float, mu: float) -> Polynomial:
-    """(1-x^2) D^2 p - (2 mu + 1) x D p + lambda_n^2 p; zero exactly at the degree-n eigenpolynomial."""
-    return Polynomial(_residual_rows(np.array(p.coeffs), n, WeightFamily.GENERALIZED_GEGENBAUER, lam, mu))
-
-
-def residual_hermite(p: Polynomial, n: int, lam: float) -> Polynomial:
-    """D^2 p - 2 x D p + lambda_n^2 p; zero exactly at the degree-n eigenpolynomial."""
-    return Polynomial(_residual_rows(np.array(p.coeffs), n, WeightFamily.GENERALIZED_HERMITE, lam))

@@ -19,6 +19,14 @@
   without its fold and parity split, on one weight: the Gauss rule on all
   N nodes, an (n + 1)-square stiffness and Gram pair over every basis row,
   and one ``numpy.linalg.eigh``.
+- ``weighted_inner`` and ``rayleigh_quotient``: <p, q>_W (optionally with
+  A(x)) and ||sqrt(A) D p||^2 / ||p||^2 of single polynomials, on the
+  oracle's folded rule (``oracle._Forms``), for writing integration-by-parts
+  identities and checking extremals.
+- ``residual_hermite`` and ``residual_gegenbauer``: the defining equations
+  of the eigenpolynomials as ``Polynomial`` views over
+  ``orthopoly._residual_rows``; ``dunkl_gegenbauer_threshold``: the paper's
+  degree threshold n0 = (lam - 1/2)(2 mu - 1) of the Gegenbauer Dunkl factor.
 """
 
 from __future__ import annotations
@@ -27,11 +35,11 @@ import math
 
 import numpy as np
 
-from bmfactor.core import OperatorSpec, Polynomial, WeightSpec
-from bmfactor.dunkl import dunkl_apply
+from bmfactor.core import OperatorSpec, Polynomial, WeightFamily, WeightSpec
+from bmfactor.dunkl import _dunkl_rows, dunkl_apply
 from bmfactor.factors import Pencil
-from bmfactor.oracle import _node_count, _stack_betas, _stack_parameters
-from bmfactor.orthopoly import gegenbauer_poly, hermite_poly
+from bmfactor.oracle import _Forms, _node_count, _stack_betas, _stack_parameters
+from bmfactor.orthopoly import _residual_rows, gegenbauer_poly, hermite_poly
 from bmfactor.special import moment_table
 
 
@@ -262,3 +270,48 @@ def unfolded_rayleigh_value(n: int, weight: WeightSpec, op: OperatorSpec) -> flo
     s, g = (d * wa) @ d.T, (q * w) @ q.T
     inv = np.linalg.inv(np.linalg.cholesky(g))
     return math.sqrt(np.linalg.eigh(inv @ s @ inv.T)[0][-1])
+
+
+def _even_width(length: int) -> int:
+    return length + length % 2
+
+
+def weighted_inner(p: Polynomial, q: Polynomial, weight: WeightSpec, with_a: bool = False) -> float:
+    """<p, q>_W, optionally with the extra factor A(x) = 1 - x^2 on [-1,1].
+
+    Integrated by the folded Gauss rule of ``_quadrature``, exact for the
+    degree of p q A.
+    """
+    if p.is_zero or q.is_zero:
+        return 0.0
+    npoints = (len(p.coeffs) + len(q.coeffs)) // 2 + 1  # 2 npoints - 1 >= deg(p q A)
+    length = _even_width(max(len(p.coeffs), len(q.coeffs)))
+    forms = _Forms(np.array([p.padded(length), q.padded(length)]), weight, _even_width(npoints))
+    return forms.inner(0, 1, forms.wa if with_a else forms.w)
+
+
+def rayleigh_quotient(p: Polynomial, weight: WeightSpec, op: OperatorSpec) -> float:
+    """||sqrt(A) D p||^2 / ||p||^2, with p and D p as two rows of one folded Gauss rule."""
+    if p.is_zero:
+        raise ValueError("Rayleigh quotient of the zero polynomial is undefined")
+    length = len(p.coeffs)
+    rows = np.zeros((2, _even_width(length)))
+    rows[0, :length] = p.coeffs
+    rows[1, : length - 1] = _dunkl_rows(rows[0, :length], weight.lam if op.is_dunkl else 0.0)
+    forms = _Forms(rows, weight, _even_width(length + 1))  # 2 npoints - 1 >= deg(p^2 A)
+    return forms.inner(1, 1, forms.wa if op.damped else forms.w) / forms.inner(0, 0, forms.w)
+
+
+def residual_gegenbauer(p: Polynomial, n: int, lam: float, mu: float) -> Polynomial:
+    """(1-x^2) D^2 p - (2 mu + 1) x D p + lambda_n^2 p; zero exactly at the degree-n eigenpolynomial."""
+    return Polynomial(_residual_rows(np.array(p.coeffs), n, WeightFamily.GENERALIZED_GEGENBAUER, lam, mu))
+
+
+def residual_hermite(p: Polynomial, n: int, lam: float) -> Polynomial:
+    """D^2 p - 2 x D p + lambda_n^2 p; zero exactly at the degree-n eigenpolynomial."""
+    return Polynomial(_residual_rows(np.array(p.coeffs), n, WeightFamily.GENERALIZED_HERMITE, lam))
+
+
+def dunkl_gegenbauer_threshold(lam: float, mu: float) -> float:
+    """Degree threshold n0 = (lam - 1/2)(2 mu - 1): below it an even-degree extremal drops to degree n - 1."""
+    return (lam - 0.5) * (2.0 * mu - 1.0)

@@ -23,31 +23,28 @@ from bmfactor.cli import TABLE2_ABS_TOL, TABLE2_REFERENCE
 from bmfactor.core import OperatorSpec, Polynomial, WeightSpec
 from bmfactor.factors import (
     _odd_branch_stack,
-    dunkl_gegenbauer_threshold,
     factor_gegenbauer_ddx,
     factor_gegenbauer_dunkl,
     factor_hermite_ddx,
     factor_hermite_dunkl,
 )
 from bmfactor.inequality import gegenbauer_inequality, hermite_inequality
-from bmfactor.oracle import rayleigh_factor, weighted_inner
-from bmfactor.orthopoly import (
-    eigenvalue_sq,
-    gegenbauer_poly,
-    hermite_poly,
-    residual_gegenbauer,
-    residual_hermite,
-)
+from bmfactor.oracle import rayleigh_factor
+from bmfactor.orthopoly import eigenvalue_sq, gegenbauer_poly, hermite_poly
 from bmfactor.core import WeightFamily
 from bmfactor.dunkl import dunkl_apply, sigma
 from bmfactor.special import moment_table
 from instruments import (
     connection_check,
+    dunkl_gegenbauer_threshold,
     dunkl_laplacian,
     hermite_connection_check,
     mul_by_one_minus_x2,
     mul_by_x,
     reflect,
+    residual_gegenbauer,
+    residual_hermite,
+    weighted_inner,
 )
 
 CERTIFIED_REFERENCE = Path(__file__).resolve().with_name("certified_reference.json")

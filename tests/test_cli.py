@@ -109,6 +109,18 @@ def test_overflow_refusals_name_the_weight_and_degree(capsys, argv, named):
     assert err.startswith("numerical failure:") and named in err
 
 
+@pytest.mark.parametrize("command", ("factor", "extremal"))
+def test_odd_extremal_beyond_a_double_exits_3_without_a_numpy_warning(capsys, command):
+    # at n = 901 this once ended in a RuntimeWarning traceback (exit 1), and at n = 2001 printed NaN with exit 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, command, "--weight", "gegenbauer", "--op", "ddx", "--lambda", "1", "--mu", "0.5",
+                             "--n", "901", "--format", "json")
+    assert (code, out) == (EXIT_NUMERICAL, "")
+    assert err == ("numerical failure: degree-901 odd extremal of the gegenbauer weight (lambda=1.0, mu=0.5) "
+                   "has coefficients beyond a double\n")
+
+
 def test_hermite_moment_pencil_just_below_its_overflow(capsys):
     # the unnormalized moments Gamma(s + lambda + 1/2) overflow from about lambda = 168 at n = 3
     code, out, _ = run(capsys, "factor", "--weight", "hermite", "--op", "ddx", "--lambda", "165", "--n", "3",

@@ -23,7 +23,6 @@ from bmfactor.factors import (
     _odd_polynomial,
     _top_positive,
     build_pencil_F,
-    dunkl_gegenbauer_threshold,
     factor_gegenbauer_ddx,
     factor_gegenbauer_dunkl,
     factor_hermite_ddx,
@@ -35,11 +34,10 @@ from bmfactor.oracle import (
     _stack_betas,
     _top_eigenpairs,
     rayleigh_factor,
-    rayleigh_quotient,
 )
 from bmfactor.orthopoly import eigenvalue_sq, gegenbauer_poly, hermite_poly
 from certify_reference import rayleigh_max_sq
-from instruments import pencil_F_reference, pencil_G_reference
+from instruments import dunkl_gegenbauer_threshold, pencil_F_reference, pencil_G_reference, rayleigh_quotient
 
 LAMBDAS = (0.1, 0.4, 0.5, 1.0, 2.0, 4.5)
 MUS = (-0.4, 0.0, 0.5, 1.0, 3.0, 4.0)
@@ -144,6 +142,21 @@ def test_pencil_solve_agrees_with_qz_without_warning():
         # a raw-QZ cross-check once disagreed here, warned and swapped in its own root
         _top_positive(build_pencil_F(7, 150.0))
         _odd_branch_stack(7, [(10.0, 0.0), (100.0, -0.4)])
+
+
+def test_odd_extremal_beyond_a_double_is_refused():
+    # the monomial rows of the orthonormal basis overflow from about degree 800: the extremal once held
+    # NaN coefficients with exit 0 (890 of them at n = 2001), or ended in a RuntimeWarning traceback
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        kept = factor_gegenbauer_ddx(801, 1.0, 0.5)
+        assert kept.branch is Branch.ODD_PENCIL_ROOT
+        assert len(kept.extremal.coeffs) == 802 and all(map(math.isfinite, kept.extremal.coeffs))
+        refused = factor_gegenbauer_ddx(901, 1.0, 0.5)
+        assert refused.branch is Branch.ODD_PENCIL_ROOT and math.isfinite(refused.factor)
+        with pytest.raises(OverflowError, match=r"^degree-901 odd extremal of the gegenbauer weight "
+                                                r"\(lambda=1.0, mu=0.5\) has coefficients beyond a double$"):
+            refused.extremal
 
 
 def test_pencil_with_indefinite_q_is_refused():

@@ -6,14 +6,15 @@ import pytest
 from bmfactor.core import Polynomial, WeightSpec
 from bmfactor.dunkl import dunkl_apply, sigma
 from bmfactor.inequality import _form_rows, gegenbauer_inequality, hermite_inequality
-from bmfactor.oracle import _Forms, weighted_inner
-from bmfactor.orthopoly import (
-    gegenbauer_poly,
-    hermite_poly,
+from bmfactor.oracle import _Forms
+from bmfactor.orthopoly import gegenbauer_poly, hermite_poly
+from instruments import (
+    dunkl_laplacian,
+    mul_by_one_minus_x2,
     residual_gegenbauer,
     residual_hermite,
+    weighted_inner,
 )
-from instruments import dunkl_laplacian, mul_by_one_minus_x2
 
 GEG_POINTS = ((1.0, 1.0, 4), (0.5, -0.4, 5), (4.5, 3.0, 6), (0.0, 0.5, 3), (2.0, 4.0, 7))
 HERM_POINTS = ((0.5, 5), (0.0, 3), (2.0, 6), (4.5, 9))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,8 +25,6 @@ from bmfactor.oracle import (
     _top_eigenpairs,
     _top_values,
     rayleigh_factor,
-    rayleigh_quotient,
-    weighted_inner,
 )
 from bmfactor.special import gegenbauer_moment, hermite_moment, moment_table
 from instruments import (
@@ -33,9 +32,11 @@ from instruments import (
     gram_matrices,
     mul_by_one_minus_x2,
     mul_by_x,
+    rayleigh_quotient,
     reflect,
     unfolded_gauss_rule,
     unfolded_rayleigh_value,
+    weighted_inner,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -398,6 +399,21 @@ def test_rayleigh_factor_refuses_at_the_call(no_maximizer, monkeypatch):
     monkeypatch.setattr(bmfactor.oracle, "_stiffness", nan_gram)
     with pytest.raises(ConditioningError, match="non-finite"):
         rayleigh_factor(3, WeightSpec.hermite(1.0), OperatorSpec.ddx())
+
+
+def test_maximizer_beyond_a_double_is_refused_on_read():
+    # the monomial rows of the orthonormal basis overflow from about n = 800; the maximizer once held
+    # non-finite coefficients after numpy overflow warnings, while the value stays finite
+    weight, op = WeightSpec.gegenbauer(1.0, 0.5), OperatorSpec.ddx(damped=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, kept = rayleigh_factor(800, weight, op, max_degree=800)
+        assert len(kept.coeffs) == 801 and all(map(math.isfinite, kept.coeffs))
+        result = rayleigh_factor(900, weight, op, max_degree=900)
+        assert math.isfinite(result[0])
+        with pytest.raises(OverflowError, match=r"^degree-900 maximizer of the gegenbauer weight "
+                                                r"\(lambda=1.0, mu=0.5\) has coefficients beyond a double$"):
+            result[1]
 
 
 def test_rayleigh_factor_builds_its_maximizer_once():

@@ -12,8 +12,6 @@ from bmfactor.orthopoly import (
     eigenvalue_sq,
     gegenbauer_poly,
     hermite_poly,
-    residual_gegenbauer,
-    residual_hermite,
 )
 from instruments import (
     connection_check,
@@ -21,6 +19,8 @@ from instruments import (
     mul_by_one_minus_x2,
     mul_by_x,
     residual_classical_L,
+    residual_gegenbauer,
+    residual_hermite,
 )
 
 LAMBDAS = (0.1, 0.5, 1.0, 2.0, 4.5)

@@ -11,19 +11,22 @@ import bmfactor.oracle
 
 PUBLIC = [
     "Branch", "ConditioningError", "FactorResult", "InequalityReport", "OperatorKind", "OperatorSpec",
-    "Pencil", "Polynomial", "WeightFamily", "WeightSpec", "build_pencil_F", "dunkl_apply",
-    "dunkl_gegenbauer_threshold", "eigenvalue_sq", "factor_gegenbauer_ddx", "factor_gegenbauer_dunkl",
-    "factor_hermite_ddx", "factor_hermite_dunkl", "gegenbauer_inequality", "gegenbauer_poly",
-    "hermite_inequality", "hermite_poly", "rayleigh_factor", "rayleigh_quotient", "residual_gegenbauer", "residual_hermite", "sigma",
-    "weighted_inner",
+    "Pencil", "Polynomial", "WeightFamily", "WeightSpec", "build_pencil_F", "dunkl_apply", "eigenvalue_sq",
+    "factor_gegenbauer_ddx", "factor_gegenbauer_dunkl", "factor_hermite_ddx", "factor_hermite_dunkl",
+    "gegenbauer_inequality", "gegenbauer_poly", "hermite_inequality", "hermite_poly", "rayleigh_factor", "sigma",
 ]
+# The paper's operators D_lam and sigma are public although the runtime works on coefficient rows.
+PAPER_OPERATORS = ("dunkl_apply", "sigma")
 MODULES = ("core", "dunkl", "factors", "inequality", "oracle", "orthopoly", "special", "cli")
-# Test instruments now in tests/instruments.py, wrapper types that are gone, and the moment pencil G
-# with its generic root solver (the odd pencil serves G's root; tests/instruments.py keeps G).
+# Test instruments now in tests/instruments.py, wrapper types that are gone, the moment pencil G
+# with its generic root solver (the odd pencil serves G's root; tests/instruments.py keeps G), and
+# the names no command reaches: the residual views, the Dunkl threshold n0 and the single-polynomial forms.
 MOVED = (
     "gram_matrices", "GramPair", "residual_classical_L", "ClassicalResidual", "connection_check",
     "hermite_connection_check", "TableCoefficients", "monomial_factor", "dunkl_laplacian", "mul_by_x",
     "mul_by_one_minus_x2", "reflect", "parity_split", "build_pencil_G", "pencil_largest_positive_root",
+    "residual_hermite", "residual_gegenbauer", "dunkl_gegenbauer_threshold", "weighted_inner",
+    "rayleigh_quotient", "_even_width",
 )
 # bmfactor.special keeps these for the moment pencils; the package does not re-export them.
 SPECIAL = ("MomentTable", "log_gamma", "hermite_moment", "gegenbauer_moment", "moment_table")
@@ -31,7 +34,7 @@ SPECIAL = ("MomentTable", "log_gamma", "hermite_moment", "gegenbauer_moment", "m
 
 def test_all_lists_the_runtime_names():
     assert sorted(bmfactor.__all__) == sorted(PUBLIC)
-    assert len(PUBLIC) == 28
+    assert len(PUBLIC) == 23
     for name in PUBLIC:
         assert getattr(bmfactor, name) is not None
 
@@ -41,6 +44,21 @@ def test_moved_names_are_absent():
     for module in MODULES:
         namespace = vars(importlib.import_module(f"bmfactor.{module}"))
         assert [name for name in MOVED if name in namespace] == [], module
+
+
+def test_every_public_function_has_a_runtime_caller():
+    # a public function is used in the code of some module other than __init__ (its own def and an import
+    # are not uses); names that only the tests called moved to tests/instruments.py
+    referenced = set()
+    for path in Path(bmfactor.__file__).parent.glob("*.py"):
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    referenced.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    referenced.add(node.attr)
+    functions = [name for name in bmfactor.__all__ if inspect.isfunction(getattr(bmfactor, name))]
+    assert [name for name in functions if name not in referenced and name not in PAPER_OPERATORS] == []
 
 
 def test_only_factors_imports_special():
