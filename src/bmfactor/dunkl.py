@@ -23,16 +23,22 @@ def dunkl_apply(p: Polynomial, lam: float) -> Polynomial:
     return Polynomial(_dunkl_rows(np.array(p.coeffs), lam))
 
 
-def _dunkl_rows(c: np.ndarray, lam: float) -> np.ndarray:
+def _dunkl_rows(c: np.ndarray, lam: float | np.ndarray) -> np.ndarray:
     """D_lam on coefficient rows: gamma_k c_k for k >= 1 along the last axis.
 
     Leading axes are a stack, and lam = 0 gives d/dx.  gamma_k is k for even
-    k and k + 2 lam for odd k.
+    k and k + 2 lam for odd k.  lam is a float, or an array that broadcasts
+    against the leading axes of c, one lambda per row.
     """
-    if lam < 0:
-        raise ValueError("Dunkl index lambda must be >= 0")
     gamma = np.arange(1.0, c.shape[-1])
-    gamma[::2] += 2.0 * lam  # odd k
+    if isinstance(lam, np.ndarray):
+        if (lam < 0).any():
+            raise ValueError("Dunkl index lambda must be >= 0")
+        gamma = np.where(gamma % 2 == 1, gamma + 2.0 * lam[..., None], gamma)
+    else:
+        if lam < 0:
+            raise ValueError("Dunkl index lambda must be >= 0")
+        gamma[::2] += 2.0 * lam  # odd k
     return gamma * c[..., 1:]
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from math import sqrt
+from math import isfinite, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -347,38 +347,46 @@ def _odd_extremal(m: int, lam: float, mu: float) -> Polynomial:
     return _finite(extremal, f"degree-{2 * m + 1} odd extremal", weight)
 
 
-def _dunkl_factor(n: int, weight: WeightSpec) -> FactorResult:
+def _dunkl_factor(n: int, weight: WeightSpec, op: OperatorSpec) -> FactorResult:
     """M_n under D_lam (damped by sqrt(1-x^2) on [-1,1]): M_n^2 = max(lambda_n^2, lambda_(n-1)^2).
 
     lambda_k^2 is the eigenvalue of the degree-k generalized Hermite or
-    Gegenbauer polynomial, which is the extremal; a tie takes degree n.
+    Gegenbauer polynomial, which is the extremal; a tie takes degree n.  A
+    factor beyond a double (from lam mu about 1e308 on [-1, 1]) is refused
+    with ``OverflowError``.
     """
     family, lam, mu = weight.family, weight.lam, weight.mu
     top, below = eigenvalue_sq(family, n, lam, mu), eigenvalue_sq(family, n - 1, lam, mu)
     fsq, degree = (float(top), n) if top >= below else (float(below), n - 1)
+    if not isfinite(fsq):
+        raise OverflowError(f"degree-{n} Dunkl factor of the {_describe(weight)} is beyond a double")
     if weight.is_gegenbauer:
         extremal = partial(gegenbauer_poly, degree, lam, mu)
     else:
         extremal = partial(hermite_poly, degree, lam)
-    op = OperatorSpec.dunkl(damped=weight.is_gegenbauer)
     return FactorResult(fsq, Branch.DUNKL_CLOSED_FORM, extremal, n, weight, op)
+
+
+def _dunkl_weight(lam: float, mu: float | None = None) -> WeightSpec:
+    """The Hermite weight (mu None) or Gegenbauer weight of a Dunkl factor, its parameters checked."""
+    if lam < 0:
+        raise ValueError("lambda must be >= 0")
+    if mu is None:
+        return WeightSpec.hermite(lam)
+    if mu <= -0.5:
+        raise ValueError("mu must be > -1/2")
+    return WeightSpec.gegenbauer(lam, mu)
 
 
 def factor_hermite_dunkl(n: int, lam: float) -> FactorResult:
     """M_n for |x|^(2 lam) exp(-x^2) under the Dunkl operator, all closed-form."""
     if n < 1:
         raise ValueError("degree must be >= 1")
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    return _dunkl_factor(n, WeightSpec.hermite(lam))
+    return _dunkl_factor(n, _dunkl_weight(lam), OperatorSpec.dunkl())
 
 
 def factor_gegenbauer_dunkl(n: int, lam: float, mu: float) -> FactorResult:
     """M_n for |x|^(2 lam)(1-x^2)^(mu-1/2) under sqrt(1-x^2) D_lam, all closed-form."""
     if n < 1:
         raise ValueError("degree must be >= 1")
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    if mu <= -0.5:
-        raise ValueError("mu must be > -1/2")
-    return _dunkl_factor(n, WeightSpec.gegenbauer(lam, mu))
+    return _dunkl_factor(n, _dunkl_weight(lam, mu), OperatorSpec.dunkl(damped=True))

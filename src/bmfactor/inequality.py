@@ -86,10 +86,14 @@ def _not_finite(what: str, n: int, weight: WeightSpec) -> OverflowError:
     return OverflowError(f"{what} of the degree-{n} inequality of the {_describe(weight)} is not finite")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _inequality(p: Polynomial, n: int, family: WeightFamily, lam: float, mu: float = 0.0) -> InequalityReport:
     """(2 lam_n^2 - b) ||sqrt(A) D p||^2 against the curvature side, with A = 1, b = 2 on R.
 
     The left factor keeps each family's own expression, 2 lam_n^2 - 2 or 2 lam_n^2 - 2 mu - 1.
+    The terms are computed under one ``np.errstate``: at large lambda and n the
+    node values and their weighted sums overflow, and the check of both sides
+    refuses the report without a numpy warning.
     """
     if p.degree is not None and p.degree > n:
         raise ValueError(f"polynomial degree {p.degree} exceeds n={n}")

@@ -6,14 +6,17 @@ coefficients are closed forms (``_stack_betas``); the Gauss rule comes from
 the Jacobi matrix and is kept on its positive nodes, since the weight and
 every integrand formed here are even (``_gauss_basis``); the stiffness and
 Gram matrices are exact quadrature sums, split into the even and odd parity
-blocks that d/dx and D_lam respect (``_stiffness``).  All of it works on a
-stack of weights of one family, and stack items do not mix, so each value
-carries the bits of its stack of one.  ``_rayleigh_values`` is the one value
-entry (``eigvalsh`` per block); ``rayleigh_factor`` adds the degree guard
-rail and solves for its maximizer (``eigh``, ``_unit_extremal``) only when
-that is read.  The route uses neither the closed-form factor theorems nor
-the moment pencils.  ``_Forms`` evaluates the inner products of the
-inequality reports on the same folded rule, cached in ``_quadrature``.
+blocks that d/dx and D_lam respect (``_stiffness``, ``_gram``).  All of it
+works on a stack of weights of one family, and stack items do not mix, so
+each value carries the bits of its stack of one.  ``_rayleigh_values`` is the
+one value entry: per family and degree it factors the Gram matrices, which do
+not depend on the operator, once, and solves the stiffness stacks of every
+operator requested there in one ``eigvalsh`` (``_top_values``).
+``rayleigh_factor`` adds the degree guard rail and solves for its maximizer
+(``eigh``, ``_unit_extremal``) only when that is read.  The route uses
+neither the closed-form factor theorems nor the moment pencils.  ``_Forms``
+evaluates the inner products of the inequality reports on the same folded
+rule, cached in ``_quadrature``.
 
 ``factors`` shares only the recurrence coefficients, the Cholesky-reduced
 eigensolve (``_top_values``, ``_top_eigenpairs``) and ``_basis_to_monomial``
@@ -251,31 +254,46 @@ def _finite(p: Polynomial, what: str, weight: WeightSpec) -> Polynomial:
 
 
 def _conditioning_error(
-    reason: str, block: int, g: np.ndarray, weights: Sequence[WeightSpec], op: OperatorSpec, n: int
+    reason: str, block: int, g: np.ndarray, weights: Sequence[WeightSpec], op: OperatorSpec, n: int,
+    own: slice | list[int],
 ) -> ConditioningError:
-    """The refusal of pencil ``block`` of a stack holding the same number of pencils per weight, in weight order."""
+    """The refusal of pencil ``block`` of G, naming its weight and the weight's place among ``op``'s weights ``own``."""
     gi = g[block]
     condition = float(np.linalg.cond(gi)) if np.isfinite(gi).all() else math.inf
-    index = block * len(weights) // len(g)
-    w = weights[index]
+    position = block * len(weights) // len(g)
+    w = weights[position]
+    index = np.arange(len(weights))[own].tolist().index(position)
     item = (w.family.value, op.kind.value, w.lam, w.mu, n)
     return ConditioningError(f"{reason} at stack item {index} {item}", condition, index)
 
 
-def _reduced(
-    s: np.ndarray, g: np.ndarray, weights: Sequence[WeightSpec], op: OperatorSpec, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """L^-1 S L^-T and L^-T for every pencil S v = theta G v of a stack, where G = L L^T.
+def _blocks(own: slice | list[int], g: np.ndarray, weights: Sequence[WeightSpec]) -> np.ndarray:
+    """Positions in G of the pencils of the weights ``own`` (a slice or positions); G holds as many per weight."""
+    return np.arange(len(g)).reshape(len(weights), -1)[own].ravel()
 
-    The stack holds one or more pencils per weight, those of a weight next
-    to each other.  A failing pencil raises ``ConditioningError`` naming its
-    weight as (family, operator, lambda, mu, n); the condition estimate is
-    computed only then.
+
+def _inverse_factor(
+    s: Sequence[np.ndarray], g: np.ndarray, weights: Sequence[WeightSpec], ops: Sequence[OperatorSpec], n: int,
+    index: Sequence[slice | list[int]],
+) -> np.ndarray:
+    """L^-T of every Gram matrix of a stack, G = L L^T, after checking the stiffness stacks ``s`` that share it.
+
+    G holds the same number of pencils per weight, those of a weight next to
+    each other.  Stiffness stack i holds the pencils of ``ops[i]`` on the
+    weights ``index[i]`` (a slice or positions) in the same layout.  A failing
+    pencil raises ``ConditioningError`` naming its weight as (family,
+    operator, lambda, mu, n) and its position in that operator's stack:
+    non-finite entries first, stack by stack, then an indefinite G under the
+    first operator whose stack holds it.  The condition estimate is computed
+    only then.
     """
-    if not (np.isfinite(s).all() and np.isfinite(g).all()):
-        finite = np.isfinite(s).all(axis=(1, 2)) & np.isfinite(g).all(axis=(1, 2))
-        raise _conditioning_error("non-finite stiffness or Gram entries", int(np.argmin(finite)),
-                                  g, weights, op, n)
+    if not (np.isfinite(g).all() and all(np.isfinite(si).all() for si in s)):
+        for si, op, own in zip(s, ops, index):
+            blocks = _blocks(own, g, weights)
+            finite = np.isfinite(si).all(axis=(1, 2)) & np.isfinite(g[blocks]).all(axis=(1, 2))
+            if not finite.all():
+                raise _conditioning_error("non-finite stiffness or Gram entries", int(blocks[np.argmin(finite)]),
+                                          g, weights, op, n, own)
     try:
         chol = np.linalg.cholesky(g)
     except np.linalg.LinAlgError as exc:
@@ -283,26 +301,40 @@ def _reduced(
             try:
                 np.linalg.cholesky(gi)
             except np.linalg.LinAlgError:
+                op, own = next((op, own) for op, own in zip(ops, index) if block in _blocks(own, g, weights))
                 raise _conditioning_error("Gram matrix numerically indefinite", block,
-                                          g, weights, op, n) from exc
+                                          g, weights, op, n, own) from exc
         raise
-    inv_t = np.linalg.inv(chol).swapaxes(1, 2)  # L^-T
-    return inv_t.swapaxes(1, 2) @ s @ inv_t, inv_t
+    return np.linalg.inv(chol).swapaxes(1, 2)
 
 
 def _top_values(
-    s: np.ndarray, g: np.ndarray, weights: Sequence[WeightSpec], op: OperatorSpec, n: int
+    s: np.ndarray | list[np.ndarray], g: np.ndarray, weights: Sequence[WeightSpec],
+    op: OperatorSpec | list[OperatorSpec], n: int, index: list[slice | list[int]] | None = None,
 ) -> np.ndarray:
-    """Largest eigenvalue of every pencil of a stack (``_reduced``), without eigenvectors."""
-    return np.linalg.eigvalsh(_reduced(s, g, weights, op, n)[0])[:, -1]
+    """Largest eigenvalue of every pencil S v = theta G v of a stack, reduced to L^-1 S L^-T, without eigenvectors.
+
+    With ``index``, several stiffness stacks share one Gram stack, which is
+    factored once (``_inverse_factor``): ``s``, ``op`` and ``index`` are then
+    lists, stack i holding the pencils of op[i] on the weights index[i], and
+    one ``eigvalsh`` returns the values stack after stack.
+    """
+    if index is None:
+        s, op, index = [s], [op], [slice(None)]
+    inv_t = _inverse_factor(s, g, weights, op, n, index)
+    reduced = []
+    for si, own in zip(s, index):
+        inv_ti = inv_t if own == slice(None) else inv_t[_blocks(own, g, weights)]
+        reduced.append(inv_ti.swapaxes(1, 2) @ si @ inv_ti)
+    return np.linalg.eigvalsh(reduced[0] if len(reduced) == 1 else np.concatenate(reduced))[:, -1]
 
 
 def _top_eigenpairs(
     s: np.ndarray, g: np.ndarray, weights: Sequence[WeightSpec], op: OperatorSpec, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Largest eigenvalue of every pencil of a stack (``_reduced``), with its eigenvector v = L^-T y."""
-    a, inv_t = _reduced(s, g, weights, op, n)
-    vals, vecs = np.linalg.eigh(a)
+    """Largest eigenvalue of every pencil of a stack, reduced as in ``_top_values``, and its eigenvector v = L^-T y."""
+    inv_t = _inverse_factor([s], g, weights, [op], n, [slice(None)])
+    vals, vecs = np.linalg.eigh(inv_t.swapaxes(1, 2) @ s @ inv_t)
     return vals[:, -1], (inv_t @ vecs[:, :, -1:])[:, :, 0]
 
 
@@ -331,11 +363,6 @@ class _Basis(NamedTuple):
     d: np.ndarray
     rb: np.ndarray
 
-    def take(self, index: Sequence[int]) -> _Basis:
-        """The basis of the stack items at ``index``, in that order."""
-        return _Basis(self.gegenbauer, self.lam[index], self.x[index], self.w[index],
-                      self.q[:, index], self.d[:, index], self.rb[:, index])
-
 
 def _stack_basis(n: int, weights: Sequence[WeightSpec]) -> _Basis:
     """The basis of a stack of weights for degrees up to n, on ``_node_count(n)`` nodes."""
@@ -345,92 +372,118 @@ def _stack_basis(n: int, weights: Sequence[WeightSpec]) -> _Basis:
     return _Basis(gegenbauer, lam, x, w, q, _basis_derivatives(q, x, rb), rb)
 
 
-def _parity_blocks(rows: np.ndarray) -> np.ndarray:
-    """Rows k = 0 .. n of a stack, (n + 1, B, L), as 2B blocks of h = n // 2 + 1 rows, shape (2B, h, L).
+def _parity_blocks(rows: np.ndarray, index: slice | list[int] = slice(None)) -> np.ndarray:
+    """Rows k = 0 .. n of the stack items at ``index``, (n + 1, B, L), as two blocks of h = n // 2 + 1 rows per item.
 
-    Block 2b holds rows 0, 2, ... of item b and block 2b + 1 its rows 1, 3, ...;
-    at even n the odd block ends in a zero row.
+    Block 2b holds rows 0, 2, ... of the b-th selected item and block 2b + 1
+    its rows 1, 3, ...; at even n the odd block ends in a zero row.  The
+    shape is (2B', h, L), B' the number of items selected.
     """
-    h = (len(rows) + 1) // 2
-    out = np.zeros((rows.shape[1], 2, h, rows.shape[2]))
-    out[:, 0] = rows[0::2].swapaxes(0, 1)
-    out[:, 1, : len(rows) // 2] = rows[1::2].swapaxes(0, 1)
-    return out.reshape(-1, h, rows.shape[2])
+    even, odd = rows[0::2, index], rows[1::2, index]
+    out = np.zeros((even.shape[1], 2, len(even), rows.shape[2]))
+    out[:, 0] = even.swapaxes(0, 1)
+    out[:, 1, : len(odd)] = odd.swapaxes(0, 1)
+    return out.reshape(-1, len(even), rows.shape[2])
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _stiffness(n: int, basis: _Basis, op: OperatorSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Stiffness and Gram matrices of ``op`` over q_0 .. q_n, as the parity blocks of each weight, shape (2B, h, h).
+def _gram(n: int, basis: _Basis, index: slice | list[int] = slice(None)) -> np.ndarray:
+    """Gram matrices G = Q diag(w) Q^T of the basis items at ``index``, in the parity blocks of ``_stiffness``.
 
-    ``op`` maps q_k to a polynomial of the parity of k - 1 and the weight is
-    even, so every entry between rows of opposite parity is zero: blocks 2b
-    and 2b + 1 (``_parity_blocks``) are the pencils of item b on the even and
-    on the odd basis rows.  At even n the odd block is padded with a unit Gram
-    diagonal and a zero stiffness row, which adds only the root 0.  The basis
-    may be built for a larger degree on the same nodes: a basis row and its
-    derivative do not depend on the rows above them, so the leading rows
-    carry the same bits.
+    They do not depend on the operator, so the stiffness stacks of every
+    operator at degree n share them.  At even n the odd block's padding row
+    gets a unit diagonal.
     """
-    x, w = basis.x, basis.w
-    q, d = basis.q[: n + 1], basis.d[: n + 1]
-    if op.is_dunkl:
-        # sigma(q_k) = 2 q_k / x for odd k and 0 for even k, by parity of the basis;
-        # added to a copy, so the basis serves d/dx as well
-        d = d.copy()
-        d[1::2] += (2.0 * basis.lam)[:, None] * q[1::2] / x
-    wa = w * (1.0 - x * x) if (basis.gegenbauer and op.damped) else w
-
-    # Per block: S = D diag(w A) D^T and G = Q diag(w) Q^T, summed over the positive nodes.
-    d, q = _parity_blocks(d), _parity_blocks(q)
-    s = (d * np.repeat(wa, 2, axis=0)[:, None, :]) @ d.swapaxes(1, 2)
-    g = (q * np.repeat(w, 2, axis=0)[:, None, :]) @ q.swapaxes(1, 2)
+    q = _parity_blocks(basis.q[: n + 1], index)
+    g = (q * np.repeat(basis.w[index], 2, axis=0)[:, None, :]) @ q.swapaxes(1, 2)
     if n % 2 == 0:
         g[1::2, -1, -1] = 1.0
-    return s, g
+    return g
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _stiffness(n: int, basis: _Basis, op: OperatorSpec, index: slice | list[int] = slice(None)) -> np.ndarray:
+    """Stiffness matrices S = D diag(w A) D^T of ``op`` over q_0 .. q_n, as parity blocks of the items at ``index``.
+
+    ``index`` is a slice, or positions into the basis stack; the shape is
+    (2B', h, h).  ``op`` maps q_k to a polynomial of the parity of k - 1 and
+    the weight is even, so every entry between rows of opposite parity is
+    zero: blocks 2b and 2b + 1 (``_parity_blocks``) are the pencils of item b
+    on the even and on the odd basis rows, summed over the positive nodes.  At
+    even n the odd block has a zero padding row, which adds only the root 0.
+    The basis may be built for a larger degree on the same nodes: a basis row
+    and its derivative do not depend on the rows above them, so the leading
+    rows carry the same bits.  At huge lam or mu the entries overflow to inf
+    or nan without a warning; the solves refuse them.
+    """
+    x, w = basis.x[index], basis.w[index]
+    d = _parity_blocks(basis.d[: n + 1], index)
+    if op.is_dunkl:
+        # sigma(q_k) = 2 q_k / x for odd k and 0 for even k, by parity of the basis, added to the odd blocks
+        odd = basis.q[1 : n + 1 : 2, index]
+        d.reshape(len(x), 2, -1, x.shape[1])[:, 1, : len(odd)] += \
+            ((2.0 * basis.lam[index])[:, None] * odd / x).swapaxes(0, 1)
+    wa = w * (1.0 - x * x) if (basis.gegenbauer and op.damped) else w
+    return (d * np.repeat(wa, 2, axis=0)[:, None, :]) @ d.swapaxes(1, 2)
+
+
+def _selection(positions: list[int], size: int) -> slice | list[int]:
+    """``positions`` as an index: the whole slice, which selects without a copy, when they are 0 .. size - 1."""
+    return slice(None) if positions == list(range(size)) else positions
 
 
 def _rayleigh_values(items: Sequence[tuple[int, WeightSpec, OperatorSpec]]) -> list[float]:
     """Largest Rayleigh quotient over P_n of each item (n, weight, op), in item order.
 
-    One value solve per (family, operator, n) group.  The groups of one family
-    and node count (both operators, degrees n and n + 1 for odd n) share one
-    basis over the union of their weights, built for the larger degree, which
-    a group takes whole when its weights are that stack in order.  Refusals
-    come in the scalar order: a degree below 1, then per group its eigensolve
-    and the zeroth moments of its weights not yet checked.
+    Items are grouped per family and Gauss node count, then per degree, with
+    weights keyed by plain tuples (is_gegenbauer, lam, mu).  The degrees of
+    one node count (n and n + 1 for odd n) share one basis over the union of
+    their weights, built for the larger degree.  Per degree, the Gram
+    matrices of the weights requested there are factored once, and one
+    ``_top_values`` solves the stiffness stacks of every operator requested
+    there over that factor.  Each stack takes its weights' blocks by index,
+    without a copy when they are the whole basis stack in order.  Refusals
+    come in group order: a degree below 1, then per degree its solve and the
+    zeroth moments of its weights not yet checked.
     """
-    groups: dict[tuple, list[int]] = {}
+    weights: dict[tuple, WeightSpec] = {}
+    stacks: dict[tuple, dict] = {}  # (is_gegenbauer, node count) -> {n: {op key: (op, {weight key: [items]})}}
     for i, (n, weight, op) in enumerate(items):
         if n < 1:
             raise ValueError("degree must be >= 1")
-        groups.setdefault((weight.family, op, n), []).append(i)
-    # per (family, node count): the top degree, and each weight's position in the shared basis
-    top: dict[tuple, int] = {}
-    position: dict[tuple, dict] = {}
-    for (family, _op, n), members in groups.items():
-        key = (family, _node_count(n))
-        top[key] = max(top.get(key, n), n)
-        stack = position.setdefault(key, {})
-        for i in members:
-            stack.setdefault(items[i][1], len(stack))
-    bases = {}
+        key = (weight.is_gegenbauer, weight.lam, weight.mu)
+        weights.setdefault(key, weight)
+        ops = stacks.setdefault((key[0], _node_count(n)), {}).setdefault(n, {})
+        ops.setdefault((op.is_dunkl, op.damped), (op, {}))[1].setdefault(key, []).append(i)
     checked = set()
     values = [0.0] * len(items)
-    for (family, op, n), members in groups.items():
-        key = (family, _node_count(n))
-        if key not in bases:
-            bases[key] = _stack_basis(top[key], list(position[key]))
-        weights = [items[i][1] for i in members]
-        basis = bases[key]
-        if weights != list(position[key]):
-            basis = basis.take([position[key][w] for w in weights])
-        theta = _top_values(*_stiffness(n, basis, op), weights, op, n).reshape(-1, 2).max(axis=1)
-        for weight in weights:
-            if weight not in checked:
-                _mass(weight)
-                checked.add(weight)
-        for i, value in zip(members, np.sqrt(theta)):
-            values[i] = float(value)
+    for degrees in stacks.values():
+        # each weight's position in the shared basis, and per degree in that degree's Gram stack
+        position: dict[tuple, int] = {}
+        at_degree = []
+        for ops in degrees.values():
+            own: dict[tuple, int] = {}
+            for _, members in ops.values():
+                for key in members:
+                    own.setdefault(key, len(own))
+                    position.setdefault(key, len(position))
+            at_degree.append(own)
+        basis = _stack_basis(max(degrees), [weights[key] for key in position])
+        for (n, ops), own in zip(degrees.items(), at_degree):
+            g = _gram(n, basis, _selection([position[key] for key in own], len(position)))
+            s = [_stiffness(n, basis, op, _selection([position[key] for key in members], len(position)))
+                 for op, members in ops.values()]
+            index = [_selection([own[key] for key in members], len(own)) for _, members in ops.values()]
+            theta = _top_values(s, g, [weights[key] for key in own], [op for op, _ in ops.values()], n, index)
+            for key in own:
+                if key not in checked:
+                    _mass(weights[key])
+                    checked.add(key)
+            stack_values = iter(np.sqrt(theta.reshape(-1, 2).max(axis=1)).tolist())
+            for _, members in ops.values():
+                for requests, value in zip(members.values(), stack_values):
+                    for i in requests:
+                        values[i] = value
     return values
 
 
@@ -444,7 +497,7 @@ def _unit_extremal(n: int, weight: WeightSpec, op: OperatorSpec) -> Polynomial:
     with coefficients beyond a double is refused with ``OverflowError``.
     """
     basis = _stack_basis(n, [weight])
-    s, g = _stiffness(n, basis, op)
+    s, g = _stiffness(n, basis, op), _gram(n, basis)
     block = [int(np.argmax(_top_values(s, g, [weight], op, n)))]
     _, v = _top_eigenpairs(s[block], g[block], [weight], op, n)
     p = (v[:, None, :] @ _parity_blocks(basis.q)[block])[:, 0]

@@ -9,7 +9,8 @@ in reverse from the leading coefficient, which makes it self-starting.  It
 runs on floats for ``hermite_poly`` and ``gegenbauer_poly`` and on arrays of
 lambda and mu for ``_eigen_rows``, which gives ``bmfactor verify`` the
 eigenpolynomials of a whole grid degree by degree, and ``_residual_rows``
-evaluates the residual of the defining equation on coefficient rows.
+evaluates the residual of the defining equation on coefficient rows, over
+arrays of lambda and mu too.
 """
 
 from __future__ import annotations
@@ -89,12 +90,12 @@ def gegenbauer_poly(n: int, lam: float, mu: float) -> Polynomial:
     return _eigenpoly(WeightFamily.GENERALIZED_GEGENBAUER, n, lam, mu)
 
 
-def _residual_rows(c: np.ndarray, n: int, family: WeightFamily, lam: float,
+def _residual_rows(c: np.ndarray, n: int, family: WeightFamily, lam: float | np.ndarray,
                    mu: float | np.ndarray = 0.0) -> np.ndarray:
     """(1 - a x^2) D^2 p - b x D p + lambda_n^2 p on coefficient rows c (..., L).
 
-    Hermite has a = 0 and b = 2, Gegenbauer a = 1 and b = 2 mu + 1; mu may
-    be an array over the leading axes.
+    Hermite has a = 0 and b = 2, Gegenbauer a = 1 and b = 2 mu + 1; lam and
+    mu may be arrays over the leading axes.
     """
     gegenbauer = family is WeightFamily.GENERALIZED_GEGENBAUER
     lam_n2 = np.asarray(eigenvalue_sq(family, n, lam, mu))[..., None]

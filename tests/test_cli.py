@@ -15,7 +15,7 @@ import pytest
 import bmfactor
 from bmfactor.cli import EXIT_DOMAIN, EXIT_MISMATCH, EXIT_NUMERICAL, EXIT_OK, VERIFY_CSV_COLUMNS, main
 from bmfactor.core import OperatorSpec, WeightFamily, WeightSpec
-from bmfactor.factors import Branch, factor_gegenbauer_ddx
+from bmfactor.factors import Branch, FactorResult, factor_gegenbauer_ddx
 from bmfactor.oracle import rayleigh_factor
 
 CERTIFIED_REFERENCE = Path(__file__).resolve().with_name("certified_reference.json")
@@ -99,14 +99,32 @@ def test_overflow_exits_3(capsys, argv):
      "degree-3 odd pencil of the hermite weight (lambda=168.0)"),
     (("verify", "--lambdas", "170", "--mus", "600", "--n-max", "3"),
      "degree-3 odd pencil of the hermite weight (lambda=170.0)"),
-), ids=("inequality-mu", "inequality-lambda", "inequality-sides", "factor-moments", "verify-moments"))
+    (("extremal", "--weight", "gegenbauer", "--op", "dunkl", "--lambda", "1e300", "--mu", "1e8", "--n", "3"),
+     "degree-3 Dunkl factor of the gegenbauer weight (lambda=1e+300, mu=100000000.0)"),
+), ids=("inequality-mu", "inequality-lambda", "inequality-sides", "factor-moments", "verify-moments",
+        "dunkl-factor"))
 def test_overflow_refusals_name_the_weight_and_degree(capsys, argv, named):
     # lambda_n^4 overflowed a Python float power, the Gauss rule ran on non-finite recurrence coefficients
-    # ("SVD did not converge"), a side of the report was NaN with exit 0, and the Hermite moment table
-    # overflowed ("math range error"): each is now refused naming the weight and the degree
+    # ("SVD did not converge"), a side of the report was NaN with exit 0, the Hermite moment table
+    # overflowed ("math range error"), and lambda_n^2 = n (n + 2 lam + 2 mu) + 4 lam mu beyond a double
+    # printed a NaN or infinite Dunkl factor with exit 0: each is now refused naming the weight and the degree
     code, out, err = run(capsys, *argv)
     assert (code, out) == (EXIT_NUMERICAL, "")
     assert err.startswith("numerical failure:") and named in err
+
+
+@pytest.mark.parametrize("n", ("29", "31", "33"))
+def test_inequality_beyond_a_double_exits_3_without_a_numpy_warning(capsys, n):
+    # the node values of the degree-31 Hermite polynomial at lambda = 150 overflow in the form sums,
+    # which once printed numpy overflow warnings before the refusal, or a traceback (exit 1) with
+    # warnings as errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, "inequality", "--family", "hermite", "--lambda", "150", "--n", n,
+                             "--at-extremal")
+    assert (code, out) == (EXIT_NUMERICAL, "")
+    assert err == (f"numerical failure: a side of the degree-{n} inequality of the hermite weight "
+                   "(lambda=150.0) is not finite\n")
 
 
 @pytest.mark.parametrize("command", ("factor", "extremal"))
@@ -169,6 +187,37 @@ def test_verify_small_grid_passes(capsys):
                        "--n-max", "6")
     assert code == EXIT_OK
     assert "result: PASS" in out
+
+
+@pytest.mark.parametrize("lam", ("1e-12", "1e-8"))
+def test_verify_accepts_a_bracket_narrower_than_rounding(capsys, lam):
+    # below about lambda = 1e-8 the bracket (2n - 4 lam / (1 + 2 lam), 2n) is narrower than the
+    # rounding of M^2, which once sat on its lower end and was reported as a bracket violation (exit 4)
+    code, out, _ = run(capsys, "verify", "--lambdas", lam, "--mus", "0.5", "--n-max", "10")
+    assert code == EXIT_OK and "result: PASS" in out
+
+
+@pytest.mark.parametrize("side", ("below", "above"))
+def test_verify_flags_a_value_just_outside_the_bracket(capsys, monkeypatch, side):
+    # the rounding allowance is BRACKET_EQUALITY_TOL relative; at lambda = 1e-8, where M^2 sits on the
+    # bracket's lower end, a value moved 1e-9 outside is still flagged, and only by the bracket
+    import bmfactor.cli
+
+    exact = bmfactor.cli.factor_hermite_ddx
+
+    def shifted(n, lam):
+        result = exact(n, lam)
+        if n != 3:
+            return result
+        lo, hi = 2 * n - 4 * lam / (1 + 2 * lam), 2.0 * n
+        fsq = lo * (1 - 1e-9) if side == "below" else hi * (1 + 1e-9)
+        return FactorResult(fsq, result.branch, result.extremal, n, result.weight, result.operator)
+
+    monkeypatch.setattr(bmfactor.cli, "factor_hermite_ddx", shifted)
+    code, out, _ = run(capsys, "verify", "--lambdas", "1e-8", "--mus", "0.5", "--n-max", "3", "--format", "json")
+    assert code == EXIT_MISMATCH
+    [violation] = json.loads(out)["violations"]
+    assert violation.startswith("bracket violation at lambda=1e-08 n=3:")
 
 
 @pytest.mark.parametrize(("source", "target", "message"), (
@@ -323,23 +372,25 @@ def test_factor_check_prints_the_public_oracle_value(capsys, weight, op, n):
 
 
 def test_verify_oracle_column_equals_scalar_oracle(capsys):
-    # verify solves each (family, operator, n) group as one stack; every row
-    # must still print exactly the scalar oracle's value
-    code, out, _ = run(capsys, "verify", "--lambdas", "0", "0.4", "2", "--mus", "-0.4", "3",
-                       "--n-max", "5", "--format", "csv", "--digits", "17")
-    assert code == EXIT_OK
-    rows = list(csv.DictReader(io.StringIO(out)))
-    assert len(rows) == 5 * (2 + 3 + 4 + 6)
-    for row in rows:
-        lam, n = float(row["lambda"]), int(row["n"])
-        dunkl = row["branch"] == "dunkl_closed_form"
-        if row["mu"]:
-            weight = WeightSpec.gegenbauer(lam, float(row["mu"]))
-            op = OperatorSpec.dunkl(damped=True) if dunkl else OperatorSpec.ddx(damped=True)
-        else:
-            weight = WeightSpec.hermite(lam)
-            op = OperatorSpec.dunkl() if dunkl else OperatorSpec.ddx()
-        assert row["oracle_value"] == f"{rayleigh_factor(n, weight, op)[0]:.17g}"
+    # verify solves both operators of each (family, n) over one Gram factorization, and at the even
+    # n-max the top degrees 5 and 6 share one basis too; every row must still print exactly the
+    # scalar oracle's value
+    for n_max in (5, 6):
+        code, out, _ = run(capsys, "verify", "--lambdas", "0", "0.4", "2", "--mus", "-0.4", "3",
+                           "--n-max", str(n_max), "--format", "csv", "--digits", "17")
+        assert code == EXIT_OK
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == n_max * (2 + 3 + 4 + 6)
+        for row in rows:
+            lam, n = float(row["lambda"]), int(row["n"])
+            dunkl = row["branch"] == "dunkl_closed_form"
+            if row["mu"]:
+                weight = WeightSpec.gegenbauer(lam, float(row["mu"]))
+                op = OperatorSpec.dunkl(damped=True) if dunkl else OperatorSpec.ddx(damped=True)
+            else:
+                weight = WeightSpec.hermite(lam)
+                op = OperatorSpec.dunkl() if dunkl else OperatorSpec.ddx()
+            assert row["oracle_value"] == f"{rayleigh_factor(n, weight, op)[0]:.17g}"
 
 
 def test_gegenbauer_ddx_at_large_lambda(capsys):
@@ -489,14 +540,17 @@ def test_table2_solves_its_odd_pencil_once(capsys, monkeypatch):
 
 def test_verify_builds_each_shared_piece_once(capsys, monkeypatch):
     # The default grid's oracle builds one Gauss basis per (family, node count),
-    # 2 x 5, and checks the zeroth moment of each of its 49 weights once; its
-    # Gegenbauer d/dx rows solve one odd pencil per m = (n - 1) // 2 over the 36
-    # (lambda > 0, mu) pairs.  The Hermite d/dx moment pencils take the eigenpair solve instead.
+    # 2 x 5, checks the zeroth moment of each of its 49 weights once, and per
+    # (family, n), 2 x 10, factors the Gram matrices once for both operators'
+    # stiffness stacks; the residual sweep takes one call per (family, n) over
+    # the lambda array.  Its Gegenbauer d/dx rows solve one odd pencil per
+    # m = (n - 1) // 2 over the 36 (lambda > 0, mu) pairs.  The Hermite d/dx
+    # moment pencils take the eigenpair solve instead.
     import bmfactor.factors
     import bmfactor.oracle
 
-    calls = {"_gauss_basis": 0, "_mass": 0}
-    odd_pencils = []
+    calls = {"_gauss_basis": 0, "_mass": 0, "_residual_rows": 0}
+    odd_pencils, shared_solves = [], []
 
     def counting(name, fn):
         def counted(*args):
@@ -505,21 +559,30 @@ def test_verify_builds_each_shared_piece_once(capsys, monkeypatch):
         return counted
 
     for name in calls:
-        exact = getattr(bmfactor.oracle, name)
         for module in (bmfactor.oracle, bmfactor.cli):
-            if getattr(module, name, None) is exact:
+            exact = getattr(module, name, None)
+            if exact is not None:
                 monkeypatch.setattr(module, name, counting(name, exact))
-    solve = bmfactor.factors._top_values
+    odd_solve, oracle_solve = bmfactor.factors._top_values, bmfactor.oracle._top_values
 
     def recorded(s, g, *args):
         odd_pencils.append(s.shape)
-        return solve(s, g, *args)
+        return odd_solve(s, g, *args)
+
+    def shared(s, g, weights, op, n, index):
+        shared_solves.append((tuple(si.shape[0] for si in s), g.shape[0]))
+        return oracle_solve(s, g, weights, op, n, index)
 
     monkeypatch.setattr(bmfactor.factors, "_top_values", recorded)
+    monkeypatch.setattr(bmfactor.oracle, "_top_values", shared)
     code, out, _ = run(capsys, "verify", "--format", "json")
     assert code == EXIT_OK and json.loads(out)["rows"] == 910
-    assert calls == {"_gauss_basis": 10, "_mass": 49}
+    assert calls == {"_gauss_basis": 10, "_mass": 49, "_residual_rows": 20}
     assert odd_pencils == [(36, m + 1, m + 1) for m in range(5)]
+    # one Gram factorization per (family, n), not one per operator: the Dunkl stack holds every
+    # weight (2 blocks each) and the d/dx stack the lambda > 0 ones
+    assert len(shared_solves) == 20
+    assert sorted(set(shared_solves)) == [((14, 12), 14), ((84, 72), 84)]
 
 
 def test_eigenvectors_are_solved_only_where_read(capsys, monkeypatch):
@@ -672,3 +735,62 @@ def test_inequality_accepts_degree_zero(capsys):
     code, out, _ = run(capsys, "inequality", "--family", "hermite", "--lambda", "1", "--n", "0",
                        "--seed", "2", "--format", "json")
     assert code == EXIT_OK and json.loads(out)["equality"] is True
+
+
+_SWEEP_LAMBDAS = ("0", "1e-12", "0.25", "1", "150", "1e8", "1e300")
+_SWEEP_MUS = ("-0.4999999", "0", "1", "1e8", "1e300")
+_SWEEP_DEGREES = ("1", "2", "3", "31")
+# the open mu -> -1/2 oracle defect: at (150, -0.4999999) the oracle itself is 1.3e-7 off
+_SWEEP_KNOWN_GAPS = {("150", "-0.4999999")}
+
+
+def _sweep_runs(command):
+    """argv of ``command`` over the sweep grid: both weights and operators, every lambda, mu and degree."""
+    if command == "verify":
+        for lam in _SWEEP_LAMBDAS:
+            for mu in _SWEEP_MUS:
+                yield ("verify", "--lambdas", lam, "--mus", mu, "--n-max", "5")
+        return
+    for lam in _SWEEP_LAMBDAS:
+        for n in _SWEEP_DEGREES:
+            weights = [("hermite",)] + [("gegenbauer", "--mu", mu) for mu in _SWEEP_MUS]
+            for family, *mu in weights:
+                if command == "inequality":
+                    yield ("inequality", "--family", family, "--lambda", lam, *mu, "--n", n, "--at-extremal")
+                    continue
+                for op in ("ddx", "dunkl"):
+                    check = ("--check",) if command == "factor" else ()
+                    yield (command, *check, "--weight", family, "--op", op, "--lambda", lam, *mu, "--n", n)
+
+
+def _finite_numbers(value) -> bool:
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, dict):
+        return all(map(_finite_numbers, value.values()))
+    if isinstance(value, list):
+        return all(map(_finite_numbers, value))
+    return True
+
+
+@pytest.mark.parametrize("command", ("factor", "extremal", "inequality", "verify"))
+def test_every_answer_is_finite_or_refused(capsys, command):
+    # Over small, tiny, large and huge parameters each run prints only finite numbers with exit 0, or
+    # is refused with exit 2 or 3 and nothing on stdout, and never warns.  verify may exit 4 only
+    # where the oracle's own mu -> -1/2 defect predicts it.  This sweep once found the false bracket
+    # violations below lambda = 1e-8, the overflow warnings of the lambda = 150, n = 31 inequality and
+    # the NaN Dunkl factors at lambda mu beyond a double.
+    failures = []
+    for argv in _sweep_runs(command):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(capsys, *argv, "--format", "json")
+        if code == EXIT_OK:
+            ok = _finite_numbers(json.loads(out))
+        elif code == EXIT_MISMATCH:
+            ok = command == "verify" and (argv[2], argv[4]) in _SWEEP_KNOWN_GAPS
+        else:
+            ok = code in (EXIT_DOMAIN, EXIT_NUMERICAL) and out == ""
+        if not ok:
+            failures.append((argv, code, out[:120], err[:120]))
+    assert failures == []

@@ -146,3 +146,17 @@ def test_dunkl_rows_equal_dunkl_apply_on_a_stack(lam):
         assert _dunkl_rows(empty, lam).shape == _sigma_rows(empty).shape == (0,)
     with pytest.raises(ValueError):
         _dunkl_rows(stack, -0.5)
+
+
+def test_dunkl_rows_over_a_lambda_array_equal_their_float_rows():
+    # verify's residual sweep applies D_lam to every lambda of the grid at once, one lambda per row
+    rng = np.random.default_rng(11)
+    lams = np.array([0.0, 0.1, 3.5, 1e8])
+    stack = rng.uniform(-1.0, 1.0, (len(lams), 2, 7))
+    rows = _dunkl_rows(stack, lams[:, None])
+    assert rows.shape == (len(lams), 2, 6)
+    for lam, c, row in zip(lams, stack, rows):
+        assert row.tobytes() == _dunkl_rows(c, float(lam)).tobytes()
+    assert _dunkl_rows(stack[:, 0], lams).tobytes() == rows[:, 0].tobytes()
+    with pytest.raises(ValueError):
+        _dunkl_rows(stack, np.array([[0.5], [-0.5], [1.0], [2.0]]))

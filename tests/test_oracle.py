@@ -14,6 +14,7 @@ from bmfactor.dunkl import dunkl_apply, sigma
 from bmfactor.oracle import (
     ConditioningError,
     _gauss_basis,
+    _gram,
     _mass,
     _node_count,
     _quadrature,
@@ -263,16 +264,40 @@ def test_stacked_oracle_equals_its_batches_of_one(family, op, weights, n):
                                                        for c in _stack_cases()])
 def test_a_shared_basis_gives_each_degree_and_subset_its_own_bits(family, op, weights, n):
     # verify builds one basis per family and node count: for degree n + 1 (same node count at odd n),
-    # over a reversed superset of the weights, serving both operators; S and G for degree n on the
-    # subset must be those of the subset's own basis, bit for bit, the Dunkl term included
+    # over a reversed superset of the weights, serving both operators, from which each degree selects
+    # its weights' blocks by index; S and G for degree n on the subset must be those of the subset's own
+    # basis, bit for bit, the Dunkl term included, and so must the whole stack's, taken without an index
     damped = family == "gegenbauer"
     union = [WeightSpec.gegenbauer(3.0, 7.0) if damped else WeightSpec.hermite(3.0), *weights][::-1]
     assert _node_count(n + 1) == _node_count(n)
-    shared = _stack_basis(n + 1, union).take([union.index(w) for w in weights])
+    shared, index = _stack_basis(n + 1, union), [union.index(w) for w in weights]
+    own, whole = _stack_basis(n, weights), _stack_basis(n, union)
+    assert _gram(n, shared, index).tobytes() == _gram(n, own).tobytes()
+    assert _gram(n, shared).tobytes() == _gram(n, whole).tobytes()
     for operator in (OperatorSpec.dunkl(damped), OperatorSpec.ddx(damped)):
-        own = _stack_basis(n, weights)
-        for got, want in zip(_stiffness(n, shared, operator), _stiffness(n, own, operator)):
-            assert got.tobytes() == want.tobytes()
+        assert _stiffness(n, shared, operator, index).tobytes() == _stiffness(n, own, operator).tobytes()
+        assert _stiffness(n, shared, operator).tobytes() == _stiffness(n, whole, operator).tobytes()
+
+
+def test_a_whole_stack_is_taken_without_a_selection(monkeypatch):
+    # a group that is its basis's whole stack, as every rayleigh_factor call is, indexes it with the
+    # whole slice (views, no copies); a subset, such as d/dx without lambda = 0 next to the Dunkl
+    # stack of every weight, takes its blocks by position
+    import bmfactor.oracle
+
+    seen = []
+    for name in ("_gram", "_stiffness"):
+        def recorded(*args, exact=getattr(bmfactor.oracle, name), name=name):
+            seen.append((name, args[-1]))
+            return exact(*args)
+        monkeypatch.setattr(bmfactor.oracle, name, recorded)
+    rayleigh_factor(9, WeightSpec.gegenbauer(4.5, 3.0), OperatorSpec.dunkl(damped=True))
+    assert seen == [("_gram", slice(None)), ("_stiffness", slice(None))]
+    seen.clear()
+    weights = [WeightSpec.hermite(lam) for lam in (0.0, 0.5, 2.0)]
+    _rayleigh_values([(3, w, OperatorSpec.dunkl()) for w in weights]
+                     + [(3, w, OperatorSpec.ddx()) for w in weights[1:]])
+    assert seen == [("_gram", slice(None)), ("_stiffness", slice(None)), ("_stiffness", [1, 2])]
 
 
 @pytest.mark.parametrize("n", (1, 2, 7, 10, 20, 40, 60))
@@ -389,14 +414,14 @@ def test_rayleigh_factor_refuses_at_the_call(no_maximizer, monkeypatch):
         rayleigh_factor(15, WeightSpec.hermite(0.5), OperatorSpec.ddx())
     with pytest.raises(OverflowError, match="zeroth moment"):
         rayleigh_factor(3, WeightSpec.hermite(200.0), OperatorSpec.dunkl())
-    stiffness = bmfactor.oracle._stiffness
+    gram = bmfactor.oracle._gram
 
-    def nan_gram(n, basis, op):
-        s, g = stiffness(n, basis, op)
+    def nan_gram(*args):
+        g = gram(*args)
         g[:, 0, 0] = math.nan
-        return s, g
+        return g
 
-    monkeypatch.setattr(bmfactor.oracle, "_stiffness", nan_gram)
+    monkeypatch.setattr(bmfactor.oracle, "_gram", nan_gram)
     with pytest.raises(ConditioningError, match="non-finite"):
         rayleigh_factor(3, WeightSpec.hermite(1.0), OperatorSpec.ddx())
 

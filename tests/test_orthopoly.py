@@ -147,6 +147,23 @@ def test_residuals_equal_their_polynomial_formulas_bit_for_bit():
                 assert Polynomial(hermite_row) == want
 
 
+def test_residual_rows_over_a_lambda_array_equal_their_float_rows():
+    # verify's residual sweep takes one call per (family, n) over the lambda array: Hermite rows
+    # (lambda, L) and Gegenbauer rows (lambda, mu, L) against the per-lambda calls, bit for bit
+    rng = np.random.default_rng(10)
+    lams, mus = np.array([0.0, 0.1, 0.7, 3.5]), np.array(MUS)
+    for n in (1, 2, 5, 8):
+        hermite = rng.standard_normal((len(lams), n + 1))
+        gegenbauer = rng.standard_normal((len(lams), len(mus), n + 1))
+        hermite_rows = _residual_rows(hermite, n, WeightFamily.GENERALIZED_HERMITE, lams)
+        rows = _residual_rows(gegenbauer, n, WeightFamily.GENERALIZED_GEGENBAUER, lams[:, None], mus)
+        for i, lam in enumerate(lams.tolist()):
+            want = _residual_rows(hermite[i], n, WeightFamily.GENERALIZED_HERMITE, lam)
+            assert hermite_rows[i].tobytes() == want.tobytes()
+            want = _residual_rows(gegenbauer[i], n, WeightFamily.GENERALIZED_GEGENBAUER, lam, mus)
+            assert rows[i].tobytes() == want.tobytes()
+
+
 def test_residuals_are_linear():
     rng = np.random.default_rng(8)
     for _ in range(20):
