@@ -12,6 +12,7 @@ import io
 import json
 import math
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .factors import (
     factor_hermite_dunkl,
 )
 from .inequality import gegenbauer_inequality, hermite_inequality
-from .oracle import ConditioningError, _rayleigh_values, rayleigh_factor
+from .oracle import ConditioningError, _rayleigh_grid, rayleigh_factor
 from .orthopoly import _eigen_rows, _residual_rows, gegenbauer_poly, hermite_poly
 
 EXIT_OK = 0
@@ -94,6 +95,8 @@ def _poly_str(p: Polynomial, digits: int) -> str:
 
 def _compute_factor(weight: str, op: str, n: int, lam: float, mu: float | None) -> FactorResult:
     if weight == "hermite":
+        if mu is not None:
+            raise ValueError("--mu does not apply to the hermite weight")
         return factor_hermite_ddx(n, lam) if op == "ddx" else factor_hermite_dunkl(n, lam)
     if mu is None:
         raise ValueError("--mu is required for the gegenbauer weight")
@@ -303,6 +306,28 @@ def _residual_violations(lambdas, mus, n_values) -> list[str]:
     return violations
 
 
+def _oracle_column(results: list[FactorResult], n_values: range) -> list[float]:
+    """The oracle value of each grid row (degrees ``n_values`` = 1 .. n_max), one ``_rayleigh_grid`` per family.
+
+    Each grid holds every degree, the Dunkl operator and then d/dx, and the
+    family's weights in row order.  d/dx is solved at lambda = 0 too, where
+    it has no row: there its stiffness stack is the Dunkl one, bit for bit.
+    """
+    stacks: dict[bool, dict] = {False: {}, True: {}}  # per family: (lambda, mu) -> weight
+    for r in results:
+        stacks[r.weight.is_gegenbauer].setdefault((r.weight.lam, r.weight.mu), r.weight)
+    grids = {}
+    for gegenbauer, weights in stacks.items():
+        ops = [OperatorSpec.dunkl(gegenbauer), OperatorSpec.ddx(gegenbauer)]
+        position = {key: k for k, key in enumerate(weights)}
+        grids[gegenbauer] = _rayleigh_grid(n_values, list(weights.values()), ops).tolist(), position
+    column = []
+    for r in results:
+        grid, position = grids[r.weight.is_gegenbauer]
+        column.append(grid[r.n - 1][0 if r.operator.is_dunkl else 1][position[r.weight.lam, r.weight.mu]])
+    return column
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     # a NaN tolerance would pass every gap, and an empty degree range would check no row
     if not (math.isfinite(args.tolerance) and args.tolerance > 0):
@@ -317,8 +342,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     rows = []
     violations = []
 
-    oracle_values = _rayleigh_values([(r.n, r.weight, r.operator) for r in results])
-    for result, oracle_value in zip(results, oracle_values):
+    for result, oracle_value in zip(results, _oracle_column(results, n_values)):
         rel_err = abs(oracle_value - result.factor) / oracle_value
         if rel_err > args.tolerance:
             violations.append(f"theorem/oracle gap {rel_err:.3e} at {_point(result)}")
@@ -399,6 +423,8 @@ def _inequality_polynomial(args: argparse.Namespace) -> Polynomial:
 def cmd_inequality(args: argparse.Namespace) -> int:
     if args.family == "gegenbauer" and args.mu is None:
         raise ValueError("--mu is required for the gegenbauer family")
+    if args.family == "hermite" and args.mu is not None:
+        raise ValueError("--mu does not apply to the hermite family")
     if args.n < 0:
         raise ValueError(f"--n must be >= 0, got {args.n}")
     if args.seed is not None and args.seed < 0:
@@ -413,7 +439,7 @@ def cmd_inequality(args: argparse.Namespace) -> int:
     digits = args.digits
     payload = {
         "family": args.family, "lambda": args.lam,
-        "mu": args.mu if args.family == "gegenbauer" else None,
+        "mu": args.mu,
         "n": args.n,
         "polynomial_coeffs": list(p.coeffs),
         "lhs": _sig(report.lhs, digits), "rhs": _sig(report.rhs, digits),
@@ -490,8 +516,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process: building it costs about 30 parses."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.digits < 1:
             raise ValueError(f"--digits must be >= 1, got {args.digits}")

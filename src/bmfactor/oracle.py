@@ -8,11 +8,12 @@ every integrand formed here are even (``_gauss_basis``); the stiffness and
 Gram matrices are exact quadrature sums, split into the even and odd parity
 blocks that d/dx and D_lam respect (``_stiffness``, ``_gram``).  All of it
 works on a stack of weights of one family, and stack items do not mix, so
-each value carries the bits of its stack of one.  ``_rayleigh_values`` is the
-one value entry: per family and degree it factors the Gram matrices, which do
-not depend on the operator, once, and solves the stiffness stacks of every
-operator requested there in one ``eigvalsh`` (``_top_values``).
-``rayleigh_factor`` adds the degree guard rail and solves for its maximizer
+each value carries the bits of its stack of one.  ``_rayleigh_grid`` is the
+one value entry: it solves the product grid of some degrees, operators and
+weights of one family, factoring the Gram matrices of each degree, which do
+not depend on the operator, once, and solving every operator's stiffness
+stack over that factor in one ``eigvalsh``.  ``rayleigh_factor`` solves a
+grid of one, adds the degree guard rail, and solves for its maximizer
 (``eigh``, ``_unit_extremal``) only when that is read.  The route uses
 neither the closed-form factor theorems nor the moment pencils.  ``_Forms``
 evaluates the inner products of the inequality reports on the same folded
@@ -24,9 +25,9 @@ with this module.  It uses no Gauss rule and no stiffness matrix, so this
 oracle checks its values independently.
 
 Refused: non-finite or indefinite matrices (``ConditioningError``, naming the
-stack item), a zeroth moment that is not a normal double, and monomial
-coefficients beyond a double (``OverflowError``, naming the weight).  Only
-numpy is needed here.
+weight and its position in the weight list), a zeroth moment that is not a
+normal double, and monomial coefficients beyond a double (``OverflowError``,
+naming the weight).  Only numpy is needed here.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import sys
 from collections import abc
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import groupby
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -48,8 +50,9 @@ DEFAULT_DEGREE_CAP = 14
 class ConditioningError(RuntimeError):
     """Raised when a Gram matrix of a stacked solve is numerically indefinite or not finite.
 
-    ``index`` is the failing item's position in its stack and ``condition``
-    the 2-norm condition estimate of that item's Gram matrix.
+    ``index`` is the failing weight's position in the stack's weights (in
+    ``_rayleigh_grid``, its weight list) and ``condition`` the 2-norm
+    condition estimate of that weight's Gram matrix.
     """
 
     def __init__(self, message: str, condition: float, index: int):
@@ -254,46 +257,35 @@ def _finite(p: Polynomial, what: str, weight: WeightSpec) -> Polynomial:
 
 
 def _conditioning_error(
-    reason: str, block: int, g: np.ndarray, weights: Sequence[WeightSpec], op: OperatorSpec, n: int,
-    own: slice | list[int],
+    reason: str, block: int, g: np.ndarray, weights: Sequence[WeightSpec], op: OperatorSpec, n: int
 ) -> ConditioningError:
-    """The refusal of pencil ``block`` of G, naming its weight and the weight's place among ``op``'s weights ``own``."""
+    """The refusal of pencil ``block`` of G, naming its weight and the weight's position in ``weights``."""
     gi = g[block]
     condition = float(np.linalg.cond(gi)) if np.isfinite(gi).all() else math.inf
-    position = block * len(weights) // len(g)
-    w = weights[position]
-    index = np.arange(len(weights))[own].tolist().index(position)
+    index = block * len(weights) // len(g)
+    w = weights[index]
     item = (w.family.value, op.kind.value, w.lam, w.mu, n)
     return ConditioningError(f"{reason} at stack item {index} {item}", condition, index)
 
 
-def _blocks(own: slice | list[int], g: np.ndarray, weights: Sequence[WeightSpec]) -> np.ndarray:
-    """Positions in G of the pencils of the weights ``own`` (a slice or positions); G holds as many per weight."""
-    return np.arange(len(g)).reshape(len(weights), -1)[own].ravel()
-
-
 def _inverse_factor(
-    s: Sequence[np.ndarray], g: np.ndarray, weights: Sequence[WeightSpec], ops: Sequence[OperatorSpec], n: int,
-    index: Sequence[slice | list[int]],
+    s: Sequence[np.ndarray], g: np.ndarray, weights: Sequence[WeightSpec], ops: Sequence[OperatorSpec], n: int
 ) -> np.ndarray:
     """L^-T of every Gram matrix of a stack, G = L L^T, after checking the stiffness stacks ``s`` that share it.
 
     G holds the same number of pencils per weight, those of a weight next to
-    each other.  Stiffness stack i holds the pencils of ``ops[i]`` on the
-    weights ``index[i]`` (a slice or positions) in the same layout.  A failing
-    pencil raises ``ConditioningError`` naming its weight as (family,
-    operator, lambda, mu, n) and its position in that operator's stack:
-    non-finite entries first, stack by stack, then an indefinite G under the
-    first operator whose stack holds it.  The condition estimate is computed
-    only then.
+    each other, and stiffness stack i holds the pencils of ``ops[i]`` in the
+    same layout.  A failing pencil raises ``ConditioningError`` naming its
+    weight as (family, operator, lambda, mu, n) and its position in
+    ``weights``: non-finite entries first, stack by stack, then an indefinite
+    G under ``ops[0]``.  The condition estimate is computed only then.
     """
     if not (np.isfinite(g).all() and all(np.isfinite(si).all() for si in s)):
-        for si, op, own in zip(s, ops, index):
-            blocks = _blocks(own, g, weights)
-            finite = np.isfinite(si).all(axis=(1, 2)) & np.isfinite(g[blocks]).all(axis=(1, 2))
+        for si, op in zip(s, ops):
+            finite = np.isfinite(si).all(axis=(1, 2)) & np.isfinite(g).all(axis=(1, 2))
             if not finite.all():
-                raise _conditioning_error("non-finite stiffness or Gram entries", int(blocks[np.argmin(finite)]),
-                                          g, weights, op, n, own)
+                raise _conditioning_error("non-finite stiffness or Gram entries", int(np.argmin(finite)),
+                                          g, weights, op, n)
     try:
         chol = np.linalg.cholesky(g)
     except np.linalg.LinAlgError as exc:
@@ -301,39 +293,23 @@ def _inverse_factor(
             try:
                 np.linalg.cholesky(gi)
             except np.linalg.LinAlgError:
-                op, own = next((op, own) for op, own in zip(ops, index) if block in _blocks(own, g, weights))
                 raise _conditioning_error("Gram matrix numerically indefinite", block,
-                                          g, weights, op, n, own) from exc
+                                          g, weights, ops[0], n) from exc
         raise
     return np.linalg.inv(chol).swapaxes(1, 2)
 
 
-def _top_values(
-    s: np.ndarray | list[np.ndarray], g: np.ndarray, weights: Sequence[WeightSpec],
-    op: OperatorSpec | list[OperatorSpec], n: int, index: list[slice | list[int]] | None = None,
-) -> np.ndarray:
-    """Largest eigenvalue of every pencil S v = theta G v of a stack, reduced to L^-1 S L^-T, without eigenvectors.
-
-    With ``index``, several stiffness stacks share one Gram stack, which is
-    factored once (``_inverse_factor``): ``s``, ``op`` and ``index`` are then
-    lists, stack i holding the pencils of op[i] on the weights index[i], and
-    one ``eigvalsh`` returns the values stack after stack.
-    """
-    if index is None:
-        s, op, index = [s], [op], [slice(None)]
-    inv_t = _inverse_factor(s, g, weights, op, n, index)
-    reduced = []
-    for si, own in zip(s, index):
-        inv_ti = inv_t if own == slice(None) else inv_t[_blocks(own, g, weights)]
-        reduced.append(inv_ti.swapaxes(1, 2) @ si @ inv_ti)
-    return np.linalg.eigvalsh(reduced[0] if len(reduced) == 1 else np.concatenate(reduced))[:, -1]
+def _top_values(s: np.ndarray, g: np.ndarray, weights: Sequence[WeightSpec], op: OperatorSpec, n: int) -> np.ndarray:
+    """Largest eigenvalue of every pencil S v = theta G v of a stack, reduced to L^-1 S L^-T, without eigenvectors."""
+    inv_t = _inverse_factor([s], g, weights, [op], n)
+    return np.linalg.eigvalsh(inv_t.swapaxes(1, 2) @ s @ inv_t)[:, -1]
 
 
 def _top_eigenpairs(
     s: np.ndarray, g: np.ndarray, weights: Sequence[WeightSpec], op: OperatorSpec, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Largest eigenvalue of every pencil of a stack, reduced as in ``_top_values``, and its eigenvector v = L^-T y."""
-    inv_t = _inverse_factor([s], g, weights, [op], n, [slice(None)])
+    inv_t = _inverse_factor([s], g, weights, [op], n)
     vals, vecs = np.linalg.eigh(inv_t.swapaxes(1, 2) @ s @ inv_t)
     return vals[:, -1], (inv_t @ vecs[:, :, -1:])[:, :, 0]
 
@@ -372,119 +348,86 @@ def _stack_basis(n: int, weights: Sequence[WeightSpec]) -> _Basis:
     return _Basis(gegenbauer, lam, x, w, q, _basis_derivatives(q, x, rb), rb)
 
 
-def _parity_blocks(rows: np.ndarray, index: slice | list[int] = slice(None)) -> np.ndarray:
-    """Rows k = 0 .. n of the stack items at ``index``, (n + 1, B, L), as two blocks of h = n // 2 + 1 rows per item.
+def _parity_blocks(rows: np.ndarray) -> np.ndarray:
+    """Rows k = 0 .. n of a stack, (n + 1, B, L), as two blocks of h = n // 2 + 1 rows per item, shape (2B, h, L).
 
-    Block 2b holds rows 0, 2, ... of the b-th selected item and block 2b + 1
-    its rows 1, 3, ...; at even n the odd block ends in a zero row.  The
-    shape is (2B', h, L), B' the number of items selected.
+    Block 2b holds rows 0, 2, ... of item b and block 2b + 1 its rows 1, 3,
+    ...; at even n the odd block ends in a zero row.
     """
-    even, odd = rows[0::2, index], rows[1::2, index]
-    out = np.zeros((even.shape[1], 2, len(even), rows.shape[2]))
+    even, odd = rows[0::2], rows[1::2]
+    out = np.zeros((rows.shape[1], 2, len(even), rows.shape[2]))
     out[:, 0] = even.swapaxes(0, 1)
     out[:, 1, : len(odd)] = odd.swapaxes(0, 1)
     return out.reshape(-1, len(even), rows.shape[2])
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _gram(n: int, basis: _Basis, index: slice | list[int] = slice(None)) -> np.ndarray:
-    """Gram matrices G = Q diag(w) Q^T of the basis items at ``index``, in the parity blocks of ``_stiffness``.
+def _gram(n: int, basis: _Basis) -> np.ndarray:
+    """Gram matrices G = Q diag(w) Q^T of the basis stack, in the parity blocks of ``_stiffness``.
 
     They do not depend on the operator, so the stiffness stacks of every
     operator at degree n share them.  At even n the odd block's padding row
     gets a unit diagonal.
     """
-    q = _parity_blocks(basis.q[: n + 1], index)
-    g = (q * np.repeat(basis.w[index], 2, axis=0)[:, None, :]) @ q.swapaxes(1, 2)
+    q = _parity_blocks(basis.q[: n + 1])
+    g = (q * np.repeat(basis.w, 2, axis=0)[:, None, :]) @ q.swapaxes(1, 2)
     if n % 2 == 0:
         g[1::2, -1, -1] = 1.0
     return g
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _stiffness(n: int, basis: _Basis, op: OperatorSpec, index: slice | list[int] = slice(None)) -> np.ndarray:
-    """Stiffness matrices S = D diag(w A) D^T of ``op`` over q_0 .. q_n, as parity blocks of the items at ``index``.
+def _stiffness(n: int, basis: _Basis, op: OperatorSpec) -> np.ndarray:
+    """Stiffness matrices S = D diag(w A) D^T of ``op`` over q_0 .. q_n, as parity blocks, shape (2B, h, h).
 
-    ``index`` is a slice, or positions into the basis stack; the shape is
-    (2B', h, h).  ``op`` maps q_k to a polynomial of the parity of k - 1 and
-    the weight is even, so every entry between rows of opposite parity is
-    zero: blocks 2b and 2b + 1 (``_parity_blocks``) are the pencils of item b
-    on the even and on the odd basis rows, summed over the positive nodes.  At
-    even n the odd block has a zero padding row, which adds only the root 0.
-    The basis may be built for a larger degree on the same nodes: a basis row
-    and its derivative do not depend on the rows above them, so the leading
-    rows carry the same bits.  At huge lam or mu the entries overflow to inf
-    or nan without a warning; the solves refuse them.
+    ``op`` maps q_k to a polynomial of the parity of k - 1 and the weight is
+    even, so every entry between rows of opposite parity is zero: blocks 2b
+    and 2b + 1 (``_parity_blocks``) are the pencils of item b on the even and
+    on the odd basis rows, summed over the positive nodes.  At even n the odd
+    block has a zero padding row, which adds only the root 0.  The basis may
+    be built for a larger degree on the same nodes: a basis row and its
+    derivative do not depend on the rows above them, so the leading rows
+    carry the same bits.  At huge lam or mu the entries overflow to inf or
+    nan without a warning; the solves refuse them.
     """
-    x, w = basis.x[index], basis.w[index]
-    d = _parity_blocks(basis.d[: n + 1], index)
+    x, w = basis.x, basis.w
+    d = _parity_blocks(basis.d[: n + 1])
     if op.is_dunkl:
         # sigma(q_k) = 2 q_k / x for odd k and 0 for even k, by parity of the basis, added to the odd blocks
-        odd = basis.q[1 : n + 1 : 2, index]
+        odd = basis.q[1 : n + 1 : 2]
         d.reshape(len(x), 2, -1, x.shape[1])[:, 1, : len(odd)] += \
-            ((2.0 * basis.lam[index])[:, None] * odd / x).swapaxes(0, 1)
+            ((2.0 * basis.lam)[:, None] * odd / x).swapaxes(0, 1)
     wa = w * (1.0 - x * x) if (basis.gegenbauer and op.damped) else w
     return (d * np.repeat(wa, 2, axis=0)[:, None, :]) @ d.swapaxes(1, 2)
 
 
-def _selection(positions: list[int], size: int) -> slice | list[int]:
-    """``positions`` as an index: the whole slice, which selects without a copy, when they are 0 .. size - 1."""
-    return slice(None) if positions == list(range(size)) else positions
+def _rayleigh_grid(degrees: Sequence[int], weights: Sequence[WeightSpec], ops: Sequence[OperatorSpec]) -> np.ndarray:
+    """Largest Rayleigh quotient over P_n of every (n, op, weight) of one family, shape (degrees, ops, weights).
 
-
-def _rayleigh_values(items: Sequence[tuple[int, WeightSpec, OperatorSpec]]) -> list[float]:
-    """Largest Rayleigh quotient over P_n of each item (n, weight, op), in item order.
-
-    Items are grouped per family and Gauss node count, then per degree, with
-    weights keyed by plain tuples (is_gegenbauer, lam, mu).  The degrees of
-    one node count (n and n + 1 for odd n) share one basis over the union of
-    their weights, built for the larger degree.  Per degree, the Gram
-    matrices of the weights requested there are factored once, and one
-    ``_top_values`` solves the stiffness stacks of every operator requested
-    there over that factor.  Each stack takes its weights' blocks by index,
-    without a copy when they are the whole basis stack in order.  Refusals
-    come in group order: a degree below 1, then per degree its solve and the
-    zeroth moments of its weights not yet checked.
+    Consecutive degrees of one Gauss node count (n and n + 1 for odd n) share
+    one basis, built for the larger.  Per degree, the Gram matrices are
+    factored once for every operator, and one ``eigvalsh`` solves the reduced
+    stiffness stacks of all of them.  Each value carries the bits of its
+    stack of one.  Refusals come in degree order: a degree below 1 first,
+    then per degree its solve (``_inverse_factor``, naming ``ops[0]`` for an
+    indefinite G), and after the first degree's solve the zeroth moments of
+    the weights.
     """
-    weights: dict[tuple, WeightSpec] = {}
-    stacks: dict[tuple, dict] = {}  # (is_gegenbauer, node count) -> {n: {op key: (op, {weight key: [items]})}}
-    for i, (n, weight, op) in enumerate(items):
-        if n < 1:
-            raise ValueError("degree must be >= 1")
-        key = (weight.is_gegenbauer, weight.lam, weight.mu)
-        weights.setdefault(key, weight)
-        ops = stacks.setdefault((key[0], _node_count(n)), {}).setdefault(n, {})
-        ops.setdefault((op.is_dunkl, op.damped), (op, {}))[1].setdefault(key, []).append(i)
-    checked = set()
-    values = [0.0] * len(items)
-    for degrees in stacks.values():
-        # each weight's position in the shared basis, and per degree in that degree's Gram stack
-        position: dict[tuple, int] = {}
-        at_degree = []
-        for ops in degrees.values():
-            own: dict[tuple, int] = {}
-            for _, members in ops.values():
-                for key in members:
-                    own.setdefault(key, len(own))
-                    position.setdefault(key, len(position))
-            at_degree.append(own)
-        basis = _stack_basis(max(degrees), [weights[key] for key in position])
-        for (n, ops), own in zip(degrees.items(), at_degree):
-            g = _gram(n, basis, _selection([position[key] for key in own], len(position)))
-            s = [_stiffness(n, basis, op, _selection([position[key] for key in members], len(position)))
-                 for op, members in ops.values()]
-            index = [_selection([own[key] for key in members], len(own)) for _, members in ops.values()]
-            theta = _top_values(s, g, [weights[key] for key in own], [op for op, _ in ops.values()], n, index)
-            for key in own:
-                if key not in checked:
-                    _mass(weights[key])
-                    checked.add(key)
-            stack_values = iter(np.sqrt(theta.reshape(-1, 2).max(axis=1)).tolist())
-            for _, members in ops.values():
-                for requests, value in zip(members.values(), stack_values):
-                    for i in requests:
-                        values[i] = value
-    return values
+    if any(n < 1 for n in degrees):
+        raise ValueError("degree must be >= 1")
+    values = []
+    for _, group in groupby(degrees, _node_count):
+        group = list(group)
+        basis = _stack_basis(max(group), weights)
+        for n in group:
+            s = [_stiffness(n, basis, op) for op in ops]
+            inv_t = _inverse_factor(s, _gram(n, basis), weights, ops, n)
+            theta = np.linalg.eigvalsh(np.concatenate([inv_t.swapaxes(1, 2) @ si @ inv_t for si in s]))[:, -1]
+            values.append(np.sqrt(theta.reshape(len(ops), -1, 2).max(axis=2)))
+            if len(values) == 1:
+                for weight in weights:
+                    _mass(weight)
+    return np.array(values)
 
 
 def _unit_extremal(n: int, weight: WeightSpec, op: OperatorSpec) -> Polynomial:
@@ -547,5 +490,5 @@ def rayleigh_factor(
     cap = DEFAULT_DEGREE_CAP if max_degree is None else max_degree
     if n > cap:
         raise ValueError(f"degree {n} above cap {cap}; pass max_degree explicitly to override")
-    [value] = _rayleigh_values([(n, weight, op)])
+    value = float(_rayleigh_grid([n], [weight], [op])[0, 0, 0])
     return _RayleighPair(value, partial(_unit_extremal, n, weight, op))

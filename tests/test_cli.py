@@ -455,6 +455,50 @@ def test_non_finite_weight_parameters_exit_2(capsys):
         assert err.startswith("error:") and "must be finite" in err, argv
 
 
+@pytest.mark.parametrize("argv", (
+    ("factor", "--weight", "hermite", "--op", "ddx", "--lambda", "1", "--mu", "0.5", "--n", "3"),
+    ("factor", "--check", "--weight", "hermite", "--op", "dunkl", "--lambda", "1", "--mu", "0.5", "--n", "3"),
+    ("extremal", "--weight", "hermite", "--op", "ddx", "--lambda", "1", "--mu", "0.5", "--n", "4"),
+    ("inequality", "--family", "hermite", "--lambda", "1", "--mu", "3", "--n", "2", "--seed", "1"),
+), ids=("factor", "factor-check", "extremal", "inequality"))
+def test_mu_with_the_hermite_weight_exits_2(capsys, argv):
+    # the Hermite weight has no mu: factor once dropped it silently, and inequality printed it in its
+    # plain header while the report ignored it
+    for fmt in ("plain", "json"):
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err.startswith("error: --mu does not apply to the hermite ")
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    # building the parser costs about 30 parses, and perfbench and the tests call main hundreds of times
+    import bmfactor.cli
+
+    runs = (
+        ("factor", "--weight", "gegenbauer", "--op", "ddx", "--lambda", "1", "--mu", "0.5", "--n", "3"),
+        ("extremal", "--weight", "hermite", "--op", "dunkl", "--lambda", "1", "--n", "3", "--format", "json"),
+        ("verify", "--lambdas", "0.5", "--mus", "1", "--n-max", "3", "--format", "csv"),
+        ("table2", "--format", "csv"),
+        ("inequality", "--family", "hermite", "--lambda", "1", "--n", "2", "--seed", "1"),
+        ("factor", "--weight", "hermite", "--op", "ddx", "--lambda", "1", "--n", "3"),
+    )
+    fresh = []
+    for argv in runs:
+        bmfactor.cli._parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    build_parser, built = bmfactor.cli.build_parser, []
+
+    def build():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(bmfactor.cli, "build_parser", build)
+    bmfactor.cli._parser.cache_clear()
+    assert [run(capsys, *argv) for argv in runs] == fresh
+    assert len(built) == 1
+    bmfactor.cli._parser.cache_clear()
+
+
 def test_linalg_failure_exits_3(capsys, monkeypatch):
     # LinAlgError subclasses ValueError, which would otherwise report a domain error
     import bmfactor.oracle
@@ -462,7 +506,7 @@ def test_linalg_failure_exits_3(capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(bmfactor.oracle, "_top_values", fail)
+    monkeypatch.setattr(bmfactor.oracle, "_inverse_factor", fail)
     code, _, err = run(capsys, "factor", "--check", "--weight", "hermite", "--op", "dunkl",
                        "--lambda", "1", "--n", "3")
     assert code == EXIT_NUMERICAL
@@ -539,18 +583,19 @@ def test_table2_solves_its_odd_pencil_once(capsys, monkeypatch):
 
 
 def test_verify_builds_each_shared_piece_once(capsys, monkeypatch):
-    # The default grid's oracle builds one Gauss basis per (family, node count),
-    # 2 x 5, checks the zeroth moment of each of its 49 weights once, and per
-    # (family, n), 2 x 10, factors the Gram matrices once for both operators'
-    # stiffness stacks; the residual sweep takes one call per (family, n) over
-    # the lambda array.  Its Gegenbauer d/dx rows solve one odd pencil per
+    # The default grid's oracle is one _rayleigh_grid per family.  It builds
+    # one Gauss basis per (family, node count), 2 x 5, checks the zeroth
+    # moment of each of its 49 weights once, and per (family, n), 2 x 10,
+    # factors the Gram matrices once for both operators' stiffness stacks;
+    # the residual sweep takes one call per (family, n) over the lambda
+    # array.  Its Gegenbauer d/dx rows solve one odd pencil per
     # m = (n - 1) // 2 over the 36 (lambda > 0, mu) pairs.  The Hermite d/dx
     # moment pencils take the eigenpair solve instead.
     import bmfactor.factors
     import bmfactor.oracle
 
     calls = {"_gauss_basis": 0, "_mass": 0, "_residual_rows": 0}
-    odd_pencils, shared_solves = [], []
+    odd_pencils, shared_factors = [], []
 
     def counting(name, fn):
         def counted(*args):
@@ -563,26 +608,27 @@ def test_verify_builds_each_shared_piece_once(capsys, monkeypatch):
             exact = getattr(module, name, None)
             if exact is not None:
                 monkeypatch.setattr(module, name, counting(name, exact))
-    odd_solve, oracle_solve = bmfactor.factors._top_values, bmfactor.oracle._top_values
+    odd_solve, inverse_factor = bmfactor.factors._top_values, bmfactor.oracle._inverse_factor
 
     def recorded(s, g, *args):
         odd_pencils.append(s.shape)
         return odd_solve(s, g, *args)
 
-    def shared(s, g, weights, op, n, index):
-        shared_solves.append((tuple(si.shape[0] for si in s), g.shape[0]))
-        return oracle_solve(s, g, weights, op, n, index)
+    def factored(s, g, weights, ops, n):
+        if len(ops) == 2:  # the factor pencils' solves pass one stiffness stack
+            shared_factors.append((tuple(si.shape[0] for si in s), g.shape[0]))
+        return inverse_factor(s, g, weights, ops, n)
 
     monkeypatch.setattr(bmfactor.factors, "_top_values", recorded)
-    monkeypatch.setattr(bmfactor.oracle, "_top_values", shared)
+    monkeypatch.setattr(bmfactor.oracle, "_inverse_factor", factored)
     code, out, _ = run(capsys, "verify", "--format", "json")
     assert code == EXIT_OK and json.loads(out)["rows"] == 910
     assert calls == {"_gauss_basis": 10, "_mass": 49, "_residual_rows": 20}
     assert odd_pencils == [(36, m + 1, m + 1) for m in range(5)]
-    # one Gram factorization per (family, n), not one per operator: the Dunkl stack holds every
-    # weight (2 blocks each) and the d/dx stack the lambda > 0 ones
-    assert len(shared_solves) == 20
-    assert sorted(set(shared_solves)) == [((14, 12), 14), ((84, 72), 84)]
+    # 20 Cholesky factorizations, one per (family, n), not one per operator: both stacks hold every
+    # weight (2 blocks each), d/dx at lambda = 0 included
+    assert len(shared_factors) == 20
+    assert sorted(set(shared_factors)) == [((14, 14), 14), ((84, 84), 84)]
 
 
 def test_eigenvectors_are_solved_only_where_read(capsys, monkeypatch):

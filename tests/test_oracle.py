@@ -18,7 +18,7 @@ from bmfactor.oracle import (
     _mass,
     _node_count,
     _quadrature,
-    _rayleigh_values,
+    _rayleigh_grid,
     _stack_basis,
     _stack_betas,
     _stack_parameters,
@@ -239,65 +239,34 @@ def _stack_cases():
 @pytest.mark.parametrize(("family", "op", "weights"), [pytest.param(*c, id=f"{c[0]}-{c[1]}")
                                                        for c in _stack_cases()])
 def test_stacked_oracle_equals_its_batches_of_one(family, op, weights, n):
-    # one shuffled list over both families, both operators, and degrees n and n + 1 at odd n (one
-    # node count, so one shared basis), from which each group takes its items; this case's values
-    # must be those of its stacks of one, bit for bit
-    def operator(family, op):
-        damped = family == "gegenbauer"
-        return OperatorSpec.dunkl(damped) if op == "dunkl" else OperatorSpec.ddx(damped)
-
-    degrees = (n, n + 1) if n % 2 else (n,)
-    items = [(m, w, operator(f, o)) for f, o, ws in _stack_cases() for m in degrees for w in ws]
-    rng = np.random.default_rng(n)
-    items = [items[i] for i in rng.permutation(len(items))]
-    values = _rayleigh_values(items)
-    assert len(values) == len(items) and all(type(v) is float for v in values)
-    mine = [(m, w, o, value) for (m, w, o), value in zip(items, values)
-            if (w.family.value, o) == (family, operator(family, op))]
-    assert len(mine) == len(degrees) * len(weights)
-    for m, weight, o, value in mine:
-        assert value == rayleigh_factor(m, weight, o, max_degree=m)[0]  # bit for bit, not approximately
+    # one grid over this case's weights in a shuffled order, both operators (this case's first) and
+    # degrees n and n + 1 (one node count, so one shared basis, at odd n; two at even n); every cell
+    # must be the value of its stack of one, bit for bit
+    damped = family == "gegenbauer"
+    ops = [OperatorSpec.dunkl(damped), OperatorSpec.ddx(damped)][:: 1 if op == "dunkl" else -1]
+    weights = [weights[i] for i in np.random.default_rng(n).permutation(len(weights))]
+    degrees = (n, n + 1)
+    grid = _rayleigh_grid(degrees, weights, ops)
+    assert grid.shape == (len(degrees), len(ops), len(weights)) and grid.dtype == np.float64
+    for i, m in enumerate(degrees):
+        for j, operator in enumerate(ops):
+            for k, weight in enumerate(weights):
+                assert grid[i, j, k] == rayleigh_factor(m, weight, operator, max_degree=m)[0]  # bit for bit
 
 
 @pytest.mark.parametrize("n", (1, 3, 9, 19))
 @pytest.mark.parametrize(("family", "op", "weights"), [pytest.param(*c, id=f"{c[0]}-{c[1]}")
                                                        for c in _stack_cases()])
 def test_a_shared_basis_gives_each_degree_and_subset_its_own_bits(family, op, weights, n):
-    # verify builds one basis per family and node count: for degree n + 1 (same node count at odd n),
-    # over a reversed superset of the weights, serving both operators, from which each degree selects
-    # its weights' blocks by index; S and G for degree n on the subset must be those of the subset's own
-    # basis, bit for bit, the Dunkl term included, and so must the whole stack's, taken without an index
+    # a grid builds one basis per node count, for degree n + 1 at odd n, over all its weights and
+    # serving both operators; S and G for degree n must be those of the stack's own degree-n basis,
+    # bit for bit, the Dunkl term included
     damped = family == "gegenbauer"
-    union = [WeightSpec.gegenbauer(3.0, 7.0) if damped else WeightSpec.hermite(3.0), *weights][::-1]
     assert _node_count(n + 1) == _node_count(n)
-    shared, index = _stack_basis(n + 1, union), [union.index(w) for w in weights]
-    own, whole = _stack_basis(n, weights), _stack_basis(n, union)
-    assert _gram(n, shared, index).tobytes() == _gram(n, own).tobytes()
-    assert _gram(n, shared).tobytes() == _gram(n, whole).tobytes()
+    shared, own = _stack_basis(n + 1, weights), _stack_basis(n, weights)
+    assert _gram(n, shared).tobytes() == _gram(n, own).tobytes()
     for operator in (OperatorSpec.dunkl(damped), OperatorSpec.ddx(damped)):
-        assert _stiffness(n, shared, operator, index).tobytes() == _stiffness(n, own, operator).tobytes()
-        assert _stiffness(n, shared, operator).tobytes() == _stiffness(n, whole, operator).tobytes()
-
-
-def test_a_whole_stack_is_taken_without_a_selection(monkeypatch):
-    # a group that is its basis's whole stack, as every rayleigh_factor call is, indexes it with the
-    # whole slice (views, no copies); a subset, such as d/dx without lambda = 0 next to the Dunkl
-    # stack of every weight, takes its blocks by position
-    import bmfactor.oracle
-
-    seen = []
-    for name in ("_gram", "_stiffness"):
-        def recorded(*args, exact=getattr(bmfactor.oracle, name), name=name):
-            seen.append((name, args[-1]))
-            return exact(*args)
-        monkeypatch.setattr(bmfactor.oracle, name, recorded)
-    rayleigh_factor(9, WeightSpec.gegenbauer(4.5, 3.0), OperatorSpec.dunkl(damped=True))
-    assert seen == [("_gram", slice(None)), ("_stiffness", slice(None))]
-    seen.clear()
-    weights = [WeightSpec.hermite(lam) for lam in (0.0, 0.5, 2.0)]
-    _rayleigh_values([(3, w, OperatorSpec.dunkl()) for w in weights]
-                     + [(3, w, OperatorSpec.ddx()) for w in weights[1:]])
-    assert seen == [("_gram", slice(None)), ("_stiffness", slice(None)), ("_stiffness", [1, 2])]
+        assert _stiffness(n, shared, operator).tobytes() == _stiffness(n, own, operator).tobytes()
 
 
 @pytest.mark.parametrize("n", (1, 2, 7, 10, 20, 40, 60))
@@ -308,7 +277,7 @@ def test_folded_oracle_matches_the_unfolded_reference(family, op, weights, n):
     # (n + 1)-square pencil and one eigh; folding reorders the sums, so only the last bits may move
     damped = family == "gegenbauer"
     operator = OperatorSpec.dunkl(damped) if op == "dunkl" else OperatorSpec.ddx(damped)
-    values = _rayleigh_values([(n, weight, operator) for weight in weights])
+    values = _rayleigh_grid([n], weights, [operator])[0, 0]
     for weight, value in zip(weights, values, strict=True):
         assert value == pytest.approx(unfolded_rayleigh_value(n, weight, operator), rel=1e-13, abs=0)
 
@@ -341,6 +310,42 @@ def test_a_block_stack_names_the_weight_of_its_failing_block():
     with pytest.raises(ConditioningError, match=r"stack item 2 \('hermite', 'dunkl', 2.0, 0.0, 3\)") as info:
         _top_values(s, g, weights, OperatorSpec.dunkl(), 3)
     assert info.value.index == 2
+
+
+def test_a_grid_refusal_names_the_weights_position_and_its_operator(monkeypatch):
+    # stack item i is the weight's position in the grid's weight list; non-finite entries are named under
+    # the first operator whose stack holds them, and an indefinite Gram matrix under ops[0]
+    import bmfactor.oracle
+
+    weights = [WeightSpec.gegenbauer(0.5, 1.0), WeightSpec.gegenbauer(0.0, 1e300)]
+    for ops in ((OperatorSpec.dunkl(True), OperatorSpec.ddx(True)), (OperatorSpec.ddx(True), OperatorSpec.dunkl(True))):
+        item = rf"stack item 1 \('gegenbauer', '{ops[0].kind.value}', 0.0, 1e\+300, 1\)"
+        with pytest.raises(ConditioningError, match=rf"^non-finite stiffness or Gram entries at {item}") as info:
+            _rayleigh_grid([1, 2], weights, ops)
+        assert info.value.index == 1
+    gram = bmfactor.oracle._gram
+
+    def indefinite(n, basis):
+        g = gram(n, basis)
+        g[3, 0, 0] = -1.0  # the odd block of weight 1
+        return g
+
+    monkeypatch.setattr(bmfactor.oracle, "_gram", indefinite)
+    weights = [WeightSpec.hermite(lam) for lam in (0.0, 0.5, 2.0)]
+    with pytest.raises(ConditioningError, match=r"indefinite at stack item 1 \('hermite', 'ddx', 0.5, 0.0, 3\)"):
+        _rayleigh_grid([3], weights, [OperatorSpec.ddx(), OperatorSpec.dunkl()])
+
+
+@pytest.mark.parametrize("family", ("hermite", "gegenbauer"))
+def test_ddx_and_dunkl_stiffness_agree_to_the_bit_at_lambda_zero(family):
+    # verify's grids solve d/dx at lambda = 0, where it has no row; there D_0 = d/dx, so the cell must
+    # not add a refusal or a value of its own
+    damped = family == "gegenbauer"
+    weights = [WeightSpec.hermite(0.0)] if not damped else [WeightSpec.gegenbauer(0.0, mu) for mu in (-0.4, 0.5, 4.0)]
+    for n in range(1, 11):
+        basis = _stack_basis(n, weights)
+        ddx, dunkl = (_stiffness(n, basis, op) for op in (OperatorSpec.ddx(damped), OperatorSpec.dunkl(damped)))
+        assert ddx.tobytes() == dunkl.tobytes()
 
 
 def test_stacked_oracle_rejects_mixed_families():
@@ -396,7 +401,7 @@ def no_maximizer(monkeypatch):
 
 def test_rayleigh_factor_value_builds_no_maximizer(no_maximizer):
     weight, op = WeightSpec.gegenbauer(4.5, 3.0), OperatorSpec.ddx(damped=True)
-    [value] = _rayleigh_values([(20, weight, op)])
+    value = _rayleigh_grid([20], [weight], [op])[0, 0, 0]
     result = rayleigh_factor(20, weight, op, max_degree=20)
     assert result[0] == result[-2] == value and type(result[0]) is float
     assert len(result) == 2

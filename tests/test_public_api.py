@@ -74,7 +74,7 @@ def test_cli_imports_only_the_oracle_entries():
     tree = ast.parse(Path(bmfactor.__file__).with_name("cli.py").read_text())
     names = sorted(alias.name for node in ast.walk(tree)
                    if isinstance(node, ast.ImportFrom) and node.module == "oracle" for alias in node.names)
-    assert names == ["ConditioningError", "_rayleigh_values", "rayleigh_factor"]
+    assert names == ["ConditioningError", "_rayleigh_grid", "rayleigh_factor"]
 
 
 def test_result_types_store_each_value_once():
@@ -91,6 +91,6 @@ def test_result_types_store_each_value_once():
 
 def test_oracle_has_one_scalar_entry():
     # the stack-of-one wrappers are gone; only rayleigh_factor carries the degree guard rail
-    assert [name for name in ("gauss_rule", "recurrence_betas", "_rayleigh_stack")
-            if hasattr(bmfactor.oracle, name)] == []
-    assert list(inspect.signature(bmfactor.oracle._rayleigh_values).parameters) == ["items"]
+    assert [name for name in ("gauss_rule", "recurrence_betas", "_rayleigh_stack", "_rayleigh_values",
+                              "_selection", "_blocks") if hasattr(bmfactor.oracle, name)] == []
+    assert list(inspect.signature(bmfactor.oracle._rayleigh_grid).parameters) == ["degrees", "weights", "ops"]
