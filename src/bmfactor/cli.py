@@ -16,11 +16,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import OperatorSpec, Polynomial, WeightFamily
+from .core import OperatorSpec, Polynomial, WeightFamily, WeightSpec
 from .factors import (
     FactorResult,
     _dunkl_factor,
-    _dunkl_weight,
     _gegenbauer_ddx_stack,
     _odd_branch_stack,
     factor_gegenbauer_ddx,
@@ -243,8 +242,8 @@ def _verify_rows(lambdas, mus, n_values) -> list[FactorResult]:
     hermite_dunkl, gegenbauer_dunkl = OperatorSpec.dunkl(), OperatorSpec.dunkl(damped=True)
     rows = []
     for lam in lambdas:
-        hermite = _dunkl_weight(lam)
-        gegenbauer = [_dunkl_weight(lam, mu) for mu in mus]
+        hermite = WeightSpec.hermite(lam)
+        gegenbauer = [WeightSpec.gegenbauer(lam, mu) for mu in mus]
         for n in n_values:
             if lam > 0:
                 rows.append(factor_hermite_ddx(n, lam))

@@ -134,10 +134,6 @@ class WeightSpec:
     def is_gegenbauer(self) -> bool:
         return self.family is WeightFamily.GENERALIZED_GEGENBAUER
 
-    @property
-    def interval(self) -> tuple[float, float]:
-        return (-1.0, 1.0) if self.is_gegenbauer else (-np.inf, np.inf)
-
 
 @dataclass(frozen=True)
 class OperatorSpec:

@@ -10,9 +10,11 @@ entries (``_odd_pencil_stack``), solved for a stack of (lam, mu) pairs at
 once; for the Hermite weight it is the paper's moment pencil F
 (``build_pencil_F``), its root refined in long double (``_top_positive``).
 
-With the oracle this module shares only the recurrence coefficients
-(``_stack_betas``), the Cholesky-reduced eigensolve (``_top_values``,
-``_top_eigenpairs``) and ``_basis_to_monomial``, so the oracle's Gauss-rule
+The odd pencils are the package's only ones whose Gram matrix is not I, and
+this module solves them by one stacked Cholesky reduction (``_top_values``
+for values, ``_top_eigenpairs`` where an eigenvector is read).  With the
+oracle it shares only the recurrence coefficients (``_stack_betas``),
+``_basis_to_monomial`` and the refusal helpers, so the oracle's Gauss-rule
 stiffness solve checks the values independently.  The moment tables of
 ``special`` (the package's one use of scipy) serve only F.
 
@@ -34,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import OperatorSpec, Polynomial, WeightSpec, _BuiltOnRead, _describe
-from .oracle import _basis_to_monomial, _finite, _stack_betas, _top_eigenpairs, _top_values
+from .oracle import _basis_to_monomial, _conditioning_error, _finite, _refuse_non_finite, _stack_betas
 from .orthopoly import eigenvalue_sq, gegenbauer_poly, hermite_poly
 from .special import moment_table
 
@@ -185,15 +187,54 @@ def _refine_pair(pencil: Pencil, t: float, v: np.ndarray) -> tuple[float, np.nda
     return float(t_ld), v_ld.astype(float)
 
 
+def _inverse_factor(
+    s: np.ndarray, g: np.ndarray, weights: Sequence[WeightSpec], op: OperatorSpec, n: int
+) -> np.ndarray:
+    """L^-T of every Gram matrix of a stack, G = L L^T, after checking the stiffness stack ``s`` over it.
+
+    G holds the same number of pencils per weight, those of a weight next to
+    each other, and ``s`` holds them in the same layout.  A failing pencil
+    raises ``ConditioningError`` naming its weight as (family, operator,
+    lambda, mu, n) and its position in ``weights``: non-finite entries first,
+    then an indefinite G.  The condition estimate is computed only then.
+    """
+    _refuse_non_finite([s], g, weights, [op], n)
+    try:
+        chol = np.linalg.cholesky(g)
+    except np.linalg.LinAlgError as exc:
+        for block, gi in enumerate(g):
+            try:
+                np.linalg.cholesky(gi)
+            except np.linalg.LinAlgError:
+                raise _conditioning_error("Gram matrix numerically indefinite", block, g, weights, op, n) from exc
+        raise
+    return np.linalg.inv(chol).swapaxes(1, 2)
+
+
+def _top_values(s: np.ndarray, g: np.ndarray, weights: Sequence[WeightSpec], op: OperatorSpec, n: int) -> np.ndarray:
+    """Largest eigenvalue of every pencil S v = theta G v of a stack, reduced to L^-1 S L^-T, without eigenvectors."""
+    inv_t = _inverse_factor(s, g, weights, op, n)
+    return np.linalg.eigvalsh(inv_t.swapaxes(1, 2) @ s @ inv_t)[:, -1]
+
+
+def _top_eigenpairs(
+    s: np.ndarray, g: np.ndarray, weights: Sequence[WeightSpec], op: OperatorSpec, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Largest eigenvalue of every pencil of a stack, reduced as in ``_top_values``, and its eigenvector v = L^-T y."""
+    inv_t = _inverse_factor(s, g, weights, op, n)
+    vals, vecs = np.linalg.eigh(inv_t.swapaxes(1, 2) @ s @ inv_t)
+    return vals[:, -1], (inv_t @ vecs[:, :, -1:])[:, :, 0]
+
+
 def _top_positive(pencil: Pencil) -> tuple[float, np.ndarray]:
     """Largest root of det(P + t Q) with its eigenvector, for a Hermite d/dx moment pencil.
 
     -P and Q are positive-definite scaled Hankel moment matrices, so every
     root of -P v = t Q v is positive and the largest is the top eigenvalue of
-    the oracle's Cholesky-reduced eigensolve (``_top_eigenpairs``) on a stack
-    of one, with Q scaled to unit diagonal; the root is then refined in long
-    double.  A Q that fails Cholesky raises ``ConditioningError`` naming the
-    pencil as (hermite, ddx, lambda, 0.0, 2 size - 1).
+    the Cholesky-reduced eigensolve (``_top_eigenpairs``) on a stack of one,
+    with Q scaled to unit diagonal; the root is then refined in long double.
+    A Q that fails Cholesky raises ``ConditioningError`` naming the pencil
+    as (hermite, ddx, lambda, 0.0, 2 size - 1).
     """
     scale = 1.0 / np.sqrt(np.diag(pencil.q))
     outer = scale[:, None] * scale
@@ -296,8 +337,6 @@ def _odd_branch_stack(n: int, pairs: Sequence[tuple[float, float]]) -> tuple[lis
         raise ValueError("degree must be >= 1")
     if any(lam <= 0 for lam, _ in pairs):
         raise ValueError("lambda must be > 0")
-    if any(mu <= -0.5 for _, mu in pairs):
-        raise ValueError("mu must be > -1/2")
     weights = [WeightSpec.gegenbauer(lam, mu) for lam, mu in pairs]
     lam, mu = np.array([(w.lam, w.mu) for w in weights]).T
     s, g = _odd_pencil_stack((n - 1) // 2, lam, mu)
@@ -367,26 +406,15 @@ def _dunkl_factor(n: int, weight: WeightSpec, op: OperatorSpec) -> FactorResult:
     return FactorResult(fsq, Branch.DUNKL_CLOSED_FORM, extremal, n, weight, op)
 
 
-def _dunkl_weight(lam: float, mu: float | None = None) -> WeightSpec:
-    """The Hermite weight (mu None) or Gegenbauer weight of a Dunkl factor, its parameters checked."""
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    if mu is None:
-        return WeightSpec.hermite(lam)
-    if mu <= -0.5:
-        raise ValueError("mu must be > -1/2")
-    return WeightSpec.gegenbauer(lam, mu)
-
-
 def factor_hermite_dunkl(n: int, lam: float) -> FactorResult:
     """M_n for |x|^(2 lam) exp(-x^2) under the Dunkl operator, all closed-form."""
     if n < 1:
         raise ValueError("degree must be >= 1")
-    return _dunkl_factor(n, _dunkl_weight(lam), OperatorSpec.dunkl())
+    return _dunkl_factor(n, WeightSpec.hermite(lam), OperatorSpec.dunkl())
 
 
 def factor_gegenbauer_dunkl(n: int, lam: float, mu: float) -> FactorResult:
     """M_n for |x|^(2 lam)(1-x^2)^(mu-1/2) under sqrt(1-x^2) D_lam, all closed-form."""
     if n < 1:
         raise ValueError("degree must be >= 1")
-    return _dunkl_factor(n, _dunkl_weight(lam, mu), OperatorSpec.dunkl(damped=True))
+    return _dunkl_factor(n, WeightSpec.gegenbauer(lam, mu), OperatorSpec.dunkl(damped=True))

@@ -1,32 +1,35 @@
 """Brute-force Bernstein-Markov factors as maximal Rayleigh quotients over P_n.
 
-``rayleigh_factor`` solves the symmetric-definite eigenproblem of the
-Rayleigh quotient in the orthonormal basis of the weight.  The recurrence
-coefficients are closed forms (``_stack_betas``); the Gauss rule comes from
-the Jacobi matrix and is kept on its positive nodes, since the weight and
-every integrand formed here are even (``_gauss_basis``); the stiffness and
-Gram matrices are exact quadrature sums, split into the even and odd parity
-blocks that d/dx and D_lam respect (``_stiffness``, ``_gram``).  All of it
-works on a stack of weights of one family, and stack items do not mix, so
-each value carries the bits of its stack of one.  ``_rayleigh_grid`` is the
-one value entry: it solves the product grid of some degrees, operators and
-weights of one family, factoring the Gram matrices of each degree, which do
-not depend on the operator, once, and solving every operator's stiffness
-stack over that factor in one ``eigvalsh``.  ``rayleigh_factor`` solves a
-grid of one, adds the degree guard rail, and solves for its maximizer
-(``eigh``, ``_unit_extremal``) only when that is read.  The route uses
-neither the closed-form factor theorems nor the moment pencils.  ``_Forms``
-evaluates the inner products of the inequality reports on the same folded
-rule, cached in ``_quadrature``.
+``rayleigh_factor`` solves the Rayleigh quotient in the orthonormal basis of
+the weight, where it is the standard symmetric eigenproblem of the stiffness
+matrix.  The recurrence coefficients are closed forms (``_stack_betas``);
+the Gauss rule comes from the Jacobi matrix and is kept on its positive
+nodes, since the weight and every integrand formed here are even
+(``_gauss_basis``); the stiffness matrices are exact quadrature sums, split
+into the even and odd parity blocks that d/dx and D_lam respect
+(``_stiffness``).  The Gram matrices of the basis on the same rule
+(``_gram``) are I by construction and are formed only to check that the
+rule keeps the basis orthonormal (``_checked_basis``).  All of it works on a
+stack of weights of one family, and stack items do not mix, so each value
+carries the bits of its stack of one.  ``_rayleigh_grid`` is the one value
+entry: it solves the product grid of some degrees, operators and weights of
+one family, checking each basis once and solving every operator's stiffness
+stack in one ``eigvalsh``.  ``rayleigh_factor`` solves a grid of one, adds
+the degree guard rail, and solves for its maximizer (``eigh`` on the
+winning parity block, ``_unit_extremal``) only when that is read.  The route
+uses neither the closed-form factor theorems nor the moment pencils.
+``_Forms`` evaluates the inner products of the inequality reports on the
+same folded rule, cached in ``_quadrature``.
 
-``factors`` shares only the recurrence coefficients, the Cholesky-reduced
-eigensolve (``_top_values``, ``_top_eigenpairs``) and ``_basis_to_monomial``
-with this module.  It uses no Gauss rule and no stiffness matrix, so this
-oracle checks its values independently.
+``factors`` shares only the recurrence coefficients, ``_basis_to_monomial``
+and the refusal helpers (``_conditioning_error``, ``_refuse_non_finite``,
+``_finite``) with this module.  It uses no Gauss rule, no stiffness matrix
+and not this module's solve, so this oracle checks its values independently.
 
-Refused: non-finite or indefinite matrices (``ConditioningError``, naming the
-weight and its position in the weight list), a zeroth moment that is not a
-normal double, and monomial coefficients beyond a double (``OverflowError``,
+Refused: non-finite matrices, and a basis whose Gram matrices are further
+than ``BASIS_DEFECT_TOL`` from I (``ConditioningError``, naming the weight
+and its position in the weight list), a zeroth moment that is not a normal
+double, and monomial coefficients beyond a double (``OverflowError``,
 naming the weight).  Only numpy is needed here.
 """
 
@@ -45,14 +48,18 @@ import numpy as np
 from .core import OperatorSpec, Polynomial, WeightSpec, _BuiltOnRead, _describe
 
 DEFAULT_DEGREE_CAP = 14
+BASIS_DEFECT_TOL = 1e-8
 
 
 class ConditioningError(RuntimeError):
-    """Raised when a Gram matrix of a stacked solve is numerically indefinite or not finite.
+    """Raised when a stacked solve meets non-finite matrices or a Gram matrix it cannot use.
 
-    ``index`` is the failing weight's position in the stack's weights (in
-    ``_rayleigh_grid``, its weight list) and ``condition`` the 2-norm
-    condition estimate of that weight's Gram matrix.
+    The oracle refuses a Gram matrix of its orthonormal basis that is further
+    than ``BASIS_DEFECT_TOL`` from I; the odd pencils of ``factors`` refuse
+    one that is numerically indefinite.  ``index`` is the failing weight's
+    position in the stack's weights (in ``_rayleigh_grid``, its weight list)
+    and ``condition`` the 2-norm condition estimate of that weight's Gram
+    matrix.
     """
 
     def __init__(self, message: str, condition: float, index: int):
@@ -268,50 +275,14 @@ def _conditioning_error(
     return ConditioningError(f"{reason} at stack item {index} {item}", condition, index)
 
 
-def _inverse_factor(
-    s: Sequence[np.ndarray], g: np.ndarray, weights: Sequence[WeightSpec], ops: Sequence[OperatorSpec], n: int
-) -> np.ndarray:
-    """L^-T of every Gram matrix of a stack, G = L L^T, after checking the stiffness stacks ``s`` that share it.
-
-    G holds the same number of pencils per weight, those of a weight next to
-    each other, and stiffness stack i holds the pencils of ``ops[i]`` in the
-    same layout.  A failing pencil raises ``ConditioningError`` naming its
-    weight as (family, operator, lambda, mu, n) and its position in
-    ``weights``: non-finite entries first, stack by stack, then an indefinite
-    G under ``ops[0]``.  The condition estimate is computed only then.
-    """
-    if not (np.isfinite(g).all() and all(np.isfinite(si).all() for si in s)):
-        for si, op in zip(s, ops):
-            finite = np.isfinite(si).all(axis=(1, 2)) & np.isfinite(g).all(axis=(1, 2))
-            if not finite.all():
-                raise _conditioning_error("non-finite stiffness or Gram entries", int(np.argmin(finite)),
-                                          g, weights, op, n)
-    try:
-        chol = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError as exc:
-        for block, gi in enumerate(g):
-            try:
-                np.linalg.cholesky(gi)
-            except np.linalg.LinAlgError:
-                raise _conditioning_error("Gram matrix numerically indefinite", block,
-                                          g, weights, ops[0], n) from exc
-        raise
-    return np.linalg.inv(chol).swapaxes(1, 2)
-
-
-def _top_values(s: np.ndarray, g: np.ndarray, weights: Sequence[WeightSpec], op: OperatorSpec, n: int) -> np.ndarray:
-    """Largest eigenvalue of every pencil S v = theta G v of a stack, reduced to L^-1 S L^-T, without eigenvectors."""
-    inv_t = _inverse_factor([s], g, weights, [op], n)
-    return np.linalg.eigvalsh(inv_t.swapaxes(1, 2) @ s @ inv_t)[:, -1]
-
-
-def _top_eigenpairs(
-    s: np.ndarray, g: np.ndarray, weights: Sequence[WeightSpec], op: OperatorSpec, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Largest eigenvalue of every pencil of a stack, reduced as in ``_top_values``, and its eigenvector v = L^-T y."""
-    inv_t = _inverse_factor([s], g, weights, [op], n)
-    vals, vecs = np.linalg.eigh(inv_t.swapaxes(1, 2) @ s @ inv_t)
-    return vals[:, -1], (inv_t @ vecs[:, :, -1:])[:, :, 0]
+def _refuse_non_finite(
+    stacks: Sequence[np.ndarray], g: np.ndarray, weights: Sequence[WeightSpec], ops: Sequence[OperatorSpec], n: int
+) -> None:
+    """Refuses the first block of stack i with a non-finite entry in it or in G, stack by stack, under ``ops[i]``."""
+    for si, op in zip(stacks, ops):
+        finite = np.isfinite(si).all(axis=(1, 2)) & np.isfinite(g).all(axis=(1, 2))
+        if not finite.all():
+            raise _conditioning_error("non-finite stiffness or Gram entries", int(finite.argmin()), g, weights, op, n)
 
 
 def _node_count(n: int) -> int:
@@ -365,9 +336,9 @@ def _parity_blocks(rows: np.ndarray) -> np.ndarray:
 def _gram(n: int, basis: _Basis) -> np.ndarray:
     """Gram matrices G = Q diag(w) Q^T of the basis stack, in the parity blocks of ``_stiffness``.
 
-    They do not depend on the operator, so the stiffness stacks of every
-    operator at degree n share them.  At even n the odd block's padding row
-    gets a unit diagonal.
+    The basis is orthonormal, so G is I up to the rule's error; it is formed
+    only to measure that defect (``_checked_basis``).  At even n the odd
+    block's padding row gets a unit diagonal.
     """
     q = _parity_blocks(basis.q[: n + 1])
     g = (q * np.repeat(basis.w, 2, axis=0)[:, None, :]) @ q.swapaxes(1, 2)
@@ -401,28 +372,50 @@ def _stiffness(n: int, basis: _Basis, op: OperatorSpec) -> np.ndarray:
     return (d * np.repeat(wa, 2, axis=0)[:, None, :]) @ d.swapaxes(1, 2)
 
 
+def _checked_basis(top: int, weights: Sequence[WeightSpec], op: OperatorSpec, n: int) -> tuple[_Basis, np.ndarray]:
+    """The basis of a stack for degrees up to ``top`` and its Gram matrices, refused unless they are I.
+
+    The rule integrates every product of the basis rows exactly, so G is I
+    up to rounding wherever the rule is sound.  A Gram block with a
+    non-finite entry, then one further than ``BASIS_DEFECT_TOL`` from I, is
+    refused with ``ConditioningError`` naming its weight under ``op`` at
+    degree n.  A smaller degree's Gram blocks are leading blocks of these,
+    so one check covers every degree the basis serves.
+    """
+    basis = _stack_basis(top, weights)
+    g = _gram(top, basis)
+    _refuse_non_finite([g], g, weights, [op], n)
+    defect = np.abs(g - np.eye(g.shape[1])).max(axis=(1, 2))
+    if defect.max() > BASIS_DEFECT_TOL:
+        block = int(np.argmax(defect > BASIS_DEFECT_TOL))
+        raise _conditioning_error(f"Gauss rule leaves the basis non-orthonormal, max|G - I| = {defect[block]:.3e}",
+                                  block, g, weights, op, n)
+    return basis, g
+
+
 def _rayleigh_grid(degrees: Sequence[int], weights: Sequence[WeightSpec], ops: Sequence[OperatorSpec]) -> np.ndarray:
     """Largest Rayleigh quotient over P_n of every (n, op, weight) of one family, shape (degrees, ops, weights).
 
     Consecutive degrees of one Gauss node count (n and n + 1 for odd n) share
-    one basis, built for the larger.  Per degree, the Gram matrices are
-    factored once for every operator, and one ``eigvalsh`` solves the reduced
-    stiffness stacks of all of them.  Each value carries the bits of its
-    stack of one.  Refusals come in degree order: a degree below 1 first,
-    then per degree its solve (``_inverse_factor``, naming ``ops[0]`` for an
-    indefinite G), and after the first degree's solve the zeroth moments of
-    the weights.
+    one basis, built and checked (``_checked_basis``) for the larger.  The
+    basis is orthonormal, so each value is the top eigenvalue of a stiffness
+    matrix, and per degree one ``eigvalsh`` solves the stiffness stacks of
+    every operator.  Each value carries the bits of its stack of one.
+    Refusals come in degree order: a degree below 1 first, then per basis
+    its Gram check (naming ``ops[0]`` and the basis's first degree), per
+    degree its stiffness stacks, and after the first degree's solve the
+    zeroth moments of the weights.
     """
     if any(n < 1 for n in degrees):
         raise ValueError("degree must be >= 1")
     values = []
     for _, group in groupby(degrees, _node_count):
         group = list(group)
-        basis = _stack_basis(max(group), weights)
+        basis, g = _checked_basis(max(group), weights, ops[0], group[0])
         for n in group:
             s = [_stiffness(n, basis, op) for op in ops]
-            inv_t = _inverse_factor(s, _gram(n, basis), weights, ops, n)
-            theta = np.linalg.eigvalsh(np.concatenate([inv_t.swapaxes(1, 2) @ si @ inv_t for si in s]))[:, -1]
+            _refuse_non_finite(s, g, weights, ops, n)
+            theta = np.linalg.eigvalsh(np.concatenate(s))[:, -1]
             values.append(np.sqrt(theta.reshape(len(ops), -1, 2).max(axis=2)))
             if len(values) == 1:
                 for weight in weights:
@@ -433,16 +426,20 @@ def _rayleigh_grid(degrees: Sequence[int], weights: Sequence[WeightSpec], ops: S
 def _unit_extremal(n: int, weight: WeightSpec, op: OperatorSpec) -> Polynomial:
     """The maximizer of item (n, weight, op) with unit W-norm, in monomials, from its rebuilt stack of one.
 
-    The norm comes from the folded Gauss rule, exact on P_(2n) with mass 1,
-    times m0: monomial moments would have to cancel a Hankel condition of
-    ~10^(2n) and can even give a negative square.  The monomial rows of the
-    orthonormal basis overflow from about n = 800 on [-1, 1]; a maximizer
-    with coefficients beyond a double is refused with ``OverflowError``.
+    The basis is checked as the value solve's is, and its stiffness matrices
+    carry the bits that the value solve at the call found finite.  The
+    winning parity block comes from their eigenvalues, and only that block
+    is solved for its eigenvector.  The norm comes from the folded Gauss
+    rule, exact on P_(2n) with mass 1, times m0: monomial moments would have
+    to cancel a Hankel condition of ~10^(2n) and can even give a negative
+    square.  The monomial rows of the orthonormal basis overflow from about
+    n = 800 on [-1, 1]; a maximizer with coefficients beyond a double is
+    refused with ``OverflowError``.
     """
-    basis = _stack_basis(n, [weight])
-    s, g = _stiffness(n, basis, op), _gram(n, basis)
-    block = [int(np.argmax(_top_values(s, g, [weight], op, n)))]
-    _, v = _top_eigenpairs(s[block], g[block], [weight], op, n)
+    basis, _ = _checked_basis(n, [weight], op, n)
+    s = _stiffness(n, basis, op)
+    block = [int(np.argmax(np.linalg.eigvalsh(s)[:, -1]))]
+    v = np.linalg.eigh(s[block])[1][:, :, -1]
     p = (v[:, None, :] @ _parity_blocks(basis.q)[block])[:, 0]
     norm = np.sqrt(_mass(weight) * (basis.w * p * p).sum(axis=1))
     with np.errstate(over="ignore", invalid="ignore"):

@@ -71,6 +71,9 @@ def test_domain_errors_exit_2(capsys):
                "--lambda", "-1", "--n", "3")[0] == EXIT_DOMAIN
     assert run(capsys, "inequality", "--family", "hermite", "--lambda", "1",
                "--n", "3", "--coeffs", "1,0,0,0,1")[0] == EXIT_DOMAIN  # degree 4 > n
+    # verify refuses mu <= -1/2 with the weight's own message, as factor and inequality do
+    assert run(capsys, "verify", "--mus", "-0.5", "--n-max", "2") == (
+        EXIT_DOMAIN, "", "error: mu must be finite and > -1/2, got -0.5\n")
 
 
 @pytest.mark.parametrize("argv", (
@@ -506,11 +509,27 @@ def test_linalg_failure_exits_3(capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(bmfactor.oracle, "_inverse_factor", fail)
+    monkeypatch.setattr(bmfactor.oracle, "_stiffness", fail)
     code, _, err = run(capsys, "factor", "--check", "--weight", "hermite", "--op", "dunkl",
                        "--lambda", "1", "--n", "3")
     assert code == EXIT_NUMERICAL
     assert err.startswith("numerical failure:")
+
+
+@pytest.mark.parametrize(("argv", "item"), (
+    (("--op", "ddx", "--lambda", "1e50", "--mu", "0", "--n", "1"), "('gegenbauer', 'ddx', 1e+50, 0.0, 1)"),
+    (("--op", "dunkl", "--lambda", "1e15", "--mu", "0", "--n", "10"),
+     "('gegenbauer', 'dunkl', 1000000000000000.0, 0.0, 10)"),
+    (("--op", "ddx", "--lambda", "1e8", "--mu", "-0.4999999", "--n", "31"),
+     "('gegenbauer', 'ddx', 100000000.0, -0.4999999, 31)"),
+), ids=("ddx-1e50", "dunkl-1e15", "ddx-mu-near-half"))
+def test_factor_check_refuses_a_broken_gauss_rule(capsys, argv, item):
+    # the oracle's Gauss rule no longer keeps its basis orthonormal here: it once returned 0.0 (a
+    # ZeroDivisionError traceback) and values 0.85 and 0.30 off with exit 0
+    code, out, err = run(capsys, "factor", "--check", "--weight", "gegenbauer", *argv, "--format", "json")
+    assert (code, out) == (EXIT_NUMERICAL, "")
+    assert err.startswith("numerical failure: Gauss rule leaves the basis non-orthonormal")
+    assert f"at stack item 0 {item}" in err and "Traceback" not in err
 
 
 def test_verify_names_the_worst_grid_point(capsys):
@@ -584,18 +603,19 @@ def test_table2_solves_its_odd_pencil_once(capsys, monkeypatch):
 
 def test_verify_builds_each_shared_piece_once(capsys, monkeypatch):
     # The default grid's oracle is one _rayleigh_grid per family.  It builds
-    # one Gauss basis per (family, node count), 2 x 5, checks the zeroth
-    # moment of each of its 49 weights once, and per (family, n), 2 x 10,
-    # factors the Gram matrices once for both operators' stiffness stacks;
-    # the residual sweep takes one call per (family, n) over the lambda
-    # array.  Its Gegenbauer d/dx rows solve one odd pencil per
-    # m = (n - 1) // 2 over the 36 (lambda > 0, mu) pairs.  The Hermite d/dx
-    # moment pencils take the eigenpair solve instead.
+    # one Gauss basis per (family, node count), 2 x 5, and checks its Gram
+    # matrices once, for both degrees and both operators it serves; it checks
+    # the zeroth moment of each of its 49 weights once, and factors no Gram
+    # matrix.  The residual sweep takes one call per (family, n) over the
+    # lambda array.  Its Gegenbauer d/dx rows solve one odd pencil per
+    # m = (n - 1) // 2 over the 36 (lambda > 0, mu) pairs, and the Hermite
+    # d/dx moment pencils (odd n = 3..9 at the 6 lambda > 0) one each: those
+    # are the only Cholesky factorizations.
     import bmfactor.factors
     import bmfactor.oracle
 
-    calls = {"_gauss_basis": 0, "_mass": 0, "_residual_rows": 0}
-    odd_pencils, shared_factors = [], []
+    calls = {"_gauss_basis": 0, "_gram": 0, "_mass": 0, "_residual_rows": 0}
+    odd_pencils, factored = [], []
 
     def counting(name, fn):
         def counted(*args):
@@ -608,27 +628,24 @@ def test_verify_builds_each_shared_piece_once(capsys, monkeypatch):
             exact = getattr(module, name, None)
             if exact is not None:
                 monkeypatch.setattr(module, name, counting(name, exact))
-    odd_solve, inverse_factor = bmfactor.factors._top_values, bmfactor.oracle._inverse_factor
+    odd_solve, cholesky = bmfactor.factors._top_values, np.linalg.cholesky
 
     def recorded(s, g, *args):
         odd_pencils.append(s.shape)
         return odd_solve(s, g, *args)
 
-    def factored(s, g, weights, ops, n):
-        if len(ops) == 2:  # the factor pencils' solves pass one stiffness stack
-            shared_factors.append((tuple(si.shape[0] for si in s), g.shape[0]))
-        return inverse_factor(s, g, weights, ops, n)
+    def recorded_cholesky(g, *args, **kwargs):
+        factored.append(g.shape)
+        return cholesky(g, *args, **kwargs)
 
     monkeypatch.setattr(bmfactor.factors, "_top_values", recorded)
-    monkeypatch.setattr(bmfactor.oracle, "_inverse_factor", factored)
+    monkeypatch.setattr(np.linalg, "cholesky", recorded_cholesky)
     code, out, _ = run(capsys, "verify", "--format", "json")
     assert code == EXIT_OK and json.loads(out)["rows"] == 910
-    assert calls == {"_gauss_basis": 10, "_mass": 49, "_residual_rows": 20}
+    assert calls == {"_gauss_basis": 10, "_gram": 10, "_mass": 49, "_residual_rows": 20}
     assert odd_pencils == [(36, m + 1, m + 1) for m in range(5)]
-    # 20 Cholesky factorizations, one per (family, n), not one per operator: both stacks hold every
-    # weight (2 blocks each), d/dx at lambda = 0 included
-    assert len(shared_factors) == 20
-    assert sorted(set(shared_factors)) == [((14, 14), 14), ((84, 84), 84)]
+    moment_pencils = [(1, m + 1, m + 1) for m in (1, 2, 3, 4) for _ in range(6)]
+    assert sorted(factored) == sorted(odd_pencils + moment_pencils)
 
 
 def test_eigenvectors_are_solved_only_where_read(capsys, monkeypatch):

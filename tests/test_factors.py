@@ -21,6 +21,7 @@ from bmfactor.factors import (
     _odd_branch_stack,
     _odd_pencil_stack,
     _odd_polynomial,
+    _top_eigenpairs,
     _top_positive,
     build_pencil_F,
     factor_gegenbauer_ddx,
@@ -32,7 +33,6 @@ from bmfactor.oracle import (
     ConditioningError,
     _basis_to_monomial,
     _stack_betas,
-    _top_eigenpairs,
     rayleigh_factor,
 )
 from bmfactor.orthopoly import eigenvalue_sq, gegenbauer_poly, hermite_poly

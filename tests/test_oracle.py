@@ -9,9 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bmfactor.cli import DEFAULT_VERIFY_LAMBDAS, DEFAULT_VERIFY_MUS
 from bmfactor.core import OperatorSpec, Polynomial, WeightSpec
 from bmfactor.dunkl import dunkl_apply, sigma
+from bmfactor.factors import _dunkl_factor, _top_eigenpairs, _top_values
 from bmfactor.oracle import (
+    BASIS_DEFECT_TOL,
     ConditioningError,
     _gauss_basis,
     _gram,
@@ -23,8 +26,6 @@ from bmfactor.oracle import (
     _stack_betas,
     _stack_parameters,
     _stiffness,
-    _top_eigenpairs,
-    _top_values,
     rayleigh_factor,
 )
 from bmfactor.special import gegenbauer_moment, hermite_moment, moment_table
@@ -314,7 +315,7 @@ def test_a_block_stack_names_the_weight_of_its_failing_block():
 
 def test_a_grid_refusal_names_the_weights_position_and_its_operator(monkeypatch):
     # stack item i is the weight's position in the grid's weight list; non-finite entries are named under
-    # the first operator whose stack holds them, and an indefinite Gram matrix under ops[0]
+    # the first operator whose stack holds them, and a Gram matrix that is not I under ops[0]
     import bmfactor.oracle
 
     weights = [WeightSpec.gegenbauer(0.5, 1.0), WeightSpec.gegenbauer(0.0, 1e300)]
@@ -325,15 +326,59 @@ def test_a_grid_refusal_names_the_weights_position_and_its_operator(monkeypatch)
         assert info.value.index == 1
     gram = bmfactor.oracle._gram
 
-    def indefinite(n, basis):
+    def defective(n, basis):
         g = gram(n, basis)
         g[3, 0, 0] = -1.0  # the odd block of weight 1
         return g
 
-    monkeypatch.setattr(bmfactor.oracle, "_gram", indefinite)
+    monkeypatch.setattr(bmfactor.oracle, "_gram", defective)
     weights = [WeightSpec.hermite(lam) for lam in (0.0, 0.5, 2.0)]
-    with pytest.raises(ConditioningError, match=r"indefinite at stack item 1 \('hermite', 'ddx', 0.5, 0.0, 3\)"):
+    with pytest.raises(ConditioningError, match=r"max\|G - I\| = 2.000e\+00 at stack item 1 "
+                                                r"\('hermite', 'ddx', 0.5, 0.0, 3\)") as info:
         _rayleigh_grid([3], weights, [OperatorSpec.ddx(), OperatorSpec.dunkl()])
+    assert info.value.index == 1
+
+
+def _basis_defect(n, weights):
+    """max|G - I| of the oracle's degree-n basis over a stack of weights."""
+    g = _gram(n, _stack_basis(n, weights))
+    return float(np.abs(g - np.eye(g.shape[1])).max())
+
+
+def test_sound_rules_keep_the_basis_orthonormal_far_inside_the_refusal():
+    # the Gram check refuses above BASIS_DEFECT_TOL = 1e-8; where the oracle is used the defect stays below
+    # 1e-12: the default verify weights to n = 10, the benchmark's high_degree points to n = 60 and every
+    # certified entry.  An odd degree's Gram blocks are leading blocks of the next even degree's.
+    assert BASIS_DEFECT_TOL == 1e-8
+    hermite = [WeightSpec.hermite(lam) for lam in DEFAULT_VERIFY_LAMBDAS]
+    gegenbauer = [WeightSpec.gegenbauer(lam, mu) for lam in DEFAULT_VERIFY_LAMBDAS for mu in DEFAULT_VERIFY_MUS]
+    for n in range(2, 11, 2):
+        assert max(_basis_defect(n, hermite), _basis_defect(n, gegenbauer)) <= 1e-12, n
+    high_degree = ([WeightSpec.hermite(0.25), WeightSpec.hermite(1.0)],
+                   [WeightSpec.gegenbauer(lam, mu) for lam, mu in ((0.5, 0.0), (4.5, 3.0), (100.0, 99.0))])
+    for n in range(2, 61, 2):
+        assert max(_basis_defect(n, weights) for weights in high_degree) <= 1e-12, n
+    for key in json.loads(CERTIFIED_REFERENCE.read_text())["oracle"]:
+        family, _, lam, mu, n = key.split("/")
+        weight = WeightSpec.gegenbauer(float(lam), float(mu)) if family == "gegenbauer" else WeightSpec.hermite(float(lam))
+        assert _basis_defect(int(n), [weight]) <= 1e-12, key
+
+
+def test_the_oracle_is_right_or_refuses_at_huge_lambda():
+    # the Dunkl factor is the closed form sqrt(max(lambda_n^2, lambda_(n-1)^2)); where the Gauss rule breaks
+    # down at huge lambda the oracle once returned values 0.2 to 2e3 off, or 0.0, without a refusal
+    answered = 0
+    for lam in (1e5, 1e8, 1e15, 1e50, 1e100):
+        cases = [(WeightSpec.gegenbauer(lam, mu), OperatorSpec.dunkl(True)) for mu in (-0.4, 0.0, 1.0, 150.0)]
+        for weight, op in cases + [(WeightSpec.hermite(lam), OperatorSpec.dunkl())]:
+            for n in (1, 2, 3, 10, 31):
+                try:
+                    value = rayleigh_factor(n, weight, op, max_degree=n)[0]
+                except (ConditioningError, OverflowError):
+                    continue
+                answered += 1
+                assert value == pytest.approx(_dunkl_factor(n, weight, op).factor, rel=1e-6), (weight, n)
+    assert answered >= 15  # at lambda = 1e5, every degree for mu <= 1 (the zeroth moment underflows at 150)
 
 
 @pytest.mark.parametrize("family", ("hermite", "gegenbauer"))
