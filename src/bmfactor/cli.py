@@ -21,6 +21,7 @@ from .factors import (
     FactorResult,
     _dunkl_factor,
     _gegenbauer_ddx_stack,
+    _hermite_ddx_stack,
     _odd_branch_stack,
     factor_gegenbauer_ddx,
     factor_gegenbauer_dunkl,
@@ -229,16 +230,20 @@ def _verify_rows(lambdas, mus, n_values) -> list[FactorResult]:
     """Factor results of the grid in row order.
 
     The Dunkl rows reuse one weight per (family, lambda, mu) and one operator
-    per family across degrees.  The Gegenbauer d/dx rows are solved as one
-    stack per m = (n - 1) // 2: degrees 2m + 1 and 2m + 2 share the odd pencil.
+    per family across degrees.  The d/dx rows are solved as stacks over the
+    lambda > 0, the Gegenbauer ones first: one per m = (n - 1) // 2 over the
+    (lambda, mu) pairs (degrees 2m + 1 and 2m + 2 share the odd pencil), then
+    one Hermite stack per degree.
     """
     lambdas, mus = sorted(set(lambdas)), sorted(set(mus))
-    pairs = [(lam, mu) for lam in lambdas if lam > 0 for mu in mus]
+    positive = [lam for lam in lambdas if lam > 0]
+    pairs = [(lam, mu) for lam in positive for mu in mus]
     gegenbauer_ddx, odd_branch = {}, {}
     for n in n_values if pairs else ():
         if (n - 1) // 2 not in odd_branch:
             odd_branch[(n - 1) // 2] = _odd_branch_stack(n, pairs)
         gegenbauer_ddx[n] = dict(zip(pairs, _gegenbauer_ddx_stack(n, *odd_branch[(n - 1) // 2])))
+    hermite_ddx = {n: dict(zip(positive, _hermite_ddx_stack(n, positive))) for n in n_values if positive}
     hermite_dunkl, gegenbauer_dunkl = OperatorSpec.dunkl(), OperatorSpec.dunkl(damped=True)
     rows = []
     for lam in lambdas:
@@ -246,7 +251,7 @@ def _verify_rows(lambdas, mus, n_values) -> list[FactorResult]:
         gegenbauer = [WeightSpec.gegenbauer(lam, mu) for mu in mus]
         for n in n_values:
             if lam > 0:
-                rows.append(factor_hermite_ddx(n, lam))
+                rows.append(hermite_ddx[n][lam])
             rows.append(_dunkl_factor(n, hermite, hermite_dunkl))
             for mu, weight in zip(mus, gegenbauer):
                 if lam > 0:

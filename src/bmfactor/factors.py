@@ -8,7 +8,9 @@ top root of a symmetric-definite pencil.  For the Gegenbauer weight that
 pencil is tridiagonal on the basis x q_0, x q_2, ... with closed-form
 entries (``_odd_pencil_stack``), solved for a stack of (lam, mu) pairs at
 once; for the Hermite weight it is the paper's moment pencil F
-(``build_pencil_F``), its root refined in long double (``_top_positive``).
+(``build_pencil_F``), one per lambda, solved for a stack of lambdas at once
+and its roots refined together in long double (``_hermite_ddx_stack``,
+``_top_positive_stack``).  Each factor function is its route's stack of one.
 
 The odd pencils are the package's only ones whose Gram matrix is not I, and
 this module solves them by one stacked Cholesky reduction (``_top_values``
@@ -121,70 +123,71 @@ def build_pencil_F(n_odd: int, lam: float) -> Pencil:
 
 
 def _solve_lu(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Partial-pivot solve in the matrices' own (long double) dtype."""
-    a = a.copy()
-    b = b.copy()
-    size = len(b)
+    """Partial-pivot solve of every system a x = b of a stack, (B, K, K) and (B, K), in the arrays' own dtype.
+
+    Each item pivots on its own rows and stack items do not mix.  b rides
+    along as the last column of a, and a step eliminates below the pivot of
+    every item at once, with the products of a row-by-row solve.
+    """
+    size = b.shape[1]
+    ab = np.concatenate([a, b[:, :, None]], axis=2)
+    rows, first = ab.reshape(-1, size + 1), np.arange(len(b)) * size
     for k in range(size - 1):
-        piv = k + int(np.argmax(np.abs(a[k:, k])))
-        if piv != k:
-            a[[k, piv]] = a[[piv, k]]
-            b[[k, piv]] = b[[piv, k]]
-        for i in range(k + 1, size):
-            f = a[i, k] / a[k, k]
-            a[i, k + 1:] -= f * a[k, k + 1:]
-            b[i] -= f * b[k]
-    x = np.zeros(size, dtype=a.dtype)
+        piv = abs(ab[:, k:, k]).argmax(axis=1) + (first + k)
+        pivot_rows = rows[piv]
+        rows[piv] = ab[:, k]
+        ab[:, k] = pivot_rows
+        f = ab[:, k + 1:, k] / ab[:, k, k, None]
+        ab[:, k + 1:, k + 1:] -= f[:, :, None] * ab[:, k, None, k + 1:]
+    x = np.zeros_like(b)
     for i in range(size - 1, -1, -1):
-        x[i] = (b[i] - a[i, i + 1:] @ x[i + 1:]) / a[i, i]
+        x[:, i] = (ab[:, i, size] - (ab[:, i, None, i + 1:size] @ x[:, i + 1:, None])[:, 0, 0]) / ab[:, i, i]
     return x
 
 
-def _long_double_pencil(pencil: Pencil) -> tuple[np.ndarray, np.ndarray]:
-    """(-P, Q) rebuilt in long double from the pencil's Hermite weight.
+def _long_double_pencils(lam: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(-P, Q) of the size-``size`` Hermite moment pencil of every lambda of a stack, rebuilt in long double.
 
     Normalized even moments have the pure product form d_(2s)/d_0 = prod (k+lam+1/2),
     so no special functions and no cancellation are involved at any precision.
     """
-    size = pencil.size
-    lam = np.longdouble(pencil.weight.lam)
-    mom = np.ones(2 * size + 1, dtype=np.longdouble)
+    mom = np.ones((len(lam), 2 * size + 1), dtype=np.longdouble)
     for s in range(2 * size):
-        mom[s + 1] = mom[s] * (s + lam + 0.5)
-    a = np.empty((size, size), dtype=np.longdouble)
-    b = np.empty((size, size), dtype=np.longdouble)
-    for i in range(size):
-        for j in range(size):
-            a[i, j] = (2 * i + 1) * (2 * j + 1) * mom[i + j]
-            b[i, j] = mom[i + j + 1]
-    return a, b
+        mom[:, s + 1] = mom[:, s] * (s + lam + 0.5)
+    k = np.arange(size)
+    hankel, odd = k[:, None] + k, 2 * k + 1
+    return odd[:, None] * odd * mom[:, hankel], mom[:, hankel + 1]
 
 
-def _refine_pair(pencil: Pencil, t: float, v: np.ndarray) -> tuple[float, np.ndarray]:
-    """Sharpen an eigenpair of -P v = t Q v by inverse iteration in long double.
+def _quadratic(x: np.ndarray, m: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x_b^T M_b y_b of every item of a stack, summed in the order of ``x @ m @ y`` on one item."""
+    return (x[:, None, :] @ m @ y[:, :, None])[:, 0, 0]
+
+
+def _refine_pairs(lam: np.ndarray, t: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sharpen the eigenpair (t, v) of -P v = t Q v of every Hermite moment pencil of a stack in long double.
 
     The double-precision symmetric-definite solve loses digits with the Hankel
     conditioning of Q at unfriendly parameters; rebuilding the entries and
-    iterating in long double recovers the root to roughly eps_80bit * cond(Q).
+    inverse iteration in long double recover the root to roughly
+    eps_80bit * cond(Q).  An item stops at its first round with a non-finite
+    z, a B-norm <= 0 or a non-finite t, and keeps its last pair.
     """
-    a, b = _long_double_pencil(pencil)
-    t_ld = np.longdouble(t)
+    a, b = _long_double_pencils(lam, v.shape[1])
+    t_ld = t.astype(np.longdouble)
     v_ld = v.astype(np.longdouble)
-    v_ld /= np.sqrt(v_ld @ b @ v_ld)
+    v_ld /= np.sqrt(_quadratic(v_ld, b, v_ld))[:, None]
+    live = np.ones(len(t), dtype=bool)
     for _ in range(3):
         with np.errstate(all="ignore"):
-            z = _solve_lu(a - t_ld * b, b @ v_ld)
-            if not np.all(np.isfinite(z)):
-                break
-            bnorm_sq = z @ b @ z
-            if not np.isfinite(bnorm_sq) or bnorm_sq <= 0:
-                break
-            cand_v = z / np.sqrt(bnorm_sq)
-            cand_t = (cand_v @ a @ cand_v) / (cand_v @ b @ cand_v)
-        if not np.isfinite(cand_t):
-            break
-        t_ld, v_ld = cand_t, cand_v
-    return float(t_ld), v_ld.astype(float)
+            z = _solve_lu(a - t_ld[:, None, None] * b, (b @ v_ld[:, :, None])[:, :, 0])
+            bnorm_sq = _quadratic(z, b, z)
+            cand_v = z / np.sqrt(bnorm_sq)[:, None]
+            cand_t = _quadratic(cand_v, a, cand_v) / _quadratic(cand_v, b, cand_v)
+        live &= np.isfinite(z).all(axis=1) & np.isfinite(bnorm_sq) & (bnorm_sq > 0) & np.isfinite(cand_t)
+        t_ld = np.where(live, cand_t, t_ld)
+        v_ld = np.where(live[:, None], cand_v, v_ld)
+    return t_ld.astype(float), v_ld.astype(float)
 
 
 def _inverse_factor(
@@ -226,21 +229,29 @@ def _top_eigenpairs(
     return vals[:, -1], (inv_t @ vecs[:, :, -1:])[:, :, 0]
 
 
-def _top_positive(pencil: Pencil) -> tuple[float, np.ndarray]:
-    """Largest root of det(P + t Q) with its eigenvector, for a Hermite d/dx moment pencil.
+def _top_positive_stack(pencils: Sequence[Pencil]) -> tuple[np.ndarray, np.ndarray]:
+    """Largest root of det(P + t Q) with its eigenvector for every Hermite d/dx moment pencil of a stack of one size.
 
     -P and Q are positive-definite scaled Hankel moment matrices, so every
     root of -P v = t Q v is positive and the largest is the top eigenvalue of
-    the Cholesky-reduced eigensolve (``_top_eigenpairs``) on a stack of one,
-    with Q scaled to unit diagonal; the root is then refined in long double.
-    A Q that fails Cholesky raises ``ConditioningError`` naming the pencil
-    as (hermite, ddx, lambda, 0.0, 2 size - 1).
+    the Cholesky-reduced eigensolve (``_top_eigenpairs``), each Q scaled to
+    unit diagonal; the roots are then refined in long double
+    (``_refine_pairs``).  Stack items do not mix.  A Q that fails Cholesky
+    raises ``ConditioningError`` naming its pencil as (hermite, ddx, lambda,
+    0.0, 2 size - 1) and its position in the stack.
     """
-    scale = 1.0 / np.sqrt(np.diag(pencil.q))
-    outer = scale[:, None] * scale
-    vals, vecs = _top_eigenpairs((-pencil.p * outer)[None], (pencil.q * outer)[None],
-                                 [pencil.weight], OperatorSpec.ddx(), 2 * pencil.size - 1)
-    return _refine_pair(pencil, float(vals[0]), scale * vecs[0])
+    weights = [pencil.weight for pencil in pencils]
+    p, q = np.array([pencil.p for pencil in pencils]), np.array([pencil.q for pencil in pencils])
+    scale = 1.0 / np.sqrt(np.diagonal(q, axis1=1, axis2=2))
+    outer = scale[:, :, None] * scale[:, None, :]
+    vals, vecs = _top_eigenpairs(-p * outer, q * outer, weights, OperatorSpec.ddx(), 2 * q.shape[1] - 1)
+    return _refine_pairs(np.array([w.lam for w in weights], dtype=np.longdouble), vals, scale * vecs)
+
+
+def _top_positive(pencil: Pencil) -> tuple[float, np.ndarray]:
+    """``_top_positive_stack`` of one pencil: its largest root and the root's eigenvector."""
+    roots, vecs = _top_positive_stack([pencil])
+    return float(roots[0]), vecs[0]
 
 
 def _odd_polynomial(vec: np.ndarray) -> Polynomial:
@@ -255,21 +266,40 @@ def _odd_polynomial(vec: np.ndarray) -> Polynomial:
 
 def factor_hermite_ddx(n: int, lam: float) -> FactorResult:
     """M_n for |x|^(2 lam) exp(-x^2) under d/dx: sqrt(2n) at even n, pencil root at odd n."""
+    return _hermite_ddx_stack(n, [lam])[0]
+
+
+def _hermite_ddx_stack(n: int, lams: Sequence[float]) -> list[FactorResult]:
+    """``factor_hermite_ddx`` at degree n for every lambda of ``lams``.
+
+    Closed forms at even n and at n = 1; at odd n >= 3 the moment pencils F
+    of every lambda (``build_pencil_F``), solved and refined as one stack
+    (``_top_positive_stack``), with the extremals built at once from the
+    eigenvectors.  Each result does not depend on the rest of the stack.
+    Pencil moments beyond a double are refused with ``OverflowError`` naming
+    the weight and its position in ``lams``.
+    """
     if n < 1:
         raise ValueError("degree must be >= 1")
-    if lam <= 0:
+    if any(lam <= 0 for lam in lams):
         raise ValueError("lambda must be > 0")
-    weight = WeightSpec.hermite(lam)
+    weights = [WeightSpec.hermite(lam) for lam in lams]
     op = OperatorSpec.ddx()
     if n % 2 == 0:
-        fsq = 2.0 * n
-        extremal = partial(hermite_poly, n, lam)
-        return FactorResult(fsq, Branch.EVEN_CLOSED_FORM, extremal, n, weight, op)
+        return [FactorResult(2.0 * n, Branch.EVEN_CLOSED_FORM, partial(hermite_poly, n, w.lam), n, w, op)
+                for w in weights]
     if n == 1:
-        fsq = 2.0 / (2.0 * lam + 1.0)
-        return FactorResult(fsq, Branch.ODD_PENCIL_ROOT, Polynomial((0.0, 1.0)), n, weight, op)
-    nu, vec = _top_positive(build_pencil_F(n, lam))
-    return FactorResult(nu, Branch.ODD_PENCIL_ROOT, _odd_polynomial(vec), n, weight, op)
+        return [FactorResult(2.0 / (2.0 * w.lam + 1.0), Branch.ODD_PENCIL_ROOT, Polynomial((0.0, 1.0)), n, w, op)
+                for w in weights]
+    pencils = []
+    for index, w in enumerate(weights):
+        try:
+            pencils.append(build_pencil_F(n, w.lam))
+        except OverflowError as exc:
+            raise OverflowError(f"{exc} at stack item {index}") from exc
+    roots, vecs = _top_positive_stack(pencils)
+    return [FactorResult(float(nu), Branch.ODD_PENCIL_ROOT, _odd_polynomial(vec), n, w, op)
+            for w, nu, vec in zip(weights, roots, vecs)]
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")

@@ -198,7 +198,9 @@ def _gauss_basis(
     components, which lose relative accuracy at the outer nodes.
     Returns the positive nodes in ascending order (B, N/2), the folded
     weights 2 w_i (B, N/2; total mass 1), the rows q_0 .. q_(N-1) evaluated
-    at those nodes (N, B, N/2), and sqrt(beta), shape (N + 1, B, 1).
+    at those nodes (N, B, N/2), and sqrt(beta), shape (N + 1, B, 1).  An
+    item whose beta are not all finite is kept out of the SVD, which would
+    not converge on it, and gets NaN nodes; ``_checked_basis`` refuses it.
     """
     sqrt_beta = np.sqrt(_stack_betas(npoints, gegenbauer, lam, mu))
     half = npoints // 2
@@ -206,7 +208,14 @@ def _gauss_basis(
     i = np.arange(half)
     ct[:, i, i] = sqrt_beta[1:npoints:2].T
     ct[:, i[:-1], i[1:]] = sqrt_beta[2:npoints:2].T
-    x = np.linalg.svd(ct, compute_uv=False)[:, ::-1].copy()
+    if np.isfinite(sqrt_beta).all():
+        x = np.linalg.svd(ct, compute_uv=False)
+    else:
+        finite = np.isfinite(sqrt_beta).all(axis=0)
+        ct[~finite] = 0.0
+        x = np.linalg.svd(ct, compute_uv=False)
+        x[~finite] = np.nan
+    x = x[:, ::-1].copy()
     rb = sqrt_beta[:, :, None]
     xa, c, _ = _steps(x, rb, npoints)
     q = np.zeros((npoints, len(lam), half))
@@ -376,15 +385,21 @@ def _checked_basis(top: int, weights: Sequence[WeightSpec], op: OperatorSpec, n:
     """The basis of a stack for degrees up to ``top`` and its Gram matrices, refused unless they are I.
 
     The rule integrates every product of the basis rows exactly, so G is I
-    up to rounding wherever the rule is sound.  A Gram block with a
-    non-finite entry, then one further than ``BASIS_DEFECT_TOL`` from I, is
-    refused with ``ConditioningError`` naming its weight under ``op`` at
-    degree n.  A smaller degree's Gram blocks are leading blocks of these,
-    so one check covers every degree the basis serves.
+    up to rounding wherever the rule is sound.  A weight with non-finite
+    recurrence coefficients, then a Gram block with a non-finite entry, then
+    one further than ``BASIS_DEFECT_TOL`` from I, is refused with
+    ``ConditioningError`` naming the weight under ``op`` at degree n.  A
+    smaller degree's Gram blocks are leading blocks of these, so one check
+    covers every degree the basis serves.
     """
     basis = _stack_basis(top, weights)
     g = _gram(top, basis)
-    _refuse_non_finite([g], g, weights, [op], n)
+    if not np.isfinite(g).all():
+        finite = np.isfinite(basis.rb).all(axis=(0, 2))
+        if not finite.all():
+            # two parity blocks of G per weight
+            raise _conditioning_error("non-finite recurrence coefficients", 2 * int(finite.argmin()), g, weights, op, n)
+        _refuse_non_finite([g], g, weights, [op], n)
     defect = np.abs(g - np.eye(g.shape[1])).max(axis=(1, 2))
     if defect.max() > BASIS_DEFECT_TOL:
         block = int(np.argmax(defect > BASIS_DEFECT_TOL))

@@ -15,6 +15,9 @@
   (raw) P entries that no builder forms.  F is the reference for
   ``build_pencil_F``; G, whose largest root is the Gegenbauer d/dx odd
   branch, has no builder in the package.
+- ``refine_pair_reference``: the long-double inverse iteration of one
+  Hermite moment pencil, entries and solve row by row, the reference for
+  the stacked ``factors._refine_pairs``.
 - ``unfolded_gauss_rule`` and ``unfolded_rayleigh_value``: the oracle
   without its fold and parity split, on one weight: the Gauss rule on all
   N nodes, an (n + 1)-square stiffness and Gram pair over every basis row,
@@ -117,6 +120,63 @@ def pencil_F_reference(n_odd: int, lam: float) -> tuple[Pencil, np.ndarray]:
             p_raw[i, j] = (2 * j + 1) * (2 * j + 2 * lam) * d[i + j] - (4 * j + 2) * d[i + j + 1]
             q[i, j] = d[i + j + 1]
     return Pencil(p, q, WeightSpec.hermite(lam)), p_raw
+
+
+def _solve_lu_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Partial-pivot solve of one system, row by row, in the matrix's own dtype."""
+    a = a.copy()
+    b = b.copy()
+    size = len(b)
+    for k in range(size - 1):
+        piv = k + int(np.argmax(np.abs(a[k:, k])))
+        if piv != k:
+            a[[k, piv]] = a[[piv, k]]
+            b[[k, piv]] = b[[piv, k]]
+        for i in range(k + 1, size):
+            f = a[i, k] / a[k, k]
+            a[i, k + 1:] -= f * a[k, k + 1:]
+            b[i] -= f * b[k]
+    x = np.zeros(size, dtype=a.dtype)
+    for i in range(size - 1, -1, -1):
+        x[i] = (b[i] - a[i, i + 1:] @ x[i + 1:]) / a[i, i]
+    return x
+
+
+def refine_pair_reference(pencil: Pencil, t: float, v: np.ndarray) -> tuple[float, np.ndarray]:
+    """The eigenpair (t, v) of -P v = t Q v of one Hermite moment pencil after inverse iteration in long double.
+
+    (-P, Q) are rebuilt entry by entry from the product form of the normalized
+    moments; at most three rounds, stopping at a non-finite z, a B-norm <= 0
+    or a non-finite t.
+    """
+    size = pencil.size
+    lam = np.longdouble(pencil.weight.lam)
+    mom = np.ones(2 * size + 1, dtype=np.longdouble)
+    for s in range(2 * size):
+        mom[s + 1] = mom[s] * (s + lam + 0.5)
+    a = np.empty((size, size), dtype=np.longdouble)
+    b = np.empty((size, size), dtype=np.longdouble)
+    for i in range(size):
+        for j in range(size):
+            a[i, j] = (2 * i + 1) * (2 * j + 1) * mom[i + j]
+            b[i, j] = mom[i + j + 1]
+    t_ld = np.longdouble(t)
+    v_ld = v.astype(np.longdouble)
+    v_ld /= np.sqrt(v_ld @ b @ v_ld)
+    for _ in range(3):
+        with np.errstate(all="ignore"):
+            z = _solve_lu_reference(a - t_ld * b, b @ v_ld)
+            if not np.all(np.isfinite(z)):
+                break
+            bnorm_sq = z @ b @ z
+            if not np.isfinite(bnorm_sq) or bnorm_sq <= 0:
+                break
+            cand_v = z / np.sqrt(bnorm_sq)
+            cand_t = (cand_v @ a @ cand_v) / (cand_v @ b @ cand_v)
+        if not np.isfinite(cand_t):
+            break
+        t_ld, v_ld = cand_t, cand_v
+    return float(t_ld), v_ld.astype(float)
 
 
 def pencil_G_reference(n: int, lam: float, mu: float) -> tuple[Pencil, np.ndarray]:

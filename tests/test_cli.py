@@ -206,17 +206,20 @@ def test_verify_flags_a_value_just_outside_the_bracket(capsys, monkeypatch, side
     # bracket's lower end, a value moved 1e-9 outside is still flagged, and only by the bracket
     import bmfactor.cli
 
-    exact = bmfactor.cli.factor_hermite_ddx
+    exact = bmfactor.cli._hermite_ddx_stack
 
-    def shifted(n, lam):
-        result = exact(n, lam)
+    def shifted(n, lams):
+        results = exact(n, lams)
         if n != 3:
-            return result
-        lo, hi = 2 * n - 4 * lam / (1 + 2 * lam), 2.0 * n
-        fsq = lo * (1 - 1e-9) if side == "below" else hi * (1 + 1e-9)
-        return FactorResult(fsq, result.branch, result.extremal, n, result.weight, result.operator)
+            return results
+        moved = []
+        for lam, result in zip(lams, results):
+            lo, hi = 2 * n - 4 * lam / (1 + 2 * lam), 2.0 * n
+            fsq = lo * (1 - 1e-9) if side == "below" else hi * (1 + 1e-9)
+            moved.append(FactorResult(fsq, result.branch, result.extremal, n, result.weight, result.operator))
+        return moved
 
-    monkeypatch.setattr(bmfactor.cli, "factor_hermite_ddx", shifted)
+    monkeypatch.setattr(bmfactor.cli, "_hermite_ddx_stack", shifted)
     code, out, _ = run(capsys, "verify", "--lambdas", "1e-8", "--mus", "0.5", "--n-max", "3", "--format", "json")
     assert code == EXIT_MISMATCH
     [violation] = json.loads(out)["violations"]
@@ -355,6 +358,25 @@ def test_verify_csv_columns(capsys):
     assert len(rows) == 1 + 3 * 4
     branches = {r[6] for r in rows[1:]}
     assert "dunkl_closed_form" in branches
+
+
+def test_verify_rows_carry_their_own_grid_point(capsys):
+    # the d/dx rows come from stacks over lambda (and mu) but must still land on their own row: per lambda
+    # and n, Hermite d/dx (lambda > 0) and Dunkl, then per mu Gegenbauer d/dx (lambda > 0) and Dunkl
+    code, out, _ = run(capsys, "verify", "--lambdas", "0", "0.5", "2", "--mus", "0", "3", "--n-max", "4",
+                       "--format", "csv", "--digits", "17")
+    assert code == EXIT_OK
+    rows = list(csv.DictReader(io.StringIO(out)))
+    expected = []
+    for lam in ("0.0", "0.5", "2.0"):
+        ops = (False, True) if lam != "0.0" else (True,)  # (is Dunkl); lambda = 0 has no d/dx row
+        for n in "1234":
+            expected += [(lam, mu, n, dunkl) for mu in ("", "0.0", "3.0") for dunkl in ops]
+    assert [(r["lambda"], r["mu"], r["n"], r["branch"] == "dunkl_closed_form") for r in rows] == expected
+    for r in rows:
+        if not r["mu"] and r["branch"] != "dunkl_closed_form":
+            single = bmfactor.factor_hermite_ddx(int(r["n"]), float(r["lambda"]))
+            assert r["theorem_value"] == f"{single.factor:.17g}"
 
 
 @pytest.mark.parametrize(("weight", "op", "n"), (
@@ -532,6 +554,22 @@ def test_factor_check_refuses_a_broken_gauss_rule(capsys, argv, item):
     assert f"at stack item 0 {item}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(("argv", "item"), (
+    (("--op", "dunkl", "--lambda", "1e300", "--mu", "1", "--n", "3"), "('gegenbauer', 'dunkl', 1e+300, 1.0, 3)"),
+    (("--op", "ddx", "--lambda", "1e15", "--mu", "1e300", "--n", "2"),
+     "('gegenbauer', 'ddx', 1000000000000000.0, 1e+300, 2)"),
+), ids=("dunkl-lambda", "ddx-mu"))
+def test_factor_check_refuses_non_finite_recurrence_coefficients(capsys, argv, item):
+    # the oracle's Gauss rule once ran its SVD on these inf and nan beta and exited 3 with a bare
+    # "SVD did not converge" that named no weight
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, "factor", "--check", "--weight", "gegenbauer", *argv, "--format", "json")
+    assert (code, out) == (EXIT_NUMERICAL, "")
+    assert err == f"numerical failure: non-finite recurrence coefficients at stack item 0 {item} " \
+                  "(estimated condition inf)\n"
+
+
 def test_verify_names_the_worst_grid_point(capsys):
     argv = ("verify", "--lambdas", "0.5", "4.5", "--mus", "-0.4", "1", "--n-max", "9")
     code, out, _ = run(capsys, *argv, "--format", "json")
@@ -608,9 +646,9 @@ def test_verify_builds_each_shared_piece_once(capsys, monkeypatch):
     # the zeroth moment of each of its 49 weights once, and factors no Gram
     # matrix.  The residual sweep takes one call per (family, n) over the
     # lambda array.  Its Gegenbauer d/dx rows solve one odd pencil per
-    # m = (n - 1) // 2 over the 36 (lambda > 0, mu) pairs, and the Hermite
-    # d/dx moment pencils (odd n = 3..9 at the 6 lambda > 0) one each: those
-    # are the only Cholesky factorizations.
+    # m = (n - 1) // 2 over the 36 (lambda > 0, mu) pairs, and its Hermite
+    # d/dx rows one stack of moment pencils per odd n = 3..9 over the 6
+    # lambda > 0: those are the only Cholesky factorizations.
     import bmfactor.factors
     import bmfactor.oracle
 
@@ -644,14 +682,15 @@ def test_verify_builds_each_shared_piece_once(capsys, monkeypatch):
     assert code == EXIT_OK and json.loads(out)["rows"] == 910
     assert calls == {"_gauss_basis": 10, "_gram": 10, "_mass": 49, "_residual_rows": 20}
     assert odd_pencils == [(36, m + 1, m + 1) for m in range(5)]
-    moment_pencils = [(1, m + 1, m + 1) for m in (1, 2, 3, 4) for _ in range(6)]
+    moment_pencils = [(6, m + 1, m + 1) for m in (1, 2, 3, 4)]
     assert sorted(factored) == sorted(odd_pencils + moment_pencils)
 
 
 def test_eigenvectors_are_solved_only_where_read(capsys, monkeypatch):
     # Values come from eigvalsh.  np.linalg.eigh runs for the Hermite d/dx moment pencils, whose
-    # root is refined from its vector and whose extremal is built at once (odd n = 3..9 at the 6
-    # lambda > 0 of the default grid), and for a maximizer or an odd extremal when it is first read.
+    # roots are refined from their vectors and whose extremals are built at once (one stack per odd
+    # n = 3..9 over the 6 lambda > 0 of the default grid), and for a maximizer or an odd extremal when
+    # it is first read.
     eigh, shapes = np.linalg.eigh, []
 
     def counted(a, *args, **kwargs):
@@ -661,7 +700,7 @@ def test_eigenvectors_are_solved_only_where_read(capsys, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted)
     code, out, _ = run(capsys, "verify", "--format", "json")
     assert code == EXIT_OK and json.loads(out)["rows"] == 910
-    assert sorted(shapes) == [(1, m + 1, m + 1) for m in (1, 2, 3, 4) for _ in range(6)]
+    assert sorted(shapes) == [(6, m + 1, m + 1) for m in (1, 2, 3, 4)]
     shapes.clear()
     code, out, _ = run(capsys, "table2", "--format", "json")
     assert code == EXIT_MISMATCH and json.loads(out)["flagged_cells"] == 36
@@ -807,12 +846,21 @@ _SWEEP_DEGREES = ("1", "2", "3", "31")
 _SWEEP_KNOWN_GAPS = {("150", "-0.4999999")}
 
 
+# the command line of each sweep: factor with and without the oracle
+_SWEEP_COMMANDS = {"factor": ("factor", "--check"), "factor-unchecked": ("factor",), "extremal": ("extremal",)}
+
+
 def _sweep_runs(command):
-    """argv of ``command`` over the sweep grid: both weights and operators, every lambda, mu and degree."""
+    """argv of ``command`` over the sweep grid: both weights and operators, every lambda, mu and degree.
+
+    verify also runs every lambda at once per mu, so its d/dx stacks hold refused items next to finite ones.
+    """
     if command == "verify":
         for lam in _SWEEP_LAMBDAS:
             for mu in _SWEEP_MUS:
                 yield ("verify", "--lambdas", lam, "--mus", mu, "--n-max", "5")
+        for mu in _SWEEP_MUS:
+            yield ("verify", "--lambdas", *_SWEEP_LAMBDAS, "--mus", mu, "--n-max", "5")
         return
     for lam in _SWEEP_LAMBDAS:
         for n in _SWEEP_DEGREES:
@@ -822,8 +870,7 @@ def _sweep_runs(command):
                     yield ("inequality", "--family", family, "--lambda", lam, *mu, "--n", n, "--at-extremal")
                     continue
                 for op in ("ddx", "dunkl"):
-                    check = ("--check",) if command == "factor" else ()
-                    yield (command, *check, "--weight", family, "--op", op, "--lambda", lam, *mu, "--n", n)
+                    yield (*_SWEEP_COMMANDS[command], "--weight", family, "--op", op, "--lambda", lam, *mu, "--n", n)
 
 
 def _finite_numbers(value) -> bool:
@@ -836,7 +883,7 @@ def _finite_numbers(value) -> bool:
     return True
 
 
-@pytest.mark.parametrize("command", ("factor", "extremal", "inequality", "verify"))
+@pytest.mark.parametrize("command", ("factor", "factor-unchecked", "extremal", "inequality", "verify"))
 def test_every_answer_is_finite_or_refused(capsys, command):
     # Over small, tiny, large and huge parameters each run prints only finite numbers with exit 0, or
     # is refused with exit 2 or 3 and nothing on stdout, and never warns.  verify may exit 4 only

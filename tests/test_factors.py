@@ -18,11 +18,14 @@ from bmfactor.factors import (
     FactorResult,
     Pencil,
     _gegenbauer_ddx_stack,
+    _hermite_ddx_stack,
     _odd_branch_stack,
     _odd_pencil_stack,
     _odd_polynomial,
+    _refine_pairs,
     _top_eigenpairs,
     _top_positive,
+    _top_positive_stack,
     build_pencil_F,
     factor_gegenbauer_ddx,
     factor_gegenbauer_dunkl,
@@ -37,7 +40,13 @@ from bmfactor.oracle import (
 )
 from bmfactor.orthopoly import eigenvalue_sq, gegenbauer_poly, hermite_poly
 from certify_reference import rayleigh_max_sq
-from instruments import dunkl_gegenbauer_threshold, pencil_F_reference, pencil_G_reference, rayleigh_quotient
+from instruments import (
+    dunkl_gegenbauer_threshold,
+    pencil_F_reference,
+    pencil_G_reference,
+    rayleigh_quotient,
+    refine_pair_reference,
+)
 
 LAMBDAS = (0.1, 0.4, 0.5, 1.0, 2.0, 4.5)
 MUS = (-0.4, 0.0, 0.5, 1.0, 3.0, 4.0)
@@ -364,6 +373,75 @@ def test_gegenbauer_ddx_stack_equals_its_stacks_of_one(n):
     stack = _gegenbauer_ddx_stack(n, *_odd_branch_stack(n, pairs))
     for (lam, mu), stacked in zip(pairs, stack, strict=True):
         assert stacked == factor_gegenbauer_ddx(n, lam, mu)  # bit for bit, extremal included
+
+
+@pytest.mark.parametrize("n", range(1, 36))
+def test_hermite_ddx_stack_equals_its_stacks_of_one(n):
+    # the default verify lambdas at n = 1..11 and the high-degree lambdas 0.25 and 1 at n = 11..35, over
+    # every lambda whose stack of one is not refused (0.25 from n = 33): factor, branch and extremal
+    lams = [lam for lam in DEFAULT_VERIFY_LAMBDAS if lam > 0] if n <= 11 else []
+    lams += [0.25, 1.0] if n >= 11 else []
+    singles = {}
+    for lam in lams:
+        try:
+            singles[lam] = factor_hermite_ddx(n, lam)
+        except ConditioningError:
+            assert (n, lam) in ((33, 0.25), (35, 0.25))
+    stack = _hermite_ddx_stack(n, list(singles))
+    for (lam, single), stacked in zip(singles.items(), stack, strict=True):
+        assert stacked.factor_sq.hex() == single.factor_sq.hex() and stacked.branch is single.branch, lam
+        assert [c.hex() for c in stacked.extremal.coeffs] == [c.hex() for c in single.extremal.coeffs], lam
+        assert stacked == single
+    assert len(singles) == len(set(lams)) - (n in (33, 35))
+
+
+def _double_eigenpair(pencil):
+    """The top eigenpair of one moment pencil before refinement, as ``_top_positive_stack`` solves it."""
+    scale = 1.0 / np.sqrt(np.diag(pencil.q))
+    outer = scale[:, None] * scale
+    vals, vecs = _top_eigenpairs((-pencil.p * outer)[None], (pencil.q * outer)[None], [pencil.weight],
+                                 OperatorSpec.ddx(), 2 * pencil.size - 1)
+    return float(vals[0]), scale * vecs[0]
+
+
+@pytest.mark.parametrize("n", range(3, 32, 2))
+def test_stacked_refinement_equals_the_row_by_row_loop(n):
+    # the stacked long-double solve pivots, eliminates and stops per item as the loop over one pencil
+    # does, bit for bit; an item whose refinement stops at once (t = nan) leaves the others running
+    lams = [lam for lam in DEFAULT_VERIFY_LAMBDAS if lam > 0] if n <= 11 else [0.25, 1.0]
+    pencils = [build_pencil_F(n, lam) for lam in lams]
+    roots, vecs = _top_positive_stack(pencils)
+    starts = [_double_eigenpair(pencil) for pencil in pencils]
+    for pencil, root, vec, start in zip(pencils, roots, vecs, starts, strict=True):
+        ref_root, ref_vec = refine_pair_reference(pencil, *start)
+        assert root.hex() == ref_root.hex() and vec.tobytes() == ref_vec.tobytes(), pencil.weight
+    t = np.array([math.nan] + [t for t, _ in starts[1:]])
+    lam = np.array(lams, dtype=np.longdouble)
+    stopped, stopped_vecs = _refine_pairs(lam, t, np.array([v for _, v in starts]))
+    ref_root, ref_vec = refine_pair_reference(pencils[0], math.nan, starts[0][1])
+    assert math.isnan(stopped[0]) and math.isnan(ref_root) and stopped_vecs[0].tobytes() == ref_vec.tobytes()
+    assert stopped[1:].tobytes() == roots[1:].tobytes() and stopped_vecs[1:].tobytes() == vecs[1:].tobytes()
+
+
+@pytest.mark.parametrize(("n", "lams", "position", "error", "named"), (
+    (3, [0.1, 1.0, 168.0, 2.0], 2, OverflowError,
+     "moments of the degree-3 odd pencil of the hermite weight (lambda=168.0) are beyond a double"),
+    (37, [1.0, 0.25, 0.1], 0, ConditioningError,
+     "Gram matrix numerically indefinite at stack item 0 ('hermite', 'ddx', 1.0, 0.0, 37)"),
+    (37, [0.1, 0.25], 1, ConditioningError,
+     "Gram matrix numerically indefinite at stack item 1 ('hermite', 'ddx', 0.25, 0.0, 37)"),
+), ids=("moments-168", "cholesky-1", "cholesky-0.25"))
+def test_hermite_ddx_stack_refusal_names_the_lambda_and_its_position(n, lams, position, error, named):
+    # the first refusing item of the stack is refused as its stack of one is, naming its position
+    with pytest.raises(error) as info:
+        _hermite_ddx_stack(n, lams)
+    assert named in str(info.value)
+    if error is ConditioningError:
+        assert info.value.index == position
+    else:
+        assert str(info.value).endswith(f" at stack item {position}")
+    with pytest.raises(error):
+        factor_hermite_ddx(n, lams[position])
 
 
 # The table2 points with lambda <= 10 next to the default verify grid, and

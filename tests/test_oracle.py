@@ -417,6 +417,19 @@ def test_stacked_solve_names_the_indefinite_item():
     assert info.value.index == 2 and info.value.condition == pytest.approx(1.0)
 
 
+def test_non_finite_recurrence_coefficients_are_refused_before_the_svd():
+    # at lambda = 1e300 the Gegenbauer beta are inf and nan; the SVD of the Gauss rule once failed on them
+    # with a bare "SVD did not converge" that named no weight
+    weights = [WeightSpec.gegenbauer(lam, 1.0) for lam in (0.5, 1e300, 2.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ConditioningError) as info:
+            _rayleigh_grid([3], weights, [OperatorSpec.dunkl(damped=True)])
+    assert info.value.index == 1 and info.value.condition == math.inf
+    assert str(info.value).startswith("non-finite recurrence coefficients at stack item 1 "
+                                      "('gegenbauer', 'dunkl', 1e+300, 1.0, 3)")
+
+
 def test_rayleigh_factor_is_variational_maximum():
     rng = np.random.default_rng(9)
     weight, op = WeightSpec.gegenbauer(1.0, 0.5), OperatorSpec.dunkl(damped=True)
