@@ -13,13 +13,17 @@ import json
 import math
 import sys
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import OperatorSpec, Polynomial, WeightFamily, WeightSpec
 from .factors import (
+    Branch,
     FactorResult,
     _dunkl_factor,
+    _dunkl_sq,
+    _gegenbauer_ddx_sq,
     _gegenbauer_ddx_stack,
     _hermite_ddx_stack,
     _odd_branch_stack,
@@ -174,7 +178,8 @@ def cmd_table2(args: argparse.Namespace) -> int:
     # nu_2 is the odd-branch maximum at n = 3, the largest root of the paper's pencil G,
     # here the top eigenvalue of the 2x2 block of the tridiagonal odd pencil; M_3 and M_4
     # take their odd branch from the same solve
-    weights, nu2s = _odd_branch_stack(3, [(lam, mu) for lam, mu, *_ in TABLE2_REFERENCE])
+    weights = [WeightSpec.gegenbauer(lam, mu) for lam, mu, *_ in TABLE2_REFERENCE]
+    nu2s = _odd_branch_stack(3, weights)
     m3s, m4s = (_gegenbauer_ddx_stack(n, weights, nu2s) for n in (3, 4))
     columns = zip(nu2s, m3s, m4s)
     rows = []
@@ -226,43 +231,67 @@ def cmd_table2(args: argparse.Namespace) -> int:
     return EXIT_OK if flagged == 0 else EXIT_MISMATCH
 
 
-def _verify_rows(lambdas, mus, n_values) -> list[FactorResult]:
-    """Factor results of the grid in row order.
+class _Grid(NamedTuple):
+    """The rows of a verify grid as columns.  ``weight`` is a position in ``weights``: the Hermite weights of
+    the lambdas, then the Gegenbauer weights of the (lambda, mu), lambda-major."""
 
-    The Dunkl rows reuse one weight per (family, lambda, mu) and one operator
-    per family across degrees.  The d/dx rows are solved as stacks over the
-    lambda > 0, the Gegenbauer ones first: one per m = (n - 1) // 2 over the
-    (lambda, mu) pairs (degrees 2m + 1 and 2m + 2 share the odd pencil), then
-    one Hermite stack per degree.
-    """
-    lambdas, mus = sorted(set(lambdas)), sorted(set(mus))
-    positive = [lam for lam in lambdas if lam > 0]
-    pairs = [(lam, mu) for lam in positive for mu in mus]
-    gegenbauer_ddx, odd_branch = {}, {}
-    for n in n_values if pairs else ():
-        if (n - 1) // 2 not in odd_branch:
-            odd_branch[(n - 1) // 2] = _odd_branch_stack(n, pairs)
-        gegenbauer_ddx[n] = dict(zip(pairs, _gegenbauer_ddx_stack(n, *odd_branch[(n - 1) // 2])))
-    hermite_ddx = {n: dict(zip(positive, _hermite_ddx_stack(n, positive))) for n in n_values if positive}
-    hermite_dunkl, gegenbauer_dunkl = OperatorSpec.dunkl(), OperatorSpec.dunkl(damped=True)
-    rows = []
-    for lam in lambdas:
-        hermite = WeightSpec.hermite(lam)
-        gegenbauer = [WeightSpec.gegenbauer(lam, mu) for mu in mus]
-        for n in n_values:
-            if lam > 0:
-                rows.append(hermite_ddx[n][lam])
-            rows.append(_dunkl_factor(n, hermite, hermite_dunkl))
-            for mu, weight in zip(mus, gegenbauer):
-                if lam > 0:
-                    rows.append(gegenbauer_ddx[n][lam, mu])
-                rows.append(_dunkl_factor(n, weight, gegenbauer_dunkl))
-    return rows
+    weights: list[WeightSpec]
+    weight: np.ndarray
+    is_dunkl: np.ndarray
+    n: np.ndarray
+    factor_sq: np.ndarray
+    branch: np.ndarray  # of Branch
+
+    def item(self, row: int) -> tuple[WeightSpec, OperatorSpec, int]:
+        """The weight, operator and degree of a row."""
+        weight = self.weights[self.weight[row]]
+        op = OperatorSpec.dunkl if self.is_dunkl[row] else OperatorSpec.ddx
+        return weight, op(weight.is_gegenbauer), int(self.n[row])
+
+    def point(self, row: int) -> str:
+        weight, op, n = self.item(row)
+        return f"weight={weight.family.value} op={op.kind.value} lambda={weight.lam} mu={weight.mu} n={n}"
 
 
-def _point(result: FactorResult) -> str:
-    return (f"weight={result.weight.family.value} op={result.operator.kind.value} "
-            f"lambda={result.weight.lam} mu={result.weight.mu} n={result.n}")
+def _verify_grid(lambdas: list[float], mus: list[float], n_values: range) -> _Grid:
+    """The factor rows of the grid of sorted distinct lambdas and mus, refused as the factor routes refuse them.
+
+    Per lambda and n the rows are Hermite d/dx (lambda > 0) and Dunkl, then per mu Gegenbauer d/dx (lambda > 0)
+    and Dunkl.  The d/dx rows come from stacks over the lambda > 0: one odd pencil per m = (n - 1) // 2 over the
+    (lambda, mu) pairs, then one Hermite stack per degree.  Each weight is built once, the pairs' first."""
+    lam, mu = np.array(lambdas), np.array(mus)
+    slots = 2 + 2 * len(mus)  # per (lambda, n): Hermite d/dx and Dunkl, then per mu Gegenbauer d/dx and Dunkl
+    i, n, s = (a.ravel() for a in np.meshgrid(np.arange(len(lam)), n_values, np.arange(slots), indexing="ij"))
+    keep = (s % 2 == 1) | (lam > 0)[i]  # no d/dx row at lambda = 0
+    i, n, s = i[keep], n[keep], s[keep]
+    gegenbauer, dunkl, j = s >= 2, s % 2 == 1, np.maximum(s // 2 - 1, 0)
+    positive = [x for x in lambdas if x > 0]
+    pairs = [WeightSpec.gegenbauer(x, y) for x in positive for y in mus]
+    odd = [_odd_branch_stack(2 * m + 1, pairs) for m in range((n_values[-1] + 1) // 2)] if pairs else []
+    hermite_ddx = [_hermite_ddx_stack(degree, positive) for degree in n_values] if positive else []
+    factor_sq, branch = np.empty(len(n)), np.full(len(n), Branch.DUNKL_CLOSED_FORM, dtype=object)
+    for family, rows in ((WeightFamily.GENERALIZED_HERMITE, dunkl & ~gegenbauer),
+                         (WeightFamily.GENERALIZED_GEGENBAUER, dunkl & gegenbauer)):
+        factor_sq[rows] = _dunkl_sq(family, n[rows], lam[i[rows]], mu[j[rows]])[0]
+    overflow = np.flatnonzero(dunkl & ~np.isfinite(factor_sq))
+    hermite, gegenbauer_weights, built = [], [], iter(pairs)
+    for k, x in enumerate(lambdas):
+        hermite.append(WeightSpec.hermite(x))
+        gegenbauer_weights += [next(built) if x > 0 else WeightSpec.gegenbauer(x, y) for y in mus]
+        if overflow.size and i[overflow[0]] == k:  # the same bits as the scalar factor, so it refuses
+            r = overflow[0]
+            weight = gegenbauer_weights[k * len(mus) + j[r]] if gegenbauer[r] else hermite[k]
+            _dunkl_factor(int(n[r]), weight, OperatorSpec.dunkl(bool(gegenbauer[r])))
+    if positive:
+        ddx = ~(gegenbauer | dunkl)
+        results = [result for per_lambda in zip(*hermite_ddx) for result in per_lambda]
+        factor_sq[ddx], branch[ddx] = [r.factor_sq for r in results], [r.branch for r in results]
+        ddx = gegenbauer & ~dunkl
+        pair = (np.cumsum(lam > 0) - 1)[i[ddx]] * len(mus) + j[ddx]
+        nu = np.array(odd)[(n[ddx] - 1) // 2, pair]
+        factor_sq[ddx], branch[ddx] = _gegenbauer_ddx_sq(n[ddx], lam[i[ddx]], mu[j[ddx]], nu)
+    weight = np.where(gegenbauer, len(lambdas) + i * len(mus) + j, i)
+    return _Grid(hermite + gegenbauer_weights, weight, dunkl, n, factor_sq, branch)
 
 
 def _residual_violations(lambdas, mus, n_values) -> list[str]:
@@ -275,31 +304,28 @@ def _residual_violations(lambdas, mus, n_values) -> list[str]:
     polynomial in sweep order.
     """
     lams, mu = np.array(lambdas), np.array(mus)
+    lam = lams[:, None]
+    # per n: a flag per lambda (Hermite) and per (lambda, mu) (Gegenbauer); at huge lambda or mu the
+    # residual may overflow, without a warning, and an infinite one is flagged
+    hermite_bad, gegenbauer_bad, finite = {}, {}, True
     with np.errstate(over="ignore", invalid="ignore"):
-        hermite = {n: _eigen_rows(WeightFamily.GENERALIZED_HERMITE, n, lams) for n in n_values}
-        gegenbauer = {n: _eigen_rows(WeightFamily.GENERALIZED_GEGENBAUER, n, lams[:, None], mu)
-                      for n in n_values}
-    if not all(np.isfinite(rows).all() for rows in (*hermite.values(), *gegenbauer.values())):
+        for n in n_values:
+            h = _eigen_rows(WeightFamily.GENERALIZED_HERMITE, n, lams)
+            g = _eigen_rows(WeightFamily.GENERALIZED_GEGENBAUER, n, lam, mu)
+            finite = finite and np.isfinite(h).all() and np.isfinite(g).all()
+            scale = np.maximum(np.abs(h).max(axis=1) * np.maximum(2 * (n + 2 * lams), 1.0), 1.0)
+            residual = np.abs(_residual_rows(h, n, WeightFamily.GENERALIZED_HERMITE, lams)).max(axis=1)
+            hermite_bad[n] = residual > RESIDUAL_REL_TOL * scale
+            lam_n2 = np.maximum(np.abs(n * (n + 2 * lam + 2 * mu)) + 4 * np.abs(lam * mu), 1.0)
+            residual = np.abs(_residual_rows(g, n, WeightFamily.GENERALIZED_GEGENBAUER, lam, mu)).max(axis=2)
+            gegenbauer_bad[n] = residual > RESIDUAL_REL_TOL * np.abs(g).max(axis=2) * lam_n2
+    if not finite:
         # the same bits as the scalar builds, so one of them refuses
         for lam in lambdas:
             for n in n_values:
                 hermite_poly(n, lam)
                 for m in mus:
                     gegenbauer_poly(n, lam, m)
-    # per n: a flag per lambda (Hermite) and per (lambda, mu) (Gegenbauer); at huge lambda or mu the
-    # residual may overflow, without a warning, and an infinite one is flagged
-    hermite_bad, gegenbauer_bad = {}, {}
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in n_values:
-            h = hermite[n]
-            scale = np.maximum(np.abs(h).max(axis=1) * np.maximum(2 * (n + 2 * lams), 1.0), 1.0)
-            residual = np.abs(_residual_rows(h, n, WeightFamily.GENERALIZED_HERMITE, lams)).max(axis=1)
-            hermite_bad[n] = residual > RESIDUAL_REL_TOL * scale
-            g = gegenbauer[n]
-            lam = lams[:, None]
-            lam_n2 = np.maximum(np.abs(n * (n + 2 * lam + 2 * mu)) + 4 * np.abs(lam * mu), 1.0)
-            residual = np.abs(_residual_rows(g, n, WeightFamily.GENERALIZED_GEGENBAUER, lam, mu)).max(axis=2)
-            gegenbauer_bad[n] = residual > RESIDUAL_REL_TOL * np.abs(g).max(axis=2) * lam_n2
     violations = []
     for i, lam in enumerate(lambdas):
         for n in n_values:
@@ -310,28 +336,6 @@ def _residual_violations(lambdas, mus, n_values) -> list[str]:
     return violations
 
 
-def _oracle_column(results: list[FactorResult], n_values: range) -> list[float]:
-    """The oracle value of each grid row (degrees ``n_values`` = 1 .. n_max), one ``_rayleigh_grid`` per family.
-
-    Each grid holds every degree, the Dunkl operator and then d/dx, and the
-    family's weights in row order.  d/dx is solved at lambda = 0 too, where
-    it has no row: there its stiffness stack is the Dunkl one, bit for bit.
-    """
-    stacks: dict[bool, dict] = {False: {}, True: {}}  # per family: (lambda, mu) -> weight
-    for r in results:
-        stacks[r.weight.is_gegenbauer].setdefault((r.weight.lam, r.weight.mu), r.weight)
-    grids = {}
-    for gegenbauer, weights in stacks.items():
-        ops = [OperatorSpec.dunkl(gegenbauer), OperatorSpec.ddx(gegenbauer)]
-        position = {key: k for k, key in enumerate(weights)}
-        grids[gegenbauer] = _rayleigh_grid(n_values, list(weights.values()), ops).tolist(), position
-    column = []
-    for r in results:
-        grid, position = grids[r.weight.is_gegenbauer]
-        column.append(grid[r.n - 1][0 if r.operator.is_dunkl else 1][position[r.weight.lam, r.weight.mu]])
-    return column
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     # a NaN tolerance would pass every gap, and an empty degree range would check no row
     if not (math.isfinite(args.tolerance) and args.tolerance > 0):
@@ -339,68 +343,64 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.n_max < 1:
         raise ValueError(f"--n-max must be >= 1, got {args.n_max}")
     n_values = range(1, args.n_max + 1)
-    results = _verify_rows(args.lambdas, args.mus, n_values)
+    lambdas, mus = sorted(set(args.lambdas)), sorted(set(args.mus))
+    grid = _verify_grid(lambdas, mus, n_values)
     # The residual sweep runs before the oracle grid, so an eigenpolynomial beyond a double is
     # refused in about a second, not after the grid; the domain errors of the rows stay first.
-    residual_violations = _residual_violations(sorted(set(args.lambdas)), sorted(set(args.mus)), n_values)
-    rows = []
-    violations = []
-
-    for result, oracle_value in zip(results, _oracle_column(results, n_values)):
-        rel_err = abs(oracle_value - result.factor) / oracle_value
-        if rel_err > args.tolerance:
-            violations.append(f"theorem/oracle gap {rel_err:.3e} at {_point(result)}")
-        rows.append((result, oracle_value, rel_err))
-    worst = max(rows, key=lambda row: row[2], default=None)
-    max_rel_err = worst[2] if worst else 0.0
+    residual_violations = _residual_violations(lambdas, mus, n_values)
+    # One oracle grid per family over every degree, the Dunkl operator and then d/dx, and the family's weights.
+    # d/dx is solved at lambda = 0 too, where it has no row: there its stiffness stack is the Dunkl one, bit for bit.
+    oracle = np.concatenate([
+        _rayleigh_grid(n_values, grid.weights[:len(lambdas)], [OperatorSpec.dunkl(), OperatorSpec.ddx()]),
+        _rayleigh_grid(n_values, grid.weights[len(lambdas):], [OperatorSpec.dunkl(True), OperatorSpec.ddx(True)]),
+    ], axis=2)[grid.n - 1, 1 - grid.is_dunkl, grid.weight]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        factor = np.sqrt(grid.factor_sq)
+        rel_err = abs(oracle - factor) / oracle
+    # a gap that is not finite is a violation too, and the worst row (np.argmax) is the first NaN
+    gaps = rel_err.tolist()
+    violations = [f"theorem/oracle gap {gaps[r]:.3e} at {grid.point(r)}"
+                  for r in np.flatnonzero(~(rel_err <= args.tolerance))]
+    worst = int(np.argmax(rel_err))
 
     # The bracket reads the odd-degree Hermite d/dx values back from the grid rows.  Below about
     # lambda = 1e-8 it is narrower than the rounding of M^2, so a value is flagged only when it lies
     # outside by more than the closed-form tolerance (a NaN is always flagged).
-    hermite_ddx = {(r.weight.lam, r.n): r.factor_sq for r in results
-                   if not (r.weight.is_gegenbauer or r.operator.is_dunkl)}
-    for (lam, n), m in hermite_ddx.items():
-        if n == 1 and abs(m - 2 / (1 + 2 * lam)) > BRACKET_EQUALITY_TOL * m:
-            violations.append(f"n=1 closed form violated at lambda={lam}")
-        elif n > 1 and n % 2:
-            lo, hi = 2 * n - 4 * lam / (1 + 2 * lam), 2.0 * n
-            if not lo - BRACKET_EQUALITY_TOL * m <= m <= hi + BRACKET_EQUALITY_TOL * m:
-                violations.append(f"bracket violation at lambda={lam} n={n}: {lo} < {m} < {hi}")
-
+    rows = (grid.weight < len(lambdas)) & ~grid.is_dunkl
+    lam, n, m = np.array(lambdas)[grid.weight[rows]], grid.n[rows], grid.factor_sq[rows]
+    lo, hi, slack = 2 * n - 4 * lam / (1 + 2 * lam), 2.0 * n, BRACKET_EQUALITY_TOL * m
+    closed_form = (n == 1) & (abs(m - 2 / (1 + 2 * lam)) > slack)
+    bracket = (n > 1) & (n % 2 == 1) & ~((lo - slack <= m) & (m <= hi + slack))
+    for r in np.flatnonzero(closed_form | bracket):
+        at = f"lambda={float(lam[r])}"
+        violations.append(f"n=1 closed form violated at {at}" if closed_form[r] else
+                          f"bracket violation at {at} n={n[r]}: {float(lo[r])} < {float(m[r])} < {float(hi[r])}")
     violations += residual_violations
 
     if args.format == "csv":
+        spec = f".{args.digits}g"
+        lam_text = [str(w.lam) for w in grid.weights]
+        mu_text = [str(w.mu) if w.is_gegenbauer else "" for w in grid.weights]
         writer = csv.writer(sys.stdout)
         writer.writerow(VERIFY_CSV_COLUMNS)
-        for result, oracle_value, rel_err in rows:
-            writer.writerow([
-                result.weight.lam,
-                result.weight.mu if result.weight.is_gegenbauer else "",
-                result.n,
-                _fmt(result.factor, args.digits),
-                _fmt(oracle_value, args.digits),
-                f"{rel_err:.3e}",
-                result.branch.value,
-            ])
+        writer.writerows(zip(
+            [lam_text[x] for x in grid.weight.tolist()],
+            [mu_text[x] for x in grid.weight.tolist()],
+            grid.n.tolist(),
+            [format(x, spec) for x in (factor + 0.0).tolist()],  # + 0.0 normalizes -0.0, as _fmt does
+            [format(x, spec) for x in (oracle + 0.0).tolist()],
+            [format(x, ".3e") for x in gaps],
+            [b.value for b in grid.branch],
+        ))
     elif args.format == "json":
-        print(json.dumps({
-            "rows": len(rows),
-            "max_rel_err": max_rel_err,
-            "worst": None if worst is None else {
-                "family": worst[0].weight.family.value,
-                "operator": worst[0].operator.kind.value,
-                "lambda": worst[0].weight.lam,
-                "mu": worst[0].weight.mu if worst[0].weight.is_gegenbauer else None,
-                "n": worst[0].n,
-                "rel_err": worst[2],
-            },
-            "tolerance": args.tolerance,
-            "violations": violations,
-        }))
+        weight, op, n = grid.item(worst)
+        mu = weight.mu if weight.is_gegenbauer else None
+        print(json.dumps({"rows": len(gaps), "max_rel_err": gaps[worst], "worst": {
+            "family": weight.family.value, "operator": op.kind.value, "lambda": weight.lam, "mu": mu, "n": n,
+            "rel_err": gaps[worst]}, "tolerance": args.tolerance, "violations": violations}))
     else:
-        at = f" at {_point(worst[0])}" if worst else ""
-        print(f"verified {len(rows)} grid points; max theorem/oracle rel err = {max_rel_err:.3e}{at} "
-              f"(tolerance {args.tolerance:g})")
+        print(f"verified {len(gaps)} grid points; max theorem/oracle rel err = {gaps[worst]:.3e} "
+              f"at {grid.point(worst)} (tolerance {args.tolerance:g})")
         for v in violations:
             print("VIOLATION:", v)
         print("result:", "PASS" if not violations else "FAIL")

@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import OperatorSpec, Polynomial, WeightSpec, _BuiltOnRead, _describe
+from .core import OperatorSpec, Polynomial, WeightFamily, WeightSpec, _BuiltOnRead, _describe
 from .oracle import _basis_to_monomial, _conditioning_error, _finite, _refuse_non_finite, _stack_betas
 from .orthopoly import eigenvalue_sq, gegenbauer_poly, hermite_poly
 from .special import moment_table
@@ -355,47 +355,43 @@ def factor_gegenbauer_ddx(n: int, lam: float, mu: float) -> FactorResult:
     of the tridiagonal pencil of ``_odd_pencil_stack`` (the largest root of
     the paper's moment pencil G).  The factor is the max.
     """
-    return _gegenbauer_ddx_stack(n, *_odd_branch_stack(n, [(lam, mu)]))[0]
-
-
-def _odd_branch_stack(n: int, pairs: Sequence[tuple[float, float]]) -> tuple[list, np.ndarray]:
-    """Gegenbauer weights of the (lam, mu) pairs and their odd-branch maxima at degree n.
-
-    One stacked value solve, which serves degree n + 1 too when n is odd.
-    """
     if n < 1:
         raise ValueError("degree must be >= 1")
-    if any(lam <= 0 for lam, _ in pairs):
+    if lam <= 0:
         raise ValueError("lambda must be > 0")
-    weights = [WeightSpec.gegenbauer(lam, mu) for lam, mu in pairs]
+    weights = [WeightSpec.gegenbauer(lam, mu)]
+    return _gegenbauer_ddx_stack(n, weights, _odd_branch_stack(n, weights))[0]
+
+
+def _odd_branch_stack(n: int, weights: Sequence[WeightSpec]) -> np.ndarray:
+    """Odd-branch maxima at degree n >= 1 (and n + 1 for odd n) of Gegenbauer weights with lambda > 0, in one solve."""
     lam, mu = np.array([(w.lam, w.mu) for w in weights]).T
     s, g = _odd_pencil_stack((n - 1) // 2, lam, mu)
-    return weights, _top_values(s, g, weights, OperatorSpec.ddx(damped=True), n)
+    return _top_values(s, g, weights, OperatorSpec.ddx(damped=True), n)
+
+
+_DDX_BRANCHES = np.array([Branch.EVEN_CLOSED_FORM, Branch.ODD_PENCIL_ROOT, Branch.MAX_OF_BOTH])
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _gegenbauer_ddx_sq(n, lam, mu, nu) -> tuple[np.ndarray, np.ndarray]:
+    """M_n^2 under sqrt(1-x^2) d/dx and its ``Branch``, elementwise with the scalar bits, from the odd-branch maxima nu.
+
+    The even branch's closed value wins unless nu exceeds it by more than ``_TIE_REL_TOL``, a tie being MAX_OF_BOTH."""
+    even_degree = n - n % 2
+    closed = even_degree * (even_degree + 2 * lam + 2 * mu)
+    tie = abs(nu - closed) <= _TIE_REL_TOL * np.maximum(abs(nu), abs(closed))
+    odd = ~tie & (nu > closed)
+    return np.where(odd, nu, closed), _DDX_BRANCHES[odd + 2 * tie]
 
 
 def _gegenbauer_ddx_stack(n: int, weights: Sequence[WeightSpec], odd: np.ndarray) -> list[FactorResult]:
-    """``factor_gegenbauer_ddx`` at degree n for every weight, from ``_odd_branch_stack`` at n or n - 1.
-
-    Each result does not depend on the rest of the stack.
-    """
-    op = OperatorSpec.ddx(damped=True)
-    m = (n - 1) // 2
-    even_degree = n if n % 2 == 0 else n - 1
-    results = []
-    for weight, nu in zip(weights, odd):
-        nu = float(nu)
-        closed = float(even_degree * (even_degree + 2 * weight.lam + 2 * weight.mu))
-        if abs(nu - closed) <= _TIE_REL_TOL * max(abs(nu), abs(closed)):
-            fsq, branch = closed, Branch.MAX_OF_BOTH
-            extremal = partial(gegenbauer_poly, even_degree, weight.lam, weight.mu)
-        elif nu > closed:
-            fsq, branch = nu, Branch.ODD_PENCIL_ROOT
-            extremal = partial(_odd_extremal, m, weight.lam, weight.mu)
-        else:
-            fsq, branch = closed, Branch.EVEN_CLOSED_FORM
-            extremal = partial(gegenbauer_poly, even_degree, weight.lam, weight.mu)
-        results.append(FactorResult(fsq, branch, extremal, n, weight, op))
-    return results
+    """``factor_gegenbauer_ddx`` at degree n of each weight, from ``_odd_branch_stack`` at n or n - 1, unmixed."""
+    op, m, even_degree = OperatorSpec.ddx(damped=True), (n - 1) // 2, n - n % 2
+    fsq, branches = _gegenbauer_ddx_sq(n, *np.array([(w.lam, w.mu) for w in weights]).T, odd)
+    return [FactorResult(f, branch, partial(_odd_extremal, m, w.lam, w.mu) if branch is Branch.ODD_PENCIL_ROOT
+                         else partial(gegenbauer_poly, even_degree, w.lam, w.mu), n, w, op)
+            for w, f, branch in zip(weights, fsq.tolist(), branches)]
 
 
 def _odd_extremal(m: int, lam: float, mu: float) -> Polynomial:
@@ -416,24 +412,28 @@ def _odd_extremal(m: int, lam: float, mu: float) -> Polynomial:
     return _finite(extremal, f"degree-{2 * m + 1} odd extremal", weight)
 
 
+def _dunkl_sq(family: WeightFamily, n, lam, mu=0.0) -> tuple[np.ndarray, np.ndarray]:
+    """M_n^2 = max(lambda_n^2, lambda_(n-1)^2) under D_lam and its degree (n on a tie), elementwise, with scalar bits.
+
+    A value beyond a double comes out inf or nan, without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        top, below = eigenvalue_sq(family, n, lam, mu), eigenvalue_sq(family, n - 1, lam, mu)
+    return np.where(top >= below, top, below), np.where(top >= below, n, n - 1)
+
+
 def _dunkl_factor(n: int, weight: WeightSpec, op: OperatorSpec) -> FactorResult:
-    """M_n under D_lam (damped by sqrt(1-x^2) on [-1,1]): M_n^2 = max(lambda_n^2, lambda_(n-1)^2).
+    """M_n under D_lam (damped by sqrt(1-x^2) on [-1,1]), the ``_dunkl_sq`` of one weight.
 
     lambda_k^2 is the eigenvalue of the degree-k generalized Hermite or
-    Gegenbauer polynomial, which is the extremal; a tie takes degree n.  A
-    factor beyond a double (from lam mu about 1e308 on [-1, 1]) is refused
-    with ``OverflowError``.
+    Gegenbauer polynomial, which is the extremal.  A factor beyond a double
+    (from lam mu about 1e308 on [-1, 1]) is refused with ``OverflowError``.
     """
-    family, lam, mu = weight.family, weight.lam, weight.mu
-    top, below = eigenvalue_sq(family, n, lam, mu), eigenvalue_sq(family, n - 1, lam, mu)
-    fsq, degree = (float(top), n) if top >= below else (float(below), n - 1)
+    fsq, degree = _dunkl_sq(weight.family, n, weight.lam, weight.mu)
     if not isfinite(fsq):
         raise OverflowError(f"degree-{n} Dunkl factor of the {_describe(weight)} is beyond a double")
-    if weight.is_gegenbauer:
-        extremal = partial(gegenbauer_poly, degree, lam, mu)
-    else:
-        extremal = partial(hermite_poly, degree, lam)
-    return FactorResult(fsq, Branch.DUNKL_CLOSED_FORM, extremal, n, weight, op)
+    params = (weight.lam, weight.mu) if weight.is_gegenbauer else (weight.lam,)
+    extremal = partial(gegenbauer_poly if weight.is_gegenbauer else hermite_poly, int(degree), *params)
+    return FactorResult(float(fsq), Branch.DUNKL_CLOSED_FORM, extremal, n, weight, op)
 
 
 def factor_hermite_dunkl(n: int, lam: float) -> FactorResult:

@@ -24,8 +24,8 @@ from .dunkl import _dunkl_rows
 
 
 def eigenvalue_sq(family: WeightFamily, n: int, lam: float, mu: float = 0.0) -> float:
-    """Squared eigenvalue of the defining differential-difference equation."""
-    if n < 0:
+    """Squared eigenvalue of the defining differential-difference equation, elementwise over arrays n, lam and mu."""
+    if (n.min(initial=0) if isinstance(n, np.ndarray) else n) < 0:
         raise ValueError("degree must be >= 0")
     odd = 1 - (-1) ** n  # 2 for odd n, 0 for even n
     if family is WeightFamily.GENERALIZED_GEGENBAUER:

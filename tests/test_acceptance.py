@@ -77,7 +77,7 @@ def test_criterion_1_table2_reproduction():
     start = time.perf_counter()
     overridden = 0
     # nu2 as table2 computes it: the odd branch at n = 3, the largest root of the pencil G
-    _, nu2s = _odd_branch_stack(3, [(lam, mu) for lam, mu, *_ in TABLE2_REFERENCE])
+    nu2s = _odd_branch_stack(3, [WeightSpec.gegenbauer(lam, mu) for lam, mu, *_ in TABLE2_REFERENCE])
     for row, (lam, mu, *printed), nu2 in zip(table, TABLE2_REFERENCE, nu2s):
         m3 = factor_gegenbauer_ddx(3, lam, mu).factor
         m4 = factor_gegenbauer_ddx(4, lam, mu).factor

@@ -593,6 +593,39 @@ def test_verify_names_the_worst_grid_point(capsys):
     assert f"n={worst['n']} (tolerance" in summary
 
 
+def test_verify_flags_a_non_finite_gap_and_names_it_the_worst(capsys, monkeypatch):
+    # rel_err > tolerance is false for NaN, so a NaN oracle value once passed with exit 0 and no violation; each
+    # non-finite gap is a violation, and the worst row is the first of them in row order, ahead of every finite gap
+    # (Python's max would have kept a finite row, since no comparison with NaN is true)
+    import bmfactor.cli
+
+    exact = bmfactor.cli._rayleigh_grid
+
+    def poisoned(degrees, weights, ops):
+        grid = exact(degrees, weights, ops)
+        if weights[0].is_gegenbauer:
+            grid[2, 1, 0] = grid[3, 0, 0] = math.nan  # n = 3 under d/dx, n = 4 under Dunkl
+        return grid
+
+    monkeypatch.setattr(bmfactor.cli, "_rayleigh_grid", poisoned)
+    argv = ("verify", "--lambdas", "0.5", "--mus", "1", "--n-max", "4")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == EXIT_MISMATCH
+    payload = json.loads(out)
+    assert payload["violations"] == [
+        "theorem/oracle gap nan at weight=gegenbauer op=ddx lambda=0.5 mu=1.0 n=3",
+        "theorem/oracle gap nan at weight=gegenbauer op=dunkl lambda=0.5 mu=1.0 n=4",
+    ]
+    worst = payload.pop("worst")
+    assert math.isnan(worst.pop("rel_err")) and math.isnan(payload["max_rel_err"])
+    assert worst == {"family": "gegenbauer", "operator": "ddx", "lambda": 0.5, "mu": 1.0, "n": 3}
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_MISMATCH
+    assert out.splitlines()[0] == ("verified 16 grid points; max theorem/oracle rel err = nan at weight=gegenbauer "
+                                   "op=ddx lambda=0.5 mu=1.0 n=3 (tolerance 1e-07)")
+    assert out.splitlines()[-1] == "result: FAIL"
+
+
 def test_table2_flags_reference_mismatches(capsys):
     code, out, _ = run(capsys, "table2", "--format", "json")
     payload = json.loads(out)
@@ -648,11 +681,16 @@ def test_verify_builds_each_shared_piece_once(capsys, monkeypatch):
     # lambda array.  Its Gegenbauer d/dx rows solve one odd pencil per
     # m = (n - 1) // 2 over the 36 (lambda > 0, mu) pairs, and its Hermite
     # d/dx rows one stack of moment pencils per odd n = 3..9 over the 6
-    # lambda > 0: those are the only Cholesky factorizations.
+    # lambda > 0: those are the only Cholesky factorizations.  The rows are
+    # columns: no Dunkl factor is built one at a time, the only FactorResults
+    # are the 60 of the Hermite d/dx stacks, and each of the 49 grid weights
+    # is built once (the Hermite d/dx stacks and their 24 moment pencils
+    # build their own).
     import bmfactor.factors
     import bmfactor.oracle
 
-    calls = {"_gauss_basis": 0, "_gram": 0, "_mass": 0, "_residual_rows": 0}
+    calls = {"_gauss_basis": 0, "_gram": 0, "_mass": 0, "_residual_rows": 0, "_dunkl_factor": 0,
+             "FactorResult": 0, "WeightSpec": 0}
     odd_pencils, factored = [], []
 
     def counting(name, fn):
@@ -661,11 +699,12 @@ def test_verify_builds_each_shared_piece_once(capsys, monkeypatch):
             return fn(*args)
         return counted
 
-    for name in calls:
-        for module in (bmfactor.oracle, bmfactor.cli):
+    for name in calls.keys() - {"WeightSpec"}:
+        for module in (bmfactor.oracle, bmfactor.cli, bmfactor.factors):
             exact = getattr(module, name, None)
             if exact is not None:
                 monkeypatch.setattr(module, name, counting(name, exact))
+    monkeypatch.setattr(WeightSpec, "__post_init__", counting("WeightSpec", WeightSpec.__post_init__))
     odd_solve, cholesky = bmfactor.factors._top_values, np.linalg.cholesky
 
     def recorded(s, g, *args):
@@ -680,7 +719,8 @@ def test_verify_builds_each_shared_piece_once(capsys, monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", recorded_cholesky)
     code, out, _ = run(capsys, "verify", "--format", "json")
     assert code == EXIT_OK and json.loads(out)["rows"] == 910
-    assert calls == {"_gauss_basis": 10, "_gram": 10, "_mass": 49, "_residual_rows": 20}
+    assert calls == {"_gauss_basis": 10, "_gram": 10, "_mass": 49, "_residual_rows": 20, "_dunkl_factor": 0,
+                     "FactorResult": 60, "WeightSpec": 49 + 60 + 24}
     assert odd_pencils == [(36, m + 1, m + 1) for m in range(5)]
     moment_pencils = [(6, m + 1, m + 1) for m in (1, 2, 3, 4)]
     assert sorted(factored) == sorted(odd_pencils + moment_pencils)

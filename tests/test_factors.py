@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 import bmfactor.factors
-from bmfactor.cli import DEFAULT_VERIFY_LAMBDAS, DEFAULT_VERIFY_MUS, TABLE2_REFERENCE, _verify_rows
+from bmfactor.cli import DEFAULT_VERIFY_LAMBDAS, DEFAULT_VERIFY_MUS, TABLE2_REFERENCE, _verify_grid
 from bmfactor.core import OperatorSpec, Polynomial, WeightSpec
 from bmfactor.factors import (
     Branch,
     FactorResult,
     Pencil,
+    _dunkl_factor,
     _gegenbauer_ddx_stack,
     _hermite_ddx_stack,
     _odd_branch_stack,
@@ -118,7 +119,7 @@ def test_pencil_F_n3_frozen_value():
 def test_pencil_G_n2_closed_root(lam, mu):
     # the 1x1 pencil G has the root (2 mu + 1)/(2 lam + 1); the odd branch at n = 2 must give it
     assert pencil_G_reference(2, lam, mu)[0].size == 1
-    _, (nu,) = _odd_branch_stack(2, [(lam, mu)])
+    (nu,) = _odd_branch_stack(2, [WeightSpec.gegenbauer(lam, mu)])
     assert nu == pytest.approx((2 * mu + 1) / (2 * lam + 1), rel=1e-12)
 
 
@@ -129,7 +130,7 @@ def test_pencil_G_frozen_roots():
         (1.0, 1.0): 14.722003496172,
         (4.0, 4.0): 38.208897211818,
     }
-    _, roots = _odd_branch_stack(3, list(cases))
+    roots = _odd_branch_stack(3, [WeightSpec.gegenbauer(lam, mu) for lam, mu in cases])
     for root, expected in zip(roots, cases.values(), strict=True):
         assert root == pytest.approx(expected, rel=1e-9)
 
@@ -145,12 +146,12 @@ def test_pencil_entries_are_exactly_symmetric():
 def test_pencil_solve_agrees_with_qz_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _odd_branch_stack(7, [(0.3, 0.0), (2.0, 3.0)])
+        _odd_branch_stack(7, [WeightSpec.gegenbauer(0.3, 0.0), WeightSpec.gegenbauer(2.0, 3.0)])
         for lam in (0.3, 2.0):
             _top_positive(build_pencil_F(7, lam))
         # a raw-QZ cross-check once disagreed here, warned and swapped in its own root
         _top_positive(build_pencil_F(7, 150.0))
-        _odd_branch_stack(7, [(10.0, 0.0), (100.0, -0.4)])
+        _odd_branch_stack(7, [WeightSpec.gegenbauer(10.0, 0.0), WeightSpec.gegenbauer(100.0, -0.4)])
 
 
 def test_odd_extremal_beyond_a_double_is_refused():
@@ -181,7 +182,7 @@ def test_pencil_with_indefinite_q_is_refused():
 @pytest.mark.parametrize("lam,mu,n", [(0.5, 0.5, 5), (1.0, 1.0, 3), (2.0, -0.4, 7), (4.5, 3.0, 9)])
 def test_pencil_root_equals_odd_subspace_rayleigh_max(lam, mu, n):
     # the full-space oracle equals the odd branch (the root of the pencil G) whenever that branch wins
-    _, (nu,) = _odd_branch_stack(n, [(lam, mu)])
+    (nu,) = _odd_branch_stack(n, [WeightSpec.gegenbauer(lam, mu)])
     closed = (n - 1) * (n + 2 * lam + 2 * mu - 1)
     oracle, _ = rayleigh_factor(n, WeightSpec.gegenbauer(lam, mu), OperatorSpec.ddx(damped=True))
     assert oracle * oracle == pytest.approx(max(nu, closed), rel=1e-9)
@@ -370,7 +371,8 @@ def test_factor_hermite_ddx_at_large_lambda_matches_certified(lam):
 def test_gegenbauer_ddx_stack_equals_its_stacks_of_one(n):
     # the default `bmfactor verify` grid, solved as one stack per degree
     pairs = [(lam, mu) for lam in LAMBDAS for mu in MUS]
-    stack = _gegenbauer_ddx_stack(n, *_odd_branch_stack(n, pairs))
+    weights = [WeightSpec.gegenbauer(lam, mu) for lam, mu in pairs]
+    stack = _gegenbauer_ddx_stack(n, weights, _odd_branch_stack(n, weights))
     for (lam, mu), stacked in zip(pairs, stack, strict=True):
         assert stacked == factor_gegenbauer_ddx(n, lam, mu)  # bit for bit, extremal included
 
@@ -529,27 +531,40 @@ def _eager_extremal(result, odd_extremals):
     return poly(n - n % 2, w.lam, w.mu)
 
 
-def _scalar_factor(result):
-    w, n = result.weight, result.n
-    if w.is_gegenbauer:
-        return (factor_gegenbauer_dunkl if result.operator.is_dunkl else factor_gegenbauer_ddx)(n, w.lam, w.mu)
-    return (factor_hermite_dunkl if result.operator.is_dunkl else factor_hermite_ddx)(n, w.lam)
+def _scalar_factor(weight, op, n):
+    if weight.is_gegenbauer:
+        return (factor_gegenbauer_dunkl if op.is_dunkl else factor_gegenbauer_ddx)(n, weight.lam, weight.mu)
+    return (factor_hermite_dunkl if op.is_dunkl else factor_hermite_ddx)(n, weight.lam)
 
 
 def test_default_grid_extremals_equal_their_eager_builds():
-    # each row builds its own extremal on read; it must equal, bit for bit, the
-    # polynomial the routes built up front, stack-wide conversions included, and
-    # the whole row must equal its scalar factor call (degrees 2m + 1 and 2m + 2
-    # of the Gegenbauer d/dx rows share one odd-pencil solve)
+    # every row of the default verify grid, computed as columns, carries the factor_sq bits and the branch of its
+    # scalar factor call
     n_values = range(1, 11)
-    rows = _verify_rows(DEFAULT_VERIFY_LAMBDAS, DEFAULT_VERIFY_MUS, n_values)
-    pairs = [(lam, mu) for lam in DEFAULT_VERIFY_LAMBDAS if lam > 0 for mu in DEFAULT_VERIFY_MUS]
+    grid = _verify_grid(DEFAULT_VERIFY_LAMBDAS, DEFAULT_VERIFY_MUS, n_values)
+    assert len(grid.n) == 910
+    assert set(grid.branch) == set(Branch) - {Branch.MAX_OF_BOTH}
+    for row, (fsq, branch) in enumerate(zip(grid.factor_sq.tolist(), grid.branch)):
+        single = _scalar_factor(*grid.item(row))
+        assert (fsq.hex(), branch) == (single.factor_sq.hex(), single.branch), grid.item(row)
+    # each result of the stacked routes builds its own extremal on read; it must equal, bit for bit, the polynomial
+    # the routes built up front, stack-wide conversions included, and the whole result must equal its scalar factor
+    # call (degrees 2m + 1 and 2m + 2 of the Gegenbauer d/dx stacks share one odd-pencil solve)
+    positive = [lam for lam in DEFAULT_VERIFY_LAMBDAS if lam > 0]
+    pairs = [(lam, mu) for lam in positive for mu in DEFAULT_VERIFY_MUS]
+    gegenbauer = [WeightSpec.gegenbauer(lam, mu) for lam in DEFAULT_VERIFY_LAMBDAS for mu in DEFAULT_VERIFY_MUS]
+    weights = [w for w in gegenbauer if w.lam > 0]
     odd_extremals = {n: _eager_gegenbauer_odd_extremals(n, pairs) for n in n_values}
-    assert len(rows) == 910
-    assert {r.branch for r in rows} == set(Branch) - {Branch.MAX_OF_BOTH}
-    for r in rows:
+    results = []
+    for n in n_values:
+        results += _gegenbauer_ddx_stack(n, weights, _odd_branch_stack(n, weights))
+        results += _hermite_ddx_stack(n, positive)
+        results += [_dunkl_factor(n, WeightSpec.hermite(lam), OperatorSpec.dunkl()) for lam in DEFAULT_VERIFY_LAMBDAS]
+        results += [_dunkl_factor(n, w, OperatorSpec.dunkl(damped=True)) for w in gegenbauer]
+    assert len(results) == 910
+    for r in results:
         assert r.extremal == _eager_extremal(r, odd_extremals), (r.weight, r.operator, r.n)
-        assert r == _scalar_factor(r), (r.weight, r.operator, r.n)
+        assert r == _scalar_factor(r.weight, r.operator, r.n), (r.weight, r.operator, r.n)
 
 
 def test_results_differing_only_in_their_extremal_compare_unequal():
