@@ -25,7 +25,7 @@ from .factors import (
     _dunkl_sq,
     _gegenbauer_ddx_sq,
     _gegenbauer_ddx_stack,
-    _hermite_ddx_stack,
+    _hermite_ddx_sq,
     _odd_branch_stack,
     factor_gegenbauer_ddx,
     factor_gegenbauer_dunkl,
@@ -258,7 +258,7 @@ def _verify_grid(lambdas: list[float], mus: list[float], n_values: range) -> _Gr
 
     Per lambda and n the rows are Hermite d/dx (lambda > 0) and Dunkl, then per mu Gegenbauer d/dx (lambda > 0)
     and Dunkl.  The d/dx rows come from stacks over the lambda > 0: one odd pencil per m = (n - 1) // 2 over the
-    (lambda, mu) pairs, then one Hermite stack per degree.  Each weight is built once, the pairs' first."""
+    (lambda, mu) pairs, then one Hermite values kernel per degree.  Each weight is built once, the pairs' first."""
     lam, mu = np.array(lambdas), np.array(mus)
     slots = 2 + 2 * len(mus)  # per (lambda, n): Hermite d/dx and Dunkl, then per mu Gegenbauer d/dx and Dunkl
     i, n, s = (a.ravel() for a in np.meshgrid(np.arange(len(lam)), n_values, np.arange(slots), indexing="ij"))
@@ -268,7 +268,7 @@ def _verify_grid(lambdas: list[float], mus: list[float], n_values: range) -> _Gr
     positive = [x for x in lambdas if x > 0]
     pairs = [WeightSpec.gegenbauer(x, y) for x in positive for y in mus]
     odd = [_odd_branch_stack(2 * m + 1, pairs) for m in range((n_values[-1] + 1) // 2)] if pairs else []
-    hermite_ddx = [_hermite_ddx_stack(degree, positive) for degree in n_values] if positive else []
+    hermite_ddx = [_hermite_ddx_sq(degree, positive)[:2] for degree in n_values] if positive else []
     factor_sq, branch = np.empty(len(n)), np.full(len(n), Branch.DUNKL_CLOSED_FORM, dtype=object)
     for family, rows in ((WeightFamily.GENERALIZED_HERMITE, dunkl & ~gegenbauer),
                          (WeightFamily.GENERALIZED_GEGENBAUER, dunkl & gegenbauer)):
@@ -284,8 +284,8 @@ def _verify_grid(lambdas: list[float], mus: list[float], n_values: range) -> _Gr
             _dunkl_factor(int(n[r]), weight, OperatorSpec.dunkl(bool(gegenbauer[r])))
     if positive:
         ddx = ~(gegenbauer | dunkl)
-        results = [result for per_lambda in zip(*hermite_ddx) for result in per_lambda]
-        factor_sq[ddx], branch[ddx] = [r.factor_sq for r in results], [r.branch for r in results]
+        columns = zip(*hermite_ddx)  # (degree, lambda) arrays of M^2 and Branch, read lambda-major
+        factor_sq[ddx], branch[ddx] = (np.ravel(column, order="F") for column in columns)
         ddx = gegenbauer & ~dunkl
         pair = (np.cumsum(lam > 0) - 1)[i[ddx]] * len(mus) + j[ddx]
         nu = np.array(odd)[(n[ddx] - 1) // 2, pair]
@@ -378,20 +378,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     violations += residual_violations
 
     if args.format == "csv":
-        spec = f".{args.digits}g"
-        lam_text = [str(w.lam) for w in grid.weights]
-        mu_text = [str(w.mu) if w.is_gegenbauer else "" for w in grid.weights]
-        writer = csv.writer(sys.stdout)
-        writer.writerow(VERIFY_CSV_COLUMNS)
-        writer.writerows(zip(
-            [lam_text[x] for x in grid.weight.tolist()],
-            [mu_text[x] for x in grid.weight.tolist()],
-            grid.n.tolist(),
-            [format(x, spec) for x in (factor + 0.0).tolist()],  # + 0.0 normalizes -0.0, as _fmt does
-            [format(x, spec) for x in (oracle + 0.0).tolist()],
-            [format(x, ".3e") for x in gaps],
-            [b.value for b in grid.branch],
-        ))
+        # csv.writer's bytes, streamed line by line: no field holds a comma, a quote or a line break
+        line = f"{{}},{{}},{{:.{args.digits}g}},{{:.{args.digits}g}},{{:.3e}},{{}}\r\n"
+        weight_text = [f"{w.lam},{w.mu if w.is_gegenbauer else ''}" for w in grid.weights]
+        branch_text = {b: b.value for b in Branch}
+        sys.stdout.write(",".join(VERIFY_CSV_COLUMNS) + "\r\n")
+        sys.stdout.writelines(map(
+            line.format, map(weight_text.__getitem__, grid.weight.tolist()), grid.n.tolist(),
+            (factor + 0.0).tolist(), (oracle + 0.0).tolist(), gaps,  # + 0.0 normalizes -0.0, as _fmt does
+            map(branch_text.__getitem__, grid.branch)))
     elif args.format == "json":
         weight, op, n = grid.item(worst)
         mu = weight.mu if weight.is_gegenbauer else None

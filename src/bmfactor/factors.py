@@ -9,7 +9,7 @@ pencil is tridiagonal on the basis x q_0, x q_2, ... with closed-form
 entries (``_odd_pencil_stack``), solved for a stack of (lam, mu) pairs at
 once; for the Hermite weight it is the paper's moment pencil F
 (``build_pencil_F``), one per lambda, solved for a stack of lambdas at once
-and its roots refined together in long double (``_hermite_ddx_stack``,
+and its roots refined together in long double (``_hermite_ddx_sq``,
 ``_top_positive_stack``).  Each factor function is its route's stack of one.
 
 The odd pencils are the package's only ones whose Gram matrix is not I, and
@@ -112,14 +112,11 @@ def build_pencil_F(n_odd: int, lam: float) -> Pencil:
     except OverflowError as exc:
         raise OverflowError(f"moments of the degree-{n_odd} odd pencil of the {_describe(weight)} "
                             f"are beyond a double ({exc})") from exc
-    d = [table.moment(2 * s) for s in range(2 * m + 3)]
-    p = np.empty((m + 1, m + 1))
-    q = np.empty((m + 1, m + 1))
-    for i in range(m + 1):
-        for j in range(m + 1):
-            p[i, j] = -(2 * i + 1) * (2 * j + 1) * d[i + j]
-            q[i, j] = d[i + j + 1]
-    return Pencil(p, q, weight)
+    d = np.array(table.values[:4 * m + 5:2])  # d_(2s), s = 0 .. 2m + 2
+    k = np.arange(m + 1)
+    hankel, odd = k[:, None] + k, 2 * k + 1
+    # the int product is exact, and rounded once against d
+    return Pencil(-(odd[:, None] * odd) * d[hankel], d[hankel + 1], weight)
 
 
 def _solve_lu(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -270,36 +267,42 @@ def factor_hermite_ddx(n: int, lam: float) -> FactorResult:
 
 
 def _hermite_ddx_stack(n: int, lams: Sequence[float]) -> list[FactorResult]:
-    """``factor_hermite_ddx`` at degree n for every lambda of ``lams``.
+    """``factor_hermite_ddx`` at degree n for every lambda of ``lams``: the ``_hermite_ddx_sq`` values, with the
+    odd extremals built at once from the pencils' eigenvectors."""
+    fsq, branches, vecs = _hermite_ddx_sq(n, lams)
+    weights = [WeightSpec.hermite(lam) for lam in lams]
+    extremals = [partial(hermite_poly, n, w.lam) for w in weights] if vecs is None else map(_odd_polynomial, vecs)
+    return [FactorResult(f, branch, extremal, n, w, OperatorSpec.ddx())
+            for f, branch, extremal, w in zip(fsq.tolist(), branches, extremals, weights)]
 
-    Closed forms at even n and at n = 1; at odd n >= 3 the moment pencils F
-    of every lambda (``build_pencil_F``), solved and refined as one stack
-    (``_top_positive_stack``), with the extremals built at once from the
-    eigenvectors.  Each result does not depend on the rest of the stack.
-    Pencil moments beyond a double are refused with ``OverflowError`` naming
-    the weight and its position in ``lams``.
+
+def _hermite_ddx_sq(n: int, lams: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """M_n^2 under d/dx of |x|^(2 lam) exp(-x^2) and its ``Branch`` for every lambda of ``lams``, and the
+    eigenvectors of its odd pencils (None at even n).
+
+    Closed forms at even n and at n = 1, whose 1 x 1 pencil has the eigenvector [1]; at odd n >= 3 the moment
+    pencils F of every lambda (``build_pencil_F``), solved and refined as one stack (``_top_positive_stack``).
+    Each value does not depend on the rest of the stack.  Pencil moments beyond a double are refused with
+    ``OverflowError`` naming the weight and its position in ``lams``.
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
     if any(lam <= 0 for lam in lams):
         raise ValueError("lambda must be > 0")
-    weights = [WeightSpec.hermite(lam) for lam in lams]
-    op = OperatorSpec.ddx()
     if n % 2 == 0:
-        return [FactorResult(2.0 * n, Branch.EVEN_CLOSED_FORM, partial(hermite_poly, n, w.lam), n, w, op)
-                for w in weights]
+        return np.full(len(lams), 2.0 * n), np.full(len(lams), Branch.EVEN_CLOSED_FORM), None
+    branches = np.full(len(lams), Branch.ODD_PENCIL_ROOT)
     if n == 1:
-        return [FactorResult(2.0 / (2.0 * w.lam + 1.0), Branch.ODD_PENCIL_ROOT, Polynomial((0.0, 1.0)), n, w, op)
-                for w in weights]
+        with np.errstate(over="ignore"):
+            return 2.0 / (2.0 * np.array(lams, dtype=float) + 1.0), branches, np.ones((len(lams), 1))
     pencils = []
-    for index, w in enumerate(weights):
+    for index, lam in enumerate(lams):
         try:
-            pencils.append(build_pencil_F(n, w.lam))
+            pencils.append(build_pencil_F(n, lam))
         except OverflowError as exc:
             raise OverflowError(f"{exc} at stack item {index}") from exc
     roots, vecs = _top_positive_stack(pencils)
-    return [FactorResult(float(nu), Branch.ODD_PENCIL_ROOT, _odd_polynomial(vec), n, w, op)
-            for w, nu, vec in zip(weights, roots, vecs)]
+    return roots, branches, vecs
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -377,9 +380,10 @@ _DDX_BRANCHES = np.array([Branch.EVEN_CLOSED_FORM, Branch.ODD_PENCIL_ROOT, Branc
 def _gegenbauer_ddx_sq(n, lam, mu, nu) -> tuple[np.ndarray, np.ndarray]:
     """M_n^2 under sqrt(1-x^2) d/dx and its ``Branch``, elementwise with the scalar bits, from the odd-branch maxima nu.
 
-    The even branch's closed value wins unless nu exceeds it by more than ``_TIE_REL_TOL``, a tie being MAX_OF_BOTH."""
+    The even branch's closed value wins unless nu exceeds it by more than ``_TIE_REL_TOL``, a tie being MAX_OF_BOTH.
+    Its degree-0 value (n = 1) is 0, also where 2 lam + 2 mu overflows."""
     even_degree = n - n % 2
-    closed = even_degree * (even_degree + 2 * lam + 2 * mu)
+    closed = np.where(even_degree > 0, even_degree * (even_degree + 2 * lam + 2 * mu), 0.0)
     tie = abs(nu - closed) <= _TIE_REL_TOL * np.maximum(abs(nu), abs(closed))
     odd = ~tie & (nu > closed)
     return np.where(odd, nu, closed), _DDX_BRANCHES[odd + 2 * tie]

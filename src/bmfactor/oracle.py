@@ -429,8 +429,10 @@ def _rayleigh_grid(degrees: Sequence[int], weights: Sequence[WeightSpec], ops: S
         basis, g = _checked_basis(max(group), weights, ops[0], group[0])
         for n in group:
             s = [_stiffness(n, basis, op) for op in ops]
-            _refuse_non_finite(s, g, weights, ops, n)
-            theta = np.linalg.eigvalsh(np.concatenate(s))[:, -1]
+            stack = np.concatenate(s)
+            if not np.isfinite(stack).all():  # G is finite: _checked_basis refused it otherwise
+                _refuse_non_finite(s, g, weights, ops, n)
+            theta = np.linalg.eigvalsh(stack)[:, -1]
             values.append(np.sqrt(theta.reshape(len(ops), -1, 2).max(axis=2)))
             if len(values) == 1:
                 for weight in weights:

@@ -26,6 +26,8 @@
   A(x)) and ||sqrt(A) D p||^2 / ||p||^2 of single polynomials, on the
   oracle's folded rule (``oracle._Forms``), for writing integration-by-parts
   identities and checking extremals.
+- ``verify_csv_reference``: ``bmfactor verify --format csv`` written row by
+  row through ``csv.writer``, the reference for the streamed report.
 - ``residual_hermite`` and ``residual_gegenbauer``: the defining equations
   of the eigenpolynomials as ``Polynomial`` views over
   ``orthopoly._residual_rows``; ``dunkl_gegenbauer_threshold``: the paper's
@@ -34,6 +36,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -375,3 +379,38 @@ def residual_hermite(p: Polynomial, n: int, lam: float) -> Polynomial:
 def dunkl_gegenbauer_threshold(lam: float, mu: float) -> float:
     """Degree threshold n0 = (lam - 1/2)(2 mu - 1): below it an even-degree extremal drops to degree n - 1."""
     return (lam - 0.5) * (2.0 * mu - 1.0)
+
+
+def verify_csv_reference(lambdas: list[float], mus: list[float], n_max: int, digits: int) -> str:
+    """``bmfactor verify --format csv`` as ``csv.writer`` writes it, from the grid's columns.
+
+    The grid and its oracle come from ``cli._verify_grid`` and
+    ``cli._rayleigh_grid``, looked up at each call so that a test's patch
+    applies, and are indexed as ``cli.cmd_verify`` indexes them.
+    """
+    from bmfactor import cli
+
+    lambdas, mus, n_values = sorted(set(lambdas)), sorted(set(mus)), range(1, n_max + 1)
+    grid = cli._verify_grid(lambdas, mus, n_values)
+    oracle = np.concatenate([
+        cli._rayleigh_grid(n_values, grid.weights[:len(lambdas)], [OperatorSpec.dunkl(), OperatorSpec.ddx()]),
+        cli._rayleigh_grid(n_values, grid.weights[len(lambdas):], [OperatorSpec.dunkl(True), OperatorSpec.ddx(True)]),
+    ], axis=2)[grid.n - 1, 1 - grid.is_dunkl, grid.weight]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        factor = np.sqrt(grid.factor_sq)
+        gaps = (abs(oracle - factor) / oracle).tolist()
+    spec = f".{digits}g"
+    weights = [grid.weights[x] for x in grid.weight.tolist()]
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(cli.VERIFY_CSV_COLUMNS)
+    writer.writerows(zip(
+        [str(w.lam) for w in weights],
+        [str(w.mu) if w.is_gegenbauer else "" for w in weights],
+        grid.n.tolist(),
+        [format(x, spec) for x in (factor + 0.0).tolist()],  # + 0.0 normalizes -0.0
+        [format(x, spec) for x in (oracle + 0.0).tolist()],
+        [format(x, ".3e") for x in gaps],
+        [b.value for b in grid.branch],
+    ))
+    return buf.getvalue()

@@ -15,8 +15,9 @@ import pytest
 import bmfactor
 from bmfactor.cli import EXIT_DOMAIN, EXIT_MISMATCH, EXIT_NUMERICAL, EXIT_OK, VERIFY_CSV_COLUMNS, main
 from bmfactor.core import OperatorSpec, WeightFamily, WeightSpec
-from bmfactor.factors import Branch, FactorResult, factor_gegenbauer_ddx
+from bmfactor.factors import Branch, factor_gegenbauer_ddx
 from bmfactor.oracle import rayleigh_factor
+from instruments import verify_csv_reference
 
 CERTIFIED_REFERENCE = Path(__file__).resolve().with_name("certified_reference.json")
 
@@ -206,20 +207,17 @@ def test_verify_flags_a_value_just_outside_the_bracket(capsys, monkeypatch, side
     # bracket's lower end, a value moved 1e-9 outside is still flagged, and only by the bracket
     import bmfactor.cli
 
-    exact = bmfactor.cli._hermite_ddx_stack
+    exact = bmfactor.cli._hermite_ddx_sq
 
     def shifted(n, lams):
-        results = exact(n, lams)
-        if n != 3:
-            return results
-        moved = []
-        for lam, result in zip(lams, results):
-            lo, hi = 2 * n - 4 * lam / (1 + 2 * lam), 2.0 * n
+        fsq, branches, vecs = exact(n, lams)
+        if n == 3:
+            lam = np.array(lams)
+            lo, hi = 2 * n - 4 * lam / (1 + 2 * lam), np.full(len(lams), 2.0 * n)
             fsq = lo * (1 - 1e-9) if side == "below" else hi * (1 + 1e-9)
-            moved.append(FactorResult(fsq, result.branch, result.extremal, n, result.weight, result.operator))
-        return moved
+        return fsq, branches, vecs
 
-    monkeypatch.setattr(bmfactor.cli, "_hermite_ddx_stack", shifted)
+    monkeypatch.setattr(bmfactor.cli, "_hermite_ddx_sq", shifted)
     code, out, _ = run(capsys, "verify", "--lambdas", "1e-8", "--mus", "0.5", "--n-max", "3", "--format", "json")
     assert code == EXIT_MISMATCH
     [violation] = json.loads(out)["violations"]
@@ -431,6 +429,22 @@ def test_gegenbauer_ddx_at_large_lambda(capsys):
     assert code == EXIT_OK and "result: PASS" in out
 
 
+def test_gegenbauer_ddx_degree_1_at_the_top_of_the_doubles(capsys):
+    # the even branch's degree-0 closed value was 0 * (0 + 2 lam + 2 mu) = 0 * inf here, and the factor printed
+    # NaN (not JSON) with exit 0; it is 0, so the odd branch M_1^2 = (mu + 1/2) / (lam + 1/2) wins
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, _ = run(capsys, "factor", "--weight", "gegenbauer", "--op", "ddx", "--lambda", "1e308",
+                           "--mu", "0", "--n", "1", "--format", "json")
+    assert code == EXIT_OK
+    payload = json.loads(out, parse_constant=refuse)
+    assert payload["factor_sq"] == pytest.approx(0.5 / 1e308, rel=1e-9)
+    assert payload["branch"] == "odd_pencil_root" and payload["extremal_coeffs"] == [0.0, 1.0]
+
+
 def test_hermite_ddx_at_large_lambda(capsys):
     # a raw-QZ cross-check of the moment pencil once made the n = 7 root 33 % low
     # here: theorem/oracle gap 0.184 and a bracket violation, exit 4
@@ -626,6 +640,34 @@ def test_verify_flags_a_non_finite_gap_and_names_it_the_worst(capsys, monkeypatc
     assert out.splitlines()[-1] == "result: FAIL"
 
 
+@pytest.mark.parametrize("digits", (1, 3, 17))
+@pytest.mark.parametrize(("lambdas", "mus", "poisoned", "shown"), (
+    (("0", "0.5"), ("1",), False, "\r\n0.0,,1,"),  # lambda = 0: Dunkl-only Hermite rows, mu empty
+    (("-0.0", "2"), ("-0.4", "3"), False, "\r\n-0.0,-0.4,1,"),
+    (("0.5",), ("1",), True, ",nan,nan,"),  # the NaN oracle cells of the test above
+), ids=("lambda-0", "minus-0", "nan-oracle"))
+def test_verify_csv_is_the_csv_writer_bytes(capsys, monkeypatch, digits, lambdas, mus, poisoned, shown):
+    # the report is streamed line by line from the columns; it must keep, byte for byte, what csv.writer
+    # wrote row by row, "\r\n" line ends included
+    import bmfactor.cli
+
+    if poisoned:
+        exact = bmfactor.cli._rayleigh_grid
+
+        def poisoned_grid(degrees, weights, ops):
+            grid = exact(degrees, weights, ops)
+            if weights[0].is_gegenbauer:
+                grid[2, 1, 0] = grid[3, 0, 0] = math.nan
+            return grid
+
+        monkeypatch.setattr(bmfactor.cli, "_rayleigh_grid", poisoned_grid)
+    code, out, _ = run(capsys, "verify", "--lambdas", *lambdas, "--mus", *mus, "--n-max", "4", "--format", "csv",
+                       "--digits", str(digits))
+    assert code == (EXIT_MISMATCH if poisoned else EXIT_OK)
+    assert out == verify_csv_reference([float(x) for x in lambdas], [float(x) for x in mus], 4, digits)
+    assert shown in out
+
+
 def test_table2_flags_reference_mismatches(capsys):
     code, out, _ = run(capsys, "table2", "--format", "json")
     payload = json.loads(out)
@@ -682,15 +724,14 @@ def test_verify_builds_each_shared_piece_once(capsys, monkeypatch):
     # m = (n - 1) // 2 over the 36 (lambda > 0, mu) pairs, and its Hermite
     # d/dx rows one stack of moment pencils per odd n = 3..9 over the 6
     # lambda > 0: those are the only Cholesky factorizations.  The rows are
-    # columns: no Dunkl factor is built one at a time, the only FactorResults
-    # are the 60 of the Hermite d/dx stacks, and each of the 49 grid weights
-    # is built once (the Hermite d/dx stacks and their 24 moment pencils
-    # build their own).
+    # columns: no factor is built one at a time, no FactorResult and no odd
+    # extremal is built, and each of the 49 grid weights is built once (the
+    # 24 moment pencils build their own).
     import bmfactor.factors
     import bmfactor.oracle
 
     calls = {"_gauss_basis": 0, "_gram": 0, "_mass": 0, "_residual_rows": 0, "_dunkl_factor": 0,
-             "FactorResult": 0, "WeightSpec": 0}
+             "_odd_polynomial": 0, "FactorResult": 0, "WeightSpec": 0}
     odd_pencils, factored = [], []
 
     def counting(name, fn):
@@ -720,7 +761,7 @@ def test_verify_builds_each_shared_piece_once(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--format", "json")
     assert code == EXIT_OK and json.loads(out)["rows"] == 910
     assert calls == {"_gauss_basis": 10, "_gram": 10, "_mass": 49, "_residual_rows": 20, "_dunkl_factor": 0,
-                     "FactorResult": 60, "WeightSpec": 49 + 60 + 24}
+                     "_odd_polynomial": 0, "FactorResult": 0, "WeightSpec": 49 + 24}
     assert odd_pencils == [(36, m + 1, m + 1) for m in range(5)]
     moment_pencils = [(6, m + 1, m + 1) for m in (1, 2, 3, 4)]
     assert sorted(factored) == sorted(odd_pencils + moment_pencils)
@@ -728,8 +769,8 @@ def test_verify_builds_each_shared_piece_once(capsys, monkeypatch):
 
 def test_eigenvectors_are_solved_only_where_read(capsys, monkeypatch):
     # Values come from eigvalsh.  np.linalg.eigh runs for the Hermite d/dx moment pencils, whose
-    # roots are refined from their vectors and whose extremals are built at once (one stack per odd
-    # n = 3..9 over the 6 lambda > 0 of the default grid), and for a maximizer or an odd extremal when
+    # roots are refined from their vectors (one stack per odd n = 3..9 over the 6 lambda > 0 of the
+    # default grid, which builds no extremal from them), and for a maximizer or an odd extremal when
     # it is first read.
     eigh, shapes = np.linalg.eigh, []
 

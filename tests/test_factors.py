@@ -77,8 +77,10 @@ def _same_pencil(built, reference):
 
 
 def test_pencil_builders_equal_the_per_family_loops():
-    # the builder of F must give the paper's entries bit for bit (G has no builder; it is a test reference)
-    for lam in _certified_hermite_lambdas():
+    # the builder of F must give the paper's entries bit for bit (G has no builder; it is a test reference): it
+    # fills them by integer index arrays, the exact int product (2i+1)(2j+1) rounded once against d as in the
+    # loop, at the certified, default verify and high-degree lambdas
+    for lam in sorted({*_certified_hermite_lambdas(), *LAMBDAS, 0.25}):
         for n in range(1, 62, 2):
             try:
                 reference, _ = pencil_F_reference(n, lam)

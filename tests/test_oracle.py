@@ -339,6 +339,27 @@ def test_a_grid_refusal_names_the_weights_position_and_its_operator(monkeypatch)
     assert info.value.index == 1
 
 
+def test_a_non_finite_stiffness_entry_is_refused_under_its_operator_at_its_degree(monkeypatch):
+    # a degree's stiffness stacks are checked as one array, and only a failing check names the item: under
+    # the operator whose stack holds the entry, at the weight's position and the degree, after the degrees below
+    import bmfactor.oracle
+
+    stiffness = bmfactor.oracle._stiffness
+
+    def poisoned(n, basis, op):
+        s = stiffness(n, basis, op)
+        if n == 2 and op.is_dunkl:
+            s[5, 0, 0] = math.inf  # the odd block of weight 2
+        return s
+
+    monkeypatch.setattr(bmfactor.oracle, "_stiffness", poisoned)
+    weights = [WeightSpec.hermite(lam) for lam in (0.0, 0.5, 2.0)]
+    item = r"stack item 2 \('hermite', 'dunkl', 2.0, 0.0, 2\)"
+    with pytest.raises(ConditioningError, match=rf"^non-finite stiffness or Gram entries at {item}") as info:
+        _rayleigh_grid([1, 2, 3], weights, [OperatorSpec.ddx(), OperatorSpec.dunkl()])
+    assert info.value.index == 2
+
+
 def _basis_defect(n, weights):
     """max|G - I| of the oracle's degree-n basis over a stack of weights."""
     g = _gram(n, _stack_basis(n, weights))
