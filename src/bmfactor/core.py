@@ -8,8 +8,6 @@ from enum import Enum
 from functools import partial
 from typing import Iterable, Union
 
-import numpy as np
-
 Number = Union[int, float]
 
 
@@ -22,25 +20,18 @@ def _normalize(coeffs: Iterable[Number]) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Real polynomial stored densely in the monomial basis.
+    """Real polynomial stored densely in the monomial basis, as a plain value.
 
     ``coeffs[k]`` multiplies ``x**k``.  Trailing zeros are stripped on
     construction, so equality and degree queries are deterministic; the zero
-    polynomial is the empty tuple and has degree ``None``.
+    polynomial is the empty tuple and has degree ``None``.  There is no
+    arithmetic: ``numpy.polynomial.polynomial`` works on ``coeffs``.
     """
 
     coeffs: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", _normalize(self.coeffs))
-
-    @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls(())
-
-    @classmethod
-    def monomial(cls, k: int, c: Number = 1.0) -> "Polynomial":
-        return cls((0.0,) * k + (float(c),))
 
     @property
     def degree(self) -> int | None:
@@ -49,50 +40,6 @@ class Polynomial:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    @property
-    def max_abs_coeff(self) -> float:
-        return max((abs(c) for c in self.coeffs), default=0.0)
-
-    def coeff(self, k: int) -> float:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0.0
-
-    def padded(self, length: int) -> np.ndarray:
-        out = np.zeros(length)
-        out[: len(self.coeffs)] = self.coeffs
-        return out
-
-    def __call__(self, x):
-        acc = 0.0 * np.asarray(x, dtype=float) if np.ndim(x) else 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(tuple(self.coeff(k) + other.coeff(k) for k in range(n)))
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            if self.is_zero or other.is_zero:
-                return Polynomial.zero()
-            out = [0.0] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Polynomial(out)
-        return Polynomial(tuple(float(other) * c for c in self.coeffs))
-
-    __rmul__ = __mul__
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial(tuple(k * self.coeffs[k] for k in range(1, len(self.coeffs))))
 
 
 class WeightFamily(Enum):

@@ -10,7 +10,8 @@ entries (``_odd_pencil_stack``), solved for a stack of (lam, mu) pairs at
 once; for the Hermite weight it is the paper's moment pencil F
 (``build_pencil_F``), one per lambda, solved for a stack of lambdas at once
 and its roots refined together in long double (``_hermite_ddx_sq``,
-``_top_positive_stack``).  Each factor function is its route's stack of one.
+``_top_positive_stack``).  Each factor function calls its route's stacked
+kernel on one weight.
 
 The odd pencils are the package's only ones whose Gram matrix is not I, and
 this module solves them by one stacked Cholesky reduction (``_top_values``
@@ -54,7 +55,7 @@ class Branch(Enum):
 
 @dataclass(frozen=True)
 class Pencil:
-    """Symmetric pair (P, Q) for det(P + t Q) = 0, and the weight whose moments they hold.
+    """Symmetric pair (P, Q) for det(P + t Q) = 0, and the weight whose moments they hold; ``len(p)`` is the size.
 
     The weight lets the root solver re-derive the entries in long double: at
     unfriendly parameters cond(Q) reaches 1e10..1e12 and the root of the
@@ -64,10 +65,6 @@ class Pencil:
     p: np.ndarray
     q: np.ndarray
     weight: WeightSpec
-
-    @property
-    def size(self) -> int:
-        return self.p.shape[0]
 
 
 @dataclass(frozen=True)
@@ -112,7 +109,7 @@ def build_pencil_F(n_odd: int, lam: float) -> Pencil:
     except OverflowError as exc:
         raise OverflowError(f"moments of the degree-{n_odd} odd pencil of the {_describe(weight)} "
                             f"are beyond a double ({exc})") from exc
-    d = np.array(table.values[:4 * m + 5:2])  # d_(2s), s = 0 .. 2m + 2
+    d = np.array(table[:4 * m + 5:2])  # d_(2s), s = 0 .. 2m + 2
     k = np.arange(m + 1)
     hankel, odd = k[:, None] + k, 2 * k + 1
     # the int product is exact, and rounded once against d
@@ -245,12 +242,6 @@ def _top_positive_stack(pencils: Sequence[Pencil]) -> tuple[np.ndarray, np.ndarr
     return _refine_pairs(np.array([w.lam for w in weights], dtype=np.longdouble), vals, scale * vecs)
 
 
-def _top_positive(pencil: Pencil) -> tuple[float, np.ndarray]:
-    """``_top_positive_stack`` of one pencil: its largest root and the root's eigenvector."""
-    roots, vecs = _top_positive_stack([pencil])
-    return float(roots[0]), vecs[0]
-
-
 def _odd_polynomial(vec: np.ndarray) -> Polynomial:
     coeffs = [0.0] * (2 * len(vec))
     for j, a in enumerate(vec):
@@ -258,22 +249,16 @@ def _odd_polynomial(vec: np.ndarray) -> Polynomial:
     # monic for a deterministic sign/scale; fall back to the largest entry if
     # the eigenvector happens to carry a negligible leading coefficient
     lead = vec[-1] if abs(vec[-1]) > 1e-12 * np.max(np.abs(vec)) else vec[np.argmax(np.abs(vec))]
-    return (1.0 / lead) * Polynomial(coeffs)
+    scale = 1.0 / lead
+    return Polynomial([scale * c for c in coeffs])
 
 
 def factor_hermite_ddx(n: int, lam: float) -> FactorResult:
-    """M_n for |x|^(2 lam) exp(-x^2) under d/dx: sqrt(2n) at even n, pencil root at odd n."""
-    return _hermite_ddx_stack(n, [lam])[0]
-
-
-def _hermite_ddx_stack(n: int, lams: Sequence[float]) -> list[FactorResult]:
-    """``factor_hermite_ddx`` at degree n for every lambda of ``lams``: the ``_hermite_ddx_sq`` values, with the
-    odd extremals built at once from the pencils' eigenvectors."""
-    fsq, branches, vecs = _hermite_ddx_sq(n, lams)
-    weights = [WeightSpec.hermite(lam) for lam in lams]
-    extremals = [partial(hermite_poly, n, w.lam) for w in weights] if vecs is None else map(_odd_polynomial, vecs)
-    return [FactorResult(f, branch, extremal, n, w, OperatorSpec.ddx())
-            for f, branch, extremal, w in zip(fsq.tolist(), branches, extremals, weights)]
+    """M_n for |x|^(2 lam) exp(-x^2) under d/dx: sqrt(2n) at even n, pencil root at odd n (``_hermite_ddx_sq``)."""
+    fsq, branches, vecs = _hermite_ddx_sq(n, [lam])
+    weight = WeightSpec.hermite(lam)
+    extremal = partial(hermite_poly, n, weight.lam) if vecs is None else _odd_polynomial(vecs[0])
+    return FactorResult(float(fsq[0]), branches[0], extremal, n, weight, OperatorSpec.ddx())
 
 
 def _hermite_ddx_sq(n: int, lams: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -390,9 +375,15 @@ def _gegenbauer_ddx_sq(n, lam, mu, nu) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gegenbauer_ddx_stack(n: int, weights: Sequence[WeightSpec], odd: np.ndarray) -> list[FactorResult]:
-    """``factor_gegenbauer_ddx`` at degree n of each weight, from ``_odd_branch_stack`` at n or n - 1, unmixed."""
+    """``factor_gegenbauer_ddx`` at degree n of each weight, from ``_odd_branch_stack`` at n or n - 1, unmixed.
+
+    A factor beyond a double (the closed value 2(2 + 2 lam + 2 mu) at lam = 1e308) is refused with
+    ``OverflowError`` naming the degree and the first such weight."""
     op, m, even_degree = OperatorSpec.ddx(damped=True), (n - 1) // 2, n - n % 2
     fsq, branches = _gegenbauer_ddx_sq(n, *np.array([(w.lam, w.mu) for w in weights]).T, odd)
+    for w, f in zip(weights, fsq.tolist()):
+        if not isfinite(f):
+            raise OverflowError(f"degree-{n} d/dx factor of the {_describe(w)} is beyond a double")
     return [FactorResult(f, branch, partial(_odd_extremal, m, w.lam, w.mu) if branch is Branch.ODD_PENCIL_ROOT
                          else partial(gegenbauer_poly, even_degree, w.lam, w.mu), n, w, op)
             for w, f, branch in zip(weights, fsq.tolist(), branches)]

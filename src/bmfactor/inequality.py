@@ -66,8 +66,8 @@ class InequalityReport:
 def _form_rows(p: Polynomial, lam: float) -> np.ndarray:
     """Monomial coefficient rows of p, D p, D^2 p, p' and sigma(p), zero-padded to one even width.
 
-    Each row equals the coefficients of ``dunkl_apply`` (once and twice),
-    ``Polynomial.derivative`` and ``sigma`` bit for bit.
+    Each row equals the coefficients of ``dunkl_apply`` (once and twice, and at
+    lambda = 0 for p') and ``sigma`` bit for bit.
     """
     c = np.array(p.coeffs)
     length = len(c)

@@ -15,7 +15,6 @@ tests (``tests/instruments.py``) reads the tables too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import WeightSpec
@@ -48,32 +47,15 @@ def gegenbauer_moment(s: int, lam: float, mu: float) -> float:
     return math.exp(log_gamma(s + lam + 0.5) + log_gamma(mu + 0.5) - log_gamma(lam + mu + s + 1.0))
 
 
-@dataclass(frozen=True)
-class MomentTable:
-    """Even power moments of a weight; odd entries are exactly zero.
+# Tables are tuples, so sharing cached instances across callers (and threads) is safe.
+@lru_cache(maxsize=512)
+def moment_table(weight: WeightSpec, max_order: int, normalized: bool = False) -> tuple[float, ...]:
+    """Power moments 0 .. max_order of a weight; odd entries are exactly zero.
 
     With ``normalized=True`` all entries are divided by the zeroth moment,
     which is harmless for Rayleigh quotients and pencil roots and improves
     Hankel conditioning.
     """
-
-    weight: WeightSpec
-    values: tuple[float, ...]
-    normalized: bool = False
-
-    @property
-    def max_order(self) -> int:
-        return len(self.values) - 1
-
-    def moment(self, k: int) -> float:
-        if not 0 <= k <= self.max_order:
-            raise IndexError(f"moment order {k} outside table capacity {self.max_order}")
-        return self.values[k]
-
-
-# Tables are immutable, so sharing cached instances across callers (and threads) is safe.
-@lru_cache(maxsize=512)
-def moment_table(weight: WeightSpec, max_order: int, normalized: bool = False) -> MomentTable:
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
     values = []
@@ -87,4 +69,4 @@ def moment_table(weight: WeightSpec, max_order: int, normalized: bool = False) -
     if normalized:
         scale = values[0]
         values = [v / scale for v in values]
-    return MomentTable(weight, tuple(values), normalized)
+    return tuple(values)

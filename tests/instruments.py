@@ -41,6 +41,7 @@ import io
 import math
 
 import numpy as np
+import numpy.polynomial.polynomial as npp
 
 from bmfactor.core import OperatorSpec, Polynomial, WeightFamily, WeightSpec
 from bmfactor.dunkl import _dunkl_rows, dunkl_apply
@@ -89,7 +90,7 @@ def gram_matrices(n: int, weight: WeightSpec, op: OperatorSpec) -> tuple[np.ndar
     """Monomial-basis G_ij = <x^i, x^j>_W and S_ij = <sqrt(A) D x^i, sqrt(A) D x^j>_W."""
     if n < 1:
         raise ValueError("degree must be >= 1")
-    table = moment_table(weight, 2 * n)
+    moments = moment_table(weight, 2 * n)
     damped = weight.is_gegenbauer and op.damped  # sqrt(A) differs from 1 only on [-1,1]
     lam = weight.lam if op.is_dunkl else 0.0
     g = np.zeros((n + 1, n + 1))
@@ -98,11 +99,11 @@ def gram_matrices(n: int, weight: WeightSpec, op: OperatorSpec) -> tuple[np.ndar
         for j in range(n + 1):
             if (i + j) % 2:
                 continue
-            g[i, j] = table.moment(i + j)
+            g[i, j] = moments[i + j]
             if i >= 1 and j >= 1:
-                val = table.moment(i + j - 2)
+                val = moments[i + j - 2]
                 if damped:
-                    val -= table.moment(i + j)
+                    val -= moments[i + j]
                 s[i, j] = monomial_factor(i, lam) * monomial_factor(j, lam) * val
     return g, s
 
@@ -113,8 +114,7 @@ def pencil_F_reference(n_odd: int, lam: float) -> tuple[Pencil, np.ndarray]:
     Returns the pencil and the raw P.
     """
     m = (n_odd - 1) // 2
-    table = moment_table(WeightSpec.hermite(lam), 4 * m + 6, normalized=True)
-    d = [table.moment(2 * s) for s in range(2 * m + 3)]
+    d = moment_table(WeightSpec.hermite(lam), 4 * m + 6, normalized=True)[:4 * m + 5:2]
     p = np.empty((m + 1, m + 1))
     p_raw = np.empty((m + 1, m + 1))
     q = np.empty((m + 1, m + 1))
@@ -153,7 +153,7 @@ def refine_pair_reference(pencil: Pencil, t: float, v: np.ndarray) -> tuple[floa
     moments; at most three rounds, stopping at a non-finite z, a B-norm <= 0
     or a non-finite t.
     """
-    size = pencil.size
+    size = len(pencil.p)
     lam = np.longdouble(pencil.weight.lam)
     mom = np.ones(2 * size + 1, dtype=np.longdouble)
     for s in range(2 * size):
@@ -189,8 +189,7 @@ def pencil_G_reference(n: int, lam: float, mu: float) -> tuple[Pencil, np.ndarra
     Returns the pencil and the raw P, (2j+1)(2j+2 lam) c_(2i+2j) - (2j+1)(2j+2 lam+2 mu+1) c_(2i+2j+2).
     """
     m = (n - 2) // 2 if n % 2 == 0 else (n - 1) // 2
-    table = moment_table(WeightSpec.gegenbauer(lam, mu), 4 * m + 6, normalized=True)
-    c = [table.moment(2 * s) for s in range(2 * m + 3)]
+    c = moment_table(WeightSpec.gegenbauer(lam, mu), 4 * m + 6, normalized=True)[:4 * m + 5:2]
     p = np.empty((m + 1, m + 1))
     p_raw = np.empty((m + 1, m + 1))
     q = np.empty((m + 1, m + 1))
@@ -214,54 +213,50 @@ def residual_classical_L(p: Polynomial, weight: WeightSpec, m_sq: float) -> tupl
     """
     lam = weight.lam
     drift = -(2.0 * lam + 2.0 * weight.mu + 1.0) if weight.is_gegenbauer else -2.0
-    d1 = p.derivative()
-    d2 = d1.derivative()
-    a_term = mul_by_one_minus_x2(d2) if weight.is_gegenbauer else d2
+    c = np.array(p.coeffs + (0.0, 0.0))  # numpy refuses an empty series, and c[1] is read below
+    d1 = npp.polyder(c)
+    d2 = npp.polyder(d1)
+    a_term = npp.polymul(d2, (1.0, 0.0, -1.0)) if weight.is_gegenbauer else d2
     # polynomial part of (2 lam / x) p': exponent k-2 receives 2 lam k p_k for k >= 2
-    sing = Polynomial(tuple(2.0 * lam * (j + 2) * p.coeff(j + 2) for j in range(max(len(p.coeffs) - 2, 0))))
-    main = a_term + drift * mul_by_x(d1) + sing + m_sq * p
-    return main, 2.0 * lam * p.coeff(1)
+    sing = 2.0 * lam * np.arange(2, len(c)) * c[2:]
+    main = npp.polyadd(npp.polyadd(npp.polyadd(a_term, drift * npp.polymulx(d1)), sing), m_sq * c)
+    return Polynomial(main), 2.0 * lam * c[1]
 
 
-def _jacobi_coeffs(m: int, a: float, b: float) -> Polynomial:
-    """Classical Jacobi polynomial P_m^(a,b) by its three-term recurrence."""
-    p_prev = Polynomial((1.0,))
+def _jacobi_coeffs(m: int, a: float, b: float) -> np.ndarray:
+    """Classical Jacobi polynomial P_m^(a,b) by its three-term recurrence, as monomial coefficients."""
+    p_prev = np.array([1.0])
     if m == 0:
         return p_prev
-    p_cur = Polynomial(((a - b) / 2.0, (a + b + 2.0) / 2.0))
+    p_cur = np.array([(a - b) / 2.0, (a + b + 2.0) / 2.0])
     for k in range(2, m + 1):
         c1 = 2.0 * k * (k + a + b) * (2 * k + a + b - 2)
         c2 = (2 * k + a + b - 1) * (a * a - b * b)
         c3 = (2 * k + a + b - 2) * (2 * k + a + b - 1) * (2 * k + a + b)
         c4 = 2.0 * (k + a - 1) * (k + b - 1) * (2 * k + a + b)
-        p_next = (1.0 / c1) * (Polynomial((c2, c3)) * p_cur - c4 * p_prev)
+        p_next = (1.0 / c1) * npp.polysub(npp.polymul((c2, c3), p_cur), c4 * p_prev)
         p_prev, p_cur = p_cur, p_next
     return p_cur
 
 
-def _laguerre_coeffs(m: int, kappa: float) -> Polynomial:
-    """Generalized Laguerre polynomial L_m^kappa by its three-term recurrence."""
-    p_prev = Polynomial((1.0,))
+def _laguerre_coeffs(m: int, kappa: float) -> np.ndarray:
+    """Generalized Laguerre polynomial L_m^kappa by its three-term recurrence, as monomial coefficients."""
+    p_prev = np.array([1.0])
     if m == 0:
         return p_prev
-    p_cur = Polynomial((1.0 + kappa, -1.0))
+    p_cur = np.array([1.0 + kappa, -1.0])
     for k in range(2, m + 1):
-        p_next = (1.0 / k) * (Polynomial((2 * k - 1 + kappa, -1.0)) * p_cur - (k - 1 + kappa) * p_prev)
+        p_next = (1.0 / k) * npp.polysub(npp.polymul((2 * k - 1 + kappa, -1.0), p_cur), (k - 1 + kappa) * p_prev)
         p_prev, p_cur = p_cur, p_next
     return p_cur
 
 
-def _compose(p: Polynomial, inner: Polynomial) -> Polynomial:
-    out = Polynomial.zero()
-    for c in reversed(p.coeffs):
-        out = out * inner + Polynomial((c,))
+def _compose(p: np.ndarray, inner: tuple[float, ...]) -> np.ndarray:
+    """p(inner(x)) by Horner's rule on coefficient arrays."""
+    out = np.array([0.0])
+    for c in reversed(p):
+        out = npp.polyadd(npp.polymul(out, inner), (c,))
     return out
-
-
-def _monic(p: Polynomial) -> Polynomial:
-    if p.is_zero:
-        return p
-    return (1.0 / p.coeffs[-1]) * p
 
 
 _GEGENBAUER_GRID = np.linspace(-1.0, 1.0, 33)
@@ -277,11 +272,11 @@ def connection_check(n: int, lam: float, mu: float) -> float:
     """
     m = n // 2
     jac = _jacobi_coeffs(m, mu - 0.5, lam - 0.5 if n % 2 == 0 else lam + 0.5)
-    rhs = _compose(jac, Polynomial((-1.0, 0.0, 2.0)))
+    rhs = _compose(jac, (-1.0, 0.0, 2.0))
     if n % 2:
-        rhs = mul_by_x(rhs)
+        rhs = npp.polymulx(rhs)
     lhs = gegenbauer_poly(n, lam, mu)
-    diff = _monic(rhs)(_GEGENBAUER_GRID) - lhs(_GEGENBAUER_GRID)
+    diff = npp.polyval(_GEGENBAUER_GRID, (1.0 / rhs[-1]) * rhs) - npp.polyval(_GEGENBAUER_GRID, lhs.coeffs)
     return float(np.max(np.abs(diff)))
 
 
@@ -289,11 +284,11 @@ def hermite_connection_check(n: int, lam: float) -> float:
     """Max grid discrepancy between the Hermite recurrence and its Laguerre form."""
     m = n // 2
     lag = _laguerre_coeffs(m, lam - 0.5 if n % 2 == 0 else lam + 0.5)
-    rhs = _compose(lag, Polynomial((0.0, 0.0, 1.0)))
+    rhs = _compose(lag, (0.0, 0.0, 1.0))
     if n % 2:
-        rhs = mul_by_x(rhs)
+        rhs = npp.polymulx(rhs)
     lhs = hermite_poly(n, lam)
-    diff = _monic(rhs)(_HERMITE_GRID) - lhs(_HERMITE_GRID)
+    diff = npp.polyval(_HERMITE_GRID, (1.0 / rhs[-1]) * rhs) - npp.polyval(_HERMITE_GRID, lhs.coeffs)
     return float(np.max(np.abs(diff)))
 
 
@@ -350,7 +345,10 @@ def weighted_inner(p: Polynomial, q: Polynomial, weight: WeightSpec, with_a: boo
         return 0.0
     npoints = (len(p.coeffs) + len(q.coeffs)) // 2 + 1  # 2 npoints - 1 >= deg(p q A)
     length = _even_width(max(len(p.coeffs), len(q.coeffs)))
-    forms = _Forms(np.array([p.padded(length), q.padded(length)]), weight, _even_width(npoints))
+    rows = np.zeros((2, length))
+    rows[0, : len(p.coeffs)] = p.coeffs
+    rows[1, : len(q.coeffs)] = q.coeffs
+    forms = _Forms(rows, weight, _even_width(npoints))
     return forms.inner(0, 1, forms.wa if with_a else forms.w)
 
 

@@ -243,7 +243,7 @@ def test_verify_reports_a_bad_eigenpolynomial(capsys, monkeypatch, source, targe
         rows = rows_of(fam, n, *params)
         if fam is family and n == target[0]:
             at = np.all([np.broadcast_to(p, rows.shape[:-1]) == t for p, t in zip(params, target[1:])], axis=0)
-            rows[at, 0] += 1e-4 * exact(*target).max_abs_coeff
+            rows[at, 0] += 1e-4 * np.abs(exact(*target).coeffs).max(initial=0.0)
         return rows
 
     monkeypatch.setattr(bmfactor.cli, "_eigen_rows", perturbed)
@@ -443,6 +443,18 @@ def test_gegenbauer_ddx_degree_1_at_the_top_of_the_doubles(capsys):
     payload = json.loads(out, parse_constant=refuse)
     assert payload["factor_sq"] == pytest.approx(0.5 / 1e308, rel=1e-9)
     assert payload["branch"] == "odd_pencil_root" and payload["extremal_coeffs"] == [0.0, 1.0]
+
+
+def test_gegenbauer_ddx_closed_value_beyond_a_double_is_refused(capsys):
+    # at n = 2 the closed value 2(2 + 2 lam + 2 mu) is inf, and |nu - inf| <= 1e-9 inf once made it a tie:
+    # factor_sq inf on the max_of_both branch, refused only when the extremal's eigenpolynomial overflowed
+    with pytest.raises(OverflowError, match=r"^degree-2 d/dx factor of the gegenbauer weight "
+                                            r"\(lambda=1e\+308, mu=0.0\) is beyond a double$"):
+        factor_gegenbauer_ddx(2, 1e308, 0.0)
+    code, out, err = run(capsys, "factor", "--weight", "gegenbauer", "--op", "ddx", "--lambda", "1e308",
+                         "--mu", "0", "--n", "2")
+    assert (code, out) == (EXIT_NUMERICAL, "")
+    assert "d/dx factor" in err and "lambda=1e+308" in err
 
 
 def test_hermite_ddx_at_large_lambda(capsys):
@@ -927,12 +939,18 @@ _SWEEP_DEGREES = ("1", "2", "3", "31")
 _SWEEP_KNOWN_GAPS = {("150", "-0.4999999")}
 
 
+# (lambda, mu, n) beyond the grid: at n = 2 the even d/dx closed value 2(2 + 2 lambda + 2 mu) overflows, and the
+# library once called it a tie of the two branches (factor_sq inf, exit 0)
+_SWEEP_EXTRA_POINTS = (("1e308", "0", "2"), ("1e308", "0", "4"))
+
+
 # the command line of each sweep: factor with and without the oracle
 _SWEEP_COMMANDS = {"factor": ("factor", "--check"), "factor-unchecked": ("factor",), "extremal": ("extremal",)}
 
 
 def _sweep_runs(command):
-    """argv of ``command`` over the sweep grid: both weights and operators, every lambda, mu and degree.
+    """argv of ``command`` over the sweep grid and the extra points: both weights and operators, every lambda,
+    mu and degree.
 
     verify also runs every lambda at once per mu, so its d/dx stacks hold refused items next to finite ones.
     """
@@ -942,16 +960,19 @@ def _sweep_runs(command):
                 yield ("verify", "--lambdas", lam, "--mus", mu, "--n-max", "5")
         for mu in _SWEEP_MUS:
             yield ("verify", "--lambdas", *_SWEEP_LAMBDAS, "--mus", mu, "--n-max", "5")
+        for lam, mu, n in _SWEEP_EXTRA_POINTS:
+            yield ("verify", "--lambdas", lam, "--mus", mu, "--n-max", n)
         return
-    for lam in _SWEEP_LAMBDAS:
-        for n in _SWEEP_DEGREES:
-            weights = [("hermite",)] + [("gegenbauer", "--mu", mu) for mu in _SWEEP_MUS]
-            for family, *mu in weights:
-                if command == "inequality":
-                    yield ("inequality", "--family", family, "--lambda", lam, *mu, "--n", n, "--at-extremal")
-                    continue
-                for op in ("ddx", "dunkl"):
-                    yield (*_SWEEP_COMMANDS[command], "--weight", family, "--op", op, "--lambda", lam, *mu, "--n", n)
+    points = [(lam, n, [("hermite",)] + [("gegenbauer", "--mu", mu) for mu in _SWEEP_MUS])
+              for lam in _SWEEP_LAMBDAS for n in _SWEEP_DEGREES]
+    points += [(lam, n, [("hermite",), ("gegenbauer", "--mu", mu)]) for lam, mu, n in _SWEEP_EXTRA_POINTS]
+    for lam, n, weights in points:
+        for family, *mu in weights:
+            if command == "inequality":
+                yield ("inequality", "--family", family, "--lambda", lam, *mu, "--n", n, "--at-extremal")
+                continue
+            for op in ("ddx", "dunkl"):
+                yield (*_SWEEP_COMMANDS[command], "--weight", family, "--op", op, "--lambda", lam, *mu, "--n", n)
 
 
 def _finite_numbers(value) -> bool:

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import numpy.polynomial.polynomial as npp
 import pytest
 
 from bmfactor.core import OperatorSpec, Polynomial, WeightFamily, WeightSpec
@@ -21,23 +22,6 @@ def test_degree_of_zero_is_none():
     assert Polynomial((0.0, 1.0)).degree == 1
 
 
-def test_evaluation_matches_monomial_sum():
-    p = Polynomial((1.0, -2.0, 0.5, 3.0))
-    for x in (-1.5, 0.0, 0.3, 2.0):
-        assert p(x) == pytest.approx(sum(c * x**k for k, c in enumerate(p.coeffs)), rel=1e-15)
-
-
-def test_arithmetic_and_derivative():
-    p = Polynomial((1.0, 2.0))
-    q = Polynomial((0.0, 0.0, 3.0))
-    assert (p + q).coeffs == (1.0, 2.0, 3.0)
-    assert (p - p).is_zero
-    assert (2.0 * p).coeffs == (2.0, 4.0)
-    assert (p * q).coeffs == (0.0, 0.0, 3.0, 6.0)
-    assert Polynomial((5.0, 0.0, 1.0, 4.0)).derivative().coeffs == (0.0, 2.0, 12.0)
-    assert Polynomial.monomial(3).coeffs == (0.0, 0.0, 0.0, 1.0)
-
-
 def test_reflect_examples():
     assert reflect(Polynomial((1.0, 2.0, 3.0))).coeffs == (1.0, -2.0, 3.0)
     assert reflect(Polynomial((0.0,))).is_zero
@@ -49,7 +33,8 @@ def test_reflect_is_linear_involution():
         p = Polynomial(rng.standard_normal(rng.integers(1, 12)))
         q = Polynomial(rng.standard_normal(rng.integers(1, 12)))
         assert reflect(reflect(p)) == p
-        assert reflect(p + q) == reflect(p) + reflect(q)
+        assert reflect(Polynomial(npp.polyadd(p.coeffs, q.coeffs))) \
+            == Polynomial(npp.polyadd(reflect(p).coeffs, reflect(q).coeffs))
 
 
 def test_parity_split_examples():
@@ -57,7 +42,7 @@ def test_parity_split_examples():
     assert even.coeffs == (1.0, 0.0, 3.0)
     assert odd.coeffs == (0.0, 2.0)
     p_even = Polynomial((4.0, 0.0, -1.0))
-    assert parity_split(p_even) == (p_even, Polynomial.zero())
+    assert parity_split(p_even) == (p_even, Polynomial())
 
 
 def test_parity_split_reconstructs_exactly():
@@ -65,8 +50,9 @@ def test_parity_split_reconstructs_exactly():
     for _ in range(50):
         p = Polynomial(rng.standard_normal(rng.integers(1, 14)))
         even, odd = parity_split(p)
-        assert even + odd == p
-        assert even == 0.5 * (p + reflect(p))
+        # the appended 0.0 keeps numpy from refusing an empty odd part (p of degree 0)
+        assert Polynomial(npp.polyadd(even.coeffs + (0.0,), odd.coeffs + (0.0,))) == p
+        assert even == Polynomial(0.5 * npp.polyadd(p.coeffs, reflect(p).coeffs))
 
 
 def test_weight_spec_validation():

@@ -1,6 +1,7 @@
 """Coefficient-level Dunkl operator and sigma, with the test instruments' multiplication helpers."""
 
 import numpy as np
+import numpy.polynomial.polynomial as npp
 import pytest
 
 from bmfactor.core import Polynomial
@@ -42,7 +43,7 @@ def test_dunkl_at_zero_is_derivative():
     rng = np.random.default_rng(3)
     for _ in range(40):
         p = _random_poly(rng)
-        assert dunkl_apply(p, 0.0) == p.derivative()
+        assert dunkl_apply(p, 0.0) == Polynomial(npp.polyder(p.coeffs))
 
 
 def test_dunkl_is_linear_and_lowers_degree_by_one():
@@ -50,9 +51,10 @@ def test_dunkl_is_linear_and_lowers_degree_by_one():
     for _ in range(40):
         p, q = _random_poly(rng), _random_poly(rng)
         a, b = rng.standard_normal(2)
-        left = dunkl_apply(Polynomial(tuple(a * c for c in p.coeffs)) + b * q, 1.3)
-        right = a * dunkl_apply(p, 1.3) + b * dunkl_apply(q, 1.3)
-        assert np.allclose(left.padded(16), right.padded(16), rtol=1e-13, atol=1e-13)
+        left = dunkl_apply(Polynomial(npp.polyadd(a * np.array(p.coeffs), b * np.array(q.coeffs))), 1.3)
+        # "or (0.0,)": numpy refuses the empty series of D_lam on a constant
+        dp, dq = (np.array(dunkl_apply(x, 1.3).coeffs or (0.0,)) for x in (p, q))
+        assert left.coeffs == pytest.approx(Polynomial(npp.polyadd(a * dp, b * dq)).coeffs, rel=1e-13, abs=1e-13)
         if p.degree and p.degree >= 1:
             assert dunkl_apply(p, 0.6).degree == p.degree - 1
 
@@ -64,7 +66,7 @@ def test_dunkl_flips_parity():
         even, odd = parity_split(p)
         if not even.is_zero:
             d = dunkl_apply(even, 0.8)
-            assert reflect(d) == -1.0 * d  # even -> odd
+            assert reflect(d) == Polynomial(np.negative(d.coeffs))  # even -> odd
         if not odd.is_zero:
             d = dunkl_apply(odd, 0.8)
             assert reflect(d) == d  # odd -> even
@@ -101,7 +103,7 @@ def test_laplacian_matches_closed_form():
         lam = float(rng.uniform(0.0, 3.0))
         got = dunkl_laplacian(p, lam)
         want = _laplacian_closed_form(p, lam)
-        assert np.allclose(got.padded(16), want.padded(16), rtol=1e-13, atol=1e-13)
+        assert got.coeffs == pytest.approx(want.coeffs, rel=1e-13, abs=1e-13)
 
 
 def test_multiplication_helpers():
@@ -110,11 +112,11 @@ def test_multiplication_helpers():
     rng = np.random.default_rng(7)
     for _ in range(20):
         p, q = _random_poly(rng), _random_poly(rng)
-        assert mul_by_x(p + q) == mul_by_x(p) + mul_by_x(q)
-        left = mul_by_one_minus_x2(p + q)
-        right = mul_by_one_minus_x2(p) + mul_by_one_minus_x2(q)
-        assert np.allclose(left.padded(16), right.padded(16), rtol=1e-14, atol=0)
-        assert mul_by_one_minus_x2(p) == p + (-1.0) * mul_by_x(mul_by_x(p))
+        total = Polynomial(npp.polyadd(p.coeffs, q.coeffs))
+        assert mul_by_x(total) == Polynomial(npp.polyadd(mul_by_x(p).coeffs, mul_by_x(q).coeffs))
+        right = npp.polyadd(mul_by_one_minus_x2(p).coeffs, mul_by_one_minus_x2(q).coeffs)
+        assert mul_by_one_minus_x2(total).coeffs == pytest.approx(Polynomial(right).coeffs, rel=1e-14, abs=0)
+        assert mul_by_one_minus_x2(p) == Polynomial(npp.polysub(p.coeffs, mul_by_x(mul_by_x(p)).coeffs))
 
 
 def _loop_dunkl(c, lam):
@@ -141,7 +143,7 @@ def test_dunkl_rows_equal_dunkl_apply_on_a_stack(lam):
         assert sigma_row.tobytes() == _loop_sigma(c).tobytes()
         assert dunkl_apply(p, lam) == Polynomial(row) and sigma(p) == Polynomial(sigma_row)
         if lam == 0.0:
-            assert row.tobytes() == p.derivative().padded(6).tobytes()
+            assert row.tobytes() == npp.polyder(c).tobytes()
     for empty in (np.zeros(0), np.array([2.5])):
         assert _dunkl_rows(empty, lam).shape == _sigma_rows(empty).shape == (0,)
     with pytest.raises(ValueError):

@@ -19,13 +19,12 @@ from bmfactor.factors import (
     Pencil,
     _dunkl_factor,
     _gegenbauer_ddx_stack,
-    _hermite_ddx_stack,
+    _hermite_ddx_sq,
     _odd_branch_stack,
     _odd_pencil_stack,
     _odd_polynomial,
     _refine_pairs,
     _top_eigenpairs,
-    _top_positive,
     _top_positive_stack,
     build_pencil_F,
     factor_gegenbauer_ddx,
@@ -101,26 +100,26 @@ def test_pencil_rejects_bad_arguments():
 @pytest.mark.parametrize("lam", LAMBDAS)
 def test_pencil_F_n1_closed_root(lam):
     pencil = build_pencil_F(1, lam)
-    assert pencil.size == 1
-    assert _top_positive(pencil)[0] == pytest.approx(2.0 / (2 * lam + 1), rel=1e-12)
+    assert len(pencil.p) == 1
+    assert _top_positive_stack([pencil])[0][0] == pytest.approx(2.0 / (2 * lam + 1), rel=1e-12)
 
 
 @pytest.mark.parametrize("lam", (0.2, 0.5, 1.0, 2.0, 4.5))
 def test_pencil_F_n3_matches_corrected_closed_form(lam):
-    root, _ = _top_positive(build_pencil_F(3, lam))
+    (root,), _ = _top_positive_stack([build_pencil_F(3, lam)])
     assert root == pytest.approx(_corrected_nu2(lam), rel=1e-9)
 
 
 def test_pencil_F_n3_frozen_value():
     # independently confirmed by the 2x2 Rayleigh eigenproblem over odd cubics
-    assert _top_positive(build_pencil_F(3, 1.0))[0] == pytest.approx(4.837176079480, rel=1e-9)
+    assert _top_positive_stack([build_pencil_F(3, 1.0)])[0][0] == pytest.approx(4.837176079480, rel=1e-9)
 
 
 @pytest.mark.parametrize("lam", LAMBDAS)
 @pytest.mark.parametrize("mu", MUS)
 def test_pencil_G_n2_closed_root(lam, mu):
     # the 1x1 pencil G has the root (2 mu + 1)/(2 lam + 1); the odd branch at n = 2 must give it
-    assert pencil_G_reference(2, lam, mu)[0].size == 1
+    assert len(pencil_G_reference(2, lam, mu)[0].p) == 1
     (nu,) = _odd_branch_stack(2, [WeightSpec.gegenbauer(lam, mu)])
     assert nu == pytest.approx((2 * mu + 1) / (2 * lam + 1), rel=1e-12)
 
@@ -149,10 +148,9 @@ def test_pencil_solve_agrees_with_qz_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _odd_branch_stack(7, [WeightSpec.gegenbauer(0.3, 0.0), WeightSpec.gegenbauer(2.0, 3.0)])
-        for lam in (0.3, 2.0):
-            _top_positive(build_pencil_F(7, lam))
+        _top_positive_stack([build_pencil_F(7, lam) for lam in (0.3, 2.0)])
         # a raw-QZ cross-check once disagreed here, warned and swapped in its own root
-        _top_positive(build_pencil_F(7, 150.0))
+        _top_positive_stack([build_pencil_F(7, 150.0)])
         _odd_branch_stack(7, [WeightSpec.gegenbauer(10.0, 0.0), WeightSpec.gegenbauer(100.0, -0.4)])
 
 
@@ -175,7 +173,7 @@ def test_pencil_with_indefinite_q_is_refused():
     p = -np.eye(2)
     q = np.array([[1.0, 2.0], [2.0, 1.0]])  # unit diagonal, eigenvalues 3 and -1
     with pytest.raises(ConditioningError) as info:
-        _top_positive(Pencil(p, q, WeightSpec.hermite(1.0)))
+        _top_positive_stack([Pencil(p, q, WeightSpec.hermite(1.0))])
     assert info.value.index == 0
     assert info.value.condition == pytest.approx(3.0)
     assert "('hermite', 'ddx', 1.0, 0.0, 3)" in str(info.value)
@@ -194,7 +192,8 @@ def test_pencil_eigenvector_solves_linear_system():
     for lam, n in ((0.4, 5), (1.0, 9), (4.5, 11)):
         pencil, p_raw = pencil_F_reference(n, lam)
         result = factor_hermite_ddx(n, lam)
-        vec = np.array([result.extremal.coeff(2 * j + 1) for j in range(pencil.size)])
+        vec = np.array(result.extremal.coeffs[1::2])
+        assert len(vec) == len(pencil.p)
         system = p_raw + result.factor_sq * pencil.q
         residual = np.linalg.norm(system @ vec)
         assert residual <= 1e-8 * np.linalg.norm(system) * np.linalg.norm(vec)
@@ -381,8 +380,9 @@ def test_gegenbauer_ddx_stack_equals_its_stacks_of_one(n):
 
 @pytest.mark.parametrize("n", range(1, 36))
 def test_hermite_ddx_stack_equals_its_stacks_of_one(n):
-    # the default verify lambdas at n = 1..11 and the high-degree lambdas 0.25 and 1 at n = 11..35, over
-    # every lambda whose stack of one is not refused (0.25 from n = 33): factor, branch and extremal
+    # the values kernel _hermite_ddx_sq over the default verify lambdas at n = 1..11 and the high-degree
+    # lambdas 0.25 and 1 at n = 11..35, against factor_hermite_ddx on every lambda it does not refuse
+    # (0.25 from n = 33): factor, branch and extremal, bit for bit
     lams = [lam for lam in DEFAULT_VERIFY_LAMBDAS if lam > 0] if n <= 11 else []
     lams += [0.25, 1.0] if n >= 11 else []
     singles = {}
@@ -391,11 +391,12 @@ def test_hermite_ddx_stack_equals_its_stacks_of_one(n):
             singles[lam] = factor_hermite_ddx(n, lam)
         except ConditioningError:
             assert (n, lam) in ((33, 0.25), (35, 0.25))
-    stack = _hermite_ddx_stack(n, list(singles))
-    for (lam, single), stacked in zip(singles.items(), stack, strict=True):
-        assert stacked.factor_sq.hex() == single.factor_sq.hex() and stacked.branch is single.branch, lam
-        assert [c.hex() for c in stacked.extremal.coeffs] == [c.hex() for c in single.extremal.coeffs], lam
-        assert stacked == single
+    fsq, branches, vecs = _hermite_ddx_sq(n, list(singles))
+    assert len(fsq) == len(branches) == len(singles)
+    for k, (lam, single) in enumerate(singles.items()):
+        extremal = hermite_poly(n, lam) if vecs is None else _odd_polynomial(vecs[k])
+        assert fsq[k].hex() == single.factor_sq.hex() and branches[k] is single.branch, lam
+        assert [c.hex() for c in extremal.coeffs] == [c.hex() for c in single.extremal.coeffs], lam
     assert len(singles) == len(set(lams)) - (n in (33, 35))
 
 
@@ -404,7 +405,7 @@ def _double_eigenpair(pencil):
     scale = 1.0 / np.sqrt(np.diag(pencil.q))
     outer = scale[:, None] * scale
     vals, vecs = _top_eigenpairs((-pencil.p * outer)[None], (pencil.q * outer)[None], [pencil.weight],
-                                 OperatorSpec.ddx(), 2 * pencil.size - 1)
+                                 OperatorSpec.ddx(), 2 * len(pencil.p) - 1)
     return float(vals[0]), scale * vecs[0]
 
 
@@ -436,9 +437,9 @@ def test_stacked_refinement_equals_the_row_by_row_loop(n):
      "Gram matrix numerically indefinite at stack item 1 ('hermite', 'ddx', 0.25, 0.0, 37)"),
 ), ids=("moments-168", "cholesky-1", "cholesky-0.25"))
 def test_hermite_ddx_stack_refusal_names_the_lambda_and_its_position(n, lams, position, error, named):
-    # the first refusing item of the stack is refused as its stack of one is, naming its position
+    # the first refusing item of the kernel's stack is refused as factor_hermite_ddx refuses it, naming its position
     with pytest.raises(error) as info:
-        _hermite_ddx_stack(n, lams)
+        _hermite_ddx_sq(n, lams)
     assert named in str(info.value)
     if error is ConditioningError:
         assert info.value.index == position
@@ -464,7 +465,7 @@ def test_odd_sector_equals_pencil_root(n):
     weights = [WeightSpec.gegenbauer(lam, mu) for lam, mu in points]
     lam, mu = np.array(points).T
     s, g = _odd_pencil_stack((n - 1) // 2, lam, mu)
-    size = pencil_G_reference(n, 1.0, 0.0)[0].size
+    size = len(pencil_G_reference(n, 1.0, 0.0)[0].p)
     assert s.shape == g.shape == (len(weights), size, size)
     values, _ = _top_eigenpairs(s, g, weights, OperatorSpec.ddx(damped=True), n)
     # mpmath's Cholesky refuses pivots below its epsilon: the moments at (100, 99) are about 1e-61
@@ -529,7 +530,7 @@ def _eager_extremal(result, odd_extremals):
             return odd_extremals[n][w.lam, w.mu]
         if n == 1:
             return Polynomial((0.0, 1.0))
-        return _odd_polynomial(_top_positive(build_pencil_F(n, w.lam))[1])
+        return _odd_polynomial(_top_positive_stack([build_pencil_F(n, w.lam)])[1][0])
     return poly(n - n % 2, w.lam, w.mu)
 
 
@@ -560,7 +561,7 @@ def test_default_grid_extremals_equal_their_eager_builds():
     results = []
     for n in n_values:
         results += _gegenbauer_ddx_stack(n, weights, _odd_branch_stack(n, weights))
-        results += _hermite_ddx_stack(n, positive)
+        results += [factor_hermite_ddx(n, lam) for lam in positive]
         results += [_dunkl_factor(n, WeightSpec.hermite(lam), OperatorSpec.dunkl()) for lam in DEFAULT_VERIFY_LAMBDAS]
         results += [_dunkl_factor(n, w, OperatorSpec.dunkl(damped=True)) for w in gegenbauer]
     assert len(results) == 910

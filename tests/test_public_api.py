@@ -19,17 +19,20 @@ PUBLIC = [
 PAPER_OPERATORS = ("dunkl_apply", "sigma")
 MODULES = ("core", "dunkl", "factors", "inequality", "oracle", "orthopoly", "special", "cli")
 # Test instruments now in tests/instruments.py, wrapper types that are gone, the moment pencil G
-# with its generic root solver (the odd pencil serves G's root; tests/instruments.py keeps G), and
-# the names no command reaches: the residual views, the Dunkl threshold n0 and the single-polynomial forms.
+# with its generic root solver (the odd pencil serves G's root; tests/instruments.py keeps G), the
+# names no command reaches: the residual views, the Dunkl threshold n0 and the single-polynomial forms,
+# and the deleted moment-table wrapper and Hermite stacks of one.
 MOVED = (
     "gram_matrices", "GramPair", "residual_classical_L", "ClassicalResidual", "connection_check",
     "hermite_connection_check", "TableCoefficients", "monomial_factor", "dunkl_laplacian", "mul_by_x",
     "mul_by_one_minus_x2", "reflect", "parity_split", "build_pencil_G", "pencil_largest_positive_root",
     "residual_hermite", "residual_gegenbauer", "dunkl_gegenbauer_threshold", "weighted_inner",
-    "rayleigh_quotient", "_even_width",
+    "rayleigh_quotient", "_even_width", "MomentTable", "_top_positive", "_hermite_ddx_stack",
 )
 # bmfactor.special keeps these for the moment pencils; the package does not re-export them.
-SPECIAL = ("MomentTable", "log_gamma", "hermite_moment", "gegenbauer_moment", "moment_table")
+SPECIAL = ("log_gamma", "hermite_moment", "gegenbauer_moment", "moment_table")
+# Public methods, classmethods and properties of the exported classes that no module reads, each with its reason.
+MEMBERS_WITHOUT_CALLER: dict[str, str] = {}
 
 
 def test_all_lists_the_runtime_names():
@@ -48,8 +51,9 @@ def test_moved_names_are_absent():
 
 def test_every_public_function_has_a_runtime_caller():
     # a public function is used in the code of some module other than __init__ (its own def and an import
-    # are not uses); names that only the tests called moved to tests/instruments.py
-    referenced = set()
+    # are not uses); names that only the tests called moved to tests/instruments.py.  A public member of an
+    # exported class is used where some module reads it as an attribute.
+    referenced, attributes = set(), set()
     for path in Path(bmfactor.__file__).parent.glob("*.py"):
         if path.name != "__init__.py":
             for node in ast.walk(ast.parse(path.read_text())):
@@ -57,8 +61,25 @@ def test_every_public_function_has_a_runtime_caller():
                     referenced.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     referenced.add(node.attr)
+                    attributes.add(node.attr)
     functions = [name for name in bmfactor.__all__ if inspect.isfunction(getattr(bmfactor, name))]
     assert [name for name in functions if name not in referenced and name not in PAPER_OPERATORS] == []
+    classes = [getattr(bmfactor, name) for name in bmfactor.__all__ if isinstance(getattr(bmfactor, name), type)]
+    members = [(cls.__name__, name) for cls in classes for name, value in vars(cls).items()
+               if not name.startswith("_")
+               and (inspect.isfunction(value) or isinstance(value, (classmethod, staticmethod, property)))]
+    assert ("Polynomial", "degree") in members and ("WeightSpec", "hermite") in members
+    unused = [f"{cls}.{name}" for cls, name in members if name not in attributes]
+    assert unused == list(MEMBERS_WITHOUT_CALLER)
+
+
+def test_polynomial_is_a_plain_value():
+    # coefficients, degree and is_zero only: numpy.polynomial.polynomial evaluates and combines coeffs
+    namespace = vars(bmfactor.Polynomial)
+    assert sorted(name for name in namespace if not name.startswith("_")) == ["coeffs", "degree", "is_zero"]
+    operators = ("call", "neg", "pos", "abs", "add", "radd", "iadd", "sub", "rsub", "isub", "mul", "rmul",
+                 "imul", "truediv", "rtruediv", "floordiv", "mod", "pow", "matmul", "rmatmul")
+    assert [name for name in (f"__{op}__" for op in operators) if name in namespace] == []
 
 
 def test_only_factors_imports_special():

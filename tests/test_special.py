@@ -63,24 +63,34 @@ def test_gegenbauer_moment_ratio_and_monotonicity(lam, mu):
 def test_moment_table_hermite_classical():
     table = moment_table(WeightSpec.hermite(0.0), 4)
     expected = (SQRT_PI, 0.0, SQRT_PI / 2, 0.0, 3 * SQRT_PI / 4)
-    assert table.values == pytest.approx(expected, rel=1e-14)
+    assert table == pytest.approx(expected, rel=1e-14)
 
 
 def test_moment_table_gegenbauer_and_odd_zero():
     table = moment_table(WeightSpec.gegenbauer(0.0, 0.5), 2)
-    assert table.values == pytest.approx((2.0, 0.0, 2.0 / 3.0), rel=1e-14)
+    assert table == pytest.approx((2.0, 0.0, 2.0 / 3.0), rel=1e-14)
     big = moment_table(WeightSpec.gegenbauer(1.3, -0.2), 15)
-    assert all(big.moment(k) == 0.0 for k in range(1, 16, 2))
-    assert all(big.moment(k) > 0.0 for k in range(0, 16, 2))
+    assert all(big[k] == 0.0 for k in range(1, 16, 2))
+    assert all(big[k] > 0.0 for k in range(0, 16, 2))
 
 
 def test_moment_table_normalization_and_bounds():
     table = moment_table(WeightSpec.hermite(2.0), 8, normalized=True)
-    assert table.moment(0) == 1.0
+    assert len(table) == 9 and table[0] == 1.0
     with pytest.raises(IndexError):
-        table.moment(9)
+        table[9]
     with pytest.raises(ValueError):
         moment_table(WeightSpec.hermite(0.0), -1)
+
+
+def test_moment_table_is_a_cached_tuple():
+    # the pencil builder slices the table, and the benchmark reads the cache's statistics
+    weight = WeightSpec.gegenbauer(0.35, 1.25)
+    assert type(moment_table(weight, 6, normalized=True)) is tuple
+    before = moment_table.cache_info()
+    assert moment_table(weight, 6, normalized=True) is moment_table(weight, 6, normalized=True)
+    after = moment_table.cache_info()
+    assert after.hits == before.hits + 2 and after.misses == before.misses
 
 
 def _quad_hermite(s, lam):
