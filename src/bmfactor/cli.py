@@ -26,6 +26,7 @@ from .factors import (
     _gegenbauer_ddx_sq,
     _gegenbauer_ddx_stack,
     _hermite_ddx_sq,
+    _odd_branch_grid,
     _odd_branch_stack,
     factor_gegenbauer_ddx,
     factor_gegenbauer_dunkl,
@@ -68,6 +69,7 @@ TABLE2_ABS_TOL = 1.5e-4
 DEFAULT_VERIFY_LAMBDAS = [0.0, 0.1, 0.4, 0.5, 1.0, 2.0, 4.5]
 DEFAULT_VERIFY_MUS = [-0.4, 0.0, 0.5, 1.0, 3.0, 4.0]
 RESIDUAL_REL_TOL = 1e-9
+RESIDUAL_BLOCK = 16  # degrees per residual pass, so the padded rows stay small at a large --n-max
 BRACKET_EQUALITY_TOL = 1e-12
 
 
@@ -111,7 +113,14 @@ def _oracle_factor(result: FactorResult) -> float:
     return rayleigh_factor(result.n, result.weight, result.operator, max_degree=result.n)[0]
 
 
-def _factor_payload(result: FactorResult, digits: int, check: bool) -> dict:
+def _check_tolerance(tolerance: float) -> None:
+    # a NaN tolerance would pass every gap
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"--tolerance must be finite and > 0, got {tolerance}")
+
+
+def _factor_payload(result: FactorResult, digits: int, check: bool) -> tuple[dict, float | None]:
+    """The JSON payload of a result and, with ``check``, its oracle's relative gap (None without)."""
     payload = {
         "n": result.n,
         "lambda": _sig(result.weight.lam, digits),
@@ -123,11 +132,13 @@ def _factor_payload(result: FactorResult, digits: int, check: bool) -> dict:
         "branch": result.branch.value,
         "extremal_coeffs": [_sig(c, digits) for c in result.extremal.coeffs],
     }
+    gap = None
     if check:
         oracle_value = _oracle_factor(result)
+        gap = abs(oracle_value - result.factor) / oracle_value
         payload["oracle_factor"] = _sig(oracle_value, digits)
-        payload["oracle_rel_err"] = _sig(abs(oracle_value - result.factor) / oracle_value, digits)
-    return payload
+        payload["oracle_rel_err"] = _sig(gap, digits)
+    return payload, gap
 
 
 def _write_csv(payload: dict) -> None:
@@ -168,10 +179,12 @@ def _emit_factor(payload: dict, fmt: str, digits: int, extremal_only: bool) -> N
 
 
 def cmd_factor(args: argparse.Namespace, extremal_only: bool = False) -> int:
+    _check_tolerance(args.tolerance)
     result = _compute_factor(args.weight, args.op, args.n, args.lam, args.mu)
-    payload = _factor_payload(result, args.digits, args.check)
+    payload, gap = _factor_payload(result, args.digits, args.check)
     _emit_factor(payload, args.format, args.digits, extremal_only)
-    return EXIT_OK
+    # a checked value off its oracle by more than the tolerance, or by a gap that is not finite, is a mismatch
+    return EXIT_MISMATCH if args.check and not gap <= args.tolerance else EXIT_OK
 
 
 def cmd_table2(args: argparse.Namespace) -> int:
@@ -257,8 +270,9 @@ def _verify_grid(lambdas: list[float], mus: list[float], n_values: range) -> _Gr
     """The factor rows of the grid of sorted distinct lambdas and mus, refused as the factor routes refuse them.
 
     Per lambda and n the rows are Hermite d/dx (lambda > 0) and Dunkl, then per mu Gegenbauer d/dx (lambda > 0)
-    and Dunkl.  The d/dx rows come from stacks over the lambda > 0: one odd pencil per m = (n - 1) // 2 over the
-    (lambda, mu) pairs, then one Hermite values kernel per degree.  Each weight is built once, the pairs' first."""
+    and Dunkl.  The d/dx rows come from stacks over the lambda > 0: one odd pencil at the top m = (n - 1) // 2 over
+    the (lambda, mu) pairs, solved per m on its leading block, then one Hermite values kernel per degree.  Each
+    weight is built once, the pairs' first."""
     lam, mu = np.array(lambdas), np.array(mus)
     slots = 2 + 2 * len(mus)  # per (lambda, n): Hermite d/dx and Dunkl, then per mu Gegenbauer d/dx and Dunkl
     i, n, s = (a.ravel() for a in np.meshgrid(np.arange(len(lam)), n_values, np.arange(slots), indexing="ij"))
@@ -267,7 +281,7 @@ def _verify_grid(lambdas: list[float], mus: list[float], n_values: range) -> _Gr
     gegenbauer, dunkl, j = s >= 2, s % 2 == 1, np.maximum(s // 2 - 1, 0)
     positive = [x for x in lambdas if x > 0]
     pairs = [WeightSpec.gegenbauer(x, y) for x in positive for y in mus]
-    odd = [_odd_branch_stack(2 * m + 1, pairs) for m in range((n_values[-1] + 1) // 2)] if pairs else []
+    odd = _odd_branch_grid(n_values[-1], pairs) if pairs else []
     hermite_ddx = [_hermite_ddx_sq(degree, positive)[:2] for degree in n_values] if positive else []
     factor_sq, branch = np.empty(len(n)), np.full(len(n), Branch.DUNKL_CLOSED_FORM, dtype=object)
     for family, rows in ((WeightFamily.GENERALIZED_HERMITE, dunkl & ~gegenbauer),
@@ -288,7 +302,7 @@ def _verify_grid(lambdas: list[float], mus: list[float], n_values: range) -> _Gr
         factor_sq[ddx], branch[ddx] = (np.ravel(column, order="F") for column in columns)
         ddx = gegenbauer & ~dunkl
         pair = (np.cumsum(lam > 0) - 1)[i[ddx]] * len(mus) + j[ddx]
-        nu = np.array(odd)[(n[ddx] - 1) // 2, pair]
+        nu = odd[(n[ddx] - 1) // 2, pair]
         factor_sq[ddx], branch[ddx] = _gegenbauer_ddx_sq(n[ddx], lam[i[ddx]], mu[j[ddx]], nu)
     weight = np.where(gegenbauer, len(lambdas) + i * len(mus) + j, i)
     return _Grid(hermite + gegenbauer_weights, weight, dunkl, n, factor_sq, branch)
@@ -297,28 +311,34 @@ def _verify_grid(lambdas: list[float], mus: list[float], n_values: range) -> _Gr
 def _residual_violations(lambdas, mus, n_values) -> list[str]:
     """Eigenpolynomials whose ODE residual is not small, in (lambda, n, hermite then mu) order.
 
-    Per (family, n) the eigenpolynomials of every lambda (and mu) come from
-    one recurrence on arrays, and their residuals from one ``_residual_rows``
-    over the lambda array.  A coefficient beyond a double is refused as
-    ``hermite_poly`` and ``gegenbauer_poly`` refuse it, at the first
-    polynomial in sweep order.
+    One pass over the degrees, in blocks of at most ``RESIDUAL_BLOCK``
+    consecutive degrees: per block and family the eigenpolynomials of every
+    degree, lambda (and mu) come from one recurrence on arrays, zero-padded
+    to the block's top degree (``_eigen_rows``), and their residuals from
+    one ``_residual_rows``, each over its own n + 1 columns.  A coefficient
+    beyond a double is refused as ``hermite_poly`` and ``gegenbauer_poly``
+    refuse it, at the first polynomial in sweep order.
     """
     lams, mu = np.array(lambdas), np.array(mus)
     lam = lams[:, None]
-    # per n: a flag per lambda (Hermite) and per (lambda, mu) (Gegenbauer); at huge lambda or mu the
+    # per block: a flag per (n, lambda) (Hermite) and per (n, lambda, mu) (Gegenbauer); at huge lambda or mu the
     # residual may overflow, without a warning, and an infinite one is flagged
-    hermite_bad, gegenbauer_bad, finite = {}, {}, True
+    bad, finite = [], True
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in n_values:
-            h = _eigen_rows(WeightFamily.GENERALIZED_HERMITE, n, lams)
-            g = _eigen_rows(WeightFamily.GENERALIZED_GEGENBAUER, n, lam, mu)
+        for start in range(0, len(n_values), RESIDUAL_BLOCK):
+            degrees = np.array(n_values[start:start + RESIDUAL_BLOCK])
+            h = _eigen_rows(WeightFamily.GENERALIZED_HERMITE, degrees, lams)
+            g = _eigen_rows(WeightFamily.GENERALIZED_GEGENBAUER, degrees, lam, mu)
             finite = finite and np.isfinite(h).all() and np.isfinite(g).all()
-            scale = np.maximum(np.abs(h).max(axis=1) * np.maximum(2 * (n + 2 * lams), 1.0), 1.0)
-            residual = np.abs(_residual_rows(h, n, WeightFamily.GENERALIZED_HERMITE, lams)).max(axis=1)
-            hermite_bad[n] = residual > RESIDUAL_REL_TOL * scale
+            n = degrees[:, None]
+            scale = np.maximum(np.abs(h).max(axis=-1) * np.maximum(2 * (n + 2 * lams), 1.0), 1.0)
+            residual = np.abs(_residual_rows(h, degrees, WeightFamily.GENERALIZED_HERMITE, lams)).max(axis=-1)
+            hermite_bad = residual > RESIDUAL_REL_TOL * scale
+            n = degrees[:, None, None]
             lam_n2 = np.maximum(np.abs(n * (n + 2 * lam + 2 * mu)) + 4 * np.abs(lam * mu), 1.0)
-            residual = np.abs(_residual_rows(g, n, WeightFamily.GENERALIZED_GEGENBAUER, lam, mu)).max(axis=2)
-            gegenbauer_bad[n] = residual > RESIDUAL_REL_TOL * np.abs(g).max(axis=2) * lam_n2
+            residual = np.abs(_residual_rows(g, degrees, WeightFamily.GENERALIZED_GEGENBAUER, lam, mu)).max(axis=-1)
+            gegenbauer_bad = residual > RESIDUAL_REL_TOL * np.abs(g).max(axis=-1) * lam_n2
+            bad.append(np.concatenate([hermite_bad[:, :, None], gegenbauer_bad], axis=2))
     if not finite:
         # the same bits as the scalar builds, so one of them refuses
         for lam in lambdas:
@@ -327,19 +347,17 @@ def _residual_violations(lambdas, mus, n_values) -> list[str]:
                 for m in mus:
                     gegenbauer_poly(n, lam, m)
     violations = []
-    for i, lam in enumerate(lambdas):
-        for n in n_values:
-            if hermite_bad[n][i]:
-                violations.append(f"hermite residual at lambda={lam} n={n}")
-            violations += [f"gegenbauer residual at lambda={lam} mu={m} n={n}"
-                           for m, bad in zip(mus, gegenbauer_bad[n][i]) if bad]
+    # (lambda, n, slot) in C order is sweep order; slot 0 is Hermite, slot 1 + j the Gegenbauer weight of mus[j]
+    for i, k, slot in zip(*np.nonzero(np.concatenate(bad).swapaxes(0, 1))):
+        lam, n = lambdas[i], n_values[k]
+        violations.append(f"hermite residual at lambda={lam} n={n}" if slot == 0 else
+                          f"gegenbauer residual at lambda={lam} mu={mus[slot - 1]} n={n}")
     return violations
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    # a NaN tolerance would pass every gap, and an empty degree range would check no row
-    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
-        raise ValueError(f"--tolerance must be finite and > 0, got {args.tolerance}")
+    # an empty degree range would check no row
+    _check_tolerance(args.tolerance)
     if args.n_max < 1:
         raise ValueError(f"--n-max must be >= 1, got {args.n_max}")
     n_values = range(1, args.n_max + 1)
@@ -379,14 +397,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     if args.format == "csv":
         # csv.writer's bytes, streamed line by line: no field holds a comma, a quote or a line break
-        line = f"{{}},{{}},{{:.{args.digits}g}},{{:.{args.digits}g}},{{:.3e}},{{}}\r\n"
+        line = f"%s,%d,%.{args.digits}g,%.{args.digits}g,%.3e,%s\r\n"
         weight_text = [f"{w.lam},{w.mu if w.is_gegenbauer else ''}" for w in grid.weights]
         branch_text = {b: b.value for b in Branch}
         sys.stdout.write(",".join(VERIFY_CSV_COLUMNS) + "\r\n")
-        sys.stdout.writelines(map(
-            line.format, map(weight_text.__getitem__, grid.weight.tolist()), grid.n.tolist(),
+        sys.stdout.writelines(map(line.__mod__, zip(
+            map(weight_text.__getitem__, grid.weight.tolist()), grid.n.tolist(),
             (factor + 0.0).tolist(), (oracle + 0.0).tolist(), gaps,  # + 0.0 normalizes -0.0, as _fmt does
-            map(branch_text.__getitem__, grid.branch)))
+            map(branch_text.__getitem__, grid.branch))))
     elif args.format == "json":
         weight, op, n = grid.item(worst)
         mu = weight.mu if weight.is_gegenbauer else None
@@ -479,7 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mu", type=float, default=None)
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--check", action="store_true",
-                       help="also run the Rayleigh-quotient oracle and report the gap")
+                       help="also run the Rayleigh-quotient oracle, report the gap, exit 4 above --tolerance")
+        p.add_argument("--tolerance", type=float, default=1e-7)
         add_common(p)
 
     p_factor = sub.add_parser("factor", help="compute a Bernstein-Markov factor")

@@ -358,6 +358,21 @@ def _odd_branch_stack(n: int, weights: Sequence[WeightSpec]) -> np.ndarray:
     return _top_values(s, g, weights, OperatorSpec.ddx(damped=True), n)
 
 
+def _odd_branch_grid(n_max: int, weights: Sequence[WeightSpec]) -> np.ndarray:
+    """``_odd_branch_stack`` of every degree 1 .. n_max >= 1, one row per m = (n - 1) // 2, shape ((n_max + 1) // 2, B).
+
+    One pencil is built, at the top m; the pencil of each smaller m is its
+    leading block bit for bit (``_odd_pencil_stack``), solved as a
+    contiguous stack of its own shape, so each value carries the bits of
+    ``_odd_branch_stack`` at its degree, and refusals come in degree order.
+    """
+    lam, mu = np.array([(w.lam, w.mu) for w in weights]).T
+    s, g = _odd_pencil_stack((n_max - 1) // 2, lam, mu)
+    op = OperatorSpec.ddx(damped=True)
+    return np.array([_top_values(np.ascontiguousarray(s[:, :m, :m]), np.ascontiguousarray(g[:, :m, :m]),
+                                 weights, op, 2 * m - 1) for m in range(1, s.shape[1] + 1)])
+
+
 _DDX_BRANCHES = np.array([Branch.EVEN_CLOSED_FORM, Branch.ODD_PENCIL_ROOT, Branch.MAX_OF_BOTH])
 
 

@@ -13,11 +13,12 @@ rule keeps the basis orthonormal (``_checked_basis``).  All of it works on a
 stack of weights of one family, and stack items do not mix, so each value
 carries the bits of its stack of one.  ``_rayleigh_grid`` is the one value
 entry: it solves the product grid of some degrees, operators and weights of
-one family, checking each basis once and solving every operator's stiffness
-stack in one ``eigvalsh``.  ``rayleigh_factor`` solves a grid of one, adds
-the degree guard rail, and solves for its maximizer (``eigh`` on the
-winning parity block, ``_unit_extremal``) only when that is read.  The route
-uses neither the closed-form factor theorems nor the moment pencils.
+one family, checking each basis once and solving the stiffness blocks of
+every operator in one ``eigvalsh`` per degree, each even block once per
+damping.  ``rayleigh_factor`` solves a grid of one, adds the degree guard
+rail, and solves for its maximizer (``eigh`` on the winning parity block,
+``_unit_extremal``) only when that is read.  The route uses neither the
+closed-form factor theorems nor the moment pencils.
 ``_Forms`` evaluates the inner products of the inequality reports on the
 same folded rule, cached in ``_quadrature``.
 
@@ -228,13 +229,14 @@ def _gauss_basis(
 
 
 def _steps(x: np.ndarray, rb: np.ndarray, count: int) -> tuple[list, list, np.ndarray]:
-    """Row views of x / r_(k+1) and r_k / r_(k+1) for k < count - 1, and 1 / r_(k+1), r = sqrt(beta).
+    """Row views of x / r_(k+1) and r_k / r_(k+1), both (B, N/2), for k < count - 1, and 1 / r_(k+1), r = sqrt(beta).
 
-    With them a step of x q_k = r_(k+1) q_(k+1) + r_k q_(k-1) costs two
-    products and a difference.
+    r_k / r_(k+1) comes expanded to the shape of x, so a step of
+    x q_k = r_(k+1) q_(k+1) + r_k q_(k-1) costs two products of equal shapes
+    and a difference, with the bits of the broadcast products.
     """
     inv = 1.0 / rb[1:count]
-    return list(x * inv), list(rb[: count - 1] * inv), inv
+    return list(x * inv), list(np.repeat(rb[: count - 1] * inv, x.shape[-1], axis=2)), inv
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -357,28 +359,48 @@ def _gram(n: int, basis: _Basis) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _stiffness(n: int, basis: _Basis, op: OperatorSpec) -> np.ndarray:
-    """Stiffness matrices S = D diag(w A) D^T of ``op`` over q_0 .. q_n, as parity blocks, shape (2B, h, h).
+def _stiffness(n: int, basis: _Basis, ops: Sequence[OperatorSpec]) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """The distinct parity blocks of the stiffness matrices S = D diag(w A) D^T of ``ops`` over q_0 .. q_n, shape
+    (B K, h, h), K blocks per weight, and per op the positions of its even and odd block among those K.
 
-    ``op`` maps q_k to a polynomial of the parity of k - 1 and the weight is
-    even, so every entry between rows of opposite parity is zero: blocks 2b
-    and 2b + 1 (``_parity_blocks``) are the pencils of item b on the even and
-    on the odd basis rows, summed over the positive nodes.  At even n the odd
-    block has a zero padding row, which adds only the root 0.  The basis may
-    be built for a larger degree on the same nodes: a basis row and its
+    Each op maps q_k to a polynomial of the parity of k - 1 and the weight
+    is even, so every entry between rows of opposite parity is zero: S is an
+    even and an odd block per weight (``_parity_blocks``), summed over the
+    positive nodes.  sigma(q_k) = 0 for even k, so the even block depends
+    only on the damping and is formed once per damping: a weight's blocks
+    are, op by op, the even block of its damping where that is first used,
+    then its odd block.  One op takes blocks 2b and 2b + 1 of item b (the
+    layout of ``_gram``), D_lam and d/dx of one damping 3 per weight, a
+    mixed-damping pair 4.  Each block is a contiguous product of one shape,
+    so it carries the bits of its op's own stack.  At even n the odd block
+    has a zero padding row, which adds only the root 0.  The basis may be
+    built for a larger degree on the same nodes: a basis row and its
     derivative do not depend on the rows above them, so the leading rows
     carry the same bits.  At huge lam or mu the entries overflow to inf or
     nan without a warning; the solves refuse them.
     """
     x, w = basis.x, basis.w
-    d = _parity_blocks(basis.d[: n + 1])
-    if op.is_dunkl:
-        # sigma(q_k) = 2 q_k / x for odd k and 0 for even k, by parity of the basis, added to the odd blocks
-        odd = basis.q[1 : n + 1 : 2]
-        d.reshape(len(x), 2, -1, x.shape[1])[:, 1, : len(odd)] += \
-            ((2.0 * basis.lam)[:, None] * odd / x).swapaxes(0, 1)
-    wa = w * (1.0 - x * x) if (basis.gegenbauer and op.damped) else w
-    return (d * np.repeat(wa, 2, axis=0)[:, None, :]) @ d.swapaxes(1, 2)
+    even, odd = basis.d[0 : n + 1 : 2].swapaxes(0, 1), basis.d[1 : n + 1 : 2].swapaxes(0, 1)
+    blocks, even_of, slots = [], {}, []  # per block: its damping, and its op (None for an even block)
+    for op in ops:
+        if op.damped not in even_of:
+            even_of[op.damped] = len(blocks)
+            blocks.append((op.damped, None))
+        slots.append((even_of[op.damped], len(blocks)))
+        blocks.append((op.damped, op))
+    d = np.zeros((len(x), len(blocks), even.shape[1], x.shape[1]))
+    wa = np.empty((len(x), len(blocks), x.shape[1]))
+    for k, (damped, op) in enumerate(blocks):
+        wa[:, k] = w * (1.0 - x * x) if (basis.gegenbauer and damped) else w
+        if op is None:
+            d[:, k] = even
+            continue
+        d[:, k, : odd.shape[1]] = odd
+        if op.is_dunkl:
+            # sigma(q_k) = 2 q_k / x for odd k, by parity of the basis
+            d[:, k, : odd.shape[1]] += ((2.0 * basis.lam)[:, None] * basis.q[1 : n + 1 : 2] / x).swapaxes(0, 1)
+    s = (d * wa[:, :, None, :]) @ d.swapaxes(2, 3)
+    return s.reshape(-1, *s.shape[2:]), slots
 
 
 def _checked_basis(top: int, weights: Sequence[WeightSpec], op: OperatorSpec, n: int) -> tuple[_Basis, np.ndarray]:
@@ -414,8 +436,10 @@ def _rayleigh_grid(degrees: Sequence[int], weights: Sequence[WeightSpec], ops: S
     Consecutive degrees of one Gauss node count (n and n + 1 for odd n) share
     one basis, built and checked (``_checked_basis``) for the larger.  The
     basis is orthonormal, so each value is the top eigenvalue of a stiffness
-    matrix, and per degree one ``eigvalsh`` solves the stiffness stacks of
-    every operator.  Each value carries the bits of its stack of one.
+    matrix, and per degree one ``eigvalsh`` solves the distinct parity
+    blocks of every operator (``_stiffness``): operators of one damping
+    share their even block, so D_lam and d/dx take 3 blocks per weight, not
+    4.  Each value carries the bits of its stack of one.
     Refusals come in degree order: a degree below 1 first, then per basis
     its Gram check (naming ``ops[0]`` and the basis's first degree), per
     degree its stiffness stacks, and after the first degree's solve the
@@ -428,12 +452,12 @@ def _rayleigh_grid(degrees: Sequence[int], weights: Sequence[WeightSpec], ops: S
         group = list(group)
         basis, g = _checked_basis(max(group), weights, ops[0], group[0])
         for n in group:
-            s = [_stiffness(n, basis, op) for op in ops]
-            stack = np.concatenate(s)
-            if not np.isfinite(stack).all():  # G is finite: _checked_basis refused it otherwise
-                _refuse_non_finite(s, g, weights, ops, n)
-            theta = np.linalg.eigvalsh(stack)[:, -1]
-            values.append(np.sqrt(theta.reshape(len(ops), -1, 2).max(axis=2)))
+            s, slots = _stiffness(n, basis, ops)
+            if not np.isfinite(s).all():  # G is finite: _checked_basis refused it otherwise
+                blocks = s.reshape(len(weights), -1, *s.shape[1:])
+                _refuse_non_finite([blocks[:, list(slot)].reshape(g.shape) for slot in slots], g, weights, ops, n)
+            theta = np.linalg.eigvalsh(s)[:, -1].reshape(len(weights), -1)
+            values.append(np.sqrt([np.maximum(theta[:, even], theta[:, odd]) for even, odd in slots]))
             if len(values) == 1:
                 for weight in weights:
                     _mass(weight)
@@ -454,7 +478,7 @@ def _unit_extremal(n: int, weight: WeightSpec, op: OperatorSpec) -> Polynomial:
     refused with ``OverflowError``.
     """
     basis, _ = _checked_basis(n, [weight], op, n)
-    s = _stiffness(n, basis, op)
+    s, _ = _stiffness(n, basis, [op])
     block = [int(np.argmax(np.linalg.eigvalsh(s)[:, -1]))]
     v = np.linalg.eigh(s[block])[1][:, :, -1]
     p = (v[:, None, :] @ _parity_blocks(basis.q)[block])[:, 0]

@@ -28,6 +28,8 @@
   identities and checking extremals.
 - ``verify_csv_reference``: ``bmfactor verify --format csv`` written row by
   row through ``csv.writer``, the reference for the streamed report.
+- ``residual_violations_reference``: verify's residual sweep one degree at a
+  time, the reference for the one-pass ``cli._residual_violations``.
 - ``residual_hermite`` and ``residual_gegenbauer``: the defining equations
   of the eigenpolynomials as ``Polynomial`` views over
   ``orthopoly._residual_rows``; ``dunkl_gegenbauer_threshold``: the paper's
@@ -412,3 +414,46 @@ def verify_csv_reference(lambdas: list[float], mus: list[float], n_max: int, dig
         [b.value for b in grid.branch],
     ))
     return buf.getvalue()
+
+
+def residual_violations_reference(lambdas: list[float], mus: list[float], n_values: range) -> list[str]:
+    """``cli._residual_violations`` as one pass per (family, degree), the reference for the one-pass sweep.
+
+    Each degree's eigenpolynomials over the lambda (and mu) arrays are the
+    one-degree rows of ``cli._eigen_rows``, looked up at each call so that a
+    test's patch applies, and their residuals come from ``_residual_rows``
+    at that degree on the rows' own n + 1 columns, with no padding.  Flags,
+    violation text and order, and the refusal of coefficients beyond a
+    double follow the sweep's contract.
+    """
+    from bmfactor import cli
+
+    hermite, gegenbauer = WeightFamily.GENERALIZED_HERMITE, WeightFamily.GENERALIZED_GEGENBAUER
+    lams, mu = np.array(lambdas), np.array(mus)
+    lam = lams[:, None]
+    hermite_bad, gegenbauer_bad, finite = {}, {}, True
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in n_values:
+            h = cli._eigen_rows(hermite, np.array([n]), lams)[0]
+            g = cli._eigen_rows(gegenbauer, np.array([n]), lam, mu)[0]
+            finite = finite and np.isfinite(h).all() and np.isfinite(g).all()
+            scale = np.maximum(np.abs(h).max(axis=1) * np.maximum(2 * (n + 2 * lams), 1.0), 1.0)
+            residual = np.abs(_residual_rows(h, n, hermite, lams)).max(axis=1)
+            hermite_bad[n] = residual > cli.RESIDUAL_REL_TOL * scale
+            lam_n2 = np.maximum(np.abs(n * (n + 2 * lam + 2 * mu)) + 4 * np.abs(lam * mu), 1.0)
+            residual = np.abs(_residual_rows(g, n, gegenbauer, lam, mu)).max(axis=2)
+            gegenbauer_bad[n] = residual > cli.RESIDUAL_REL_TOL * np.abs(g).max(axis=2) * lam_n2
+    if not finite:
+        for x in lambdas:
+            for n in n_values:
+                hermite_poly(n, x)
+                for m in mus:
+                    gegenbauer_poly(n, x, m)
+    violations = []
+    for i, x in enumerate(lambdas):
+        for n in n_values:
+            if hermite_bad[n][i]:
+                violations.append(f"hermite residual at lambda={x} n={n}")
+            violations += [f"gegenbauer residual at lambda={x} mu={m} n={n}"
+                           for m, bad in zip(mus, gegenbauer_bad[n][i]) if bad]
+    return violations

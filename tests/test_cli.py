@@ -63,6 +63,24 @@ def test_factor_check_reports_oracle_gap(capsys):
     assert payload["factor"] == pytest.approx(math.sqrt(6.353319263351), rel=1e-9)
 
 
+@pytest.mark.parametrize("command", ("factor", "extremal"))
+def test_factor_check_gates_on_its_tolerance(capsys, command):
+    # Hermite d/dx at (lambda, n) = (1, 31) is 3.4 % off its oracle; --check once printed that gap and exited 0.
+    # The output is printed as before, then a gap above --tolerance (default 1e-7) exits 4
+    argv = (command, "--weight", "hermite", "--op", "ddx", "--lambda", "1", "--check")
+    code, out, _ = run(capsys, *argv, "--n", "31")
+    assert code == EXIT_MISMATCH and out.splitlines()[-1] == "oracle     = 7.824403226   (rel err 0.0343739329)"
+    code, out, _ = run(capsys, *argv, "--n", "31", "--format", "json", "--digits", "17")
+    assert code == EXIT_MISMATCH and json.loads(out)["oracle_rel_err"] == pytest.approx(0.0343739329, rel=1e-9)
+    assert run(capsys, *argv, "--n", "31", "--tolerance", "0.05")[0] == EXIT_OK
+    assert run(capsys, *argv, "--n", "9")[0] == EXIT_OK
+    assert run(capsys, *argv[:-1], "--n", "31")[0] == EXIT_OK  # unchecked: no oracle, no gate
+    for tolerance in ("nan", "inf", "0", "-1e-7"):
+        code, out, err = run(capsys, *argv, "--n", "9", f"--tolerance={tolerance}")
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err.startswith("error:") and "--tolerance" in err
+
+
 def test_domain_errors_exit_2(capsys):
     assert run(capsys, "factor", "--weight", "hermite", "--op", "ddx",
                "--lambda", "0", "--n", "3")[0] == EXIT_DOMAIN
@@ -224,6 +242,23 @@ def test_verify_flags_a_value_just_outside_the_bracket(capsys, monkeypatch, side
     assert violation.startswith("bracket violation at lambda=1e-08 n=3:")
 
 
+def _edited_rows(monkeypatch, edit):
+    """Patches the eigenpolynomial rows of verify's residual sweep (``cli._eigen_rows``, one call per family over a
+    block of degrees): ``edit(family, n, params, rows)`` changes the rows of degree n, (*params' shape, L), in
+    place, with ``params`` the lambda (and mu) arrays broadcast to that shape."""
+    import bmfactor.cli
+
+    rows_of = bmfactor.cli._eigen_rows
+
+    def edited(family, degrees, *params):
+        rows = rows_of(family, degrees, *params)
+        for d, n in enumerate(degrees.tolist()):
+            edit(family, n, [np.broadcast_to(p, rows.shape[1:-1]) for p in params], rows[d])
+        return rows
+
+    monkeypatch.setattr(bmfactor.cli, "_eigen_rows", edited)
+
+
 @pytest.mark.parametrize(("source", "target", "message"), (
     ("gegenbauer_poly", (4, 1.0, 0.5), "gegenbauer residual at lambda=1.0 mu=0.5 n=4"),
     ("hermite_poly", (3, 1.0), "hermite residual at lambda=1.0 n=3"),
@@ -231,22 +266,18 @@ def test_verify_flags_a_value_just_outside_the_bracket(capsys, monkeypatch, side
 def test_verify_reports_a_bad_eigenpolynomial(capsys, monkeypatch, source, target, message):
     # The residual sweep must flag one perturbed eigenpolynomial, and only it:
     # a constant added to p leaves lambda_n^2 times it in the residual.  The
-    # sweep reads each degree's eigenpolynomials as coefficient rows over the grid.
-    import bmfactor.cli
+    # sweep reads the eigenpolynomials of a block of degrees as coefficient rows over the grid.
     import bmfactor.orthopoly
 
     exact = getattr(bmfactor.orthopoly, source)
-    rows_of = bmfactor.cli._eigen_rows
     family = WeightFamily.GENERALIZED_GEGENBAUER if source == "gegenbauer_poly" else WeightFamily.GENERALIZED_HERMITE
 
-    def perturbed(fam, n, *params):
-        rows = rows_of(fam, n, *params)
+    def perturb(fam, n, params, rows):
         if fam is family and n == target[0]:
-            at = np.all([np.broadcast_to(p, rows.shape[:-1]) == t for p, t in zip(params, target[1:])], axis=0)
+            at = np.all([p == t for p, t in zip(params, target[1:])], axis=0)
             rows[at, 0] += 1e-4 * np.abs(exact(*target).coeffs).max(initial=0.0)
-        return rows
 
-    monkeypatch.setattr(bmfactor.cli, "_eigen_rows", perturbed)
+    _edited_rows(monkeypatch, perturb)
     code, out, _ = run(capsys, "verify", "--lambdas", "0.5", "1", "--mus", "0.5", "3",
                        "--n-max", "4")
     assert code == EXIT_MISMATCH
@@ -254,24 +285,35 @@ def test_verify_reports_a_bad_eigenpolynomial(capsys, monkeypatch, source, targe
     assert "result: FAIL" in out
 
 
-def test_verify_refuses_an_eigenpolynomial_beyond_a_double_in_sweep_order(capsys, monkeypatch):
-    # verify --lambdas 0 --mus 1 --n-max 334 reaches a degree-332 Hermite polynomial beyond a
-    # double; here two coefficients are made infinite, and the refusal names the one that comes
-    # first in (lambda, n, hermite then mu) order, as the scalar builds named it
+def _overflowing(monkeypatch, hit):
+    """Makes coefficient a_0 infinite wherever ``hit(family, n, lam, mu)`` holds: in the sweep's rows, and in
+    the scalar builds (``orthopoly._eigen_coeffs``) that name the refusal."""
     import bmfactor.orthopoly
 
     exact = bmfactor.orthopoly._eigen_coeffs
 
     def overflowing(family, n, lam, mu=0.0):
         a = exact(family, n, lam, mu)
-        if family is WeightFamily.GENERALIZED_HERMITE:
-            hit = (np.asarray(lam) == 1.0) & (n == 2)
-        else:
-            hit = (np.asarray(lam) == 0.5) & (np.asarray(mu) == 3.0) & (n == 4)
-        a[0] = np.where(hit, np.inf, a[0])
+        a[0] = np.where(hit(family, n, np.asarray(lam), np.asarray(mu)), np.inf, a[0])
         return a
 
+    def overflowing_rows(family, n, params, rows):
+        rows[hit(family, n, *params, *[0.0] * (2 - len(params))), 0] = np.inf
+
     monkeypatch.setattr(bmfactor.orthopoly, "_eigen_coeffs", overflowing)
+    _edited_rows(monkeypatch, overflowing_rows)
+
+
+def test_verify_refuses_an_eigenpolynomial_beyond_a_double_in_sweep_order(capsys, monkeypatch):
+    # verify --lambdas 0 --mus 1 --n-max 334 reaches a degree-332 Hermite polynomial beyond a
+    # double; here two coefficients are made infinite, and the refusal names the one that comes
+    # first in (lambda, n, hermite then mu) order, as the scalar builds named it
+    def hit(family, n, lam, mu):
+        if family is WeightFamily.GENERALIZED_HERMITE:
+            return (lam == 1.0) & (n == 2)
+        return (lam == 0.5) & (mu == 3.0) & (n == 4)
+
+    _overflowing(monkeypatch, hit)
     code, out, err = run(capsys, "verify", "--lambdas", "0.5", "1", "--mus", "0.5", "3", "--n-max", "4")
     assert (code, out) == (EXIT_NUMERICAL, "")
     assert err == ("numerical failure: degree-4 gegenbauer eigenpolynomial has coefficients beyond a double "
@@ -292,24 +334,62 @@ def test_verify_refuses_huge_parameters_without_a_numpy_warning(capsys, grid):
 def test_verify_refuses_an_overflowing_eigenpolynomial_before_the_oracle_grid(capsys, monkeypatch):
     # the residual sweep runs before the oracle grid, so its refusal needs no Gauss basis
     import bmfactor.oracle
-    import bmfactor.orthopoly
-
-    exact = bmfactor.orthopoly._eigen_coeffs
-
-    def overflowing(family, n, lam, mu=0.0):
-        a = exact(family, n, lam, mu)
-        a[0] = np.where((np.asarray(lam) == 1.0) & (n == 2), np.inf, a[0])
-        return a
 
     def refuse(*args):
         raise AssertionError("the oracle grid ran")
 
-    monkeypatch.setattr(bmfactor.orthopoly, "_eigen_coeffs", overflowing)
+    _overflowing(monkeypatch, lambda family, n, lam, mu: (lam == 1.0) & (n == 2))
     monkeypatch.setattr(bmfactor.oracle, "_stack_basis", refuse)
     code, out, err = run(capsys, "verify", "--lambdas", "0.5", "1", "--mus", "0.5", "3", "--n-max", "4")
     assert (code, out) == (EXIT_NUMERICAL, "")
     assert err == ("numerical failure: degree-2 hermite eigenpolynomial has coefficients beyond a double "
                    "(lambda=1.0)\n")
+
+
+_RESIDUAL_GRIDS = (
+    (sorted(bmfactor.cli.DEFAULT_VERIFY_LAMBDAS), sorted(bmfactor.cli.DEFAULT_VERIFY_MUS), 10),
+    ([1e300], sorted(bmfactor.cli.DEFAULT_VERIFY_MUS), 4),
+    ([0.0], [1e300], 4),
+    ([0.0, 0.5, 1e8], [-0.4, 1e8], 40),
+    ([0.5, 1e30], [0.0, 1e30], 34),  # refused at degree 22, in the second block of degrees
+)
+
+
+def _outcome(sweep, *args):
+    """The violations of a residual sweep, or the type and message of its refusal."""
+    try:
+        return sweep(*args)
+    except Exception as exc:  # compared, not raised
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("perturbed", (False, True), ids=("exact", "perturbed"))
+@pytest.mark.parametrize(("lambdas", "mus", "n_max"), _RESIDUAL_GRIDS, ids=("default", "lambda-1e300", "mu-1e300",
+                                                                          "n-max-40", "refused-in-block-2"))
+def test_one_pass_residual_sweep_equals_the_per_degree_sweep(monkeypatch, lambdas, mus, n_max, perturbed):
+    # verify's residual sweep takes its degrees in blocks of up to 16, rows zero-padded to the block's top
+    # degree; its flags, their order and its refusals must be those of one pass per (family, degree).  The
+    # perturbed rows are flagged by a constant, a huge and an infinite coefficient, and by NaN
+    from instruments import residual_violations_reference
+
+    def perturb(family, n, params, rows):
+        at = params[0] == lambdas[-1]
+        if n % 3 == 0:
+            rows[at, 0] += 1e-3 * (1.0 + np.abs(rows[at]).max())
+        elif n % 7 == 1:
+            rows[at, n] = -np.inf if family is WeightFamily.GENERALIZED_HERMITE else 1e300
+        elif n == 5:
+            rows[at, n] = np.nan
+
+    if perturbed:
+        _edited_rows(monkeypatch, perturb)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        args = (lambdas, mus, range(1, n_max + 1))
+        got, want = _outcome(bmfactor.cli._residual_violations, *args), _outcome(residual_violations_reference, *args)
+    assert got == want
+    if perturbed and n_max >= 10 and isinstance(want, list):
+        assert len(got) > 5  # flags on both families and at several degrees
 
 
 @pytest.mark.parametrize(("option", "value"), (
@@ -731,20 +811,23 @@ def test_verify_builds_each_shared_piece_once(capsys, monkeypatch):
     # one Gauss basis per (family, node count), 2 x 5, and checks its Gram
     # matrices once, for both degrees and both operators it serves; it checks
     # the zeroth moment of each of its 49 weights once, and factors no Gram
-    # matrix.  The residual sweep takes one call per (family, n) over the
-    # lambda array.  Its Gegenbauer d/dx rows solve one odd pencil per
-    # m = (n - 1) // 2 over the 36 (lambda > 0, mu) pairs, and its Hermite
-    # d/dx rows one stack of moment pencils per odd n = 3..9 over the 6
-    # lambda > 0: those are the only Cholesky factorizations.  The rows are
-    # columns: no factor is built one at a time, no FactorResult and no odd
-    # extremal is built, and each of the 49 grid weights is built once (the
-    # 24 moment pencils build their own).
+    # matrix.  Per degree its eigvalsh stack holds 3 blocks per weight: D_lam
+    # and d/dx share their damping, so they share the even block.  The
+    # residual sweep takes one call per family over the block of degrees
+    # 1..10 and the lambda array.  Its Gegenbauer d/dx rows build one odd
+    # pencil, at the top m = 4, over the 36 (lambda > 0, mu) pairs, and solve
+    # its leading block per m = (n - 1) // 2; its Hermite d/dx rows solve one
+    # stack of moment pencils per odd n = 3..9 over the 6 lambda > 0: those
+    # are the only Cholesky factorizations.  The rows are columns: no factor
+    # is built one at a time, no FactorResult and no odd extremal is built,
+    # and each of the 49 grid weights is built once (the 24 moment pencils
+    # build their own).
     import bmfactor.factors
     import bmfactor.oracle
 
     calls = {"_gauss_basis": 0, "_gram": 0, "_mass": 0, "_residual_rows": 0, "_dunkl_factor": 0,
-             "_odd_polynomial": 0, "FactorResult": 0, "WeightSpec": 0}
-    odd_pencils, factored = [], []
+             "_odd_polynomial": 0, "_odd_pencil_stack": 0, "FactorResult": 0, "WeightSpec": 0}
+    odd_pencils, factored, solved = [], [], []
 
     def counting(name, fn):
         def counted(*args):
@@ -758,7 +841,7 @@ def test_verify_builds_each_shared_piece_once(capsys, monkeypatch):
             if exact is not None:
                 monkeypatch.setattr(module, name, counting(name, exact))
     monkeypatch.setattr(WeightSpec, "__post_init__", counting("WeightSpec", WeightSpec.__post_init__))
-    odd_solve, cholesky = bmfactor.factors._top_values, np.linalg.cholesky
+    odd_solve, cholesky, eigvalsh = bmfactor.factors._top_values, np.linalg.cholesky, np.linalg.eigvalsh
 
     def recorded(s, g, *args):
         odd_pencils.append(s.shape)
@@ -768,15 +851,22 @@ def test_verify_builds_each_shared_piece_once(capsys, monkeypatch):
         factored.append(g.shape)
         return cholesky(g, *args, **kwargs)
 
+    def recorded_eigvalsh(a, *args, **kwargs):
+        solved.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
     monkeypatch.setattr(bmfactor.factors, "_top_values", recorded)
     monkeypatch.setattr(np.linalg, "cholesky", recorded_cholesky)
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded_eigvalsh)
     code, out, _ = run(capsys, "verify", "--format", "json")
     assert code == EXIT_OK and json.loads(out)["rows"] == 910
-    assert calls == {"_gauss_basis": 10, "_gram": 10, "_mass": 49, "_residual_rows": 20, "_dunkl_factor": 0,
-                     "_odd_polynomial": 0, "FactorResult": 0, "WeightSpec": 49 + 24}
+    assert calls == {"_gauss_basis": 10, "_gram": 10, "_mass": 49, "_residual_rows": 2, "_dunkl_factor": 0,
+                     "_odd_polynomial": 0, "_odd_pencil_stack": 1, "FactorResult": 0, "WeightSpec": 49 + 24}
     assert odd_pencils == [(36, m + 1, m + 1) for m in range(5)]
     moment_pencils = [(6, m + 1, m + 1) for m in (1, 2, 3, 4)]
     assert sorted(factored) == sorted(odd_pencils + moment_pencils)
+    oracle_stacks = [(3 * weights, n // 2 + 1, n // 2 + 1) for weights in (7, 42) for n in range(1, 11)]
+    assert sorted(solved) == sorted(odd_pencils + oracle_stacks)
 
 
 def test_eigenvectors_are_solved_only_where_read(capsys, monkeypatch):
@@ -989,7 +1079,8 @@ def _finite_numbers(value) -> bool:
 def test_every_answer_is_finite_or_refused(capsys, command):
     # Over small, tiny, large and huge parameters each run prints only finite numbers with exit 0, or
     # is refused with exit 2 or 3 and nothing on stdout, and never warns.  verify may exit 4 only
-    # where the oracle's own mu -> -1/2 defect predicts it.  This sweep once found the false bracket
+    # where the oracle's own mu -> -1/2 defect predicts it, and factor --check only with its normal
+    # output and a gap above its tolerance.  This sweep once found the false bracket
     # violations below lambda = 1e-8, the overflow warnings of the lambda = 150, n = 31 inequality and
     # the NaN Dunkl factors at lambda mu beyond a double.
     failures = []
@@ -999,6 +1090,10 @@ def test_every_answer_is_finite_or_refused(capsys, command):
             code, out, err = run(capsys, *argv, "--format", "json")
         if code == EXIT_OK:
             ok = _finite_numbers(json.loads(out))
+        elif code == EXIT_MISMATCH and command == "factor":
+            # factor --check prints its normal output and exits 4 on a gap above the default tolerance 1e-7
+            payload = json.loads(out)
+            ok = _finite_numbers(payload) and payload["oracle_rel_err"] > 1e-7
         elif code == EXIT_MISMATCH:
             ok = command == "verify" and (argv[2], argv[4]) in _SWEEP_KNOWN_GAPS
         else:

@@ -20,6 +20,7 @@ from bmfactor.factors import (
     _dunkl_factor,
     _gegenbauer_ddx_stack,
     _hermite_ddx_sq,
+    _odd_branch_grid,
     _odd_branch_stack,
     _odd_pencil_stack,
     _odd_polynomial,
@@ -484,6 +485,24 @@ def test_odd_pencil_is_the_leading_block_of_the_degree_61_pencil():
         m = (n - 1) // 2
         for small, big in zip(_odd_pencil_stack(m, lam, mu), top, strict=True):
             assert np.array_equal(small, big[:, : m + 1, : m + 1]), n
+
+
+def test_odd_branch_grid_equals_the_stack_of_each_degree():
+    # verify builds one odd pencil at its top m and solves each m on its leading block: every value must be
+    # _odd_branch_stack's at that degree, bit for bit, and a refusal the one of the first degree that refuses
+    weights = [WeightSpec.gegenbauer(lam, mu) for lam in LAMBDAS for mu in MUS] + [WeightSpec.gegenbauer(100.0, 99.0)]
+    for n_max in (1, 2, 10, 25):
+        grid = _odd_branch_grid(n_max, weights)
+        assert grid.shape == ((n_max + 1) // 2, len(weights))
+        for m, row in enumerate(grid):
+            assert row.tobytes() == _odd_branch_stack(2 * m + 1, weights).tobytes()
+    # at mu = 1e300 the m = 0 block is finite and the larger ones are not, which the degree-3 solve refuses
+    weights = [WeightSpec.gegenbauer(0.5, 1.0), WeightSpec.gegenbauer(0.5, 1e300)]
+    with pytest.raises(ConditioningError) as want:
+        _odd_branch_stack(3, weights)
+    with pytest.raises(ConditioningError) as got:
+        _odd_branch_grid(9, weights)
+    assert str(got.value) == str(want.value) and got.value.index == want.value.index == 1
 
 
 def test_extremal_certificates():

@@ -268,7 +268,7 @@ def test_a_shared_basis_gives_each_degree_and_subset_its_own_bits(family, op, we
     shared, own = _stack_basis(n + 1, weights), _stack_basis(n, weights)
     assert _gram(n, shared).tobytes() == _gram(n, own).tobytes()
     for operator in (OperatorSpec.dunkl(damped), OperatorSpec.ddx(damped)):
-        assert _stiffness(n, shared, operator).tobytes() == _stiffness(n, own, operator).tobytes()
+        assert _stiffness(n, shared, [operator])[0].tobytes() == _stiffness(n, own, [operator])[0].tobytes()
 
 
 @pytest.mark.parametrize("n", (1, 2, 7, 10, 20, 40, 60))
@@ -347,11 +347,12 @@ def test_a_non_finite_stiffness_entry_is_refused_under_its_operator_at_its_degre
 
     stiffness = bmfactor.oracle._stiffness
 
-    def poisoned(n, basis, op):
-        s = stiffness(n, basis, op)
-        if n == 2 and op.is_dunkl:
-            s[5, 0, 0] = math.inf  # the odd block of weight 2
-        return s
+    def poisoned(n, basis, ops):
+        s, slots = stiffness(n, basis, ops)
+        if n == 2:
+            # the odd block of weight 2 under D_lam; d/dx and D_lam share the even block, 3 blocks per weight
+            s[2 * 3 + slots[1][1], 0, 0] = math.inf
+        return s, slots
 
     monkeypatch.setattr(bmfactor.oracle, "_stiffness", poisoned)
     weights = [WeightSpec.hermite(lam) for lam in (0.0, 0.5, 2.0)]
@@ -411,8 +412,36 @@ def test_ddx_and_dunkl_stiffness_agree_to_the_bit_at_lambda_zero(family):
     weights = [WeightSpec.hermite(0.0)] if not damped else [WeightSpec.gegenbauer(0.0, mu) for mu in (-0.4, 0.5, 4.0)]
     for n in range(1, 11):
         basis = _stack_basis(n, weights)
-        ddx, dunkl = (_stiffness(n, basis, op) for op in (OperatorSpec.ddx(damped), OperatorSpec.dunkl(damped)))
+        ddx, dunkl = (_stiffness(n, basis, [op])[0] for op in (OperatorSpec.ddx(damped), OperatorSpec.dunkl(damped)))
         assert ddx.tobytes() == dunkl.tobytes()
+
+
+@pytest.mark.parametrize("family", ("hermite", "gegenbauer"))
+def test_operators_of_one_damping_solve_their_shared_even_block_once(family, monkeypatch):
+    # verify's grids ask for D_lam and d/dx of one damping; sigma(q_k) = 0 for even k, so the even block is the
+    # same matrix under both and goes into each degree's eigvalsh stack once, 3 blocks per weight, not 4.  Every
+    # value must be that of the operator's own grid, bit for bit, and a mixed-damping pair shares nothing
+    damped = family == "gegenbauer"
+    if damped:
+        weights = [WeightSpec.gegenbauer(lam, mu) for lam in (0.0, 0.4, 2.0) for mu in (-0.4, 0.5, 3.0)]
+    else:
+        weights = [WeightSpec.hermite(lam) for lam in (0.0, 0.1, 0.5, 2.0, 4.5)]
+    degrees = range(1, 13)
+    eigvalsh, shapes = np.linalg.eigvalsh, []
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    for ops, blocks in (([OperatorSpec.dunkl(damped), OperatorSpec.ddx(damped)], 3),
+                        ([OperatorSpec.ddx(damped), OperatorSpec.dunkl(damped)], 3),
+                        ([OperatorSpec.dunkl(damped), OperatorSpec.ddx(not damped)], 4)):
+        shapes.clear()
+        grid = _rayleigh_grid(degrees, weights, ops)
+        assert shapes == [(blocks * len(weights), n // 2 + 1, n // 2 + 1) for n in degrees]
+        for j, op in enumerate(ops):
+            assert grid[:, j : j + 1].tobytes() == _rayleigh_grid(degrees, weights, [op]).tobytes()
 
 
 def test_stacked_oracle_rejects_mixed_families():

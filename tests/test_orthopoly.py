@@ -33,17 +33,49 @@ MUS = (-0.4, 0.0, 0.5, 1.0, 3.0, 4.0)
 
 
 def test_eigen_rows_equal_the_scalar_builds_bit_for_bit():
-    # verify's residual sweep runs the recurrence once per family and degree on arrays
+    # verify's residual sweep runs the recurrence once per family over a block of degrees on arrays; each
+    # degree's row holds its own n + 1 coefficients and zeros up to the block's top degree
     lam = np.array((0.0,) + LAMBDAS + (100.0,))
     mu = np.array(MUS + (99.0,))
-    for n in range(0, 16):
-        hermite = _eigen_rows(WeightFamily.GENERALIZED_HERMITE, n, lam)
-        gegenbauer = _eigen_rows(WeightFamily.GENERALIZED_GEGENBAUER, n, lam[:, None], mu)
-        assert hermite.shape == (len(lam), n + 1) and gegenbauer.shape == (len(lam), len(mu), n + 1)
-        for i, lam_i in enumerate(lam.tolist()):
-            assert hermite[i].tobytes() == np.array(hermite_poly(n, lam_i).coeffs).tobytes()
-            for j, mu_j in enumerate(mu.tolist()):
-                assert gegenbauer[i, j].tobytes() == np.array(gegenbauer_poly(n, lam_i, mu_j).coeffs).tobytes()
+    for degrees in (np.arange(0, 16), np.arange(5, 6), np.arange(17, 33)):
+        top = degrees.max()
+        hermite = _eigen_rows(WeightFamily.GENERALIZED_HERMITE, degrees, lam)
+        gegenbauer = _eigen_rows(WeightFamily.GENERALIZED_GEGENBAUER, degrees, lam[:, None], mu)
+        assert hermite.shape == (len(degrees), len(lam), top + 1)
+        assert gegenbauer.shape == (len(degrees), len(lam), len(mu), top + 1)
+        for d, n in enumerate(degrees.tolist()):
+            assert not hermite[d, :, n + 1:].any() and not gegenbauer[d, :, :, n + 1:].any()
+            for i, lam_i in enumerate(lam.tolist()):
+                want = np.array(hermite_poly(n, lam_i).coeffs)
+                assert hermite[d, i, : n + 1].tobytes() == want.tobytes()
+                for j, mu_j in enumerate(mu.tolist()):
+                    want = np.array(gegenbauer_poly(n, lam_i, mu_j).coeffs)
+                    assert gegenbauer[d, i, j, : n + 1].tobytes() == want.tobytes()
+
+
+def test_residual_rows_over_a_degree_array_equal_their_own_degree_rows():
+    # padded rows of a block of degrees give each degree's residual over its own n + 1 columns, bit for bit,
+    # and 0.0 in the padding, even where lambda_n^2 is infinite (0 inf would be NaN there)
+    rng = np.random.default_rng(11)
+    lams, mus = np.array([0.0, 0.7, 3.5, 1e300]), np.array(MUS + (1e300,))
+    degrees = np.arange(3, 9)
+    top = degrees.max()
+    hermite = rng.standard_normal((len(degrees), len(lams), top + 1))
+    gegenbauer = rng.standard_normal((len(degrees), len(lams), len(mus), top + 1))
+    for d, n in enumerate(degrees):
+        hermite[d, :, n + 1:] = gegenbauer[d, :, :, n + 1:] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        hermite_rows = _residual_rows(hermite, degrees, WeightFamily.GENERALIZED_HERMITE, lams)
+        rows = _residual_rows(gegenbauer, degrees, WeightFamily.GENERALIZED_GEGENBAUER, lams[:, None], mus)
+        for d, n in enumerate(degrees.tolist()):
+            want = _residual_rows(hermite[d, :, : n + 1], n, WeightFamily.GENERALIZED_HERMITE, lams)
+            assert hermite_rows[d, :, : n + 1].tobytes() == want.tobytes()
+            want = _residual_rows(gegenbauer[d, :, :, : n + 1], n, WeightFamily.GENERALIZED_GEGENBAUER,
+                                  lams[:, None], mus)
+            assert rows[d, :, :, : n + 1].tobytes() == want.tobytes()
+            assert not hermite_rows[d, :, n + 1:].any() and not rows[d, :, :, n + 1:].any()
+    # lambda = mu = 1e300: lambda_n^2 is infinite at odd n, and the padding above those residuals holds no NaN
+    assert np.isinf(rows[0::2, -1, -1]).any()
 
 
 def test_hermite_poly_low_degrees():
