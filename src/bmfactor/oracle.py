@@ -13,12 +13,13 @@ rule keeps the basis orthonormal (``_checked_basis``).  All of it works on a
 stack of weights of one family, and stack items do not mix, so each value
 carries the bits of its stack of one.  ``_rayleigh_grid`` is the one value
 entry: it solves the product grid of some degrees, operators and weights of
-one family, checking each basis once and solving the stiffness blocks of
-every operator in one ``eigvalsh`` per degree, each even block once per
-damping.  ``rayleigh_factor`` solves a grid of one, adds the degree guard
-rail, and solves for its maximizer (``eigh`` on the winning parity block,
-``_unit_extremal``) only when that is read.  The route uses neither the
-closed-form factor theorems nor the moment pencils.
+one family on one basis, built and checked on the Gauss rule of the grid's
+top degree, which is exact for every lower degree too, and solves the
+stiffness blocks of every operator in one ``eigvalsh`` per degree, each even
+block once per damping.  ``rayleigh_factor`` solves a grid of one, adds the
+degree guard rail, and solves for its maximizer (``eigh`` on the winning
+parity block, ``_unit_extremal``) only when that is read.  The route uses
+neither the closed-form factor theorems nor the moment pencils.
 ``_Forms`` evaluates the inner products of the inequality reports on the
 same folded rule, cached in ``_quadrature``.
 
@@ -41,7 +42,6 @@ import sys
 from collections import abc
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import groupby
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -297,9 +297,11 @@ def _refuse_non_finite(
 
 
 def _node_count(n: int) -> int:
-    """Gauss node count of the oracle at degree n; degrees n and n + 1 share it for odd n.
+    """Gauss node count of the oracle's basis for degrees up to n; a grid sizes it by its top degree.
 
-    The count is even, so the origin is never a node.
+    The count is even, so the origin is never a node, and the rule is exact
+    up to degree 2 _node_count(n) - 1 >= 2n + 7, so it serves every degree
+    up to n.
     """
     return n + 4 + n % 2
 
@@ -374,10 +376,12 @@ def _stiffness(n: int, basis: _Basis, ops: Sequence[OperatorSpec]) -> tuple[np.n
     mixed-damping pair 4.  Each block is a contiguous product of one shape,
     so it carries the bits of its op's own stack.  At even n the odd block
     has a zero padding row, which adds only the root 0.  The basis may be
-    built for a larger degree on the same nodes: a basis row and its
-    derivative do not depend on the rows above them, so the leading rows
-    carry the same bits.  At huge lam or mu the entries overflow to inf or
-    nan without a warning; the solves refuse them.
+    built for a larger degree, as ``_rayleigh_grid`` builds it for its top
+    degree: its rule integrates every product of rows 0 .. n exactly, and a
+    basis row and its derivative do not depend on the rows above them.  A
+    basis on the same nodes gives the leading rows the same bits; one on
+    more nodes moves only the rounding of the sums.  At huge lam or mu the
+    entries overflow to inf or nan without a warning; the solves refuse them.
     """
     x, w = basis.x, basis.w
     even, odd = basis.d[0 : n + 1 : 2].swapaxes(0, 1), basis.d[1 : n + 1 : 2].swapaxes(0, 1)
@@ -403,16 +407,16 @@ def _stiffness(n: int, basis: _Basis, ops: Sequence[OperatorSpec]) -> tuple[np.n
     return s.reshape(-1, *s.shape[2:]), slots
 
 
-def _checked_basis(top: int, weights: Sequence[WeightSpec], op: OperatorSpec, n: int) -> tuple[_Basis, np.ndarray]:
-    """The basis of a stack for degrees up to ``top`` and its Gram matrices, refused unless they are I.
+def _checked_basis(top: int, weights: Sequence[WeightSpec], op: OperatorSpec, n: int) -> _Basis:
+    """The basis of a stack for degrees up to ``top``, refused unless its Gram matrices are I.
 
     The rule integrates every product of the basis rows exactly, so G is I
     up to rounding wherever the rule is sound.  A weight with non-finite
     recurrence coefficients, then a Gram block with a non-finite entry, then
     one further than ``BASIS_DEFECT_TOL`` from I, is refused with
     ``ConditioningError`` naming the weight under ``op`` at degree n.  A
-    smaller degree's Gram blocks are leading blocks of these, so one check
-    covers every degree the basis serves.
+    smaller degree's Gram blocks are leading blocks of these, so one check at
+    a grid's top degree covers every degree of the grid.
     """
     basis = _stack_basis(top, weights)
     g = _gram(top, basis)
@@ -427,40 +431,42 @@ def _checked_basis(top: int, weights: Sequence[WeightSpec], op: OperatorSpec, n:
         block = int(np.argmax(defect > BASIS_DEFECT_TOL))
         raise _conditioning_error(f"Gauss rule leaves the basis non-orthonormal, max|G - I| = {defect[block]:.3e}",
                                   block, g, weights, op, n)
-    return basis, g
+    return basis
 
 
 def _rayleigh_grid(degrees: Sequence[int], weights: Sequence[WeightSpec], ops: Sequence[OperatorSpec]) -> np.ndarray:
     """Largest Rayleigh quotient over P_n of every (n, op, weight) of one family, shape (degrees, ops, weights).
 
-    Consecutive degrees of one Gauss node count (n and n + 1 for odd n) share
-    one basis, built and checked (``_checked_basis``) for the larger.  The
-    basis is orthonormal, so each value is the top eigenvalue of a stiffness
-    matrix, and per degree one ``eigvalsh`` solves the distinct parity
-    blocks of every operator (``_stiffness``): operators of one damping
-    share their even block, so D_lam and d/dx take 3 blocks per weight, not
-    4.  Each value carries the bits of its stack of one.
-    Refusals come in degree order: a degree below 1 first, then per basis
-    its Gram check (naming ``ops[0]`` and the basis's first degree), per
-    degree its stiffness stacks, and after the first degree's solve the
-    zeroth moments of the weights.
+    One basis, on the Gauss rule of the grid's top degree, serves every
+    degree: the rule is exact up to degree 2 _node_count(top) - 1, and a
+    basis row does not depend on the rows above it.  It is built and checked
+    once (``_checked_basis``).  The basis is orthonormal, so each value is
+    the top eigenvalue of a stiffness matrix, and per degree one
+    ``eigvalsh`` solves the distinct parity blocks of every operator
+    (``_stiffness``): operators of one damping share their even block, so
+    D_lam and d/dx take 3 blocks per weight, not 4.  Each value carries the
+    bits of its stack of one over the same degrees; a grid of one degree is
+    ``rayleigh_factor``'s.
+    Refusals come in degree order: a degree below 1 first, then the Gram
+    check (naming ``ops[0]`` and the grid's first degree), per degree its
+    stiffness stacks, and after the first degree's solve the zeroth moments
+    of the weights.
     """
     if any(n < 1 for n in degrees):
         raise ValueError("degree must be >= 1")
+    basis = _checked_basis(max(degrees), weights, ops[0], degrees[0])
     values = []
-    for _, group in groupby(degrees, _node_count):
-        group = list(group)
-        basis, g = _checked_basis(max(group), weights, ops[0], group[0])
-        for n in group:
-            s, slots = _stiffness(n, basis, ops)
-            if not np.isfinite(s).all():  # G is finite: _checked_basis refused it otherwise
-                blocks = s.reshape(len(weights), -1, *s.shape[1:])
-                _refuse_non_finite([blocks[:, list(slot)].reshape(g.shape) for slot in slots], g, weights, ops, n)
-            theta = np.linalg.eigvalsh(s)[:, -1].reshape(len(weights), -1)
-            values.append(np.sqrt([np.maximum(theta[:, even], theta[:, odd]) for even, odd in slots]))
-            if len(values) == 1:
-                for weight in weights:
-                    _mass(weight)
+    for n in degrees:
+        s, slots = _stiffness(n, basis, ops)
+        if not np.isfinite(s).all():  # G is finite: _checked_basis refused it otherwise
+            g = _gram(n, basis)
+            blocks = s.reshape(len(weights), -1, *s.shape[1:])
+            _refuse_non_finite([blocks[:, list(slot)].reshape(g.shape) for slot in slots], g, weights, ops, n)
+        theta = np.linalg.eigvalsh(s)[:, -1].reshape(len(weights), -1)
+        values.append(np.sqrt([np.maximum(theta[:, even], theta[:, odd]) for even, odd in slots]))
+        if len(values) == 1:
+            for weight in weights:
+                _mass(weight)
     return np.array(values)
 
 
@@ -477,7 +483,7 @@ def _unit_extremal(n: int, weight: WeightSpec, op: OperatorSpec) -> Polynomial:
     n = 800 on [-1, 1]; a maximizer with coefficients beyond a double is
     refused with ``OverflowError``.
     """
-    basis, _ = _checked_basis(n, [weight], op, n)
+    basis = _checked_basis(n, [weight], op, n)
     s, _ = _stiffness(n, basis, [op])
     block = [int(np.argmax(np.linalg.eigvalsh(s)[:, -1]))]
     v = np.linalg.eigh(s[block])[1][:, :, -1]

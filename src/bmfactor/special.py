@@ -1,15 +1,16 @@
 """Gamma/Beta machinery and closed-form moment sequences of the two weights.
 
-All moments flow through ``log_gamma`` and are exponentiated once at the end,
-so intermediate Gamma values never overflow.
+All moments flow through scipy's ``gammaln`` and are exponentiated once at
+the end, so intermediate Gamma values never overflow; ``moment_table`` calls
+it once per table, on the array of the table's arguments.
 
 This is the one module that uses scipy, and ``factors`` is its only
-importer: ``log_gamma`` imports ``scipy.special.gammaln`` on its first call,
-so scipy loads only when a moment table is built for the F/G pencils (of the
-CLI routes only the Hermite d/dx odd branch builds one), not on
-``import bmfactor``.  The package does not re-export these names.  The
-oracle's zeroth moment uses ``math.lgamma``; the monomial Gram route of the
-tests (``tests/instruments.py``) reads the tables too.
+importer: ``log_gamma`` and ``moment_table`` import ``scipy.special.gammaln``
+on their first call, so scipy loads only when a moment table is built for
+the F/G pencils (of the CLI routes only the Hermite d/dx odd branch builds
+one), not on ``import bmfactor``.  The package does not re-export these
+names.  The oracle's zeroth moment uses ``math.lgamma``; the monomial Gram
+route of the tests (``tests/instruments.py``) reads the tables too.
 """
 
 from __future__ import annotations
@@ -58,14 +59,18 @@ def moment_table(weight: WeightSpec, max_order: int, normalized: bool = False) -
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
-    values = []
-    for k in range(max_order + 1):
-        if k % 2:
-            values.append(0.0)
-        elif weight.is_gegenbauer:
-            values.append(gegenbauer_moment(k // 2, weight.lam, weight.mu))
-        else:
-            values.append(hermite_moment(k // 2, weight.lam))
+    from scipy.special import gammaln
+
+    lam, mu, half = weight.lam, weight.mu, max_order // 2 + 1
+    # one gammaln call over every argument, each rounded as in the moment functions, which it matches bit for bit
+    args = [s + lam + 0.5 for s in range(half)]
+    if weight.is_gegenbauer:
+        args += [mu + 0.5] + [lam + mu + s + 1.0 for s in range(half)]
+    logs = gammaln(args).tolist()
+    if weight.is_gegenbauer:
+        logs = [a + logs[half] - b for a, b in zip(logs[:half], logs[half + 1:])]
+    moments = [math.exp(v) for v in logs]
+    values = [0.0 if k % 2 else moments[k // 2] for k in range(max_order + 1)]
     if normalized:
         scale = values[0]
         values = [v / scale for v in values]

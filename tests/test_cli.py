@@ -16,7 +16,7 @@ import bmfactor
 from bmfactor.cli import EXIT_DOMAIN, EXIT_MISMATCH, EXIT_NUMERICAL, EXIT_OK, VERIFY_CSV_COLUMNS, main
 from bmfactor.core import OperatorSpec, WeightFamily, WeightSpec
 from bmfactor.factors import Branch, factor_gegenbauer_ddx
-from bmfactor.oracle import rayleigh_factor
+from bmfactor.oracle import _rayleigh_grid, rayleigh_factor
 from instruments import verify_csv_reference
 
 CERTIFIED_REFERENCE = Path(__file__).resolve().with_name("certified_reference.json")
@@ -475,9 +475,9 @@ def test_factor_check_prints_the_public_oracle_value(capsys, weight, op, n):
 
 
 def test_verify_oracle_column_equals_scalar_oracle(capsys):
-    # verify solves both operators of each (family, n) over one Gram factorization, and at the even
-    # n-max the top degrees 5 and 6 share one basis too; every row must still print exactly the
-    # scalar oracle's value
+    # verify solves both operators and every degree of a family on one basis, on the Gauss rule of the
+    # top degree n-max; every row must print exactly its cell of the grid of one weight and one operator
+    # over the same degrees, and stay within 1e-13 of the scalar oracle on the rule of its own degree
     for n_max in (5, 6):
         code, out, _ = run(capsys, "verify", "--lambdas", "0", "0.4", "2", "--mus", "-0.4", "3",
                            "--n-max", str(n_max), "--format", "csv", "--digits", "17")
@@ -493,7 +493,20 @@ def test_verify_oracle_column_equals_scalar_oracle(capsys):
             else:
                 weight = WeightSpec.hermite(lam)
                 op = OperatorSpec.dunkl() if dunkl else OperatorSpec.ddx()
-            assert row["oracle_value"] == f"{rayleigh_factor(n, weight, op)[0]:.17g}"
+            cell = _rayleigh_grid(range(1, n_max + 1), [weight], [op])[n - 1, 0, 0]
+            assert row["oracle_value"] == f"{cell:.17g}"  # bit for bit
+            assert cell == pytest.approx(rayleigh_factor(n, weight, op)[0], rel=1e-13, abs=0)
+
+
+def test_verify_oracle_on_a_rule_far_above_its_lowest_degree(capsys):
+    # the oracle solves degree 1 on the rule of degree 40; the Dunkl rows' closed forms must still agree
+    # within 1e-13 (4.9e-15 on that rule, 7.7e-15 on each degree's own).  lambda = 0 keeps the Hermite d/dx
+    # moment pencils out: at lambda = 0.25 they refuse n = 33
+    code, out, _ = run(capsys, "verify", "--lambdas", "0", "--mus", "0.5", "3", "--n-max", "40", "--format", "json")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["rows"] == 120 and payload["violations"] == []
+    assert payload["max_rel_err"] <= 1e-13
 
 
 def test_gegenbauer_ddx_at_large_lambda(capsys):
@@ -808,8 +821,8 @@ def test_table2_solves_its_odd_pencil_once(capsys, monkeypatch):
 
 def test_verify_builds_each_shared_piece_once(capsys, monkeypatch):
     # The default grid's oracle is one _rayleigh_grid per family.  It builds
-    # one Gauss basis per (family, node count), 2 x 5, and checks its Gram
-    # matrices once, for both degrees and both operators it serves; it checks
+    # one Gauss basis per family, on the rule of the top degree 10, and checks
+    # its Gram matrices once, for every degree and both operators; it checks
     # the zeroth moment of each of its 49 weights once, and factors no Gram
     # matrix.  Per degree its eigvalsh stack holds 3 blocks per weight: D_lam
     # and d/dx share their damping, so they share the even block.  The
@@ -860,7 +873,7 @@ def test_verify_builds_each_shared_piece_once(capsys, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", recorded_eigvalsh)
     code, out, _ = run(capsys, "verify", "--format", "json")
     assert code == EXIT_OK and json.loads(out)["rows"] == 910
-    assert calls == {"_gauss_basis": 10, "_gram": 10, "_mass": 49, "_residual_rows": 2, "_dunkl_factor": 0,
+    assert calls == {"_gauss_basis": 2, "_gram": 2, "_mass": 49, "_residual_rows": 2, "_dunkl_factor": 0,
                      "_odd_polynomial": 0, "_odd_pencil_stack": 1, "FactorResult": 0, "WeightSpec": 49 + 24}
     assert odd_pencils == [(36, m + 1, m + 1) for m in range(5)]
     moment_pencils = [(6, m + 1, m + 1) for m in (1, 2, 3, 4)]

@@ -242,27 +242,28 @@ def _stack_cases():
                                                        for c in _stack_cases()])
 def test_stacked_oracle_equals_its_batches_of_one(family, op, weights, n):
     # one grid over this case's weights in a shuffled order, both operators (this case's first) and
-    # degrees n and n + 1 (one node count, so one shared basis, at odd n; two at even n); every cell
-    # must be the value of its stack of one, bit for bit
+    # degrees n and n + 1, both on the rule of n + 1 (at even n a larger rule than n's own); every cell
+    # must be the value of its stack of one over the same degrees, bit for bit, and the top degree, on
+    # its own rule, that of rayleigh_factor
     damped = family == "gegenbauer"
     ops = [OperatorSpec.dunkl(damped), OperatorSpec.ddx(damped)][:: 1 if op == "dunkl" else -1]
     weights = [weights[i] for i in np.random.default_rng(n).permutation(len(weights))]
     degrees = (n, n + 1)
     grid = _rayleigh_grid(degrees, weights, ops)
     assert grid.shape == (len(degrees), len(ops), len(weights)) and grid.dtype == np.float64
-    for i, m in enumerate(degrees):
-        for j, operator in enumerate(ops):
-            for k, weight in enumerate(weights):
-                assert grid[i, j, k] == rayleigh_factor(m, weight, operator, max_degree=m)[0]  # bit for bit
+    for j, operator in enumerate(ops):
+        for k, weight in enumerate(weights):
+            assert grid[:, j, k].tobytes() == _rayleigh_grid(degrees, [weight], [operator])[:, 0, 0].tobytes()
+            assert grid[-1, j, k] == rayleigh_factor(n + 1, weight, operator, max_degree=n + 1)[0]  # bit for bit
 
 
 @pytest.mark.parametrize("n", (1, 3, 9, 19))
 @pytest.mark.parametrize(("family", "op", "weights"), [pytest.param(*c, id=f"{c[0]}-{c[1]}")
                                                        for c in _stack_cases()])
 def test_a_shared_basis_gives_each_degree_and_subset_its_own_bits(family, op, weights, n):
-    # a grid builds one basis per node count, for degree n + 1 at odd n, over all its weights and
-    # serving both operators; S and G for degree n must be those of the stack's own degree-n basis,
-    # bit for bit, the Dunkl term included
+    # a grid builds one basis, on the rule of its top degree, over all its weights and serving both
+    # operators; where that rule is degree n's own (the top degree n + 1 at odd n), S and G for degree n
+    # must be those of the stack's own degree-n basis, bit for bit, the Dunkl term included
     damped = family == "gegenbauer"
     assert _node_count(n + 1) == _node_count(n)
     shared, own = _stack_basis(n + 1, weights), _stack_basis(n, weights)

@@ -93,6 +93,38 @@ def test_moment_table_is_a_cached_tuple():
     assert after.hits == before.hits + 2 and after.misses == before.misses
 
 
+def _entries(weight, max_order, normalized):
+    """The table's entries from the one-moment functions, or the type of the error that computing them raises."""
+    try:
+        entries = [0.0 if k % 2 else gegenbauer_moment(k // 2, weight.lam, weight.mu) if weight.is_gegenbauer
+                   else hermite_moment(k // 2, weight.lam) for k in range(max_order + 1)]
+        return [v / entries[0] for v in entries] if normalized else entries
+    except ArithmeticError as error:
+        return type(error)
+
+
+@pytest.mark.parametrize("weights", (
+    [WeightSpec.hermite(lam) for lam in (0.0, 0.3, 1.0, 4.5, 100.0, 167.0, 171.0)],
+    [WeightSpec.gegenbauer(lam, mu) for lam in (0.0, 0.3, 4.5, 167.0, 600.0)
+     for mu in (-0.4999999, -0.2, 0.5, 3.0, 99.0, 600.0)],
+), ids=("hermite", "gegenbauer"))
+def test_moment_table_entries_are_the_moment_functions_bits(weights):
+    # the table takes gammaln once on all its arguments; every entry, normalized or not, must be the
+    # one-moment function's bits, and where those overflow (Hermite) or normalize by an underflowed zeroth
+    # moment (Gegenbauer at 600, 600) the table must raise the same error
+    moment_table.cache_clear()
+    for weight in weights:
+        for max_order in (0, 1, 6, 29, 130, 258):
+            for normalized in (False, True):
+                expected = _entries(weight, max_order, normalized)
+                if isinstance(expected, type):
+                    with pytest.raises(expected):
+                        moment_table(weight, max_order, normalized)
+                else:
+                    table = moment_table(weight, max_order, normalized)
+                    assert list(map(float.hex, table)) == list(map(float.hex, expected))
+
+
 def _quad_hermite(s, lam):
     val, _ = quad(lambda x: x ** (2 * s + 2 * lam) * math.exp(-x * x), 0, math.inf)
     return 2 * val
