@@ -1,5 +1,8 @@
 """Command-line surface: factor queries, extremal polynomials, verification grids.
 
+``verify`` reads its factor rows from ``factors._factor_grid`` (one grid per
+route) and its oracle column from ``oracle._rayleigh_grid``; it names no kernel.
+
 Exit codes are a stable contract: 0 success, 2 domain error, 3 numerical
 failure, 4 verification mismatch.
 """
@@ -21,13 +24,9 @@ from .core import OperatorSpec, Polynomial, WeightFamily, WeightSpec
 from .factors import (
     Branch,
     FactorResult,
-    _dunkl_factor,
-    _dunkl_sq,
+    _factor_grid,
     _gegenbauer_ddx_sq,
-    _gegenbauer_ddx_stack,
-    _hermite_ddx_sq,
-    _odd_branch_grid,
-    _odd_branch_stack,
+    _odd_branch,
     factor_gegenbauer_ddx,
     factor_gegenbauer_dunkl,
     factor_hermite_ddx,
@@ -192,14 +191,15 @@ def cmd_table2(args: argparse.Namespace) -> int:
     # here the top eigenvalue of the 2x2 block of the tridiagonal odd pencil; M_3 and M_4
     # take their odd branch from the same solve
     weights = [WeightSpec.gegenbauer(lam, mu) for lam, mu, *_ in TABLE2_REFERENCE]
-    nu2s = _odd_branch_stack(3, weights)
-    m3s, m4s = (_gegenbauer_ddx_stack(n, weights, nu2s) for n in (3, 4))
-    columns = zip(nu2s, m3s, m4s)
+    (nu2s,) = _odd_branch([3], weights)
+    lam, mu = np.array([(w.lam, w.mu) for w in weights]).T
+    m3s, m4s = np.sqrt(_gegenbauer_ddx_sq(np.array([[3], [4]]), lam, mu, nu2s)[0])
+    columns = zip(nu2s.tolist(), m3s.tolist(), m4s.tolist())
     rows = []
     flagged = 0
     for (lam, mu, nu2_ref, m3_ref, m4_ref), (nu2, m3, m4) in zip(TABLE2_REFERENCE, columns):
         cells = []
-        for computed, ref in ((float(nu2), nu2_ref), (m3.factor, m3_ref), (m4.factor, m4_ref)):
+        for computed, ref in ((nu2, nu2_ref), (m3, m3_ref), (m4, m4_ref)):
             # a printed "no positive root" cell never matches: the odd-cubic maximum always exists
             diff = None if ref is None else abs(computed - ref)
             ok = diff is not None and diff <= TABLE2_ABS_TOL
@@ -270,42 +270,28 @@ def _verify_grid(lambdas: list[float], mus: list[float], n_values: range) -> _Gr
     """The factor rows of the grid of sorted distinct lambdas and mus, refused as the factor routes refuse them.
 
     Per lambda and n the rows are Hermite d/dx (lambda > 0) and Dunkl, then per mu Gegenbauer d/dx (lambda > 0)
-    and Dunkl.  The d/dx rows come from stacks over the lambda > 0: one odd pencil at the top m = (n - 1) // 2 over
-    the (lambda, mu) pairs, solved per m on its leading block, then one Hermite values kernel per degree.  Each
-    weight is built once, the pairs' first."""
-    lam, mu = np.array(lambdas), np.array(mus)
-    slots = 2 + 2 * len(mus)  # per (lambda, n): Hermite d/dx and Dunkl, then per mu Gegenbauer d/dx and Dunkl
-    i, n, s = (a.ravel() for a in np.meshgrid(np.arange(len(lam)), n_values, np.arange(slots), indexing="ij"))
-    keep = (s % 2 == 1) | (lam > 0)[i]  # no d/dx row at lambda = 0
-    i, n, s = i[keep], n[keep], s[keep]
-    gegenbauer, dunkl, j = s >= 2, s % 2 == 1, np.maximum(s // 2 - 1, 0)
-    positive = [x for x in lambdas if x > 0]
-    pairs = [WeightSpec.gegenbauer(x, y) for x in positive for y in mus]
-    odd = _odd_branch_grid(n_values[-1], pairs) if pairs else []
-    hermite_ddx = [_hermite_ddx_sq(degree, positive)[:2] for degree in n_values] if positive else []
-    factor_sq, branch = np.empty(len(n)), np.full(len(n), Branch.DUNKL_CLOSED_FORM, dtype=object)
-    for family, rows in ((WeightFamily.GENERALIZED_HERMITE, dunkl & ~gegenbauer),
-                         (WeightFamily.GENERALIZED_GEGENBAUER, dunkl & gegenbauer)):
-        factor_sq[rows] = _dunkl_sq(family, n[rows], lam[i[rows]], mu[j[rows]])[0]
-    overflow = np.flatnonzero(dunkl & ~np.isfinite(factor_sq))
-    hermite, gegenbauer_weights, built = [], [], iter(pairs)
-    for k, x in enumerate(lambdas):
-        hermite.append(WeightSpec.hermite(x))
-        gegenbauer_weights += [next(built) if x > 0 else WeightSpec.gegenbauer(x, y) for y in mus]
-        if overflow.size and i[overflow[0]] == k:  # the same bits as the scalar factor, so it refuses
-            r = overflow[0]
-            weight = gegenbauer_weights[k * len(mus) + j[r]] if gegenbauer[r] else hermite[k]
-            _dunkl_factor(int(n[r]), weight, OperatorSpec.dunkl(bool(gegenbauer[r])))
-    if positive:
-        ddx = ~(gegenbauer | dunkl)
-        columns = zip(*hermite_ddx)  # (degree, lambda) arrays of M^2 and Branch, read lambda-major
-        factor_sq[ddx], branch[ddx] = (np.ravel(column, order="F") for column in columns)
-        ddx = gegenbauer & ~dunkl
-        pair = (np.cumsum(lam > 0) - 1)[i[ddx]] * len(mus) + j[ddx]
-        nu = odd[(n[ddx] - 1) // 2, pair]
-        factor_sq[ddx], branch[ddx] = _gegenbauer_ddx_sq(n[ddx], lam[i[ddx]], mu[j[ddx]], nu)
-    weight = np.where(gegenbauer, len(lambdas) + i * len(mus) + j, i)
-    return _Grid(hermite + gegenbauer_weights, weight, dunkl, n, factor_sq, branch)
+    and Dunkl, gathered from one ``_factor_grid`` per route over every degree, called in the order Gegenbauer
+    d/dx, Hermite d/dx, Dunkl.  Each weight is built once."""
+    hermite = [WeightSpec.hermite(x) for x in lambdas]
+    gegenbauer = [WeightSpec.gegenbauer(x, y) for x in lambdas for y in mus]
+    positive = np.array(lambdas) > 0
+    # per (lambda, n) the slots Hermite d/dx, Hermite Dunkl, then per mu Gegenbauer d/dx and Dunkl
+    shape = (len(lambdas), len(n_values), 2 + 2 * len(mus))
+    factor_sq, branch = np.empty(shape), np.empty(shape, dtype=object)
+    routes = ((gegenbauer, OperatorSpec.ddx(True), np.s_[2::2]), (hermite, OperatorSpec.ddx(), np.s_[:1]),
+              (hermite, OperatorSpec.dunkl(), np.s_[1:2]), (gegenbauer, OperatorSpec.dunkl(True), np.s_[3::2]))
+    for weights, op, slots in routes:
+        weights = [w for w in weights if op.is_dunkl or w.lam > 0]
+        if weights:
+            width = len(mus) if weights[0].is_gegenbauer else 1
+            for out, cells in zip((factor_sq, branch), _factor_grid(n_values, weights, op)):
+                # cells (n, weight) to (lambda, n, slot)
+                out[np.s_[:] if op.is_dunkl else positive, :, slots] = \
+                    cells.reshape(len(n_values), -1, width).swapaxes(0, 1)
+    keep = np.broadcast_to((np.arange(shape[2]) % 2 == 1) | positive[:, None, None], shape)  # no d/dx row at lambda 0
+    i, k, s = np.nonzero(keep)
+    weight = np.where(s >= 2, len(lambdas) + i * len(mus) + s // 2 - 1, i)
+    return _Grid(hermite + gegenbauer, weight, s % 2 == 1, np.asarray(n_values)[k], factor_sq[keep], branch[keep])
 
 
 def _residual_violations(lambdas, mus, n_values) -> list[str]:

@@ -7,11 +7,13 @@ degree.  Under d/dx the even branch is a closed form; the odd branch is the
 top root of a symmetric-definite pencil.  For the Gegenbauer weight that
 pencil is tridiagonal on the basis x q_0, x q_2, ... with closed-form
 entries (``_odd_pencil_stack``), solved for a stack of (lam, mu) pairs at
-once; for the Hermite weight it is the paper's moment pencil F
-(``build_pencil_F``), one per lambda, solved for a stack of lambdas at once
-and its roots refined together in long double (``_hermite_ddx_sq``,
-``_top_positive_stack``).  Each factor function calls its route's stacked
-kernel on one weight.
+once (``_odd_branch``); for the Hermite weight it is the paper's moment
+pencil F (``build_pencil_F``), one per lambda, solved for a stack of lambdas
+at once and its roots refined together in long double (``_hermite_ddx_sq``,
+``_top_positive_stack``).  ``_factor_grid`` is the factor side's one value
+entry, as ``oracle._rayleigh_grid`` is the oracle's: ``verify`` asks it for
+one grid per route, and ``factor_gegenbauer_ddx`` and the Dunkl factors are
+its grids of one (``factor_hermite_ddx`` reads its kernel's eigenvectors).
 
 The odd pencils are the package's only ones whose Gram matrix is not I, and
 this module solves them by one stacked Cholesky reduction (``_top_values``
@@ -24,8 +26,8 @@ stiffness solve checks the values independently.  The moment tables of
 A ``FactorResult`` builds its extremal when ``.extremal`` is first read
 (``core._BuiltOnRead``), except on the Hermite odd branch, whose eigenvector
 already holds the monomial coefficients.  Refused with ``OverflowError``,
-naming the weight and the degree: a moment of F beyond a double, and an
-extremal with coefficients beyond a double.
+naming the weight and the degree: a factor or a moment of F beyond a double,
+and an extremal with coefficients beyond a double.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from math import isfinite, sqrt
+from math import sqrt
 from typing import Sequence
 
 import numpy as np
@@ -270,10 +272,7 @@ def _hermite_ddx_sq(n: int, lams: Sequence[float]) -> tuple[np.ndarray, np.ndarr
     Each value does not depend on the rest of the stack.  Pencil moments beyond a double are refused with
     ``OverflowError`` naming the weight and its position in ``lams``.
     """
-    if n < 1:
-        raise ValueError("degree must be >= 1")
-    if any(lam <= 0 for lam in lams):
-        raise ValueError("lambda must be > 0")
+    _check_domain(n, min(lams), OperatorSpec.ddx())
     if n % 2 == 0:
         return np.full(len(lams), 2.0 * n), np.full(len(lams), Branch.EVEN_CLOSED_FORM), None
     branches = np.full(len(lams), Branch.ODD_PENCIL_ROOT)
@@ -343,34 +342,24 @@ def factor_gegenbauer_ddx(n: int, lam: float, mu: float) -> FactorResult:
     of the tridiagonal pencil of ``_odd_pencil_stack`` (the largest root of
     the paper's moment pencil G).  The factor is the max.
     """
-    if n < 1:
-        raise ValueError("degree must be >= 1")
-    if lam <= 0:
-        raise ValueError("lambda must be > 0")
-    weights = [WeightSpec.gegenbauer(lam, mu)]
-    return _gegenbauer_ddx_stack(n, weights, _odd_branch_stack(n, weights))[0]
+    return _grid_of_one(n, OperatorSpec.ddx(damped=True), lam, mu)
 
 
-def _odd_branch_stack(n: int, weights: Sequence[WeightSpec]) -> np.ndarray:
-    """Odd-branch maxima at degree n >= 1 (and n + 1 for odd n) of Gegenbauer weights with lambda > 0, in one solve."""
-    lam, mu = np.array([(w.lam, w.mu) for w in weights]).T
-    s, g = _odd_pencil_stack((n - 1) // 2, lam, mu)
-    return _top_values(s, g, weights, OperatorSpec.ddx(damped=True), n)
+def _odd_branch(degrees: Sequence[int], weights: Sequence[WeightSpec]) -> np.ndarray:
+    """Odd-branch maxima of Gegenbauer weights with lambda > 0 at every degree >= 1, shape (degrees, weights).
 
-
-def _odd_branch_grid(n_max: int, weights: Sequence[WeightSpec]) -> np.ndarray:
-    """``_odd_branch_stack`` of every degree 1 .. n_max >= 1, one row per m = (n - 1) // 2, shape ((n_max + 1) // 2, B).
-
-    One pencil is built, at the top m; the pencil of each smaller m is its
-    leading block bit for bit (``_odd_pencil_stack``), solved as a
-    contiguous stack of its own shape, so each value carries the bits of
-    ``_odd_branch_stack`` at its degree, and refusals come in degree order.
+    One pencil is built, at the top m = (n - 1) // 2; each distinct m is solved once, in degree order, on its
+    leading block, its own pencil bit for bit (``_odd_pencil_stack``).  A refusal names the block's first degree.
     """
     lam, mu = np.array([(w.lam, w.mu) for w in weights]).T
-    s, g = _odd_pencil_stack((n_max - 1) // 2, lam, mu)
-    op = OperatorSpec.ddx(damped=True)
-    return np.array([_top_values(np.ascontiguousarray(s[:, :m, :m]), np.ascontiguousarray(g[:, :m, :m]),
-                                 weights, op, 2 * m - 1) for m in range(1, s.shape[1] + 1)])
+    s, g = _odd_pencil_stack((max(degrees) - 1) // 2, lam, mu)
+    op, values = OperatorSpec.ddx(damped=True), {}
+    for n in degrees:
+        k = (n + 1) // 2
+        if k not in values:
+            values[k] = _top_values(np.ascontiguousarray(s[:, :k, :k]), np.ascontiguousarray(g[:, :k, :k]),
+                                    weights, op, n)
+    return np.array([values[(n + 1) // 2] for n in degrees])
 
 
 _DDX_BRANCHES = np.array([Branch.EVEN_CLOSED_FORM, Branch.ODD_PENCIL_ROOT, Branch.MAX_OF_BOTH])
@@ -389,22 +378,7 @@ def _gegenbauer_ddx_sq(n, lam, mu, nu) -> tuple[np.ndarray, np.ndarray]:
     return np.where(odd, nu, closed), _DDX_BRANCHES[odd + 2 * tie]
 
 
-def _gegenbauer_ddx_stack(n: int, weights: Sequence[WeightSpec], odd: np.ndarray) -> list[FactorResult]:
-    """``factor_gegenbauer_ddx`` at degree n of each weight, from ``_odd_branch_stack`` at n or n - 1, unmixed.
-
-    A factor beyond a double (the closed value 2(2 + 2 lam + 2 mu) at lam = 1e308) is refused with
-    ``OverflowError`` naming the degree and the first such weight."""
-    op, m, even_degree = OperatorSpec.ddx(damped=True), (n - 1) // 2, n - n % 2
-    fsq, branches = _gegenbauer_ddx_sq(n, *np.array([(w.lam, w.mu) for w in weights]).T, odd)
-    for w, f in zip(weights, fsq.tolist()):
-        if not isfinite(f):
-            raise OverflowError(f"degree-{n} d/dx factor of the {_describe(w)} is beyond a double")
-    return [FactorResult(f, branch, partial(_odd_extremal, m, w.lam, w.mu) if branch is Branch.ODD_PENCIL_ROOT
-                         else partial(gegenbauer_poly, even_degree, w.lam, w.mu), n, w, op)
-            for w, f, branch in zip(weights, fsq.tolist(), branches)]
-
-
-def _odd_extremal(m: int, lam: float, mu: float) -> Polynomial:
+def _odd_extremal(m: int, weight: WeightSpec) -> Polynomial:
     """sum_j v_j x q_2j(x) in monomials, v the top eigenvector of the odd pencil of size m + 1.
 
     The pencil is rebuilt for this one weight; its entries are elementwise
@@ -413,8 +387,7 @@ def _odd_extremal(m: int, lam: float, mu: float) -> Polynomial:
     overflow from about degree 800, and an extremal with coefficients beyond
     a double is refused with ``OverflowError``.
     """
-    weight = WeightSpec.gegenbauer(lam, mu)
-    lam, mu = np.array([lam]), np.array([mu])
+    lam, mu = np.array([weight.lam]), np.array([weight.mu])
     _, vec = _top_eigenpairs(*_odd_pencil_stack(m, lam, mu), [weight], OperatorSpec.ddx(damped=True), 2 * m + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         even_rows = _basis_to_monomial(2 * m, np.sqrt(_stack_betas(2 * m, True, lam, mu))[:, :, None])[::2]
@@ -431,30 +404,65 @@ def _dunkl_sq(family: WeightFamily, n, lam, mu=0.0) -> tuple[np.ndarray, np.ndar
     return np.where(top >= below, top, below), np.where(top >= below, n, n - 1)
 
 
-def _dunkl_factor(n: int, weight: WeightSpec, op: OperatorSpec) -> FactorResult:
-    """M_n under D_lam (damped by sqrt(1-x^2) on [-1,1]), the ``_dunkl_sq`` of one weight.
+def _check_domain(n: int, lam: float, op: OperatorSpec) -> None:
+    """Refuse a degree below 1, then lambda <= 0 under d/dx, as every factor route does, in that order."""
+    if n < 1:
+        raise ValueError("degree must be >= 1")
+    if lam <= 0 and not op.is_dunkl:
+        raise ValueError("lambda must be > 0")
 
-    lambda_k^2 is the eigenvalue of the degree-k generalized Hermite or
-    Gegenbauer polynomial, which is the extremal.  A factor beyond a double
-    (from lam mu about 1e308 on [-1, 1]) is refused with ``OverflowError``.
+
+def _factor_grid(degrees: Sequence[int], weights: Sequence[WeightSpec],
+                 op: OperatorSpec) -> tuple[np.ndarray, np.ndarray]:
+    """M_n^2 and its ``Branch`` of every degree and of every weight, of one family, under ``op``: (degrees, weights).
+
+    Under D_lam ``_dunkl_sq``; under d/dx ``_odd_branch`` against the closed value (``_gegenbauer_ddx_sq``) on
+    [-1, 1], ``_hermite_ddx_sq`` per degree on R.  Refused in the scalar routes' order and words: a degree below 1,
+    lambda <= 0 under d/dx, the kernels' refusals, then the first factor beyond a double in (degree, weight) order.
     """
-    fsq, degree = _dunkl_sq(weight.family, n, weight.lam, weight.mu)
-    if not isfinite(fsq):
-        raise OverflowError(f"degree-{n} Dunkl factor of the {_describe(weight)} is beyond a double")
-    params = (weight.lam, weight.mu) if weight.is_gegenbauer else (weight.lam,)
-    extremal = partial(gegenbauer_poly if weight.is_gegenbauer else hermite_poly, int(degree), *params)
-    return FactorResult(float(fsq), Branch.DUNKL_CLOSED_FORM, extremal, n, weight, op)
+    shape, lams = (len(degrees), len(weights)), [w.lam for w in weights]
+    _check_domain(min(degrees), min(lams), op)
+    if shape == (1, 1):  # Python numbers, with the same bits: numpy's per-call cost would dominate one cell
+        n, lam, mu = degrees[0], lams[0], weights[0].mu
+    else:
+        n, lam, mu = np.array(degrees)[:, None], np.array(lams), np.array([w.mu for w in weights])
+    if op.is_dunkl:
+        fsq = np.reshape(_dunkl_sq(weights[0].family, n, lam, mu)[0], shape)
+        branch = np.full(shape, Branch.DUNKL_CLOSED_FORM)
+    elif weights[0].is_gegenbauer:
+        fsq, branch = _gegenbauer_ddx_sq(n, lam, mu, _odd_branch(degrees, weights))
+    else:
+        fsq, branch = map(np.array, zip(*(_hermite_ddx_sq(degree, lams)[:2] for degree in degrees)))
+    if not np.isfinite(fsq).all():
+        row, col = np.argwhere(~np.isfinite(fsq))[0]
+        raise OverflowError(f"degree-{degrees[row]} {'Dunkl' if op.is_dunkl else 'd/dx'} factor of the "
+                            f"{_describe(weights[col])} is beyond a double")
+    return fsq, branch
+
+
+def _grid_of_one(n: int, op: OperatorSpec, lam: float, mu: float | None = None) -> FactorResult:
+    """The ``_factor_grid`` of degree n and the weight (lam, mu), Hermite without mu, with its extremal built on read
+    (``_extremal``); the domain is checked before the weight is built, as the scalar routes always did."""
+    _check_domain(n, lam, op)
+    weight = WeightSpec.hermite(lam) if mu is None else WeightSpec.gegenbauer(lam, mu)
+    fsq, branch = _factor_grid([n], [weight], op)
+    return FactorResult(float(fsq[0, 0]), branch[0, 0], partial(_extremal, n, weight, branch[0, 0]), n, weight, op)
+
+
+def _extremal(n: int, weight: WeightSpec, branch: Branch) -> Polynomial:
+    """The extremal of a Gegenbauer d/dx or a Dunkl factor: the odd branch's (``_odd_extremal``), or the
+    eigenpolynomial of degree n - n % 2 (even branch, tie) or, under D_lam, of the degree ``_dunkl_sq`` picks."""
+    if branch is Branch.ODD_PENCIL_ROOT:
+        return _odd_extremal((n - 1) // 2, weight)
+    n = int(_dunkl_sq(weight.family, n, weight.lam, weight.mu)[1]) if branch is Branch.DUNKL_CLOSED_FORM else n - n % 2
+    return gegenbauer_poly(n, weight.lam, weight.mu) if weight.is_gegenbauer else hermite_poly(n, weight.lam)
 
 
 def factor_hermite_dunkl(n: int, lam: float) -> FactorResult:
     """M_n for |x|^(2 lam) exp(-x^2) under the Dunkl operator, all closed-form."""
-    if n < 1:
-        raise ValueError("degree must be >= 1")
-    return _dunkl_factor(n, WeightSpec.hermite(lam), OperatorSpec.dunkl())
+    return _grid_of_one(n, OperatorSpec.dunkl(), lam)
 
 
 def factor_gegenbauer_dunkl(n: int, lam: float, mu: float) -> FactorResult:
     """M_n for |x|^(2 lam)(1-x^2)^(mu-1/2) under sqrt(1-x^2) D_lam, all closed-form."""
-    if n < 1:
-        raise ValueError("degree must be >= 1")
-    return _dunkl_factor(n, WeightSpec.gegenbauer(lam, mu), OperatorSpec.dunkl(damped=True))
+    return _grid_of_one(n, OperatorSpec.dunkl(damped=True), lam, mu)

@@ -16,9 +16,10 @@ route of the tests (``tests/instruments.py``) reads the tables too.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 
-from .core import WeightSpec
+from .core import WeightSpec, _describe
 
 
 def log_gamma(x: float) -> float:
@@ -55,7 +56,8 @@ def moment_table(weight: WeightSpec, max_order: int, normalized: bool = False) -
 
     With ``normalized=True`` all entries are divided by the zeroth moment,
     which is harmless for Rayleigh quotients and pencil roots and improves
-    Hankel conditioning.
+    Hankel conditioning; a zeroth moment that is not a normal double (from
+    about lam = mu = 510 on [-1, 1]) is refused as the oracle's ``_mass`` is.
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
@@ -73,5 +75,7 @@ def moment_table(weight: WeightSpec, max_order: int, normalized: bool = False) -
     values = [0.0 if k % 2 else moments[k // 2] for k in range(max_order + 1)]
     if normalized:
         scale = values[0]
+        if scale < sys.float_info.min:
+            raise OverflowError(f"zeroth moment exp({logs[0]:.6g}) of the {_describe(weight)} is not a normal double")
         values = [v / scale for v in values]
     return tuple(values)

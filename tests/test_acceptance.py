@@ -23,7 +23,7 @@ import pytest
 from bmfactor.cli import TABLE2_ABS_TOL, TABLE2_REFERENCE
 from bmfactor.core import OperatorSpec, Polynomial, WeightSpec
 from bmfactor.factors import (
-    _odd_branch_stack,
+    _odd_branch,
     factor_gegenbauer_ddx,
     factor_gegenbauer_dunkl,
     factor_hermite_ddx,
@@ -78,7 +78,7 @@ def test_criterion_1_table2_reproduction():
     start = time.perf_counter()
     overridden = 0
     # nu2 as table2 computes it: the odd branch at n = 3, the largest root of the pencil G
-    nu2s = _odd_branch_stack(3, [WeightSpec.gegenbauer(lam, mu) for lam, mu, *_ in TABLE2_REFERENCE])
+    (nu2s,) = _odd_branch([3], [WeightSpec.gegenbauer(lam, mu) for lam, mu, *_ in TABLE2_REFERENCE])
     for row, (lam, mu, *printed), nu2 in zip(table, TABLE2_REFERENCE, nu2s):
         m3 = factor_gegenbauer_ddx(3, lam, mu).factor
         m4 = factor_gegenbauer_ddx(4, lam, mu).factor

@@ -223,9 +223,9 @@ def test_verify_accepts_a_bracket_narrower_than_rounding(capsys, lam):
 def test_verify_flags_a_value_just_outside_the_bracket(capsys, monkeypatch, side):
     # the rounding allowance is BRACKET_EQUALITY_TOL relative; at lambda = 1e-8, where M^2 sits on the
     # bracket's lower end, a value moved 1e-9 outside is still flagged, and only by the bracket
-    import bmfactor.cli
+    import bmfactor.factors
 
-    exact = bmfactor.cli._hermite_ddx_sq
+    exact = bmfactor.factors._hermite_ddx_sq
 
     def shifted(n, lams):
         fsq, branches, vecs = exact(n, lams)
@@ -235,7 +235,7 @@ def test_verify_flags_a_value_just_outside_the_bracket(capsys, monkeypatch, side
             fsq = lo * (1 - 1e-9) if side == "below" else hi * (1 + 1e-9)
         return fsq, branches, vecs
 
-    monkeypatch.setattr(bmfactor.cli, "_hermite_ddx_sq", shifted)
+    monkeypatch.setattr(bmfactor.factors, "_hermite_ddx_sq", shifted)
     code, out, _ = run(capsys, "verify", "--lambdas", "1e-8", "--mus", "0.5", "--n-max", "3", "--format", "json")
     assert code == EXIT_MISMATCH
     [violation] = json.loads(out)["violations"]
@@ -455,6 +455,41 @@ def test_verify_rows_carry_their_own_grid_point(capsys):
         if not r["mu"] and r["branch"] != "dunkl_closed_form":
             single = bmfactor.factor_hermite_ddx(int(r["n"]), float(r["lambda"]))
             assert r["theorem_value"] == f"{single.factor:.17g}"
+
+
+def test_verify_gathers_lambda_zero_and_an_odd_top_degree(capsys):
+    # lambda = 0 has no d/dx rows and n-max 11 sizes the odd pencil by an odd top degree, the two cases the
+    # gather of the four factor grids must handle: 99 rows, each on its own (lambda, mu, n) in row order and
+    # with the branch of its scalar factor call
+    code, out, _ = run(capsys, "verify", "--lambdas", "0", "0.4", "--mus", "-0.4", "3", "--n-max", "11",
+                       "--format", "csv")
+    assert code == EXIT_OK
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 99
+    expected = []
+    for lam in (0.0, 0.4):
+        for n in range(1, 12):
+            for mu in (None, -0.4, 3.0):
+                for op in ("ddx", "dunkl") if lam > 0 else ("dunkl",):
+                    family, params = ("hermite", (lam,)) if mu is None else ("gegenbauer", (lam, mu))
+                    branch = getattr(bmfactor, f"factor_{family}_{op}")(n, *params).branch.value
+                    expected.append((str(lam), "" if mu is None else str(mu), str(n), branch))
+    assert [(r["lambda"], r["mu"], r["n"], r["branch"]) for r in rows] == expected
+
+
+@pytest.mark.parametrize(("branch", "count", "argv"), (
+    ("odd_pencil_root", 26, ("--weight", "gegenbauer", "--op", "ddx", "--lambda", "4.5", "--mu", "3", "--n", "25")),
+    ("even_closed_form", 11, ("--weight", "gegenbauer", "--op", "ddx", "--lambda", "4.5", "--mu", "3", "--n", "10")),
+    ("even_closed_form", 11, ("--weight", "hermite", "--op", "ddx", "--lambda", "1", "--n", "10")),
+    ("dunkl_closed_form", 8, ("--weight", "hermite", "--op", "dunkl", "--lambda", "1", "--n", "8")),
+    ("dunkl_closed_form", 10, ("--weight", "gegenbauer", "--op", "dunkl", "--lambda", "4.5", "--mu", "3", "--n", "9")),
+), ids=("gegenbauer-ddx-odd", "gegenbauer-ddx-even", "hermite-ddx-even", "hermite-dunkl", "gegenbauer-dunkl"))
+def test_each_extremal_built_on_read(capsys, branch, count, argv):
+    # every route that defers its extremal, by branch and coefficient count: the Gegenbauer d/dx odd branch
+    # (its pencil solved again for the eigenvector) and even branch, Hermite d/dx at even n, both Dunkl families
+    code, out, _ = run(capsys, "extremal", "--format", "json", *argv)
+    payload = json.loads(out)
+    assert (code, payload["branch"], len(payload["extremal_coeffs"])) == (EXIT_OK, branch, count)
 
 
 @pytest.mark.parametrize(("weight", "op", "n"), (
@@ -838,7 +873,7 @@ def test_verify_builds_each_shared_piece_once(capsys, monkeypatch):
     import bmfactor.factors
     import bmfactor.oracle
 
-    calls = {"_gauss_basis": 0, "_gram": 0, "_mass": 0, "_residual_rows": 0, "_dunkl_factor": 0,
+    calls = {"_gauss_basis": 0, "_gram": 0, "_mass": 0, "_residual_rows": 0,
              "_odd_polynomial": 0, "_odd_pencil_stack": 0, "FactorResult": 0, "WeightSpec": 0}
     odd_pencils, factored, solved = [], [], []
 
@@ -873,7 +908,7 @@ def test_verify_builds_each_shared_piece_once(capsys, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", recorded_eigvalsh)
     code, out, _ = run(capsys, "verify", "--format", "json")
     assert code == EXIT_OK and json.loads(out)["rows"] == 910
-    assert calls == {"_gauss_basis": 2, "_gram": 2, "_mass": 49, "_residual_rows": 2, "_dunkl_factor": 0,
+    assert calls == {"_gauss_basis": 2, "_gram": 2, "_mass": 49, "_residual_rows": 2,
                      "_odd_polynomial": 0, "_odd_pencil_stack": 1, "FactorResult": 0, "WeightSpec": 49 + 24}
     assert odd_pencils == [(36, m + 1, m + 1) for m in range(5)]
     moment_pencils = [(6, m + 1, m + 1) for m in (1, 2, 3, 4)]

@@ -17,11 +17,9 @@ from bmfactor.factors import (
     Branch,
     FactorResult,
     Pencil,
-    _dunkl_factor,
-    _gegenbauer_ddx_stack,
+    _factor_grid,
     _hermite_ddx_sq,
-    _odd_branch_grid,
-    _odd_branch_stack,
+    _odd_branch,
     _odd_pencil_stack,
     _odd_polynomial,
     _refine_pairs,
@@ -121,7 +119,7 @@ def test_pencil_F_n3_frozen_value():
 def test_pencil_G_n2_closed_root(lam, mu):
     # the 1x1 pencil G has the root (2 mu + 1)/(2 lam + 1); the odd branch at n = 2 must give it
     assert len(pencil_G_reference(2, lam, mu)[0].p) == 1
-    (nu,) = _odd_branch_stack(2, [WeightSpec.gegenbauer(lam, mu)])
+    ((nu,),) = _odd_branch([2], [WeightSpec.gegenbauer(lam, mu)])
     assert nu == pytest.approx((2 * mu + 1) / (2 * lam + 1), rel=1e-12)
 
 
@@ -132,7 +130,7 @@ def test_pencil_G_frozen_roots():
         (1.0, 1.0): 14.722003496172,
         (4.0, 4.0): 38.208897211818,
     }
-    roots = _odd_branch_stack(3, [WeightSpec.gegenbauer(lam, mu) for lam, mu in cases])
+    (roots,) = _odd_branch([3], [WeightSpec.gegenbauer(lam, mu) for lam, mu in cases])
     for root, expected in zip(roots, cases.values(), strict=True):
         assert root == pytest.approx(expected, rel=1e-9)
 
@@ -148,11 +146,11 @@ def test_pencil_entries_are_exactly_symmetric():
 def test_pencil_solve_agrees_with_qz_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _odd_branch_stack(7, [WeightSpec.gegenbauer(0.3, 0.0), WeightSpec.gegenbauer(2.0, 3.0)])
+        _odd_branch([7], [WeightSpec.gegenbauer(0.3, 0.0), WeightSpec.gegenbauer(2.0, 3.0)])
         _top_positive_stack([build_pencil_F(7, lam) for lam in (0.3, 2.0)])
         # a raw-QZ cross-check once disagreed here, warned and swapped in its own root
         _top_positive_stack([build_pencil_F(7, 150.0)])
-        _odd_branch_stack(7, [WeightSpec.gegenbauer(10.0, 0.0), WeightSpec.gegenbauer(100.0, -0.4)])
+        _odd_branch([7], [WeightSpec.gegenbauer(10.0, 0.0), WeightSpec.gegenbauer(100.0, -0.4)])
 
 
 def test_odd_extremal_beyond_a_double_is_refused():
@@ -183,7 +181,7 @@ def test_pencil_with_indefinite_q_is_refused():
 @pytest.mark.parametrize("lam,mu,n", [(0.5, 0.5, 5), (1.0, 1.0, 3), (2.0, -0.4, 7), (4.5, 3.0, 9)])
 def test_pencil_root_equals_odd_subspace_rayleigh_max(lam, mu, n):
     # the full-space oracle equals the odd branch (the root of the pencil G) whenever that branch wins
-    (nu,) = _odd_branch_stack(n, [WeightSpec.gegenbauer(lam, mu)])
+    ((nu,),) = _odd_branch([n], [WeightSpec.gegenbauer(lam, mu)])
     closed = (n - 1) * (n + 2 * lam + 2 * mu - 1)
     oracle, _ = rayleigh_factor(n, WeightSpec.gegenbauer(lam, mu), OperatorSpec.ddx(damped=True))
     assert oracle * oracle == pytest.approx(max(nu, closed), rel=1e-9)
@@ -369,14 +367,97 @@ def test_factor_hermite_ddx_at_large_lambda_matches_certified(lam):
     assert result.branch is Branch.ODD_PENCIL_ROOT
 
 
-@pytest.mark.parametrize("n", range(1, 11))
-def test_gegenbauer_ddx_stack_equals_its_stacks_of_one(n):
-    # the default `bmfactor verify` grid, solved as one stack per degree
-    pairs = [(lam, mu) for lam in LAMBDAS for mu in MUS]
-    weights = [WeightSpec.gegenbauer(lam, mu) for lam, mu in pairs]
-    stack = _gegenbauer_ddx_stack(n, weights, _odd_branch_stack(n, weights))
-    for (lam, mu), stacked in zip(pairs, stack, strict=True):
-        assert stacked == factor_gegenbauer_ddx(n, lam, mu)  # bit for bit, extremal included
+# The high_degree benchmark points and degrees (perfbench/cases.py), known-bad points included.
+_HIGH_DEGREE_POINTS = ((0.25, None), (1.0, None), (0.5, 0.0), (4.5, 3.0), (100.0, 99.0))
+_HIGH_DEGREE_NS = (11, 12, 15, 16, 20, 21, 24, 25, 30, 31, 35, 36, 40, 41, 45, 46, 50, 51, 55, 56, 59, 60)
+
+
+def _factor_grid_cases():
+    """(degrees, weights, op) of every route over the default verify grid (lambda > 0 under d/dx; on the Gegenbauer
+    d/dx route with (100, 99) too, up to n = 25) and over the high_degree points of the route's family."""
+    cases = []
+    for gegenbauer in (False, True):
+        for op in (OperatorSpec.ddx(gegenbauer), OperatorSpec.dunkl(gegenbauer)):
+            lambdas = [lam for lam in DEFAULT_VERIFY_LAMBDAS if op.is_dunkl or lam > 0]
+            if gegenbauer:
+                weights = [WeightSpec.gegenbauer(lam, mu) for lam in lambdas for mu in DEFAULT_VERIFY_MUS]
+                high = [WeightSpec.gegenbauer(lam, mu) for lam, mu in _HIGH_DEGREE_POINTS if mu is not None]
+            else:
+                weights = [WeightSpec.hermite(lam) for lam in lambdas]
+                high = [WeightSpec.hermite(lam) for lam, mu in _HIGH_DEGREE_POINTS if mu is None]
+            name = f"{weights[0].family.value}-{op.kind.value}"
+            if gegenbauer and not op.is_dunkl:
+                cases.append(pytest.param(range(1, 26), weights + [WeightSpec.gegenbauer(100.0, 99.0)], op,
+                                          id=f"{name}-verify"))
+            else:
+                cases.append(pytest.param(range(1, 11), weights, op, id=f"{name}-verify"))
+            cases.append(pytest.param(_HIGH_DEGREE_NS, high, op, id=f"{name}-high-degree"))
+    return cases
+
+
+@pytest.mark.parametrize(("degrees", "weights", "op"), _factor_grid_cases())
+def test_factor_grid_cells_equal_their_grids_of_one(degrees, weights, op):
+    # each cell carries the M^2 bits and the branch of its grid of one, which are the scalar route's (Hermite
+    # d/dx calls its kernel directly); a degree where some grid of one refuses is refused by the grid at its first
+    # refusing weight, with that exception and message, naming the weight's position in the grid
+    kept, singles, first = [], [], None
+    for n in degrees:
+        cells, refused = [], None
+        for k, weight in enumerate(weights):
+            try:
+                cells.append(_factor_grid([n], [weight], op))
+            except (ConditioningError, OverflowError) as exc:
+                refused = refused or (k, exc)
+                continue
+            single = _scalar_factor(weight, op, n)
+            assert (cells[-1][0][0, 0].hex(), cells[-1][1][0, 0]) == (single.factor_sq.hex(), single.branch)
+        if refused is None:
+            kept.append(n)
+            singles.append(cells)
+            continue
+        first = first or refused
+        for grid_degrees in ([n], degrees) if first is refused else ([n],):
+            with pytest.raises(type(refused[1])) as got:
+                _factor_grid(grid_degrees, weights, op)
+            assert str(got.value) == str(refused[1]).replace("stack item 0", f"stack item {refused[0]}")
+    fsq, branch = _factor_grid(kept, weights, op)
+    assert fsq.shape == branch.shape == (len(kept), len(weights))
+    for row, cells in enumerate(singles):
+        assert [c.hex() for c in fsq[row].tolist()] == [cell[0][0, 0].hex() for cell in cells]
+        assert list(branch[row]) == [cell[1][0, 0] for cell in cells]
+
+
+@pytest.mark.parametrize(("degrees", "weights", "op", "scalar", "named"), (
+    ([1, 0], [WeightSpec.hermite(0.0)], OperatorSpec.ddx(), (0, 0), "degree must be >= 1"),
+    ([1, 0], [WeightSpec.hermite(1.0)], OperatorSpec.dunkl(), (0, 0), "degree must be >= 1"),
+    ([1, 0], [WeightSpec.gegenbauer(0.0, 0.5)], OperatorSpec.ddx(True), (0, 0), "degree must be >= 1"),
+    ([1, 0], [WeightSpec.gegenbauer(1.0, 0.5)], OperatorSpec.dunkl(True), (0, 0), "degree must be >= 1"),
+    ([1], [WeightSpec.hermite(1.0), WeightSpec.hermite(0.0)], OperatorSpec.ddx(), (1, 1), "lambda must be > 0"),
+    ([2], [WeightSpec.gegenbauer(0.0, 0.5)], OperatorSpec.ddx(True), (2, 0), "lambda must be > 0"),
+    ([1, 2], [WeightSpec.hermite(1.0), WeightSpec.hermite(1e308)], OperatorSpec.dunkl(), (1, 1),
+     "degree-1 Dunkl factor of the hermite weight (lambda=1e+308) is beyond a double"),
+    ([1, 2], [WeightSpec.gegenbauer(0.5, 1.0), WeightSpec.gegenbauer(0.0, 1e308)], OperatorSpec.dunkl(True), (1, 1),
+     "degree-1 Dunkl factor of the gegenbauer weight (lambda=0.0, mu=1e+308) is beyond a double"),
+    ([1, 2], [WeightSpec.gegenbauer(1.0, 0.5), WeightSpec.gegenbauer(1e308, 0.0)], OperatorSpec.ddx(True), (2, 1),
+     "degree-2 d/dx factor of the gegenbauer weight (lambda=1e+308, mu=0.0) is beyond a double"),
+    # at mu = 1e300 the m = 0 block is finite and the larger ones are not: the block of degrees 3 and 4 refuses,
+    # named by its first requested degree
+    (range(1, 10), [WeightSpec.gegenbauer(0.5, 1.0), WeightSpec.gegenbauer(0.5, 1e300)], OperatorSpec.ddx(True),
+     (3, 1), "at stack item 1 ('gegenbauer', 'ddx', 0.5, 1e+300, 3)"),
+), ids=("degree-0-hermite-ddx", "degree-0-hermite-dunkl", "degree-0-gegenbauer-ddx", "degree-0-gegenbauer-dunkl",
+        "lambda-0-hermite-ddx", "lambda-0-gegenbauer-ddx", "dunkl-overflow-hermite", "dunkl-overflow-gegenbauer",
+        "ddx-overflow-gegenbauer", "odd-pencil"))
+def test_factor_grid_refuses_as_its_scalar_route(degrees, weights, op, scalar, named):
+    # the first refusal in the scalar routes' order (a degree below 1, lambda <= 0 under d/dx, the kernels' own
+    # refusals, then a factor beyond a double), with the type and message of the scalar call (n, weight position)
+    n, position = scalar
+    with pytest.raises(Exception) as want:
+        _scalar_factor(weights[position], op, n)
+    with pytest.raises(type(want.value)) as got:
+        _factor_grid(degrees, weights, op)
+    assert named in str(got.value)
+    assert str(got.value) == str(want.value).replace("stack item 0", f"stack item {position}")
+    assert getattr(got.value, "index", position) == position
 
 
 @pytest.mark.parametrize("n", range(1, 36))
@@ -487,24 +568,6 @@ def test_odd_pencil_is_the_leading_block_of_the_degree_61_pencil():
             assert np.array_equal(small, big[:, : m + 1, : m + 1]), n
 
 
-def test_odd_branch_grid_equals_the_stack_of_each_degree():
-    # verify builds one odd pencil at its top m and solves each m on its leading block: every value must be
-    # _odd_branch_stack's at that degree, bit for bit, and a refusal the one of the first degree that refuses
-    weights = [WeightSpec.gegenbauer(lam, mu) for lam in LAMBDAS for mu in MUS] + [WeightSpec.gegenbauer(100.0, 99.0)]
-    for n_max in (1, 2, 10, 25):
-        grid = _odd_branch_grid(n_max, weights)
-        assert grid.shape == ((n_max + 1) // 2, len(weights))
-        for m, row in enumerate(grid):
-            assert row.tobytes() == _odd_branch_stack(2 * m + 1, weights).tobytes()
-    # at mu = 1e300 the m = 0 block is finite and the larger ones are not, which the degree-3 solve refuses
-    weights = [WeightSpec.gegenbauer(0.5, 1.0), WeightSpec.gegenbauer(0.5, 1e300)]
-    with pytest.raises(ConditioningError) as want:
-        _odd_branch_stack(3, weights)
-    with pytest.raises(ConditioningError) as got:
-        _odd_branch_grid(9, weights)
-    assert str(got.value) == str(want.value) and got.value.index == want.value.index == 1
-
-
 def test_extremal_certificates():
     cases = [
         factor_hermite_ddx(5, 0.7),
@@ -569,9 +632,8 @@ def test_default_grid_extremals_equal_their_eager_builds():
     for row, (fsq, branch) in enumerate(zip(grid.factor_sq.tolist(), grid.branch)):
         single = _scalar_factor(*grid.item(row))
         assert (fsq.hex(), branch) == (single.factor_sq.hex(), single.branch), grid.item(row)
-    # each result of the stacked routes builds its own extremal on read; it must equal, bit for bit, the polynomial
-    # the routes built up front, stack-wide conversions included, and the whole result must equal its scalar factor
-    # call (degrees 2m + 1 and 2m + 2 of the Gegenbauer d/dx stacks share one odd-pencil solve)
+    # each result builds its own extremal on read; it must equal, bit for bit, the polynomial built up front,
+    # stack-wide conversions included, and the whole result must equal a second scalar factor call
     positive = [lam for lam in DEFAULT_VERIFY_LAMBDAS if lam > 0]
     pairs = [(lam, mu) for lam in positive for mu in DEFAULT_VERIFY_MUS]
     gegenbauer = [WeightSpec.gegenbauer(lam, mu) for lam in DEFAULT_VERIFY_LAMBDAS for mu in DEFAULT_VERIFY_MUS]
@@ -579,10 +641,10 @@ def test_default_grid_extremals_equal_their_eager_builds():
     odd_extremals = {n: _eager_gegenbauer_odd_extremals(n, pairs) for n in n_values}
     results = []
     for n in n_values:
-        results += _gegenbauer_ddx_stack(n, weights, _odd_branch_stack(n, weights))
+        results += [factor_gegenbauer_ddx(n, w.lam, w.mu) for w in weights]
         results += [factor_hermite_ddx(n, lam) for lam in positive]
-        results += [_dunkl_factor(n, WeightSpec.hermite(lam), OperatorSpec.dunkl()) for lam in DEFAULT_VERIFY_LAMBDAS]
-        results += [_dunkl_factor(n, w, OperatorSpec.dunkl(damped=True)) for w in gegenbauer]
+        results += [factor_hermite_dunkl(n, lam) for lam in DEFAULT_VERIFY_LAMBDAS]
+        results += [factor_gegenbauer_dunkl(n, w.lam, w.mu) for w in gegenbauer]
     assert len(results) == 910
     for r in results:
         assert r.extremal == _eager_extremal(r, odd_extremals), (r.weight, r.operator, r.n)

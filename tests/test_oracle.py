@@ -13,7 +13,7 @@ import pytest
 from bmfactor.cli import DEFAULT_VERIFY_LAMBDAS, DEFAULT_VERIFY_MUS
 from bmfactor.core import OperatorSpec, Polynomial, WeightSpec
 from bmfactor.dunkl import dunkl_apply, sigma
-from bmfactor.factors import _dunkl_factor, _top_eigenpairs, _top_values
+from bmfactor.factors import _factor_grid, _top_eigenpairs, _top_values
 from bmfactor.oracle import (
     BASIS_DEFECT_TOL,
     ConditioningError,
@@ -401,7 +401,8 @@ def test_the_oracle_is_right_or_refuses_at_huge_lambda():
                 except (ConditioningError, OverflowError):
                     continue
                 answered += 1
-                assert value == pytest.approx(_dunkl_factor(n, weight, op).factor, rel=1e-6), (weight, n)
+                (closed_form,), _ = _factor_grid([n], [weight], op)
+                assert value == pytest.approx(math.sqrt(closed_form[0]), rel=1e-6), (weight, n)
     assert answered >= 15  # at lambda = 1e5, every degree for mu <= 1 (the zeroth moment underflows at 150)
 
 

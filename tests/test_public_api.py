@@ -21,13 +21,15 @@ MODULES = ("core", "dunkl", "factors", "inequality", "oracle", "orthopoly", "spe
 # Test instruments now in tests/instruments.py, wrapper types that are gone, the moment pencil G
 # with its generic root solver (the odd pencil serves G's root; tests/instruments.py keeps G), the
 # names no command reaches: the residual views, the Dunkl threshold n0 and the single-polynomial forms,
-# and the deleted moment-table wrapper and Hermite stacks of one.
+# the deleted moment-table wrapper and Hermite stacks of one, and the per-route stacks and scalar Dunkl
+# route that _factor_grid and _odd_branch replace.
 MOVED = (
     "gram_matrices", "GramPair", "residual_classical_L", "ClassicalResidual", "connection_check",
     "hermite_connection_check", "TableCoefficients", "monomial_factor", "dunkl_laplacian", "mul_by_x",
     "mul_by_one_minus_x2", "reflect", "parity_split", "build_pencil_G", "pencil_largest_positive_root",
     "residual_hermite", "residual_gegenbauer", "dunkl_gegenbauer_threshold", "weighted_inner",
     "rayleigh_quotient", "_even_width", "MomentTable", "_top_positive", "_hermite_ddx_stack",
+    "_odd_branch_stack", "_odd_branch_grid", "_gegenbauer_ddx_stack", "_dunkl_factor",
 )
 # bmfactor.special keeps these for the moment pencils; the package does not re-export them.
 SPECIAL = ("log_gamma", "hermite_moment", "gegenbauer_moment", "moment_table")
@@ -96,6 +98,16 @@ def test_cli_imports_only_the_oracle_entries():
     names = sorted(alias.name for node in ast.walk(tree)
                    if isinstance(node, ast.ImportFrom) and node.module == "oracle" for alias in node.names)
     assert names == ["ConditioningError", "_rayleigh_grid", "rayleigh_factor"]
+
+
+def test_cli_imports_only_the_factor_entries():
+    # verify reaches the factor values through the value entry _factor_grid, and table2 its nu_2 column through
+    # the odd branch and the Gegenbauer d/dx branch rule; no route kernel is named in cli
+    tree = ast.parse(Path(bmfactor.__file__).with_name("cli.py").read_text())
+    names = sorted(alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module == "factors" for alias in node.names)
+    assert names == ["Branch", "FactorResult", "_factor_grid", "_gegenbauer_ddx_sq", "_odd_branch",
+                     "factor_gegenbauer_ddx", "factor_gegenbauer_dunkl", "factor_hermite_ddx", "factor_hermite_dunkl"]
 
 
 def test_result_types_store_each_value_once():
