@@ -4,6 +4,7 @@ import json
 import math
 import pickle
 import warnings
+from functools import partial
 from pathlib import Path
 
 import mpmath as mp
@@ -17,6 +18,7 @@ from bmfactor.factors import (
     Branch,
     FactorResult,
     Pencil,
+    _extremal,
     _factor_grid,
     _hermite_ddx_sq,
     _odd_branch,
@@ -458,6 +460,19 @@ def test_factor_grid_refuses_as_its_scalar_route(degrees, weights, op, scalar, n
     assert named in str(got.value)
     assert str(got.value) == str(want.value).replace("stack item 0", f"stack item {position}")
     assert getattr(got.value, "index", position) == position
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_gegenbauer_ddx_stack_equals_its_stacks_of_one(n):
+    # the default `bmfactor verify` grid, solved as one _factor_grid row per degree: each cell, with its extremal
+    # built on read, is factor_gegenbauer_ddx bit for bit, extremal included
+    pairs = [(lam, mu) for lam in LAMBDAS for mu in MUS]
+    weights = [WeightSpec.gegenbauer(lam, mu) for lam, mu in pairs]
+    op = OperatorSpec.ddx(damped=True)
+    fsq, branch = _factor_grid([n], weights, op)
+    for (lam, mu), weight, cell, kind in zip(pairs, weights, fsq[0], branch[0], strict=True):
+        stacked = FactorResult(float(cell), kind, partial(_extremal, n, weight, kind), n, weight, op)
+        assert stacked == factor_gegenbauer_ddx(n, lam, mu)
 
 
 @pytest.mark.parametrize("n", range(1, 36))
