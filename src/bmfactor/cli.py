@@ -119,11 +119,12 @@ def _check_tolerance(tolerance: float) -> None:
 
 
 def _factor_payload(result: FactorResult, digits: int, check: bool) -> tuple[dict, float | None]:
-    """The JSON payload of a result and, with ``check``, its oracle's relative gap (None without)."""
+    """The JSON payload of a result and, with ``check``, its oracle's relative gap (None without).  lambda and mu
+    are printed as given, as the other commands print them."""
     payload = {
         "n": result.n,
-        "lambda": _sig(result.weight.lam, digits),
-        "mu": _sig(result.weight.mu, digits) if result.weight.is_gegenbauer else None,
+        "lambda": result.weight.lam,
+        "mu": result.weight.mu if result.weight.is_gegenbauer else None,
         "weight": result.weight.family.value,
         "operator": result.operator.kind.value,
         "factor": _sig(result.factor, digits),

@@ -1,4 +1,5 @@
-"""CLI surface: output schemas, exit codes, golden values."""
+"""CLI surface: the contract table of ``cli_contract`` run in process, and what a table row cannot check:
+monkeypatched kernels, library calls, formats compared with each other, cold interpreters."""
 
 import csv
 import io
@@ -13,10 +14,11 @@ import numpy as np
 import pytest
 
 import bmfactor
-from bmfactor.cli import EXIT_DOMAIN, EXIT_MISMATCH, EXIT_NUMERICAL, EXIT_OK, VERIFY_CSV_COLUMNS, main
+from bmfactor.cli import EXIT_DOMAIN, EXIT_MISMATCH, EXIT_NUMERICAL, EXIT_OK, main
 from bmfactor.core import OperatorSpec, WeightFamily, WeightSpec
 from bmfactor.factors import Branch, factor_gegenbauer_ddx
 from bmfactor.oracle import _rayleigh_grid, rayleigh_factor
+import cli_contract
 from instruments import verify_csv_reference
 
 CERTIFIED_REFERENCE = Path(__file__).resolve().with_name("certified_reference.json")
@@ -28,166 +30,6 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def test_factor_json_schema_and_golden_value(capsys):
-    code, out, _ = run(capsys, "factor", "--weight", "gegenbauer", "--op", "dunkl",
-                       "--lambda", "0", "--mu", "0.5", "--n", "4", "--format", "json")
-    assert code == EXIT_OK
-    payload = json.loads(out)
-    # n(n + 2 mu) = 4 * 5 at lam = 0, oracle-confirmed
-    assert payload["factor"] == pytest.approx(math.sqrt(20.0), rel=1e-9)
-    expected_keys = {"n", "lambda", "mu", "weight", "operator", "factor", "factor_sq",
-                     "branch", "extremal_coeffs"}
-    assert expected_keys <= payload.keys()
-    assert payload["weight"] == "gegenbauer" and payload["operator"] == "dunkl"
-    # rendering the parsed payload again is the identity
-    assert json.loads(json.dumps(payload)) == payload
-
-
-def test_factor_plain_golden_values(capsys):
-    code, out, _ = run(capsys, "factor", "--weight", "hermite", "--op", "ddx",
-                       "--lambda", "0.4", "--n", "2")
-    assert code == EXIT_OK
-    assert "factor     = 2" in out
-    code, out, _ = run(capsys, "factor", "--weight", "hermite", "--op", "dunkl",
-                       "--lambda", "1", "--n", "2", "--format", "json")
-    assert json.loads(out)["factor"] == pytest.approx(math.sqrt(6.0), rel=1e-9)
-
-
-def test_factor_check_reports_oracle_gap(capsys):
-    code, out, _ = run(capsys, "factor", "--weight", "gegenbauer", "--op", "ddx",
-                       "--lambda", "0.4", "--mu", "-0.4", "--n", "3",
-                       "--check", "--format", "json")
-    assert code == EXIT_OK
-    payload = json.loads(out)
-    assert payload["oracle_rel_err"] < 1e-8
-    assert payload["factor"] == pytest.approx(math.sqrt(6.353319263351), rel=1e-9)
-
-
-@pytest.mark.parametrize("command", ("factor", "extremal"))
-def test_factor_check_gates_on_its_tolerance(capsys, command):
-    # Hermite d/dx at (lambda, n) = (1, 31) is 3.4 % off its oracle; --check once printed that gap and exited 0.
-    # The output is printed as before, then a gap above --tolerance (default 1e-7) exits 4
-    argv = (command, "--weight", "hermite", "--op", "ddx", "--lambda", "1", "--check")
-    code, out, _ = run(capsys, *argv, "--n", "31")
-    assert code == EXIT_MISMATCH and out.splitlines()[-1] == "oracle     = 7.824403226   (rel err 0.0343739329)"
-    code, out, _ = run(capsys, *argv, "--n", "31", "--format", "json", "--digits", "17")
-    assert code == EXIT_MISMATCH and json.loads(out)["oracle_rel_err"] == pytest.approx(0.0343739329, rel=1e-9)
-    assert run(capsys, *argv, "--n", "31", "--tolerance", "0.05")[0] == EXIT_OK
-    assert run(capsys, *argv, "--n", "9")[0] == EXIT_OK
-    assert run(capsys, *argv[:-1], "--n", "31")[0] == EXIT_OK  # unchecked: no oracle, no gate
-    for tolerance in ("nan", "inf", "0", "-1e-7"):
-        code, out, err = run(capsys, *argv, "--n", "9", f"--tolerance={tolerance}")
-        assert (code, out) == (EXIT_DOMAIN, "")
-        assert err.startswith("error:") and "--tolerance" in err
-
-
-def test_domain_errors_exit_2(capsys):
-    assert run(capsys, "factor", "--weight", "hermite", "--op", "ddx",
-               "--lambda", "0", "--n", "3")[0] == EXIT_DOMAIN
-    assert run(capsys, "factor", "--weight", "gegenbauer", "--op", "dunkl",
-               "--lambda", "1", "--n", "3")[0] == EXIT_DOMAIN  # mu missing
-    assert run(capsys, "factor", "--weight", "hermite", "--op", "dunkl",
-               "--lambda", "-1", "--n", "3")[0] == EXIT_DOMAIN
-    assert run(capsys, "inequality", "--family", "hermite", "--lambda", "1",
-               "--n", "3", "--coeffs", "1,0,0,0,1")[0] == EXIT_DOMAIN  # degree 4 > n
-    # verify refuses mu <= -1/2 with the weight's own message, as factor and inequality do
-    assert run(capsys, "verify", "--mus", "-0.5", "--n-max", "2") == (
-        EXIT_DOMAIN, "", "error: mu must be finite and > -1/2, got -0.5\n")
-
-
-@pytest.mark.parametrize("argv", (
-    ("factor", "--check", "--weight", "hermite", "--op", "dunkl", "--lambda", "200", "--n", "3"),
-    ("inequality", "--family", "hermite", "--lambda", "200", "--n", "3", "--at-extremal"),
-    ("verify", "--lambdas", "200", "--mus", "0.5", "--n-max", "2"),
-    ("factor", "--weight", "hermite", "--op", "ddx", "--lambda", "1e300", "--n", "4", "--format", "json"),
-    ("extremal", "--weight", "hermite", "--op", "dunkl", "--lambda", "1e200", "--n", "6"),
-), ids=("factor", "inequality", "verify", "factor-extremal", "extremal"))
-def test_overflow_exits_3(capsys, argv):
-    # The zeroth Hermite moment Gamma(lam + 1/2) overflows a double near lam = 171; at lam = 1e300 and
-    # 1e200 the eigenpolynomial's coefficients overflow, which once printed Infinity with exit 0
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (EXIT_NUMERICAL, "")
-    assert err.startswith("numerical failure:")
-
-
-@pytest.mark.parametrize(("argv", "named"), (
-    (("inequality", "--family", "gegenbauer", "--lambda", "0", "--mu", "1e300", "--n", "3", "--seed", "1"),
-     "degree-3 inequality of the gegenbauer weight (lambda=0.0, mu=1e+300)"),
-    (("inequality", "--family", "gegenbauer", "--lambda", "1e300", "--mu", "0", "--n", "3", "--seed", "1"),
-     "degree-3 inequality of the gegenbauer weight (lambda=1e+300, mu=0.0)"),
-    (("inequality", "--family", "gegenbauer", "--lambda", "1e100", "--mu", "1e50", "--n", "3", "--seed", "1"),
-     "degree-3 inequality of the gegenbauer weight (lambda=1e+100, mu=1e+50)"),
-    (("factor", "--weight", "hermite", "--op", "ddx", "--lambda", "168", "--n", "3"),
-     "degree-3 odd pencil of the hermite weight (lambda=168.0)"),
-    (("verify", "--lambdas", "170", "--mus", "600", "--n-max", "3"),
-     "degree-3 odd pencil of the hermite weight (lambda=170.0)"),
-    (("extremal", "--weight", "gegenbauer", "--op", "dunkl", "--lambda", "1e300", "--mu", "1e8", "--n", "3"),
-     "degree-3 Dunkl factor of the gegenbauer weight (lambda=1e+300, mu=100000000.0)"),
-), ids=("inequality-mu", "inequality-lambda", "inequality-sides", "factor-moments", "verify-moments",
-        "dunkl-factor"))
-def test_overflow_refusals_name_the_weight_and_degree(capsys, argv, named):
-    # lambda_n^4 overflowed a Python float power, the Gauss rule ran on non-finite recurrence coefficients
-    # ("SVD did not converge"), a side of the report was NaN with exit 0, the Hermite moment table
-    # overflowed ("math range error"), and lambda_n^2 = n (n + 2 lam + 2 mu) + 4 lam mu beyond a double
-    # printed a NaN or infinite Dunkl factor with exit 0: each is now refused naming the weight and the degree
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (EXIT_NUMERICAL, "")
-    assert err.startswith("numerical failure:") and named in err
-
-
-@pytest.mark.parametrize("n", ("29", "31", "33"))
-def test_inequality_beyond_a_double_exits_3_without_a_numpy_warning(capsys, n):
-    # the node values of the degree-31 Hermite polynomial at lambda = 150 overflow in the form sums,
-    # which once printed numpy overflow warnings before the refusal, or a traceback (exit 1) with
-    # warnings as errors
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        code, out, err = run(capsys, "inequality", "--family", "hermite", "--lambda", "150", "--n", n,
-                             "--at-extremal")
-    assert (code, out) == (EXIT_NUMERICAL, "")
-    assert err == (f"numerical failure: a side of the degree-{n} inequality of the hermite weight "
-                   "(lambda=150.0) is not finite\n")
-
-
-@pytest.mark.parametrize("command", ("factor", "extremal"))
-def test_odd_extremal_beyond_a_double_exits_3_without_a_numpy_warning(capsys, command):
-    # at n = 901 this once ended in a RuntimeWarning traceback (exit 1), and at n = 2001 printed NaN with exit 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        code, out, err = run(capsys, command, "--weight", "gegenbauer", "--op", "ddx", "--lambda", "1", "--mu", "0.5",
-                             "--n", "901", "--format", "json")
-    assert (code, out) == (EXIT_NUMERICAL, "")
-    assert err == ("numerical failure: degree-901 odd extremal of the gegenbauer weight (lambda=1.0, mu=0.5) "
-                   "has coefficients beyond a double\n")
-
-
-def test_hermite_moment_pencil_just_below_its_overflow(capsys):
-    # the unnormalized moments Gamma(s + lambda + 1/2) overflow from about lambda = 168 at n = 3
-    code, out, _ = run(capsys, "factor", "--weight", "hermite", "--op", "ddx", "--lambda", "165", "--n", "3",
-                       "--format", "json")
-    assert code == EXIT_OK and json.loads(out)["factor_sq"] == pytest.approx(4.012, abs=5e-4)
-
-
-@pytest.mark.parametrize("argv", (
-    ("factor", "--check", "--weight", "gegenbauer", "--op", "ddx", "--lambda", "1e4", "--mu", "1e4", "--n", "3"),
-    ("inequality", "--family", "gegenbauer", "--lambda", "1e4", "--mu", "1e4", "--n", "3", "--at-extremal"),
-), ids=("factor", "inequality"))
-def test_underflow_exits_3(capsys, argv):
-    # B(lam + 1/2, mu + 1/2) is below the smallest normal double here: the
-    # oracle's extremal was non-finite and every folded weight of the
-    # inequality was 0, which reported lhs = rhs = 0 as an equality
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (EXIT_NUMERICAL, "")
-    assert err.startswith("numerical failure:") and "gegenbauer weight (lambda=10000.0, mu=10000.0)" in err
-
-
-def test_extremal_command(capsys):
-    code, out, _ = run(capsys, "extremal", "--weight", "hermite", "--op", "dunkl",
-                       "--lambda", "1", "--n", "2")
-    assert code == EXIT_OK
-    assert "coeffs: 0.0 1.0" in out  # extremal drops to degree 1 for lam > 1/2
-
-
 def test_extremal_check_prints_the_oracle_line(capsys):
     # plain extremal --check once ran the oracle and printed nothing of it; csv and json carried it
     argv = ("extremal", "--weight", "hermite", "--op", "ddx", "--lambda", "1", "--n", "5", "--check")
@@ -195,28 +37,6 @@ def test_extremal_check_prints_the_oracle_line(capsys):
     assert code == EXIT_OK and out.startswith("extremal polynomial (degree sector odd_pencil_root):")
     row = next(csv.DictReader(io.StringIO(run(capsys, *argv, "--format", "csv")[1])))
     assert out.splitlines()[-1] == f"oracle     = {row['oracle_factor']}   (rel err {row['oracle_rel_err']})"
-
-
-def test_hermite_ddx_moment_pencil_refusal_names_the_pencil(capsys):
-    # the Hermite d/dx odd moment pencil's Q fails Cholesky from n = 37 at lambda = 1
-    code, out, err = run(capsys, "factor", "--weight", "hermite", "--op", "ddx", "--lambda", "1", "--n", "37")
-    assert (code, out) == (EXIT_NUMERICAL, "")
-    assert err.startswith("numerical failure:") and "('hermite', 'ddx', 1.0, 0.0, 37)" in err
-
-
-def test_verify_small_grid_passes(capsys):
-    code, out, _ = run(capsys, "verify", "--lambdas", "0.5", "1", "--mus", "0.5",
-                       "--n-max", "6")
-    assert code == EXIT_OK
-    assert "result: PASS" in out
-
-
-@pytest.mark.parametrize("lam", ("1e-12", "1e-8"))
-def test_verify_accepts_a_bracket_narrower_than_rounding(capsys, lam):
-    # below about lambda = 1e-8 the bracket (2n - 4 lam / (1 + 2 lam), 2n) is narrower than the
-    # rounding of M^2, which once sat on its lower end and was reported as a bracket violation (exit 4)
-    code, out, _ = run(capsys, "verify", "--lambdas", lam, "--mus", "0.5", "--n-max", "10")
-    assert code == EXIT_OK and "result: PASS" in out
 
 
 @pytest.mark.parametrize("side", ("below", "above"))
@@ -320,17 +140,6 @@ def test_verify_refuses_an_eigenpolynomial_beyond_a_double_in_sweep_order(capsys
                    "(lambda=0.5, mu=3.0)\n")
 
 
-@pytest.mark.parametrize("grid", (("--lambdas", "1e300"), ("--lambdas", "0", "--mus", "1e300")))
-def test_verify_refuses_huge_parameters_without_a_numpy_warning(capsys, grid):
-    # the recurrence coefficients and the odd pencil overflow to inf and nan at lambda or mu = 1e300;
-    # the solves refuse them, and no RuntimeWarning may escape on the way (one once ended in a traceback)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        code, out, err = run(capsys, "verify", "--n-max", "4", *grid)
-    assert (code, out) == (EXIT_NUMERICAL, "")
-    assert err.startswith("numerical failure: non-finite stiffness or Gram entries at stack item 0")
-
-
 def test_verify_refuses_an_overflowing_eigenpolynomial_before_the_oracle_grid(capsys, monkeypatch):
     # the residual sweep runs before the oracle grid, so its refusal needs no Gauss basis
     import bmfactor.oracle
@@ -392,19 +201,6 @@ def test_one_pass_residual_sweep_equals_the_per_degree_sweep(monkeypatch, lambda
         assert len(got) > 5  # flags on both families and at several degrees
 
 
-@pytest.mark.parametrize(("option", "value"), (
-    ("--tolerance", "nan"), ("--tolerance", "inf"), ("--tolerance", "-1"), ("--tolerance", "0"),
-    ("--n-max", "0"), ("--n-max", "-3"),
-))
-def test_verify_refuses_a_check_that_cannot_fail(capsys, option, value):
-    # this grid exits 4; a NaN tolerance once passed it (rel_err > nan is false) and
-    # n-max <= 0 once checked no row, both printing PASS with exit 0
-    code, out, err = run(capsys, "verify", "--lambdas", "0.3", "--mus", "-0.49999999999",
-                         "--n-max", "10", option, value)
-    assert (code, out) == (EXIT_DOMAIN, "")
-    assert err.startswith("error:") and option in err
-
-
 def test_verify_table2_and_check_build_no_extremal(capsys, monkeypatch):
     # verify, table2 and the oracle of factor --check print values only, so none
     # of them may build an extremal polynomial
@@ -424,18 +220,6 @@ def test_verify_table2_and_check_build_no_extremal(capsys, monkeypatch):
         monkeypatch.setattr(bmfactor.factors, name, refuse)
     assert run(capsys, "verify", "--format", "csv", "--digits", "17")[:2] == (EXIT_OK, expected)
     assert run(capsys, "table2")[0] == EXIT_MISMATCH
-
-
-def test_verify_csv_columns(capsys):
-    code, out, _ = run(capsys, "verify", "--lambdas", "1", "--mus", "0.5",
-                       "--n-max", "3", "--format", "csv")
-    assert code == EXIT_OK
-    rows = list(csv.reader(io.StringIO(out)))
-    assert rows[0] == VERIFY_CSV_COLUMNS
-    # 3 degrees x (hermite ddx + hermite dunkl + gegenbauer ddx + gegenbauer dunkl)
-    assert len(rows) == 1 + 3 * 4
-    branches = {r[6] for r in rows[1:]}
-    assert "dunkl_closed_form" in branches
 
 
 def test_verify_rows_carry_their_own_grid_point(capsys):
@@ -475,21 +259,6 @@ def test_verify_gathers_lambda_zero_and_an_odd_top_degree(capsys):
                     branch = getattr(bmfactor, f"factor_{family}_{op}")(n, *params).branch.value
                     expected.append((str(lam), "" if mu is None else str(mu), str(n), branch))
     assert [(r["lambda"], r["mu"], r["n"], r["branch"]) for r in rows] == expected
-
-
-@pytest.mark.parametrize(("branch", "count", "argv"), (
-    ("odd_pencil_root", 26, ("--weight", "gegenbauer", "--op", "ddx", "--lambda", "4.5", "--mu", "3", "--n", "25")),
-    ("even_closed_form", 11, ("--weight", "gegenbauer", "--op", "ddx", "--lambda", "4.5", "--mu", "3", "--n", "10")),
-    ("even_closed_form", 11, ("--weight", "hermite", "--op", "ddx", "--lambda", "1", "--n", "10")),
-    ("dunkl_closed_form", 8, ("--weight", "hermite", "--op", "dunkl", "--lambda", "1", "--n", "8")),
-    ("dunkl_closed_form", 10, ("--weight", "gegenbauer", "--op", "dunkl", "--lambda", "4.5", "--mu", "3", "--n", "9")),
-), ids=("gegenbauer-ddx-odd", "gegenbauer-ddx-even", "hermite-ddx-even", "hermite-dunkl", "gegenbauer-dunkl"))
-def test_each_extremal_built_on_read(capsys, branch, count, argv):
-    # every route that defers its extremal, by branch and coefficient count: the Gegenbauer d/dx odd branch
-    # (its pencil solved again for the eigenvector) and even branch, Hermite d/dx at even n, both Dunkl families
-    code, out, _ = run(capsys, "extremal", "--format", "json", *argv)
-    payload = json.loads(out)
-    assert (code, payload["branch"], len(payload["extremal_coeffs"])) == (EXIT_OK, branch, count)
 
 
 @pytest.mark.parametrize(("weight", "op", "n"), (
@@ -533,63 +302,12 @@ def test_verify_oracle_column_equals_scalar_oracle(capsys):
             assert cell == pytest.approx(rayleigh_factor(n, weight, op)[0], rel=1e-13, abs=0)
 
 
-def test_verify_oracle_on_a_rule_far_above_its_lowest_degree(capsys):
-    # the oracle solves degree 1 on the rule of degree 40; the Dunkl rows' closed forms must still agree
-    # within 1e-13 (4.9e-15 on that rule, 7.7e-15 on each degree's own).  lambda = 0 keeps the Hermite d/dx
-    # moment pencils out: at lambda = 0.25 they refuse n = 33
-    code, out, _ = run(capsys, "verify", "--lambdas", "0", "--mus", "0.5", "3", "--n-max", "40", "--format", "json")
-    assert code == EXIT_OK
-    payload = json.loads(out)
-    assert payload["rows"] == 120 and payload["violations"] == []
-    assert payload["max_rel_err"] <= 1e-13
-
-
-def test_gegenbauer_ddx_at_large_lambda(capsys):
-    # the odd-part moment pencil lost the winning odd branch at (50, -0.4, 9)
-    # and was 2.8e-7 off at (100, -0.4, 7), so verify exited 4 there
-    code, out, _ = run(capsys, "factor", "--weight", "gegenbauer", "--op", "ddx", "--lambda", "50",
-                       "--mu", "-0.4", "--n", "9", "--format", "json", "--digits", "17")
-    assert code == EXIT_OK
-    payload = json.loads(out)
-    assert payload["factor"] == pytest.approx(29.291705407411952, rel=1e-12)
-    assert payload["branch"] == "odd_pencil_root"
-    code, out, _ = run(capsys, "verify", "--lambdas", "100", "--mus", "-0.4", "--n-max", "7")
-    assert code == EXIT_OK and "result: PASS" in out
-
-
-def test_gegenbauer_ddx_degree_1_at_the_top_of_the_doubles(capsys):
-    # the even branch's degree-0 closed value was 0 * (0 + 2 lam + 2 mu) = 0 * inf here, and the factor printed
-    # NaN (not JSON) with exit 0; it is 0, so the odd branch M_1^2 = (mu + 1/2) / (lam + 1/2) wins
-    def refuse(constant):
-        raise ValueError(f"{constant} is not JSON")
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        code, out, _ = run(capsys, "factor", "--weight", "gegenbauer", "--op", "ddx", "--lambda", "1e308",
-                           "--mu", "0", "--n", "1", "--format", "json")
-    assert code == EXIT_OK
-    payload = json.loads(out, parse_constant=refuse)
-    assert payload["factor_sq"] == pytest.approx(0.5 / 1e308, rel=1e-9)
-    assert payload["branch"] == "odd_pencil_root" and payload["extremal_coeffs"] == [0.0, 1.0]
-
-
-def test_gegenbauer_ddx_closed_value_beyond_a_double_is_refused(capsys):
+def test_gegenbauer_ddx_closed_value_beyond_a_double_is_refused():
     # at n = 2 the closed value 2(2 + 2 lam + 2 mu) is inf, and |nu - inf| <= 1e-9 inf once made it a tie:
     # factor_sq inf on the max_of_both branch, refused only when the extremal's eigenpolynomial overflowed
     with pytest.raises(OverflowError, match=r"^degree-2 d/dx factor of the gegenbauer weight "
                                             r"\(lambda=1e\+308, mu=0.0\) is beyond a double$"):
         factor_gegenbauer_ddx(2, 1e308, 0.0)
-    code, out, err = run(capsys, "factor", "--weight", "gegenbauer", "--op", "ddx", "--lambda", "1e308",
-                         "--mu", "0", "--n", "2")
-    assert (code, out) == (EXIT_NUMERICAL, "")
-    assert "d/dx factor" in err and "lambda=1e+308" in err
-
-
-def test_hermite_ddx_at_large_lambda(capsys):
-    # a raw-QZ cross-check of the moment pencil once made the n = 7 root 33 % low
-    # here: theorem/oracle gap 0.184 and a bracket violation, exit 4
-    code, out, _ = run(capsys, "verify", "--lambdas", "150", "--mus", "0.5", "--n-max", "7")
-    assert code == EXIT_OK and "result: PASS" in out
 
 
 COLD_START_PROBE = """
@@ -619,34 +337,6 @@ def test_cli_import_leaves_scipy_linalg_unloaded(argv, exit_code):
     out = subprocess.run([sys.executable, "-c", COLD_START_PROBE, src, *argv],
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip().split(maxsplit=2) == [str(exit_code), "False", "[]"]
-
-
-def test_non_finite_weight_parameters_exit_2(capsys):
-    for argv in (
-        ("factor", "--weight", "hermite", "--op", "ddx", "--lambda", "nan", "--n", "4"),
-        ("factor", "--weight", "hermite", "--op", "dunkl", "--lambda", "inf", "--n", "3"),
-        ("factor", "--weight", "hermite", "--op", "ddx", "--lambda", "nan", "--n", "3"),
-        ("factor", "--weight", "gegenbauer", "--op", "ddx", "--lambda", "1", "--mu", "nan", "--n", "3"),
-        ("factor", "--weight", "gegenbauer", "--op", "dunkl", "--lambda", "1", "--mu", "inf", "--n", "3"),
-    ):
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (EXIT_DOMAIN, ""), argv
-        assert err.startswith("error:") and "must be finite" in err, argv
-
-
-@pytest.mark.parametrize("argv", (
-    ("factor", "--weight", "hermite", "--op", "ddx", "--lambda", "1", "--mu", "0.5", "--n", "3"),
-    ("factor", "--check", "--weight", "hermite", "--op", "dunkl", "--lambda", "1", "--mu", "0.5", "--n", "3"),
-    ("extremal", "--weight", "hermite", "--op", "ddx", "--lambda", "1", "--mu", "0.5", "--n", "4"),
-    ("inequality", "--family", "hermite", "--lambda", "1", "--mu", "3", "--n", "2", "--seed", "1"),
-), ids=("factor", "factor-check", "extremal", "inequality"))
-def test_mu_with_the_hermite_weight_exits_2(capsys, argv):
-    # the Hermite weight has no mu: factor once dropped it silently, and inequality printed it in its
-    # plain header while the report ignored it
-    for fmt in ("plain", "json"):
-        code, out, err = run(capsys, *argv, "--format", fmt)
-        assert (code, out) == (EXIT_DOMAIN, "")
-        assert err.startswith("error: --mu does not apply to the hermite ")
 
 
 def test_main_builds_its_parser_once(capsys, monkeypatch):
@@ -690,38 +380,6 @@ def test_linalg_failure_exits_3(capsys, monkeypatch):
                        "--lambda", "1", "--n", "3")
     assert code == EXIT_NUMERICAL
     assert err.startswith("numerical failure:")
-
-
-@pytest.mark.parametrize(("argv", "item"), (
-    (("--op", "ddx", "--lambda", "1e50", "--mu", "0", "--n", "1"), "('gegenbauer', 'ddx', 1e+50, 0.0, 1)"),
-    (("--op", "dunkl", "--lambda", "1e15", "--mu", "0", "--n", "10"),
-     "('gegenbauer', 'dunkl', 1000000000000000.0, 0.0, 10)"),
-    (("--op", "ddx", "--lambda", "1e8", "--mu", "-0.4999999", "--n", "31"),
-     "('gegenbauer', 'ddx', 100000000.0, -0.4999999, 31)"),
-), ids=("ddx-1e50", "dunkl-1e15", "ddx-mu-near-half"))
-def test_factor_check_refuses_a_broken_gauss_rule(capsys, argv, item):
-    # the oracle's Gauss rule no longer keeps its basis orthonormal here: it once returned 0.0 (a
-    # ZeroDivisionError traceback) and values 0.85 and 0.30 off with exit 0
-    code, out, err = run(capsys, "factor", "--check", "--weight", "gegenbauer", *argv, "--format", "json")
-    assert (code, out) == (EXIT_NUMERICAL, "")
-    assert err.startswith("numerical failure: Gauss rule leaves the basis non-orthonormal")
-    assert f"at stack item 0 {item}" in err and "Traceback" not in err
-
-
-@pytest.mark.parametrize(("argv", "item"), (
-    (("--op", "dunkl", "--lambda", "1e300", "--mu", "1", "--n", "3"), "('gegenbauer', 'dunkl', 1e+300, 1.0, 3)"),
-    (("--op", "ddx", "--lambda", "1e15", "--mu", "1e300", "--n", "2"),
-     "('gegenbauer', 'ddx', 1000000000000000.0, 1e+300, 2)"),
-), ids=("dunkl-lambda", "ddx-mu"))
-def test_factor_check_refuses_non_finite_recurrence_coefficients(capsys, argv, item):
-    # the oracle's Gauss rule once ran its SVD on these inf and nan beta and exited 3 with a bare
-    # "SVD did not converge" that named no weight
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        code, out, err = run(capsys, "factor", "--check", "--weight", "gegenbauer", *argv, "--format", "json")
-    assert (code, out) == (EXIT_NUMERICAL, "")
-    assert err == f"numerical failure: non-finite recurrence coefficients at stack item 0 {item} " \
-                  "(estimated condition inf)\n"
 
 
 def test_verify_names_the_worst_grid_point(capsys):
@@ -806,24 +464,6 @@ def test_verify_csv_is_the_csv_writer_bytes(capsys, monkeypatch, digits, lambdas
     assert code == (EXIT_MISMATCH if poisoned else EXIT_OK)
     assert out == verify_csv_reference([float(x) for x in lambdas], [float(x) for x in mus], 4, digits)
     assert shown in out
-
-
-def test_table2_flags_reference_mismatches(capsys):
-    code, out, _ = run(capsys, "table2", "--format", "json")
-    payload = json.loads(out)
-    assert len(payload["rows"]) == 16
-    # computed factors disagree with several embedded reference cells, so the
-    # command reports them and signals via the exit code contract
-    assert payload["flagged_cells"] > 0
-    assert code == EXIT_MISMATCH
-    flagged = sum(
-        0 if entry[f"{name}_ok"] else 1
-        for entry in payload["rows"] for name in ("nu2", "m3", "m4"))
-    assert flagged == payload["flagged_cells"]
-    # the x-cell row computes a genuine positive root
-    row = [e for e in payload["rows"] if e["lambda"] == 1.0 and e["mu"] == 1.0][0]
-    assert row["nu2"] == pytest.approx(14.722003496172, rel=1e-9)
-    assert row["nu2_ref"] is None
 
 
 def test_table2_matches_the_certified_table(capsys):
@@ -945,30 +585,6 @@ def test_eigenvectors_are_solved_only_where_read(capsys, monkeypatch):
     assert shapes == [(1, 11, 11), (1, 13, 13)]
 
 
-def test_plain_inequality_prints_no_negative_zero(capsys):
-    # lhs = (2 n - 2) * 0.0 is -0.0 at n = 0; JSON and CSV printed 0.0, plain printed -0
-    code, out, _ = run(capsys, "inequality", "--family", "hermite", "--lambda", "1", "--n", "0", "--seed", "1")
-    assert code == EXIT_OK
-    assert "lhs = 0\n" in out and "-0" not in out
-
-
-def test_table2_csv_shape(capsys):
-    code, out, _ = run(capsys, "table2", "--format", "csv")
-    rows = list(csv.reader(io.StringIO(out)))
-    assert len(rows) == 17
-    assert rows[0][:2] == ["lambda", "mu"]
-    assert rows[0][-1] == "ok"
-
-
-def test_inequality_at_extremal(capsys):
-    code, out, _ = run(capsys, "inequality", "--family", "gegenbauer", "--lambda", "1",
-                       "--mu", "1", "--n", "4", "--at-extremal", "--format", "json")
-    assert code == EXIT_OK
-    payload = json.loads(out)
-    assert payload["equality"] is True
-    assert abs(payload["gap"]) <= 1e-8 * (abs(payload["lhs"]) + abs(payload["rhs"]))
-
-
 @pytest.mark.parametrize("argv", (
     ("--family", "gegenbauer", "--lambda", "1", "--mu", "0.5", "--n", "6", "--seed", "3"),
     ("--family", "hermite", "--lambda", "0.5", "--n", "4", "--at-extremal"),
@@ -1020,54 +636,6 @@ def test_degree_cap_env_override(capsys, monkeypatch):
                        "--lambda", "0.3", "--n", "16", "--check", "--format", "json")
     assert code == EXIT_OK
     assert json.loads(out)["oracle_rel_err"] < 1e-8
-
-
-@pytest.mark.parametrize("argv", (
-    ("verify", "--format", "csv"),
-    ("table2",),
-    ("factor", "--weight", "hermite", "--op", "ddx", "--lambda", "1", "--n", "3"),
-    ("extremal", "--weight", "hermite", "--op", "ddx", "--lambda", "1", "--n", "3"),
-    ("inequality", "--family", "hermite", "--lambda", "1", "--n", "3", "--seed", "1"),
-), ids=("verify", "table2", "factor", "extremal", "inequality"))
-@pytest.mark.parametrize("digits", ("-2", "0"))
-def test_digits_below_one_exits_2_before_any_output(capsys, argv, digits):
-    # verify --format csv once wrote its header before failing on a negative precision
-    code, out, err = run(capsys, *argv, "--digits", digits)
-    assert (code, out) == (EXIT_DOMAIN, "")
-    assert err.startswith("error:") and "--digits" in err
-
-
-@pytest.mark.parametrize("coeffs", ("nan,1", "1,inf", "1,abc", "", " , "))
-def test_inequality_refuses_bad_coeffs(capsys, coeffs):
-    # a NaN coefficient once reported gap nan with exit 0, and an empty value a random polynomial
-    code, out, err = run(capsys, "inequality", "--family", "gegenbauer", "--lambda", "1", "--mu", "0.5",
-                         "--n", "3", "--coeffs", coeffs)
-    assert (code, out) == (EXIT_DOMAIN, "")
-    assert err.startswith("error:") and "--coeffs" in err
-
-
-@pytest.mark.parametrize("options", (("--n", "3", "--seed", "-1"), ("--n", "-2"), ("--n", "-1")),
-                         ids=("seed", "n-2", "n-1"))
-def test_inequality_refuses_negative_integer_options(capsys, options):
-    # numpy once refused these with messages that did not name the option
-    code, out, err = run(capsys, "inequality", "--family", "hermite", "--lambda", "1", *options)
-    assert (code, out) == (EXIT_DOMAIN, "")
-    assert err.startswith("error:") and options[-2] in err
-
-
-@pytest.mark.parametrize("source", (("--coeffs", "1,0,1"), ("--at-extremal",)), ids=("coeffs", "at-extremal"))
-def test_inequality_refuses_a_seed_it_would_ignore(capsys, source):
-    # the seed draws the random polynomial only; next to explicit input it was once ignored with exit 0
-    code, out, err = run(capsys, "inequality", "--family", "hermite", "--lambda", "1", "--n", "3",
-                         "--seed", "3", *source)
-    assert (code, out) == (EXIT_DOMAIN, "")
-    assert err.startswith("error:") and "--seed" in err
-
-
-def test_inequality_accepts_degree_zero(capsys):
-    code, out, _ = run(capsys, "inequality", "--family", "hermite", "--lambda", "1", "--n", "0",
-                       "--seed", "2", "--format", "json")
-    assert code == EXIT_OK and json.loads(out)["equality"] is True
 
 
 _SWEEP_LAMBDAS = ("0", "1e-12", "0.25", "1", "150", "1e8", "1e300")
@@ -1149,3 +717,39 @@ def test_every_answer_is_finite_or_refused(capsys, command):
         if not ok:
             failures.append((argv, code, out[:120], err[:120]))
     assert failures == []
+
+
+def _run_rows(capsys, rows):
+    """Runs contract rows in process as the console script runs them: RuntimeWarnings are errors, and argparse's
+    own refusals exit through SystemExit."""
+    for row in rows:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                code = main(list(row.argv))
+            except SystemExit as exc:
+                code = exc.code
+        out = capsys.readouterr()
+        assert cli_contract.problems(row, code, out.out, out.err) == [], row.argv
+
+
+def _contract_test(rows_by_id):
+    """The test of the contract rows filed under one test name, parametrized by the id in its brackets (a plain
+    test when the name has none)."""
+    if list(rows_by_id) == [None]:
+        return lambda capsys: _run_rows(capsys, rows_by_id[None])
+
+    @pytest.mark.parametrize("rows", list(rows_by_id.values()), ids=list(rows_by_id))
+    def test(capsys, rows):
+        _run_rows(capsys, rows)
+    return test
+
+
+# Each row runs under the test name it carries, so a row that replaced a test keeps that test's place in the
+# report; rows filed under one name run in table order in one test.
+_CONTRACT = {}
+for _row in cli_contract.ROWS:
+    _name, _bracket, _id = _row.test.partition("[")
+    _CONTRACT.setdefault(_name, {}).setdefault(_id[:-1] if _bracket else None, []).append(_row)
+assert not _CONTRACT.keys() & globals().keys(), "a contract row is filed under the name of another test"
+globals().update({name: _contract_test(rows_by_id) for name, rows_by_id in _CONTRACT.items()})
