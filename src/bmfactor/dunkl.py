@@ -26,20 +26,26 @@ def dunkl_apply(p: Polynomial, lam: float) -> Polynomial:
 def _dunkl_rows(c: np.ndarray, lam: float | np.ndarray) -> np.ndarray:
     """D_lam on coefficient rows: gamma_k c_k for k >= 1 along the last axis.
 
-    Leading axes are a stack, and lam = 0 gives d/dx.  gamma_k is k for even
-    k and k + 2 lam for odd k.  lam is a float, or an array that broadcasts
-    against the leading axes of c, one lambda per row.
+    Leading axes are a stack, and lam = 0 gives d/dx.  lam is a float, or an
+    array that broadcasts against the leading axes of c, one lambda per row.
     """
-    gamma = np.arange(1.0, c.shape[-1])
     if isinstance(lam, np.ndarray):
         if (lam < 0).any():
             raise ValueError("Dunkl index lambda must be >= 0")
+        gamma = np.arange(1.0, c.shape[-1])
         gamma = np.where(gamma % 2 == 1, gamma + 2.0 * lam[..., None], gamma)
     else:
-        if lam < 0:
-            raise ValueError("Dunkl index lambda must be >= 0")
-        gamma[::2] += 2.0 * lam  # odd k
+        gamma = _gammas(c.shape[-1], lam)
     return gamma * c[..., 1:]
+
+
+def _gammas(length: int, lam: float) -> np.ndarray:
+    """gamma_1 .. gamma_(length - 1) of D_lam: k for even k and k + 2 lam for odd k."""
+    if lam < 0:
+        raise ValueError("Dunkl index lambda must be >= 0")
+    gamma = np.arange(1.0, length)
+    gamma[::2] += 2.0 * lam  # odd k
+    return gamma
 
 
 def _sigma_rows(c: np.ndarray) -> np.ndarray:

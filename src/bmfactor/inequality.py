@@ -11,10 +11,14 @@ the coefficient of -x D p in the defining equation).
 
 Every term is a sum over one folded Gauss rule of the weight with n + 2 nodes
 (rounded up to even), exact for the degree-2n integrands.  The coefficients
-of p, D p, D^2 p, p' and sigma(p) are built from those of p as the rows of
-one array, which the oracle's folded-rule evaluator ``oracle._Forms``
-evaluates at the rule's positive nodes once, by parity; the seven terms are
-weighted dot products of those values.  p'(-x) needs no
+of p, D p, D^2 p, p' and sigma(p) are the rows of one array, written in
+place from those of p and one table of gamma_k (k, plus 2 lambda at odd k;
+``dunkl._gammas``), with the bits of ``dunkl_apply`` and ``sigma``.  The
+oracle's folded-rule evaluator ``oracle._Forms`` evaluates the rows at the
+rule's positive nodes once, by parity, and splits the values into rows once;
+the six summed terms are each one ``np.dot`` of weights with a product of
+those rows, and the Laplacian weight w A^2 reuses the A = 1 - x^2 that
+``_Forms`` formed.  p'(-x) needs no
 evaluation of its own, since reflection only flips the sign of the odd part.
 Monomial moments never enter, so no Hankel cancellation is left.  Over
 lam = 0, 1/4, ..., 5 and mu = -1/4, 0, ..., 5, equality at the
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Polynomial, WeightFamily, WeightSpec, _describe
-from .dunkl import _dunkl_rows, _sigma_rows
+from .dunkl import _gammas
 from .oracle import _Forms
 from .orthopoly import eigenvalue_sq
 
@@ -67,18 +71,19 @@ def _form_rows(p: Polynomial, lam: float) -> np.ndarray:
     """Monomial coefficient rows of p, D p, D^2 p, p' and sigma(p), zero-padded to one even width.
 
     Each row equals the coefficients of ``dunkl_apply`` (once and twice, and at
-    lambda = 0 for p') and ``sigma`` bit for bit.
+    lambda = 0 for p') and ``sigma`` bit for bit: the Dunkl rows are products
+    with one table of gamma_k, written into their rows in place.
     """
-    c = np.array(p.coeffs)
-    length = len(c)
+    length = len(p.coeffs)
     rows = np.zeros((5, length + length % 2))
-    dp = _dunkl_rows(c, lam)
-    d2p = _dunkl_rows(dp, lam)
-    rows[_P, :length] = c
-    rows[_DP, : len(dp)] = dp
-    rows[_D2P, : len(d2p)] = d2p
-    rows[_PP, : len(dp)] = _dunkl_rows(c, 0.0)
-    rows[_SIGMA, : len(dp)] = _sigma_rows(c)
+    c = rows[_P, :length]
+    c[:] = p.coeffs
+    gamma = _gammas(length, lam)
+    width = len(gamma)
+    dp = np.multiply(gamma, c[1:], out=rows[_DP, :width])
+    np.multiply(gamma[:-1], dp[1:], out=rows[_D2P, : max(width - 1, 0)])
+    np.multiply(np.arange(1.0, length), c[1:], out=rows[_PP, :width])
+    np.multiply(2.0, c[1::2], out=rows[_SIGMA, :width:2])
     return rows
 
 
@@ -107,7 +112,7 @@ def _inequality(p: Polynomial, n: int, family: WeightFamily, lam: float, mu: flo
     w, wa = forms.w, forms.wa  # wa = w A
     if family is WeightFamily.GENERALIZED_GEGENBAUER:
         names = ("damped_dunkl_norm_sq", "damped_sigma_norm_sq", "weighted_laplacian_norm_sq")
-        laplacian, b, left = wa * (1.0 - forms.x * forms.x), 2 * mu + 1, 2 * lam_n2 - 2 * mu - 1
+        laplacian, b, left = wa * forms.a, 2 * mu + 1, 2 * lam_n2 - 2 * mu - 1
     else:
         names = ("dunkl_norm_sq", "sigma_norm_sq", "laplacian_norm_sq")
         laplacian, b, left = w, 2, 2 * lam_n2 - 2

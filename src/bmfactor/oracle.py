@@ -74,24 +74,32 @@ class _Forms:
 
     ``rows`` (K, L) holds monomial coefficients with L even (pad a zero
     column).  The rule has ``npoints`` nodes, so products of degree up to
-    2 npoints - 1 integrate exactly.  ``w`` are its folded weights and ``wa``
-    the same weights times A(x) = 1 - x^2 on [-1, 1] (A = 1 on R).  Each row
-    is evaluated at the positive nodes once, as its even and odd parts; both
-    come from powers of x^2, so an absent parity gives exact zeros.
+    2 npoints - 1 integrate exactly.  ``w`` are its folded weights, ``a`` is
+    A(x) = 1 - x^2 at the nodes on [-1, 1] (1.0 on R) and ``wa`` = w A.  Each
+    row is evaluated at the positive nodes once, as its even and odd parts;
+    both come from powers of x^2, so an absent parity gives exact zeros.  The
+    value rows are split into lists once, so a term indexes no array.
     """
 
     def __init__(self, rows: np.ndarray, weight: WeightSpec, npoints: int):
         self.x, self.w = _quadrature(weight, npoints)
-        self.wa = self.w * (1.0 - self.x * self.x) if weight.is_gegenbauer else self.w
-        powers = (self.x * self.x) ** np.arange(rows.shape[-1] // 2)[:, None]
+        x2 = self.x * self.x
+        if weight.is_gegenbauer:
+            self.a = 1.0 - x2
+            self.wa = self.w * self.a
+        else:
+            self.a, self.wa = 1.0, self.w
+        powers = x2 ** np.arange(rows.shape[-1] // 2)[:, None]
         self.even, self.odd = rows[:, 0::2] @ powers, rows[:, 1::2] @ (self.x * powers)
+        self._even, self._odd = list(self.even), list(self.odd)
 
     def inner(self, i: int, j: int, w: np.ndarray) -> float:
-        return float(w @ (self.even[i] * self.even[j] + self.odd[i] * self.odd[j]))
+        even, odd = self._even, self._odd
+        return float(np.dot(w, even[i] * even[j] + odd[i] * odd[j]))
 
     def reflected(self, i: int, w: np.ndarray) -> float:
         """<f, f(-.)> of row ``i``: the odd part changes sign under reflection."""
-        return float(w @ (self.even[i] ** 2 - self.odd[i] ** 2))
+        return float(np.dot(w, self._even[i] ** 2 - self._odd[i] ** 2))
 
 
 def _mass(weight: WeightSpec) -> float:

@@ -1,14 +1,19 @@
 """Characterization inequality: nonnegativity, equality cases, structural identity."""
 
+import collections
+
 import numpy as np
 import numpy.polynomial.polynomial as npp
 import pytest
 
-from bmfactor.core import Polynomial, WeightSpec
+import bmfactor.dunkl
+import bmfactor.inequality
+import bmfactor.oracle
+from bmfactor.core import Polynomial, WeightFamily, WeightSpec
 from bmfactor.dunkl import dunkl_apply, sigma
 from bmfactor.inequality import _form_rows, gegenbauer_inequality, hermite_inequality
 from bmfactor.oracle import _Forms
-from bmfactor.orthopoly import gegenbauer_poly, hermite_poly
+from bmfactor.orthopoly import eigenvalue_sq, gegenbauer_poly, hermite_poly
 from instruments import (
     dunkl_laplacian,
     mul_by_one_minus_x2,
@@ -84,7 +89,8 @@ def _row_inputs():
     return polys + [Polynomial(), Polynomial((2.5,)), Polynomial((1.0, -2.0, 0.5, 0.0, 0.0))]
 
 
-@pytest.mark.parametrize("lam", (0.0, 3.5))
+# 0.3 and 1e3: 2 lambda is inexact or large, so the shared gamma table is pinned where rounding matters
+@pytest.mark.parametrize("lam", (0.0, 0.3, 3.5, 1e3))
 def test_form_rows_equal_the_polynomial_operators_bit_for_bit(lam):
     for p in _row_inputs():
         rows, reference = _form_rows(p, lam), _polynomial_rows(p, lam)
@@ -98,6 +104,78 @@ def test_form_rows_equal_the_polynomial_operators_bit_for_bit(lam):
             # the appended 0.0 lets numpy evaluate the zero polynomial's empty rows
             values = np.array([npp.polyval(sign * forms.x, (*row, 0.0)) for row in reference])
             assert np.all(np.abs(forms.even + sign * forms.odd - values) <= 1e-13 * scale), p
+
+
+def _reference_report(p, n, family, lam, mu=0.0):
+    """(lhs, rhs, terms) with rows from the public operators and each term summed as w @ (e_i e_j +- o_i o_j)."""
+    forms = _Forms(_polynomial_rows(p, lam), WeightSpec(family, lam, mu), n + 2 + n % 2)
+    e, o, w = forms.even, forms.odd, forms.w
+    lam_n2 = eigenvalue_sq(family, n, lam, mu)
+    if family is WeightFamily.GENERALIZED_GEGENBAUER:
+        names = ("damped_dunkl_norm_sq", "damped_sigma_norm_sq", "weighted_laplacian_norm_sq")
+        wa = w * (1.0 - forms.x * forms.x)
+        laplacian, b, left = wa * (1.0 - forms.x * forms.x), 2 * mu + 1, 2 * lam_n2 - 2 * mu - 1
+    else:
+        names = ("dunkl_norm_sq", "sigma_norm_sq", "laplacian_norm_sq")
+        wa, laplacian, b, left = w, w, 2, 2 * lam_n2 - 2
+
+    def inner(i, j, weights):
+        return float(weights @ (e[i] * e[j] + o[i] * o[j]))
+
+    dunkl, sig, lap = inner(1, 1, wa), inner(4, 4, wa), inner(2, 2, laplacian)
+    reflected, sigma_derivative, norm = float(wa @ (e[3] ** 2 - o[3] ** 2)), inner(4, 3, wa), inner(0, 0, w)
+    terms = {"eigenvalue_sq": lam_n2, names[0]: dunkl, names[1]: sig, "reflected_derivative_inner": reflected,
+             "sigma_derivative_inner": sigma_derivative, "norm_sq": norm, names[2]: lap}
+    rhs = 2 * lam * b * reflected + 2 * lam**3 * b * sig + 4 * lam**2 * b * sigma_derivative \
+        + lam_n2**2 * norm + lap
+    return left * dunkl, rhs, terms
+
+
+def _bits(lhs, rhs, terms):
+    return lhs.hex(), rhs.hex(), {name: value.hex() for name, value in terms.items()}
+
+
+def test_reports_equal_the_operator_reference_bit_for_bit_across_the_benchmark_grid():
+    # Every (lambda, n), n = 0..22, on R and every (lambda, mu) on [-1, 1] with n cycling through
+    # 0..22, each with a random p and with the eigenpolynomial of the report's own degree
+    rng = np.random.default_rng(26)
+    hermite, gegenbauer = WeightFamily.GENERALIZED_HERMITE, WeightFamily.GENERALIZED_GEGENBAUER
+    for i, lam in enumerate(GRID_LAMBDAS):
+        for n in range(23):
+            for p in (Polynomial(rng.uniform(-1.0, 1.0, n + 1)), hermite_poly(n, lam)):
+                report = hermite_inequality(p, n, lam)
+                expected = _reference_report(p, n, hermite, lam)
+                assert _bits(report.lhs, report.rhs, report.terms) == _bits(*expected), (lam, n, p)
+        for j, mu in enumerate(GRID_MUS):
+            n = (i + j) % 23
+            for p in (Polynomial(rng.uniform(-1.0, 1.0, n + 1)), gegenbauer_poly(n, lam, mu)):
+                report = gegenbauer_inequality(p, n, lam, mu)
+                expected = _reference_report(p, n, gegenbauer, lam, mu)
+                assert _bits(report.lhs, report.rhs, report.terms) == _bits(*expected), (lam, mu, n, p)
+
+
+def test_one_report_looks_up_one_rule_and_calls_no_row_operator(monkeypatch):
+    # The rows come from one gamma table, not from the Dunkl and sigma row kernels
+    calls = collections.Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    count(bmfactor.oracle, "_quadrature")
+    for module in (bmfactor.dunkl, bmfactor.inequality):
+        for name in ("_dunkl_rows", "_sigma_rows"):
+            if hasattr(module, name):
+                count(module, name)
+    p = Polynomial(np.random.default_rng(27).uniform(-1.0, 1.0, 8))
+    for report in (lambda: hermite_inequality(p, 7, 1.5), lambda: gegenbauer_inequality(p, 7, 1.5, 0.75)):
+        calls.clear()
+        report()
+        assert calls == {"_quadrature": 1}
 
 
 @pytest.mark.parametrize("lam,mu,n", GEG_POINTS)
