@@ -6,8 +6,9 @@ larger of the eigenvalues lambda_n^2 and lambda_(n-1)^2
 degree.  Under d/dx the even branch is a closed form; the odd branch is the
 top root of a symmetric-definite pencil.  For the Gegenbauer weight that
 pencil is tridiagonal on the basis x q_0, x q_2, ... with closed-form
-entries (``_odd_pencil_stack``), solved for a stack of (lam, mu) pairs at
-once (``_odd_branch``); for the Hermite weight it is the paper's moment
+entries from one recurrence table of W and W (1 - x^2) together
+(``_odd_pencil_stack``), solved for a stack of (lam, mu) pairs at once
+(``_odd_branch``); for the Hermite weight it is the paper's moment
 pencil F (``build_pencil_F``), one per lambda, solved for a stack of lambdas
 at once and its roots refined together in long double (``_hermite_ddx_sq``,
 ``_top_positive_stack``).  ``_factor_grid`` is the factor side's one value
@@ -302,16 +303,21 @@ def _odd_pencil_stack(m: int, lam: np.ndarray, mu: np.ndarray) -> tuple[np.ndarr
     coefficients; the Jacobi form of the same identity gives the
     cancellation-free C_(j-1,j) = C_jj (r~_(2j-1) / r~_2j) j (2j+2 lam+2 mu-1)
     / ((2j+1)(j+lam+mu)) (Chihara 1978, ch. 5; DLMF 18.9).  Every entry is
-    elementwise in j, so the pencil for m is bit for bit the leading block of
-    the pencil for any larger m, and stack items do not mix.  At huge lam or
-    mu the entries overflow to inf or nan without a warning; the solves
-    refuse them.
+    elementwise in j and in the stack, so the pencil for m is bit for bit the
+    leading block of the pencil for any larger m, and stack items do not mix.
+    That lets one ``_stack_betas`` call give beta of W and of W A, over the
+    stacked parameters (lam, mu) ++ (lam, mu + 1), and one ``_tridiagonal``
+    call build S and G as the two halves of one (2B, m+1, m+1) stack, each
+    with the bits of its own build.  At huge lam or mu the entries overflow
+    to inf or nan without a warning; the solves refuse them.
     """
-    beta = _stack_betas(2 * m + 1, True, lam, mu)
+    b = len(lam)
+    both = _stack_betas(2 * m + 1, True, np.concatenate((lam, lam)), np.concatenate((mu, mu + 1.0)))
+    beta = both[:, :b]
     r = np.sqrt(beta)
-    rt = np.sqrt(_stack_betas(2 * m, True, lam, mu + 1.0))
+    rt = np.sqrt(both[: 2 * m + 1, b:])
     j = np.arange(1, m + 1, dtype=float)[:, None]
-    diag_c = np.ones((m + 1, len(lam)))
+    diag_c = np.ones((m + 1, b))
     diag_c[1:] = (2 * j + 1) * np.cumprod(rt[1:] / r[1:-1], axis=0)[1::2]
     upper_c = diag_c[1:] * rt[1:-1:2] / rt[2::2] * j * (2 * j + 2 * lam + 2 * mu - 1) \
         / ((2 * j + 1) * (j + lam + mu))
@@ -319,8 +325,9 @@ def _odd_pencil_stack(m: int, lam: np.ndarray, mu: np.ndarray) -> tuple[np.ndarr
     s_diag = c * diag_c * diag_c
     s_diag[1:] += c * upper_c * upper_c
     beta[0] = 0.0
-    return (_tridiagonal(s_diag, c * upper_c * diag_c[:-1]),
-            _tridiagonal(beta[0::2] + beta[1::2], r[1:-1:2] * r[2::2]))
+    pencils = _tridiagonal(np.concatenate((s_diag, beta[0::2] + beta[1::2]), axis=1),
+                           np.concatenate((c * upper_c * diag_c[:-1], r[1:-1:2] * r[2::2]), axis=1))
+    return pencils[:b], pencils[b:]
 
 
 def _tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:

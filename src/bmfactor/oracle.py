@@ -4,12 +4,14 @@
 the weight, where it is the standard symmetric eigenproblem of the stiffness
 matrix.  The recurrence coefficients are closed forms (``_stack_betas``);
 the Gauss rule comes from the Jacobi matrix and is kept on its positive
-nodes, since the weight and every integrand formed here are even
-(``_gauss_basis``); the stiffness matrices are exact quadrature sums, split
-into the even and odd parity blocks that d/dx and D_lam respect
-(``_stiffness``).  The Gram matrices of the basis on the same rule
-(``_gram``) are I by construction and are formed only to check that the
-rule keeps the basis orthonormal (``_checked_basis``).  All of it works on a
+nodes, since the weight and every integrand formed here are even; the
+basis rows and, where a solve needs them, their derivatives run on one set
+of recurrence step lists (``_gauss_basis``, ``_steps``).  The stiffness
+matrices are exact quadrature sums, split into the even and odd parity
+blocks that d/dx and D_lam respect (``_stiffness``).  The Gram matrices
+of the basis on the same rule (``_gram``) are I by construction and are
+formed only to check that the rule keeps the basis orthonormal
+(``_checked_basis``).  All of it works on a
 stack of weights of one family, and stack items do not mix, so each value
 carries the bits of its stack of one.  ``_rayleigh_grid`` is the one value
 entry: it solves the product grid of some degrees, operators and weights of
@@ -131,7 +133,7 @@ def _quadrature(weight: WeightSpec, npoints: int) -> tuple[np.ndarray, np.ndarra
     """
     if npoints < 2 or npoints % 2:
         raise ValueError(f"folded rule needs a positive even node count, got {npoints}")
-    x, w, _, _ = _gauss_basis(npoints, *_stack_parameters([weight]))
+    x, w, _, _, _ = _gauss_basis(npoints, *_stack_parameters([weight]))
     nodes, folded = x[0], _mass(weight) * w[0]
     nodes.flags.writeable = folded.flags.writeable = False
     return nodes, folded
@@ -190,8 +192,8 @@ def _stack_betas(count: int, gegenbauer: bool, lam: np.ndarray, mu: np.ndarray) 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _gauss_basis(
-    npoints: int, gegenbauer: bool, lam: np.ndarray, mu: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    npoints: int, gegenbauer: bool, lam: np.ndarray, mu: np.ndarray, degree: int | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
     """Positive Gauss nodes and folded weights for a stack of weights, with the orthonormal basis values behind them.
 
     The node count N is even, so the origin is never a node.  The nodes are
@@ -207,9 +209,13 @@ def _gauss_basis(
     components, which lose relative accuracy at the outer nodes.
     Returns the positive nodes in ascending order (B, N/2), the folded
     weights 2 w_i (B, N/2; total mass 1), the rows q_0 .. q_(N-1) evaluated
-    at those nodes (N, B, N/2), and sqrt(beta), shape (N + 1, B, 1).  An
-    item whose beta are not all finite is kept out of the SVD, which would
-    not converge on it, and gets NaN nodes; ``_checked_basis`` refuses it.
+    at those nodes (N, B, N/2), the derivatives of rows q_0 .. q_degree
+    (degree + 1, B, N/2; None without a degree), and sqrt(beta), shape
+    (N + 1, B, 1).  The derivative recurrence runs on the step lists of the
+    rows' own recurrence (``_steps``, formed once), so ``_quadrature``, which
+    asks for no derivatives, pays for none.  An item whose beta are not all
+    finite is kept out of the SVD, which would not converge on it, and gets
+    NaN nodes; ``_checked_basis`` refuses it.
     """
     sqrt_beta = np.sqrt(_stack_betas(npoints, gegenbauer, lam, mu))
     half = npoints // 2
@@ -226,14 +232,15 @@ def _gauss_basis(
         x[~finite] = np.nan
     x = x[:, ::-1].copy()
     rb = sqrt_beta[:, :, None]
-    xa, c, _ = _steps(x, rb, npoints)
+    xa, c, inv = _steps(x, rb, npoints)
     q = np.zeros((npoints, len(lam), half))
     rows = list(q)
     rows[0][...] = 1.0
     rows[1][...] = xa[0]
     for k in range(1, npoints - 1):
         np.subtract(xa[k] * rows[k], c[k] * rows[k - 1], out=rows[k + 1])
-    return x, 2.0 / (q * q).sum(axis=0), q, rb
+    d = None if degree is None else _basis_derivatives(q[: degree + 1], xa, c, inv)
+    return x, 2.0 / (q * q).sum(axis=0), q, d, rb
 
 
 def _steps(x: np.ndarray, rb: np.ndarray, count: int) -> tuple[list, list, np.ndarray]:
@@ -241,17 +248,21 @@ def _steps(x: np.ndarray, rb: np.ndarray, count: int) -> tuple[list, list, np.nd
 
     r_k / r_(k+1) comes expanded to the shape of x, so a step of
     x q_k = r_(k+1) q_(k+1) + r_k q_(k-1) costs two products of equal shapes
-    and a difference, with the bits of the broadcast products.
+    and a difference, with the bits of the broadcast products.  Every entry
+    is elementwise in k, so the lists for N rows serve the derivatives of
+    any leading rows too: ``_gauss_basis`` forms them once for both.
     """
     inv = 1.0 / rb[1:count]
     return list(x * inv), list(np.repeat(rb[: count - 1] * inv, x.shape[-1], axis=2)), inv
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _basis_derivatives(q: np.ndarray, x: np.ndarray, rb: np.ndarray) -> np.ndarray:
-    """Derivatives of the orthonormal basis rows ``q`` at the nodes, by the same recurrence."""
-    xa, c, inv = _steps(x, rb, len(q))
-    qa = list(q[:-1] * inv)
+def _basis_derivatives(q: np.ndarray, xa: list, c: list, inv: np.ndarray) -> np.ndarray:
+    """Derivatives of the orthonormal basis rows ``q`` at the nodes, by the same recurrence, on its ``_steps`` lists.
+
+    q_(k+1)' = (q_k + x q_k' - r_k q_(k-1)') / r_(k+1), each quotient taken as
+    a product with the step lists.  Called under ``_gauss_basis``'s errstate.
+    """
+    qa = list(q[:-1] * inv[: len(q) - 1])
     dq = np.zeros_like(q)
     drows = list(dq)
     if len(q) >= 2:
@@ -335,9 +346,8 @@ class _Basis(NamedTuple):
 def _stack_basis(n: int, weights: Sequence[WeightSpec]) -> _Basis:
     """The basis of a stack of weights for degrees up to n, on ``_node_count(n)`` nodes."""
     gegenbauer, lam, mu = _stack_parameters(weights)
-    x, w, basis, rb = _gauss_basis(_node_count(n), gegenbauer, lam, mu)
-    q = basis[: n + 1]
-    return _Basis(gegenbauer, lam, x, w, q, _basis_derivatives(q, x, rb), rb)
+    x, w, basis, d, rb = _gauss_basis(_node_count(n), gegenbauer, lam, mu, n)
+    return _Basis(gegenbauer, lam, x, w, basis[: n + 1], d, rb)
 
 
 def _parity_blocks(rows: np.ndarray) -> np.ndarray:

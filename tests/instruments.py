@@ -18,10 +18,16 @@
 - ``refine_pair_reference``: the long-double inverse iteration of one
   Hermite moment pencil, entries and solve row by row, the reference for
   the stacked ``factors._refine_pairs``.
+- ``odd_pencil_reference``: the Gegenbauer odd pencil (S, G) from two
+  ``_stack_betas`` calls and two ``_tridiagonal`` builds, the reference for
+  the one-pass ``factors._odd_pencil_stack``.
 - ``unfolded_gauss_rule`` and ``unfolded_rayleigh_value``: the oracle
   without its fold and parity split, on one weight: the Gauss rule on all
   N nodes, an (n + 1)-square stiffness and Gram pair over every basis row,
   and one ``numpy.linalg.eigh``.
+- ``basis_rows_reference``: the oracle's basis rows, Christoffel weights
+  and derivative rows from its nodes and sqrt(beta), each recurrence on its
+  own step lists, the reference for ``oracle._gauss_basis``.
 - ``weighted_inner`` and ``rayleigh_quotient``: <p, q>_W (optionally with
   A(x)) and ||sqrt(A) D p||^2 / ||p||^2 of single polynomials, on the
   oracle's folded rule (``oracle._Forms``), for writing integration-by-parts
@@ -47,7 +53,7 @@ import numpy.polynomial.polynomial as npp
 
 from bmfactor.core import OperatorSpec, Polynomial, WeightFamily, WeightSpec
 from bmfactor.dunkl import _dunkl_rows, dunkl_apply
-from bmfactor.factors import Pencil
+from bmfactor.factors import Pencil, _tridiagonal
 from bmfactor.oracle import _Forms, _node_count, _stack_betas, _stack_parameters
 from bmfactor.orthopoly import _residual_rows, gegenbauer_poly, hermite_poly
 from bmfactor.special import moment_table
@@ -205,6 +211,31 @@ def pencil_G_reference(n: int, lam: float, mu: float) -> tuple[Pencil, np.ndarra
     return Pencil(p, q, WeightSpec.gegenbauer(lam, mu)), p_raw
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def odd_pencil_reference(m: int, lam: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The odd pencil (S, G) of ``factors._odd_pencil_stack`` built in two passes, one table per weight.
+
+    beta of W (lam, mu) and of W A (lam, mu + 1) come from two ``_stack_betas``
+    calls, and S and G from two ``_tridiagonal`` builds; the entries are the
+    same expressions.  The reference for the one-pass build, which stacks
+    both parameter sets into one call and both matrices into one build.
+    """
+    beta = _stack_betas(2 * m + 1, True, lam, mu)
+    r = np.sqrt(beta)
+    rt = np.sqrt(_stack_betas(2 * m, True, lam, mu + 1.0))
+    j = np.arange(1, m + 1, dtype=float)[:, None]
+    diag_c = np.ones((m + 1, len(lam)))
+    diag_c[1:] = (2 * j + 1) * np.cumprod(rt[1:] / r[1:-1], axis=0)[1::2]
+    upper_c = diag_c[1:] * rt[1:-1:2] / rt[2::2] * j * (2 * j + 2 * lam + 2 * mu - 1) \
+        / ((2 * j + 1) * (j + lam + mu))
+    c = (mu + 0.5) / (lam + mu + 1.0)
+    s_diag = c * diag_c * diag_c
+    s_diag[1:] += c * upper_c * upper_c
+    beta[0] = 0.0
+    return (_tridiagonal(s_diag, c * upper_c * diag_c[:-1]),
+            _tridiagonal(beta[0::2] + beta[1::2], r[1:-1:2] * r[2::2]))
+
+
 def residual_classical_L(p: Polynomial, weight: WeightSpec, m_sq: float) -> tuple[Polynomial, float]:
     """A p'' + C'(0) x p' + (2 lam / x) p' + M^2 p as (polynomial part, x^(-1) coefficient).
 
@@ -331,6 +362,36 @@ def unfolded_rayleigh_value(n: int, weight: WeightSpec, op: OperatorSpec) -> flo
     s, g = (d * wa) @ d.T, (q * w) @ q.T
     inv = np.linalg.inv(np.linalg.cholesky(g))
     return math.sqrt(np.linalg.eigh(inv @ s @ inv.T)[0][-1])
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def basis_rows_reference(x: np.ndarray, rb: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows q_0 .. q_(N-1) at the positive nodes ``x`` (B, N/2), their folded weights, and the derivatives of
+    q_0 .. q_degree, from sqrt(beta) ``rb`` (N + 1, B, 1), in two passes that each form their own step lists.
+
+    Each pass divides by r_(k+1) as a product with 1 / r_(k+1): x / r_(k+1) and r_k / r_(k+1) for the N rows,
+    then again over the degree + 1 derivative rows, with q_k / r_(k+1).  The reference for
+    ``oracle._gauss_basis``, which forms the lists once and runs both recurrences on them.
+    """
+    def steps(count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        inv = 1.0 / rb[1:count]
+        return x * inv, rb[: count - 1] * inv, inv
+
+    npoints = 2 * x.shape[-1]
+    xa, c, _ = steps(npoints)
+    q = np.zeros((npoints, *x.shape))
+    q[0] = 1.0
+    q[1] = xa[0]
+    for k in range(1, npoints - 1):
+        q[k + 1] = xa[k] * q[k] - c[k] * q[k - 1]
+    xa, c, inv = steps(degree + 1)
+    qa = q[:degree] * inv
+    d = np.zeros((degree + 1, *x.shape))
+    if degree >= 1:
+        d[1] = qa[0]
+    for k in range(1, degree):
+        d[k + 1] = qa[k] + xa[k] * d[k] - c[k] * d[k - 1]
+    return q, 2.0 / (q * q).sum(axis=0), d
 
 
 def _even_width(length: int) -> int:

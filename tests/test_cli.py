@@ -494,6 +494,30 @@ def test_table2_solves_its_odd_pencil_once(capsys, monkeypatch):
     assert shapes == [(16, 2, 2)]
 
 
+def _counted_calls(monkeypatch, *names):
+    """Calls per name, counted from now on, of the functions of that name in the oracle, cli and factors modules
+    (``WeightSpec`` counts the weights built)."""
+    import bmfactor.factors
+    import bmfactor.oracle
+
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    for name in calls.keys() - {"WeightSpec"}:
+        for module in (bmfactor.oracle, bmfactor.cli, bmfactor.factors):
+            exact = getattr(module, name, None)
+            if exact is not None:
+                monkeypatch.setattr(module, name, counting(name, exact))
+    if "WeightSpec" in calls:
+        monkeypatch.setattr(WeightSpec, "__post_init__", counting("WeightSpec", WeightSpec.__post_init__))
+    return calls
+
+
 def test_verify_builds_each_shared_piece_once(capsys, monkeypatch):
     # The default grid's oracle is one _rayleigh_grid per family.  It builds
     # one Gauss basis per family, on the rule of the top degree 10, and checks
@@ -509,26 +533,13 @@ def test_verify_builds_each_shared_piece_once(capsys, monkeypatch):
     # are the only Cholesky factorizations.  The rows are columns: no factor
     # is built one at a time, no FactorResult and no odd extremal is built,
     # and each of the 49 grid weights is built once (the 24 moment pencils
-    # build their own).
-    import bmfactor.factors
-    import bmfactor.oracle
-
-    calls = {"_gauss_basis": 0, "_gram": 0, "_mass": 0, "_residual_rows": 0,
-             "_odd_polynomial": 0, "_odd_pencil_stack": 0, "FactorResult": 0, "WeightSpec": 0}
+    # build their own).  The two Gauss bases take one recurrence table and one
+    # set of step lists each, for their rows and derivatives alike, and the
+    # odd pencil one table for W and W (1 - x^2) together: 3 _stack_betas
+    # calls and 2 _steps calls.
+    calls = _counted_calls(monkeypatch, "_gauss_basis", "_gram", "_mass", "_residual_rows", "_odd_polynomial",
+                           "_odd_pencil_stack", "_stack_betas", "_steps", "FactorResult", "WeightSpec")
     odd_pencils, factored, solved = [], [], []
-
-    def counting(name, fn):
-        def counted(*args):
-            calls[name] += 1
-            return fn(*args)
-        return counted
-
-    for name in calls.keys() - {"WeightSpec"}:
-        for module in (bmfactor.oracle, bmfactor.cli, bmfactor.factors):
-            exact = getattr(module, name, None)
-            if exact is not None:
-                monkeypatch.setattr(module, name, counting(name, exact))
-    monkeypatch.setattr(WeightSpec, "__post_init__", counting("WeightSpec", WeightSpec.__post_init__))
     odd_solve, cholesky, eigvalsh = bmfactor.factors._top_values, np.linalg.cholesky, np.linalg.eigvalsh
 
     def recorded(s, g, *args):
@@ -548,13 +559,25 @@ def test_verify_builds_each_shared_piece_once(capsys, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", recorded_eigvalsh)
     code, out, _ = run(capsys, "verify", "--format", "json")
     assert code == EXIT_OK and json.loads(out)["rows"] == 910
-    assert calls == {"_gauss_basis": 2, "_gram": 2, "_mass": 49, "_residual_rows": 2,
-                     "_odd_polynomial": 0, "_odd_pencil_stack": 1, "FactorResult": 0, "WeightSpec": 49 + 24}
+    assert calls == {"_gauss_basis": 2, "_gram": 2, "_mass": 49, "_residual_rows": 2, "_odd_polynomial": 0,
+                     "_odd_pencil_stack": 1, "_stack_betas": 3, "_steps": 2, "FactorResult": 0, "WeightSpec": 49 + 24}
     assert odd_pencils == [(36, m + 1, m + 1) for m in range(5)]
     moment_pencils = [(6, m + 1, m + 1) for m in (1, 2, 3, 4)]
     assert sorted(factored) == sorted(odd_pencils + moment_pencils)
     oracle_stacks = [(3 * weights, n // 2 + 1, n // 2 + 1) for weights in (7, 42) for n in range(1, 11)]
     assert sorted(solved) == sorted(odd_pencils + oracle_stacks)
+
+
+def test_a_factor_check_unit_builds_each_table_once(monkeypatch):
+    # A grid of one pays numpy's per-call cost on every table: the odd pencil takes the recurrence
+    # coefficients of W and of W (1 - x^2) from one _stack_betas call, and the oracle's basis one table
+    # and one set of step lists for its rows and their derivatives.
+    calls = _counted_calls(monkeypatch, "_stack_betas", "_steps", "_odd_pencil_stack", "_gauss_basis")
+    factor_gegenbauer_ddx(21, 1.0, 0.5)
+    assert calls == {"_stack_betas": 1, "_steps": 0, "_odd_pencil_stack": 1, "_gauss_basis": 0}
+    calls.update(dict.fromkeys(calls, 0))
+    rayleigh_factor(21, WeightSpec.gegenbauer(1.0, 0.5), OperatorSpec.ddx(damped=True), max_degree=21)
+    assert calls == {"_stack_betas": 1, "_steps": 1, "_odd_pencil_stack": 0, "_gauss_basis": 1}
 
 
 def test_eigenvectors_are_solved_only_where_read(capsys, monkeypatch):

@@ -43,6 +43,7 @@ from bmfactor.orthopoly import eigenvalue_sq, gegenbauer_poly, hermite_poly
 from certify_reference import rayleigh_max_sq
 from instruments import (
     dunkl_gegenbauer_threshold,
+    odd_pencil_reference,
     pencil_F_reference,
     pencil_G_reference,
     rayleigh_quotient,
@@ -581,6 +582,23 @@ def test_odd_pencil_is_the_leading_block_of_the_degree_61_pencil():
         m = (n - 1) // 2
         for small, big in zip(_odd_pencil_stack(m, lam, mu), top, strict=True):
             assert np.array_equal(small, big[:, : m + 1, : m + 1]), n
+
+
+@pytest.mark.parametrize("m", (0, 1, 4, 5, 17, 29))
+def test_odd_pencil_equals_the_two_build_reference_bit_for_bit(m):
+    # beta of W and of W A come from one stacked _stack_betas call and S, G from one _tridiagonal build;
+    # stack items do not mix, so both keep the bits of their own builds, on a stack and on a stack of one.
+    # The verify grid's d/dx weights, high_degree's, mu next to -1/2, and parameters whose beta overflow
+    pairs = [(lam, mu) for lam in LAMBDAS for mu in MUS] + [
+        (0.5, 0.0), (4.5, 3.0), (100.0, 99.0), (0.3, -0.4999999), (1e200, 0.5), (0.5, 1e200)]
+    lam, mu = np.array(pairs).T
+    stacked = _odd_pencil_stack(m, lam, mu)
+    for got, want in zip(stacked, odd_pencil_reference(m, lam, mu), strict=True):
+        assert np.array_equal(got, want, equal_nan=True)
+    assert m == 0 or not np.isfinite(stacked[0][-2:]).all()  # the 1 x 1 pencil holds no overflowing beta
+    for i in range(len(pairs)):
+        for got, want in zip(_odd_pencil_stack(m, lam[i:i + 1], mu[i:i + 1]), stacked, strict=True):
+            assert np.array_equal(got, want[i:i + 1], equal_nan=True), pairs[i]
 
 
 def test_extremal_certificates():

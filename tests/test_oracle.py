@@ -31,6 +31,7 @@ from bmfactor.oracle import (
 )
 from bmfactor.special import gegenbauer_moment, hermite_moment, moment_table
 from instruments import (
+    basis_rows_reference,
     dunkl_laplacian,
     gram_matrices,
     mul_by_one_minus_x2,
@@ -81,13 +82,36 @@ def test_gram_checkerboard_sparsity():
 
 def test_gauss_rule_reproduces_moments():
     for weight in (WeightSpec.hermite(1.7), WeightSpec.gegenbauer(0.4, -0.4)):
-        x, w, _, _ = _gauss_basis(10, *_stack_parameters([weight]))
+        x, w, _, _, _ = _gauss_basis(10, *_stack_parameters([weight]))
         # the folded half rule, unfolded onto the mirror nodes so odd moments are integrated too
         x, w = np.concatenate((-x[0, ::-1], x[0])), np.concatenate((w[0, ::-1], w[0])) / 2
         table = moment_table(weight, 12, normalized=True)
         for k in range(0, 10, 2):
             assert float(w @ x**k) == pytest.approx(table[k], rel=1e-12, abs=1e-14)
         assert float(w @ x**3) == pytest.approx(0.0, abs=1e-13)
+
+
+# The verify grid's weights, high_degree's, mu next to -1/2, and a lambda whose beta overflow to nan
+_BASIS_STACKS = (
+    [WeightSpec.gegenbauer(lam, mu) for lam in DEFAULT_VERIFY_LAMBDAS for mu in DEFAULT_VERIFY_MUS]
+    + [WeightSpec.gegenbauer(lam, mu) for lam, mu in ((0.5, 0.0), (4.5, 3.0), (100.0, 99.0), (0.3, -0.4999999),
+                                                       (1e200, 0.5))],
+    [WeightSpec.hermite(lam) for lam in (*DEFAULT_VERIFY_LAMBDAS, 0.25, 1e300)],
+)
+
+
+@pytest.mark.parametrize("n", (1, 2, 10, 11, 36, 60))
+def test_stack_basis_equals_the_two_pass_construction_bit_for_bit(n):
+    # _gauss_basis forms the step lists once for the rows and their derivatives; every step entry is
+    # elementwise in k, so rows, weights and derivatives keep the bits of a pass per recurrence
+    for weights in _BASIS_STACKS:
+        basis = _stack_basis(n, weights)
+        q, w, d = basis_rows_reference(basis.x, basis.rb, n)
+        assert np.array_equal(basis.q, q[: n + 1], equal_nan=True)
+        assert np.array_equal(basis.w, w, equal_nan=True)
+        assert np.array_equal(basis.d, d, equal_nan=True)
+    # the overflowing item runs its recurrences on NaN nodes
+    assert np.isnan(_stack_basis(n, _BASIS_STACKS[0]).q[1:, -1]).all()
 
 
 def _betas(count, weight):
