@@ -291,8 +291,9 @@ def _hermite_ddx_sq(n: int, lams: Sequence[float]) -> tuple[np.ndarray, np.ndarr
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _odd_pencil_stack(m: int, lam: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tridiagonal odd-branch pencil (S, G) on the basis x q_0, x q_2, ..., x q_2m, shape (B, m+1, m+1).
+def _odd_pencil_stack(m: int, lam: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tridiagonal odd-branch pencil (S, G) on the basis x q_0, x q_2, ..., x q_2m, shape (B, m+1, m+1), and
+    r_0 .. r_(2m+1) of W, shape (2m + 2, B).
 
     q_k are the orthonormal polynomials of W (mass 1), r_k = sqrt(beta_k) and
     r~_k the same for W A, which is the Gegenbauer weight (lam, mu + 1).  G is
@@ -308,8 +309,10 @@ def _odd_pencil_stack(m: int, lam: np.ndarray, mu: np.ndarray) -> tuple[np.ndarr
     That lets one ``_stack_betas`` call give beta of W and of W A, over the
     stacked parameters (lam, mu) ++ (lam, mu + 1), and one ``_tridiagonal``
     call build S and G as the two halves of one (2B, m+1, m+1) stack, each
-    with the bits of its own build.  At huge lam or mu the entries overflow
-    to inf or nan without a warning; the solves refuse them.
+    with the bits of its own build.  r is handed back so that
+    ``_odd_extremal`` takes its monomial rows from the same table.  At huge
+    lam or mu the entries overflow to inf or nan without a warning; the
+    solves refuse them.
     """
     b = len(lam)
     both = _stack_betas(2 * m + 1, True, np.concatenate((lam, lam)), np.concatenate((mu, mu + 1.0)))
@@ -327,7 +330,7 @@ def _odd_pencil_stack(m: int, lam: np.ndarray, mu: np.ndarray) -> tuple[np.ndarr
     beta[0] = 0.0
     pencils = _tridiagonal(np.concatenate((s_diag, beta[0::2] + beta[1::2]), axis=1),
                            np.concatenate((c * upper_c * diag_c[:-1], r[1:-1:2] * r[2::2]), axis=1))
-    return pencils[:b], pencils[b:]
+    return pencils[:b], pencils[b:], r
 
 
 def _tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -359,7 +362,7 @@ def _odd_branch(degrees: Sequence[int], weights: Sequence[WeightSpec]) -> np.nda
     leading block, its own pencil bit for bit (``_odd_pencil_stack``).  A refusal names the block's first degree.
     """
     lam, mu = np.array([(w.lam, w.mu) for w in weights]).T
-    s, g = _odd_pencil_stack((max(degrees) - 1) // 2, lam, mu)
+    s, g, _ = _odd_pencil_stack((max(degrees) - 1) // 2, lam, mu)
     op, values = OperatorSpec.ddx(damped=True), {}
     for n in degrees:
         k = (n + 1) // 2
@@ -390,14 +393,15 @@ def _odd_extremal(m: int, weight: WeightSpec) -> Polynomial:
 
     The pencil is rebuilt for this one weight; its entries are elementwise
     over the stack, so it is bit for bit the item the value solve saw.  The
-    even basis rows of the weight give the coefficients of x^(2k+1); they
-    overflow from about degree 800, and an extremal with coefficients beyond
-    a double is refused with ``OverflowError``.
+    even basis rows of the weight, from the r of that same build, give the
+    coefficients of x^(2k+1); they overflow from about degree 800, and an
+    extremal with coefficients beyond a double is refused with
+    ``OverflowError``.
     """
-    lam, mu = np.array([weight.lam]), np.array([weight.mu])
-    _, vec = _top_eigenpairs(*_odd_pencil_stack(m, lam, mu), [weight], OperatorSpec.ddx(damped=True), 2 * m + 1)
+    s, g, r = _odd_pencil_stack(m, np.array([weight.lam]), np.array([weight.mu]))
+    _, vec = _top_eigenpairs(s, g, [weight], OperatorSpec.ddx(damped=True), 2 * m + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        even_rows = _basis_to_monomial(2 * m, np.sqrt(_stack_betas(2 * m, True, lam, mu))[:, :, None])[::2]
+        even_rows = _basis_to_monomial(2 * m, r[: 2 * m + 1, :, None])[::2]
         extremal = _odd_polynomial((vec[:, None, :] @ even_rows.transpose(1, 0, 2))[0, 0, ::2])
     return _finite(extremal, f"degree-{2 * m + 1} odd extremal", weight)
 

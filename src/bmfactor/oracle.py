@@ -23,7 +23,11 @@ degree guard rail, and solves for its maximizer (``eigh`` on the winning
 parity block, ``_unit_extremal``) only when that is read.  The route uses
 neither the closed-form factor theorems nor the moment pencils.
 ``_Forms`` evaluates the inner products of the inequality reports on the
-same folded rule, cached in ``_quadrature``.
+same folded rule for one weight, cached in ``_quadrature``.  A cache miss
+builds that one rule without the stacked machinery (``_folded_rule``):
+beta (``_weight_betas``) and the Christoffel sums on Python floats, the
+nodes from the same ``svd``, every step in the stacked path's order, so the
+rule keeps the bits of ``_gauss_basis``'s stack of one.
 
 ``factors`` shares only the recurrence coefficients, ``_basis_to_monomial``
 and the refusal helpers (``_conditioning_error``, ``_refuse_non_finite``,
@@ -128,15 +132,89 @@ def _mass(weight: WeightSpec) -> float:
 def _quadrature(weight: WeightSpec, npoints: int) -> tuple[np.ndarray, np.ndarray]:
     """Positive nodes of the even-count Gauss rule for W and their folded weights 2 w_i m0.
 
-    Exact for integrands of degree up to 2 npoints - 1.  The arrays are
-    read-only because cached rules are shared between callers.
+    Exact for integrands of degree up to 2 npoints - 1.  Built for the one
+    weight by ``_folded_rule``, with the bits of ``_gauss_basis``'s stack of
+    one.  The arrays are read-only because cached rules are shared between
+    callers.
     """
     if npoints < 2 or npoints % 2:
         raise ValueError(f"folded rule needs a positive even node count, got {npoints}")
-    x, w, _, _, _ = _gauss_basis(npoints, *_stack_parameters([weight]))
-    nodes, folded = x[0], _mass(weight) * w[0]
+    nodes, w = _folded_rule(npoints, weight)
+    folded = _mass(weight) * w
     nodes.flags.writeable = folded.flags.writeable = False
     return nodes, folded
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _folded_rule(npoints: int, weight: WeightSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Positive Gauss nodes and folded weights 2 w_i (total mass 1) of one weight, with ``_gauss_basis``'s bits.
+
+    A stack of one through ``_gauss_basis`` pays numpy's per-call cost on
+    1-wide arrays for every table and every recurrence step; this build does
+    the same arithmetic in the same order on Python floats where it is
+    scalar.  beta comes from ``_weight_betas``; the nodes are the singular
+    values of the same half-size bidiagonal C^T, from the same ``svd``; the
+    weights are the Christoffel sums, each node's basis recurrence
+    q_(k+1) = (x (1/r_(k+1))) q_k - (r_k (1/r_(k+1))) q_(k-1) run on floats
+    with both reciprocals taken in numpy, and sum_k q_k^2 added in k order
+    from q_0 = 1, as ``_gauss_basis``'s sum over its leading axis adds it.
+    The node loop costs O(N^2) Python operations: it is faster than the
+    stacked path below about N = 50 and slower above (about 1.6 times at
+    N = 102).  A report of degree n asks for n + 2 + n % 2 nodes.  A weight
+    whose beta are not all finite gets NaN nodes and weights, and one whose
+    beta underflow to 0 NaN weights, without a warning, as in
+    ``_gauss_basis``.
+    """
+    r = np.sqrt(_weight_betas(npoints, weight))
+    half = npoints // 2
+    if not np.isfinite(r).all():
+        return np.full(half, np.nan), np.full(half, np.nan)
+    ct = np.zeros((half, half))
+    ct.flat[:: half + 1] = r[1:npoints:2]
+    ct.flat[1 :: half + 1] = r[2:npoints:2]
+    x = np.linalg.svd(ct, compute_uv=False)[::-1].copy()
+    inv = 1.0 / r[1:npoints]
+    first = float(inv[0])
+    steps = list(zip(inv[1:].tolist(), (r[1 : npoints - 1] * inv[1:]).tolist()))
+    w = []
+    for xi in x.tolist():
+        prev, q = 1.0, xi * first
+        total = 1.0 + q * q
+        for inv_k, c_k in steps:
+            prev, q = q, (xi * inv_k) * q - c_k * prev
+            total += q * q
+        w.append(2.0 / total)
+    return x, np.array(w)
+
+
+def _weight_betas(count: int, weight: WeightSpec) -> list[float]:
+    """beta_0 .. beta_count of one weight as Python floats, with the bits of its column of ``_stack_betas``.
+
+    The same closed forms in the same operation order, so s = 2j + a + b
+    adds left to right and beta_(2j) takes (j - 1/2) + mu.  A product beyond
+    a double gives inf, and inf / inf nan, as there; no denominator is 0.
+    """
+    lam, mu = float(weight.lam), float(weight.mu)
+    beta = [1.0] * (count + 1)
+    if weight.is_gegenbauer:
+        a, b = mu - 0.5, lam - 0.5
+        for k in range(2, count + 1):
+            j = float(k // 2)
+            if k % 2:
+                s = 2 * j + a + b + 1
+                beta[k] = (j + b + 1) * (j + a + b + 1) / (s * (s + 1))
+            else:
+                s = 2 * j + a + b
+                beta[k] = j * ((j - 0.5) + mu) / (s * (s + 1))
+        first = (lam + 0.5) / (lam + mu + 1)
+    else:
+        for k in range(2, count + 1):
+            j = float(k // 2)
+            beta[k] = j + lam + 0.5 if k % 2 else j
+        first = lam + 0.5
+    if count >= 1:
+        beta[1] = first
+    return beta
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +270,8 @@ def _stack_betas(count: int, gegenbauer: bool, lam: np.ndarray, mu: np.ndarray) 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _gauss_basis(
-    npoints: int, gegenbauer: bool, lam: np.ndarray, mu: np.ndarray, degree: int | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
+    npoints: int, gegenbauer: bool, lam: np.ndarray, mu: np.ndarray, degree: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Positive Gauss nodes and folded weights for a stack of weights, with the orthonormal basis values behind them.
 
     The node count N is even, so the origin is never a node.  The nodes are
@@ -210,12 +288,14 @@ def _gauss_basis(
     Returns the positive nodes in ascending order (B, N/2), the folded
     weights 2 w_i (B, N/2; total mass 1), the rows q_0 .. q_(N-1) evaluated
     at those nodes (N, B, N/2), the derivatives of rows q_0 .. q_degree
-    (degree + 1, B, N/2; None without a degree), and sqrt(beta), shape
-    (N + 1, B, 1).  The derivative recurrence runs on the step lists of the
-    rows' own recurrence (``_steps``, formed once), so ``_quadrature``, which
-    asks for no derivatives, pays for none.  An item whose beta are not all
-    finite is kept out of the SVD, which would not converge on it, and gets
-    NaN nodes; ``_checked_basis`` refuses it.
+    (degree + 1, B, N/2), and sqrt(beta), shape (N + 1, B, 1).  The
+    derivative recurrence runs on the step lists of the rows' own recurrence
+    (``_steps``, formed once).  ``_quadrature``'s rule
+    for one weight does not come through here: ``_folded_rule`` repeats the
+    arithmetic of the nodes and weights on Python floats, with these bits.
+    An item whose beta are not all finite is kept out of the SVD, which
+    would not converge on it, and gets NaN nodes; ``_checked_basis`` refuses
+    it.
     """
     sqrt_beta = np.sqrt(_stack_betas(npoints, gegenbauer, lam, mu))
     half = npoints // 2
@@ -239,7 +319,7 @@ def _gauss_basis(
     rows[1][...] = xa[0]
     for k in range(1, npoints - 1):
         np.subtract(xa[k] * rows[k], c[k] * rows[k - 1], out=rows[k + 1])
-    d = None if degree is None else _basis_derivatives(q[: degree + 1], xa, c, inv)
+    d = _basis_derivatives(q[: degree + 1], xa, c, inv)
     return x, 2.0 / (q * q).sum(axis=0), q, d, rb
 
 

@@ -580,6 +580,26 @@ def test_a_factor_check_unit_builds_each_table_once(monkeypatch):
     assert calls == {"_stack_betas": 1, "_steps": 1, "_odd_pencil_stack": 0, "_gauss_basis": 1}
 
 
+def test_an_odd_extremal_read_builds_one_recurrence_table(monkeypatch):
+    # the extremal's monomial rows take r of W from the table its rebuilt odd pencil formed
+    result = factor_gegenbauer_ddx(21, 1.0, 0.5)
+    assert result.branch is Branch.ODD_PENCIL_ROOT
+    calls = _counted_calls(monkeypatch, "_stack_betas", "_odd_pencil_stack")
+    assert result.extremal.degree == 21
+    assert calls == {"_stack_betas": 1, "_odd_pencil_stack": 1}
+
+
+def test_a_folded_rule_miss_skips_the_stacked_basis(monkeypatch):
+    # an inequality report's rule is built for its one weight on Python floats, not as a stack of one
+    calls = _counted_calls(monkeypatch, "_gauss_basis", "_stack_parameters", "_stack_betas", "_steps",
+                           "_folded_rule", "_weight_betas")
+    for weight in (WeightSpec.hermite(1.5), WeightSpec.gegenbauer(1.5, 0.75)):
+        for npoints in (4, 22):
+            bmfactor.oracle._quadrature.__wrapped__(weight, npoints)
+    assert calls == {"_gauss_basis": 0, "_stack_parameters": 0, "_stack_betas": 0, "_steps": 0,
+                     "_folded_rule": 4, "_weight_betas": 4}
+
+
 def test_eigenvectors_are_solved_only_where_read(capsys, monkeypatch):
     # Values come from eigvalsh.  np.linalg.eigh runs for the Hermite d/dx moment pencils, whose
     # roots are refined from their vectors (one stack per odd n = 3..9 over the 6 lambda > 0 of the

@@ -27,6 +27,7 @@ from bmfactor.oracle import (
     _stack_betas,
     _stack_parameters,
     _stiffness,
+    _weight_betas,
     rayleigh_factor,
 )
 from bmfactor.special import gegenbauer_moment, hermite_moment, moment_table
@@ -82,7 +83,7 @@ def test_gram_checkerboard_sparsity():
 
 def test_gauss_rule_reproduces_moments():
     for weight in (WeightSpec.hermite(1.7), WeightSpec.gegenbauer(0.4, -0.4)):
-        x, w, _, _, _ = _gauss_basis(10, *_stack_parameters([weight]))
+        x, w, _, _, _ = _gauss_basis(10, *_stack_parameters([weight]), 0)
         # the folded half rule, unfolded onto the mirror nodes so odd moments are integrated too
         x, w = np.concatenate((-x[0, ::-1], x[0])), np.concatenate((w[0, ::-1], w[0])) / 2
         table = moment_table(weight, 12, normalized=True)
@@ -174,6 +175,13 @@ def test_stacked_betas_equal_their_stacks_of_one():
             stack = _stack_betas(count, *_stack_parameters(family))
             for i, weight in enumerate(family):
                 assert stack[:, i].tobytes() == _betas(count, weight).tobytes()
+
+
+def test_one_weights_betas_on_python_floats_equal_its_stack_column():
+    # _weight_betas runs the closed forms of _stack_betas in their operation order
+    for weight in BETA_WEIGHTS:
+        for count in (0, 1, 2, 3, 7, 80):
+            assert np.array(_weight_betas(count, weight)).tobytes() == _betas(count, weight).tobytes()
 
 
 def test_rayleigh_factor_classical_values():
@@ -319,6 +327,38 @@ def test_quadrature_is_the_positive_half_of_the_unfolded_rule():
             nodes, folded = _quadrature(weight, npoints)
             assert nodes.tobytes() == x[npoints // 2:].tobytes()
             assert folded.tobytes() == (2.0 * _mass(weight) * w[npoints // 2:]).tobytes()
+
+
+# The inequality_random grid (lambda = k/4 on R, (lambda, mu) with mu = -1/4 + k/4 on [-1, 1]), lambda next to
+# 0 and mu next to -1/2, lambda whose beta overflow to NaN (a NaN rule from N = 4), and a mu whose beta underflow
+# to 0 (finite beta, NaN weights from N = 4)
+_RULE_WEIGHTS = (
+    [WeightSpec.hermite(k / 4) for k in range(21)]
+    + [WeightSpec.gegenbauer(i / 4, -0.25 + k / 4) for i in range(21) for k in range(22)]
+    + [WeightSpec.hermite(lam) for lam in (1e-8, 150.0)]
+    + [WeightSpec.gegenbauer(lam, mu) for lam in (0.0, 1e-8, 4.5, 1e200) for mu in (-0.4999999, 0.5, 99.0)]
+    + [WeightSpec.gegenbauer(0.0, 1e200)]
+)
+
+
+@pytest.mark.parametrize("npoints", (2, *range(4, 24, 2), 64, 102))
+def test_quadrature_equals_the_stacked_gauss_basis_bit_for_bit(npoints):
+    # _quadrature builds its one rule on Python floats in the operation order of _stack_betas and
+    # _gauss_basis, so each rule keeps the bits of _gauss_basis's stack of one
+    nan_rules = 0
+    for weight in _RULE_WEIGHTS:
+        gegenbauer, lam, mu = _stack_parameters([weight])
+        assert np.array_equal(_weight_betas(npoints, weight), _stack_betas(npoints, gegenbauer, lam, mu)[:, 0],
+                              equal_nan=True), weight
+        x, w, _, _, _ = _gauss_basis(npoints, gegenbauer, lam, mu, 0)
+        nodes, folded = _quadrature.__wrapped__(weight, npoints)
+        for got, want in ((nodes, x[0]), (folded, _mass(weight) * w[0])):
+            if np.isfinite(want).all():
+                assert got.tobytes() == want.tobytes(), weight
+            else:
+                assert np.array_equal(got, want, equal_nan=True), weight
+        nan_rules += bool(np.isnan(folded).any())
+    assert nan_rules == (0 if npoints == 2 else 4)
 
 
 def test_a_block_stack_names_the_weight_of_its_failing_block():
