@@ -36,13 +36,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from math import sqrt
+from math import isfinite, sqrt
 from typing import Sequence
 
 import numpy as np
 
 from .core import OperatorSpec, Polynomial, WeightFamily, WeightSpec, _BuiltOnRead, _describe
-from .oracle import _basis_to_monomial, _conditioning_error, _finite, _refuse_non_finite, _stack_betas
+from .oracle import _basis_to_monomial, _conditioning_error, _refuse_non_finite, _stack_betas
 from .orthopoly import eigenvalue_sq, gegenbauer_poly, hermite_poly
 from .special import moment_table
 
@@ -403,7 +403,10 @@ def _odd_extremal(m: int, weight: WeightSpec) -> Polynomial:
     with np.errstate(over="ignore", invalid="ignore"):
         even_rows = _basis_to_monomial(2 * m, r[: 2 * m + 1, :, None])[::2]
         extremal = _odd_polynomial((vec[:, None, :] @ even_rows.transpose(1, 0, 2))[0, 0, ::2])
-    return _finite(extremal, f"degree-{2 * m + 1} odd extremal", weight)
+    if not all(map(isfinite, extremal.coeffs)):
+        raise OverflowError(f"degree-{2 * m + 1} odd extremal of the {_describe(weight)} "
+                            "has coefficients beyond a double")
+    return extremal
 
 
 def _dunkl_sq(family: WeightFamily, n, lam, mu=0.0) -> tuple[np.ndarray, np.ndarray]:

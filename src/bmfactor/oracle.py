@@ -2,43 +2,43 @@
 
 ``rayleigh_factor`` solves the Rayleigh quotient in the orthonormal basis of
 the weight, where it is the standard symmetric eigenproblem of the stiffness
-matrix.  The recurrence coefficients are closed forms (``_stack_betas``);
-the Gauss rule comes from the Jacobi matrix and is kept on its positive
-nodes, since the weight and every integrand formed here are even; the
-basis rows and, where a solve needs them, their derivatives run on one set
-of recurrence step lists (``_gauss_basis``, ``_steps``).  The stiffness
-matrices are exact quadrature sums, split into the even and odd parity
-blocks that d/dx and D_lam respect (``_stiffness``).  The Gram matrices
-of the basis on the same rule (``_gram``) are I by construction and are
-formed only to check that the rule keeps the basis orthonormal
-(``_checked_basis``).  All of it works on a
+matrix.  The recurrence coefficients are closed forms, written once for
+Python floats and arrays alike (``_beta_one``, ``_beta_pair``); the Gauss
+rule comes from the Jacobi matrix and is kept on its positive nodes, since
+the weight and every integrand formed here are even; the basis rows and,
+where a solve needs them, their derivatives run on one set of recurrence
+step lists (``_gauss_basis``, ``_steps``).  The stiffness matrices are exact
+quadrature sums, split into the even and odd parity blocks that d/dx and
+D_lam respect (``_stiffness``).  The Gram matrices of the basis on the same
+rule (``_gram``) are I by construction and are formed only to check that the
+rule keeps the basis orthonormal (``_checked_basis``).  All of it works on a
 stack of weights of one family, and stack items do not mix, so each value
 carries the bits of its stack of one.  ``_rayleigh_grid`` is the one value
-entry: it solves the product grid of some degrees, operators and weights of
-one family on one basis, built and checked on the Gauss rule of the grid's
-top degree, which is exact for every lower degree too, and solves the
-stiffness blocks of every operator in one ``eigvalsh`` per degree, each even
-block once per damping.  ``rayleigh_factor`` solves a grid of one, adds the
-degree guard rail, and solves for its maximizer (``eigh`` on the winning
-parity block, ``_unit_extremal``) only when that is read.  The route uses
-neither the closed-form factor theorems nor the moment pencils.
-``_Forms`` evaluates the inner products of the inequality reports on the
-same folded rule for one weight, cached in ``_quadrature``.  A cache miss
-builds that one rule without the stacked machinery (``_folded_rule``):
-beta (``_weight_betas``) and the Christoffel sums on Python floats, the
-nodes from the same ``svd``, every step in the stacked path's order, so the
-rule keeps the bits of ``_gauss_basis``'s stack of one.
+entry: it solves the product grid of some degrees, operators of one damping
+and weights of one family on one basis, built and checked on the Gauss rule
+of the grid's top degree, which is exact for every lower degree too, and
+solves the stiffness blocks of every operator in one ``eigvalsh`` per
+degree, the shared even block once; a Rayleigh quotient is scale-free, so no
+value needs the zeroth moment m0.  ``rayleigh_factor`` solves a grid of one,
+adds the degree guard rail, and solves for its maximizer (``eigh`` on the
+winning parity block, ``_unit_extremal``, scaled from log m0) only when that
+is read.  The route uses neither the closed-form factor theorems nor the
+moment pencils.  ``_Forms`` evaluates the inner products of the inequality
+reports, absolute integrals with m0, on the same folded rule for one weight,
+cached in ``_quadrature``.  A cache miss builds it on Python floats
+(``_folded_rule``), every step in the stacked path's order, so the rule
+keeps the bits of ``_gauss_basis``'s stack of one.
 
 ``factors`` shares only the recurrence coefficients, ``_basis_to_monomial``
-and the refusal helpers (``_conditioning_error``, ``_refuse_non_finite``,
-``_finite``) with this module.  It uses no Gauss rule, no stiffness matrix
-and not this module's solve, so this oracle checks its values independently.
+and the refusal helpers (``_conditioning_error``, ``_refuse_non_finite``)
+with this module.  It uses no Gauss rule, no stiffness matrix and not this
+module's solve, so this oracle checks its values independently.
 
 Refused: non-finite matrices, and a basis whose Gram matrices are further
 than ``BASIS_DEFECT_TOL`` from I (``ConditioningError``, naming the weight
-and its position in the weight list), a zeroth moment that is not a normal
-double, and monomial coefficients beyond a double (``OverflowError``,
-naming the weight).  Only numpy is needed here.
+and its position in the weight list); a rule's m0 that is not a normal
+double, and a maximizer whose coefficients a double cannot hold
+(``OverflowError``, naming the weight).  Only numpy is needed here.
 """
 
 from __future__ import annotations
@@ -108,17 +108,22 @@ class _Forms:
         return float(np.dot(w, self._even[i] ** 2 - self._odd[i] ** 2))
 
 
-def _mass(weight: WeightSpec) -> float:
-    """Zeroth moment m0 of the weight, refused with ``OverflowError`` unless it is a positive normal double.
-
-    Gamma(lam + 1/2) on R and B(lam + 1/2, mu + 1/2) on [-1,1], from
-    ``math.lgamma``: m0 only scales, so its last bits need not match the
-    moment tables'.  It overflows on R for lam above about 171 and falls
-    below the smallest normal double on [-1,1] from about lam = mu = 510.
-    """
+def _log_mass(weight: WeightSpec) -> float:
+    """log m0: log Gamma(lam + 1/2) on R and log B(lam + 1/2, mu + 1/2) on [-1,1], from ``math.lgamma``."""
     log_m0 = math.lgamma(weight.lam + 0.5)
     if weight.is_gegenbauer:
         log_m0 = log_m0 + math.lgamma(weight.mu + 0.5) - math.lgamma(weight.lam + weight.mu + 1.0)
+    return log_m0
+
+
+def _mass(weight: WeightSpec) -> float:
+    """Zeroth moment m0 of the weight, refused with ``OverflowError`` unless it is a positive normal double.
+
+    m0 only scales, so its last bits need not match the moment tables'.  It
+    overflows on R for lam above about 171 and falls below the smallest
+    normal double on [-1,1] from about lam = mu = 510.
+    """
+    log_m0 = _log_mass(weight)
     try:
         m0 = math.exp(log_m0)
     except OverflowError:
@@ -152,7 +157,8 @@ def _folded_rule(npoints: int, weight: WeightSpec) -> tuple[np.ndarray, np.ndarr
     A stack of one through ``_gauss_basis`` pays numpy's per-call cost on
     1-wide arrays for every table and every recurrence step; this build does
     the same arithmetic in the same order on Python floats where it is
-    scalar.  beta comes from ``_weight_betas``; the nodes are the singular
+    scalar.  beta comes from ``_beta_one`` and ``_beta_pair`` on floats, the
+    definitions ``_stack_betas`` applies to arrays; the nodes are the singular
     values of the same half-size bidiagonal C^T, from the same ``svd``; the
     weights are the Christoffel sums, each node's basis recurrence
     q_(k+1) = (x (1/r_(k+1))) q_k - (r_k (1/r_(k+1))) q_(k-1) run on floats
@@ -165,8 +171,11 @@ def _folded_rule(npoints: int, weight: WeightSpec) -> tuple[np.ndarray, np.ndarr
     beta underflow to 0 NaN weights, without a warning, as in
     ``_gauss_basis``.
     """
-    r = np.sqrt(_weight_betas(npoints, weight))
-    half = npoints // 2
+    gegenbauer, lam, mu, half = weight.is_gegenbauer, float(weight.lam), float(weight.mu), npoints // 2
+    beta = [1.0, _beta_one(gegenbauer, lam, mu)]
+    for j in range(1, half + 1):
+        beta += _beta_pair(float(j), gegenbauer, lam, mu)
+    r = np.sqrt(beta[: npoints + 1])
     if not np.isfinite(r).all():
         return np.full(half, np.nan), np.full(half, np.nan)
     ct = np.zeros((half, half))
@@ -187,36 +196,6 @@ def _folded_rule(npoints: int, weight: WeightSpec) -> tuple[np.ndarray, np.ndarr
     return x, np.array(w)
 
 
-def _weight_betas(count: int, weight: WeightSpec) -> list[float]:
-    """beta_0 .. beta_count of one weight as Python floats, with the bits of its column of ``_stack_betas``.
-
-    The same closed forms in the same operation order, so s = 2j + a + b
-    adds left to right and beta_(2j) takes (j - 1/2) + mu.  A product beyond
-    a double gives inf, and inf / inf nan, as there; no denominator is 0.
-    """
-    lam, mu = float(weight.lam), float(weight.mu)
-    beta = [1.0] * (count + 1)
-    if weight.is_gegenbauer:
-        a, b = mu - 0.5, lam - 0.5
-        for k in range(2, count + 1):
-            j = float(k // 2)
-            if k % 2:
-                s = 2 * j + a + b + 1
-                beta[k] = (j + b + 1) * (j + a + b + 1) / (s * (s + 1))
-            else:
-                s = 2 * j + a + b
-                beta[k] = j * ((j - 0.5) + mu) / (s * (s + 1))
-        first = (lam + 0.5) / (lam + mu + 1)
-    else:
-        for k in range(2, count + 1):
-            j = float(k // 2)
-            beta[k] = j + lam + 0.5 if k % 2 else j
-        first = lam + 0.5
-    if count >= 1:
-        beta[1] = first
-    return beta
-
-
 # ---------------------------------------------------------------------------
 # Recurrence/quadrature assembly, stacked over weights of one family.  Arrays
 # indexed by a recurrence step put that index first and the stack second, and
@@ -235,37 +214,46 @@ def _stack_parameters(weights: Sequence[WeightSpec]) -> tuple[bool, np.ndarray, 
     return weights[0].is_gegenbauer, np.array([w.lam for w in weights]), np.array([w.mu for w in weights])
 
 
+def _beta_one(gegenbauer: bool, lam, mu):
+    """beta_1, on floats or elementwise on arrays: ``_beta_pair``'s beta_(2j+1) at j = 0 with the common factor
+    a + b + 1 = lam + mu cancelled, so lam + mu = 0 forms no 0/0."""
+    return (lam + 0.5) / (lam + mu + 1) if gegenbauer else lam + 0.5
+
+
+def _beta_pair(j, gegenbauer: bool, lam, mu):
+    """(beta_(2j), beta_(2j+1)) for j >= 1, on Python floats or elementwise on arrays, one operation order for both.
+
+    Closed forms (Chihara, 1978).  On R: beta_(2j) = j and
+    beta_(2j+1) = j + lam + 1/2.  On [-1, 1], with a = mu - 1/2 and
+    b = lam - 1/2: beta_(2j) = j (j + a) / (s (s + 1)) with s = 2j + a + b,
+    and beta_(2j+1) = (j + b + 1) (j + a + b + 1) / (s (s + 1)) with
+    s = 2j + a + b + 1, each s added left to right.  No denominator is 0; at
+    huge lam or mu a product overflows to inf and inf / inf is nan, on
+    floats as on arrays.
+    """
+    if not gegenbauer:
+        return j, j + lam + 0.5
+    a, b = mu - 0.5, lam - 0.5
+    s = 2 * j + a + b
+    # (j - 1/2) + mu, not j + a: a is already rounded, and j + a cancels as mu -> -1/2
+    even = j * ((j - 0.5) + mu) / (s * (s + 1))
+    s = 2 * j + a + b + 1
+    return even, (j + b + 1) * (j + a + b + 1) / (s * (s + 1))
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _stack_betas(count: int, gegenbauer: bool, lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """Coefficients of x p_k = p_(k+1) + beta_k p_(k-1) for every even weight of a stack, shape (count + 1, B).
 
-    beta_0 := 1.  Closed forms (Chihara, 1978).  On R: beta_(2j) = j and
-    beta_(2j+1) = j + lam + 1/2.  On [-1, 1], with a = mu - 1/2 and
-    b = lam - 1/2: beta_(2j) = j (j + a) / ((2j + a + b) (2j + a + b + 1)) and
-    beta_(2j+1) = (j + b + 1) (j + a + b + 1) / ((2j + a + b + 1) (2j + a + b + 2)).
-    beta_1 = (lam + 1/2) / (lam + mu + 1) is the latter at j = 0 with the
-    common factor a + b + 1 = lam + mu cancelled, so lam + mu = 0 forms no 0/0.
-    At huge lam or mu the products overflow to inf or nan without a warning;
-    the solves refuse the non-finite matrices that follow.
+    beta_0 := 1, beta_1 from ``_beta_one`` and the rest from ``_beta_pair``
+    on a column of j against the lam and mu vectors.  Non-finite beta come
+    without a warning; the solves refuse the non-finite matrices that follow.
     """
-    beta = np.ones((count + 1, len(lam)))
-    even = np.arange(1, count // 2 + 1, dtype=float)[:, None]  # j of beta_(2j)
-    odd = np.arange(1, (count + 1) // 2, dtype=float)[:, None]  # j of beta_(2j+1), j >= 1
-    if gegenbauer:
-        a, b = mu - 0.5, lam - 0.5
-        s = 2 * even + a + b
-        # (j - 1/2) + mu, not j + a: a is already rounded, and j + a cancels as mu -> -1/2
-        beta[2::2] = even * ((even - 0.5) + mu) / (s * (s + 1))
-        s = 2 * odd + a + b + 1
-        beta[3::2] = (odd + b + 1) * (odd + a + b + 1) / (s * (s + 1))
-        first = (lam + 0.5) / (lam + mu + 1)  # j = 0, with a + b + 1 cancelled
-    else:
-        beta[2::2] = even
-        beta[3::2] = odd + lam + 0.5
-        first = lam + 0.5
-    if count >= 1:
-        beta[1] = first
-    return beta
+    even, odd = _beta_pair(np.arange(1, count // 2 + 1, dtype=float)[:, None], gegenbauer, lam, mu)
+    beta = np.ones((count // 2 * 2 + 2, len(lam)))  # through beta_(count + 1) at an even count
+    beta[1] = _beta_one(gegenbauer, lam, mu)
+    beta[2::2], beta[3::2] = even, odd
+    return beta[: count + 1]
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -366,13 +354,6 @@ def _basis_to_monomial(nmax: int, rb: np.ndarray) -> np.ndarray:
     return t[:, :, 1:]
 
 
-def _finite(p: Polynomial, what: str, weight: WeightSpec) -> Polynomial:
-    """``p``, refused with ``OverflowError`` naming ``what`` and the weight unless its coefficients are finite."""
-    if not all(map(math.isfinite, p.coeffs)):
-        raise OverflowError(f"{what} of the {_describe(weight)} has coefficients beyond a double")
-    return p
-
-
 def _conditioning_error(
     reason: str, block: int, g: np.ndarray, weights: Sequence[WeightSpec], op: OperatorSpec, n: int
 ) -> ConditioningError:
@@ -459,50 +440,38 @@ def _gram(n: int, basis: _Basis) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _stiffness(n: int, basis: _Basis, ops: Sequence[OperatorSpec]) -> tuple[np.ndarray, list[tuple[int, int]]]:
+def _stiffness(n: int, basis: _Basis, ops: Sequence[OperatorSpec]) -> np.ndarray:
     """The distinct parity blocks of the stiffness matrices S = D diag(w A) D^T of ``ops`` over q_0 .. q_n, shape
-    (B K, h, h), K blocks per weight, and per op the positions of its even and odd block among those K.
+    (B (1 + len(ops)), h, h): per weight its even block, then the odd block of each op in turn.
 
     Each op maps q_k to a polynomial of the parity of k - 1 and the weight
     is even, so every entry between rows of opposite parity is zero: S is an
     even and an odd block per weight (``_parity_blocks``), summed over the
     positive nodes.  sigma(q_k) = 0 for even k, so the even block depends
-    only on the damping and is formed once per damping: a weight's blocks
-    are, op by op, the even block of its damping where that is first used,
-    then its odd block.  One op takes blocks 2b and 2b + 1 of item b (the
-    layout of ``_gram``), D_lam and d/dx of one damping 3 per weight, a
-    mixed-damping pair 4.  Each block is a contiguous product of one shape,
-    so it carries the bits of its op's own stack.  At even n the odd block
-    has a zero padding row, which adds only the root 0.  The basis may be
-    built for a larger degree, as ``_rayleigh_grid`` builds it for its top
-    degree: its rule integrates every product of rows 0 .. n exactly, and a
-    basis row and its derivative do not depend on the rows above them.  A
-    basis on the same nodes gives the leading rows the same bits; one on
-    more nodes moves only the rounding of the sums.  At huge lam or mu the
-    entries overflow to inf or nan without a warning; the solves refuse them.
+    only on the damping, which the ops must share (``ValueError``
+    otherwise), and is formed once.  One op gives the layout of ``_gram``.
+    Each block is a contiguous product of one shape, so it carries the bits
+    of its op's own stack.  At even n the odd block has a zero padding row,
+    which adds only the root 0.  The basis may be built for a larger degree
+    (``_rayleigh_grid``): a basis on the same nodes gives the leading rows
+    the same bits, one on more nodes moves only the rounding of the sums.
+    At huge lam or mu the entries overflow to inf or nan without a warning;
+    the solves refuse them.
     """
+    if any(op.damped is not ops[0].damped for op in ops):
+        raise ValueError("operators of one oracle grid must share their damping")
     x, w = basis.x, basis.w
     even, odd = basis.d[0 : n + 1 : 2].swapaxes(0, 1), basis.d[1 : n + 1 : 2].swapaxes(0, 1)
-    blocks, even_of, slots = [], {}, []  # per block: its damping, and its op (None for an even block)
-    for op in ops:
-        if op.damped not in even_of:
-            even_of[op.damped] = len(blocks)
-            blocks.append((op.damped, None))
-        slots.append((even_of[op.damped], len(blocks)))
-        blocks.append((op.damped, op))
-    d = np.zeros((len(x), len(blocks), even.shape[1], x.shape[1]))
-    wa = np.empty((len(x), len(blocks), x.shape[1]))
-    for k, (damped, op) in enumerate(blocks):
-        wa[:, k] = w * (1.0 - x * x) if (basis.gegenbauer and damped) else w
-        if op is None:
-            d[:, k] = even
-            continue
+    d = np.zeros((len(x), 1 + len(ops), even.shape[1], x.shape[1]))
+    d[:, 0] = even
+    for k, op in enumerate(ops, 1):
         d[:, k, : odd.shape[1]] = odd
         if op.is_dunkl:
             # sigma(q_k) = 2 q_k / x for odd k, by parity of the basis
             d[:, k, : odd.shape[1]] += ((2.0 * basis.lam)[:, None] * basis.q[1 : n + 1 : 2] / x).swapaxes(0, 1)
-    s = (d * wa[:, :, None, :]) @ d.swapaxes(2, 3)
-    return s.reshape(-1, *s.shape[2:]), slots
+    wa = w * (1.0 - x * x) if (basis.gegenbauer and ops[0].damped) else w
+    s = (d * wa[:, None, None, :]) @ d.swapaxes(2, 3)
+    return s.reshape(-1, *s.shape[2:])
 
 
 def _checked_basis(top: int, weights: Sequence[WeightSpec], op: OperatorSpec, n: int) -> _Basis:
@@ -541,30 +510,26 @@ def _rayleigh_grid(degrees: Sequence[int], weights: Sequence[WeightSpec], ops: S
     once (``_checked_basis``).  The basis is orthonormal, so each value is
     the top eigenvalue of a stiffness matrix, and per degree one
     ``eigvalsh`` solves the distinct parity blocks of every operator
-    (``_stiffness``): operators of one damping share their even block, so
-    D_lam and d/dx take 3 blocks per weight, not 4.  Each value carries the
+    (``_stiffness``): the operators share their damping and so the even
+    block, 3 blocks per weight for D_lam and d/dx.  Each value carries the
     bits of its stack of one over the same degrees; a grid of one degree is
-    ``rayleigh_factor``'s.
-    Refusals come in degree order: a degree below 1 first, then the Gram
-    check (naming ``ops[0]`` and the grid's first degree), per degree its
-    stiffness stacks, and after the first degree's solve the zeroth moments
-    of the weights.
+    ``rayleigh_factor``'s.  No zeroth moment is formed.  Refusals come in
+    degree order: a degree below 1 first, then the Gram check (naming
+    ``ops[0]`` and the grid's first degree), then per degree its stiffness
+    stacks.
     """
     if any(n < 1 for n in degrees):
         raise ValueError("degree must be >= 1")
     basis = _checked_basis(max(degrees), weights, ops[0], degrees[0])
     values = []
     for n in degrees:
-        s, slots = _stiffness(n, basis, ops)
+        s = _stiffness(n, basis, ops)
         if not np.isfinite(s).all():  # G is finite: _checked_basis refused it otherwise
             g = _gram(n, basis)
-            blocks = s.reshape(len(weights), -1, *s.shape[1:])
-            _refuse_non_finite([blocks[:, list(slot)].reshape(g.shape) for slot in slots], g, weights, ops, n)
+            blocks = s.reshape(len(weights), 1 + len(ops), *s.shape[1:])
+            _refuse_non_finite([blocks[:, [0, k]].reshape(g.shape) for k in range(1, 1 + len(ops))], g, weights, ops, n)
         theta = np.linalg.eigvalsh(s)[:, -1].reshape(len(weights), -1)
-        values.append(np.sqrt([np.maximum(theta[:, even], theta[:, odd]) for even, odd in slots]))
-        if len(values) == 1:
-            for weight in weights:
-                _mass(weight)
+        values.append(np.sqrt(np.maximum(theta[:, :1], theta[:, 1:]).T))
     return np.array(values)
 
 
@@ -574,23 +539,31 @@ def _unit_extremal(n: int, weight: WeightSpec, op: OperatorSpec) -> Polynomial:
     The basis is checked as the value solve's is, and its stiffness matrices
     carry the bits that the value solve at the call found finite.  The
     winning parity block comes from their eigenvalues, and only that block
-    is solved for its eigenvector.  The norm comes from the folded Gauss
-    rule, exact on P_(2n) with mass 1, times m0: monomial moments would have
-    to cancel a Hankel condition of ~10^(2n) and can even give a negative
-    square.  The monomial rows of the orthonormal basis overflow from about
-    n = 800 on [-1, 1]; a maximizer with coefficients beyond a double is
-    refused with ``OverflowError``.
+    is solved for its eigenvector.  Its norm comes from the folded Gauss
+    rule, exact on P_(2n) with mass 1: monomial moments would have to cancel
+    a Hankel condition of ~10^(2n) and can even give a negative square.  The
+    scale 1 / sqrt(m0) = 2^e exp(r) is applied from log m0 with ``ldexp``:
+    m0 may be beyond a double where the maximizer is not.  The monomial rows
+    of the orthonormal basis overflow from about n = 800 on [-1, 1]; a
+    maximizer with a coefficient beyond a double, or flushed to 0 by the
+    scale, is refused with ``OverflowError``.
     """
     basis = _checked_basis(n, [weight], op, n)
-    s, _ = _stiffness(n, basis, [op])
+    s = _stiffness(n, basis, [op])
     block = [int(np.argmax(np.linalg.eigvalsh(s)[:, -1]))]
     v = np.linalg.eigh(s[block])[1][:, :, -1]
     p = (v[:, None, :] @ _parity_blocks(basis.q)[block])[:, 0]
-    norm = np.sqrt(_mass(weight) * (basis.w * p * p).sum(axis=1))
+    norm = np.sqrt((basis.w * p * p).sum(axis=1))
+    # beyond 3000 nats every double coefficient scales out of range, and the clamp keeps e an int32
+    log_scale = min(max(-0.5 * _log_mass(weight), -3000.0), 3000.0)
+    e = round(log_scale / math.log(2))
     with np.errstate(over="ignore", invalid="ignore"):
         t = _parity_blocks(_basis_to_monomial(n, basis.rb))[block]
-        maximizer = Polynomial(((v / norm[:, None])[:, None, :] @ t)[0, 0])
-    return _finite(maximizer, f"degree-{n} maximizer", weight)
+        unit = ((v / norm[:, None])[:, None, :] @ t)[0, 0]
+        coeffs = np.ldexp(unit * math.exp(log_scale - e * math.log(2)), e)
+    if not np.isfinite(coeffs).all() or ((coeffs == 0) & (unit != 0)).any():
+        raise OverflowError(f"degree-{n} maximizer of the {_describe(weight)} has coefficients beyond a double")
+    return Polynomial(coeffs)
 
 
 @dataclass(frozen=True)
@@ -620,11 +593,11 @@ def rayleigh_factor(
     """Largest Rayleigh quotient over P_n and its maximizer, unit W-norm, as the pair (value, maximizer).
 
     The value is computed at the call, and every refusal of the value (the
-    degree cap, a ``ConditioningError``, a zeroth moment that is not a normal
-    double) is raised there.  The maximizer is normalized and written in
-    monomials when it is first read (``[1]`` or unpacking), then cached, so
-    ``[0]`` alone costs only the value solve, which computes no eigenvector;
-    monomial coefficients beyond a double are refused on that read.
+    degree cap, a ``ConditioningError``) is raised there.  The maximizer is
+    normalized and written in monomials when it is first read (``[1]`` or
+    unpacking), then cached, so ``[0]`` alone costs only the value solve,
+    which computes no eigenvector; monomial coefficients that a double cannot
+    hold are refused on that read.
 
     ``max_degree`` (default 14) is a guard rail, not a numerical cliff: pass a
     larger value explicitly to study higher degrees.

@@ -4,13 +4,14 @@ Both families solve (1 - a x^2) D^2 p - b x D p + lambda_n^2 p = 0 with D the
 Dunkl operator: Hermite is the case a = 0 (so A(x) = 1 - a x^2 = 1) and b = 2,
 Gegenbauer the case a = 1 and b = 2 mu + 1.  Normalization is monic throughout
 (the defining equations fix the polynomials only up to a constant).  One
-coefficient recurrence, ``_eigen_coeffs``, serves both families; it is filled
-in reverse from the leading coefficient, which makes it self-starting.  It
-runs on floats for ``hermite_poly`` and ``gegenbauer_poly``.  ``_eigen_rows``
-steps the same recurrence over arrays of degrees, lambda and mu at once,
-which gives ``bmfactor verify`` the eigenpolynomials of a whole grid in one
-pass, and ``_residual_rows`` evaluates the residual of the defining equation
-on coefficient rows, over those arrays too.
+coefficient recurrence serves both families; it is filled in reverse from the
+leading coefficient, which makes it self-starting, and its step is written
+once (``_eigen_step``) for Python numbers and arrays alike.  ``_eigen_coeffs``
+runs it on floats for ``hermite_poly`` and ``gegenbauer_poly``, and
+``_eigen_rows`` over arrays of degrees, lambda and mu at once, which gives
+``bmfactor verify`` the eigenpolynomials of a whole grid in one pass, and
+``_residual_rows`` evaluates the residual of the defining equation on
+coefficient rows, over those arrays too.
 """
 
 from __future__ import annotations
@@ -33,20 +34,26 @@ def eigenvalue_sq(family: WeightFamily, n: int, lam: float, mu: float = 0.0) -> 
     return 2.0 * (n + lam * odd)
 
 
-def _eigen_coeffs(family: WeightFamily, n: int, lam, mu=0.0) -> list:
-    """a_0 .. a_n of the monic degree-n eigenpolynomial: a_k = g_(k+2) g_(k+1) a_(k+2) / d_k with D x^j = g_j x^(j-1).
+def _eigen_step(gegenbauer: bool, k, n, lam, mu):
+    """(num, den) of a_k = num a_(k+2) / den in the monic degree-n eigenpolynomial, on Python numbers or arrays.
 
-    d_k is 2 (k - n) on R and (k - n)(k + n + 2 lam + 2 mu) on [-1, 1].
-    ``_eigen_rows`` steps the same operations over arrays.
+    num = g_(k+2) g_(k+1) with D x^j = g_j x^(j-1), as (k + 2 - odd)(k + 2 lam + (1 + odd)) with exact integer
+    parts; den = 2 (k - n) on R and (k - n)(k + n + 2 lam + 2 mu) on [-1, 1].
     """
+    odd = k % 2
+    den = (k - n) * (k + n + 2 * lam + 2 * mu) if gegenbauer else 2.0 * (k - n)
+    return (k + 2 - odd) * (k + 2 * lam + (1 + odd)), den
+
+
+def _eigen_coeffs(family: WeightFamily, n: int, lam, mu=0.0) -> list:
+    """a_0 .. a_n of the monic degree-n eigenpolynomial, filled in reverse from a_n = 1 by ``_eigen_step``."""
     if n < 0:
         raise ValueError("degree must be >= 0")
     gegenbauer = family is WeightFamily.GENERALIZED_GEGENBAUER
     a = [0.0] * (n + 1)
     a[n] = 1.0
     for k in range(n - 2, -1, -2):
-        den = (k - n) * (k + n + 2 * lam + 2 * mu) if gegenbauer else 2.0 * (k - n)
-        num = (k + 2) * (k + 2 * lam + 1) if k % 2 == 0 else (k + 1) * (k + 2 * lam + 2)
+        num, den = _eigen_step(gegenbauer, k, n, lam, mu)
         a[k] = num * a[k + 2] / den
     return a
 
@@ -70,10 +77,10 @@ def _eigen_rows(family: WeightFamily, n: np.ndarray, lam: np.ndarray, mu: np.nda
     to the top degree: shape (len(n), *broadcast shape, n.max() + 1).
 
     The ``_eigen_coeffs`` recurrence is stepped by j = (d - k) / 2 over every
-    degree d at once, b_j = a_(d-2j) = num(d - 2j) b_(j-1) / den(d - 2j, d),
-    each element with the operations of its float call, so it carries the
-    same bits.  The coefficients of the other parity and the padding are
-    0.0; entries that are not finite are left to the caller.
+    degree d at once, b_j = a_(d-2j) = num b_(j-1) / den from the same
+    ``_eigen_step`` at k = d - 2j, so each element carries its float call's
+    bits.  The coefficients of the other parity and the padding are 0.0;
+    entries that are not finite are left to the caller.
     """
     gegenbauer = family is WeightFamily.GENERALIZED_GEGENBAUER
     shape = np.broadcast(lam, mu).shape
@@ -83,10 +90,7 @@ def _eigen_rows(family: WeightFamily, n: np.ndarray, lam: np.ndarray, mu: np.nda
     for j in range(1, len(b)):
         live = np.searchsorted(n, 2 * j)  # the degrees d >= 2j, a suffix of the ascending n
         dj = d[live:]
-        k = dj - 2 * j
-        den = (k - dj) * (k + dj + 2 * lam + 2 * mu) if gegenbauer else 2.0 * (k - dj)
-        odd = k % 2  # num is (k + 2)(k + 2 lam + 1) at even k and (k + 1)(k + 2 lam + 2) at odd k
-        num = (k + 2 - odd) * (k + 2 * lam + (1 + odd))
+        num, den = _eigen_step(gegenbauer, dj - 2 * j, dj, lam, mu)
         b[j, live:] = num * b[j - 1, live:] / den
     rows = np.zeros((len(n), *shape, n.max() + 1))
     degree, j = np.nonzero(n[:, None] >= 2 * np.arange(len(b)))

@@ -214,11 +214,14 @@ ROWS: list[Row] = [
             "--tolerance must be finite and > 0"),
     refused("test_verify_refuses_a_check_that_cannot_fail[--n-max-0]", "verify --n-max 0", "--n-max must be >= 1"),
 
-    # The zeroth Hermite moment Gamma(lambda + 1/2) overflows a double near lambda = 171; at lambda = 1e300 and
-    # 1e200 the eigenpolynomial's coefficients overflow, which once printed Infinity with exit 0
-    failed("test_overflow_exits_3[factor]", "factor --check --weight hermite --op dunkl --lambda 200 --n 3", ""),
+    # The zeroth Hermite moment Gamma(lambda + 1/2) overflows a double near lambda = 171, which the inequality's
+    # absolute integrals need; the oracle's values need no m0, and its recurrence coefficients overflow to nan at
+    # lambda = mu = 1e200 (one grid weight is enough for verify).  At lambda = 1e300 and 1e200 the
+    # eigenpolynomial's coefficients overflow, which once printed Infinity with exit 0
+    failed("test_overflow_exits_3[factor]",
+           "factor --check --weight gegenbauer --op ddx --lambda 1e200 --mu 1e200 --n 3", ""),
     failed("test_overflow_exits_3[inequality]", "inequality --family hermite --lambda 200 --n 3 --at-extremal", ""),
-    failed("test_overflow_exits_3[verify]", "verify --lambdas 200 --mus 0.5 --n-max 2", ""),
+    failed("test_overflow_exits_3[verify]", "verify --lambdas 200 --mus 1e200 --n-max 2", ""),
     failed("test_overflow_exits_3[factor-extremal]",
            "factor --weight hermite --op ddx --lambda 1e300 --n 4 --format json", ""),
     failed("test_overflow_exits_3[extremal]", "extremal --weight hermite --op dunkl --lambda 1e200 --n 6", ""),
@@ -242,11 +245,12 @@ ROWS: list[Row] = [
          "degree-3 odd pencil of the hermite weight (lambda=168.0)"),
         ("dunkl-factor", "extremal --weight gegenbauer --op dunkl --lambda 1e300 --mu 1e8 --n 3",
          "degree-3 Dunkl factor of the gegenbauer weight (lambda=1e+300, mu=100000000.0)"))],
-    # B(lambda + 1/2, mu + 1/2) is below the smallest normal double here: the oracle's extremal was non-finite and
-    # every folded weight of the inequality was 0, which reported lhs = rhs = 0 as an equality
+    # B(lambda + 1/2, mu + 1/2) is below the smallest normal double at (1e4, 1e4): every folded weight of the
+    # inequality was 0, which reported lhs = rhs = 0 as an equality.  At mu = 1e200 the oracle's recurrence
+    # coefficients beta_k, k >= 2, underflow to 0, since s (s + 1) overflows
     failed("test_underflow_exits_3[factor]",
-           "factor --check --weight gegenbauer --op ddx --lambda 1e4 --mu 1e4 --n 3", "",
-           "gegenbauer weight (lambda=10000.0, mu=10000.0)"),
+           "factor --check --weight gegenbauer --op ddx --lambda 1 --mu 1e200 --n 3", "",
+           "('gegenbauer', 'ddx', 1.0, 1e+200, 3)"),
     failed("test_underflow_exits_3[inequality]",
            "inequality --family gegenbauer --lambda 1e4 --mu 1e4 --n 3 --at-extremal", "",
            "gegenbauer weight (lambda=10000.0, mu=10000.0)"),
@@ -302,6 +306,13 @@ ROWS: list[Row] = [
            (" --format json",)))
       for fmt in formats],
 
+    # a Rayleigh quotient does not depend on the zeroth moment, so the oracle answers where m0 is beyond a double
+    # (these were refused with exit 3): Gamma(400.5) overflows, and B(1e4 + 1/2, 1e4 + 1/2) underflows
+    *[ok(f"test_factor_check_needs_no_zeroth_moment[{name}]", f"factor --check --format json {argv}",
+         _json(lambda p: p["oracle_rel_err"] <= 1e-12))
+      for name, argv in (("hermite-dunkl-400", "--weight hermite --op dunkl --lambda 400 --n 5"),
+                         ("gegenbauer-ddx-1e4", "--weight gegenbauer --op ddx --lambda 1e4 --mu 1e4 --n 3"))],
+    ok("test_verify_needs_no_zeroth_moment", "verify --lambdas 200 --mus 0.5 --n-max 2", _has("result: PASS")),
     # the unnormalized moments Gamma(s + lambda + 1/2) overflow from about lambda = 168 at n = 3
     ok("test_hermite_moment_pencil_just_below_its_overflow",
        "factor --weight hermite --op ddx --lambda 165 --n 3 --format json",

@@ -521,9 +521,9 @@ def _counted_calls(monkeypatch, *names):
 def test_verify_builds_each_shared_piece_once(capsys, monkeypatch):
     # The default grid's oracle is one _rayleigh_grid per family.  It builds
     # one Gauss basis per family, on the rule of the top degree 10, and checks
-    # its Gram matrices once, for every degree and both operators; it checks
-    # the zeroth moment of each of its 49 weights once, and factors no Gram
-    # matrix.  Per degree its eigvalsh stack holds 3 blocks per weight: D_lam
+    # its Gram matrices once, for every degree and both operators; it forms
+    # no zeroth moment, since a Rayleigh quotient does not depend on one, and
+    # factors no Gram matrix.  Per degree its eigvalsh stack holds 3 blocks per weight: D_lam
     # and d/dx share their damping, so they share the even block.  The
     # residual sweep takes one call per family over the block of degrees
     # 1..10 and the lambda array.  Its Gegenbauer d/dx rows build one odd
@@ -559,7 +559,7 @@ def test_verify_builds_each_shared_piece_once(capsys, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", recorded_eigvalsh)
     code, out, _ = run(capsys, "verify", "--format", "json")
     assert code == EXIT_OK and json.loads(out)["rows"] == 910
-    assert calls == {"_gauss_basis": 2, "_gram": 2, "_mass": 49, "_residual_rows": 2, "_odd_polynomial": 0,
+    assert calls == {"_gauss_basis": 2, "_gram": 2, "_mass": 0, "_residual_rows": 2, "_odd_polynomial": 0,
                      "_odd_pencil_stack": 1, "_stack_betas": 3, "_steps": 2, "FactorResult": 0, "WeightSpec": 49 + 24}
     assert odd_pencils == [(36, m + 1, m + 1) for m in range(5)]
     moment_pencils = [(6, m + 1, m + 1) for m in (1, 2, 3, 4)]
@@ -590,14 +590,20 @@ def test_an_odd_extremal_read_builds_one_recurrence_table(monkeypatch):
 
 
 def test_a_folded_rule_miss_skips_the_stacked_basis(monkeypatch):
-    # an inequality report's rule is built for its one weight on Python floats, not as a stack of one
+    # an inequality report's rule is built for its one weight on Python floats, not as a stack of one, from the
+    # one definition of beta that the stacked table applies to arrays: beta_1, then one (beta_2j, beta_2j+1) per j
     calls = _counted_calls(monkeypatch, "_gauss_basis", "_stack_parameters", "_stack_betas", "_steps",
-                           "_folded_rule", "_weight_betas")
+                           "_folded_rule", "_beta_one", "_beta_pair")
     for weight in (WeightSpec.hermite(1.5), WeightSpec.gegenbauer(1.5, 0.75)):
         for npoints in (4, 22):
             bmfactor.oracle._quadrature.__wrapped__(weight, npoints)
     assert calls == {"_gauss_basis": 0, "_stack_parameters": 0, "_stack_betas": 0, "_steps": 0,
-                     "_folded_rule": 4, "_weight_betas": 4}
+                     "_folded_rule": 4, "_beta_one": 4, "_beta_pair": 2 * (2 + 11)}
+    calls.update(dict.fromkeys(calls, 0))
+    for gegenbauer in (False, True):
+        bmfactor.oracle._stack_betas(22, gegenbauer, np.array([1.5, 2.0]), np.array([0.75, 0.0]))
+    assert calls == {"_gauss_basis": 0, "_stack_parameters": 0, "_stack_betas": 2, "_steps": 0,
+                     "_folded_rule": 0, "_beta_one": 2, "_beta_pair": 2}
 
 
 def test_eigenvectors_are_solved_only_where_read(capsys, monkeypatch):

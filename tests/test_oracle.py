@@ -17,8 +17,12 @@ from bmfactor.factors import _factor_grid, _top_eigenpairs, _top_values
 from bmfactor.oracle import (
     BASIS_DEFECT_TOL,
     ConditioningError,
+    _beta_one,
+    _beta_pair,
+    _folded_rule,
     _gauss_basis,
     _gram,
+    _log_mass,
     _mass,
     _node_count,
     _quadrature,
@@ -27,7 +31,6 @@ from bmfactor.oracle import (
     _stack_betas,
     _stack_parameters,
     _stiffness,
-    _weight_betas,
     rayleigh_factor,
 )
 from bmfactor.special import gegenbauer_moment, hermite_moment, moment_table
@@ -119,6 +122,14 @@ def _betas(count, weight):
     return _stack_betas(count, *_stack_parameters([weight]))[:, 0]
 
 
+def _float_betas(count, weight):
+    """beta_0 .. beta_count of one weight from the closed forms on Python floats, as ``_folded_rule`` forms them."""
+    beta = [1.0, _beta_one(weight.is_gegenbauer, weight.lam, weight.mu)]
+    for j in range(1, count // 2 + 1):
+        beta += _beta_pair(float(j), weight.is_gegenbauer, weight.lam, weight.mu)
+    return beta[: count + 1]
+
+
 def _spliced_betas(count, weight):
     """beta_0 .. beta_count of the even weight, spliced exactly from its image under t = x^2.
 
@@ -178,10 +189,10 @@ def test_stacked_betas_equal_their_stacks_of_one():
 
 
 def test_one_weights_betas_on_python_floats_equal_its_stack_column():
-    # _weight_betas runs the closed forms of _stack_betas in their operation order
+    # _beta_one and _beta_pair are the one definition of beta: on Python floats they give the bits of the stack
     for weight in BETA_WEIGHTS:
         for count in (0, 1, 2, 3, 7, 80):
-            assert np.array(_weight_betas(count, weight)).tobytes() == _betas(count, weight).tobytes()
+            assert np.array(_float_betas(count, weight)).tobytes() == _betas(count, weight).tobytes()
 
 
 def test_rayleigh_factor_classical_values():
@@ -301,7 +312,7 @@ def test_a_shared_basis_gives_each_degree_and_subset_its_own_bits(family, op, we
     shared, own = _stack_basis(n + 1, weights), _stack_basis(n, weights)
     assert _gram(n, shared).tobytes() == _gram(n, own).tobytes()
     for operator in (OperatorSpec.dunkl(damped), OperatorSpec.ddx(damped)):
-        assert _stiffness(n, shared, [operator])[0].tobytes() == _stiffness(n, own, [operator])[0].tobytes()
+        assert _stiffness(n, shared, [operator]).tobytes() == _stiffness(n, own, [operator]).tobytes()
 
 
 @pytest.mark.parametrize("n", (1, 2, 7, 10, 20, 40, 60))
@@ -343,12 +354,12 @@ _RULE_WEIGHTS = (
 
 @pytest.mark.parametrize("npoints", (2, *range(4, 24, 2), 64, 102))
 def test_quadrature_equals_the_stacked_gauss_basis_bit_for_bit(npoints):
-    # _quadrature builds its one rule on Python floats in the operation order of _stack_betas and
-    # _gauss_basis, so each rule keeps the bits of _gauss_basis's stack of one
+    # _quadrature builds its one rule on Python floats from the beta definition of _stack_betas and in the
+    # operation order of _gauss_basis, so each rule keeps the bits of _gauss_basis's stack of one
     nan_rules = 0
     for weight in _RULE_WEIGHTS:
         gegenbauer, lam, mu = _stack_parameters([weight])
-        assert np.array_equal(_weight_betas(npoints, weight), _stack_betas(npoints, gegenbauer, lam, mu)[:, 0],
+        assert np.array_equal(_float_betas(npoints, weight), _stack_betas(npoints, gegenbauer, lam, mu)[:, 0],
                               equal_nan=True), weight
         x, w, _, _, _ = _gauss_basis(npoints, gegenbauer, lam, mu, 0)
         nodes, folded = _quadrature.__wrapped__(weight, npoints)
@@ -413,11 +424,11 @@ def test_a_non_finite_stiffness_entry_is_refused_under_its_operator_at_its_degre
     stiffness = bmfactor.oracle._stiffness
 
     def poisoned(n, basis, ops):
-        s, slots = stiffness(n, basis, ops)
+        s = stiffness(n, basis, ops)
         if n == 2:
-            # the odd block of weight 2 under D_lam; d/dx and D_lam share the even block, 3 blocks per weight
-            s[2 * 3 + slots[1][1], 0, 0] = math.inf
-        return s, slots
+            # the odd block of weight 2 under D_lam: per weight the shared even block, then d/dx's and D_lam's odd
+            s[2 * 3 + 2, 0, 0] = math.inf
+        return s
 
     monkeypatch.setattr(bmfactor.oracle, "_stiffness", poisoned)
     weights = [WeightSpec.hermite(lam) for lam in (0.0, 0.5, 2.0)]
@@ -467,7 +478,8 @@ def test_the_oracle_is_right_or_refuses_at_huge_lambda():
                 answered += 1
                 (closed_form,), _ = _factor_grid([n], [weight], op)
                 assert value == pytest.approx(math.sqrt(closed_form[0]), rel=1e-6), (weight, n)
-    assert answered >= 15  # at lambda = 1e5, every degree for mu <= 1 (the zeroth moment underflows at 150)
+    # the value needs no zeroth moment: every case at lambda = 1e5, 14 of 25 at 1e8 and Hermite at 1e15
+    assert answered >= 44
 
 
 @pytest.mark.parametrize("family", ("hermite", "gegenbauer"))
@@ -478,7 +490,7 @@ def test_ddx_and_dunkl_stiffness_agree_to_the_bit_at_lambda_zero(family):
     weights = [WeightSpec.hermite(0.0)] if not damped else [WeightSpec.gegenbauer(0.0, mu) for mu in (-0.4, 0.5, 4.0)]
     for n in range(1, 11):
         basis = _stack_basis(n, weights)
-        ddx, dunkl = (_stiffness(n, basis, [op])[0] for op in (OperatorSpec.ddx(damped), OperatorSpec.dunkl(damped)))
+        ddx, dunkl = (_stiffness(n, basis, [op]) for op in (OperatorSpec.ddx(damped), OperatorSpec.dunkl(damped)))
         assert ddx.tobytes() == dunkl.tobytes()
 
 
@@ -486,7 +498,7 @@ def test_ddx_and_dunkl_stiffness_agree_to_the_bit_at_lambda_zero(family):
 def test_operators_of_one_damping_solve_their_shared_even_block_once(family, monkeypatch):
     # verify's grids ask for D_lam and d/dx of one damping; sigma(q_k) = 0 for even k, so the even block is the
     # same matrix under both and goes into each degree's eigvalsh stack once, 3 blocks per weight, not 4.  Every
-    # value must be that of the operator's own grid, bit for bit, and a mixed-damping pair shares nothing
+    # value must be that of the operator's own grid, bit for bit
     damped = family == "gegenbauer"
     if damped:
         weights = [WeightSpec.gegenbauer(lam, mu) for lam in (0.0, 0.4, 2.0) for mu in (-0.4, 0.5, 3.0)]
@@ -500,12 +512,11 @@ def test_operators_of_one_damping_solve_their_shared_even_block_once(family, mon
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
-    for ops, blocks in (([OperatorSpec.dunkl(damped), OperatorSpec.ddx(damped)], 3),
-                        ([OperatorSpec.ddx(damped), OperatorSpec.dunkl(damped)], 3),
-                        ([OperatorSpec.dunkl(damped), OperatorSpec.ddx(not damped)], 4)):
+    for ops in ([OperatorSpec.dunkl(damped), OperatorSpec.ddx(damped)],
+                [OperatorSpec.ddx(damped), OperatorSpec.dunkl(damped)]):
         shapes.clear()
         grid = _rayleigh_grid(degrees, weights, ops)
-        assert shapes == [(blocks * len(weights), n // 2 + 1, n // 2 + 1) for n in degrees]
+        assert shapes == [(3 * len(weights), n // 2 + 1, n // 2 + 1) for n in degrees]
         for j, op in enumerate(ops):
             assert grid[:, j : j + 1].tobytes() == _rayleigh_grid(degrees, weights, [op]).tobytes()
 
@@ -514,6 +525,14 @@ def test_stacked_oracle_rejects_mixed_families():
     weights = [WeightSpec.hermite(1.0), WeightSpec.gegenbauer(1.0, 0.5)]
     with pytest.raises(ValueError, match="share their family"):
         _stack_basis(3, weights)
+
+
+@pytest.mark.parametrize("weight", (WeightSpec.hermite(1.0), WeightSpec.gegenbauer(1.0, 0.5)),
+                         ids=("hermite", "gegenbauer"))
+def test_stacked_oracle_rejects_mixed_dampings(weight):
+    # a grid's operators share one even block, which depends on the damping; no caller mixes dampings
+    with pytest.raises(ValueError, match="share their damping"):
+        _rayleigh_grid([1, 2], [weight], [OperatorSpec.dunkl(True), OperatorSpec.ddx(False)])
 
 
 def test_stacked_solve_names_the_indefinite_item():
@@ -592,8 +611,8 @@ def test_rayleigh_factor_refuses_at_the_call(no_maximizer, monkeypatch):
 
     with pytest.raises(ValueError, match="above cap 14"):
         rayleigh_factor(15, WeightSpec.hermite(0.5), OperatorSpec.ddx())
-    with pytest.raises(OverflowError, match="zeroth moment"):
-        rayleigh_factor(3, WeightSpec.hermite(200.0), OperatorSpec.dunkl())
+    with pytest.raises(ConditioningError, match="non-orthonormal"):
+        rayleigh_factor(1, WeightSpec.gegenbauer(1e50, 0.0), OperatorSpec.ddx(damped=True))
     gram = bmfactor.oracle._gram
 
     def nan_gram(*args):
@@ -619,6 +638,25 @@ def test_maximizer_beyond_a_double_is_refused_on_read():
         with pytest.raises(OverflowError, match=r"^degree-900 maximizer of the gegenbauer weight "
                                                 r"\(lambda=1.0, mu=0.5\) has coefficients beyond a double$"):
             result[1]
+
+
+def test_the_maximizer_takes_its_scale_from_log_m0():
+    # m0 = Gamma(lambda + 1/2) is beyond a double from lambda = 171, and the value never needed it; the unit-norm
+    # maximizer at lambda = 200 is still a double, while at lambda = 400 its coefficients flush to 0 and the read
+    # is refused, naming the weight
+    op = OperatorSpec.dunkl()
+    for lam, n in ((200.0, 5), (400.0, 3)):
+        (closed,), _ = _factor_grid([n], [WeightSpec.hermite(lam)], op)
+        assert rayleigh_factor(n, WeightSpec.hermite(lam), op)[0] == pytest.approx(math.sqrt(closed[0]), rel=1e-14)
+    weight = WeightSpec.hermite(200.0)
+    maximizer = rayleigh_factor(5, weight, op)[1]
+    assert maximizer.degree == 5 and max(map(abs, maximizer.coeffs)) < 1e-180
+    x, w = _folded_rule(6, weight)  # mass 1, exact on P_11
+    scaled = np.array(maximizer.coeffs) * math.exp(0.5 * _log_mass(weight))
+    assert float(np.dot(w, npp.polyval(x, scaled) ** 2)) == pytest.approx(1.0, rel=1e-13)
+    with pytest.raises(OverflowError, match=r"^degree-3 maximizer of the hermite weight \(lambda=400.0\) has "
+                                            r"coefficients beyond a double$"):
+        rayleigh_factor(3, WeightSpec.hermite(400.0), op)[1]
 
 
 def test_rayleigh_factor_builds_its_maximizer_once():

@@ -53,6 +53,26 @@ def test_eigen_rows_equal_the_scalar_builds_bit_for_bit():
                     assert gegenbauer[d, i, j, : n + 1].tobytes() == want.tobytes()
 
 
+def test_every_eigenpolynomial_build_reaches_the_one_step_definition(monkeypatch):
+    # the num and den of a_k = num a_(k+2) / den are written once, for the float builds and the stacked rows
+    import bmfactor.orthopoly
+
+    step, ks = bmfactor.orthopoly._eigen_step, []
+
+    def counted(gegenbauer, k, n, lam, mu):
+        ks.append(np.size(k))
+        return step(gegenbauer, k, n, lam, mu)
+
+    monkeypatch.setattr(bmfactor.orthopoly, "_eigen_step", counted)
+    hermite_poly(7, 1.5)
+    gegenbauer_poly(6, 1.5, 0.75)
+    assert ks == [1] * (3 + 3)
+    ks.clear()
+    _eigen_rows(WeightFamily.GENERALIZED_HERMITE, np.arange(1, 8), np.array([0.5, 1.5]))
+    _eigen_rows(WeightFamily.GENERALIZED_GEGENBAUER, np.arange(1, 8), np.array([0.5, 1.5]), 0.75)
+    assert ks == [6, 4, 2] * 2  # per j, the degrees d >= 2j
+
+
 def test_residual_rows_over_a_degree_array_equal_their_own_degree_rows():
     # padded rows of a block of degrees give each degree's residual over its own n + 1 columns, bit for bit,
     # and 0.0 in the padding, even where lambda_n^2 is infinite (0 inf would be NaN there)
