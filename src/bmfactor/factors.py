@@ -21,8 +21,8 @@ this module solves them by one stacked Cholesky reduction (``_top_values``
 for values, ``_top_eigenpairs`` where an eigenvector is read).  With the
 oracle it shares only the recurrence coefficients (``_stack_betas``),
 ``_basis_to_monomial`` and the refusal helpers, so the oracle's Gauss-rule
-stiffness solve checks the values independently.  The moment tables of
-``special`` (the package's one use of scipy) serve only F.
+stiffness solve checks the values independently.  The moment table of
+``special`` (the package's one use of scipy) serves only F.
 
 A ``FactorResult`` builds its extremal when ``.extremal`` is first read
 (``core._BuiltOnRead``), except on the Hermite odd branch, whose eigenvector
@@ -108,11 +108,10 @@ def build_pencil_F(n_odd: int, lam: float) -> Pencil:
         raise ValueError("lambda must be > 0")
     weight, m = WeightSpec.hermite(lam), (n_odd - 1) // 2
     try:
-        table = moment_table(weight, 4 * m + 6, normalized=True)
+        d = np.array(moment_table(lam, 2 * m + 3))  # d_(2s), s = 0 .. 2m + 2
     except OverflowError as exc:
         raise OverflowError(f"moments of the degree-{n_odd} odd pencil of the {_describe(weight)} "
                             f"are beyond a double ({exc})") from exc
-    d = np.array(table[:4 * m + 5:2])  # d_(2s), s = 0 .. 2m + 2
     k = np.arange(m + 1)
     hankel, odd = k[:, None] + k, 2 * k + 1
     # the int product is exact, and rounded once against d

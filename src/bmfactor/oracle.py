@@ -55,6 +55,7 @@ import numpy as np
 from .core import OperatorSpec, Polynomial, WeightSpec, _BuiltOnRead, _describe
 
 DEFAULT_DEGREE_CAP = 14
+# Bounds the Gram defect max|G - I|, not the value error, which can run to about twice the defect
 BASIS_DEFECT_TOL = 1e-8
 
 
@@ -119,7 +120,7 @@ def _log_mass(weight: WeightSpec) -> float:
 def _mass(weight: WeightSpec) -> float:
     """Zeroth moment m0 of the weight, refused with ``OverflowError`` unless it is a positive normal double.
 
-    m0 only scales, so its last bits need not match the moment tables'.  It
+    m0 only scales, so its last bits need not match scipy's ``gammaln``.  It
     overflows on R for lam above about 171 and falls below the smallest
     normal double on [-1,1] from about lam = mu = 510.
     """
@@ -483,7 +484,9 @@ def _checked_basis(top: int, weights: Sequence[WeightSpec], op: OperatorSpec, n:
     one further than ``BASIS_DEFECT_TOL`` from I, is refused with
     ``ConditioningError`` naming the weight under ``op`` at degree n.  A
     smaller degree's Gram blocks are leading blocks of these, so one check at
-    a grid's top degree covers every degree of the grid.
+    a grid's top degree covers every degree of the grid.  The tolerance
+    bounds the defect max|G - I|, not the error of the values: an accepted
+    basis can leave a value off by up to about twice its defect.
     """
     basis = _stack_basis(top, weights)
     g = _gram(top, basis)

@@ -112,6 +112,19 @@ def _factor_schema(payload: dict) -> bool:
         and json.loads(json.dumps(payload)) == payload
 
 
+def _one_csv_row(columns: dict[str, str]) -> Check:
+    """A header and one row, holding ``columns`` among its cells."""
+    return _csv(lambda rows: len(rows) == 2 and len(rows[0]) == len(rows[1])
+                and columns.items() <= dict(zip(*rows)).items())
+
+
+def _verify_failure(text: str) -> bool:
+    # the gaps are rounding-level, so only the report's structure is checked: summary, violations, verdict
+    lines = text.splitlines()
+    return len(lines) >= 3 and lines[0].startswith("verified ") and lines[-1] == "result: FAIL" \
+        and all(line.startswith("VIOLATION: theorem/oracle gap ") for line in lines[1:-1])
+
+
 def _gate_rows(command: str) -> list[Row]:
     """--check at Hermite d/dx (1, 31) is 3.4 % off its oracle and once printed that gap with exit 0: it prints its
     normal output, then exits 4 above --tolerance (default 1e-7), and a tolerance that is not finite and > 0 is
@@ -152,6 +165,21 @@ ROWS: list[Row] = [
     ok("test_cli_contract[weight-as-given-json]",
        "extremal --weight gegenbauer --op ddx --lambda 1.23456789012345 --mu -0.4999999999999 --n 3 --format json",
        _json(lambda p: (p["lambda"], p["mu"]) == (1.23456789012345, -0.4999999999999))),
+
+    # --format csv of factor and extremal (a JSON payload's lists space-joined) and of inequality (its terms one
+    # column each), the zero polynomial's plain report, and a failing plain verify ran in no row before
+    *[ok(f"test_cli_contract[{command}-csv]", f"{command} --weight hermite --op ddx --lambda 1 --n 3 --format csv",
+         _one_csv_row({"weight": "hermite", "branch": "odd_pencil_root",
+                       "extremal_coeffs": "0.0 -2.180294851 0.0 1.0"}))
+      for command in ("factor", "extremal")],
+    ok("test_cli_contract[inequality-csv]",
+       "inequality --family gegenbauer --lambda 1 --mu 0.5 --n 3 --coeffs 1,0,1 --format csv",
+       _one_csv_row({"polynomial_coeffs": "1.0 0.0 1.0", "eigenvalue_sq": "20.0", "equality": "False",
+                     "damped_sigma_norm_sq": "0.0"})),
+    ok("test_cli_contract[inequality-zero-polynomial]", "inequality --family hermite --lambda 1 --n 3 --coeffs 0",
+       _has("\np(x) = 0\n", "\ngap = 0   equality: True\n")),
+    ok("test_cli_contract[verify-fails]", "verify --lambdas 1 --mus 0.5 --n-max 3 --tolerance 1e-300",
+       _verify_failure, code=4),
 
     refused("test_domain_errors_exit_2", "factor --weight hermite --op ddx --lambda 0 --n 3", "lambda must be > 0"),
     refused("test_domain_errors_exit_2", "factor --weight gegenbauer --op dunkl --lambda 1 --n 3",
@@ -317,6 +345,12 @@ ROWS: list[Row] = [
     ok("test_hermite_moment_pencil_just_below_its_overflow",
        "factor --weight hermite --op ddx --lambda 165 --n 3 --format json",
        _json(lambda p: abs(p["factor_sq"] - 4.012) <= 5e-4)),
+    # F once built one moment more than it reads, Gamma(2m + 3 + lambda + 1/2) at degree 2m + 1, and refused these
+    # pencils (exit 3) when that moment overflowed although each entry fits a double
+    *[ok(f"test_hermite_moment_pencil_builds_only_the_moments_it_reads[{lam}-{n}]",
+         f"factor --check --format json --weight hermite --op ddx --lambda {lam} --n {n}",
+         _json(lambda p: p["oracle_rel_err"] <= 1e-12))
+      for lam, n in ((167, 3), (165, 5))],
     ok("test_extremal_command", "extremal --weight hermite --op dunkl --lambda 1 --n 2",
        _has("coeffs: 0.0 1.0")),  # the extremal drops to degree 1 for lambda > 1/2
     # every route that defers its extremal, by branch and coefficient count: the Gegenbauer d/dx odd branch (its

@@ -3,6 +3,12 @@
 - Polynomial helpers: ``reflect``, ``parity_split``, ``mul_by_x``,
   ``mul_by_one_minus_x2``, the Dunkl factor ``monomial_factor`` and
   ``dunkl_laplacian`` (D_lam twice), for writing identities term by term.
+- ``log_gamma``, ``hermite_moment``, ``gegenbauer_moment`` and
+  ``moment_table_reference``: the power moments of both weights, raw or
+  normalized, odd zeros included, through scipy's ``gammaln``.  The package
+  builds only the normalized even Hermite moments that F reads
+  (``special.moment_table``); these are the general table the other
+  references read.
 - ``gram_matrices``: the monomial-basis Gram pair (G, S) straight from the
   moment table.  It is exact but Hankel-conditioned, which limits it to low
   degree, and it is independent of the oracle's orthonormal basis.
@@ -47,11 +53,12 @@ from __future__ import annotations
 import csv
 import io
 import math
+import sys
 
 import numpy as np
 import numpy.polynomial.polynomial as npp
 
-from bmfactor.core import OperatorSpec, Polynomial, WeightFamily, WeightSpec
+from bmfactor.core import OperatorSpec, Polynomial, WeightFamily, WeightSpec, _describe
 from bmfactor.dunkl import _dunkl_rows, dunkl_apply
 from bmfactor.factors import Pencil, _tridiagonal
 from bmfactor.oracle import _Forms, _node_count, _stack_betas, _stack_parameters
@@ -94,11 +101,66 @@ def dunkl_laplacian(p: Polynomial, lam: float) -> Polynomial:
     return dunkl_apply(dunkl_apply(p, lam), lam)
 
 
+def log_gamma(x: float) -> float:
+    """ln Gamma(x) for x > 0."""
+    if x <= 0:
+        raise ValueError(f"log_gamma requires x > 0, got {x}")
+    from scipy.special import gammaln
+
+    return float(gammaln(x))
+
+
+def hermite_moment(s: int, lam: float) -> float:
+    """Integral of x^(2s) |x|^(2 lam) exp(-x^2) over R, i.e. Gamma(s + lam + 1/2)."""
+    if s < 0:
+        raise ValueError("moment order must be >= 0")
+    return math.exp(log_gamma(s + lam + 0.5))
+
+
+def gegenbauer_moment(s: int, lam: float, mu: float) -> float:
+    """Integral of x^(2s) |x|^(2 lam) (1-x^2)^(mu-1/2) over [-1,1].
+
+    Equals B(s + lam + 1/2, mu + 1/2), computed as a log-Gamma difference.
+    """
+    if s < 0:
+        raise ValueError("moment order must be >= 0")
+    return math.exp(log_gamma(s + lam + 0.5) + log_gamma(mu + 0.5) - log_gamma(lam + mu + s + 1.0))
+
+
+def moment_table_reference(weight: WeightSpec, max_order: int, normalized: bool = False) -> tuple[float, ...]:
+    """Power moments 0 .. max_order of a weight, with the moment functions' bits; odd entries are exactly zero.
+
+    With ``normalized=True`` all entries are divided by the zeroth moment; a
+    zeroth moment that is not a normal double (from about lam = mu = 510 on
+    [-1, 1]) is refused as the oracle's ``_mass`` is.
+    """
+    if max_order < 0:
+        raise ValueError("max_order must be >= 0")
+    from scipy.special import gammaln
+
+    lam, mu, half = weight.lam, weight.mu, max_order // 2 + 1
+    # one gammaln call over every argument, each rounded as in the moment functions
+    args = [s + lam + 0.5 for s in range(half)]
+    if weight.is_gegenbauer:
+        args += [mu + 0.5] + [lam + mu + s + 1.0 for s in range(half)]
+    logs = gammaln(args).tolist()
+    if weight.is_gegenbauer:
+        logs = [a + logs[half] - b for a, b in zip(logs[:half], logs[half + 1:])]
+    moments = [math.exp(v) for v in logs]
+    values = [0.0 if k % 2 else moments[k // 2] for k in range(max_order + 1)]
+    if normalized:
+        scale = values[0]
+        if scale < sys.float_info.min:
+            raise OverflowError(f"zeroth moment exp({logs[0]:.6g}) of the {_describe(weight)} is not a normal double")
+        values = [v / scale for v in values]
+    return tuple(values)
+
+
 def gram_matrices(n: int, weight: WeightSpec, op: OperatorSpec) -> tuple[np.ndarray, np.ndarray]:
     """Monomial-basis G_ij = <x^i, x^j>_W and S_ij = <sqrt(A) D x^i, sqrt(A) D x^j>_W."""
     if n < 1:
         raise ValueError("degree must be >= 1")
-    moments = moment_table(weight, 2 * n)
+    moments = moment_table_reference(weight, 2 * n)
     damped = weight.is_gegenbauer and op.damped  # sqrt(A) differs from 1 only on [-1,1]
     lam = weight.lam if op.is_dunkl else 0.0
     g = np.zeros((n + 1, n + 1))
@@ -122,7 +184,7 @@ def pencil_F_reference(n_odd: int, lam: float) -> tuple[Pencil, np.ndarray]:
     Returns the pencil and the raw P.
     """
     m = (n_odd - 1) // 2
-    d = moment_table(WeightSpec.hermite(lam), 4 * m + 6, normalized=True)[:4 * m + 5:2]
+    d = moment_table(lam, 2 * m + 3)
     p = np.empty((m + 1, m + 1))
     p_raw = np.empty((m + 1, m + 1))
     q = np.empty((m + 1, m + 1))
@@ -197,7 +259,7 @@ def pencil_G_reference(n: int, lam: float, mu: float) -> tuple[Pencil, np.ndarra
     Returns the pencil and the raw P, (2j+1)(2j+2 lam) c_(2i+2j) - (2j+1)(2j+2 lam+2 mu+1) c_(2i+2j+2).
     """
     m = (n - 2) // 2 if n % 2 == 0 else (n - 1) // 2
-    c = moment_table(WeightSpec.gegenbauer(lam, mu), 4 * m + 6, normalized=True)[:4 * m + 5:2]
+    c = moment_table_reference(WeightSpec.gegenbauer(lam, mu), 4 * m + 6, normalized=True)[:4 * m + 5:2]
     p = np.empty((m + 1, m + 1))
     p_raw = np.empty((m + 1, m + 1))
     q = np.empty((m + 1, m + 1))

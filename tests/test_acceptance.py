@@ -34,12 +34,12 @@ from bmfactor.oracle import rayleigh_factor
 from bmfactor.orthopoly import eigenvalue_sq, gegenbauer_poly, hermite_poly
 from bmfactor.core import WeightFamily
 from bmfactor.dunkl import dunkl_apply, sigma
-from bmfactor.special import moment_table
 from instruments import (
     connection_check,
     dunkl_gegenbauer_threshold,
     dunkl_laplacian,
     hermite_connection_check,
+    moment_table_reference,
     mul_by_one_minus_x2,
     mul_by_x,
     reflect,
@@ -308,7 +308,7 @@ def test_criterion_8_characterization_inequality():
 
 def _inner_with_shift(u, q, weight, shift, with_a=False):
     aq = 1.0 if (with_a and weight.is_gegenbauer) else 0.0
-    table = moment_table(weight, len(u.coeffs) + len(q.coeffs) + abs(shift) + 4)
+    table = moment_table_reference(weight, len(u.coeffs) + len(q.coeffs) + abs(shift) + 4)
     total = []
     for l, a in enumerate(u.coeffs):
         if a == 0.0:

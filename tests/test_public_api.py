@@ -8,6 +8,7 @@ from pathlib import Path
 
 import bmfactor
 import bmfactor.oracle
+import bmfactor.special
 
 PUBLIC = [
     "Branch", "ConditioningError", "FactorResult", "InequalityReport", "OperatorKind", "OperatorSpec",
@@ -22,17 +23,17 @@ MODULES = ("core", "dunkl", "factors", "inequality", "oracle", "orthopoly", "spe
 # with its generic root solver (the odd pencil serves G's root; tests/instruments.py keeps G), the
 # names no command reaches: the residual views, the Dunkl threshold n0 and the single-polynomial forms,
 # the deleted moment-table wrapper and Hermite stacks of one, and the per-route stacks and scalar Dunkl
-# route that _factor_grid and _odd_branch replace.
+# route that _factor_grid and _odd_branch replace, and the Gamma helpers and general moment functions that only
+# the tests' references read.
 MOVED = (
     "gram_matrices", "GramPair", "residual_classical_L", "ClassicalResidual", "connection_check",
     "hermite_connection_check", "TableCoefficients", "monomial_factor", "dunkl_laplacian", "mul_by_x",
     "mul_by_one_minus_x2", "reflect", "parity_split", "build_pencil_G", "pencil_largest_positive_root",
     "residual_hermite", "residual_gegenbauer", "dunkl_gegenbauer_threshold", "weighted_inner",
     "rayleigh_quotient", "_even_width", "MomentTable", "_top_positive", "_hermite_ddx_stack",
-    "_odd_branch_stack", "_odd_branch_grid", "_gegenbauer_ddx_stack", "_dunkl_factor",
+    "_odd_branch_stack", "_odd_branch_grid", "_gegenbauer_ddx_stack", "_dunkl_factor", "log_gamma",
+    "hermite_moment", "gegenbauer_moment",
 )
-# bmfactor.special keeps these for the moment pencils; the package does not re-export them.
-SPECIAL = ("log_gamma", "hermite_moment", "gegenbauer_moment", "moment_table")
 # Public methods, classmethods and properties of the exported classes that no module reads, each with its reason.
 MEMBERS_WITHOUT_CALLER: dict[str, str] = {}
 
@@ -45,7 +46,7 @@ def test_all_lists_the_runtime_names():
 
 
 def test_moved_names_are_absent():
-    assert [name for name in (*MOVED, *SPECIAL) if hasattr(bmfactor, name)] == []
+    assert [name for name in (*MOVED, "moment_table") if hasattr(bmfactor, name)] == []
     for module in MODULES:
         namespace = vars(importlib.import_module(f"bmfactor.{module}"))
         assert [name for name in MOVED if name in namespace] == [], module
@@ -89,6 +90,18 @@ def test_only_factors_imports_special():
                        if any(isinstance(node, ast.ImportFrom) and node.module == "special"
                               for node in ast.walk(ast.parse(path.read_text()))))
     assert importers == ["factors"]
+
+
+def test_special_is_the_moment_pencils_table_alone():
+    # F reads one table, which the package does not re-export; special needs nothing else of the package
+    tree = ast.parse(Path(bmfactor.__file__).with_name("special.py").read_text())
+    defined = [node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    assigned = [target.id for node in tree.body if isinstance(node, ast.Assign)
+                for target in node.targets if isinstance(target, ast.Name)]
+    assert [name for name in defined + assigned if not name.startswith("_")] == ["moment_table"]
+    assert [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            and (node.level or node.module.startswith("bmfactor"))] == []
+    assert list(inspect.signature(bmfactor.special.moment_table).parameters) == ["lam", "count"]
 
 
 def test_cli_imports_only_the_oracle_entries():

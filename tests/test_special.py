@@ -1,4 +1,5 @@
-"""Gamma/Beta helpers and moment tables, cross-checked by adaptive quadrature."""
+"""The moment pencil's table, and the tests' Gamma/Beta helpers and general moment table, cross-checked by adaptive
+quadrature."""
 
 import math
 import re
@@ -7,12 +8,8 @@ import pytest
 from scipy.integrate import quad
 
 from bmfactor.core import WeightSpec, _describe
-from bmfactor.special import (
-    gegenbauer_moment,
-    hermite_moment,
-    log_gamma,
-    moment_table,
-)
+from bmfactor.special import moment_table
+from instruments import gegenbauer_moment, hermite_moment, log_gamma, moment_table_reference
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -62,34 +59,37 @@ def test_gegenbauer_moment_ratio_and_monotonicity(lam, mu):
 
 
 def test_moment_table_hermite_classical():
-    table = moment_table(WeightSpec.hermite(0.0), 4)
+    table = moment_table_reference(WeightSpec.hermite(0.0), 4)
     expected = (SQRT_PI, 0.0, SQRT_PI / 2, 0.0, 3 * SQRT_PI / 4)
     assert table == pytest.approx(expected, rel=1e-14)
+    # the pencil's table holds the even entries only, divided by the zeroth
+    assert moment_table(0.0, 3) == pytest.approx((1.0, 0.5, 0.75), rel=1e-14)
 
 
 def test_moment_table_gegenbauer_and_odd_zero():
-    table = moment_table(WeightSpec.gegenbauer(0.0, 0.5), 2)
+    table = moment_table_reference(WeightSpec.gegenbauer(0.0, 0.5), 2)
     assert table == pytest.approx((2.0, 0.0, 2.0 / 3.0), rel=1e-14)
-    big = moment_table(WeightSpec.gegenbauer(1.3, -0.2), 15)
+    big = moment_table_reference(WeightSpec.gegenbauer(1.3, -0.2), 15)
     assert all(big[k] == 0.0 for k in range(1, 16, 2))
     assert all(big[k] > 0.0 for k in range(0, 16, 2))
 
 
 def test_moment_table_normalization_and_bounds():
-    table = moment_table(WeightSpec.hermite(2.0), 8, normalized=True)
-    assert len(table) == 9 and table[0] == 1.0
+    table = moment_table(2.0, 5)
+    assert len(table) == 5 and table[0] == 1.0
     with pytest.raises(IndexError):
-        table[9]
+        table[5]
+    table = moment_table_reference(WeightSpec.hermite(2.0), 8, normalized=True)
+    assert len(table) == 9 and table[0] == 1.0
     with pytest.raises(ValueError):
-        moment_table(WeightSpec.hermite(0.0), -1)
+        moment_table_reference(WeightSpec.hermite(0.0), -1)
 
 
 def test_moment_table_is_a_cached_tuple():
-    # the pencil builder slices the table, and the benchmark reads the cache's statistics
-    weight = WeightSpec.gegenbauer(0.35, 1.25)
-    assert type(moment_table(weight, 6, normalized=True)) is tuple
+    # the pencil builder reads the table, and the benchmark reads the cache's statistics
+    assert type(moment_table(0.35, 4)) is tuple
     before = moment_table.cache_info()
-    assert moment_table(weight, 6, normalized=True) is moment_table(weight, 6, normalized=True)
+    assert moment_table(0.35, 4) is moment_table(0.35, 4)
     after = moment_table.cache_info()
     assert after.hits == before.hits + 2 and after.misses == before.misses
 
@@ -104,8 +104,11 @@ def _entries(weight, max_order, normalized):
         return type(error)
 
 
+_HERMITE_LAMBDAS = (0.0, 0.3, 1.0, 4.5, 100.0, 167.0, 171.0)
+
+
 @pytest.mark.parametrize("weights", (
-    [WeightSpec.hermite(lam) for lam in (0.0, 0.3, 1.0, 4.5, 100.0, 167.0, 171.0)],
+    [WeightSpec.hermite(lam) for lam in _HERMITE_LAMBDAS],
     [WeightSpec.gegenbauer(lam, mu) for lam in (0.0, 0.3, 4.5, 167.0, 600.0)
      for mu in (-0.4999999, -0.2, 0.5, 3.0, 99.0, 600.0)],
 ), ids=("hermite", "gegenbauer"))
@@ -114,7 +117,6 @@ def test_moment_table_entries_are_the_moment_functions_bits(weights):
     # one-moment function's bits, and where those overflow (Hermite) the table must raise the same error.  A
     # table normalized by an underflowed zeroth moment (Gegenbauer at 600, 600) once raised a bare
     # ZeroDivisionError; it is refused naming the weight, as the oracle's zeroth moment is
-    moment_table.cache_clear()
     for weight in weights:
         for max_order in (0, 1, 6, 29, 130, 258):
             for normalized in (False, True):
@@ -122,13 +124,26 @@ def test_moment_table_entries_are_the_moment_functions_bits(weights):
                 if expected is ZeroDivisionError:
                     named = re.escape(_describe(weight))
                     with pytest.raises(OverflowError, match=rf"^zeroth moment exp\(\S+\) of the {named} is not"):
-                        moment_table(weight, max_order, normalized)
+                        moment_table_reference(weight, max_order, normalized)
                 elif isinstance(expected, type):
                     with pytest.raises(expected):
-                        moment_table(weight, max_order, normalized)
+                        moment_table_reference(weight, max_order, normalized)
                 else:
-                    table = moment_table(weight, max_order, normalized)
+                    table = moment_table_reference(weight, max_order, normalized)
                     assert list(map(float.hex, table)) == list(map(float.hex, expected))
+
+
+@pytest.mark.parametrize("lam", _HERMITE_LAMBDAS)
+def test_pencil_table_is_the_reference_tables_even_normalized_bits(lam):
+    # F's table is the general table's even entries, normalized, bit for bit, and overflows where it does
+    moment_table.cache_clear()
+    for count in (1, 4, 15, 65, 130):
+        expected = _entries(WeightSpec.hermite(lam), 2 * count - 2, True)
+        if isinstance(expected, type):
+            with pytest.raises(expected):
+                moment_table(lam, count)
+        else:
+            assert list(map(float.hex, moment_table(lam, count))) == list(map(float.hex, expected[::2]))
 
 
 def _quad_hermite(s, lam):
